@@ -17,9 +17,8 @@
 use crate::state::SchedulerState;
 use dms_ir::{DepEdge, OpId};
 use dms_machine::{ClusterId, FuKind, TopoPath};
-use dms_sched::schedule::dependence_bound;
+use dms_sched::schedule::{dependence_bound, ScheduledOp};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// How strategy 2 chooses between the alternative topology paths of a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -76,28 +75,72 @@ pub struct ClusterChainOption {
     pub op_ready: u32,
 }
 
-/// Per-option tracker of hypothetically claimed Copy slots, keyed by
-/// `(row, cluster)`.
-#[derive(Debug, Default, Clone)]
-struct Claims {
-    used: HashMap<(u32, u32), u32>,
+/// The Copy slots an option has hypothetically claimed so far: the
+/// `(cluster, time)` of every move it plans. An option plans at most a few
+/// moves, so a linear scan beats hashing.
+type Claims = [(ClusterId, u32)];
+
+/// Number of claims on `cluster`'s Copy units in MRT row `row`.
+fn claimed(claims: &Claims, ii: u32, row: u32, cluster: ClusterId) -> u32 {
+    claims.iter().filter(|&&(c, t)| c == cluster && t % ii == row).count() as u32
 }
 
-impl Claims {
-    fn claimed(&self, row: u32, cluster: ClusterId) -> u32 {
-        *self.used.get(&(row, cluster.0)).unwrap_or(&0)
-    }
+/// Number of claims on `cluster`'s Copy units in any row.
+fn claimed_in(claims: &Claims, cluster: ClusterId) -> u32 {
+    claims.iter().filter(|&&(c, _)| c == cluster).count() as u32
+}
 
-    fn claim(&mut self, row: u32, cluster: ClusterId) {
-        *self.used.entry((row, cluster.0)).or_insert(0) += 1;
-    }
+/// Copy slack of the most loaded cluster once `claims` and `extra` (the
+/// moves of one more chain) are placed: the paper's chain-selection score.
+/// A claim only lowers the slack of its own cluster, so every unclaimed
+/// cluster's slack is at least `ctx.copy_floor`, the smallest free Copy
+/// slot count of all clusters, and only the claimed clusters need a look.
+fn min_copy_slack(state: &SchedulerState, ctx: &OpContext, claims: &Claims, extra: &Claims) -> u32 {
+    claims
+        .iter()
+        .chain(extra)
+        .map(|&(c, _)| {
+            let taken = claimed_in(claims, c) + claimed_in(extra, c);
+            state.mrt.free_slots(c, FuKind::Copy).saturating_sub(taken)
+        })
+        .fold(ctx.copy_floor, u32::min)
+}
 
-    fn per_cluster(&self) -> HashMap<u32, u32> {
-        let mut out = HashMap::new();
-        for (&(_, c), &n) in &self.used {
-            *out.entry(c).or_insert(0) += n;
-        }
-        out
+/// The cluster-independent facts strategy 2 needs about `op`, gathered once
+/// per planning call instead of once per candidate cluster.
+struct OpContext {
+    /// Earliest start of `op` given its scheduled predecessors.
+    estart: u32,
+    /// Scheduled flow predecessors (self edges excluded), in edge order:
+    /// the edge and the producer's placement.
+    preds: Vec<(DepEdge, ScheduledOp)>,
+    /// Clusters of the scheduled flow successors (self edges excluded).
+    succ_clusters: Vec<ClusterId>,
+    /// The fewest free Copy slots any cluster has.
+    copy_floor: u32,
+}
+
+impl OpContext {
+    fn new(state: &SchedulerState, op: OpId) -> Self {
+        let preds = state
+            .ddg
+            .flow_preds(op)
+            .filter(|(_, e)| e.src != op)
+            .filter_map(|(_, e)| state.schedule.get(e.src).map(|p| (*e, p)))
+            .collect();
+        let succ_clusters = state
+            .ddg
+            .flow_succs(op)
+            .filter(|(_, e)| e.dst != op)
+            .filter_map(|(_, e)| state.schedule.get(e.dst).map(|s| s.cluster))
+            .collect();
+        let copy_floor = state
+            .topology()
+            .iter()
+            .map(|c| state.mrt.free_slots(c, FuKind::Copy))
+            .min()
+            .unwrap_or(0);
+        OpContext { estart: state.earliest_start(op), preds, succ_clusters, copy_floor }
     }
 }
 
@@ -110,116 +153,75 @@ pub fn plan_for_cluster(
     cluster: ClusterId,
     policy: ChainPolicy,
 ) -> Option<ClusterChainOption> {
-    let topology = *state.topology();
+    plan_in_context(state, &OpContext::new(state, op), cluster, policy)
+}
+
+fn plan_in_context(
+    state: &SchedulerState,
+    ctx: &OpContext,
+    cluster: ClusterId,
+    policy: ChainPolicy,
+) -> Option<ClusterChainOption> {
+    let topology = state.topology();
 
     // Scheduled flow successors must already be directly connected: the paper
     // only builds chains towards predecessors.
-    for (_, e) in state.ddg.flow_succs(op) {
-        if e.dst == op {
-            continue;
-        }
-        if let Some(s) = state.schedule.get(e.dst) {
-            if !topology.directly_connected(cluster, s.cluster) {
-                return None;
-            }
-        }
+    if !ctx.succ_clusters.iter().all(|&s| topology.directly_connected(cluster, s)) {
+        return None;
     }
 
-    let mut claims = Claims::default();
+    let mut claims: Vec<(ClusterId, u32)> = Vec::new();
     let mut chains = Vec::new();
-    let mut op_ready = state.earliest_start(op);
+    let mut op_ready = ctx.estart;
 
     // One chain per scheduled flow predecessor that is too far away.
-    let pred_edges: Vec<DepEdge> =
-        state.ddg.flow_preds(op).filter(|(_, e)| e.src != op).map(|(_, e)| *e).collect();
-    for edge in pred_edges {
-        let Some(p) = state.schedule.get(edge.src) else { continue };
+    for (edge, p) in &ctx.preds {
         if topology.directly_connected(p.cluster, cluster) {
             continue;
         }
-        // Try every topology path and keep the feasible ones.
-        let mut candidates: Vec<(ChainPlan, Claims)> = Vec::new();
-        for path in topology.paths(p.cluster, cluster) {
-            if let Some((plan, new_claims)) =
-                plan_single_chain(state, &edge, p.time, &path, &claims)
-            {
-                candidates.push((plan, new_claims));
+        // Try every topology path and keep the best feasible one.
+        let paths = state.paths(p.cluster, cluster);
+        let candidates =
+            paths.iter().filter_map(|path| plan_single_chain(state, edge, p.time, path, &claims));
+        let plan = match policy {
+            ChainPolicy::ShortestPath => {
+                candidates.min_by_key(|plan| (plan.moves.len(), plan.consumer_ready))
             }
-        }
-        if candidates.is_empty() {
-            return None;
-        }
-        let (plan, new_claims) = select_chain(state, candidates, policy);
+            // Score each candidate by the Copy slack of the most loaded
+            // cluster it would leave behind; larger is better.
+            ChainPolicy::MaxFreeSlots => candidates.min_by_key(|plan| {
+                (
+                    std::cmp::Reverse(min_copy_slack(state, ctx, &claims, &plan.moves)),
+                    plan.moves.len(),
+                    plan.queue_cost,
+                    plan.consumer_ready,
+                )
+            }),
+        }?;
         op_ready = op_ready.max(plan.consumer_ready);
-        claims = new_claims;
+        claims.extend_from_slice(&plan.moves);
         chains.push(plan);
     }
 
     // Score: Copy slack of the most loaded cluster after placing the chains.
-    let per_cluster = claims.per_cluster();
-    let min_copy_slack = topology
-        .iter()
-        .map(|c| {
-            state
-                .mrt
-                .free_slots(c, FuKind::Copy)
-                .saturating_sub(*per_cluster.get(&c.0).unwrap_or(&0))
-        })
-        .min()
-        .unwrap_or(0);
+    let min_copy_slack = min_copy_slack(state, ctx, &claims, &[]);
     let total_moves = chains.iter().map(|c| c.moves.len()).sum();
     let queue_cost = chains.iter().map(|c| c.queue_cost).sum();
 
     Some(ClusterChainOption { cluster, chains, min_copy_slack, total_moves, queue_cost, op_ready })
 }
 
-/// Picks the path for one chain according to the policy.
-fn select_chain(
-    state: &SchedulerState,
-    mut candidates: Vec<(ChainPlan, Claims)>,
-    policy: ChainPolicy,
-) -> (ChainPlan, Claims) {
-    let topology = *state.topology();
-    match policy {
-        ChainPolicy::ShortestPath => {
-            candidates.sort_by_key(|(p, _)| (p.moves.len(), p.consumer_ready));
-            candidates.into_iter().next().expect("at least one candidate")
-        }
-        ChainPolicy::MaxFreeSlots => {
-            // Score each candidate by the Copy slack of the most loaded
-            // cluster it would leave behind; larger is better.
-            let score = |claims: &Claims| -> u32 {
-                let per_cluster = claims.per_cluster();
-                topology
-                    .iter()
-                    .map(|c| {
-                        state
-                            .mrt
-                            .free_slots(c, FuKind::Copy)
-                            .saturating_sub(*per_cluster.get(&c.0).unwrap_or(&0))
-                    })
-                    .min()
-                    .unwrap_or(0)
-            };
-            candidates.sort_by_key(|(p, claims)| {
-                (std::cmp::Reverse(score(claims)), p.moves.len(), p.queue_cost, p.consumer_ready)
-            });
-            candidates.into_iter().next().expect("at least one candidate")
-        }
-    }
-}
-
 /// Plans a single chain along `path` (whose first cluster hosts the
-/// producer, issued at `src_time`). Returns the plan and the updated
-/// claims, or `None` if some intermediate cluster has no free Copy slot in
-/// the scheduling window.
+/// producer, issued at `src_time`), on top of the Copy slots `claims`
+/// already holds. Returns `None` if some intermediate cluster has no free
+/// Copy slot in the scheduling window.
 fn plan_single_chain(
     state: &SchedulerState,
     edge: &DepEdge,
     src_time: u32,
     path: &TopoPath,
     claims: &Claims,
-) -> Option<(ChainPlan, Claims)> {
+) -> Option<ChainPlan> {
     let ii = state.ii();
     let mv = state.move_latency();
     let intermediates = path.intermediates();
@@ -228,7 +230,15 @@ fn plan_single_chain(
         // as infeasible here because the caller only asks for actual chains.
         return None;
     }
-    let mut new_claims = claims.clone();
+    // Each move below searches a window of II consecutive times, i.e. every
+    // MRT row once, and a claim only ever takes a free unit of its row. So
+    // a move finds a slot exactly when its cluster's Copy column has free
+    // slots left over by the claims, and the chain is feasible exactly when
+    // every intermediate cluster does.
+    if intermediates.iter().any(|&c| state.mrt.free_slots(c, FuKind::Copy) <= claimed_in(claims, c))
+    {
+        return None;
+    }
     // Price the option by how congested the queue files along the path
     // already are: a chain routed through a near-capacity CQRF is likely to
     // push the final schedule past the capacity limit (and into an II
@@ -250,18 +260,21 @@ fn plan_single_chain(
     let window_cap = (u32::MAX - ii) as i64; // keeps `lower + ii` below the wrap point
     let mut lower =
         dependence_bound(src_time, edge.latency, ii, edge.distance).clamp(0, window_cap) as u32;
-    let mut moves = Vec::with_capacity(intermediates.len());
+    let mut moves: Vec<(ClusterId, u32)> = Vec::with_capacity(intermediates.len());
     for &cluster in intermediates {
-        let slot = (lower..lower + ii).find(|&t| {
-            let row = t % ii;
-            state.mrt.free_at(t, cluster, FuKind::Copy) > new_claims.claimed(row, cluster)
-        })?;
-        new_claims.claim(slot % ii, cluster);
+        let slot = (lower..lower + ii)
+            .find(|&t| {
+                let row = t % ii;
+                // A simple path visits each cluster once, so this chain's own
+                // earlier moves never share the cluster: only `claims` count.
+                state.mrt.free_at(t, cluster, FuKind::Copy) > claimed(claims, ii, row, cluster)
+            })
+            .expect("a Copy column with unclaimed free slots has one in every II-long window");
         moves.push((cluster, slot));
         lower = slot.saturating_add(mv).min(window_cap as u32);
     }
     let consumer_ready = lower;
-    Some((ChainPlan { edge: *edge, moves, consumer_ready, queue_cost }, new_claims))
+    Some(ChainPlan { edge: *edge, moves, consumer_ready, queue_cost })
 }
 
 /// Enumerates every viable strategy-2 option for `op` (one per cluster) and
@@ -272,17 +285,16 @@ pub fn best_option(
     op: OpId,
     policy: ChainPolicy,
 ) -> Option<ClusterChainOption> {
-    let mut options: Vec<ClusterChainOption> = state
-        .topology()
+    let ctx = OpContext::new(state, op);
+    let topology = state.topology();
+    let options = topology
         .iter()
-        .filter_map(|c| plan_for_cluster(state, op, c, policy))
-        .filter(|o| !o.chains.is_empty())
-        .collect();
-    if options.is_empty() {
-        return None;
-    }
+        // A cluster every scheduled predecessor reaches directly needs no
+        // chain, so strategy 2 has nothing to offer there.
+        .filter(|&c| ctx.preds.iter().any(|(_, p)| !topology.directly_connected(p.cluster, c)))
+        .filter_map(|c| plan_in_context(state, &ctx, c, policy));
     match policy {
-        ChainPolicy::MaxFreeSlots => options.sort_by_key(|o| {
+        ChainPolicy::MaxFreeSlots => options.min_by_key(|o| {
             (
                 std::cmp::Reverse(o.min_copy_slack),
                 o.total_moves,
@@ -291,11 +303,8 @@ pub fn best_option(
                 o.cluster,
             )
         }),
-        ChainPolicy::ShortestPath => {
-            options.sort_by_key(|o| (o.total_moves, o.op_ready, o.cluster))
-        }
+        ChainPolicy::ShortestPath => options.min_by_key(|o| (o.total_moves, o.op_ready, o.cluster)),
     }
-    options.into_iter().next()
 }
 
 #[cfg(test)]
@@ -344,8 +353,7 @@ mod tests {
         let edge = *st.ddg.flow_succs(OpId(0)).next().unwrap().1;
         // shortest path on the 8-ring from C0 to C3: 0 -> 1 -> 2 -> 3
         let path = st.topology().paths(ClusterId(0), ClusterId(3)).remove(0);
-        let (plan, _) =
-            plan_single_chain(&st, &edge, 5, &path, &Claims::default()).expect("feasible");
+        let plan = plan_single_chain(&st, &edge, 5, &path, &[]).expect("feasible");
         assert_eq!(plan.moves.len(), 2); // clusters 1 and 2
                                          // first move at or after producer time + load latency (2)
         assert!(plan.moves[0].1 >= 7);
@@ -362,7 +370,7 @@ mod tests {
         st.place(OpId(0), 0, ClusterId(0));
         let edge = *st.ddg.flow_succs(OpId(0)).next().unwrap().1;
         let adjacent = TopoPath { clusters: vec![ClusterId(0), ClusterId(1)] };
-        assert!(plan_single_chain(&st, &edge, 0, &adjacent, &Claims::default()).is_none());
+        assert!(plan_single_chain(&st, &edge, 0, &adjacent, &[]).is_none());
     }
 
     #[test]
@@ -379,7 +387,6 @@ mod tests {
         st.height.resize(st.ddg.num_slots(), 0);
         st.never_scheduled.resize(st.ddg.num_slots(), true);
         st.prev_time.resize(st.ddg.num_slots(), 0);
-        st.unscheduled.retain(|&o| o != c1 && o != c2);
         st.place(c1, 0, ClusterId(1));
         st.place(c2, 0, ClusterId(3));
         assert!(best_option(&st, OpId(2), ChainPolicy::MaxFreeSlots).is_none());
@@ -402,7 +409,7 @@ mod tests {
         let edge = *st.ddg.flow_succs(OpId(0)).next().unwrap().1;
         let carried = DepEdge { distance: 1, ..edge };
         let path = st.topology().paths(ClusterId(0), ClusterId(3)).remove(0);
-        let (plan, _) = plan_single_chain(&st, &carried, 0, &path, &Claims::default())
+        let plan = plan_single_chain(&st, &carried, 0, &path, &[])
             .expect("a negative-slack window must clamp to 0 and stay feasible");
         assert_eq!(plan.moves.len(), 2);
         assert!(plan.moves[0].1 < 4, "the first move must sit inside the clamped [0, II) window");

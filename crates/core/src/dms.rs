@@ -3,10 +3,10 @@
 //! beam search, explore/exploit portfolio).
 
 use crate::chains::{self, ChainPolicy};
-use crate::state::SchedulerState;
+use crate::state::{FlowNeighbours, SchedulerState};
 use dms_ir::transform::convert_to_single_use;
 use dms_ir::{Ddg, Loop, OpId};
-use dms_machine::{ClusterId, FuKind, MachineConfig};
+use dms_machine::{ClusterId, FuKind, MachineConfig, PathCache};
 use dms_sched::ims::default_max_ii;
 use dms_sched::mii::{mii, MiiBreakdown};
 use dms_sched::pressure::QueuePressure;
@@ -15,6 +15,7 @@ use dms_sched::strategy::SchedulerStrategy;
 use dms_telemetry::{SchedEvent, Telemetry};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// When to apply the single-use (copy-insertion) lifetime conversion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -253,6 +254,8 @@ struct Prepared {
     start_ii: u32,
     max_ii: u32,
     budget: u64,
+    /// The machine's chain paths, shared by every attempt.
+    paths: Rc<PathCache>,
 }
 
 fn prepare(
@@ -278,7 +281,8 @@ fn prepare(
         .unwrap_or_else(|| default_max_ii(&ddg, machine, start_ii))
         .max(config.ii_seed.unwrap_or(0));
     let budget = config.budget_ratio as u64 * ddg.num_live_ops().max(1) as u64;
-    Ok(Prepared { ddg, copies, bounds, start_ii, max_ii, budget })
+    let paths = Rc::new(PathCache::new(machine.topology()));
+    Ok(Prepared { ddg, copies, bounds, start_ii, max_ii, budget, paths })
 }
 
 /// How a single candidate attempts each II of the search.
@@ -318,21 +322,11 @@ fn run_search(
         // exactly.
         let steer_chains = pressure_retries > 0;
         let attempt = match mode {
-            SearchMode::Deterministic => {
-                try_dms(&prep.ddg, machine, ii, prep.budget, config, steer_chains, None)
+            SearchMode::Deterministic => try_dms(prep, machine, ii, config, steer_chains, None),
+            SearchMode::Jittered { rng, explore } => {
+                try_dms(prep, machine, ii, config, steer_chains, Some((rng, *explore)))
             }
-            SearchMode::Jittered { rng, explore } => try_dms(
-                &prep.ddg,
-                machine,
-                ii,
-                prep.budget,
-                config,
-                steer_chains,
-                Some((rng, *explore)),
-            ),
-            SearchMode::Beam { width } => {
-                try_beam(&prep.ddg, machine, ii, prep.budget, config, steer_chains, *width)
-            }
+            SearchMode::Beam { width } => try_beam(prep, machine, ii, config, steer_chains, *width),
         };
         let Some((out_ddg, schedule, mut stats, pressure)) = attempt else {
             telemetry.event(SchedEvent::IiAttemptFailed { ii });
@@ -449,21 +443,22 @@ fn draw_jitter(rng: &mut StdRng, heights: &[i64], explore: bool) -> Vec<i64> {
 /// One II attempt of the plain (optionally jittered) heuristic. Returns
 /// `None` when the budget is exhausted.
 fn try_dms(
-    ddg: &Ddg,
+    prep: &Prepared,
     machine: &MachineConfig,
     ii: u32,
-    budget: u64,
     config: &DmsConfig,
     steer_chains: bool,
     jitter: Option<(&mut StdRng, bool)>,
 ) -> Option<(Ddg, Schedule, SchedStats, QueuePressure)> {
-    let mut st = SchedulerState::new(ddg.clone(), machine, ii);
+    let mut st = SchedulerState::with_paths(prep.ddg.clone(), machine, ii, Rc::clone(&prep.paths));
     st.pressure_aware = config.pressure == PressureMode::Aware;
     st.chain_steering = st.pressure_aware && steer_chains;
     if let Some((rng, explore)) = jitter {
-        st.jitter = draw_jitter(rng, &st.height, explore);
+        let jitter = draw_jitter(rng, &st.height, explore);
+        st.set_jitter(jitter);
     }
-    let mut remaining = budget;
+    let mut remaining = prep.budget;
+    let mut pending = Pending::empty();
 
     while let Some(op) = st.pop_highest_priority() {
         if remaining == 0 {
@@ -472,7 +467,8 @@ fn try_dms(
         remaining -= 1;
         st.stats.budget_used += 1;
 
-        if place_strategy1(&mut st, op) {
+        pending.fill(&st, op);
+        if place_strategy1(&mut st, &pending) {
             st.stats.strategy1_placements += 1;
             continue;
         }
@@ -480,7 +476,7 @@ fn try_dms(
             st.stats.strategy2_placements += 1;
             continue;
         }
-        place_strategy3(&mut st, op);
+        place_strategy3(&mut st, &pending);
         st.stats.strategy3_placements += 1;
     }
 
@@ -494,27 +490,27 @@ fn try_dms(
 /// Returns `None` when the shared budget pool is exhausted before any
 /// branch completes.
 fn try_beam(
-    ddg: &Ddg,
+    prep: &Prepared,
     machine: &MachineConfig,
     ii: u32,
-    budget: u64,
     config: &DmsConfig,
     steer_chains: bool,
     width: u32,
 ) -> Option<(Ddg, Schedule, SchedStats, QueuePressure)> {
     let width = width.max(1) as usize;
-    let mut seed = SchedulerState::new(ddg.clone(), machine, ii);
+    let mut seed =
+        SchedulerState::with_paths(prep.ddg.clone(), machine, ii, Rc::clone(&prep.paths));
     seed.pressure_aware = config.pressure == PressureMode::Aware;
     seed.chain_steering = seed.pressure_aware && steer_chains;
     let mut beam = vec![seed];
     // One pool for the whole beam, `width` single-search budgets deep: a
     // wide beam explores more but never does unbounded extra work.
-    let mut remaining = budget.saturating_mul(width as u64);
+    let mut remaining = prep.budget.saturating_mul(width as u64);
 
-    while !beam.iter().all(|st| st.unscheduled.is_empty()) {
+    while !beam.iter().all(SchedulerState::complete) {
         if remaining == 0 {
             // Out of budget: settle for the branches that did finish.
-            beam.retain(|st| st.unscheduled.is_empty());
+            beam.retain(SchedulerState::complete);
             break;
         }
         let mut next: Vec<SchedulerState> = Vec::with_capacity(beam.len() * 2);
@@ -529,7 +525,9 @@ fn try_beam(
             }
             remaining -= 1;
             st.stats.budget_used += 1;
-            let options = beam_strategy1_options(&st, op, width);
+            let mut pending = Pending::empty();
+            pending.fill(&st, op);
+            let options = beam_strategy1_options(&st, &pending, width);
             if let Some((&first, rest)) = options.split_first() {
                 for &(time, cluster) in rest {
                     let mut branch = st.clone();
@@ -545,7 +543,7 @@ fn try_beam(
             } else if place_strategy2(&mut st, op, config.chain_policy) {
                 st.stats.strategy2_placements += 1;
             } else {
-                place_strategy3(&mut st, op);
+                place_strategy3(&mut st, &pending);
                 st.stats.strategy3_placements += 1;
             }
             next.push(st);
@@ -556,7 +554,7 @@ fn try_beam(
         // stable, so equal branches keep their deterministic insertion
         // order.
         next.sort_by_cached_key(|st| {
-            (st.unscheduled.len(), st.schedule.max_time(), st.pressure.total(), st.stats.evictions)
+            (st.num_unscheduled(), st.schedule.max_time(), st.pressure.total(), st.stats.evictions)
         });
         next.truncate(width);
         beam = next;
@@ -567,74 +565,113 @@ fn try_beam(
         .map(SchedulerState::into_parts)
 }
 
-/// The strategy-1 placements a beam branch may take: for each preferred
+/// What the placement strategies need to know about the operation being
+/// placed, gathered once per pop. Strategy 2 only runs when strategy 1
+/// changed nothing, and strategy 3 only when strategy 2 changed nothing,
+/// so the facts hold for all three.
+struct Pending {
+    op: OpId,
+    fu: FuKind,
+    neighbours: FlowNeighbours,
+    /// The clusters with no communication conflict towards the scheduled
+    /// flow neighbours, in id order.
+    compatible: Vec<ClusterId>,
+    /// The scheduling window `(min_time, max_time)`.
+    window: (u32, u32),
+}
+
+impl Pending {
+    /// Buffers to [`fill`](Pending::fill) before first use.
+    fn empty() -> Self {
+        Pending {
+            op: OpId(0),
+            fu: FuKind::Copy,
+            neighbours: FlowNeighbours::default(),
+            compatible: Vec::new(),
+            window: (0, 0),
+        }
+    }
+
+    /// Gathers the facts for `op`, reusing this value's buffers.
+    fn fill(&mut self, st: &SchedulerState, op: OpId) {
+        self.op = op;
+        self.fu = FuKind::for_op(st.ddg.op(op).kind);
+        st.fill_flow_neighbours(op, &mut self.neighbours);
+        self.compatible.clear();
+        self.compatible.extend(st.compatible_clusters(&self.neighbours));
+        self.window = st.window(op);
+    }
+
+    /// How much the operation prefers `cluster` (smaller is better):
+    /// clusters already hosting scheduled flow neighbours first (the value
+    /// stays in the LRF and the partition stays compact), then the least
+    /// loaded cluster for the operation's unit class. In
+    /// [`PressureMode::Aware`] runs, remaining ties go to the cluster whose
+    /// queue files towards the scheduled neighbours hold the fewest live
+    /// values, steering traffic away from saturated CQRFs/LRFs. The id
+    /// makes the order total.
+    fn preference(
+        &self,
+        st: &SchedulerState,
+        cluster: ClusterId,
+    ) -> (std::cmp::Reverse<usize>, std::cmp::Reverse<u32>, u64, ClusterId) {
+        let hosted = self.neighbours.clusters().filter(|&n| n == cluster).count();
+        let pressure =
+            if st.pressure_aware { st.cluster_pressure_cost(&self.neighbours, cluster) } else { 0 };
+        (
+            std::cmp::Reverse(hosted),
+            std::cmp::Reverse(st.mrt.free_slots(cluster, self.fu)),
+            pressure,
+            cluster,
+        )
+    }
+}
+
+/// The strategy-1 placements a beam branch may take: for each compatible
 /// cluster the first free slot in the scheduling window, best `width` kept,
 /// ordered so that `options[0]` is exactly the slot plain strategy 1 picks
 /// (earliest time, then cluster preference).
-fn beam_strategy1_options(st: &SchedulerState, op: OpId, width: usize) -> Vec<(u32, ClusterId)> {
-    let order = preferred_clusters(st, op);
-    let fu = FuKind::for_op(st.ddg.op(op).kind);
-    let (min_time, max_time) = st.window(op);
-    let mut options: Vec<(u32, ClusterId)> = Vec::with_capacity(order.len());
-    for &c in &order {
-        if let Some(t) = (min_time..=max_time).find(|&t| st.mrt.has_free(t, c, fu)) {
-            options.push((t, c));
-        }
-    }
-    // Stable by time: ties keep the preferred_clusters order, matching the
-    // time-major scan of place_strategy1.
-    options.sort_by_key(|&(t, _)| t);
+fn beam_strategy1_options(
+    st: &SchedulerState,
+    pending: &Pending,
+    width: usize,
+) -> Vec<(u32, ClusterId)> {
+    let (min_time, max_time) = pending.window;
+    let mut options: Vec<(u32, ClusterId)> = pending
+        .compatible
+        .iter()
+        .filter_map(|&c| {
+            (min_time..=max_time).find(|&t| st.mrt.has_free(t, c, pending.fu)).map(|t| (t, c))
+        })
+        .collect();
+    // cached: the preference walks the neighbours' queues, so evaluate it
+    // once per cluster rather than once per comparison.
+    options.sort_by_cached_key(|&(t, c)| (t, pending.preference(st, c)));
     options.truncate(width);
     options
 }
 
-/// The communication-compatible clusters of `op`, ordered by preference:
-/// clusters already hosting scheduled flow neighbours first (the value stays
-/// in the LRF and the partition stays compact), then the least loaded
-/// cluster for the operation's unit class. In [`PressureMode::Aware`] runs,
-/// remaining ties go to the cluster whose queue files towards the scheduled
-/// neighbours hold the fewest live values, steering traffic away from
-/// saturated CQRFs/LRFs.
-fn preferred_clusters(st: &SchedulerState, op: OpId) -> Vec<ClusterId> {
-    let fu = FuKind::for_op(st.ddg.op(op).kind);
-    let neighbours = st.scheduled_flow_neighbours(op);
-    let mut order = st.communication_compatible_clusters(op);
-    // cached: cluster_pressure_cost walks op's edges, so evaluate it once
-    // per cluster rather than once per comparison.
-    order.sort_by_cached_key(|&c| {
-        let hosted = neighbours.iter().filter(|&&n| n == c).count();
-        let pressure = if st.pressure_aware { st.cluster_pressure_cost(op, c) } else { 0 };
-        (std::cmp::Reverse(hosted), std::cmp::Reverse(st.mrt.free_slots(c, fu)), pressure, c)
-    });
-    order
-}
-
 /// Strategy 1: place `op` in a *free* slot of a cluster that is directly
-/// connected to every scheduled flow neighbour. Returns `false` if no such
-/// cluster exists or if every such cluster is out of free units across the
-/// whole scheduling window (the resource-blocked case, handled by chains or
-/// forced placement).
-fn place_strategy1(st: &mut SchedulerState, op: OpId) -> bool {
-    let order = preferred_clusters(st, op);
-    if order.is_empty() {
+/// connected to every scheduled flow neighbour: the earliest time at which
+/// such a cluster has a free unit, in the most preferred cluster free then.
+/// Returns `false` if no such cluster exists or if every such cluster is
+/// out of free units across the whole scheduling window (the
+/// resource-blocked case, handled by chains or forced placement).
+fn place_strategy1(st: &mut SchedulerState, pending: &Pending) -> bool {
+    let fu = pending.fu;
+    // The window spans II consecutive times, i.e. every MRT row once, so a
+    // cluster has a free unit in it exactly when its column has free slots.
+    if pending.compatible.iter().all(|&c| st.mrt.free_slots(c, fu) == 0) {
         return false;
     }
-    let fu = FuKind::for_op(st.ddg.op(op).kind);
-    let (min_time, max_time) = st.window(op);
-    let mut found = None;
-    'outer: for t in min_time..=max_time {
-        for &c in &order {
-            if st.mrt.has_free(t, c, fu) {
-                found = Some((t, c));
-                break 'outer;
-            }
-        }
-    }
-    let Some((time, cluster)) = found else {
-        return false;
-    };
-    st.place(op, time, cluster);
-    st.displace_conflicts(op, time, cluster);
+    let (min_time, max_time) = pending.window;
+    let found = (min_time..=max_time).find_map(|t| {
+        let free = pending.compatible.iter().filter(|&&c| st.mrt.has_free(t, c, fu));
+        free.min_by_key(|&&c| pending.preference(st, c)).map(|&c| (t, c))
+    });
+    let (time, cluster) = found.expect("a compatible cluster has a free slot in the window");
+    st.place(pending.op, time, cluster);
+    st.displace_conflicts(pending.op, time, cluster);
     true
 }
 
@@ -674,10 +711,10 @@ fn place_strategy2(st: &mut SchedulerState, op: OpId, policy: ChainPolicy) -> bo
 /// scheduled predecessor, then the least loaded cluster. Eviction here also
 /// covers communication conflicts, and evicting any part of a chain
 /// dismantles the whole chain.
-fn place_strategy3(st: &mut SchedulerState, op: OpId) {
-    let cluster = strategy3_cluster(st, op);
-    let fu = FuKind::for_op(st.ddg.op(op).kind);
-    let (min_time, max_time) = st.window(op);
+fn place_strategy3(st: &mut SchedulerState, pending: &Pending) {
+    let (op, fu) = (pending.op, pending.fu);
+    let cluster = strategy3_cluster(st, pending);
+    let (min_time, max_time) = pending.window;
     let free = (min_time..=max_time).find(|&t| st.mrt.has_free(t, cluster, fu));
     let time = free.unwrap_or(min_time);
     if free.is_none() {
@@ -688,10 +725,11 @@ fn place_strategy3(st: &mut SchedulerState, op: OpId) {
 }
 
 /// The cluster used by strategy 3.
-fn strategy3_cluster(st: &SchedulerState, op: OpId) -> ClusterId {
-    if let Some(&c) = preferred_clusters(st, op).first() {
+fn strategy3_cluster(st: &SchedulerState, pending: &Pending) -> ClusterId {
+    if let Some(&c) = pending.compatible.iter().min_by_key(|&&c| pending.preference(st, c)) {
         return c;
     }
+    let op = pending.op;
     let best_pred = st
         .ddg
         .flow_preds(op)
@@ -701,12 +739,15 @@ fn strategy3_cluster(st: &SchedulerState, op: OpId) -> ClusterId {
     if let Some((_, cluster)) = best_pred {
         return cluster;
     }
-    let fu = FuKind::for_op(st.ddg.op(op).kind);
     st.topology()
         .iter()
         .max_by_key(|&c| {
-            let pressure = if st.pressure_aware { st.cluster_pressure_cost(op, c) } else { 0 };
-            (st.mrt.free_slots(c, fu), std::cmp::Reverse(pressure), std::cmp::Reverse(c))
+            let pressure = if st.pressure_aware {
+                st.cluster_pressure_cost(&pending.neighbours, c)
+            } else {
+                0
+            };
+            (st.mrt.free_slots(c, pending.fu), std::cmp::Reverse(pressure), std::cmp::Reverse(c))
         })
         .unwrap_or(ClusterId(0))
 }

@@ -6,11 +6,14 @@
 //! and the bookkeeping needed for IMS-style backtracking.
 
 use dms_ir::{Ddg, DepEdge, OpId, OpKind, Operation};
-use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt, Topology};
+use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt, PathCache, TopoPath, Topology};
 use dms_sched::pressure::{edge_lifetime, Lifetime, QueuePressure};
 use dms_sched::priority::heights;
 use dms_sched::schedule::{dependence_bound, SchedStats, Schedule};
 use dms_telemetry::{SchedEvent, Telemetry};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 /// A committed chain of `move` operations realising one too-distant flow
 /// dependence.
@@ -27,6 +30,78 @@ pub struct Chain {
     pub original_edge: DepEdge,
 }
 
+/// The clusters hosting an operation's scheduled flow neighbours (self
+/// edges excluded, in edge order).
+#[derive(Debug, Clone, Default)]
+pub struct FlowNeighbours {
+    /// Clusters of the scheduled producers of the values the operation
+    /// reads.
+    pub producers: Vec<ClusterId>,
+    /// Clusters of the scheduled consumers of the value the operation
+    /// writes.
+    pub consumers: Vec<ClusterId>,
+}
+
+impl FlowNeighbours {
+    /// Every neighbour's cluster, producers first.
+    pub fn clusters(&self) -> impl Iterator<Item = ClusterId> + '_ {
+        self.producers.iter().chain(&self.consumers).copied()
+    }
+}
+
+/// The operations waiting to be scheduled, popped highest priority first
+/// (largest priority, then smallest id).
+///
+/// A waiting op's priority never changes: heights are fixed when the
+/// attempt starts (only chain moves get theirs later, and moves never
+/// wait), and setting the jitter rebuilds the heap. So a binary heap pops
+/// exactly the op a scan for the maximum would. Removing an op other than
+/// by popping only clears its flag; its heap entry is dropped when it
+/// reaches the top.
+#[derive(Debug, Clone, Default)]
+struct Worklist {
+    heap: BinaryHeap<(i64, Reverse<OpId>)>,
+    /// Per op id: whether the op is waiting.
+    waiting: Vec<bool>,
+    len: usize,
+}
+
+impl Worklist {
+    fn contains(&self, op: OpId) -> bool {
+        self.waiting.get(op.index()).copied().unwrap_or(false)
+    }
+
+    /// Adds `op` unless it is already waiting.
+    fn push(&mut self, op: OpId, priority: i64) {
+        if self.contains(op) {
+            return;
+        }
+        if self.waiting.len() <= op.index() {
+            self.waiting.resize(op.index() + 1, false);
+        }
+        self.waiting[op.index()] = true;
+        self.len += 1;
+        self.heap.push((priority, Reverse(op)));
+    }
+
+    fn remove(&mut self, op: OpId) {
+        if self.contains(op) {
+            self.waiting[op.index()] = false;
+            self.len -= 1;
+        }
+    }
+
+    fn pop(&mut self) -> Option<OpId> {
+        while let Some((_, Reverse(op))) = self.heap.pop() {
+            if self.contains(op) {
+                self.remove(op);
+                return Some(op);
+            }
+        }
+        None
+    }
+}
+
 /// Mutable state of one DMS scheduling attempt (one candidate II).
 ///
 /// `Clone` is cheapest-possible but not free (the DDG, MRT and schedule are
@@ -39,7 +114,8 @@ pub struct SchedulerState {
     pub mrt: Mrt,
     /// The partial schedule.
     pub schedule: Schedule,
-    /// Scheduling priority (height) per operation slot.
+    /// Scheduling priority (height) per operation slot. Fixed once the
+    /// attempt starts, except for the chain moves `commit_chain` adds.
     pub height: Vec<i64>,
     /// Whether each operation has never been scheduled yet.
     pub never_scheduled: Vec<bool>,
@@ -47,7 +123,7 @@ pub struct SchedulerState {
     /// "forced progress" rule).
     pub prev_time: Vec<u32>,
     /// Operations waiting to be scheduled.
-    pub unscheduled: Vec<OpId>,
+    worklist: Worklist,
     /// Committed chains, indexed implicitly by position.
     pub chains: Vec<Chain>,
     /// Statistics accumulated so far.
@@ -70,14 +146,10 @@ pub struct SchedulerState {
     /// when the signal is known to matter — so loops whose queues never
     /// overflow schedule exactly as the paper's criterion dictates.
     pub chain_steering: bool,
-    /// Per-slot perturbation added to the height-based priority when popping
-    /// the next operation (empty = none, the deterministic default). Indexed
-    /// like [`SchedulerState::height`]; operations added after scheduling
-    /// started (chain moves) fall outside the vector and get 0. Portfolio
-    /// candidates fill this with seeded jitter; the perturbation affects
-    /// *only* the scheduling order, never the legality checks.
-    pub jitter: Vec<i64>,
-    topology: Topology,
+    /// Per-slot perturbation of the pop priority (see
+    /// [`SchedulerState::set_jitter`]; empty = none).
+    jitter: Vec<i64>,
+    paths: Rc<PathCache>,
     ii: u32,
     move_latency: u32,
     cqrf_capacity: u32,
@@ -90,23 +162,34 @@ pub struct SchedulerState {
 impl SchedulerState {
     /// Creates the state for one scheduling attempt.
     pub fn new(ddg: Ddg, machine: &MachineConfig, ii: u32) -> Self {
+        Self::with_paths(ddg, machine, ii, Rc::new(PathCache::new(machine.topology())))
+    }
+
+    /// [`SchedulerState::new`] sharing `paths`, the machine's chain paths,
+    /// with the other attempts of one II search, so each cluster pair's
+    /// paths are computed once per machine instead of once per attempt.
+    pub fn with_paths(ddg: Ddg, machine: &MachineConfig, ii: u32, paths: Rc<PathCache>) -> Self {
+        debug_assert_eq!(*paths.topology(), machine.topology(), "paths of another machine");
         let n = ddg.num_slots();
         let height = heights(&ddg, ii);
-        let unscheduled: Vec<OpId> = ddg.live_op_ids().collect();
+        let mut worklist = Worklist::default();
+        for op in ddg.live_op_ids() {
+            worklist.push(op, height[op.index()]);
+        }
         SchedulerState {
             mrt: Mrt::new(machine, ii),
             schedule: Schedule::new(ii, n),
             height,
             never_scheduled: vec![true; n],
             prev_time: vec![0; n],
-            unscheduled,
+            worklist,
             chains: Vec::new(),
             stats: SchedStats::default(),
             pressure: QueuePressure::new(machine.num_clusters()),
             pressure_aware: true,
             chain_steering: false,
             jitter: Vec::new(),
-            topology: machine.topology(),
+            paths,
             ii,
             move_latency: machine.latency().mv,
             cqrf_capacity: machine.cqrf_capacity,
@@ -124,7 +207,13 @@ impl SchedulerState {
     /// The interconnect topology of the target machine.
     #[inline]
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        self.paths.topology()
+    }
+
+    /// The chain paths from `from` to `to` ([`Topology::paths`]), computed
+    /// once per pair and machine.
+    pub(crate) fn paths(&self, from: ClusterId, to: ClusterId) -> &[TopoPath] {
+        self.paths.paths(from, to)
     }
 
     /// Latency of a `move` operation on the target machine.
@@ -135,21 +224,46 @@ impl SchedulerState {
 
     /// Whether all operations have been placed.
     pub fn complete(&self) -> bool {
-        self.unscheduled.is_empty()
+        self.worklist.len == 0
+    }
+
+    /// Number of operations waiting to be scheduled.
+    pub fn num_unscheduled(&self) -> usize {
+        self.worklist.len
+    }
+
+    /// Whether `op` is waiting to be scheduled.
+    pub fn is_unscheduled(&self, op: OpId) -> bool {
+        self.worklist.contains(op)
+    }
+
+    /// Sets the per-slot perturbation added to the height-based priority
+    /// when popping the next operation (empty = none, the deterministic
+    /// default). Indexed like [`SchedulerState::height`]; operations added
+    /// after scheduling started (chain moves) fall outside the vector and
+    /// get 0. Portfolio candidates set seeded jitter; the perturbation
+    /// affects *only* the scheduling order, never the legality checks.
+    pub fn set_jitter(&mut self, jitter: Vec<i64>) {
+        self.jitter = jitter;
+        let waiting: Vec<OpId> = (0..self.ddg.num_slots() as u32)
+            .map(OpId)
+            .filter(|&op| self.worklist.contains(op))
+            .collect();
+        self.worklist = Worklist::default();
+        for op in waiting {
+            self.worklist.push(op, self.priority(op));
+        }
+    }
+
+    /// The pop priority of `op`: its height plus its jitter.
+    fn priority(&self, op: OpId) -> i64 {
+        self.height[op.index()] + self.jitter.get(op.index()).copied().unwrap_or(0)
     }
 
     /// Removes and returns the highest-priority unscheduled operation
-    /// (largest height plus per-op [`SchedulerState::jitter`]; ties broken
-    /// by the smallest id).
+    /// (largest height plus per-op jitter; ties broken by the smallest id).
     pub fn pop_highest_priority(&mut self) -> Option<OpId> {
-        if self.unscheduled.is_empty() {
-            return None;
-        }
-        let (idx, _) = self.unscheduled.iter().enumerate().max_by_key(|(_, &o)| {
-            let jitter = self.jitter.get(o.index()).copied().unwrap_or(0);
-            (self.height[o.index()] + jitter, std::cmp::Reverse(o))
-        })?;
-        Some(self.unscheduled.swap_remove(idx))
+        self.worklist.pop()
     }
 
     /// Earliest start time of `op` given its already-scheduled predecessors
@@ -172,37 +286,41 @@ impl SchedulerState {
         (min_time, min_time + self.ii - 1)
     }
 
-    /// The clusters hosting already-scheduled operations that exchange a
-    /// value with `op` (flow predecessors and flow successors).
-    pub fn scheduled_flow_neighbours(&self, op: OpId) -> Vec<ClusterId> {
-        let mut out = Vec::new();
-        for (_, e) in self.ddg.flow_preds(op) {
-            if e.src == op {
-                continue;
-            }
-            if let Some(p) = self.schedule.get(e.src) {
-                out.push(p.cluster);
-            }
-        }
-        for (_, e) in self.ddg.flow_succs(op) {
-            if e.dst == op {
-                continue;
-            }
-            if let Some(s) = self.schedule.get(e.dst) {
-                out.push(s.cluster);
-            }
-        }
-        out
+    /// Fills `neighbours` with the clusters hosting already-scheduled
+    /// operations that exchange a value with `op` (flow predecessors and
+    /// flow successors). Reusing one value across calls keeps the per-pop
+    /// lookup free of allocations once its buffers have grown.
+    pub fn fill_flow_neighbours(&self, op: OpId, neighbours: &mut FlowNeighbours) {
+        let placed = |other: OpId| (other != op).then(|| self.schedule.get(other)).flatten();
+        neighbours.producers.clear();
+        neighbours
+            .producers
+            .extend(self.ddg.flow_preds(op).filter_map(|(_, e)| placed(e.src).map(|p| p.cluster)));
+        neighbours.consumers.clear();
+        neighbours
+            .consumers
+            .extend(self.ddg.flow_succs(op).filter_map(|(_, e)| placed(e.dst).map(|s| s.cluster)));
+    }
+
+    /// The clusters in which an operation with the given scheduled flow
+    /// neighbours could be placed without any communication conflict, in
+    /// id order.
+    pub fn compatible_clusters<'a>(
+        &'a self,
+        neighbours: &'a FlowNeighbours,
+    ) -> impl Iterator<Item = ClusterId> + 'a {
+        let topology = self.topology();
+        topology
+            .iter()
+            .filter(move |&c| neighbours.clusters().all(|n| topology.directly_connected(c, n)))
     }
 
     /// The clusters in which `op` could be placed without creating any
     /// communication conflict with its scheduled flow neighbours.
     pub fn communication_compatible_clusters(&self, op: OpId) -> Vec<ClusterId> {
-        let neighbours = self.scheduled_flow_neighbours(op);
-        self.topology
-            .iter()
-            .filter(|&c| neighbours.iter().all(|&n| self.topology.directly_connected(c, n)))
-            .collect()
+        let mut neighbours = FlowNeighbours::default();
+        self.fill_flow_neighbours(op, &mut neighbours);
+        self.compatible_clusters(&neighbours).collect()
     }
 
     /// The lifetime of a value-carrying edge whose endpoints are both placed
@@ -216,7 +334,7 @@ impl SchedulerState {
         }
         let p = self.schedule.get(e.src)?;
         let c = self.schedule.get(e.dst)?;
-        Some(edge_lifetime(e, p, c, self.ii, &self.topology))
+        Some(edge_lifetime(e, p, c, self.ii, self.topology()))
     }
 
     /// Walks every value-carrying edge incident to `op` whose other endpoint
@@ -225,6 +343,7 @@ impl SchedulerState {
     /// eviction of the II search, so it borrows the fields disjointly
     /// instead of allocating an intermediate lifetime list.
     fn update_pressure_for_op(&mut self, op: OpId, add: bool) {
+        let topology = *self.topology();
         let (ddg, schedule, pressure) = (&self.ddg, &self.schedule, &mut self.pressure);
         let edges = ddg.succs(op).chain(ddg.preds(op).filter(|(_, e)| e.src != op));
         for (_, e) in edges {
@@ -234,7 +353,7 @@ impl SchedulerState {
             let (Some(p), Some(c)) = (schedule.get(e.src), schedule.get(e.dst)) else {
                 continue;
             };
-            let lt = edge_lifetime(e, p, c, self.ii, &self.topology);
+            let lt = edge_lifetime(e, p, c, self.ii, &topology);
             if add {
                 pressure.add(&lt);
             } else {
@@ -279,7 +398,7 @@ impl SchedulerState {
     /// [`QueuePressure::queue_occupancy`] pricing, evaluated on this
     /// machine's topology.
     pub(crate) fn queue_occupancy(&self, writer: ClusterId, reader: ClusterId) -> u32 {
-        self.pressure.queue_occupancy(&self.topology, writer, reader)
+        self.pressure.queue_occupancy(self.topology(), writer, reader)
     }
 
     /// Congestion penalty of routing one more value from `writer` to
@@ -291,30 +410,15 @@ impl SchedulerState {
         self.queue_occupancy(writer, reader).saturating_sub(threshold) as u64
     }
 
-    /// Pressure cost of placing `op` in `cluster`: the summed occupancy of
-    /// the queue files that would carry a value between `op` and each of its
-    /// already-scheduled flow neighbours. Used as a placement tie-breaker so
-    /// DMS steers values away from saturated queues (see
-    /// [`crate::dms::PressureMode`]).
-    pub fn cluster_pressure_cost(&self, op: OpId, cluster: ClusterId) -> u64 {
-        let mut cost = 0u64;
-        for (_, e) in self.ddg.flow_preds(op) {
-            if e.src == op {
-                continue;
-            }
-            if let Some(p) = self.schedule.get(e.src) {
-                cost = cost.saturating_add(self.queue_occupancy(p.cluster, cluster) as u64);
-            }
-        }
-        for (_, e) in self.ddg.flow_succs(op) {
-            if e.dst == op {
-                continue;
-            }
-            if let Some(s) = self.schedule.get(e.dst) {
-                cost = cost.saturating_add(self.queue_occupancy(cluster, s.cluster) as u64);
-            }
-        }
-        cost
+    /// Pressure cost of placing an operation with the given scheduled flow
+    /// neighbours in `cluster`: the summed occupancy of the queue files
+    /// that would carry a value between the operation and each neighbour.
+    /// Used as a placement tie-breaker so DMS steers values away from
+    /// saturated queues (see [`crate::dms::PressureMode`]).
+    pub fn cluster_pressure_cost(&self, neighbours: &FlowNeighbours, cluster: ClusterId) -> u64 {
+        let producers = neighbours.producers.iter().map(|&p| self.queue_occupancy(p, cluster));
+        let consumers = neighbours.consumers.iter().map(|&s| self.queue_occupancy(cluster, s));
+        producers.chain(consumers).fold(0u64, |cost, occ| cost.saturating_add(u64::from(occ)))
     }
 
     /// Places `op` at `time` in `cluster`, assuming a unit is free.
@@ -333,7 +437,7 @@ impl SchedulerState {
         self.pressure_add_op(op);
         self.never_scheduled[op.index()] = false;
         self.prev_time[op.index()] = time;
-        self.unscheduled.retain(|&o| o != op);
+        self.worklist.remove(op);
     }
 
     /// Evicts occupants of the `(time, cluster)` slot of `op`'s unit class
@@ -379,7 +483,7 @@ impl SchedulerState {
                 continue;
             }
             if let Some(p) = self.schedule.get(e.src) {
-                if !self.topology.directly_connected(p.cluster, cluster) {
+                if !self.topology().directly_connected(p.cluster, cluster) {
                     victims.push(e.src);
                 }
             }
@@ -389,7 +493,7 @@ impl SchedulerState {
                 continue;
             }
             if let Some(s) = self.schedule.get(e.dst) {
-                if !self.topology.directly_connected(s.cluster, cluster) {
+                if !self.topology().directly_connected(s.cluster, cluster) {
                     victims.push(e.dst);
                 }
             }
@@ -436,11 +540,8 @@ impl SchedulerState {
         }
         // Return the op itself to the worklist unless it is a move that was
         // just deleted by a dismantle above.
-        if self.ddg.is_live(op)
-            && self.ddg.op(op).kind != OpKind::Move
-            && !self.unscheduled.contains(&op)
-        {
-            self.unscheduled.push(op);
+        if self.ddg.is_live(op) && self.ddg.op(op).kind != OpKind::Move {
+            self.worklist.push(op, self.priority(op));
         }
     }
 
@@ -469,7 +570,8 @@ impl SchedulerState {
                 self.mrt.release(*m);
                 self.schedule.remove(*m);
             }
-            self.unscheduled.retain(|&o| o != *m);
+            // Moves never enter the worklist (`unschedule` skips them).
+            debug_assert!(!self.worklist.contains(*m));
             if self.ddg.is_live(*m) {
                 self.ddg.remove_op(*m);
             }
@@ -484,7 +586,7 @@ impl SchedulerState {
         if let (Some(p), Some(c)) =
             (self.schedule.get(chain.producer), self.schedule.get(chain.consumer))
         {
-            if !self.topology.directly_connected(p.cluster, c.cluster) {
+            if !self.topology().directly_connected(p.cluster, c.cluster) {
                 self.unschedule(chain.consumer);
             }
         }
@@ -507,7 +609,7 @@ impl SchedulerState {
         // both endpoints happen to be scheduled).
         let eid = self
             .ddg
-            .live_edges()
+            .preds(consumer)
             .find(|(_, e)| **e == edge)
             .map(|(id, _)| id)
             .expect("the chained edge must exist");
@@ -578,7 +680,7 @@ impl SchedulerState {
     pub fn into_parts(self) -> (Ddg, Schedule, SchedStats, QueuePressure) {
         debug_assert_eq!(
             self.pressure,
-            QueuePressure::of_schedule(&self.ddg, &self.schedule, &self.topology),
+            QueuePressure::of_schedule(&self.ddg, &self.schedule, self.topology()),
             "incremental pressure estimate diverged from the schedule's ground truth"
         );
         (self.ddg, self.schedule, self.stats, self.pressure)
@@ -615,6 +717,30 @@ mod tests {
     }
 
     #[test]
+    fn jittered_pops_follow_priority_then_id_across_requeues() {
+        let l = dms_ir::kernels::fir(8, 64);
+        let m = MachineConfig::paper_clustered(4);
+        let mut st = SchedulerState::new(l.ddg.clone(), &m, 3);
+        let n = st.ddg.num_slots();
+        st.set_jitter((0..n as i64).map(|i| (i * 7) % 5).collect());
+        let key = |st: &SchedulerState, op: OpId| {
+            (st.height[op.index()] + (op.index() as i64 * 7) % 5, std::cmp::Reverse(op))
+        };
+        // Place the first pop, then put it back: it must come out first again.
+        let first = st.pop_highest_priority().unwrap();
+        st.place(first, 0, ClusterId(0));
+        st.unschedule(first);
+        let mut seen = Vec::new();
+        while let Some(op) = st.pop_highest_priority() {
+            seen.push(op);
+        }
+        let mut expected: Vec<OpId> = st.ddg.live_op_ids().collect();
+        expected.sort_by_key(|&op| std::cmp::Reverse(key(&st, op)));
+        assert_eq!(seen, expected);
+        assert!(st.complete());
+    }
+
+    #[test]
     fn place_and_window_forced_progress() {
         let l = chain_loop();
         let m = MachineConfig::paper_clustered(2);
@@ -622,12 +748,12 @@ mod tests {
         let load = OpId(0);
         assert_eq!(st.window(load), (0, 1));
         st.place(load, 0, ClusterId(0));
-        assert!(!st.unscheduled.contains(&load));
+        assert!(!st.is_unscheduled(load));
         // dependent mul must start at or after load latency
         assert_eq!(st.earliest_start(OpId(1)), 2);
         // unschedule and check forced progress
         st.unschedule(load);
-        assert!(st.unscheduled.contains(&load));
+        assert!(st.is_unscheduled(load));
         assert_eq!(st.window(load), (1, 2));
         assert_eq!(st.stats.evictions, 1);
     }
@@ -643,7 +769,7 @@ mod tests {
         let evicted = st.make_room(OpId(2), 3, ClusterId(0));
         assert_eq!(evicted, vec![OpId(0)]);
         st.place(OpId(2), 3, ClusterId(0));
-        assert!(st.unscheduled.contains(&OpId(0)));
+        assert!(st.is_unscheduled(OpId(0)));
     }
 
     #[test]
@@ -725,7 +851,7 @@ mod tests {
         st.unschedule(moves[0]);
         assert!(st.chains.is_empty());
         assert!(st.schedule.get(OpId(1)).is_none());
-        assert!(st.unscheduled.contains(&OpId(1)));
+        assert!(st.is_unscheduled(OpId(1)));
         // producer stays scheduled
         assert!(st.schedule.get(OpId(0)).is_some());
     }

@@ -10,7 +10,6 @@ use crate::config::MachineConfig;
 use crate::fu::FuKind;
 use crate::topology::ClusterId;
 use dms_ir::OpId;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Error returned when a reservation cannot be made.
@@ -51,13 +50,33 @@ pub struct Placement {
 }
 
 /// The modulo reservation table for one machine configuration and one II.
+///
+/// Storage is flat and sized once at construction: a *column* is one
+/// `(cluster, unit class)` pair, each row holds `capacity` occupant cells
+/// per column, and an op's placement is found by indexing with its id.
+/// Each column also keeps its occupant count summed over all rows, so
+/// [`Mrt::free_slots`] — which DMS strategy 2 evaluates for every cluster
+/// of every candidate chain — costs O(1) instead of a walk over the II rows.
 #[derive(Debug, Clone)]
 pub struct Mrt {
     ii: u32,
     num_clusters: u32,
+    /// Units per column.
     capacity: Vec<u32>,
-    slots: Vec<Vec<OpId>>,
-    placements: HashMap<OpId, Placement>,
+    /// Offset of each column's first occupant cell within a row.
+    offset: Vec<usize>,
+    /// Occupant cells per row (the sum of all capacities).
+    row_width: usize,
+    /// `ii * row_width` cells; the occupants of a `(row, column)` slot are
+    /// packed at the start of its cells, in reservation order.
+    cells: Vec<OpId>,
+    /// Occupant count per `(row, column)` slot.
+    used: Vec<u32>,
+    /// Occupant count per column, summed over all rows.
+    column_used: Vec<u32>,
+    /// Placement per op id (`None` = no reservation).
+    placements: Vec<Option<Placement>>,
+    num_placed: usize,
 }
 
 impl Mrt {
@@ -76,12 +95,23 @@ impl Mrt {
                 capacity[c.index() * FuKind::ALL.len() + kind.index()] = config.fu_count(c, kind);
             }
         }
+        let mut offset = Vec::with_capacity(columns);
+        let mut row_width = 0;
+        for &cap in &capacity {
+            offset.push(row_width);
+            row_width += cap as usize;
+        }
         Mrt {
             ii,
             num_clusters,
             capacity,
-            slots: vec![Vec::new(); columns * ii as usize],
-            placements: HashMap::new(),
+            offset,
+            row_width,
+            cells: vec![OpId(0); row_width * ii as usize],
+            used: vec![0; columns * ii as usize],
+            column_used: vec![0; columns],
+            placements: Vec::new(),
+            num_placed: 0,
         }
     }
 
@@ -96,9 +126,16 @@ impl Mrt {
         cluster.index() * FuKind::ALL.len() + fu.index()
     }
 
+    /// Index of the `(row of time, column)` slot in `used`.
     #[inline]
-    fn slot_index(&self, time: u32, cluster: ClusterId, fu: FuKind) -> usize {
-        (time % self.ii) as usize * self.capacity.len() + self.column(cluster, fu)
+    fn slot_index(&self, time: u32, column: usize) -> usize {
+        (time % self.ii) as usize * self.capacity.len() + column
+    }
+
+    /// Index of the slot's first occupant cell in `cells`.
+    #[inline]
+    fn cell_base(&self, time: u32, column: usize) -> usize {
+        (time % self.ii) as usize * self.row_width + self.offset[column]
     }
 
     /// Number of units of `fu` in `cluster`.
@@ -110,18 +147,23 @@ impl Mrt {
     /// The operations occupying units of `fu` in `cluster` in the row of
     /// `time`.
     pub fn occupants(&self, time: u32, cluster: ClusterId, fu: FuKind) -> &[OpId] {
-        &self.slots[self.slot_index(time, cluster, fu)]
+        let column = self.column(cluster, fu);
+        let base = self.cell_base(time, column);
+        &self.cells[base..base + self.used[self.slot_index(time, column)] as usize]
     }
 
     /// Whether at least one unit of `fu` in `cluster` is free in the row of
     /// `time`.
+    #[inline]
     pub fn has_free(&self, time: u32, cluster: ClusterId, fu: FuKind) -> bool {
         self.free_at(time, cluster, fu) > 0
     }
 
     /// Number of free units of `fu` in `cluster` in the row of `time`.
+    #[inline]
     pub fn free_at(&self, time: u32, cluster: ClusterId, fu: FuKind) -> u32 {
-        self.capacity(cluster, fu).saturating_sub(self.occupants(time, cluster, fu).len() as u32)
+        let column = self.column(cluster, fu);
+        self.capacity[column] - self.used[self.slot_index(time, column)]
     }
 
     /// Reserves one unit of `fu` in `cluster` at `time` for `op`.
@@ -138,49 +180,65 @@ impl Mrt {
         cluster: ClusterId,
         fu: FuKind,
     ) -> Result<(), MrtError> {
-        if self.placements.contains_key(&op) {
+        if self.placement(op).is_some() {
             return Err(MrtError::AlreadyPlaced(op));
         }
         if !self.has_free(time, cluster, fu) {
             return Err(MrtError::Full { occupants: self.occupants(time, cluster, fu).to_vec() });
         }
-        let idx = self.slot_index(time, cluster, fu);
-        self.slots[idx].push(op);
-        self.placements.insert(op, Placement { time, cluster, fu });
+        let column = self.column(cluster, fu);
+        let slot = self.slot_index(time, column);
+        let cell = self.cell_base(time, column) + self.used[slot] as usize;
+        self.cells[cell] = op;
+        self.used[slot] += 1;
+        self.column_used[column] += 1;
+        if self.placements.len() <= op.index() {
+            self.placements.resize(op.index() + 1, None);
+        }
+        self.placements[op.index()] = Some(Placement { time, cluster, fu });
+        self.num_placed += 1;
         Ok(())
     }
 
     /// Releases the reservation held by `op`, returning its placement if it
     /// had one.
     pub fn release(&mut self, op: OpId) -> Option<Placement> {
-        let placement = self.placements.remove(&op)?;
-        let idx = self.slot_index(placement.time, placement.cluster, placement.fu);
-        self.slots[idx].retain(|&o| o != op);
+        let placement = self.placements.get_mut(op.index())?.take()?;
+        let column = self.column(placement.cluster, placement.fu);
+        let slot = self.slot_index(placement.time, column);
+        let base = self.cell_base(placement.time, column);
+        let end = base + self.used[slot] as usize;
+        let at = base
+            + self.cells[base..end]
+                .iter()
+                .position(|&o| o == op)
+                .expect("a placed op occupies its slot");
+        // Keep the remaining occupants in reservation order.
+        self.cells.copy_within(at + 1..end, at);
+        self.used[slot] -= 1;
+        self.column_used[column] -= 1;
+        self.num_placed -= 1;
         Some(placement)
     }
 
     /// The placement of `op`, if it holds a reservation.
+    #[inline]
     pub fn placement(&self, op: OpId) -> Option<Placement> {
-        self.placements.get(&op).copied()
+        self.placements.get(op.index()).copied().flatten()
     }
 
     /// Number of operations currently holding reservations.
     pub fn num_placed(&self) -> usize {
-        self.placements.len()
+        self.num_placed
     }
 
     /// Total number of free unit-slots of `fu` in `cluster` across all rows
     /// of the table. This is the quantity DMS maximises when choosing between
     /// alternative move chains.
+    #[inline]
     pub fn free_slots(&self, cluster: ClusterId, fu: FuKind) -> u32 {
-        let cap = self.capacity(cluster, fu);
-        (0..self.ii)
-            .map(|row| {
-                let used = self.slots[row as usize * self.capacity.len() + self.column(cluster, fu)]
-                    .len() as u32;
-                cap.saturating_sub(used)
-            })
-            .sum()
+        let column = self.column(cluster, fu);
+        self.capacity[column] * self.ii - self.column_used[column]
     }
 
     /// Utilisation (0..=1) of units of `fu` in `cluster` over the whole
@@ -251,6 +309,41 @@ mod tests {
         assert_eq!(mrt.free_slots(ClusterId(0), FuKind::Copy), 1);
         assert!((mrt.utilisation(ClusterId(0), FuKind::Copy) - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(mrt.free_slots(ClusterId(1), FuKind::Copy), 3);
+    }
+
+    #[test]
+    fn free_slots_matches_the_row_walk_under_random_traffic() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // The O(1) per-column count must equal the definition: free units
+        // summed over every row of the table.
+        let config = MachineConfig::paper_clustered_with_copy_units(3, 2);
+        let mut mrt = Mrt::new(&config, 5);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut placed: Vec<OpId> = Vec::new();
+        for step in 0..4000u32 {
+            if !placed.is_empty() && rng.gen_bool(0.45) {
+                let op = placed.swap_remove(rng.gen_range(0..placed.len()));
+                assert!(mrt.release(op).is_some());
+            } else {
+                let op = OpId(step);
+                let cluster = ClusterId(rng.gen_range(0..3u32));
+                let fu = FuKind::ALL[rng.gen_range(0..FuKind::ALL.len())];
+                if mrt.reserve(op, rng.gen_range(0..40u32), cluster, fu).is_ok() {
+                    placed.push(op);
+                }
+            }
+            for cluster in config.cluster_ids() {
+                for fu in FuKind::ALL {
+                    let walked: u32 = (0..mrt.ii())
+                        .map(|row| {
+                            mrt.capacity(cluster, fu) - mrt.occupants(row, cluster, fu).len() as u32
+                        })
+                        .sum();
+                    assert_eq!(mrt.free_slots(cluster, fu), walked, "step {step}");
+                }
+            }
+            assert_eq!(mrt.num_placed(), placed.len());
+        }
     }
 
     #[test]

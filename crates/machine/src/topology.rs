@@ -36,6 +36,7 @@
 
 use crate::queues::CqrfId;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::fmt;
 
 /// Identifier of a cluster (0-based).
@@ -174,6 +175,45 @@ impl TopoPath {
     }
 }
 
+/// [`Topology::paths`] memoised per `(from, to)` pair.
+///
+/// DMS strategy 2 asks for the paths between the same few cluster pairs
+/// over and over while it plans chains. The cache computes a pair on first
+/// use and lends it out after that, so planning allocates no path. A row of
+/// destinations is only allocated once its source cluster is asked about,
+/// so a machine with many clusters pays for the sources it uses, not for
+/// every pair.
+#[derive(Debug, Clone)]
+pub struct PathCache {
+    topology: Topology,
+    /// Per source cluster: its row, allocated on first use.
+    rows: Box<[OnceCell<PathRow>]>,
+}
+
+/// Per destination cluster: the paths from one source, computed on first
+/// use.
+type PathRow = Box<[OnceCell<Vec<TopoPath>>]>;
+
+impl PathCache {
+    /// An empty cache over `topology`.
+    pub fn new(topology: Topology) -> Self {
+        PathCache { topology, rows: (0..topology.len()).map(|_| OnceCell::new()).collect() }
+    }
+
+    /// The topology whose paths are cached.
+    #[inline]
+    pub fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    /// Exactly [`Topology::paths`]`(from, to)`, computed at most once.
+    pub fn paths(&self, from: ClusterId, to: ClusterId) -> &[TopoPath] {
+        let row = self.rows[from.index()]
+            .get_or_init(|| (0..self.topology.len()).map(|_| OnceCell::new()).collect());
+        row[to.index()].get_or_init(|| self.topology.paths(from, to))
+    }
+}
+
 /// The interconnect of a machine with a given number of clusters.
 ///
 /// All scheduling-facing queries go through the small method surface below
@@ -279,9 +319,15 @@ impl Topology {
     }
 
     /// Minimum gap around the plain ring (0 for the same cluster).
+    #[inline]
     fn ring_gap(&self, a: ClusterId, b: ClusterId) -> u32 {
         let c = self.clusters;
-        let d = (a.0 as i64 - b.0 as i64).unsigned_abs() as u32 % c;
+        let mut d = a.0.abs_diff(b.0);
+        if d >= c {
+            // Only an id outside the machine (which the validator probes)
+            // gets here: skip the division on the scheduler's hot path.
+            d %= c;
+        }
         d.min(c - d)
     }
 
@@ -291,6 +337,7 @@ impl Topology {
     /// variant — this predicate sits on the scheduler's innermost loops
     /// (cluster preference, lifetime classification, validation), where
     /// the chordal ring's BFS distance would be needlessly recomputed.
+    #[inline]
     pub fn directly_connected(&self, a: ClusterId, b: ClusterId) -> bool {
         match self.kind {
             TopologyKind::Ring => self.ring_gap(a, b) <= 1,
@@ -519,6 +566,33 @@ mod tests {
 
     fn chordal(clusters: u32, chord: u32) -> Topology {
         Topology::new(TopologyKind::ChordalRing { chord }, clusters)
+    }
+
+    #[test]
+    fn path_cache_equals_paths_for_every_pair() {
+        for kind in [
+            TopologyKind::Ring,
+            TopologyKind::ChordalRing { chord: 2 },
+            TopologyKind::Bus,
+            TopologyKind::Crossbar,
+        ] {
+            for clusters in 1..=10 {
+                let topology = Topology::new(kind, clusters);
+                let cache = PathCache::new(topology);
+                // Twice: the first pass fills the cache, the second reads it.
+                for _ in 0..2 {
+                    for from in topology.iter() {
+                        for to in topology.iter() {
+                            assert_eq!(
+                                cache.paths(from, to),
+                                &topology.paths(from, to)[..],
+                                "{topology} from {from} to {to}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

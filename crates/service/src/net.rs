@@ -1,14 +1,19 @@
 //! TCP transport for the schedule service.
 //!
-//! [`serve`] binds a `std::net::TcpListener` and answers newline-delimited
-//! JSON requests (see [`crate::wire`]) with one thread per connection — no
-//! async runtime, only the standard library. A `{"op":"shutdown"}` request
-//! stops the accept loop; the acceptor is unblocked by a self-connect so a
-//! plain blocking `accept()` suffices.
+//! [`serve`] binds a `std::net::TcpListener` and [`serve_on`] answers
+//! newline-delimited JSON requests (see [`crate::wire`]) on an already bound
+//! one, with one thread per connection — no async runtime, only the
+//! standard library. A `{"op":"shutdown"}` request stops the accept loop;
+//! the acceptor is unblocked by a self-connect so a plain blocking
+//! `accept()` suffices.
+//!
+//! Every line, newline included, goes out in one write, on both sides: a
+//! line split over two writes meets Nagle's algorithm and the peer's
+//! delayed ACK, which stalls each round trip by tens of milliseconds.
 //!
 //! Handler threads poll their stream with a read timeout
-//! (`READ_POLL_INTERVAL`, 50 ms) instead of blocking indefinitely: `serve`'s
-//! `thread::scope` joins every handler before returning, so a handler
+//! (`READ_POLL_INTERVAL`, 50 ms) instead of blocking indefinitely:
+//! `serve_on` joins every handler before returning, so a handler
 //! parked forever in a blocking read on an *idle* connection would turn one
 //! quiet client into a shutdown that never completes. On every timeout the
 //! handler re-checks the shutdown flag and hangs up once it is set.
@@ -22,25 +27,38 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
-/// Runs the service on `addr` until a shutdown request arrives.
-///
-/// Prints one `dms-service listening on <addr>` line once bound (the CI
-/// smoke job and interactive users key off it), then accepts connections
-/// forever, one handler thread each. Returns once a client sends
-/// `{"op":"shutdown"}` and all handler threads have finished.
+/// Binds `addr` and runs the service on it until a shutdown request
+/// arrives (see [`serve_on`]).
 ///
 /// # Errors
 ///
 /// Returns the bind error if `addr` cannot be bound.
 pub fn serve(addr: impl ToSocketAddrs, service: Arc<ScheduleService>) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
+    serve_on(TcpListener::bind(addr)?, service)
+}
+
+/// Runs the service on an already bound `listener` until a shutdown
+/// request arrives. A caller that binds first (port 0 included) knows the
+/// address before any client connects, so no client has to retry.
+///
+/// Prints one `dms-service listening on <addr>` line (the CI smoke job and
+/// interactive users key off it), then accepts connections forever, one
+/// handler thread each. Returns once a client sends `{"op":"shutdown"}` and
+/// all handler threads have finished.
+///
+/// # Errors
+///
+/// Returns the error if the listener's local address cannot be read.
+pub fn serve_on(listener: TcpListener, service: Arc<ScheduleService>) -> std::io::Result<()> {
     let local = listener.local_addr()?;
     println!("dms-service listening on {local} ({} cache shards)", service.num_shards());
     let shutdown = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
+        let mut handlers = Vec::new();
         for stream in listener.incoming() {
             if shutdown.load(Ordering::SeqCst) {
                 break;
@@ -48,10 +66,33 @@ pub fn serve(addr: impl ToSocketAddrs, service: Arc<ScheduleService>) -> std::io
             let Ok(stream) = stream else { continue };
             let service = Arc::clone(&service);
             let shutdown = Arc::clone(&shutdown);
-            scope.spawn(move || handle_connection(stream, &service, &shutdown, local));
+            let (ended, open): (Vec<_>, Vec<_>) =
+                handlers.into_iter().partition(ScopedJoinHandle::is_finished);
+            join_all(ended);
+            handlers = open;
+            handlers
+                .push(scope.spawn(move || handle_connection(stream, &service, &shutdown, local)));
         }
+        join_all(handlers);
     });
     Ok(())
+}
+
+/// Joins handler threads, re-raising a handler's panic.
+///
+/// The scope alone only waits until each handler's closure has returned;
+/// the thread may still be exiting and releasing its allocator arena when
+/// `serve_on` returns, so which arena the next server's threads pick up,
+/// and how much memory they touch, would depend on that race. Joining
+/// waits for the exit itself. Joining ended handlers while serving keeps
+/// the list, and the unjoined threads' stacks, bounded by the open
+/// connections.
+fn join_all(handlers: Vec<ScopedJoinHandle<'_, ()>>) {
+    for handler in handlers {
+        if let Err(panic) = handler.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 /// How often an idle handler thread wakes up to re-check the shutdown
@@ -101,7 +142,7 @@ fn handle_connection(
             line.clear();
             continue;
         }
-        let reply = match wire::decode_request(line.trim()) {
+        let mut reply = match wire::decode_request(line.trim()) {
             Err(e) => wire::encode_error(&e),
             Ok(wire::WireRequest::Stats) => {
                 wire::encode_stats_response(service.cache_stats(), service.cache_len())
@@ -130,10 +171,8 @@ fn handle_connection(
             }
         };
         line.clear();
-        if writer.write_all(reply.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-        {
+        reply.push('\n');
+        if writer.write_all(reply.as_bytes()).is_err() || writer.flush().is_err() {
             break;
         }
         if shutdown.load(Ordering::SeqCst) {
@@ -150,6 +189,17 @@ pub struct Client {
 }
 
 impl Client {
+    /// Connects to `addr` once.
+    ///
+    /// # Errors
+    ///
+    /// Returns the connect error.
+    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok(Client { reader, writer: stream })
+    }
+
     /// Connects to `addr`, retrying for roughly ten seconds so a client
     /// launched alongside the server (as the CI smoke job does) wins the
     /// startup race.
@@ -160,11 +210,8 @@ impl Client {
     pub fn connect_with_retry(addr: &str) -> std::io::Result<Client> {
         let mut last_err = None;
         for _ in 0..100 {
-            match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    let reader = BufReader::new(stream.try_clone()?);
-                    return Ok(Client { reader, writer: stream });
-                }
+            match Client::connect(addr) {
+                Ok(client) => return Ok(client),
                 Err(e) => {
                     last_err = Some(e);
                     std::thread::sleep(Duration::from_millis(100));
@@ -181,8 +228,10 @@ impl Client {
     /// Propagates I/O failures; a closed connection surfaces as
     /// `UnexpectedEof`.
     pub fn roundtrip(&mut self, request: &str) -> std::io::Result<String> {
-        self.writer.write_all(request.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let mut out = String::with_capacity(request.len() + 1);
+        out.push_str(request);
+        out.push('\n');
+        self.writer.write_all(out.as_bytes())?;
         self.writer.flush()?;
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
@@ -206,12 +255,12 @@ mod tests {
     use dms_machine::TopologyKind;
 
     fn spawn_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-        // Bind on port 0 first so the test knows the address before serving.
+        // Bind on port 0 first so the test knows the address before serving;
+        // the port stays bound, so connecting right away cannot be refused.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        drop(listener);
         let handle = std::thread::spawn(move || {
-            serve(addr, Arc::new(ScheduleService::default())).unwrap();
+            serve_on(listener, Arc::new(ScheduleService::default())).unwrap();
         });
         (addr, handle)
     }
@@ -219,7 +268,7 @@ mod tests {
     #[test]
     fn serve_answers_schedules_caches_repeats_and_shuts_down() {
         let (addr, handle) = spawn_server();
-        let mut client = Client::connect_with_retry(&addr.to_string()).unwrap();
+        let mut client = Client::connect(addr).unwrap();
 
         let request = wire::encode_schedule_request(&WireSchedule {
             body: kernels::fir(4, 32),
@@ -267,7 +316,7 @@ mod tests {
     #[test]
     fn malformed_requests_get_error_replies_not_disconnects() {
         let (addr, handle) = spawn_server();
-        let mut client = Client::connect_with_retry(&addr.to_string()).unwrap();
+        let mut client = Client::connect(addr).unwrap();
 
         let bad = Json::parse(&client.roundtrip("{\"op\":\"nope\"}").unwrap()).unwrap();
         assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
@@ -290,7 +339,7 @@ mod tests {
     #[test]
     fn shutdown_returns_even_with_an_idle_second_connection() {
         let (addr, handle) = spawn_server();
-        let mut active = Client::connect_with_retry(&addr.to_string()).unwrap();
+        let mut active = Client::connect(addr).unwrap();
         // An idle connection: opened, never written to, kept alive until
         // after serve has returned.
         let idle = TcpStream::connect(addr).unwrap();
@@ -306,6 +355,24 @@ mod tests {
             started.elapsed()
         );
         drop(idle);
+    }
+
+    /// Each side writes a whole line at once, so a round trip never waits
+    /// for a delayed ACK (about 40 ms per line split over two writes).
+    #[test]
+    fn round_trips_do_not_wait_for_delayed_acks() {
+        let (addr, handle) = spawn_server();
+        let mut client = Client::connect(addr).unwrap();
+        let started = std::time::Instant::now();
+        for _ in 0..20 {
+            let stats =
+                Json::parse(&client.roundtrip(&wire::encode_stats_request()).unwrap()).unwrap();
+            assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        }
+        let elapsed = started.elapsed();
+        client.roundtrip(&wire::encode_shutdown_request()).unwrap();
+        handle.join().unwrap();
+        assert!(elapsed < Duration::from_secs(1), "20 round trips took {elapsed:?}");
     }
 
     /// A request line delivered byte-by-byte across many poll timeouts

@@ -304,13 +304,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the whole run up to the next quote or escape
+                    // in one slice, so a string costs time linear in its
+                    // length. Both stop bytes are ASCII, so the run ends on
+                    // a character boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -872,6 +876,16 @@ mod tests {
         let v = Json::parse(line).unwrap();
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 5);
+    }
+
+    #[test]
+    fn multibyte_strings_with_escapes_roundtrip() {
+        let mut l = kernels::fir(4, 32);
+        l.name = "fïr \"α\"\\β\n→😀\t\u{1}end".to_string();
+        let text = loop_json(&l).render();
+        assert_eq!(decode_loop(&Json::parse(&text).unwrap()).unwrap().name, l.name);
+        let escaped = Json::parse(r#""caf\u00e9 ☕ \"q\" \/""#).unwrap();
+        assert_eq!(escaped.as_str(), Some("café ☕ \"q\" /"));
     }
 
     #[test]
