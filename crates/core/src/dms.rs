@@ -12,7 +12,7 @@ use dms_sched::mii::{mii, MiiBreakdown};
 use dms_sched::pressure::QueuePressure;
 use dms_sched::schedule::{SchedStats, Schedule, ScheduleError, ScheduleResult};
 use dms_sched::strategy::SchedulerStrategy;
-use dms_telemetry::{SchedEvent, Telemetry};
+use dms_telemetry::{EventKind, Telemetry};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::rc::Rc;
@@ -315,7 +315,7 @@ fn run_search(
     let mut pressure_retries = 0u32;
     for ii in prep.start_ii..=max_ii {
         attempts += 1;
-        telemetry.event(SchedEvent::IiAttemptStarted { ii });
+        telemetry.event(EventKind::IiAttemptStarted);
         // Chains are steered away from congested queue files only once a
         // capacity rejection has proven that congestion binds for this
         // loop; until then every attempt follows the paper's criterion
@@ -329,7 +329,7 @@ fn run_search(
             SearchMode::Beam { width } => try_beam(prep, machine, ii, config, steer_chains, *width),
         };
         let Some((out_ddg, schedule, mut stats, pressure)) = attempt else {
-            telemetry.event(SchedEvent::IiAttemptFailed { ii });
+            telemetry.event(EventKind::IiAttemptFailed);
             continue;
         };
         let first_ii = *first_ii.get_or_insert(ii);
@@ -339,7 +339,7 @@ fn run_search(
         // instances.
         if config.pressure == PressureMode::Aware && pressure.capacity_excess(machine).is_some() {
             pressure_retries += 1;
-            telemetry.event(SchedEvent::PressureRetry { ii });
+            telemetry.event(EventKind::PressureRetry);
             continue;
         }
         stats.mii = Some(prep.bounds);
@@ -391,7 +391,7 @@ fn run_challengers(
         if replaces {
             incumbent = Ok(challenger);
             winner = i;
-            telemetry.event(SchedEvent::CandidateWon { candidate: i });
+            telemetry.event(EventKind::CandidateWon);
         }
     }
     (incumbent, winner)

@@ -10,7 +10,7 @@ use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt, PathCache, TopoPath, To
 use dms_sched::pressure::{edge_lifetime, Lifetime, QueuePressure};
 use dms_sched::priority::heights;
 use dms_sched::schedule::{dependence_bound, SchedStats, Schedule};
-use dms_telemetry::{SchedEvent, Telemetry};
+use dms_telemetry::{EventKind, Telemetry};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -549,7 +549,7 @@ impl SchedulerState {
     /// original edge and operand, and unschedules the consumer if the direct
     /// dependence would now cross indirectly connected clusters.
     fn dismantle(&mut self, chain: Chain) {
-        self.telemetry.event(SchedEvent::ChainDismantled { moves: chain.moves.len() as u32 });
+        self.telemetry.event(EventKind::ChainDismantled);
         // Restore the consumer's operand to read the producer directly, at
         // the original edge's distance (the chain read was distance 0).
         if let Some(&last) = chain.moves.last() {

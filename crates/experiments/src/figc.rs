@@ -14,12 +14,16 @@
 //! figure T scores the bus and the crossbar identically (the scheduler sees
 //! the same full connectivity), and figure C answers whether the shared
 //! medium keeps that promise once transfers serialise.
+//!
+//! Both figures sweep the same grid — [`FIGC_TOPOLOGIES`] at
+//! [`FIGC_CLUSTERS`] — through one driver, [`sweep_topologies`]; figure C
+//! is figure T's sweep with the replay switched on.
 
 use crate::runner::{measure_suite_with_stats, ExperimentConfig, LoopMeasurement, SweepStats};
 use dms_machine::TopologyKind;
 use serde::{Deserialize, Serialize};
 
-/// The interconnects figure C replays (the figure-T set).
+/// The interconnects figures T and C compare.
 pub const FIGC_TOPOLOGIES: [TopologyKind; 4] = [
     TopologyKind::Ring,
     TopologyKind::ChordalRing { chord: 2 },
@@ -27,8 +31,39 @@ pub const FIGC_TOPOLOGIES: [TopologyKind; 4] = [
     TopologyKind::Crossbar,
 ];
 
-/// The cluster counts figure C evaluates.
+/// The cluster counts figures T and C evaluate.
 pub const FIGC_CLUSTERS: [u32; 3] = [2, 4, 8];
+
+/// One interconnect's share of a topology sweep.
+#[derive(Debug)]
+pub struct TopologySweep {
+    /// The interconnect swept.
+    pub topology: TopologyKind,
+    /// The raw per-(loop, cluster-count) measurements, in sweep order.
+    pub measurements: Vec<LoopMeasurement>,
+    /// The sweep's statistics (its `failed` count gates the CLI exit code).
+    pub stats: SweepStats,
+}
+
+/// Sweeps the configured suite on each of `topologies` at the configured
+/// cluster counts, with end-to-end verification forced on — the sweep
+/// behind both figure T (`contention == false`) and figure C
+/// (`contention == true`, which also replays every verified schedule
+/// under contention-accurate link timing).
+pub fn sweep_topologies(
+    config: &ExperimentConfig,
+    topologies: &[TopologyKind],
+    contention: bool,
+) -> Vec<TopologySweep> {
+    topologies
+        .iter()
+        .map(|&topology| {
+            let cfg = ExperimentConfig { topology, verify: true, contention, ..config.clone() };
+            let (measurements, stats) = measure_suite_with_stats(&cfg);
+            TopologySweep { topology, measurements, stats }
+        })
+        .collect()
+}
 
 /// One (topology, cluster count) aggregate of figure C.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,29 +129,10 @@ fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]
         .collect()
 }
 
-/// Runs the figure-C sweep: the configured suite on every requested
-/// interconnect at the configured cluster counts, with end-to-end
-/// verification *and* contention replay forced on. Returns the aggregate
-/// rows, the raw per-(loop, cluster-count) measurements in sweep order
-/// (their `achieved_ii` column is what the nightly CI gate scans), and one
-/// [`SweepStats`] per topology (whose `failed` counts gate the CLI exit
-/// code).
-pub fn figure_c(
-    config: &ExperimentConfig,
-    topologies: &[TopologyKind],
-) -> (Vec<FigCRow>, Vec<LoopMeasurement>, Vec<(TopologyKind, SweepStats)>) {
-    let mut rows = Vec::new();
-    let mut raw = Vec::new();
-    let mut stats = Vec::new();
-    for &kind in topologies {
-        let cfg =
-            ExperimentConfig { topology: kind, verify: true, contention: true, ..config.clone() };
-        let (measurements, s) = measure_suite_with_stats(&cfg);
-        rows.extend(aggregate(&kind, &measurements, &cfg.cluster_counts));
-        raw.extend(measurements);
-        stats.push((kind, s));
-    }
-    (rows, raw, stats)
+/// Figure C: one row per (topology, cluster count) of a contention
+/// sweep, topologies in sweep order.
+pub fn figure_c(sweeps: &[TopologySweep], clusters: &[u32]) -> Vec<FigCRow> {
+    sweeps.iter().flat_map(|s| aggregate(&s.topology, &s.measurements, clusters)).collect()
 }
 
 #[cfg(test)]
@@ -127,12 +143,13 @@ mod tests {
     fn figure_c_covers_every_topology_and_cluster_count() {
         let mut cfg = ExperimentConfig::quick(6);
         cfg.cluster_counts = FIGC_CLUSTERS.to_vec();
-        let (rows, raw, stats) = figure_c(&cfg, &FIGC_TOPOLOGIES);
+        let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, true);
+        let rows = figure_c(&sweeps, &cfg.cluster_counts);
         assert_eq!(rows.len(), FIGC_TOPOLOGIES.len() * FIGC_CLUSTERS.len());
-        assert_eq!(raw.len(), FIGC_TOPOLOGIES.len() * FIGC_CLUSTERS.len() * 6);
-        for (kind, s) in &stats {
-            assert_eq!(s.failed, 0, "{kind}: figure C must verify every schedule");
-            assert!(s.stores_verified > 0, "{kind}: verification is forced on");
+        for s in &sweeps {
+            assert_eq!(s.measurements.len(), FIGC_CLUSTERS.len() * 6);
+            assert_eq!(s.stats.failed, 0, "{}: figure C must verify every schedule", s.topology);
+            assert!(s.stats.stores_verified > 0, "{}: verification is forced on", s.topology);
         }
         for row in &rows {
             assert_eq!(row.loops, 6);
@@ -150,7 +167,9 @@ mod tests {
     fn replay_never_beats_the_schedule_and_crossbars_never_stall() {
         let mut cfg = ExperimentConfig::quick(8);
         cfg.cluster_counts = vec![8];
-        let (rows, raw, _) = figure_c(&cfg, &FIGC_TOPOLOGIES);
+        let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, true);
+        let rows = figure_c(&sweeps, &cfg.cluster_counts);
+        let raw: Vec<&LoopMeasurement> = sweeps.iter().flat_map(|s| &s.measurements).collect();
         for m in &raw {
             assert!(
                 m.achieved_ii >= m.clustered_ii,
@@ -177,9 +196,9 @@ mod tests {
     fn a_topology_filter_restricts_the_sweep() {
         let mut cfg = ExperimentConfig::quick(3);
         cfg.cluster_counts = vec![2];
-        let (rows, raw, stats) = figure_c(&cfg, &[TopologyKind::Bus]);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(stats.len(), 1);
-        assert!(raw.iter().all(|m| m.topology == "bus"));
+        let sweeps = sweep_topologies(&cfg, &[TopologyKind::Bus], true);
+        assert_eq!(figure_c(&sweeps, &cfg.cluster_counts).len(), 1);
+        assert_eq!(sweeps.len(), 1);
+        assert!(sweeps[0].measurements.iter().all(|m| m.topology == "bus"));
     }
 }

@@ -12,20 +12,10 @@
 //! to VLIW code, executed on the machine interpreter and bit-compared
 //! against a scalar reference of its source loop.
 
-use crate::runner::{measure_suite_with_stats, ExperimentConfig, LoopMeasurement, SweepStats};
+use crate::figc::TopologySweep;
+use crate::runner::LoopMeasurement;
 use dms_machine::TopologyKind;
 use serde::{Deserialize, Serialize};
-
-/// The interconnects figure T compares.
-pub const FIGT_TOPOLOGIES: [TopologyKind; 4] = [
-    TopologyKind::Ring,
-    TopologyKind::ChordalRing { chord: 2 },
-    TopologyKind::Bus,
-    TopologyKind::Crossbar,
-];
-
-/// The cluster counts figure T evaluates.
-pub const FIGT_CLUSTERS: [u32; 3] = [2, 4, 8];
 
 /// One (topology, cluster count) aggregate of figure T.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,36 +80,28 @@ fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]
         .collect()
 }
 
-/// Runs the figure-T sweep: the configured suite on every
-/// [`FIGT_TOPOLOGIES`] interconnect at the configured cluster counts, with
-/// end-to-end verification forced on. Returns the aggregate rows plus one
-/// [`SweepStats`] per topology (whose `failed` counts gate the CLI exit
-/// code).
-pub fn figure_t(config: &ExperimentConfig) -> (Vec<FigTRow>, Vec<(TopologyKind, SweepStats)>) {
-    let mut rows = Vec::new();
-    let mut stats = Vec::new();
-    for kind in FIGT_TOPOLOGIES {
-        let cfg = ExperimentConfig { topology: kind, verify: true, ..config.clone() };
-        let (measurements, s) = measure_suite_with_stats(&cfg);
-        rows.extend(aggregate(&kind, &measurements, &cfg.cluster_counts));
-        stats.push((kind, s));
-    }
-    (rows, stats)
+/// Figure T: one row per (topology, cluster count) of a topology sweep
+/// (see [`crate::figc::sweep_topologies`]), topologies in sweep order.
+pub fn figure_t(sweeps: &[TopologySweep], clusters: &[u32]) -> Vec<FigTRow> {
+    sweeps.iter().flat_map(|s| aggregate(&s.topology, &s.measurements, clusters)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figc::{sweep_topologies, FIGC_CLUSTERS, FIGC_TOPOLOGIES};
+    use crate::runner::ExperimentConfig;
 
     #[test]
     fn figure_t_covers_every_topology_and_cluster_count() {
         let mut cfg = ExperimentConfig::quick(6);
-        cfg.cluster_counts = FIGT_CLUSTERS.to_vec();
-        let (rows, stats) = figure_t(&cfg);
-        assert_eq!(rows.len(), FIGT_TOPOLOGIES.len() * FIGT_CLUSTERS.len());
-        for (kind, s) in &stats {
-            assert_eq!(s.failed, 0, "{kind}: figure T must verify every schedule");
-            assert!(s.stores_verified > 0, "{kind}: verification is forced on");
+        cfg.cluster_counts = FIGC_CLUSTERS.to_vec();
+        let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, false);
+        let rows = figure_t(&sweeps, &cfg.cluster_counts);
+        assert_eq!(rows.len(), FIGC_TOPOLOGIES.len() * FIGC_CLUSTERS.len());
+        for s in &sweeps {
+            assert_eq!(s.stats.failed, 0, "{}: figure T must verify every schedule", s.topology);
+            assert!(s.stats.stores_verified > 0, "{}: verification is forced on", s.topology);
         }
         for row in &rows {
             assert_eq!(row.loops, 6);
@@ -130,16 +112,10 @@ mod tests {
             assert_eq!(row.mean_moves, 0.0, "{}: moves on a fully connected fabric", row.topology);
         }
         // the ring rows match a plain ring sweep of the same configuration
-        let ring_cfg = ExperimentConfig {
-            verify: true,
-            ..ExperimentConfig {
-                cluster_counts: FIGT_CLUSTERS.to_vec(),
-                ..ExperimentConfig::quick(6)
-            }
-        };
+        let ring_cfg = ExperimentConfig { verify: true, ..cfg };
         let (ring_rows, _) = crate::runner::measure_suite_with_stats(&ring_cfg);
         let direct = aggregate(&TopologyKind::Ring, &ring_rows, &ring_cfg.cluster_counts);
-        assert_eq!(&rows[..FIGT_CLUSTERS.len()], &direct[..]);
+        assert_eq!(&rows[..FIGC_CLUSTERS.len()], &direct[..]);
     }
 
     #[test]
@@ -149,7 +125,7 @@ mod tests {
         // higher on this deterministic suite.
         let mut cfg = ExperimentConfig::quick(10);
         cfg.cluster_counts = vec![8];
-        let (rows, _) = figure_t(&cfg);
+        let rows = figure_t(&sweep_topologies(&cfg, &FIGC_TOPOLOGIES, false), &[8]);
         let pct = |label: &str| {
             rows.iter().find(|r| r.topology == label).map(|r| r.percent_no_overhead).unwrap()
         };

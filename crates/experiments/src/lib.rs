@@ -15,7 +15,8 @@
 //! interconnect topologies (ring, chordal ring, bus, crossbar) through the
 //! `dms_machine::Topology` API, [`figc`] replays those schedules under
 //! contention-accurate link timing (`dms_sim::contended_replay`) to report
-//! the II each fabric actually sustains, and [`figp`] another comparing
+//! the II each fabric actually sustains (both figures share one sweep,
+//! [`sweep_topologies`]), and [`figp`] another comparing
 //! portfolio scheduler search (`dms_core::SchedulerStrategy`) against the
 //! single deterministic heuristic.
 //!
@@ -47,9 +48,11 @@ pub use dms_service::ScheduleService;
 pub use fig4::{figure4, Fig4Row};
 pub use fig5::{figure5, Fig5Row};
 pub use fig6::{figure6, Fig6Row};
-pub use figc::{figure_c, FigCRow, FIGC_CLUSTERS, FIGC_TOPOLOGIES};
+pub use figc::{
+    figure_c, sweep_topologies, FigCRow, TopologySweep, FIGC_CLUSTERS, FIGC_TOPOLOGIES,
+};
 pub use figp::{figure_p, FigPRow, FIGP_CLUSTERS};
-pub use figt::{figure_t, FigTRow, FIGT_CLUSTERS, FIGT_TOPOLOGIES};
+pub use figt::{figure_t, FigTRow};
 pub use runner::{
     measure_suite, measure_suite_with_stats, measure_suite_with_stats_on, ExperimentConfig,
     LoopMeasurement, SweepStats,

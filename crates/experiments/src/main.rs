@@ -44,7 +44,7 @@
 //! "bus ≈ crossbar" verdict survives contention-accurate timing.
 //! `--metrics-json PATH` dumps the run's `dms-telemetry` registry —
 //! cache counters, per-request latency histogram, phase timers and the
-//! scheduler core's event-trace counts — as JSON; collection is
+//! scheduler core's event counts — as JSON; collection is
 //! observation-only, so the flag never changes a measurement (a workspace
 //! test pins the CSVs byte-identical with it on and off).
 
@@ -52,7 +52,8 @@ use dms_experiments::ablation::{chain_policy_ablation, copy_unit_ablation};
 use dms_experiments::report;
 use dms_experiments::{
     figure4, figure5, figure6, figure_c, figure_p, figure_t, measure_suite_with_stats_on,
-    ExperimentConfig, FIGC_CLUSTERS, FIGC_TOPOLOGIES, FIGP_CLUSTERS, FIGT_CLUSTERS,
+    sweep_topologies, ExperimentConfig, LoopMeasurement, TopologySweep, FIGC_CLUSTERS,
+    FIGC_TOPOLOGIES, FIGP_CLUSTERS,
 };
 use dms_machine::TopologyKind;
 use dms_sched::SchedulerStrategy;
@@ -78,13 +79,13 @@ struct Cli {
     config: ExperimentConfig,
     csv_dir: Option<String>,
     /// Dump the run's metrics registry (counters, timers, histograms,
-    /// scheduler event trace counts) as JSON to this path, and install the
+    /// scheduler event counts) as JSON to this path, and install the
     /// registry as the process-wide telemetry sink so the scheduler core's
     /// events are captured too.
     metrics_json: Option<String>,
-    /// Interconnects the figC sweep replays (ignored by every other
+    /// Interconnects the figT/figC sweep covers (ignored by every other
     /// command, which uses `config.topology`).
-    figc_topologies: Vec<dms_machine::TopologyKind>,
+    grid_topologies: Vec<TopologyKind>,
 }
 
 const USAGE: &str = "usage: dms-experiments [fig4|fig5|fig6|figT|figP|figC|ablation|all] [--loops N] [--clusters A,B,C] [--seed S] [--csv DIR] [--threads T] [--verify] [--contention] [--cqrf-capacity N] [--topology ring|chordal[:K]|bus|crossbar] [--strategy dms|beam:W|portfolio:N[:E]] [--metrics-json PATH]\n       dms-experiments serve [--addr HOST:PORT] [--shards N]\n       dms-experiments client [--addr HOST:PORT] [--loops N] [--clusters A,B,C] [--seed S] [--shutdown]";
@@ -155,28 +156,25 @@ fn parse_args() -> Result<Cli, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    // Figure T compares topologies at the paper's 2/4/8-cluster points
-    // unless the user picked an explicit grid — and always sweeps all four
-    // interconnects, so a --topology override would be silently ignored.
-    if command == Command::FigT {
-        if topology_arg.is_some() {
-            return Err("figT sweeps every topology; --topology does not apply".to_string());
-        }
-        if !clusters_given {
-            config.cluster_counts = FIGT_CLUSTERS.to_vec();
-        }
+    // Figures T and C compare the four interconnects at the paper's
+    // 2/4/8-cluster points unless the user picked an explicit grid. Figure
+    // T always sweeps all four, so a --topology override would be silently
+    // ignored; a --topology comma list narrows figure C's sweep (CI smoke
+    // runs `--topology bus,crossbar`). Other commands take exactly one.
+    if matches!(command, Command::FigT | Command::FigC) && !clusters_given {
+        config.cluster_counts = FIGC_CLUSTERS.to_vec();
     }
-    // Figure C replays the same four interconnects at the same cluster
-    // points; a --topology comma list narrows the sweep (CI smoke runs
-    // `--topology bus,crossbar`). Other commands take exactly one.
-    let mut figc_topologies = FIGC_TOPOLOGIES.to_vec();
+    if command == Command::FigT && topology_arg.is_some() {
+        return Err("figT sweeps every topology; --topology does not apply".to_string());
+    }
+    let mut grid_topologies = FIGC_TOPOLOGIES.to_vec();
     if let Some(v) = &topology_arg {
         if command == Command::FigC {
-            figc_topologies = v
+            grid_topologies = v
                 .split(',')
                 .map(|t| TopologyKind::parse(t.trim()))
                 .collect::<Result<Vec<TopologyKind>, String>>()?;
-            if figc_topologies.is_empty() {
+            if grid_topologies.is_empty() {
                 return Err("--topology needs at least one interconnect".to_string());
             }
         } else if v.contains(',') {
@@ -184,9 +182,6 @@ fn parse_args() -> Result<Cli, String> {
         } else {
             config.topology = TopologyKind::parse(v)?;
         }
-    }
-    if command == Command::FigC && !clusters_given {
-        config.cluster_counts = FIGC_CLUSTERS.to_vec();
     }
     // Figure P compares the portfolio against its embedded baseline at the
     // same 2/4/8-cluster points unless the user picked an explicit grid.
@@ -204,7 +199,7 @@ fn parse_args() -> Result<Cli, String> {
             };
         }
     }
-    Ok(Cli { command, config, csv_dir, metrics_json, figc_topologies })
+    Ok(Cli { command, config, csv_dir, metrics_json, grid_topologies })
 }
 
 fn write_csv(dir: &str, name: &str, contents: &str) {
@@ -243,7 +238,7 @@ fn run_serve(args: &[String]) -> ExitCode {
         }
     }
     // The served registry is also installed process-wide, so the
-    // scheduler core's trace events (II attempts, pressure retries, chain
+    // scheduler core's events (II attempts, pressure retries, chain
     // dismantles, link stalls) show up in `{"op":"metrics"}` scrapes
     // alongside the cache counters and request latencies.
     let registry = Arc::new(Registry::new());
@@ -434,10 +429,10 @@ fn main() -> ExitCode {
     // One registry for the whole run: the sweep's service publishes its
     // cache counters and request latencies into it, the phase timers land
     // in it, and — when `--metrics-json` asks for the dump — it is also
-    // installed process-wide so the scheduler core's event trace is
-    // captured. Collection is observation-only, so installing it cannot
-    // change a single scheduled cycle (a workspace test pins the CSVs
-    // byte-identical either way).
+    // installed process-wide so the scheduler core's events are counted.
+    // Collection is observation-only, so installing it cannot change a
+    // single scheduled cycle (a workspace test pins the CSVs byte-identical
+    // either way).
     let registry = Arc::new(Registry::new());
     if cli.metrics_json.is_some() {
         dms_telemetry::install(Arc::clone(&registry));
@@ -494,46 +489,35 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if cli.command == Command::FigT {
-        let (rows, stats) = figure_t(&cli.config);
-        for (kind, s) in &stats {
+    if matches!(cli.command, Command::FigT | Command::FigC) {
+        let contention = cli.command == Command::FigC;
+        let sweeps = sweep_topologies(&cli.config, &cli.grid_topologies, contention);
+        for TopologySweep { topology, stats: s, .. } in &sweeps {
             println!(
-                "{kind}: swept {} tasks on {} thread(s) in {:.2} s — {} store values verified, \
-                 {} pressure retries, {} failed",
+                "{topology}: swept {} tasks on {} thread(s) in {:.2} s — {} store values \
+                 verified, {} pressure retries, {} failed",
                 s.tasks, s.threads, s.wall_seconds, s.stores_verified, s.pressure_retries, s.failed
             );
         }
         println!();
-        println!("{}", report::render_figt(&rows));
-        if let Some(dir) = &cli.csv_dir {
-            write_csv(dir, "figureT.csv", &report::figt_csv(&rows));
+        let measurements = || sweeps.iter().flat_map(|s| &s.measurements);
+        if contention {
+            let rows = figure_c(&sweeps, &cli.config.cluster_counts);
+            println!("{}", report::render_figc(&rows));
+            if let Some(dir) = &cli.csv_dir {
+                let raw: Vec<LoopMeasurement> = measurements().cloned().collect();
+                write_csv(dir, "figureC.csv", &report::figc_csv(&rows));
+                write_csv(dir, "measurementsC.csv", &report::measurements_csv(&raw));
+            }
+        } else {
+            let rows = figure_t(&sweeps, &cli.config.cluster_counts);
+            println!("{}", report::render_figt(&rows));
+            if let Some(dir) = &cli.csv_dir {
+                write_csv(dir, "figureT.csv", &report::figt_csv(&rows));
+            }
         }
-        // Figure T always verifies: any failed task is a compiler bug.
-        let failed: usize = stats.iter().map(|(_, s)| s.failed).sum();
-        if failed > 0 {
-            eprintln!("error: {failed} task(s) failed end-to-end verification");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if cli.command == Command::FigC {
-        let (rows, raw, stats) = figure_c(&cli.config, &cli.figc_topologies);
-        for (kind, s) in &stats {
-            println!(
-                "{kind}: swept {} tasks on {} thread(s) in {:.2} s — {} store values verified, \
-                 {} pressure retries, {} failed",
-                s.tasks, s.threads, s.wall_seconds, s.stores_verified, s.pressure_retries, s.failed
-            );
-        }
-        println!();
-        println!("{}", report::render_figc(&rows));
-        if let Some(dir) = &cli.csv_dir {
-            write_csv(dir, "figureC.csv", &report::figc_csv(&rows));
-            write_csv(dir, "measurementsC.csv", &report::measurements_csv(&raw));
-        }
-        // Figure C always verifies: any failed task is a compiler bug.
-        let failed: usize = stats.iter().map(|(_, s)| s.failed).sum();
+        // Both figures always verify: any failed task is a compiler bug.
+        let failed: usize = sweeps.iter().map(|s| s.stats.failed).sum();
         if failed > 0 {
             eprintln!("error: {failed} task(s) failed end-to-end verification");
             return ExitCode::FAILURE;
@@ -541,8 +525,8 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         // The replay only adds stalls, so an achieved II below the
         // scheduled II is a timing-model bug: gate on it here so the
         // nightly paper-scale run fails loudly.
-        let impossible = raw.iter().filter(|m| m.achieved_ii < m.clustered_ii).count();
-        if impossible > 0 {
+        let impossible = measurements().filter(|m| m.achieved_ii < m.clustered_ii).count();
+        if contention && impossible > 0 {
             eprintln!("error: {impossible} replay(s) undercut the scheduled II");
             return ExitCode::FAILURE;
         }

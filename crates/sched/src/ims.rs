@@ -20,7 +20,7 @@ use crate::schedule::{
 use dms_ir::transform::convert_to_single_use;
 use dms_ir::{Ddg, Loop, OpId};
 use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt};
-use dms_telemetry::{SchedEvent, Telemetry};
+use dms_telemetry::{EventKind, Telemetry};
 
 /// Tuning parameters of the IMS search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +74,7 @@ pub fn ims_schedule(
     let telemetry = Telemetry::current();
     for ii in start_ii..=max_ii {
         stats.ii_attempts += 1;
-        telemetry.event(SchedEvent::IiAttemptStarted { ii });
+        telemetry.event(EventKind::IiAttemptStarted);
         if let Some(outcome) = try_ims(&ddg, machine, ii, budget) {
             stats.evictions += outcome.evictions;
             stats.budget_used += outcome.budget_used;
@@ -85,7 +85,7 @@ pub fn ims_schedule(
                 stats,
             });
         }
-        telemetry.event(SchedEvent::IiAttemptFailed { ii });
+        telemetry.event(EventKind::IiAttemptFailed);
     }
     Err(ScheduleError::IiLimitReached { limit: max_ii })
 }

@@ -24,7 +24,7 @@ use dms_ir::{canonical_hash, Loop};
 use dms_machine::MachineConfig;
 use dms_sched::{ims_schedule, ImsConfig, ScheduleError, ScheduleResult};
 use dms_sim::{replay_schedule, verify_schedule};
-use dms_telemetry::{Gauge, Histogram, Registry, SchedEvent};
+use dms_telemetry::{EventKind, Gauge, Histogram, Registry};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -167,7 +167,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// builds a private registry (unit tests stay isolated from each other);
 /// [`ScheduleService::with_registry`] shares a caller-owned one so a driver
 /// can merge service metrics with its own timers and the scheduler-core
-/// event trace.
+/// event counts.
 #[derive(Debug)]
 pub struct ScheduleService {
     cache: ShardedCache<CachedSchedule>,
@@ -249,14 +249,14 @@ impl ScheduleService {
         let key = cache_key(req);
         let guard = guard_fingerprint(req.body);
         if let Some(entry) = self.cache.lookup(&key, guard) {
-            self.registry.record_event(SchedEvent::CacheHit);
+            self.registry.record_event(EventKind::CacheHit);
             return Ok(ScheduleResponse {
                 output: entry.output,
                 verify: entry.verify,
                 cache_hit: true,
             });
         }
-        self.registry.record_event(SchedEvent::CacheMiss);
+        self.registry.record_event(EventKind::CacheMiss);
 
         let output = match req.scheduler {
             SchedulerKind::Ims => SchedulerOutput::Ims(Box::new(

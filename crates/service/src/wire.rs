@@ -79,7 +79,7 @@ impl Json {
     ///
     /// Returns a position-annotated message on malformed input.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -198,9 +198,16 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting a document may have. A real request
+/// nests only a few levels; the cap keeps a hostile line of `[` from
+/// overflowing a handler's stack through the recursive descent.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -238,8 +245,11 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -318,6 +328,13 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -790,12 +807,16 @@ pub fn decode_loop(json: &Json) -> Result<Loop, String> {
 }
 
 fn decode_machine(json: &Json) -> Result<WireMachine, String> {
+    let clusters = narrow_u32(
+        json.get("clusters").and_then(Json::as_u64).ok_or("machine needs a clusters count")?,
+        "machine clusters",
+    )?;
+    if clusters == 0 {
+        return Err("machine clusters must be at least 1".to_string());
+    }
     Ok(WireMachine {
         unclustered: json.get("unclustered").and_then(Json::as_bool).unwrap_or(false),
-        clusters: narrow_u32(
-            json.get("clusters").and_then(Json::as_u64).ok_or("machine needs a clusters count")?,
-            "machine clusters",
-        )?,
+        clusters,
         copy_units: narrow_u32(
             json.get("copy_units").and_then(Json::as_u64).unwrap_or(1),
             "machine copy_units",
@@ -894,6 +915,18 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1.5").is_err());
         assert!(Json::parse("{} trailing").is_err());
+    }
+
+    /// A line of nothing but openers must come back as an error, not
+    /// recurse once per byte until the handler's stack overflows.
+    #[test]
+    fn deeply_nested_lines_are_rejected_not_overflowed() {
+        let brackets = "[".repeat(1 << 20);
+        assert!(decode_request(&brackets).unwrap_err().contains("nesting deeper than 64"));
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(decode_request(&objects).unwrap_err().contains("nesting deeper than 64"));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok(), "{MAX_DEPTH} levels are still accepted");
     }
 
     #[test]
@@ -1021,6 +1054,9 @@ mod tests {
             assert!(err.contains(field), "{field}: got {err}");
             assert!(err.contains("does not fit in 32 bits"), "{field}: got {err}");
         }
+        // Below range too: a zero-cluster machine cannot be built.
+        let err = decode_request(&line.replace("\"clusters\":4", "\"clusters\":0")).unwrap_err();
+        assert!(err.contains("machine clusters must be at least 1"), "got {err}");
     }
 
     /// Edge latency/distance and operand fields narrow too: patch the loop

@@ -258,8 +258,7 @@ pub fn contended_replay(
     let scheduled_ii = program.ii;
     let stall_cycles = cycles.saturating_sub(ideal_cycles);
     if stall_cycles > 0 {
-        dms_telemetry::Telemetry::current()
-            .event(dms_telemetry::SchedEvent::LinkStall { cycles: stall_cycles });
+        dms_telemetry::Telemetry::current().event(dms_telemetry::EventKind::LinkStall);
     }
     Ok(ContentionReport {
         scheduled_ii,

@@ -11,7 +11,7 @@
 //! a `None` and every recording call is a no-op.
 
 use crate::registry::Registry;
-use crate::trace::SchedEvent;
+use crate::trace::EventKind;
 use std::sync::{Arc, PoisonError, RwLock};
 
 static GLOBAL: RwLock<Option<Arc<Registry>>> = RwLock::new(None);
@@ -62,11 +62,11 @@ impl Telemetry {
         self.registry.as_ref()
     }
 
-    /// Records a structured scheduler event (no-op when disabled).
+    /// Counts one scheduler event of `kind` (no-op when disabled).
     #[inline]
-    pub fn event(&self, ev: SchedEvent) {
+    pub fn event(&self, kind: EventKind) {
         if let Some(r) = &self.registry {
-            r.record_event(ev);
+            r.record_event(kind);
         }
     }
 }
@@ -74,13 +74,12 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::EventKind;
 
     #[test]
     fn the_disabled_handle_swallows_events() {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
-        t.event(SchedEvent::CacheHit); // must not panic or record anywhere
+        t.event(EventKind::CacheHit); // must not panic or record anywhere
         assert!(t.registry().is_none());
     }
 
@@ -89,7 +88,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let t = Telemetry::enabled(Arc::clone(&registry));
         assert!(t.is_enabled());
-        t.event(SchedEvent::CandidateWon { candidate: 3 });
+        t.event(EventKind::CandidateWon);
         assert_eq!(registry.event_count(EventKind::CandidateWon), 1);
     }
 

@@ -1,11 +1,11 @@
-//! # dms-telemetry — metrics, scoped timers and a scheduler event trace
+//! # dms-telemetry — metrics, scoped timers and scheduler event counts
 //!
 //! The observability layer of the DMS stack: a lock-cheap [`Registry`] of
 //! named monotonic [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s,
-//! [`ScopedTimer`]s that accumulate phase wall-time into counters, and a
-//! bounded structured trace of scheduler events ([`SchedEvent`]) — II
-//! attempts, pressure retries, chain dismantles, portfolio candidate wins,
-//! cache hits/misses and contention link-stalls.
+//! [`ScopedTimer`]s that accumulate phase wall-time into counters, and
+//! per-kind counts of scheduler events ([`EventKind`]) — II attempts,
+//! pressure retries, chain dismantles, portfolio candidate wins, cache
+//! hits/misses and contention link-stalls.
 //!
 //! ## The determinism argument
 //!
@@ -21,10 +21,10 @@
 //!    the measured work.
 //! 2. **Relaxed atomics, no waiting.** Counters, gauges and histogram
 //!    buckets are plain `AtomicU64`/`AtomicI64` cells updated with
-//!    `Ordering::Relaxed`; the only lock anywhere near a hot path is the
-//!    trace-buffer push, and it vanishes once the keep-first buffer
-//!    saturates (recording then degenerates to two relaxed increments).
-//!    No hook can block a worker behind another worker's result.
+//!    `Ordering::Relaxed`, and so are the per-kind event counts: recording
+//!    an event is one relaxed increment. The registry's one mutex guards
+//!    registration by name and rendering, never an update, so no hook can
+//!    block a worker behind another worker's result.
 //! 3. **A zero-cost disabled handle.** Code in the scheduler core reaches
 //!    telemetry through [`Telemetry::current`], which hands back a no-op
 //!    handle unless a registry was explicitly [`install`]ed; the
@@ -59,4 +59,4 @@ pub use registry::{
     Counter, Gauge, GaugeGuard, Histogram, HistogramSnapshot, Registry, ScopedTimer, BUCKET_BOUNDS,
     NUM_BUCKETS,
 };
-pub use trace::{EventKind, SchedEvent, TRACE_CAPACITY};
+pub use trace::EventKind;

@@ -7,7 +7,7 @@
 //! ordering. Handles are cheap to clone and stay valid for the life of the
 //! registry.
 
-use crate::trace::{SchedEvent, Trace};
+use crate::trace::{EventCounts, EventKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -214,12 +214,12 @@ impl Metric {
     }
 }
 
-/// The registry: a name-keyed set of metrics plus the scheduler event
-/// trace. See the crate docs for the determinism rules it upholds.
+/// The registry: a name-keyed set of metrics plus the per-kind scheduler
+/// event counts. See the crate docs for the determinism rules it upholds.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
-    trace: Trace,
+    events: EventCounts,
 }
 
 impl Registry {
@@ -272,25 +272,14 @@ impl Registry {
         ScopedTimer::new(self.counter(name))
     }
 
-    /// Records a structured scheduler event into the bounded trace and its
-    /// per-kind count.
-    pub fn record_event(&self, ev: SchedEvent) {
-        self.trace.record(ev);
+    /// Counts one scheduler event of `kind`.
+    pub fn record_event(&self, kind: EventKind) {
+        self.events.record(kind);
     }
 
-    /// The count of trace events of `kind` recorded so far.
-    pub fn event_count(&self, kind: crate::trace::EventKind) -> u64 {
-        self.trace.count(kind)
-    }
-
-    /// Events dropped because the trace ring was full (oldest-first).
-    pub fn events_dropped(&self) -> u64 {
-        self.trace.dropped()
-    }
-
-    /// A copy of the retained trace events, oldest first.
-    pub fn trace_snapshot(&self) -> Vec<SchedEvent> {
-        self.trace.snapshot()
+    /// The count of scheduler events of `kind` recorded so far.
+    pub fn event_count(&self, kind: EventKind) -> u64 {
+        self.events.get(kind)
     }
 
     fn register(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
@@ -300,7 +289,7 @@ impl Registry {
     }
 
     /// Renders every metric in Prometheus text exposition format, names
-    /// sorted, followed by the per-kind trace event counts as a labelled
+    /// sorted, followed by the per-kind scheduler event counts as a labelled
     /// `dms_trace_events_total` family. Deterministic layout; values are
     /// whatever the cells hold at the instant each is read.
     pub fn render_prometheus(&self) -> String {
@@ -335,23 +324,21 @@ impl Registry {
             }
         }
         out.push_str("# TYPE dms_trace_events_total counter\n");
-        for kind in crate::trace::EventKind::ALL {
+        for kind in EventKind::ALL {
             let _ = writeln!(
                 out,
                 "dms_trace_events_total{{kind=\"{}\"}} {}",
                 kind,
-                self.trace.count(kind)
+                self.events.get(kind)
             );
         }
-        out.push_str("# TYPE dms_trace_events_dropped_total counter\n");
-        let _ = writeln!(out, "dms_trace_events_dropped_total {}", self.trace.dropped());
         out
     }
 
     /// Renders the registry as one JSON document (hand-rolled — the
     /// vendored serde is marker-traits only): counters, gauges, histograms
-    /// (with the fixed bucket bounds), per-kind event counts and the drop
-    /// count. Names sorted; layout deterministic.
+    /// (with the fixed bucket bounds) and per-kind event counts. Names
+    /// sorted; layout deterministic.
     pub fn render_json(&self) -> String {
         let metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner).clone();
         let mut counters = String::new();
@@ -381,14 +368,12 @@ impl Registry {
             }
         }
         let mut events = String::new();
-        for kind in crate::trace::EventKind::ALL {
-            append_member(&mut events, &kind.to_string(), &self.trace.count(kind).to_string());
+        for kind in EventKind::ALL {
+            append_member(&mut events, &kind.to_string(), &self.events.get(kind).to_string());
         }
         format!(
             "{{\n  \"counters\": {{{counters}}},\n  \"gauges\": {{{gauges}}},\n  \
-             \"histograms\": {{{histograms}}},\n  \"events\": {{{events}}},\n  \
-             \"events_dropped\": {}\n}}\n",
-            self.trace.dropped()
+             \"histograms\": {{{histograms}}},\n  \"events\": {{{events}}}\n}}\n"
         )
     }
 }
@@ -410,7 +395,6 @@ fn valid_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::EventKind;
 
     #[test]
     fn counters_accumulate_and_clones_share_the_cell() {
@@ -497,7 +481,7 @@ mod tests {
         let h = r.histogram("dms_lat_micros");
         h.observe(1);
         h.observe(3);
-        r.record_event(SchedEvent::CacheHit);
+        r.record_event(EventKind::CacheHit);
         let text = r.render_prometheus();
         let a = text.find("dms_a_total 1").expect("counter a rendered");
         let b = text.find("dms_b_total 2").expect("counter b rendered");
@@ -517,13 +501,12 @@ mod tests {
         r.counter("dms_a_total").inc();
         r.gauge("dms_g").set(7);
         r.histogram("dms_h").observe(2);
-        r.record_event(SchedEvent::PressureRetry { ii: 4 });
+        r.record_event(EventKind::PressureRetry);
         let json = r.render_json();
         assert!(json.contains("\"dms_a_total\": 1"));
         assert!(json.contains("\"dms_g\": 7"));
         assert!(json.contains("\"sum\": 2"));
         assert!(json.contains("\"pressure_retry\": 1"));
-        assert!(json.contains("\"events_dropped\": 0"));
         assert_eq!(r.event_count(EventKind::PressureRetry), 1);
     }
 }

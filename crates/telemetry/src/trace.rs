@@ -1,105 +1,41 @@
-//! The structured scheduler event trace: a bounded buffer of
-//! [`SchedEvent`]s plus always-on per-kind counts.
+//! The scheduler event taxonomy and its per-kind counts.
 //!
-//! The buffer keeps the **first** [`TRACE_CAPACITY`] events; later events
-//! are dropped and counted, never silently lost. Keep-first (rather than a
-//! keep-last ring) is a deliberate hot-path trade: once the buffer
-//! saturates, recording degenerates to two relaxed atomic increments with
-//! no lock at all, which is what lets chain-dismantle-heavy sweeps run
-//! with telemetry on at no measurable cost. The per-kind counts are
-//! unbounded atomics, so aggregate assertions ("how many pressure retries
-//! did this sweep take?") stay exact even after the buffer fills.
+//! Every decision point the DMS stack exposes records one event of an
+//! [`EventKind`]. An event carries no payload: the registry keeps one
+//! relaxed atomic count per kind, so recording is a single increment and
+//! aggregate questions ("how many pressure retries did this sweep take?")
+//! have exact answers however long the run.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Maximum events retained by the trace buffer.
-pub const TRACE_CAPACITY: usize = 1024;
-
-/// One structured scheduler event. The taxonomy covers every decision
-/// point the DMS stack exposes: the II search, the pressure-relaxation
-/// loop, chain lifecycle, portfolio selection, the schedule cache and the
-/// contention-accurate replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedEvent {
-    /// The II search started an attempt at `ii`.
-    IiAttemptStarted {
-        /// The candidate initiation interval.
-        ii: u32,
-    },
-    /// The attempt at `ii` failed (budget exhausted, no schedule found).
-    IiAttemptFailed {
-        /// The candidate initiation interval that failed.
-        ii: u32,
-    },
-    /// A structurally valid schedule at `ii` was rejected for queue-file
-    /// capacity overflow and the search retried one II higher.
-    PressureRetry {
-        /// The II whose schedule overflowed a queue file.
-        ii: u32,
-    },
-    /// A committed move chain was dismantled (its `moves` move operations
-    /// deleted and the original dependence edge restored).
-    ChainDismantled {
-        /// Number of move operations the chain carried.
-        moves: u32,
-    },
+/// The kind of a scheduler event. The taxonomy covers the II search, the
+/// pressure-relaxation loop, chain lifecycle, portfolio selection, the
+/// schedule cache and the contention-accurate replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EventKind {
+    /// The II search started an attempt at one candidate II.
+    IiAttemptStarted,
+    /// An II attempt failed (budget exhausted, no schedule found).
+    IiAttemptFailed,
+    /// A structurally valid schedule was rejected for queue-file capacity
+    /// overflow and the search retried one II higher.
+    PressureRetry,
+    /// A committed move chain was dismantled (its move operations deleted
+    /// and the original dependence edge restored).
+    ChainDismantled,
     /// A portfolio/beam challenger Pareto-beat the incumbent.
-    CandidateWon {
-        /// Index of the winning candidate (0 = deterministic baseline).
-        candidate: u32,
-    },
+    CandidateWon,
     /// A schedule-cache lookup hit.
     CacheHit,
     /// A schedule-cache lookup missed.
     CacheMiss,
     /// A contention-accurate replay finished with link stalls.
-    LinkStall {
-        /// Total cycles the replay stalled on busy links.
-        cycles: u64,
-    },
-}
-
-impl SchedEvent {
-    /// The kind of this event.
-    pub fn kind(&self) -> EventKind {
-        match self {
-            SchedEvent::IiAttemptStarted { .. } => EventKind::IiAttemptStarted,
-            SchedEvent::IiAttemptFailed { .. } => EventKind::IiAttemptFailed,
-            SchedEvent::PressureRetry { .. } => EventKind::PressureRetry,
-            SchedEvent::ChainDismantled { .. } => EventKind::ChainDismantled,
-            SchedEvent::CandidateWon { .. } => EventKind::CandidateWon,
-            SchedEvent::CacheHit => EventKind::CacheHit,
-            SchedEvent::CacheMiss => EventKind::CacheMiss,
-            SchedEvent::LinkStall { .. } => EventKind::LinkStall,
-        }
-    }
-}
-
-/// The payload-free kind of a [`SchedEvent`], for counting and labelling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// See [`SchedEvent::IiAttemptStarted`].
-    IiAttemptStarted,
-    /// See [`SchedEvent::IiAttemptFailed`].
-    IiAttemptFailed,
-    /// See [`SchedEvent::PressureRetry`].
-    PressureRetry,
-    /// See [`SchedEvent::ChainDismantled`].
-    ChainDismantled,
-    /// See [`SchedEvent::CandidateWon`].
-    CandidateWon,
-    /// See [`SchedEvent::CacheHit`].
-    CacheHit,
-    /// See [`SchedEvent::CacheMiss`].
-    CacheMiss,
-    /// See [`SchedEvent::LinkStall`].
     LinkStall,
 }
 
 impl EventKind {
-    /// Every kind, in the fixed order used by renderers.
+    /// Every kind, in declaration order (the fixed order used by renderers).
     pub const ALL: [EventKind; 8] = [
         EventKind::IiAttemptStarted,
         EventKind::IiAttemptFailed,
@@ -112,7 +48,7 @@ impl EventKind {
     ];
 
     fn index(self) -> usize {
-        EventKind::ALL.iter().position(|k| *k == self).expect("every kind is in ALL")
+        self as usize
     }
 
     /// The snake_case label used in exposition output.
@@ -136,47 +72,18 @@ impl fmt::Display for EventKind {
     }
 }
 
-/// The bounded keep-first buffer plus per-kind counts. Owned by a
+/// One relaxed atomic count per [`EventKind`]. Owned by a
 /// [`crate::Registry`]; not public API outside the crate.
 #[derive(Debug, Default)]
-pub(crate) struct Trace {
-    buffer: Mutex<Vec<SchedEvent>>,
-    /// Lock-free mirror of "the buffer is full": the hot path reads this
-    /// and skips the mutex entirely once the trace has saturated.
-    full: AtomicBool,
-    counts: [AtomicU64; EventKind::ALL.len()],
-    dropped: AtomicU64,
-}
+pub(crate) struct EventCounts([AtomicU64; EventKind::ALL.len()]);
 
-impl Trace {
-    pub(crate) fn record(&self, ev: SchedEvent) {
-        self.counts[ev.kind().index()].fetch_add(1, Ordering::Relaxed);
-        if self.full.load(Ordering::Relaxed) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut buffer = self.buffer.lock().unwrap_or_else(PoisonError::into_inner);
-        if buffer.len() < TRACE_CAPACITY {
-            buffer.push(ev);
-            if buffer.len() == TRACE_CAPACITY {
-                self.full.store(true, Ordering::Relaxed);
-            }
-        } else {
-            // A racer filled the buffer between our flag read and the lock.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+impl EventCounts {
+    pub(crate) fn record(&self, kind: EventKind) {
+        self.0[kind.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn count(&self, kind: EventKind) -> u64 {
-        self.counts[kind.index()].load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn snapshot(&self) -> Vec<SchedEvent> {
-        self.buffer.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    pub(crate) fn get(&self, kind: EventKind) -> u64 {
+        self.0[kind.index()].load(Ordering::Relaxed)
     }
 }
 
@@ -185,55 +92,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_and_buffer_agree_until_the_buffer_fills() {
-        let t = Trace::default();
-        for ii in 0..10u32 {
-            t.record(SchedEvent::IiAttemptStarted { ii });
+    fn counts_are_kept_per_kind() {
+        let counts = EventCounts::default();
+        for _ in 0..10 {
+            counts.record(EventKind::IiAttemptStarted);
         }
-        t.record(SchedEvent::CacheHit);
-        assert_eq!(t.count(EventKind::IiAttemptStarted), 10);
-        assert_eq!(t.count(EventKind::CacheHit), 1);
-        assert_eq!(t.count(EventKind::LinkStall), 0);
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 11);
-        assert_eq!(snap[0], SchedEvent::IiAttemptStarted { ii: 0 });
-        assert_eq!(*snap.last().unwrap(), SchedEvent::CacheHit);
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn the_buffer_keeps_the_first_events_and_counts_later_drops() {
-        let t = Trace::default();
-        for i in 0..(TRACE_CAPACITY as u32 + 5) {
-            t.record(SchedEvent::ChainDismantled { moves: i });
-        }
-        assert_eq!(t.count(EventKind::ChainDismantled), TRACE_CAPACITY as u64 + 5);
-        assert_eq!(t.dropped(), 5, "the five post-saturation events are counted as dropped");
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), TRACE_CAPACITY);
-        assert_eq!(snap[0], SchedEvent::ChainDismantled { moves: 0 }, "the first event stays");
-        assert_eq!(
-            *snap.last().unwrap(),
-            SchedEvent::ChainDismantled { moves: TRACE_CAPACITY as u32 - 1 },
-            "the buffer holds exactly the first TRACE_CAPACITY events"
-        );
+        counts.record(EventKind::CacheHit);
+        assert_eq!(counts.get(EventKind::IiAttemptStarted), 10);
+        assert_eq!(counts.get(EventKind::CacheHit), 1);
+        assert_eq!(counts.get(EventKind::LinkStall), 0);
     }
 
     #[test]
     fn every_event_maps_to_its_kind() {
-        let events = [
-            SchedEvent::IiAttemptStarted { ii: 1 },
-            SchedEvent::IiAttemptFailed { ii: 1 },
-            SchedEvent::PressureRetry { ii: 1 },
-            SchedEvent::ChainDismantled { moves: 1 },
-            SchedEvent::CandidateWon { candidate: 1 },
-            SchedEvent::CacheHit,
-            SchedEvent::CacheMiss,
-            SchedEvent::LinkStall { cycles: 1 },
-        ];
-        for (ev, kind) in events.iter().zip(EventKind::ALL) {
-            assert_eq!(ev.kind(), kind);
+        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind} counts into its own cell");
             assert!(!kind.name().is_empty());
+            assert!(EventKind::ALL[..i].iter().all(|k| k.name() != kind.name()), "{kind} twice");
         }
     }
 }

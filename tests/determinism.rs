@@ -163,41 +163,14 @@ fn portfolio_sweep_is_byte_identical_for_1_and_4_threads() {
     );
 }
 
-/// The default `--strategy dms` sweep is byte-identical to the output of the
-/// pre-strategy scheduler, pinned against a committed fixture captured from
-/// the binary built just before the strategy surface landed
-/// (`fig4 --loops 24 --clusters 1,2,4,8 --threads 1 --csv …`). Only the
-/// five appended columns — `strategy`, `candidates`, `baseline_ii`,
-/// `cache_hit`, `achieved_ii` — may differ, so they are stripped before
-/// comparing.
-#[test]
-fn default_strategy_csv_matches_the_pre_strategy_fixture() {
-    let fixture = include_str!("fixtures/measurements_pre_strategy.csv");
-    let mut cfg = ExperimentConfig::quick(24);
-    cfg.cluster_counts = vec![1, 2, 4, 8];
-    cfg.threads = 1;
-    let (rows, stats) = measure_suite_with_stats(&cfg);
-    assert_eq!(stats.failed, 0);
-    let stripped: String = report::measurements_csv(&rows)
-        .lines()
-        .map(|line| {
-            let mut fields: Vec<&str> = line.split(',').collect();
-            fields.truncate(fields.len() - 5);
-            fields.join(",") + "\n"
-        })
-        .collect();
-    assert_eq!(
-        stripped, fixture,
-        "the default dms strategy must reproduce the pre-strategy scheduler byte for byte"
-    );
-}
-
 /// An idealised sweep (no `--contention`) is byte-identical to the output
 /// of the pre-contention binary, pinned against a committed fixture
 /// captured just before the discrete-event replay layer landed
 /// (`fig4 --loops 24 --clusters 1,2,4,8 --threads 1 --csv …`). Only the
 /// appended `achieved_ii` column may differ — and it must be 0 on every
-/// idealised row — so it is stripped before comparing.
+/// idealised row — so it is stripped before comparing. The fixture's first
+/// 20 columns are also byte-identical to the pre-strategy scheduler's
+/// output, so this one pin covers the default `--strategy dms` too.
 #[test]
 fn idealised_sweep_csv_matches_the_pre_contention_fixture() {
     let fixture = include_str!("fixtures/measurements_pre_contention.csv");
@@ -301,7 +274,7 @@ fn cache_shard_count_does_not_change_results() {
 /// and 4 worker threads.
 #[test]
 fn contention_replay_csv_is_byte_identical_for_1_and_4_threads() {
-    use dms_experiments::figure_c;
+    use dms_experiments::{figure_c, sweep_topologies};
     use dms_machine::TopologyKind;
     let kinds = [TopologyKind::Bus, TopologyKind::Crossbar];
     let mut serial = ExperimentConfig::quick(12);
@@ -310,21 +283,23 @@ fn contention_replay_csv_is_byte_identical_for_1_and_4_threads() {
     let mut parallel = serial.clone();
     parallel.threads = 4;
 
-    let (rows_a, raw_a, stats_a) = figure_c(&serial, &kinds);
-    let (rows_b, raw_b, stats_b) = figure_c(&parallel, &kinds);
-    for (kind, s) in stats_a.iter().chain(&stats_b) {
-        assert_eq!(s.failed, 0, "{kind}: every replayed schedule must verify");
+    let sweeps_a = sweep_topologies(&serial, &kinds, true);
+    let sweeps_b = sweep_topologies(&parallel, &kinds, true);
+    for s in sweeps_a.iter().chain(&sweeps_b) {
+        assert_eq!(s.stats.failed, 0, "{}: every replayed schedule must verify", s.topology);
     }
     assert_eq!(
-        report::figc_csv(&rows_a),
-        report::figc_csv(&rows_b),
+        report::figc_csv(&figure_c(&sweeps_a, &serial.cluster_counts)),
+        report::figc_csv(&figure_c(&sweeps_b, &parallel.cluster_counts)),
         "figure C aggregate CSV must not depend on the worker count"
     );
-    assert_eq!(
-        report::measurements_csv(&raw_a),
-        report::measurements_csv(&raw_b),
-        "figure C per-row CSV must not depend on the worker count"
-    );
+    for (a, b) in sweeps_a.iter().zip(&sweeps_b) {
+        assert_eq!(
+            report::measurements_csv(&a.measurements),
+            report::measurements_csv(&b.measurements),
+            "figure C per-row CSV must not depend on the worker count"
+        );
+    }
 }
 
 /// Contention replay can only ever *add* stalls: every replayed row

@@ -42,7 +42,7 @@ fn measurement_csv_is_byte_identical_with_telemetry_on_and_off() {
     assert_eq!(baseline[0], baseline[1], "baseline itself must be thread-count independent");
 
     // Phase 2 — telemetry fully on: the registry is installed as the
-    // process-wide sink (so the scheduler core records its event trace)
+    // process-wide sink (so the scheduler core counts its events)
     // AND shared with the sweep's service (so cache counters and request
     // latencies land in it). Byte-for-byte, nothing may change.
     let registry = Arc::new(Registry::new());
