@@ -45,12 +45,10 @@ pub struct ChainPlan {
     pub consumer_ready: u32,
     /// Summed occupancy of the queue files the chain's hops traverse
     /// (producer → first move → … → consumer), priced by the shared
-    /// [`QueuePressure::queue_occupancy`] mapping. Zero when the scheduler
-    /// runs pressure-blind ([`PressureMode::Ignore`]), keeping that mode's
-    /// historical behaviour bit-for-bit.
+    /// [`QueuePressure::queue_occupancy`] mapping. Zero unless chain
+    /// steering is on (see `SchedulerState::chain_steering`).
     ///
     /// [`QueuePressure::queue_occupancy`]: dms_sched::QueuePressure::queue_occupancy
-    /// [`PressureMode::Ignore`]: crate::dms::PressureMode::Ignore
     pub queue_cost: u64,
 }
 

@@ -17,36 +17,6 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::rc::Rc;
 
-/// When to apply the single-use (copy-insertion) lifetime conversion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SingleUsePolicy {
-    /// Apply it only when the target machine has more than one cluster (the
-    /// paper's setting: the conversion exists because of the single-read
-    /// CQRFs, which a single-cluster machine does not have).
-    ClusteredOnly,
-    /// Always apply it, regardless of the machine.
-    Always,
-    /// Never apply it (useful for ablations; incorrect for real clustered
-    /// targets with more than two immediate uses of a value).
-    Never,
-}
-
-/// How DMS uses the incremental queue-register-pressure estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum PressureMode {
-    /// The default: pressure breaks placement ties towards unsaturated
-    /// queues, and a schedule whose final pressure exceeds any LRF/CQRF
-    /// capacity is rejected and retried at II + 1 (the *pressure-relaxation
-    /// loop* — a larger II shortens every queue depth, `ceil(length / II)`).
-    #[default]
-    Aware,
-    /// Ablation/regression mode: schedule exactly as the pressure-blind
-    /// algorithm did — no tie-breaking, no capacity retries. Schedules that
-    /// fit every structural constraint but overflow a queue file are
-    /// returned as-is and fail in `dms_regalloc::allocate`.
-    Ignore,
-}
-
 /// Tuning parameters of the DMS search.
 ///
 /// # Examples
@@ -79,10 +49,6 @@ pub struct DmsConfig {
     pub max_ii: Option<u32>,
     /// How chains pick between the two ring directions.
     pub chain_policy: ChainPolicy,
-    /// When to apply the single-use conversion.
-    pub single_use: SingleUsePolicy,
-    /// Whether scheduling is register-pressure-aware.
-    pub pressure: PressureMode,
     /// An II a closely related configuration (e.g. the neighbouring cluster
     /// count of a sweep) is known to achieve. The search itself is
     /// untouched — it still scans every II ascending from the MII, so
@@ -105,8 +71,6 @@ impl Default for DmsConfig {
             budget_ratio: 32,
             max_ii: None,
             chain_policy: ChainPolicy::MaxFreeSlots,
-            single_use: SingleUsePolicy::ClusteredOnly,
-            pressure: PressureMode::Aware,
             ii_seed: None,
             strategy: SchedulerStrategy::Dms,
         }
@@ -128,8 +92,7 @@ pub struct ScheduleOutcome {
     /// schedule for exceeding a queue-file capacity.
     pub first_ii: u32,
     /// Structurally-valid schedules rejected because a queue file exceeded
-    /// its capacity, each answered by a retry at the next II. Always 0 in
-    /// [`PressureMode::Ignore`].
+    /// its capacity, each answered by a retry at the next II.
     pub pressure_retries: u32,
     /// Final incremental pressure estimate of the accepted schedule; equals
     /// the register allocator's per-queue requirements.
@@ -176,9 +139,11 @@ impl ScheduleOutcome {
 /// register pressure also fits the machine's LRF/CQRF capacities; a schedule
 /// that satisfies every dependence, resource and communication constraint
 /// but would fail register allocation is rejected and the search retries at
-/// II + 1 (counted in [`ScheduleOutcome::pressure_retries`]). Set
-/// [`DmsConfig::pressure`] to [`PressureMode::Ignore`] for the historical
-/// pressure-blind behaviour.
+/// II + 1 (counted in [`ScheduleOutcome::pressure_retries`]).
+///
+/// The single-use conversion runs only on clustered machines: it exists
+/// because a CQRF value can be read once, and a single-cluster machine has
+/// no CQRFs.
 ///
 /// Under [`SchedulerStrategy::Beam`] or [`SchedulerStrategy::Portfolio`] the
 /// deterministic heuristic runs first as the incumbent; challengers search
@@ -264,12 +229,7 @@ fn prepare(
     config: &DmsConfig,
 ) -> Result<Prepared, ScheduleError> {
     let mut ddg = l.ddg.clone();
-    let apply_single_use = match config.single_use {
-        SingleUsePolicy::Always => true,
-        SingleUsePolicy::Never => false,
-        SingleUsePolicy::ClusteredOnly => machine.is_clustered(),
-    };
-    let copies = if apply_single_use {
+    let copies = if machine.is_clustered() {
         convert_to_single_use(&mut ddg, machine.latency()) as u64
     } else {
         0
@@ -337,7 +297,7 @@ fn run_search(
         // a queue file would fail register allocation — reject it here and
         // retry one II higher, where every lifetime needs fewer in-flight
         // instances.
-        if config.pressure == PressureMode::Aware && pressure.capacity_excess(machine).is_some() {
+        if pressure.capacity_excess(machine).is_some() {
             pressure_retries += 1;
             telemetry.event(EventKind::PressureRetry);
             continue;
@@ -451,8 +411,7 @@ fn try_dms(
     jitter: Option<(&mut StdRng, bool)>,
 ) -> Option<(Ddg, Schedule, SchedStats, QueuePressure)> {
     let mut st = SchedulerState::with_paths(prep.ddg.clone(), machine, ii, Rc::clone(&prep.paths));
-    st.pressure_aware = config.pressure == PressureMode::Aware;
-    st.chain_steering = st.pressure_aware && steer_chains;
+    st.chain_steering = steer_chains;
     if let Some((rng, explore)) = jitter {
         let jitter = draw_jitter(rng, &st.height, explore);
         st.set_jitter(jitter);
@@ -500,8 +459,7 @@ fn try_beam(
     let width = width.max(1) as usize;
     let mut seed =
         SchedulerState::with_paths(prep.ddg.clone(), machine, ii, Rc::clone(&prep.paths));
-    seed.pressure_aware = config.pressure == PressureMode::Aware;
-    seed.chain_steering = seed.pressure_aware && steer_chains;
+    seed.chain_steering = steer_chains;
     let mut beam = vec![seed];
     // One pool for the whole beam, `width` single-search budgets deep: a
     // wide beam explores more but never does unbounded extra work.
@@ -605,23 +563,20 @@ impl Pending {
     /// How much the operation prefers `cluster` (smaller is better):
     /// clusters already hosting scheduled flow neighbours first (the value
     /// stays in the LRF and the partition stays compact), then the least
-    /// loaded cluster for the operation's unit class. In
-    /// [`PressureMode::Aware`] runs, remaining ties go to the cluster whose
-    /// queue files towards the scheduled neighbours hold the fewest live
-    /// values, steering traffic away from saturated CQRFs/LRFs. The id
-    /// makes the order total.
+    /// loaded cluster for the operation's unit class. Remaining ties go to
+    /// the cluster whose queue files towards the scheduled neighbours hold
+    /// the fewest live values, steering traffic away from saturated
+    /// CQRFs/LRFs. The id makes the order total.
     fn preference(
         &self,
         st: &SchedulerState,
         cluster: ClusterId,
     ) -> (std::cmp::Reverse<usize>, std::cmp::Reverse<u32>, u64, ClusterId) {
         let hosted = self.neighbours.clusters().filter(|&n| n == cluster).count();
-        let pressure =
-            if st.pressure_aware { st.cluster_pressure_cost(&self.neighbours, cluster) } else { 0 };
         (
             std::cmp::Reverse(hosted),
             std::cmp::Reverse(st.mrt.free_slots(cluster, self.fu)),
-            pressure,
+            st.cluster_pressure_cost(&self.neighbours, cluster),
             cluster,
         )
     }
@@ -742,11 +697,7 @@ fn strategy3_cluster(st: &SchedulerState, pending: &Pending) -> ClusterId {
     st.topology()
         .iter()
         .max_by_key(|&c| {
-            let pressure = if st.pressure_aware {
-                st.cluster_pressure_cost(&pending.neighbours, c)
-            } else {
-                0
-            };
+            let pressure = st.cluster_pressure_cost(&pending.neighbours, c);
             (st.mrt.free_slots(c, pending.fu), std::cmp::Reverse(pressure), std::cmp::Reverse(c))
         })
         .unwrap_or(ClusterId(0))
@@ -755,7 +706,7 @@ fn strategy3_cluster(st: &SchedulerState, pending: &Pending) -> ClusterId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dms_ir::{kernels, transform, LoopBuilder, Operand};
+    use dms_ir::{kernels, transform};
     use dms_sched::ims::{ims_schedule, ImsConfig};
     use dms_sched::validate::validate_schedule;
 
@@ -923,8 +874,7 @@ mod tests {
         // Zero-capacity queue files: every structurally-valid schedule is
         // rejected by the pressure check, so the search must exhaust the II
         // range with a PressureLimitReached (carrying the rejection count),
-        // not a bare IiLimitReached — while Ignore mode, which never checks
-        // capacities, schedules the same loop fine.
+        // not a bare IiLimitReached.
         let l = kernels::daxpy(16);
         let mut m = MachineConfig::paper_clustered(2);
         m.lrf_capacity = 0;
@@ -936,26 +886,6 @@ mod tests {
             }
             other => panic!("expected PressureLimitReached, got {other:?}"),
         }
-        let blind = DmsConfig { pressure: PressureMode::Ignore, ..cfg };
-        assert!(dms_schedule(&l, &m, &blind).is_ok(), "Ignore mode never checks capacities");
-    }
-
-    #[test]
-    fn always_policy_inserts_copies_even_on_one_cluster() {
-        let mut b = LoopBuilder::new("fan");
-        let a = b.load(Operand::Induction);
-        let x = b.add(a.into(), Operand::Immediate(1));
-        let y = b.mul(a.into(), Operand::Invariant(0));
-        let z = b.sub(a.into(), Operand::Immediate(2));
-        b.store(x.into());
-        b.store(y.into());
-        b.store(z.into());
-        let l = b.finish(32);
-        let m = MachineConfig::paper_clustered(1);
-        let cfg = DmsConfig { single_use: SingleUsePolicy::Always, ..DmsConfig::default() };
-        let r = check(&l, &m, &cfg);
-        // `a` has three readers -> one copy keeps every fan-out at two.
-        assert!(r.stats.copies_inserted >= 1);
     }
 
     #[test]

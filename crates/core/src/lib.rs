@@ -48,6 +48,6 @@ pub mod dms;
 pub mod state;
 
 pub use chains::{ChainPlan, ChainPolicy};
-pub use dms::{dms_schedule, DmsConfig, PressureMode, ScheduleOutcome, SingleUsePolicy};
+pub use dms::{dms_schedule, DmsConfig, ScheduleOutcome};
 pub use dms_sched::SchedulerStrategy;
 pub use state::SchedulerState;

@@ -136,10 +136,6 @@ pub struct SchedulerState {
     /// [`QueuePressure::of_schedule`] of the final schedule (the register
     /// allocator's ground truth), a property pinned by the tier-1 suite.
     pub pressure: QueuePressure,
-    /// Whether pressure steers cluster selection (see
-    /// [`crate::dms::PressureMode`]). The model itself is maintained either
-    /// way.
-    pub pressure_aware: bool,
     /// Whether strategy-2 chain planning additionally scores candidates by
     /// the occupancy of the queue files their moves traverse. Enabled by
     /// the II search only on attempts that follow a capacity rejection —
@@ -186,7 +182,6 @@ impl SchedulerState {
             chains: Vec::new(),
             stats: SchedStats::default(),
             pressure: QueuePressure::new(machine.num_clusters()),
-            pressure_aware: true,
             chain_steering: false,
             jitter: Vec::new(),
             paths,
@@ -414,7 +409,7 @@ impl SchedulerState {
     /// neighbours in `cluster`: the summed occupancy of the queue files
     /// that would carry a value between the operation and each neighbour.
     /// Used as a placement tie-breaker so DMS steers values away from
-    /// saturated queues (see [`crate::dms::PressureMode`]).
+    /// saturated queues.
     pub fn cluster_pressure_cost(&self, neighbours: &FlowNeighbours, cluster: ClusterId) -> u64 {
         let producers = neighbours.producers.iter().map(|&p| self.queue_occupancy(p, cluster));
         let consumers = neighbours.consumers.iter().map(|&s| self.queue_occupancy(cluster, s));

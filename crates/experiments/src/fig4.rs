@@ -7,7 +7,7 @@
 //! clusters, and a growing overhead at 9–10 clusters caused mainly by Copy
 //! unit saturation.
 
-use crate::runner::LoopMeasurement;
+use crate::runner::{mean, per_cluster, percent, LoopMeasurement};
 use serde::{Deserialize, Serialize};
 
 /// One bar of figure 4.
@@ -41,54 +41,23 @@ pub fn figure4(measurements: &[LoopMeasurement]) -> Vec<Fig4Row> {
     clusters.sort_unstable();
     clusters.dedup();
 
-    clusters
-        .into_iter()
-        .map(|c| {
-            let rows: Vec<&LoopMeasurement> =
-                measurements.iter().filter(|m| m.clusters == c).collect();
-            let loops = rows.len();
-            let increased = rows.iter().filter(|m| m.ii_increased()).count();
-            let percent_increased =
-                if loops == 0 { 0.0 } else { 100.0 * increased as f64 / loops as f64 };
-            let mean_overhead = if loops == 0 {
-                0.0
-            } else {
-                rows.iter()
-                    .map(|m| m.clustered_ii as f64 / m.unclustered_ii as f64 - 1.0)
-                    .sum::<f64>()
-                    / loops as f64
-            };
-            let mean_moves = if loops == 0 {
-                0.0
-            } else {
-                rows.iter().map(|m| m.moves as f64).sum::<f64>() / loops as f64
-            };
-            let mean_copies = if loops == 0 {
-                0.0
-            } else {
-                rows.iter().map(|m| m.copies as f64).sum::<f64>() / loops as f64
-            };
-            let overhead_rows: Vec<_> = rows.iter().filter(|m| m.ii_increased()).collect();
-            let percent_overhead_inherent = if overhead_rows.is_empty() {
-                0.0
-            } else {
-                100.0
-                    * overhead_rows.iter().filter(|m| m.clustered_ii == m.clustered_mii).count()
-                        as f64
-                    / overhead_rows.len() as f64
-            };
-            Fig4Row {
-                clusters: c,
-                loops,
-                percent_increased,
-                percent_no_overhead: 100.0 - percent_increased,
-                mean_overhead,
-                mean_moves,
-                mean_copies,
-                percent_overhead_inherent,
-            }
-        })
-        .collect()
+    per_cluster(measurements, &clusters, |c, rows| {
+        let percent_increased = percent(rows, LoopMeasurement::ii_increased);
+        let overhead_rows: Vec<&LoopMeasurement> =
+            rows.iter().copied().filter(|m| m.ii_increased()).collect();
+        Fig4Row {
+            clusters: c,
+            loops: rows.len(),
+            percent_increased,
+            percent_no_overhead: 100.0 - percent_increased,
+            mean_overhead: mean(rows, |m| m.clustered_ii as f64 / m.unclustered_ii as f64 - 1.0),
+            mean_moves: mean(rows, |m| m.moves as f64),
+            mean_copies: mean(rows, |m| m.copies as f64),
+            percent_overhead_inherent: percent(&overhead_rows, |m| {
+                m.clustered_ii == m.clustered_mii
+            }),
+        }
+    })
 }
 
 /// The paper's headline claim for figure 4: "Over 80% of the loops do not

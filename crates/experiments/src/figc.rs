@@ -19,7 +19,10 @@
 //! [`FIGC_CLUSTERS`] — through one driver, [`sweep_topologies`]; figure C
 //! is figure T's sweep with the replay switched on.
 
-use crate::runner::{measure_suite_with_stats, ExperimentConfig, LoopMeasurement, SweepStats};
+use crate::runner::{
+    mean, measure_suite_with_stats, per_cluster, percent, ExperimentConfig, LoopMeasurement,
+    SweepStats,
+};
 use dms_machine::TopologyKind;
 use serde::{Deserialize, Serialize};
 
@@ -94,39 +97,18 @@ pub struct FigCRow {
 
 /// Aggregates one topology's sweep into per-cluster-count rows.
 fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<FigCRow> {
-    clusters
-        .iter()
-        .map(|&c| {
-            let of_c: Vec<&LoopMeasurement> = rows.iter().filter(|m| m.clusters == c).collect();
-            let n = of_c.len();
-            let pct = |count: usize| if n == 0 { 0.0 } else { 100.0 * count as f64 / n as f64 };
-            let slowdown = |m: &LoopMeasurement| m.achieved_ii as f64 / m.clustered_ii as f64 - 1.0;
-            FigCRow {
-                topology: topology.label(),
-                clusters: c,
-                loops: n,
-                percent_no_overhead_scheduled: pct(of_c
-                    .iter()
-                    .filter(|m| !m.ii_increased())
-                    .count()),
-                percent_no_overhead_achieved: pct(of_c
-                    .iter()
-                    .filter(|m| m.achieved_ii <= m.unclustered_ii)
-                    .count()),
-                percent_contended: pct(of_c
-                    .iter()
-                    .filter(|m| m.achieved_ii > m.clustered_ii)
-                    .count()),
-                mean_slowdown: if n == 0 {
-                    0.0
-                } else {
-                    of_c.iter().map(|m| slowdown(m)).sum::<f64>() / n as f64
-                },
-                max_slowdown: of_c.iter().map(|m| slowdown(m)).fold(0.0, f64::max),
-                verified_stores: of_c.iter().map(|m| m.verified_stores).sum(),
-            }
-        })
-        .collect()
+    let slowdown = |m: &LoopMeasurement| m.achieved_ii as f64 / m.clustered_ii as f64 - 1.0;
+    per_cluster(rows, clusters, |c, of_c| FigCRow {
+        topology: topology.label(),
+        clusters: c,
+        loops: of_c.len(),
+        percent_no_overhead_scheduled: percent(of_c, |m| !m.ii_increased()),
+        percent_no_overhead_achieved: percent(of_c, |m| m.achieved_ii <= m.unclustered_ii),
+        percent_contended: percent(of_c, |m| m.achieved_ii > m.clustered_ii),
+        mean_slowdown: mean(of_c, slowdown),
+        max_slowdown: of_c.iter().map(|m| slowdown(m)).fold(0.0, f64::max),
+        verified_stores: of_c.iter().map(|m| m.verified_stores).sum(),
+    })
 }
 
 /// Figure C: one row per (topology, cluster count) of a contention

@@ -13,7 +13,10 @@
 //! code, executed on the machine interpreter and bit-compared against a
 //! scalar reference of its source loop.
 
-use crate::runner::{measure_suite_with_stats, ExperimentConfig, LoopMeasurement, SweepStats};
+use crate::runner::{
+    mean, measure_suite_with_stats, per_cluster, percent, ExperimentConfig, LoopMeasurement,
+    SweepStats,
+};
 use dms_core::SchedulerStrategy;
 use dms_sched::DEFAULT_PORTFOLIO_CANDIDATES;
 use serde::{Deserialize, Serialize};
@@ -52,35 +55,17 @@ pub struct FigPRow {
 /// the sweep carries both the winner's II and the plain heuristic's II, so
 /// no second baseline sweep is needed.
 fn aggregate(strategy: &str, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<FigPRow> {
-    clusters
-        .iter()
-        .map(|&c| {
-            let of_c: Vec<&LoopMeasurement> = rows.iter().filter(|m| m.clusters == c).collect();
-            let n = of_c.len();
-            let pct = |count: usize| if n == 0 { 0.0 } else { 100.0 * count as f64 / n as f64 };
-            let recovered = of_c.iter().filter(|m| m.clustered_ii < m.baseline_ii).count();
-            let mean_ii_reduction = if n == 0 {
-                0.0
-            } else {
-                of_c.iter().map(|m| 1.0 - m.clustered_ii as f64 / m.baseline_ii as f64).sum::<f64>()
-                    / n as f64
-            };
-            FigPRow {
-                strategy: strategy.to_string(),
-                clusters: c,
-                loops: n,
-                recovered,
-                percent_recovered: pct(recovered),
-                mean_ii_reduction,
-                percent_no_overhead_dms: pct(of_c
-                    .iter()
-                    .filter(|m| m.baseline_ii <= m.unclustered_ii)
-                    .count()),
-                percent_no_overhead: pct(of_c.iter().filter(|m| !m.ii_increased()).count()),
-                verified_stores: of_c.iter().map(|m| m.verified_stores).sum(),
-            }
-        })
-        .collect()
+    per_cluster(rows, clusters, |c, of_c| FigPRow {
+        strategy: strategy.to_string(),
+        clusters: c,
+        loops: of_c.len(),
+        recovered: of_c.iter().filter(|m| m.clustered_ii < m.baseline_ii).count(),
+        percent_recovered: percent(of_c, |m| m.clustered_ii < m.baseline_ii),
+        mean_ii_reduction: mean(of_c, |m| 1.0 - m.clustered_ii as f64 / m.baseline_ii as f64),
+        percent_no_overhead_dms: percent(of_c, |m| m.baseline_ii <= m.unclustered_ii),
+        percent_no_overhead: percent(of_c, |m| !m.ii_increased()),
+        verified_stores: of_c.iter().map(|m| m.verified_stores).sum(),
+    })
 }
 
 /// Runs the figure-P sweep: the configured suite under the configured

@@ -13,7 +13,7 @@
 //! against a scalar reference of its source loop.
 
 use crate::figc::TopologySweep;
-use crate::runner::LoopMeasurement;
+use crate::runner::{mean, per_cluster, percent, LoopMeasurement};
 use dms_machine::TopologyKind;
 use serde::{Deserialize, Serialize};
 
@@ -43,41 +43,16 @@ pub struct FigTRow {
 
 /// Aggregates one topology's sweep into per-cluster-count rows.
 fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<FigTRow> {
-    clusters
-        .iter()
-        .map(|&c| {
-            let of_c: Vec<&LoopMeasurement> = rows.iter().filter(|m| m.clusters == c).collect();
-            let n = of_c.len();
-            let no_overhead = of_c.iter().filter(|m| !m.ii_increased()).count();
-            let mean_overhead = if n == 0 {
-                0.0
-            } else {
-                of_c.iter()
-                    .map(|m| m.clustered_ii as f64 / m.unclustered_ii as f64 - 1.0)
-                    .sum::<f64>()
-                    / n as f64
-            };
-            let mean_moves = if n == 0 {
-                0.0
-            } else {
-                of_c.iter().map(|m| m.moves as f64).sum::<f64>() / n as f64
-            };
-            FigTRow {
-                topology: topology.label(),
-                clusters: c,
-                loops: n,
-                percent_no_overhead: if n == 0 {
-                    0.0
-                } else {
-                    100.0 * no_overhead as f64 / n as f64
-                },
-                mean_overhead,
-                mean_moves,
-                pressure_retries: of_c.iter().map(|m| m.pressure_retries as u64).sum(),
-                verified_stores: of_c.iter().map(|m| m.verified_stores).sum(),
-            }
-        })
-        .collect()
+    per_cluster(rows, clusters, |c, of_c| FigTRow {
+        topology: topology.label(),
+        clusters: c,
+        loops: of_c.len(),
+        percent_no_overhead: percent(of_c, |m| !m.ii_increased()),
+        mean_overhead: mean(of_c, |m| m.clustered_ii as f64 / m.unclustered_ii as f64 - 1.0),
+        mean_moves: mean(of_c, |m| m.moves as f64),
+        pressure_retries: of_c.iter().map(|m| m.pressure_retries as u64).sum(),
+        verified_stores: of_c.iter().map(|m| m.verified_stores).sum(),
+    })
 }
 
 /// Figure T: one row per (topology, cluster count) of a topology sweep

@@ -201,6 +201,44 @@ impl LoopMeasurement {
     }
 }
 
+/// One aggregate row per cluster count of `clusters`: `row(c, rows)` over
+/// the measurements of cluster count `c`, in sweep order. The figures
+/// share this and [`percent`] / [`mean`], so every aggregate sums its rows
+/// in the same order.
+pub(crate) fn per_cluster<R>(
+    measurements: &[LoopMeasurement],
+    clusters: &[u32],
+    mut row: impl FnMut(u32, &[&LoopMeasurement]) -> R,
+) -> Vec<R> {
+    clusters
+        .iter()
+        .map(|&c| {
+            let of_c: Vec<&LoopMeasurement> =
+                measurements.iter().filter(|m| m.clusters == c).collect();
+            row(c, &of_c)
+        })
+        .collect()
+}
+
+/// Percentage of `rows` satisfying `pred` (0 for no rows).
+pub(crate) fn percent(rows: &[&LoopMeasurement], pred: impl Fn(&LoopMeasurement) -> bool) -> f64 {
+    let count = rows.iter().filter(|m| pred(m)).count();
+    if rows.is_empty() {
+        0.0
+    } else {
+        100.0 * count as f64 / rows.len() as f64
+    }
+}
+
+/// Mean of `value` over `rows`, summed in row order (0 for no rows).
+pub(crate) fn mean(rows: &[&LoopMeasurement], value: impl Fn(&LoopMeasurement) -> f64) -> f64 {
+    if rows.is_empty() {
+        0.0
+    } else {
+        rows.iter().map(|m| value(m)).sum::<f64>() / rows.len() as f64
+    }
+}
+
 /// Aggregate throughput of one sweep, reported by the `_with_stats` entry
 /// points and printed by the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

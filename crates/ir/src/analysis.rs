@@ -128,30 +128,6 @@ pub fn topological_order(ddg: &Ddg) -> Option<Vec<OpId>> {
     }
 }
 
-/// Length (in cycles) of the longest intra-iteration dependence path, i.e.
-/// the schedule length lower bound of a single iteration on an infinitely
-/// wide machine. Returns 0 for an empty graph and `None` if the
-/// intra-iteration subgraph is cyclic.
-pub fn critical_path_length(ddg: &Ddg) -> Option<u32> {
-    let order = topological_order(ddg)?;
-    let mut finish = vec![0u32; ddg.num_slots()];
-    let mut best = 0;
-    for &v in &order {
-        let start = finish[v.index()];
-        for (_, e) in ddg.succs(v) {
-            if e.distance == 0 {
-                let cand = start + e.latency;
-                if cand > finish[e.dst.index()] {
-                    finish[e.dst.index()] = cand;
-                }
-                best = best.max(cand);
-            }
-        }
-        best = best.max(start);
-    }
-    Some(best)
-}
-
 /// The maximum number of *value reads* of any single result, i.e. the maximum
 /// flow fan-out counted per reading operand. After the single-use conversion
 /// ([`crate::transform::convert_to_single_use`]) this is at most 2.
@@ -230,18 +206,6 @@ mod tests {
         assert!(pos(a) < pos(c));
         assert!(pos(c) < pos(d));
         assert_eq!(order.len(), 4);
-    }
-
-    #[test]
-    fn critical_path_of_chain() {
-        let mut b = LoopBuilder::new("t");
-        let a = b.load(Operand::Induction); // latency 2
-        let c = b.mul(a.into(), Operand::Invariant(0)); // latency 2
-        let d = b.add(c.into(), Operand::Immediate(1)); // latency 1
-        b.store(d.into());
-        let l = b.finish(8);
-        // load(2) + mul(2) + add(1) = 5
-        assert_eq!(critical_path_length(&l.ddg), Some(5));
     }
 
     #[test]

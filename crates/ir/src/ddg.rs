@@ -9,7 +9,7 @@
 //! removes `Move` chains while scheduling); removal leaves a tombstone so
 //! that [`OpId`]s and [`EdgeId`]s remain stable.
 
-use crate::op::{OpId, OpKind, Operand, Operation};
+use crate::op::{OpId, Operand, Operation};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -235,19 +235,6 @@ impl Ddg {
         self.succs(id).filter(|(_, e)| e.kind.carries_value())
     }
 
-    /// Number of operations of each useful kind, indexed by position in
-    /// [`OpKind::USEFUL`]. Copy and Move operations are reported separately
-    /// by [`Ddg::num_copy_like`].
-    pub fn op_kind_histogram(&self) -> [usize; 6] {
-        let mut h = [0usize; 6];
-        for (_, op) in self.live_ops() {
-            if let Some(i) = OpKind::USEFUL.iter().position(|&k| k == op.kind) {
-                h[i] += 1;
-            }
-        }
-        h
-    }
-
     /// Number of live Copy and Move operations.
     pub fn num_copy_like(&self) -> usize {
         self.live_ops().filter(|(_, o)| !o.kind.is_useful()).count()
@@ -345,6 +332,7 @@ impl Ddg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::OpKind;
 
     fn simple_graph() -> (Ddg, OpId, OpId, OpId) {
         let mut g = Ddg::new();
@@ -365,7 +353,6 @@ mod tests {
         assert_eq!(g.preds(c).count(), 1);
         assert_eq!(g.flow_preds(b).count(), 1);
         assert!(g.validate().is_ok());
-        assert_eq!(g.op_kind_histogram(), [1, 1, 1, 0, 0, 0]);
         assert_eq!(g.num_copy_like(), 0);
     }
 

@@ -257,12 +257,6 @@ impl Topology {
         self.clusters
     }
 
-    /// Whether the machine has a single cluster (an unclustered machine).
-    #[inline]
-    pub fn is_single(&self) -> bool {
-        self.clusters == 1
-    }
-
     /// Iterates over all cluster identifiers.
     pub fn iter(&self) -> impl Iterator<Item = ClusterId> {
         (0..self.clusters).map(ClusterId)

@@ -17,7 +17,6 @@ use crate::priority::heights;
 use crate::schedule::{
     dependence_bound, earliest_start, SchedStats, Schedule, ScheduleError, ScheduleResult,
 };
-use dms_ir::transform::convert_to_single_use;
 use dms_ir::{Ddg, Loop, OpId};
 use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt};
 use dms_telemetry::{EventKind, Telemetry};
@@ -32,15 +31,11 @@ pub struct ImsConfig {
     /// Upper limit on the II search; `None` derives a safe limit from the
     /// loop size and latencies.
     pub max_ii: Option<u32>,
-    /// Whether to apply the single-use (copy-insertion) conversion before
-    /// scheduling. The unclustered baseline of the paper does *not* need it;
-    /// it exists here to quantify the cost of the conversion in isolation.
-    pub apply_single_use: bool,
 }
 
 impl Default for ImsConfig {
     fn default() -> Self {
-        ImsConfig { budget_ratio: 8, max_ii: None, apply_single_use: false }
+        ImsConfig { budget_ratio: 8, max_ii: None }
     }
 }
 
@@ -57,19 +52,13 @@ pub fn ims_schedule(
     machine: &MachineConfig,
     config: &ImsConfig,
 ) -> Result<ScheduleResult, ScheduleError> {
-    let mut ddg = l.ddg.clone();
-    let mut copies = 0u64;
-    if config.apply_single_use {
-        copies = convert_to_single_use(&mut ddg, machine.latency()) as u64;
-    }
-
+    let ddg = l.ddg.clone();
     let bounds = mii(&ddg, machine)?;
     let start_ii = bounds.mii();
     let max_ii = config.max_ii.unwrap_or_else(|| default_max_ii(&ddg, machine, start_ii));
     let budget = config.budget_ratio as u64 * ddg.num_live_ops().max(1) as u64;
 
-    let mut stats =
-        SchedStats { mii: Some(bounds), copies_inserted: copies, ..SchedStats::default() };
+    let mut stats = SchedStats { mii: Some(bounds), ..SchedStats::default() };
 
     let telemetry = Telemetry::current();
     for ii in start_ii..=max_ii {
@@ -252,13 +241,14 @@ mod tests {
     #[test]
     fn single_use_conversion_adds_copies() {
         // horner's `x` is read once per polynomial term, so the conversion
-        // must insert copies for the reads beyond the second.
+        // must insert copies for the reads beyond the second; IMS schedules
+        // the converted loop like any other.
         let l = kernels::horner(4, 64);
         let m = MachineConfig::unclustered(2);
-        let cfg = ImsConfig { apply_single_use: true, ..ImsConfig::default() };
-        let r = ims_schedule(&l, &m, &cfg).unwrap();
-        assert!(r.stats.copies_inserted > 0);
-        assert!(validate_schedule(&r.ddg, &m, &r.schedule).is_empty());
+        let (converted, copies) = dms_ir::transform::single_use_loop(&l, m.latency());
+        assert!(copies > 0);
+        let r = check(&converted, &m);
+        assert_eq!(r.ddg.num_copy_like(), copies);
         // useful op count unchanged by the conversion
         assert_eq!(r.useful_ops(), l.useful_ops());
     }

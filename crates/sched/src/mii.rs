@@ -30,11 +30,6 @@ impl MiiBreakdown {
     pub fn mii(&self) -> u32 {
         self.res_mii.max(self.rec_mii).max(1)
     }
-
-    /// Whether the recurrence bound dominates the resource bound.
-    pub fn recurrence_bound(&self) -> bool {
-        self.rec_mii > self.res_mii
-    }
 }
 
 /// Computes the resource-constrained lower bound on the II.
@@ -227,7 +222,6 @@ mod tests {
         assert_eq!(b.rec_mii, 3);
         assert!(b.res_mii <= 3);
         assert_eq!(b.mii(), 3);
-        assert!(b.recurrence_bound() || b.res_mii == b.rec_mii);
     }
 
     #[test]

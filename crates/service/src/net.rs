@@ -23,7 +23,7 @@
 
 use crate::service::{ScheduleRequest, ScheduleService};
 use crate::wire;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -100,6 +100,13 @@ fn join_all(handlers: Vec<ScopedJoinHandle<'_, ()>>) {
 /// load per idle connection per interval.
 const READ_POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// Longest request line a handler buffers, newline included. The largest
+/// paper-grid request (1258 loops × 1–10 clusters, unrolled, with every
+/// optional field set) encodes to about 5.3 KB, so this admits requests
+/// about 200 times larger; a longer line gets one error reply and the
+/// connection closes.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 fn handle_connection(
     stream: TcpStream,
     service: &ScheduleService,
@@ -120,8 +127,19 @@ fn handle_connection(
     // after a *complete* line is processed.
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Never buffer past the cap: a line that reaches it without a
+        // newline is answered below instead of growing without bound.
+        let room = (MAX_LINE_BYTES - line.len()) as u64;
+        match reader.by_ref().take(room).read_line(&mut line) {
             Ok(0) => break, // EOF: client hung up
+            Ok(_) if line.len() >= MAX_LINE_BYTES && !line.ends_with('\n') => {
+                let mut reply = wire::encode_error(&format!(
+                    "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                ));
+                reply.push('\n');
+                let _ = writer.write_all(reply.as_bytes());
+                break;
+            }
             Ok(_) => {}
             Err(e)
                 if matches!(
@@ -373,6 +391,31 @@ mod tests {
         client.roundtrip(&wire::encode_shutdown_request()).unwrap();
         handle.join().unwrap();
         assert!(elapsed < Duration::from_secs(1), "20 round trips took {elapsed:?}");
+    }
+
+    /// A line longer than the cap gets one error reply and a hang-up, and
+    /// the server goes on answering other connections.
+    #[test]
+    fn oversized_lines_get_one_error_reply_and_a_hang_up() {
+        let (addr, handle) = spawn_server();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // Exactly the cap, no newline: the handler reads every byte, so
+        // closing leaves nothing unread that could reset the connection.
+        stream.write_all(&vec![b' '; MAX_LINE_BYTES]).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let parsed = Json::parse(reply.trim()).unwrap();
+        assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false));
+        assert!(parsed.get("error").and_then(Json::as_str).unwrap().contains("exceeds"));
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "the connection must close");
+
+        let mut client = Client::connect(addr).unwrap();
+        let stats = Json::parse(&client.roundtrip(&wire::encode_stats_request()).unwrap()).unwrap();
+        assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        client.roundtrip(&wire::encode_shutdown_request()).unwrap();
+        handle.join().unwrap();
     }
 
     /// A request line delivered byte-by-byte across many poll timeouts

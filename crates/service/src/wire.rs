@@ -720,6 +720,22 @@ fn narrow_u32(value: u64, field: &str) -> Result<u32, String> {
     u32::try_from(value).map_err(|_| format!("{field} {value} does not fit in 32 bits"))
 }
 
+// Admission bounds of a schedule request. Sweeps and the benchmark send at
+// most 10 clusters, 64 verified trips and 8 portfolio candidates; the bounds
+// sit far above that and keep one request from asking for an unbounded
+// machine, execution or search.
+const MAX_CLUSTERS: u32 = 64;
+const MAX_VERIFY_TRIPS: u64 = 1 << 16;
+const MAX_CANDIDATES: u32 = 64;
+
+/// Rejects `value` above `max`, naming the field.
+fn at_most<T: PartialOrd + std::fmt::Display>(value: T, max: T, field: &str) -> Result<T, String> {
+    if value > max {
+        return Err(format!("{field} {value} exceeds the admission bound {max}"));
+    }
+    Ok(value)
+}
+
 fn decode_operand(json: &Json) -> Result<Operand, String> {
     let arr = json.as_arr().ok_or("operand must be an array")?;
     let tag = arr.first().and_then(Json::as_str).ok_or("operand needs a tag")?;
@@ -816,7 +832,7 @@ fn decode_machine(json: &Json) -> Result<WireMachine, String> {
     }
     Ok(WireMachine {
         unclustered: json.get("unclustered").and_then(Json::as_bool).unwrap_or(false),
-        clusters,
+        clusters: at_most(clusters, MAX_CLUSTERS, "machine clusters")?,
         copy_units: narrow_u32(
             json.get("copy_units").and_then(Json::as_u64).unwrap_or(1),
             "machine copy_units",
@@ -857,6 +873,15 @@ pub fn decode_request(line: &str) -> Result<WireRequest, String> {
             let mut dms = DmsConfig::default();
             if let Some(s) = json.get("strategy").and_then(Json::as_str) {
                 dms.strategy = SchedulerStrategy::parse(s)?;
+                match dms.strategy {
+                    SchedulerStrategy::Dms => {}
+                    SchedulerStrategy::Beam { width } => {
+                        at_most(width, MAX_CANDIDATES, "strategy beam width")?;
+                    }
+                    SchedulerStrategy::Portfolio { n_candidates, .. } => {
+                        at_most(n_candidates, MAX_CANDIDATES, "strategy portfolio candidates")?;
+                    }
+                }
             }
             if let Some(seed) = json.get("ii_seed").filter(|v| !v.is_null()) {
                 dms.ii_seed = Some(narrow_u32(
@@ -866,7 +891,11 @@ pub fn decode_request(line: &str) -> Result<WireRequest, String> {
             }
             let verify_trips = match json.get("verify_trips") {
                 None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or("verify_trips must be a number or null")?),
+                Some(v) => Some(at_most(
+                    v.as_u64().ok_or("verify_trips must be a number or null")?,
+                    MAX_VERIFY_TRIPS,
+                    "verify_trips",
+                )?),
             };
             let contention = match json.get("contention") {
                 None | Some(Json::Null) => false,
@@ -1057,6 +1086,36 @@ mod tests {
         // Below range too: a zero-cluster machine cannot be built.
         let err = decode_request(&line.replace("\"clusters\":4", "\"clusters\":0")).unwrap_err();
         assert!(err.contains("machine clusters must be at least 1"), "got {err}");
+
+        // Within 32 bits but above the admission bounds; the bounds
+        // themselves are still admitted.
+        let cases = [
+            ("\"clusters\":4", "machine clusters", u64::from(MAX_CLUSTERS), "\"clusters\":", ""),
+            ("\"verify_trips\":8", "verify_trips", MAX_VERIFY_TRIPS, "\"verify_trips\":", ""),
+            (
+                "\"strategy\":\"dms\"",
+                "beam width",
+                u64::from(MAX_CANDIDATES),
+                "\"strategy\":\"beam:",
+                "\"",
+            ),
+            (
+                "\"strategy\":\"dms\"",
+                "portfolio candidates",
+                u64::from(MAX_CANDIDATES),
+                "\"strategy\":\"portfolio:",
+                "\"",
+            ),
+        ];
+        for (needle, field, max, prefix, suffix) in cases {
+            let at = line.replace(needle, &format!("{prefix}{max}{suffix}"));
+            assert_ne!(at, line, "pattern {needle} not found in the encoded request");
+            assert!(decode_request(&at).is_ok(), "{field} {max} must be admitted");
+            let above = line.replace(needle, &format!("{prefix}{}{suffix}", max + 1));
+            let err = decode_request(&above).unwrap_err();
+            assert!(err.contains(field), "{field}: got {err}");
+            assert!(err.contains("exceeds the admission bound"), "{field}: got {err}");
+        }
     }
 
     /// Edge latency/distance and operand fields narrow too: patch the loop

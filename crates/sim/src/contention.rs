@@ -35,16 +35,12 @@
 //! the storage-only model.
 
 use crate::event::EventQueue;
-use crate::exec::SimError;
+use crate::vliw::{cqrf_streams, Fanout, SimError, StreamKey};
 use dms_ir::{Ddg, OpId, OpKind};
 use dms_machine::{CqrfId, MachineConfig, TransferModel};
 use dms_regalloc::codegen::{InstructionWord, OperandSource, VliwProgram};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-
-/// Key of a CQRF operand stream: `(consumer, operand index)` — the same
-/// granularity the idealised executor and the register allocator use.
-type StreamKey = (OpId, usize);
 
 /// The bandwidth resource a transfer occupies for one cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -84,7 +80,7 @@ struct Replay {
     /// Pre-loaded live-ins carry grant 0 wrapped in `Preloaded`.
     arrivals: HashMap<StreamKey, VecDeque<Arrival>>,
     /// Streams each producer pushes into, sorted for determinism.
-    fanout: HashMap<OpId, Vec<StreamKey>>,
+    fanout: Fanout,
     /// The link each stream's values cross, with its slot capacity.
     links: HashMap<StreamKey, (CqrfId, u32)>,
     /// Slots used per cycle per resource.
@@ -155,68 +151,33 @@ pub fn contended_replay(
     machine: &MachineConfig,
     trip_count: u64,
 ) -> Result<ContentionReport, SimError> {
+    // --- discover streams and links from the kernel annotations -------------
+    // (the idealised executor's setup pass, so both layers reject the same
+    // malformed programs)
     let topology = machine.topology();
+    let (streams, fanout) = cqrf_streams(program, ddg, &topology)?;
+    let mut arrivals = HashMap::new();
+    let mut links = HashMap::new();
+    for stream in streams {
+        // Live-in values of loop-carried dependences were in the queue
+        // before cycle 0: they never stall.
+        arrivals.insert(stream.key, (0..stream.distance).map(|_| Arrival::Preloaded).collect());
+        if let Some(cap) = topology.link_capacity(stream.from, stream.to) {
+            links.insert(stream.key, (stream.queue, cap));
+        }
+    }
     let mut st = Replay {
         trip_count,
         model: topology.transfer_model(),
-        arrivals: HashMap::new(),
-        fanout: HashMap::new(),
-        links: HashMap::new(),
+        arrivals,
+        fanout,
+        links,
         usage: HashMap::new(),
         iteration_of: HashMap::new(),
         store_times: HashMap::new(),
         transfers: 0,
         serialized: 0,
     };
-
-    // --- discover streams and links from the kernel annotations -------------
-    // (mirrors the idealised executor's setup pass, including the endpoint
-    // validity checks, so both layers reject the same malformed programs)
-    let cluster_of: HashMap<OpId, dms_machine::ClusterId> =
-        program.kernel.iter().flat_map(|w| &w.slots).map(|slot| (slot.op, slot.cluster)).collect();
-    for slot in program.kernel.iter().flat_map(|w| &w.slots) {
-        let operation = ddg.op(slot.op);
-        if slot.sources.len() != operation.reads.len() {
-            return Err(SimError::MalformedProgram {
-                op: slot.op,
-                detail: format!(
-                    "slot has {} operand sources but the operation reads {} values",
-                    slot.sources.len(),
-                    operation.reads.len()
-                ),
-            });
-        }
-        for (idx, source) in slot.sources.iter().enumerate() {
-            let OperandSource::Cqrf { producer, queue } = source else { continue };
-            let Some((read_producer, distance)) = operation.reads[idx].producer() else {
-                return Err(SimError::MalformedProgram {
-                    op: slot.op,
-                    detail: format!("operand {idx} is annotated as a CQRF read but is no Def"),
-                });
-            };
-            let producer_cluster = cluster_of.get(producer).copied();
-            let expected = producer_cluster.and_then(|pc| topology.queue_between(pc, slot.cluster));
-            if read_producer != *producer || expected != Some(*queue) {
-                return Err(SimError::MalformedProgram {
-                    op: slot.op,
-                    detail: format!("operand {idx} CQRF annotation names the wrong endpoint"),
-                });
-            }
-            // Live-in values of loop-carried dependences were in the queue
-            // before cycle 0: they never stall.
-            let preload = (0..distance).map(|_| Arrival::Preloaded).collect();
-            st.arrivals.insert((slot.op, idx), preload);
-            if let Some(cap) =
-                producer_cluster.and_then(|pc| topology.link_capacity(pc, slot.cluster))
-            {
-                st.links.insert((slot.op, idx), (*queue, cap));
-            }
-            st.fanout.entry(*producer).or_default().push((slot.op, idx));
-        }
-    }
-    for streams in st.fanout.values_mut() {
-        streams.sort_unstable();
-    }
 
     // --- event-driven issue of the words in program order -------------------
     // The agenda holds at most one pending event: `TryIssue` of the next

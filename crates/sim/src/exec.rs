@@ -1,279 +1,25 @@
-//! Software-pipelined execution of a modulo schedule on the clustered
-//! machine model.
-//!
-//! Every operation instance `(op, iteration)` issues at
-//! `time(op) + iteration * II`. Instances are executed in issue order —
-//! exactly the order the hardware would see — and every value that crosses a
-//! cluster boundary is routed through a FIFO queue (one queue per consuming
-//! operand, the way the queue register files are allocated), pre-loaded with
-//! the live-in values of loop-carried dependences. The values reaching the
-//! store operations are compared against the sequential reference
-//! interpreter: any mis-scheduled dependence, wrong cluster assignment or
-//! broken queue discipline changes those values and is reported.
-
-use crate::interp::reference_trace;
-use crate::values::{apply, initial_value, invariant_value, live_in_value};
-use dms_ir::{OpId, OpKind, Operand};
-use dms_machine::{MachineConfig, QueueFile};
-use dms_sched::schedule::ScheduleResult;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fmt;
-
-/// Summary of one simulated execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SimReport {
-    /// Total cycles, from the analytic model `(trip + stages - 1) * II`.
-    pub cycles: u64,
-    /// Useful (non copy/move) operation instances executed.
-    pub useful_ops_executed: u64,
-    /// All operation instances executed.
-    pub total_ops_executed: u64,
-    /// Useful instructions per cycle.
-    pub ipc: f64,
-    /// Number of stored values checked against the reference.
-    pub stores_checked: u64,
-    /// Number of values that crossed a cluster boundary.
-    pub cross_cluster_values: u64,
-    /// Largest occupancy reached by any inter-cluster queue.
-    pub max_queue_depth: u64,
-}
-
-/// Errors detected while executing a schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimError {
-    /// A live operation of the DDG has no placement.
-    Unscheduled(OpId),
-    /// A flow dependence crosses indirectly connected clusters.
-    CommunicationConflict {
-        /// Producer operation.
-        producer: OpId,
-        /// Consumer operation.
-        consumer: OpId,
-    },
-    /// A consumer tried to read from an empty inter-cluster queue (the value
-    /// had not been produced yet).
-    EmptyQueueRead {
-        /// Consumer operation.
-        consumer: OpId,
-        /// Iteration of the consumer.
-        iteration: u64,
-    },
-    /// A producer pushed into a full inter-cluster queue: the schedule keeps
-    /// more values in flight than the CQRF capacity allows. Reported eagerly
-    /// instead of dropping the value, which would corrupt every later read
-    /// of the stream and misdiagnose a capacity problem as a value bug.
-    QueueOverflow {
-        /// Producer operation whose value did not fit.
-        producer: OpId,
-        /// Consumer operation owning the overflowing stream.
-        consumer: OpId,
-    },
-    /// The emitted VLIW program is inconsistent with the DDG it claims to
-    /// implement (wrong operand annotation, wrong arity, wrong endpoint).
-    MalformedProgram {
-        /// The operation whose slot is inconsistent.
-        op: OpId,
-        /// What is wrong with it.
-        detail: String,
-    },
-    /// A stored value differs from the reference execution.
-    StoreMismatch {
-        /// Store operation.
-        op: OpId,
-        /// Iteration at which the mismatch occurred.
-        iteration: u64,
-        /// Value the reference produced.
-        expected: i64,
-        /// Value the pipelined execution produced.
-        actual: i64,
-    },
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::Unscheduled(op) => write!(f, "{op} is not scheduled"),
-            SimError::CommunicationConflict { producer, consumer } => {
-                write!(f, "value of {producer} cannot reach {consumer}: clusters not adjacent")
-            }
-            SimError::EmptyQueueRead { consumer, iteration } => {
-                write!(f, "{consumer} read an empty queue in iteration {iteration}")
-            }
-            SimError::MalformedProgram { op, detail } => {
-                write!(f, "emitted program is inconsistent at {op}: {detail}")
-            }
-            SimError::QueueOverflow { producer, consumer } => {
-                write!(f, "value of {producer} for {consumer} overflowed a CQRF: capacity exceeded")
-            }
-            SimError::StoreMismatch { op, iteration, expected, actual } => write!(
-                f,
-                "{op} stored {actual} in iteration {iteration}, reference stored {expected}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-/// Key of a per-operand inter-cluster queue: `(consumer, operand index)`.
-type QueueKey = (OpId, usize);
-
-/// Executes `trip_count` iterations of a scheduled loop and cross-checks the
-/// stored values against the sequential reference interpreter.
-///
-/// # Errors
-///
-/// Returns a [`SimError`] describing the first inconsistency found; a correct
-/// schedule of a valid DDG never fails.
-pub fn simulate(
-    result: &ScheduleResult,
-    machine: &MachineConfig,
-    trip_count: u64,
-) -> Result<SimReport, SimError> {
-    let ddg = &result.ddg;
-    let schedule = &result.schedule;
-    let topology = machine.topology();
-    let ii = schedule.ii() as u64;
-
-    // --- set up queues for cross-cluster operand streams -------------------
-    let mut queues: HashMap<QueueKey, QueueFile<i64>> = HashMap::new();
-    // producer -> list of queues its value must be pushed into
-    let mut fanout: HashMap<OpId, Vec<QueueKey>> = HashMap::new();
-
-    for (consumer, op) in ddg.live_ops() {
-        let c_place = schedule.get(consumer).ok_or(SimError::Unscheduled(consumer))?;
-        for (idx, read) in op.reads.iter().enumerate() {
-            let Operand::Def { op: producer, distance } = *read else { continue };
-            let p_place = schedule.get(producer).ok_or(SimError::Unscheduled(producer))?;
-            if p_place.cluster == c_place.cluster {
-                continue; // local value: read through the LRF (history table)
-            }
-            if !topology.directly_connected(p_place.cluster, c_place.cluster) {
-                return Err(SimError::CommunicationConflict { producer, consumer });
-            }
-            let mut q = QueueFile::new(machine.cqrf_capacity.max(1) as usize);
-            for k in 0..distance {
-                // live-in values of loop-carried dependences, oldest first
-                if !q.push(live_in_value(ddg, producer, k as i64 - distance as i64)) {
-                    return Err(SimError::QueueOverflow { producer, consumer });
-                }
-            }
-            queues.insert((consumer, idx), q);
-            fanout.entry(producer).or_default().push((consumer, idx));
-        }
-    }
-
-    // --- execute instances in issue order -----------------------------------
-    let mut instances: Vec<(u64, OpId)> = Vec::new();
-    for (op, placed) in schedule.iter() {
-        if !ddg.is_live(op) {
-            continue;
-        }
-        for j in 0..trip_count {
-            instances.push((placed.time as u64 + j * ii, op));
-        }
-    }
-    instances.sort_unstable_by_key(|&(t, op)| (t, op));
-
-    let mut history: HashMap<OpId, Vec<i64>> = HashMap::new();
-    let mut iteration_of: HashMap<OpId, u64> = HashMap::new();
-    let mut stores: HashMap<(OpId, u64), i64> = HashMap::new();
-    let mut useful = 0u64;
-    let mut total = 0u64;
-    let mut cross_values = 0u64;
-
-    for (_, op) in instances {
-        let j = *iteration_of.get(&op).unwrap_or(&0);
-        iteration_of.insert(op, j + 1);
-        let operation = ddg.op(op);
-
-        let mut operands = Vec::with_capacity(operation.reads.len());
-        for (idx, read) in operation.reads.iter().enumerate() {
-            let value = match *read {
-                Operand::Immediate(v) => v,
-                Operand::Invariant(k) => invariant_value(k),
-                Operand::Induction => j as i64,
-                Operand::Def { op: producer, distance } => {
-                    if let Some(q) = queues.get_mut(&(op, idx)) {
-                        q.pop().ok_or(SimError::EmptyQueueRead { consumer: op, iteration: j })?
-                    } else {
-                        // local (same-cluster) read: LRF lookup
-                        let wanted = j as i64 - distance as i64;
-                        if wanted < 0 {
-                            live_in_value(ddg, producer, wanted)
-                        } else {
-                            history
-                                .get(&producer)
-                                .and_then(|h| h.get(wanted as usize))
-                                .copied()
-                                .unwrap_or_else(|| initial_value(producer, wanted))
-                        }
-                    }
-                }
-            };
-            operands.push(value);
-        }
-
-        let value = apply(operation.kind, &operands, j);
-        history.entry(op).or_default().push(value);
-        total += 1;
-        if operation.kind.is_useful() {
-            useful += 1;
-        }
-        if operation.kind == OpKind::Store {
-            stores.insert((op, j), value);
-        }
-        if let Some(keys) = fanout.get(&op) {
-            for key in keys {
-                cross_values += 1;
-                if let Some(q) = queues.get_mut(key) {
-                    if !q.push(value) {
-                        return Err(SimError::QueueOverflow { producer: op, consumer: key.0 });
-                    }
-                }
-            }
-        }
-    }
-
-    // --- cross-check against the reference ---------------------------------
-    let reference = reference_trace(ddg, trip_count);
-    let mut checked = 0u64;
-    for rec in &reference {
-        let actual = stores.get(&(rec.op, rec.iteration)).copied().unwrap_or_else(|| {
-            initial_value(rec.op, -1) // guaranteed mismatch if the store never ran
-        });
-        if actual != rec.value {
-            return Err(SimError::StoreMismatch {
-                op: rec.op,
-                iteration: rec.iteration,
-                expected: rec.value,
-                actual,
-            });
-        }
-        checked += 1;
-    }
-
-    let cycles = schedule.cycles(trip_count);
-    let max_queue_depth = queues.values().map(|q| q.high_water() as u64).max().unwrap_or(0);
-    Ok(SimReport {
-        cycles,
-        useful_ops_executed: useful,
-        total_ops_executed: total,
-        ipc: if cycles == 0 { 0.0 } else { useful as f64 / cycles as f64 },
-        stores_checked: checked,
-        cross_cluster_values: cross_values,
-        max_queue_depth,
-    })
-}
+//! Execution tests: schedules of both schedulers run through the emitted
+//! program on the VLIW executor ([`crate::vliw`]), with every stored value
+//! checked against the sequential reference interpreter.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::interp::reference_trace;
+    use crate::verify::{verify_schedule, VerifyError};
+    use crate::vliw::{execute_program, SimError};
     use dms_core::{dms_schedule, DmsConfig};
-    use dms_ir::{kernels, transform};
-    use dms_machine::ClusterId;
+    use dms_ir::{kernels, OpId, OpKind};
+    use dms_machine::{ClusterId, MachineConfig};
+    use dms_regalloc::{allocate, emit};
     use dms_sched::ims::{ims_schedule, ImsConfig};
+    use dms_sched::schedule::ScheduleResult;
+
+    /// The store of `r` and the operation producing its value.
+    fn store_and_producer(r: &ScheduleResult) -> (OpId, OpId) {
+        let store = r.ddg.live_ops().find(|(_, o)| o.kind == OpKind::Store).map(|(id, _)| id);
+        let store = store.unwrap();
+        (store, r.ddg.op(store).defs_read().next().unwrap().0)
+    }
 
     #[test]
     fn every_kernel_executes_correctly_on_clustered_machines() {
@@ -281,12 +27,12 @@ mod tests {
             for clusters in [1, 2, 4, 6, 8] {
                 let m = MachineConfig::paper_clustered(clusters);
                 let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-                let report = simulate(&r, &m, l.trip_count).unwrap_or_else(|e| {
-                    panic!("{} on {clusters} clusters: simulation failed: {e}", l.name)
+                let report = verify_schedule(&l, &r, &m, l.trip_count).unwrap_or_else(|e| {
+                    panic!("{} on {clusters} clusters: execution failed: {e}", l.name)
                 });
                 assert!(report.stores_checked > 0);
                 assert_eq!(
-                    report.useful_ops_executed,
+                    report.useful_instances,
                     l.useful_ops() as u64 * l.trip_count,
                     "{}",
                     l.name
@@ -300,9 +46,9 @@ mod tests {
         for l in kernels::all(40) {
             let m = MachineConfig::unclustered(4);
             let r = ims_schedule(&l, &m, &ImsConfig::default()).unwrap();
-            let report = simulate(&r, &m, l.trip_count).unwrap();
+            let report = verify_schedule(&l, &r, &m, l.trip_count).unwrap();
             assert_eq!(report.cross_cluster_values, 0);
-            assert!(report.ipc > 0.0);
+            assert!(report.useful_instances > 0 && report.cycles > 0);
         }
     }
 
@@ -317,60 +63,53 @@ mod tests {
         let used: std::collections::HashSet<_> =
             r.schedule.iter().map(|(_, s)| s.cluster).collect();
         assert!(used.len() > 1, "17 memory operations cannot fit in one cluster at this II");
-        let report = simulate(&r, &m, 64).unwrap();
+        let report = verify_schedule(&l, &r, &m, 64).unwrap();
         assert!(report.cross_cluster_values > 0);
         assert!(report.max_queue_depth >= 1);
-        let _ = transform::unroll(&l, 1); // keep the transform import exercised
     }
 
     #[test]
     fn corrupted_schedule_is_detected() {
         // Move the store of a chain to an unrelated cluster far from its
-        // producer: the simulator must flag the communication conflict.
+        // producer: the value can no longer reach it.
         let l = kernels::daxpy(32);
         let m = MachineConfig::paper_clustered(6);
         let mut r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-        // find the store and its producer
-        let store = r
-            .ddg
-            .live_ops()
-            .find(|(_, o)| o.kind == dms_ir::OpKind::Store)
-            .map(|(id, _)| id)
-            .unwrap();
-        let producer = r.ddg.op(store).defs_read().next().unwrap().0;
+        let (store, producer) = store_and_producer(&r);
         let p_cluster = r.schedule.get(producer).unwrap().cluster;
         let far = ClusterId((p_cluster.0 + 3) % 6);
         let t = r.schedule.get(store).unwrap().time;
         r.schedule.place(store, t, far);
-        assert!(matches!(simulate(&r, &m, 8), Err(SimError::CommunicationConflict { .. })));
+        assert!(matches!(verify_schedule(&l, &r, &m, 8), Err(VerifyError::InvalidSchedule(_))));
     }
 
     #[test]
     fn dependence_violation_changes_stored_values() {
-        // Issue a producer too late (after its consumer) and check the store
-        // mismatch (or empty queue read) is caught.
+        // Issue a producer too late (after its consumer): the validator
+        // rejects it, and executing the program anyway must not reproduce
+        // the reference stores.
         let l = kernels::daxpy(32);
         let m = MachineConfig::paper_clustered(2);
         let mut r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-        let store = r
-            .ddg
-            .live_ops()
-            .find(|(_, o)| o.kind == dms_ir::OpKind::Store)
-            .map(|(id, _)| id)
-            .unwrap();
-        let producer = r.ddg.op(store).defs_read().next().unwrap().0;
+        let (_, producer) = store_and_producer(&r);
         let place = r.schedule.get(producer).unwrap();
         // push the producer 10 * II later, violating the dependence
         let late = place.time + 10 * r.ii();
         r.schedule.place(producer, late, place.cluster);
-        let outcome = simulate(&r, &m, 8);
-        assert!(
-            matches!(
-                outcome,
-                Err(SimError::StoreMismatch { .. }) | Err(SimError::EmptyQueueRead { .. })
-            ),
-            "a violated dependence must be detected, got {outcome:?}"
-        );
+        assert!(matches!(verify_schedule(&l, &r, &m, 8), Err(VerifyError::InvalidSchedule(_))));
+
+        let allocation = allocate(&r, &m);
+        let executed = allocation
+            .ok()
+            .and_then(|_| execute_program(&emit(&r, &m), &r.ddg, &m, 8).ok())
+            .map(|report| {
+                let mut stores = report.stores;
+                stores.sort_unstable_by_key(|s| (s.iteration, s.op));
+                stores
+            });
+        let mut expected = reference_trace(&l.ddg, 8);
+        expected.sort_unstable_by_key(|s| (s.iteration, s.op));
+        assert_ne!(executed, Some(expected), "a violated dependence must be detected");
     }
 
     #[test]
@@ -378,9 +117,10 @@ mod tests {
         let l = kernels::fir(8, 200);
         let m = MachineConfig::paper_clustered(4);
         let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-        let report = simulate(&r, &m, l.trip_count).unwrap();
+        let report = verify_schedule(&l, &r, &m, l.trip_count).unwrap();
         assert_eq!(report.cycles, r.cycles(l.trip_count));
-        assert!((report.ipc - r.ipc(l.trip_count)).abs() < 1e-9);
+        let ipc = report.useful_instances as f64 / report.cycles as f64;
+        assert!((ipc - r.ipc(l.trip_count)).abs() < 1e-9);
     }
 
     #[test]

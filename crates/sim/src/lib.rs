@@ -3,32 +3,34 @@
 //! The paper evaluates DMS statically (initiation intervals, derived cycle
 //! counts). This crate goes one step further and *executes* the generated
 //! schedules, which both validates the reproduction and exercises the queue
-//! register file semantics of the architecture:
+//! register file semantics of the architecture. It has two executors of the
+//! emitted program and the oracle built on them:
 //!
 //! * [`interp`] — a sequential reference interpreter of a loop DDG, defining
 //!   the semantics every correct schedule must reproduce,
-//! * [`exec`] — a software-pipelined executor that runs the kernel (plus
-//!   prologue and epilogue) on the clustered machine model, routing every
-//!   cross-cluster value through a FIFO queue and checking single-read
-//!   discipline,
-//! * [`vliw`] — an executor for the *emitted* VLIW program (the
+//! * [`vliw`] — the functional executor of the *emitted* VLIW program (the
 //!   `dms_regalloc::emit` output): prologue, kernel repetitions and epilogue
-//!   run instruction word by instruction word, operands read from the
-//!   register files their codegen annotations name,
+//!   run instruction word by instruction word under idealised timing,
+//!   operands read from the register files their codegen annotations name,
+//!   every cross-cluster value routed through a FIFO stream with
+//!   single-read discipline,
+//! * [`contention`] — the timing replay of the same program on the
+//!   discrete-event core ([`event`]) under the topology's link bandwidth,
+//!   measuring the achieved II; it shares the executor's stream setup,
 //! * [`verify`] — the end-to-end oracle: validate → allocate → emit →
 //!   execute → cross-check against the scalar reference,
 //! * [`values`] — the deterministic value semantics shared by all of them.
 //!
-//! The schedule-level entry point is [`simulate`]; the pipeline-level entry
-//! point is [`verify_schedule`], re-exported at the workspace root as
-//! `dms::verify_schedule`.
+//! The entry point is [`verify_schedule`], re-exported at the workspace
+//! root as `dms::verify_schedule`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod contention;
 pub mod event;
-pub mod exec;
+#[cfg(test)]
+mod exec;
 pub mod interp;
 pub mod values;
 pub mod verify;
@@ -36,7 +38,6 @@ pub mod vliw;
 
 pub use contention::{contended_replay, replay_schedule, ContentionReport};
 pub use event::EventQueue;
-pub use exec::{simulate, SimError, SimReport};
 pub use interp::{reference_trace, StoreRecord};
 pub use verify::{verify_schedule, VerifyError, VerifyReport};
-pub use vliw::{execute_program, ProgramReport};
+pub use vliw::{execute_program, ProgramReport, SimError};

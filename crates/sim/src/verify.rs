@@ -20,9 +20,8 @@
 //! reaching memory surfaces as a [`VerifyError`]. The function is re-exported
 //! at the workspace root as `dms::verify_schedule`.
 
-use crate::exec::SimError;
 use crate::interp::{reference_trace, StoreRecord};
-use crate::vliw::execute_program;
+use crate::vliw::{execute_program, SimError};
 use dms_ir::Loop;
 use dms_machine::MachineConfig;
 use dms_regalloc::queues::AllocError;
@@ -90,6 +89,8 @@ pub struct VerifyReport {
     pub stores_checked: u64,
     /// Operation instances executed (prologue + kernel + epilogue).
     pub instances_executed: u64,
+    /// Useful (non copy/move) instances among them.
+    pub useful_instances: u64,
     /// Values that crossed a cluster boundary through a CQRF.
     pub cross_cluster_values: u64,
     /// Largest occupancy reached by any CQRF stream.
@@ -171,6 +172,7 @@ pub fn verify_schedule(
         cycles: exec.cycles,
         stores_checked: expected.len() as u64,
         instances_executed: exec.instances_executed,
+        useful_instances: exec.useful_instances,
         cross_cluster_values: exec.cross_cluster_values,
         max_queue_depth: exec.max_queue_depth,
         total_registers: alloc.total_registers(),
@@ -189,7 +191,7 @@ mod tests {
     #[test]
     fn every_kernel_verifies_on_clustered_and_unclustered_machines() {
         for l in kernels::all(40) {
-            for clusters in [1, 2, 4, 6] {
+            for clusters in [1, 2, 4, 6, 8] {
                 let cm = MachineConfig::paper_clustered(clusters);
                 let d = dms_schedule(&l, &cm, &DmsConfig::default()).unwrap();
                 let rep = verify_schedule(&l, &d, &cm, l.trip_count).unwrap_or_else(|e| {
@@ -197,6 +199,13 @@ mod tests {
                 });
                 assert!(rep.stores_checked > 0);
                 assert!(rep.total_registers > 0);
+                assert_eq!(
+                    rep.useful_instances,
+                    l.useful_ops() as u64 * l.trip_count,
+                    "{}",
+                    l.name
+                );
+                assert_eq!(rep.cycles, d.cycles(l.trip_count), "{}", l.name);
 
                 let um = MachineConfig::unclustered(clusters);
                 let i = ims_schedule(&l, &um, &ImsConfig::default()).unwrap();
@@ -220,42 +229,53 @@ mod tests {
         assert_eq!(rep.stores_checked, l.trip_count);
     }
 
-    #[test]
-    fn structurally_invalid_schedules_are_rejected_before_execution() {
-        let l = kernels::daxpy(32);
-        let m = MachineConfig::paper_clustered(4);
-        let mut r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-        // break a dependence: issue the store at time 0
+    /// The store of a scheduled daxpy and the operation it reads.
+    fn store_and_producer(r: &ScheduleResult) -> (OpId, OpId) {
         let store = r
             .ddg
             .live_ops()
             .find(|(_, o)| o.kind == dms_ir::OpKind::Store)
             .map(|(id, _)| id)
             .unwrap();
-        let cluster = r.schedule.get(store).unwrap().cluster;
-        r.schedule.place(store, 0, cluster);
-        match verify_schedule(&l, &r, &m, 8) {
-            Err(VerifyError::InvalidSchedule(v)) => assert!(!v.is_empty()),
-            other => panic!("expected InvalidSchedule, got {other:?}"),
+        (store, r.ddg.op(store).defs_read().next().unwrap().0)
+    }
+
+    #[test]
+    fn structurally_invalid_schedules_are_rejected_before_execution() {
+        let l = kernels::daxpy(32);
+        for clusters in [2, 4] {
+            let m = MachineConfig::paper_clustered(clusters);
+            let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
+            let (store, producer) = store_and_producer(&r);
+            // break a dependence: issue the store at time 0, or its
+            // producer 10 * II late
+            let mut early = r.clone();
+            let cluster = early.schedule.get(store).unwrap().cluster;
+            early.schedule.place(store, 0, cluster);
+            let mut late = r.clone();
+            let place = late.schedule.get(producer).unwrap();
+            late.schedule.place(producer, place.time + 10 * r.ii(), place.cluster);
+            for broken in [early, late] {
+                match verify_schedule(&l, &broken, &m, 8) {
+                    Err(VerifyError::InvalidSchedule(v)) => assert!(!v.is_empty()),
+                    other => panic!("expected InvalidSchedule, got {other:?}"),
+                }
+            }
         }
     }
 
     #[test]
     fn wrong_cluster_is_caught() {
+        // Move the store to a cluster the ring does not connect to its
+        // producer's: a communication conflict.
         let l = kernels::daxpy(32);
         let m = MachineConfig::paper_clustered(6);
         let mut r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
-        let store = r
-            .ddg
-            .live_ops()
-            .find(|(_, o)| o.kind == dms_ir::OpKind::Store)
-            .map(|(id, _)| id)
-            .unwrap();
-        let producer = r.ddg.op(store).defs_read().next().unwrap().0;
+        let (store, producer) = store_and_producer(&r);
         let p_cluster = r.schedule.get(producer).unwrap().cluster;
         let t = r.schedule.get(store).unwrap().time;
         r.schedule.place(store, t, ClusterId((p_cluster.0 + 3) % 6));
-        assert!(verify_schedule(&l, &r, &m, 8).is_err());
+        assert!(matches!(verify_schedule(&l, &r, &m, 8), Err(VerifyError::InvalidSchedule(_))));
     }
 
     #[test]
@@ -268,5 +288,8 @@ mod tests {
         let e = VerifyError::InvalidSchedule(vec![Violation::Unscheduled(OpId(1))]);
         assert!(e.to_string().contains("1 violation(s)"));
         assert!(e.to_string().contains("op1"));
+        let e =
+            VerifyError::Execution(SimError::EmptyQueueRead { consumer: OpId(2), iteration: 5 });
+        assert!(e.to_string().contains("op2 read an empty queue in iteration 5"));
     }
 }

@@ -1,14 +1,13 @@
 //! Execution of the *emitted* VLIW program.
 //!
-//! [`crate::exec::simulate`] executes a schedule abstractly, from the
-//! placement table. This module goes one layer lower and executes the code
-//! the register allocator's code generator actually emits — the fully
-//! unrolled prologue, `K` repetitions of the steady-state kernel, and the
-//! epilogue — the way the hardware would: instruction word by instruction
-//! word, each operand read from the register file its [`OperandSource`]
-//! annotation names. Every value that the code generator routed through a
-//! CQRF travels through a FIFO stream with single-read discipline; every
-//! local value is read back from the producing cluster's register file.
+//! This module executes the code the register allocator's code generator
+//! actually emits — the fully unrolled prologue, `K` repetitions of the
+//! steady-state kernel, and the epilogue — the way the hardware would:
+//! instruction word by instruction word, each operand read from the
+//! register file its [`OperandSource`] annotation names. Every value that
+//! the code generator routed through a CQRF travels through a FIFO stream
+//! with single-read discipline; every local value is read back from the
+//! producing cluster's register file.
 //!
 //! Executing the emitted program (rather than the schedule) makes the
 //! codegen layer load-bearing: a wrong operand annotation, a missing kernel
@@ -18,11 +17,59 @@
 use crate::interp::StoreRecord;
 use crate::values::{apply, initial_value, invariant_value, live_in_value};
 use dms_ir::{Ddg, OpId, OpKind};
-use dms_machine::{MachineConfig, QueueFile};
+use dms_machine::{ClusterId, CqrfId, MachineConfig, QueueFile, Topology};
 use dms_regalloc::codegen::{CodeSlot, OperandSource, VliwProgram};
 use std::collections::HashMap;
+use std::fmt;
 
-use crate::exec::SimError;
+/// Errors detected while executing an emitted program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// A consumer tried to read from an empty inter-cluster queue (the value
+    /// had not been produced yet).
+    EmptyQueueRead {
+        /// Consumer operation.
+        consumer: OpId,
+        /// Iteration of the consumer.
+        iteration: u64,
+    },
+    /// A producer pushed into a full inter-cluster queue: the schedule keeps
+    /// more values in flight than the CQRF capacity allows. Reported eagerly
+    /// instead of dropping the value, which would corrupt every later read
+    /// of the stream and misdiagnose a capacity problem as a value bug.
+    QueueOverflow {
+        /// Producer operation whose value did not fit.
+        producer: OpId,
+        /// Consumer operation owning the overflowing stream.
+        consumer: OpId,
+    },
+    /// The emitted VLIW program is inconsistent with the DDG it claims to
+    /// implement (wrong operand annotation, wrong arity, wrong endpoint).
+    MalformedProgram {
+        /// The operation whose slot is inconsistent.
+        op: OpId,
+        /// What is wrong with it.
+        detail: String,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::EmptyQueueRead { consumer, iteration } => {
+                write!(f, "{consumer} read an empty queue in iteration {iteration}")
+            }
+            SimError::MalformedProgram { op, detail } => {
+                write!(f, "emitted program is inconsistent at {op}: {detail}")
+            }
+            SimError::QueueOverflow { producer, consumer } => {
+                write!(f, "value of {producer} for {consumer} overflowed a CQRF: capacity exceeded")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
 
 /// Summary of one program execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,11 +93,91 @@ pub struct ProgramReport {
 
 /// Key of a CQRF operand stream: `(consumer, operand index)` — one stream
 /// per consuming operand, exactly how the queue registers are allocated.
-type StreamKey = (OpId, usize);
+pub(crate) type StreamKey = (OpId, usize);
+
+/// The streams each producer pushes into, sorted for a deterministic push
+/// order.
+pub(crate) type Fanout = HashMap<OpId, Vec<StreamKey>>;
+
+/// One CQRF operand stream of an emitted program.
+pub(crate) struct Stream {
+    /// The consuming operand.
+    pub key: StreamKey,
+    /// The operation whose value the stream carries.
+    pub producer: OpId,
+    /// Iteration distance of the dependence: the number of loop live-ins
+    /// queued before the first iteration.
+    pub distance: u32,
+    /// Cluster of the producer.
+    pub from: ClusterId,
+    /// Cluster of the consumer.
+    pub to: ClusterId,
+    /// The queue file the values travel through.
+    pub queue: CqrfId,
+}
+
+/// The setup pass both executors share: discovers every CQRF stream of
+/// `program` and checks it against `ddg` and `topology`, so the idealised
+/// executor and the contention replay reject the same malformed programs.
+///
+/// Every live operation appears exactly once in the kernel, so one pass
+/// over the kernel words discovers every stream (and a preliminary pass
+/// the cluster of every producer, needed to check that each CQRF
+/// annotation names the queue file the topology actually provides between
+/// the two clusters). Returns the streams in kernel order and their
+/// [`Fanout`].
+pub(crate) fn cqrf_streams(
+    program: &VliwProgram,
+    ddg: &Ddg,
+    topology: &Topology,
+) -> Result<(Vec<Stream>, Fanout), SimError> {
+    let cluster_of: HashMap<OpId, ClusterId> =
+        program.kernel.iter().flat_map(|w| &w.slots).map(|slot| (slot.op, slot.cluster)).collect();
+    let mut streams = Vec::new();
+    let mut fanout = Fanout::new();
+    for slot in program.kernel.iter().flat_map(|w| &w.slots) {
+        let operation = ddg.op(slot.op);
+        if slot.sources.len() != operation.reads.len() {
+            return Err(SimError::MalformedProgram {
+                op: slot.op,
+                detail: format!(
+                    "slot has {} operand sources but the operation reads {} values",
+                    slot.sources.len(),
+                    operation.reads.len()
+                ),
+            });
+        }
+        for (idx, source) in slot.sources.iter().enumerate() {
+            let OperandSource::Cqrf { producer, queue } = *source else { continue };
+            let Some((read_producer, distance)) = operation.reads[idx].producer() else {
+                return Err(SimError::MalformedProgram {
+                    op: slot.op,
+                    detail: format!("operand {idx} is annotated as a CQRF read but is no Def"),
+                });
+            };
+            let from = cluster_of.get(&producer).copied().filter(|&pc| {
+                read_producer == producer && topology.queue_between(pc, slot.cluster) == Some(queue)
+            });
+            let Some(from) = from else {
+                return Err(SimError::MalformedProgram {
+                    op: slot.op,
+                    detail: format!("operand {idx} CQRF annotation names the wrong endpoint"),
+                });
+            };
+            let key = (slot.op, idx);
+            streams.push(Stream { key, producer, distance, from, to: slot.cluster, queue });
+            fanout.entry(producer).or_default().push(key);
+        }
+    }
+    for keys in fanout.values_mut() {
+        keys.sort_unstable();
+    }
+    Ok((streams, fanout))
+}
 
 struct ProgramState {
     queues: HashMap<StreamKey, QueueFile<i64>>,
-    fanout: HashMap<OpId, Vec<StreamKey>>,
+    fanout: Fanout,
     history: HashMap<OpId, Vec<i64>>,
     iteration_of: HashMap<OpId, u64>,
     trip_count: u64,
@@ -78,9 +205,25 @@ pub fn execute_program(
     let kernel_repetitions = trip_count.saturating_sub(stages - 1);
     let cycles = if trip_count == 0 { 0 } else { (trip_count + stages - 1) * program.ii as u64 };
 
+    // --- set up one FIFO stream per CQRF-annotated operand ------------------
+    let (streams, fanout) = cqrf_streams(program, ddg, &machine.topology())?;
+    let mut queues = HashMap::new();
+    for stream in streams {
+        let mut q = QueueFile::new(machine.cqrf_capacity.max(1) as usize);
+        for k in 0..stream.distance {
+            // live-in values of loop-carried dependences, oldest first
+            let value = live_in_value(ddg, stream.producer, k as i64 - stream.distance as i64);
+            if !q.push(value) {
+                let consumer = stream.key.0;
+                return Err(SimError::QueueOverflow { producer: stream.producer, consumer });
+            }
+        }
+        queues.insert(stream.key, q);
+    }
+
     let mut st = ProgramState {
-        queues: HashMap::new(),
-        fanout: HashMap::new(),
+        queues,
+        fanout,
         history: HashMap::new(),
         iteration_of: HashMap::new(),
         trip_count,
@@ -94,59 +237,6 @@ pub fn execute_program(
             stores: Vec::new(),
         },
     };
-
-    // --- set up one FIFO stream per CQRF-annotated operand ------------------
-    // Every live operation appears exactly once in the kernel, so one pass
-    // over the kernel words discovers every stream (and a preliminary pass
-    // the cluster of every producer, needed to check that each CQRF
-    // annotation names the queue file the machine's topology actually
-    // provides between the two clusters).
-    let topology = machine.topology();
-    let cluster_of: HashMap<OpId, dms_machine::ClusterId> =
-        program.kernel.iter().flat_map(|w| &w.slots).map(|slot| (slot.op, slot.cluster)).collect();
-    for slot in program.kernel.iter().flat_map(|w| &w.slots) {
-        let operation = ddg.op(slot.op);
-        if slot.sources.len() != operation.reads.len() {
-            return Err(SimError::MalformedProgram {
-                op: slot.op,
-                detail: format!(
-                    "slot has {} operand sources but the operation reads {} values",
-                    slot.sources.len(),
-                    operation.reads.len()
-                ),
-            });
-        }
-        for (idx, source) in slot.sources.iter().enumerate() {
-            let OperandSource::Cqrf { producer, queue } = source else { continue };
-            let Some((read_producer, distance)) = operation.reads[idx].producer() else {
-                return Err(SimError::MalformedProgram {
-                    op: slot.op,
-                    detail: format!("operand {idx} is annotated as a CQRF read but is no Def"),
-                });
-            };
-            let expected =
-                cluster_of.get(producer).and_then(|&pc| topology.queue_between(pc, slot.cluster));
-            if read_producer != *producer || expected != Some(*queue) {
-                return Err(SimError::MalformedProgram {
-                    op: slot.op,
-                    detail: format!("operand {idx} CQRF annotation names the wrong endpoint"),
-                });
-            }
-            let mut q = QueueFile::new(machine.cqrf_capacity.max(1) as usize);
-            for k in 0..distance {
-                // live-in values of loop-carried dependences, oldest first
-                if !q.push(live_in_value(ddg, *producer, k as i64 - distance as i64)) {
-                    return Err(SimError::QueueOverflow { producer: *producer, consumer: slot.op });
-                }
-            }
-            st.queues.insert((slot.op, idx), q);
-            st.fanout.entry(*producer).or_default().push((slot.op, idx));
-        }
-    }
-    // Deterministic push order for producers feeding several streams.
-    for streams in st.fanout.values_mut() {
-        streams.sort_unstable();
-    }
 
     // --- issue the words in program order -----------------------------------
     for word in &program.prologue {

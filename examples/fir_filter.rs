@@ -20,7 +20,7 @@ use dms_machine::MachineConfig;
 use dms_regalloc::allocate;
 use dms_sched::ims::{ims_schedule, ImsConfig};
 use dms_sched::validate_schedule;
-use dms_sim::simulate;
+use dms_sim::verify_schedule;
 
 fn main() {
     let taps = 16;
@@ -56,7 +56,8 @@ fn main() {
             dms_schedule(&fir, &clustered, &DmsConfig::default()).expect("DMS schedules the FIR");
         assert!(validate_schedule(&dms.ddg, &clustered, &dms.schedule).is_empty());
 
-        let report = simulate(&dms, &clustered, samples).expect("the schedule executes correctly");
+        let report = verify_schedule(&fir, &dms, &clustered, samples)
+            .expect("the schedule executes correctly");
         let registers = allocate(&dms, &clustered).expect("queue allocation succeeds");
 
         println!(

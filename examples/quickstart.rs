@@ -12,7 +12,7 @@ use dms_ir::{LoopBuilder, Operand};
 use dms_machine::MachineConfig;
 use dms_regalloc::allocate;
 use dms_sched::validate_schedule;
-use dms_sim::simulate;
+use dms_sim::verify_schedule;
 
 fn main() {
     // 1. Describe the innermost loop:  y[i] = a * x[i] + y[i]  (an axpy).
@@ -51,7 +51,8 @@ fn main() {
         );
     }
 
-    // 5. Independently validate, allocate queue registers and execute.
+    // 5. Independently validate, allocate queue registers and execute the
+    //    emitted program against the scalar reference.
     let violations = validate_schedule(&result.ddg, &machine, &result.schedule);
     assert!(violations.is_empty(), "the schedule must be valid: {violations:?}");
 
@@ -62,10 +63,10 @@ fn main() {
     }
     println!("MaxLive                   : {}", registers.max_live);
 
-    let report =
-        simulate(&result, &machine, axpy.trip_count).expect("execution matches the reference");
+    let report = verify_schedule(&axpy, &result, &machine, axpy.trip_count)
+        .expect("execution matches the reference");
     println!("\ncycles for {} iterations : {}", axpy.trip_count, report.cycles);
-    println!("IPC (useful ops only)      : {:.2}", report.ipc);
+    println!("IPC (useful ops only)      : {:.2}", result.ipc(axpy.trip_count));
     println!("values crossing clusters   : {}", report.cross_cluster_values);
 
     // 6. Emit the software-pipelined VLIW code (prologue / kernel / epilogue)

@@ -11,9 +11,8 @@
 //! codegen operand mix-up changes a stored value and fails here.
 
 use dms::verify_schedule;
-use dms_core::{dms_schedule, DmsConfig, PressureMode};
+use dms_core::{dms_schedule, DmsConfig};
 use dms_machine::MachineConfig;
-use dms_regalloc::AllocError;
 use dms_sched::ims::{ims_schedule, ImsConfig};
 use dms_sched::validate_schedule;
 use dms_workloads::{generate, unroll_for_machine, SuiteConfig, UnrollPolicy};
@@ -114,11 +113,10 @@ fn verify_sweep_is_deterministic_across_worker_counts() {
 /// whose DMS schedules satisfied every structural constraint but could not
 /// be register-allocated on the paper's 32-register CQRFs: suite loops 59
 /// (CQRF\[C0→C7\] needed 47 registers) and 263 (CQRF\[C4→C5\] needed 55),
-/// both on the 8-cluster machine. They are pinned here as deterministic
-/// regression fixtures: the pressure-blind scheduler must still reproduce
-/// the capacity overflow (proving the fixtures test what they claim to
-/// test), and the pressure-aware default must schedule, allocate and
-/// bit-verify them against the scalar reference.
+/// both on the 8-cluster machine, scheduled by the pressure-blind DMS of
+/// that time. They are pinned here as deterministic regression fixtures:
+/// the pressure-aware scheduler must schedule, allocate and bit-verify them
+/// against the scalar reference.
 #[test]
 fn pinned_capacity_findings_schedule_allocate_and_verify_at_8_clusters() {
     let suite = generate(&SuiteConfig::small(300));
@@ -130,28 +128,7 @@ fn pinned_capacity_findings_schedule_allocate_and_verify_at_8_clusters() {
             unroll_for_machine(&sl.body, machine.total_useful_fus(), &UnrollPolicy::default());
         let trips = body.trip_count.min(TRIPS);
 
-        // The historical, pressure-blind behaviour: structurally valid, yet
-        // unallocatable.
-        let blind = DmsConfig { pressure: PressureMode::Ignore, ..DmsConfig::default() };
-        let r = dms_schedule(&body, &machine, &blind)
-            .unwrap_or_else(|e| panic!("loop {id} (blind): {e}"));
-        assert!(
-            validate_schedule(&r.ddg, &machine, &r.schedule).is_empty(),
-            "loop {id}: the finding was a *structurally valid* schedule"
-        );
-        assert_eq!(r.pressure_retries, 0, "Ignore mode never retries");
-        match dms_regalloc::allocate(&r, &machine) {
-            Err(AllocError::CapacityExceeded { required, capacity, .. }) => {
-                assert!(required > capacity, "loop {id}: nonsensical capacity report");
-                assert_eq!(capacity, 32, "loop {id}: the paper's CQRF capacity");
-            }
-            other => panic!(
-                "loop {id}: pressure-blind scheduling must reproduce the CapacityExceeded \
-                 finding, got {other:?}"
-            ),
-        }
-
-        // The pressure-aware default: fits the queue files and bit-verifies.
+        // The pressure-aware scheduler fits the queue files and bit-verifies.
         let r = dms_schedule(&body, &machine, &DmsConfig::default())
             .unwrap_or_else(|e| panic!("loop {id} (aware): {e}"));
         let alloc = dms_regalloc::allocate(&r, &machine)

@@ -1,6 +1,6 @@
 //! End-to-end integration tests: loop construction → single-use conversion →
-//! scheduling (IMS and DMS) → validation → register allocation → functional
-//! simulation.
+//! scheduling (IMS and DMS) → validation → register allocation → execution
+//! of the emitted program, cross-checked against the scalar reference.
 
 use dms_core::{dms_schedule, DmsConfig};
 use dms_ir::{kernels, transform, LoopBuilder, Operand};
@@ -8,7 +8,7 @@ use dms_machine::MachineConfig;
 use dms_regalloc::allocate;
 use dms_sched::ims::{ims_schedule, ImsConfig};
 use dms_sched::validate_schedule;
-use dms_sim::simulate;
+use dms_sim::verify_schedule;
 
 /// The complete compilation pipeline for every kernel on every machine of the
 /// paper's range: schedule, validate, allocate registers and execute.
@@ -27,9 +27,9 @@ fn full_pipeline_for_every_kernel_and_cluster_count() {
                 .unwrap_or_else(|e| panic!("{}: register allocation failed: {e}", l.name));
             assert!(alloc.total_registers() > 0);
 
-            let report = simulate(&result, &machine, l.trip_count)
-                .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", l.name));
-            assert_eq!(report.useful_ops_executed, l.useful_ops() as u64 * l.trip_count);
+            let report = verify_schedule(&l, &result, &machine, l.trip_count)
+                .unwrap_or_else(|e| panic!("{}: verification failed: {e}", l.name));
+            assert_eq!(report.useful_instances, l.useful_ops() as u64 * l.trip_count);
             assert_eq!(report.cycles, result.cycles(l.trip_count));
         }
     }
@@ -43,7 +43,7 @@ fn ims_pipeline_on_unclustered_machines() {
             let machine = MachineConfig::unclustered(width);
             let result = ims_schedule(&l, &machine, &ImsConfig::default()).unwrap();
             assert!(validate_schedule(&result.ddg, &machine, &result.schedule).is_empty());
-            let report = simulate(&result, &machine, l.trip_count).unwrap();
+            let report = verify_schedule(&l, &result, &machine, l.trip_count).unwrap();
             assert_eq!(
                 report.cross_cluster_values, 0,
                 "{}: unclustered machines have no CQRFs",
@@ -93,8 +93,9 @@ fn unrolled_wide_loop_uses_the_ring() {
     let alloc = allocate(&result, &machine).unwrap();
     assert!(!alloc.cqrf_registers.is_empty(), "cross-cluster values must use CQRFs");
 
-    let report = simulate(&result, &machine, 64).unwrap();
+    let report = verify_schedule(&l, &result, &machine, 64).unwrap();
     assert!(report.cross_cluster_values > 0);
+    assert!(report.max_queue_depth >= 1);
 }
 
 /// A hand-written loop with a wide fan-out exercises the single-use
@@ -118,7 +119,8 @@ fn wide_fanout_loop_roundtrip() {
     let result = dms_schedule(&l, &machine, &DmsConfig::default()).unwrap();
     assert!(result.stats.copies_inserted > 0, "`a` has six readers, copies are mandatory");
     assert!(validate_schedule(&result.ddg, &machine, &result.schedule).is_empty());
-    simulate(&result, &machine, l.trip_count).expect("the transformed loop must still be correct");
+    verify_schedule(&l, &result, &machine, l.trip_count)
+        .expect("the transformed loop must still be correct");
 }
 
 /// Scheduling is deterministic: the same input yields the same schedule.

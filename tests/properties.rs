@@ -20,7 +20,7 @@ use dms_ir::{transform, LatencySpec, Loop, LoopBuilder, OpKind, Operand};
 use dms_machine::MachineConfig;
 use dms_sched::ims::{ims_schedule, ImsConfig};
 use dms_sched::validate_schedule;
-use dms_sim::{reference_trace, simulate};
+use dms_sim::{reference_trace, verify_schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -130,8 +130,8 @@ fn dms_schedules_are_valid_and_execute_correctly() {
             assert!(validate_schedule(&r.ddg, &machine, &r.schedule).is_empty());
             assert!(r.ddg.validate().is_ok());
             assert!(r.ii() >= r.stats.mii.unwrap().mii());
-            let report = simulate(&r, &machine, l.trip_count).unwrap();
-            assert_eq!(report.useful_ops_executed, l.useful_ops() as u64 * l.trip_count);
+            let report = verify_schedule(&l, &r, &machine, l.trip_count).unwrap();
+            assert_eq!(report.useful_instances, l.useful_ops() as u64 * l.trip_count);
         }
     });
 }
@@ -282,8 +282,8 @@ fn portfolio_winners_pareto_dominate_or_equal_the_plain_dms_point() {
             );
             assert!(code_size(&winner) <= code_size(&plain), "{tag}: code size regressed");
             assert!(validate_schedule(&winner.ddg, &machine, &winner.schedule).is_empty(), "{tag}");
-            let report = simulate(&winner, &machine, l.trip_count).unwrap();
-            assert_eq!(report.useful_ops_executed, l.useful_ops() as u64 * l.trip_count, "{tag}");
+            let report = verify_schedule(&l, &winner, &machine, l.trip_count).unwrap();
+            assert_eq!(report.useful_instances, l.useful_ops() as u64 * l.trip_count, "{tag}");
         }
     });
 }
