@@ -1,12 +1,12 @@
 //! Figure C — *achieved* II under contention-accurate interconnect timing
-//! (a beyond-the-paper experiment enabled by the `dms-sim` discrete-event
-//! replay layer).
+//! (a beyond-the-paper experiment enabled by `dms-sim`'s contention
+//! timing).
 //!
 //! Figure T compares topologies by the II the *scheduler* reaches, which
 //! implicitly assumes every cross-cluster transfer lands in the cycle the
 //! schedule planned it — true for a crossbar, optimistic for a shared bus.
-//! Figure C replays every emitted VLIW program through
-//! [`dms_sim::contended_replay`] under each topology's
+//! Figure C times the transfers of every emitted VLIW program, inside the
+//! verify's execution ([`dms_sim::contention`]), under each topology's
 //! [`dms_machine::TransferModel`] (bus: one transaction per cycle across the
 //! whole fabric; ring/chordal: one slot per directed link; crossbar:
 //! unconstrained) and reports the II the machine actually sustains next to
@@ -17,14 +17,18 @@
 //!
 //! Both figures sweep the same grid — [`FIGC_TOPOLOGIES`] at
 //! [`FIGC_CLUSTERS`] — through one driver, [`sweep_topologies`]; figure C
-//! is figure T's sweep with the replay switched on.
+//! is figure T's sweep with contention timing switched on.
 
 use crate::runner::{
-    mean, measure_suite_with_stats, per_cluster, percent, ExperimentConfig, LoopMeasurement,
+    mean, measure_suite_with_stats_on, per_cluster, percent, ExperimentConfig, LoopMeasurement,
     SweepStats,
 };
 use dms_machine::TopologyKind;
+use dms_service::service::DEFAULT_SHARDS;
+use dms_service::ScheduleService;
+use dms_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The interconnects figures T and C compare.
 pub const FIGC_TOPOLOGIES: [TopologyKind; 4] = [
@@ -51,18 +55,23 @@ pub struct TopologySweep {
 /// Sweeps the configured suite on each of `topologies` at the configured
 /// cluster counts, with end-to-end verification forced on — the sweep
 /// behind both figure T (`contention == false`) and figure C
-/// (`contention == true`, which also replays every verified schedule
-/// under contention-accurate link timing).
+/// (`contention == true`, which also reports every verified program's
+/// achieved II under contention-accurate link timing).
 pub fn sweep_topologies(
     config: &ExperimentConfig,
     topologies: &[TopologyKind],
     contention: bool,
 ) -> Vec<TopologySweep> {
+    // Each topology gets a cold service. They publish into the installed
+    // telemetry registry, if any, so a `--metrics-json` dump counts the
+    // sweep's link stalls and cache traffic.
+    let registry = Telemetry::current().registry().cloned().unwrap_or_default();
     topologies
         .iter()
         .map(|&topology| {
             let cfg = ExperimentConfig { topology, verify: true, contention, ..config.clone() };
-            let (measurements, stats) = measure_suite_with_stats(&cfg);
+            let service = ScheduleService::with_registry(DEFAULT_SHARDS, Arc::clone(&registry));
+            let (measurements, stats) = measure_suite_with_stats_on(&cfg, &service);
             TopologySweep { topology, measurements, stats }
         })
         .collect()

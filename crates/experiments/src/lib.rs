@@ -13,8 +13,8 @@
 //!
 //! [`figt`] adds a beyond-the-paper figure comparing achievable II across
 //! interconnect topologies (ring, chordal ring, bus, crossbar) through the
-//! `dms_machine::Topology` API, [`figc`] replays those schedules under
-//! contention-accurate link timing (`dms_sim::contended_replay`) to report
+//! `dms_machine::Topology` API, [`figc`] times those schedules' programs
+//! under contention-accurate link timing (`dms_sim::contention`) to report
 //! the II each fabric actually sustains (both figures share one sweep,
 //! [`sweep_topologies`]), and [`figp`] another comparing
 //! portfolio scheduler search (`dms_core::SchedulerStrategy`) against the

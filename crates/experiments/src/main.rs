@@ -34,9 +34,9 @@
 //! sweeps stay byte-reproducible for any `--threads`); `figP` runs the
 //! portfolio against the plain heuristic at 2/4/8 clusters with
 //! verification forced on and reports how many loops recover II.
-//! `--contention` additionally replays every verified schedule on the
-//! discrete-event interconnect timing model (`dms_sim::contended_replay`)
-//! and records the *achieved* II — the rate the machine sustains once
+//! `--contention` additionally records the *achieved* II that every
+//! verified program reaches under the interconnect timing model
+//! (`dms_sim::contention`, timed in the verify's own execution) — the rate the machine sustains once
 //! cross-cluster transfers serialise on real links — in the measurement
 //! CSV's `achieved_ii` column; `figC` sweeps that replay across all four
 //! interconnects at 2/4/8 clusters (a `--topology` comma list narrows the
@@ -159,8 +159,8 @@ fn parse_args() -> Result<Cli, String> {
     // Figures T and C compare the four interconnects at the paper's
     // 2/4/8-cluster points unless the user picked an explicit grid. Figure
     // T always sweeps all four, so a --topology override would be silently
-    // ignored; a --topology comma list narrows figure C's sweep (CI smoke
-    // runs `--topology bus,crossbar`). Other commands take exactly one.
+    // ignored; a --topology comma list narrows figure C's sweep. Other
+    // commands take exactly one.
     if matches!(command, Command::FigT | Command::FigC) && !clusters_given {
         config.cluster_counts = FIGC_CLUSTERS.to_vec();
     }

@@ -68,12 +68,11 @@ pub struct ExperimentConfig {
     /// default). The unclustered reference machine has a single cluster and
     /// is unaffected.
     pub topology: TopologyKind,
-    /// Additionally replay every verified DMS schedule under the
-    /// topology's transfer-bandwidth model (`dms_sim::contended_replay`)
-    /// and record the achieved II in [`LoopMeasurement::achieved_ii`].
-    /// Implies end-to-end verification: the replay only runs on a
-    /// functionally verified schedule, so a contention sweep verifies even
-    /// when `verify` is false.
+    /// Additionally record in [`LoopMeasurement::achieved_ii`] the II every
+    /// verified DMS program achieves under the topology's
+    /// transfer-bandwidth model (`dms_sim::contention`). Implies end-to-end
+    /// verification: the timing comes from the verify's execution, so a
+    /// contention sweep verifies even when `verify` is false.
     pub contention: bool,
 }
 

@@ -481,11 +481,11 @@ impl Topology {
 
     /// How this interconnect serialises concurrent transfers — the
     /// declarative bandwidth surface consumed by the contention-accurate
-    /// replay (`dms-sim`'s `contention` module).
+    /// timing (`dms-sim`'s `contention` module).
     ///
-    /// The scheduler and the idealised executor only model queue *storage*
-    /// sharing; this model adds transfer *bandwidth*: how many values can
-    /// be in flight per cycle, and on what granularity they contend.
+    /// The scheduler only models queue *storage* sharing; this model adds
+    /// transfer *bandwidth*: how many values can be in flight per cycle,
+    /// and on what granularity they contend.
     pub fn transfer_model(&self) -> TransferModel {
         match self.kind {
             // A full crossbar has a dedicated path per (writer, reader)
@@ -511,7 +511,7 @@ impl Topology {
     /// link by link rather than through a composite resource here.
     ///
     /// On a bus the "link" is the shared medium itself: every connected
-    /// pair reports the same single slot, and the replay maps all of them
+    /// pair reports the same single slot, and the timing maps all of them
     /// onto one resource via [`Topology::transfer_model`].
     pub fn link_capacity(&self, writer: ClusterId, reader: ClusterId) -> Option<u32> {
         if writer == reader || !self.directly_connected(writer, reader) {

@@ -23,7 +23,7 @@ use dms_core::{dms_schedule, DmsConfig, ScheduleOutcome};
 use dms_ir::{canonical_hash, Loop};
 use dms_machine::MachineConfig;
 use dms_sched::{ims_schedule, ImsConfig, ScheduleError, ScheduleResult};
-use dms_sim::{replay_schedule, verify_schedule};
+use dms_sim::verify_schedule;
 use dms_telemetry::{EventKind, Gauge, Histogram, Registry};
 use std::fmt;
 use std::sync::Arc;
@@ -61,10 +61,11 @@ pub struct ScheduleRequest<'a> {
     /// schedule, so warm requests skip re-verification. A verification
     /// failure fails the request.
     pub verify_trips: Option<u64>,
-    /// Additionally replay the emitted program under the topology's
-    /// transfer-bandwidth model ([`dms_sim::contended_replay`]) and report
-    /// the achieved II in the verify digest. Requires `verify_trips` (the
-    /// replay runs over the same trip count); ignored without it.
+    /// Additionally report the achieved II the verify's execution measured
+    /// under the topology's transfer-bandwidth model
+    /// ([`dms_sim::contention`]) in the verify digest. Requires
+    /// `verify_trips` (the timing comes from that execution); ignored
+    /// without it.
     pub contention: bool,
 }
 
@@ -76,7 +77,7 @@ pub struct VerifyDigest {
     pub stores_checked: u64,
     /// Largest CQRF stream occupancy reached while executing the schedule.
     pub max_queue_depth: u64,
-    /// Steady-state II measured by the contention-accurate replay
+    /// Steady-state II the verified execution sustained under contention
     /// (`>=` the scheduled II), or 0 when the request did not ask for
     /// contention timing.
     pub achieved_ii: u32,
@@ -273,21 +274,15 @@ impl ScheduleService {
             Some(trips) => {
                 let report = verify_schedule(req.body, output.result(), req.machine, trips)
                     .map_err(|e| ServiceError::Verify(format!("{e:?}")))?;
-                // The replay only runs on a functionally verified schedule:
-                // its timing is meaningless for a program whose values are
-                // wrong, and the verify above has already emitted and
-                // executed the very program being replayed.
-                let achieved_ii = if req.contention {
-                    replay_schedule(output.result(), req.machine, trips)
-                        .map_err(|e| ServiceError::Verify(format!("contention replay: {e:?}")))?
-                        .achieved_ii
-                } else {
-                    0
-                };
+                // The verify's execution timed the links too; the digest
+                // only carries that timing when the request asked for it.
+                if req.contention && report.stall_cycles > 0 {
+                    self.registry.record_event(EventKind::LinkStall);
+                }
                 Some(VerifyDigest {
                     stores_checked: report.stores_checked,
                     max_queue_depth: report.max_queue_depth,
-                    achieved_ii,
+                    achieved_ii: if req.contention { report.achieved_ii } else { 0 },
                 })
             }
         };
@@ -329,6 +324,7 @@ fn cache_key(req: &ScheduleRequest<'_>) -> CacheKey {
 mod tests {
     use super::*;
     use dms_ir::kernels;
+    use dms_machine::TopologyKind;
 
     fn dms_request<'a>(body: &'a Loop, machine: &'a MachineConfig) -> ScheduleRequest<'a> {
         ScheduleRequest {
@@ -360,6 +356,29 @@ mod tests {
         let warm = service.schedule(&contended).unwrap();
         assert!(warm.cache_hit);
         assert_eq!(warm.verify, Some(digest), "the achieved II is cached with the digest");
+    }
+
+    /// `link_stall` counts contention misses whose program stalled on a
+    /// link, and nothing else: a plain verify of the same loop times the
+    /// links too but records no stall, and a warm hit executes nothing.
+    #[test]
+    fn link_stalls_are_recorded_only_for_contention_misses() {
+        let service = ScheduleService::default();
+        let fir = kernels::fir(8, 64);
+        let machine = MachineConfig::paper_clustered(4).with_topology(TopologyKind::Bus);
+        let plain = ScheduleRequest { verify_trips: Some(64), ..dms_request(&fir, &machine) };
+        let contended = ScheduleRequest { contention: true, ..plain };
+        let stalls = || service.registry().event_count(EventKind::LinkStall);
+
+        service.schedule(&plain).unwrap();
+        assert_eq!(stalls(), 0, "a plain verify records no link stall");
+        let timed = service.schedule(&contended).unwrap();
+        assert!(stalls() >= 1, "the bus serialises this loop's transfers");
+        let walk = verify_schedule(&fir, timed.output.result(), &machine, 64).unwrap();
+        assert!(walk.stall_cycles > 0);
+        assert_eq!(timed.verify.unwrap().achieved_ii, walk.achieved_ii);
+        service.schedule(&contended).unwrap();
+        assert_eq!(stalls(), 1, "a cache hit executes nothing");
     }
 
     #[test]

@@ -3,20 +3,19 @@
 //! The paper evaluates DMS statically (initiation intervals, derived cycle
 //! counts). This crate goes one step further and *executes* the generated
 //! schedules, which both validates the reproduction and exercises the queue
-//! register file semantics of the architecture. It has two executors of the
-//! emitted program and the oracle built on them:
+//! register file semantics of the architecture. It has two executors (one
+//! of the loop, one of the emitted program) and the oracle built on them:
 //!
 //! * [`interp`] — a sequential reference interpreter of a loop DDG, defining
 //!   the semantics every correct schedule must reproduce,
-//! * [`vliw`] — the functional executor of the *emitted* VLIW program (the
+//! * [`vliw`] — the executor of the *emitted* VLIW program (the
 //!   `dms_regalloc::emit` output): prologue, kernel repetitions and epilogue
-//!   run instruction word by instruction word under idealised timing,
-//!   operands read from the register files their codegen annotations name,
-//!   every cross-cluster value routed through a FIFO stream with
-//!   single-read discipline,
-//! * [`contention`] — the timing replay of the same program on the
-//!   discrete-event core ([`event`]) under the topology's link bandwidth,
-//!   measuring the achieved II; it shares the executor's stream setup,
+//!   run instruction word by instruction word, operands read from the
+//!   register files their codegen annotations name, every cross-cluster
+//!   value routed through a FIFO stream with single-read discipline; the
+//!   same walk times every transfer under the topology's link bandwidth,
+//! * [`contention`] — that timing model (link bookings, the achieved II)
+//!   and [`replay_schedule`], its one-call form for a schedule,
 //! * [`verify`] — the end-to-end oracle: validate → allocate → emit →
 //!   execute → cross-check against the scalar reference,
 //! * [`values`] — the deterministic value semantics shared by all of them.
@@ -28,7 +27,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod contention;
-pub mod event;
 #[cfg(test)]
 mod exec;
 pub mod interp;
@@ -36,8 +34,7 @@ pub mod values;
 pub mod verify;
 pub mod vliw;
 
-pub use contention::{contended_replay, replay_schedule, ContentionReport};
-pub use event::EventQueue;
+pub use contention::{replay_schedule, ContentionReport};
 pub use interp::{reference_trace, StoreRecord};
 pub use verify::{verify_schedule, VerifyError, VerifyReport};
 pub use vliw::{execute_program, ProgramReport, SimError};

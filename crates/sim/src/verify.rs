@@ -12,6 +12,7 @@
 //!    VLIW program (`dms_regalloc::emit`),
 //! 4. **execution** — the emitted prologue, kernel and epilogue run on the
 //!    clustered machine interpreter ([`crate::vliw::execute_program`]),
+//!    which also times every transfer under the topology's link bandwidth,
 //! 5. **cross-check** — the executed store trace must be bit-equal to a
 //!    scalar reference interpretation of the *original* (untransformed) loop
 //!    DDG ([`crate::interp::reference_trace`]).
@@ -99,6 +100,11 @@ pub struct VerifyReport {
     pub total_registers: u32,
     /// The allocator's MaxLive register-pressure metric.
     pub max_live: u32,
+    /// Steady-state II the execution sustained under the topology's link
+    /// bandwidth (`>= ii`; see [`crate::contention`]).
+    pub achieved_ii: u32,
+    /// Cycles the execution lost waiting on busy links.
+    pub stall_cycles: u64,
 }
 
 fn sort_trace(mut trace: Vec<StoreRecord>) -> Vec<StoreRecord> {
@@ -177,6 +183,8 @@ pub fn verify_schedule(
         max_queue_depth: exec.max_queue_depth,
         total_registers: alloc.total_registers(),
         max_live: alloc.max_live,
+        achieved_ii: exec.contention.achieved_ii,
+        stall_cycles: exec.contention.stall_cycles,
     })
 }
 

@@ -13,11 +13,17 @@
 //! codegen layer load-bearing: a wrong operand annotation, a missing kernel
 //! slot or a mis-ordered prologue changes the values reaching the stores and
 //! is caught by the cross-check in [`crate::verify`].
+//!
+//! The same walk times the interconnect ([`crate::contention`]): every
+//! queued value carries the first cycle its consumer may read it, so a word
+//! whose operand is still crossing a busy link issues late, and the kernel
+//! store issue cycles give the achieved II.
 
+use crate::contention::{ContentionReport, Timing};
 use crate::interp::StoreRecord;
 use crate::values::{apply, initial_value, invariant_value, live_in_value};
 use dms_ir::{Ddg, OpId, OpKind};
-use dms_machine::{ClusterId, CqrfId, MachineConfig, QueueFile, Topology};
+use dms_machine::{ClusterId, CqrfId, MachineConfig, QueueFile};
 use dms_regalloc::codegen::{CodeSlot, OperandSource, VliwProgram};
 use std::collections::HashMap;
 use std::fmt;
@@ -74,7 +80,7 @@ impl std::error::Error for SimError {}
 /// Summary of one program execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramReport {
-    /// Total cycles: `(trip_count + stages - 1) * II`.
+    /// Total cycles under idealised timing: `(trip_count + stages - 1) * II`.
     pub cycles: u64,
     /// Times the steady-state kernel was issued
     /// (`trip_count - stages + 1` when the pipeline fills completely).
@@ -89,52 +95,96 @@ pub struct ProgramReport {
     pub max_queue_depth: u64,
     /// Every value stored, in issue order.
     pub stores: Vec<StoreRecord>,
+    /// The same walk under the topology's link bandwidth: issue cycles,
+    /// link transactions and the achieved II.
+    pub contention: ContentionReport,
 }
 
 /// Key of a CQRF operand stream: `(consumer, operand index)` — one stream
 /// per consuming operand, exactly how the queue registers are allocated.
-pub(crate) type StreamKey = (OpId, usize);
+type StreamKey = (OpId, usize);
 
-/// The streams each producer pushes into, sorted for a deterministic push
-/// order.
-pub(crate) type Fanout = HashMap<OpId, Vec<StreamKey>>;
-
-/// One CQRF operand stream of an emitted program.
-pub(crate) struct Stream {
-    /// The consuming operand.
-    pub key: StreamKey,
-    /// The operation whose value the stream carries.
-    pub producer: OpId,
-    /// Iteration distance of the dependence: the number of loop live-ins
-    /// queued before the first iteration.
-    pub distance: u32,
-    /// Cluster of the producer.
-    pub from: ClusterId,
-    /// Cluster of the consumer.
-    pub to: ClusterId,
-    /// The queue file the values travel through.
-    pub queue: CqrfId,
+/// One CQRF operand stream.
+struct Stream {
+    /// Values in flight, oldest first, each with the first cycle its
+    /// consumer may read it.
+    queue: QueueFile<(i64, u64)>,
+    /// The link the values cross and its slots per cycle; `None` on an
+    /// unconstrained fabric.
+    link: Option<(CqrfId, u32)>,
 }
 
-/// The setup pass both executors share: discovers every CQRF stream of
-/// `program` and checks it against `ddg` and `topology`, so the idealised
-/// executor and the contention replay reject the same malformed programs.
+/// Per-operation state, indexed by [`OpId::index`].
+struct ProgramState {
+    /// The CQRF stream of each operand, if it reads one.
+    streams: Vec<Vec<Option<Stream>>>,
+    /// The streams each producer pushes into, sorted for a deterministic
+    /// push order.
+    fanout: Vec<Vec<StreamKey>>,
+    history: Vec<Vec<i64>>,
+    iteration_of: Vec<u64>,
+    trip_count: u64,
+    timing: Timing,
+    /// Links already granted to the value being pushed, with their grant
+    /// cycles: one transaction serves each value per link.
+    granted: Vec<(CqrfId, u64)>,
+    report: ProgramReport,
+}
+
+/// Executes `trip_count` iterations of the emitted program, timing every
+/// CQRF transfer under the machine's transfer-bandwidth model.
 ///
-/// Every live operation appears exactly once in the kernel, so one pass
-/// over the kernel words discovers every stream (and a preliminary pass
-/// the cluster of every producer, needed to check that each CQRF
-/// annotation names the queue file the topology actually provides between
-/// the two clusters). Returns the streams in kernel order and their
-/// [`Fanout`].
-pub(crate) fn cqrf_streams(
+/// `ddg` must be the scheduled DDG the program was emitted from (it supplies
+/// the iteration distance of every operand, which the instruction encoding
+/// does not carry).
+///
+/// # Examples
+///
+/// On a crossbar no transfer ever waits, so the walk achieves the scheduled
+/// II exactly:
+///
+/// ```
+/// use dms_core::{dms_schedule, DmsConfig};
+/// use dms_ir::kernels;
+/// use dms_machine::{MachineConfig, TopologyKind};
+/// use dms_regalloc::emit;
+/// use dms_sim::execute_program;
+///
+/// let fir = kernels::fir(8, 64);
+/// let machine = MachineConfig::paper_clustered(4).with_topology(TopologyKind::Crossbar);
+/// let out = dms_schedule(&fir, &machine, &DmsConfig::default()).unwrap();
+/// let program = emit(&out, &machine);
+/// let report = execute_program(&program, &out.ddg, &machine, fir.trip_count).unwrap();
+/// assert_eq!(report.contention.achieved_ii, report.contention.scheduled_ii);
+/// assert_eq!(report.contention.stall_cycles, 0);
+/// ```
+///
+/// # Errors
+///
+/// Returns a [`SimError`] for an inconsistency between program and DDG, a
+/// read from an empty CQRF stream or a push into a full one; a correctly
+/// emitted program of a valid schedule never fails.
+pub fn execute_program(
     program: &VliwProgram,
     ddg: &Ddg,
-    topology: &Topology,
-) -> Result<(Vec<Stream>, Fanout), SimError> {
+    machine: &MachineConfig,
+    trip_count: u64,
+) -> Result<ProgramReport, SimError> {
+    let stages = program.stages.max(1) as u64;
+    let kernel_repetitions = trip_count.saturating_sub(stages - 1);
+    let cycles = if trip_count == 0 { 0 } else { (trip_count + stages - 1) * program.ii as u64 };
+
+    // --- set up one FIFO stream per CQRF-annotated operand ------------------
+    // Every live operation appears exactly once in the kernel, so one pass
+    // over the kernel words discovers every stream (and a preliminary pass
+    // the cluster of every producer, needed to check that each CQRF
+    // annotation names the queue file the topology actually provides
+    // between the two clusters).
+    let topology = machine.topology();
     let cluster_of: HashMap<OpId, ClusterId> =
         program.kernel.iter().flat_map(|w| &w.slots).map(|slot| (slot.op, slot.cluster)).collect();
-    let mut streams = Vec::new();
-    let mut fanout = Fanout::new();
+    let mut streams: Vec<Vec<Option<Stream>>> = (0..ddg.num_slots()).map(|_| Vec::new()).collect();
+    let mut fanout = vec![Vec::new(); ddg.num_slots()];
     for slot in program.kernel.iter().flat_map(|w| &w.slots) {
         let operation = ddg.op(slot.op);
         if slot.sources.len() != operation.reads.len() {
@@ -164,69 +214,34 @@ pub(crate) fn cqrf_streams(
                     detail: format!("operand {idx} CQRF annotation names the wrong endpoint"),
                 });
             };
-            let key = (slot.op, idx);
-            streams.push(Stream { key, producer, distance, from, to: slot.cluster, queue });
-            fanout.entry(producer).or_default().push(key);
-        }
-    }
-    for keys in fanout.values_mut() {
-        keys.sort_unstable();
-    }
-    Ok((streams, fanout))
-}
-
-struct ProgramState {
-    queues: HashMap<StreamKey, QueueFile<i64>>,
-    fanout: Fanout,
-    history: HashMap<OpId, Vec<i64>>,
-    iteration_of: HashMap<OpId, u64>,
-    trip_count: u64,
-    report: ProgramReport,
-}
-
-/// Executes `trip_count` iterations of the emitted program.
-///
-/// `ddg` must be the scheduled DDG the program was emitted from (it supplies
-/// the iteration distance of every operand, which the instruction encoding
-/// does not carry).
-///
-/// # Errors
-///
-/// Returns a [`SimError`] for an inconsistency between program and DDG, or a
-/// read from an empty CQRF stream; a correctly emitted program of a valid
-/// schedule never fails.
-pub fn execute_program(
-    program: &VliwProgram,
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    trip_count: u64,
-) -> Result<ProgramReport, SimError> {
-    let stages = program.stages.max(1) as u64;
-    let kernel_repetitions = trip_count.saturating_sub(stages - 1);
-    let cycles = if trip_count == 0 { 0 } else { (trip_count + stages - 1) * program.ii as u64 };
-
-    // --- set up one FIFO stream per CQRF-annotated operand ------------------
-    let (streams, fanout) = cqrf_streams(program, ddg, &machine.topology())?;
-    let mut queues = HashMap::new();
-    for stream in streams {
-        let mut q = QueueFile::new(machine.cqrf_capacity.max(1) as usize);
-        for k in 0..stream.distance {
-            // live-in values of loop-carried dependences, oldest first
-            let value = live_in_value(ddg, stream.producer, k as i64 - stream.distance as i64);
-            if !q.push(value) {
-                let consumer = stream.key.0;
-                return Err(SimError::QueueOverflow { producer: stream.producer, consumer });
+            let mut values = QueueFile::new(machine.cqrf_capacity.max(1) as usize);
+            for k in 0..distance {
+                // live-in values of loop-carried dependences, oldest first,
+                // queued before cycle 0
+                let value = live_in_value(ddg, producer, k as i64 - distance as i64);
+                if !values.push((value, 0)) {
+                    return Err(SimError::QueueOverflow { producer, consumer: slot.op });
+                }
             }
+            let link = topology.link_capacity(from, slot.cluster).map(|slots| (queue, slots));
+            let operands = &mut streams[slot.op.index()];
+            operands.resize_with(slot.sources.len(), || None);
+            operands[idx] = Some(Stream { queue: values, link });
+            fanout[producer.index()].push((slot.op, idx));
         }
-        queues.insert(stream.key, q);
+    }
+    for keys in &mut fanout {
+        keys.sort_unstable();
     }
 
     let mut st = ProgramState {
-        queues,
+        streams,
         fanout,
-        history: HashMap::new(),
-        iteration_of: HashMap::new(),
+        history: vec![Vec::new(); ddg.num_slots()],
+        iteration_of: vec![0; ddg.num_slots()],
         trip_count,
+        timing: Timing::new(topology.transfer_model(), ddg.num_slots()),
+        granted: Vec::new(),
         report: ProgramReport {
             cycles,
             kernel_repetitions,
@@ -235,42 +250,73 @@ pub fn execute_program(
             cross_cluster_values: 0,
             max_queue_depth: 0,
             stores: Vec::new(),
+            contention: ContentionReport::default(),
         },
     };
 
     // --- issue the words in program order -----------------------------------
-    for word in &program.prologue {
+    // One word per cycle, in order, except that a word waits for the latest
+    // CQRF operand of its active slots still crossing a link.
+    let kernel = (0..kernel_repetitions).flat_map(|_| program.kernel.iter().map(|w| (w, true)));
+    let words = program
+        .prologue
+        .iter()
+        .map(|w| (w, false))
+        .chain(kernel)
+        .chain(program.epilogue.iter().map(|w| (w, false)));
+    let (mut next_cycle, mut ideal_cycles) = (0, 0);
+    for (word, in_kernel) in words {
+        let at = word.slots.iter().fold(next_cycle, |at, slot| at.max(ready_cycle(&st, slot)));
         for slot in &word.slots {
-            issue(&mut st, ddg, slot)?;
+            issue(&mut st, ddg, slot, at, in_kernel)?;
         }
-    }
-    for _ in 0..kernel_repetitions {
-        for word in &program.kernel {
-            for slot in &word.slots {
-                issue(&mut st, ddg, slot)?;
-            }
-        }
-    }
-    for word in &program.epilogue {
-        for slot in &word.slots {
-            issue(&mut st, ddg, slot)?;
-        }
+        next_cycle = at + 1;
+        ideal_cycles += 1;
     }
 
-    st.report.max_queue_depth =
-        st.queues.values().map(|q| q.high_water() as u64).max().unwrap_or(0);
+    st.report.max_queue_depth = st
+        .streams
+        .iter()
+        .flatten()
+        .flatten()
+        .map(|s| s.queue.high_water() as u64)
+        .max()
+        .unwrap_or(0);
+    st.report.contention = st.timing.report(program.ii, next_cycle, ideal_cycles);
     Ok(st.report)
 }
 
-/// Executes one slot occurrence: the next iteration of its operation.
-fn issue(st: &mut ProgramState, ddg: &Ddg, slot: &CodeSlot) -> Result<(), SimError> {
-    let j = *st.iteration_of.get(&slot.op).unwrap_or(&0);
+/// First cycle at which every CQRF operand of `slot` is readable (0 for a
+/// slot that is predicated off or reads no CQRF). An empty stream does not
+/// constrain the word: the read itself reports it.
+fn ready_cycle(st: &ProgramState, slot: &CodeSlot) -> u64 {
+    let ready = st.streams[slot.op.index()]
+        .iter()
+        .filter_map(|stream| stream.as_ref()?.queue.peek())
+        .map(|&(_, ready)| ready)
+        .max();
+    match ready {
+        Some(ready) if st.iteration_of[slot.op.index()] < st.trip_count => ready,
+        _ => 0,
+    }
+}
+
+/// Executes one slot occurrence, issued at cycle `at`: the next iteration
+/// of its operation.
+fn issue(
+    st: &mut ProgramState,
+    ddg: &Ddg,
+    slot: &CodeSlot,
+    at: u64,
+    in_kernel: bool,
+) -> Result<(), SimError> {
+    let j = st.iteration_of[slot.op.index()];
     if j >= st.trip_count {
         // Ramp code for an iteration beyond the trip count (only possible
         // when trip_count < stages): the hardware predicates it off.
         return Ok(());
     }
-    st.iteration_of.insert(slot.op, j + 1);
+    st.iteration_of[slot.op.index()] = j + 1;
     let operation = ddg.op(slot.op);
 
     let mut operands = Vec::with_capacity(slot.sources.len());
@@ -279,11 +325,13 @@ fn issue(st: &mut ProgramState, ddg: &Ddg, slot: &CodeSlot) -> Result<(), SimErr
             OperandSource::Immediate(v) => *v,
             OperandSource::Invariant(k) => invariant_value(*k),
             OperandSource::Induction => j as i64,
-            OperandSource::Cqrf { .. } => st
-                .queues
-                .get_mut(&(slot.op, idx))
-                .and_then(QueueFile::pop)
-                .ok_or(SimError::EmptyQueueRead { consumer: slot.op, iteration: j })?,
+            OperandSource::Cqrf { .. } => {
+                st.streams[slot.op.index()]
+                    .get_mut(idx)
+                    .and_then(|s| s.as_mut()?.queue.pop())
+                    .ok_or(SimError::EmptyQueueRead { consumer: slot.op, iteration: j })?
+                    .0
+            }
             OperandSource::Lrf { producer } => {
                 let Some((read_producer, distance)) = operation.reads[idx].producer() else {
                     return Err(SimError::MalformedProgram {
@@ -301,9 +349,8 @@ fn issue(st: &mut ProgramState, ddg: &Ddg, slot: &CodeSlot) -> Result<(), SimErr
                 if wanted < 0 {
                     live_in_value(ddg, *producer, wanted)
                 } else {
-                    st.history
-                        .get(producer)
-                        .and_then(|h| h.get(wanted as usize))
+                    st.history[producer.index()]
+                        .get(wanted as usize)
                         .copied()
                         .unwrap_or_else(|| initial_value(*producer, wanted))
                 }
@@ -313,22 +360,37 @@ fn issue(st: &mut ProgramState, ddg: &Ddg, slot: &CodeSlot) -> Result<(), SimErr
     }
 
     let value = apply(slot.kind, &operands, j);
-    st.history.entry(slot.op).or_default().push(value);
+    st.history[slot.op.index()].push(value);
     st.report.instances_executed += 1;
     if slot.kind.is_useful() {
         st.report.useful_instances += 1;
     }
     if slot.kind == OpKind::Store {
         st.report.stores.push(StoreRecord { op: slot.op, iteration: j, value });
+        if in_kernel {
+            st.timing.store_issued(slot.op, at);
+        }
     }
-    if let Some(streams) = st.fanout.get(&slot.op) {
-        for key in streams {
-            st.report.cross_cluster_values += 1;
-            if let Some(q) = st.queues.get_mut(key) {
-                if !q.push(value) {
-                    return Err(SimError::QueueOverflow { producer: slot.op, consumer: key.0 });
+    // The value requests each link at the issue cycle and is readable the
+    // cycle after its grant. Requests come in program order and grants are
+    // first-free-cycle, so every stream stays FIFO in time.
+    st.granted.clear();
+    for &(consumer, idx) in &st.fanout[slot.op.index()] {
+        st.report.cross_cluster_values += 1;
+        let Some(stream) = st.streams[consumer.index()][idx].as_mut() else { continue };
+        let grant = match stream.link {
+            None => at,
+            Some((link, slots)) => match st.granted.iter().find(|(l, _)| *l == link) {
+                Some(&(_, grant)) => grant,
+                None => {
+                    let grant = st.timing.acquire(link, slots, at);
+                    st.granted.push((link, grant));
+                    grant
                 }
-            }
+            },
+        };
+        if !stream.queue.push((value, grant + 1)) {
+            return Err(SimError::QueueOverflow { producer: slot.op, consumer });
         }
     }
     Ok(())
@@ -337,6 +399,7 @@ fn issue(st: &mut ProgramState, ddg: &Ddg, slot: &CodeSlot) -> Result<(), SimErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contention::replay_schedule;
     use crate::interp::reference_trace;
     use dms_core::{dms_schedule, DmsConfig};
     use dms_ir::kernels;
@@ -416,6 +479,11 @@ mod tests {
                     Err(SimError::QueueOverflow { .. })
                 ),
                 "{}: a depth-{depth} stream must overflow a 1-register CQRF",
+                l.name
+            );
+            assert!(
+                matches!(replay_schedule(&r, &tight, 64), Err(SimError::QueueOverflow { .. })),
+                "{}: contention timing runs the same capacity-checked walk",
                 l.name
             );
         }

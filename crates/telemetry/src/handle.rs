@@ -6,7 +6,7 @@
 //! a telemetry field would fragment the cache) and signature changes
 //! would ripple through every driver and test. Instead, instrumented code
 //! captures [`Telemetry::current`] once per coarse unit of work (one
-//! scheduling attempt, one replay) — a single `RwLock` read — and records
+//! II search, one scheduler state) — a single `RwLock` read — and records
 //! through the captured handle. With nothing [`install`]ed the handle is
 //! a `None` and every recording call is a no-op.
 

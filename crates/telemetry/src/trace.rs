@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The kind of a scheduler event. The taxonomy covers the II search, the
 /// pressure-relaxation loop, chain lifecycle, portfolio selection, the
-/// schedule cache and the contention-accurate replay.
+/// schedule cache and contention-accurate link timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// The II search started an attempt at one candidate II.
@@ -30,7 +30,7 @@ pub enum EventKind {
     CacheHit,
     /// A schedule-cache lookup missed.
     CacheMiss,
-    /// A contention-accurate replay finished with link stalls.
+    /// A contention request's program stalled on a link.
     LinkStall,
 }
 

@@ -302,6 +302,33 @@ fn contention_replay_csv_is_byte_identical_for_1_and_4_threads() {
     }
 }
 
+/// The figure-C grid (`figC --loops 24`: clusters 2, 4, 8 on the ring,
+/// chordal:2, bus and crossbar, contention timing on) is pinned byte for
+/// byte, per row and aggregated. The fixtures were captured when the
+/// timing ran as a separate second walk of each program; they are never
+/// regenerated to fit a change to the timing model.
+#[test]
+fn figc_grid_matches_the_committed_fixture() {
+    use dms_experiments::{figure_c, sweep_topologies, FIGC_CLUSTERS, FIGC_TOPOLOGIES};
+    let mut cfg = ExperimentConfig::quick(24);
+    cfg.cluster_counts = FIGC_CLUSTERS.to_vec();
+    cfg.threads = 1;
+    let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, true);
+    assert!(sweeps.iter().all(|s| s.stats.failed == 0), "every replayed schedule must verify");
+    let rows: Vec<_> = sweeps.iter().flat_map(|s| s.measurements.iter().cloned()).collect();
+    assert_eq!(rows.len(), 288);
+    assert_eq!(
+        report::measurements_csv(&rows),
+        include_str!("fixtures/measurements_figc_loops24.csv"),
+        "figure-C per-row CSV must match the fixture"
+    );
+    assert_eq!(
+        report::figc_csv(&figure_c(&sweeps, &cfg.cluster_counts)),
+        include_str!("fixtures/figurec_loops24.csv"),
+        "figure-C aggregate CSV must match the fixture"
+    );
+}
+
 /// Contention replay can only ever *add* stalls: every replayed row
 /// sustains at least the scheduled II, and an unconstrained crossbar
 /// fabric sustains it exactly.
