@@ -287,6 +287,13 @@ mod tests {
     use super::*;
     use crate::{kernels, LoopBuilder, OpKind};
 
+    #[test]
+    fn fir_hash_is_pinned() {
+        // Cache keys of every FIR request derive from this value; it was
+        // recorded before the FNV-1a digest was shared.
+        assert_eq!(canonical_hash(&kernels::fir(8, 64).ddg), 0x861f_86aa_68d0_4025);
+    }
+
     fn sample() -> Ddg {
         // load -> mul -> add(feedback) -> store, plus an independent load
         let mut b = LoopBuilder::new("canon_sample");

@@ -329,6 +329,56 @@ fn figc_grid_matches_the_committed_fixture() {
     );
 }
 
+/// `figP --loops 24 --strategy portfolio:4` (clusters 2, 4, 8, every
+/// winner verified) is pinned byte for byte, per row and aggregated. The
+/// portfolio seeds each candidate from an FNV-1a digest of the loop name,
+/// so this is the test that catches a change to that hash.
+#[test]
+fn figp_grid_matches_the_committed_fixture() {
+    use dms_experiments::{figure_p, FIGP_CLUSTERS};
+    use dms_sched::SchedulerStrategy;
+    let mut cfg = ExperimentConfig::quick(24);
+    cfg.cluster_counts = FIGP_CLUSTERS.to_vec();
+    cfg.threads = 1;
+    cfg.dms.strategy = SchedulerStrategy::Portfolio { n_candidates: 4, exploit_percent: 50 };
+    let (rows, stats) = figure_p(&cfg);
+    assert_eq!(stats.failed, 0, "figure P verifies every winning schedule");
+    assert_eq!(
+        report::figp_csv(&rows),
+        include_str!("fixtures/figurep_loops24.csv"),
+        "figure-P aggregate CSV must match the fixture"
+    );
+    cfg.verify = true;
+    let (measurements, stats) = measure_suite_with_stats(&cfg);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(measurements.len(), 72);
+    assert_eq!(
+        report::measurements_csv(&measurements),
+        include_str!("fixtures/measurements_figp_loops24.csv"),
+        "figure-P per-row CSV must match the fixture"
+    );
+}
+
+/// `fig5`/`fig6 --loops 24` (clusters 1–10) are pinned byte for byte.
+#[test]
+fn fig5_and_fig6_match_the_committed_fixtures() {
+    let mut cfg = ExperimentConfig::quick(24);
+    cfg.cluster_counts = (1..=10).collect();
+    cfg.threads = 1;
+    let (measurements, stats) = measure_suite_with_stats(&cfg);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(
+        report::fig5_csv(&figure5(&measurements)),
+        include_str!("fixtures/figure5_loops24.csv"),
+        "figure-5 CSV must match the fixture"
+    );
+    assert_eq!(
+        report::fig6_csv(&figure6(&measurements)),
+        include_str!("fixtures/figure6_loops24.csv"),
+        "figure-6 CSV must match the fixture"
+    );
+}
+
 /// Contention replay can only ever *add* stalls: every replayed row
 /// sustains at least the scheduled II, and an unconstrained crossbar
 /// fabric sustains it exactly.
