@@ -308,6 +308,7 @@ pub fn best_option(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::FlowNeighbours;
     use dms_ir::{LoopBuilder, Operand};
     use dms_machine::MachineConfig;
 
@@ -330,7 +331,9 @@ mod tests {
         st.place(OpId(0), 0, ClusterId(0));
         st.place(OpId(1), 0, ClusterId(3));
         // the add cannot be adjacent to both -> strategy 2 territory
-        assert!(st.communication_compatible_clusters(OpId(2)).is_empty());
+        let mut neighbours = FlowNeighbours::default();
+        st.fill_flow_neighbours(OpId(2), &mut neighbours);
+        assert_eq!(st.compatible_clusters(&neighbours).count(), 0);
         let opt = best_option(&st, OpId(2), ChainPolicy::MaxFreeSlots).expect("viable option");
         assert!(!opt.chains.is_empty());
         assert!(opt.total_moves >= 1);

@@ -5,7 +5,7 @@
 use crate::chains::{self, ChainPolicy};
 use crate::state::{FlowNeighbours, SchedulerState};
 use dms_ir::transform::convert_to_single_use;
-use dms_ir::{Ddg, Loop, OpId};
+use dms_ir::{Ddg, Fnv, Loop, OpId};
 use dms_machine::{ClusterId, FuKind, MachineConfig, PathCache};
 use dms_sched::ims::default_max_ii;
 use dms_sched::mii::{mii, MiiBreakdown};
@@ -42,20 +42,15 @@ use std::rc::Rc;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DmsConfig {
-    /// Scheduling budget per candidate II, as a multiple of the number of
-    /// operations.
-    pub budget_ratio: u32,
-    /// Upper limit of the II search (`None` derives a safe default).
-    pub max_ii: Option<u32>,
     /// How chains pick between the two ring directions.
     pub chain_policy: ChainPolicy,
     /// An II a closely related configuration (e.g. the neighbouring cluster
     /// count of a sweep) is known to achieve. The search itself is
     /// untouched — it still scans every II ascending from the MII, so
     /// results are seed-independent by construction — but the derived
-    /// search *ceiling* is raised to at least the seed, protecting
-    /// edge-case loops whose default ceiling would sit below an II a
-    /// neighbouring configuration proved reachable.
+    /// search *ceiling* ([`default_max_ii`]) is raised to at least the
+    /// seed, protecting edge-case loops whose default ceiling would sit
+    /// below an II a neighbouring configuration proved reachable.
     pub ii_seed: Option<u32>,
     /// Which search drives scheduling: the deterministic heuristic (the
     /// default), a beam over strategy-1 placements, or an explore/exploit
@@ -68,8 +63,6 @@ pub struct DmsConfig {
 impl Default for DmsConfig {
     fn default() -> Self {
         DmsConfig {
-            budget_ratio: 32,
-            max_ii: None,
             chain_policy: ChainPolicy::MaxFreeSlots,
             ii_seed: None,
             strategy: SchedulerStrategy::Dms,
@@ -123,13 +116,6 @@ impl std::ops::Deref for ScheduleOutcome {
 impl std::ops::DerefMut for ScheduleOutcome {
     fn deref_mut(&mut self) -> &mut ScheduleResult {
         &mut self.result
-    }
-}
-
-impl ScheduleOutcome {
-    /// Consumes the outcome, returning the plain schedule result.
-    pub fn into_result(self) -> ScheduleResult {
-        self.result
     }
 }
 
@@ -209,6 +195,10 @@ pub fn dms_schedule(
     Ok(outcome)
 }
 
+/// Scheduling budget per candidate II, as a multiple of the number of
+/// operations.
+const BUDGET_RATIO: u64 = 32;
+
 /// The strategy-independent preprocessing of a loop: single-use conversion,
 /// MII bounds and the per-II scheduling budget. Shared by every candidate of
 /// a portfolio so the (deterministic) transforms run once per loop.
@@ -236,11 +226,8 @@ fn prepare(
     };
     let bounds = mii(&ddg, machine)?;
     let start_ii = bounds.mii();
-    let max_ii = config
-        .max_ii
-        .unwrap_or_else(|| default_max_ii(&ddg, machine, start_ii))
-        .max(config.ii_seed.unwrap_or(0));
-    let budget = config.budget_ratio as u64 * ddg.num_live_ops().max(1) as u64;
+    let max_ii = default_max_ii(&ddg, machine, start_ii).max(config.ii_seed.unwrap_or(0));
+    let budget = BUDGET_RATIO * ddg.num_live_ops().max(1) as u64;
     let paths = Rc::new(PathCache::new(machine.topology()));
     Ok(Prepared { ddg, copies, bounds, start_ii, max_ii, budget, paths })
 }
@@ -383,12 +370,9 @@ fn pareto_beats(challenger: &ScheduleOutcome, incumbent: &ScheduleOutcome) -> bo
 /// function of (loop, candidate), so sweeps are byte-reproducible for any
 /// worker count and work-stealing order.
 fn candidate_seed(loop_name: &str, candidate: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in loop_name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^ u64::from(candidate).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    let mut h = Fnv::new();
+    h.bytes(loop_name.as_bytes());
+    h.finish() ^ u64::from(candidate).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// Draws one priority perturbation per DDG slot. Exploit candidates only
@@ -721,8 +705,8 @@ mod tests {
 
     #[test]
     fn candidate_seeds_are_pinned() {
-        // Every portfolio candidate's jitter stream starts here; these
-        // values were recorded before the FNV-1a digest was shared.
+        // Every portfolio candidate's jitter stream starts here, so a changed
+        // seed would silently reorder every portfolio schedule.
         assert_eq!(candidate_seed("fir8", 0), 0xaa77_d078_efdf_85da);
         assert_eq!(candidate_seed("fir8", 1), 0x3440_a9c1_9095_f9cf);
         assert_eq!(candidate_seed("fir8", 7), 0xf9f3_846a_94d6_e149);
@@ -862,8 +846,11 @@ mod tests {
     fn extra_copy_units_never_hurt() {
         let l = kernels::fir(12, 256);
         let one = check(&l, &MachineConfig::paper_clustered(6), &DmsConfig::default());
-        let two =
-            check(&l, &MachineConfig::paper_clustered_with_copy_units(6, 2), &DmsConfig::default());
+        let two = check(
+            &l,
+            &MachineConfig::paper_clustered_with(6, 2, None, dms_machine::TopologyKind::Ring),
+            &DmsConfig::default(),
+        );
         assert!(two.ii() <= one.ii());
     }
 
@@ -891,9 +878,12 @@ mod tests {
         let mut m = MachineConfig::paper_clustered(2);
         m.lrf_capacity = 0;
         m.cqrf_capacity = 0;
-        let cfg = DmsConfig { max_ii: Some(8), ..DmsConfig::default() };
-        match dms_schedule(&l, &m, &cfg) {
-            Err(ScheduleError::PressureLimitReached { limit: 8, retries }) => {
+        let mut ddg = l.ddg.clone();
+        transform::convert_to_single_use(&mut ddg, m.latency());
+        let ceiling = default_max_ii(&ddg, &m, mii(&ddg, &m).unwrap().mii());
+        match dms_schedule(&l, &m, &DmsConfig::default()) {
+            Err(ScheduleError::PressureLimitReached { limit, retries }) => {
+                assert_eq!(limit, ceiling, "the search runs up to the derived ceiling");
                 assert!(retries >= 1, "at least one schedule must have been rejected")
             }
             other => panic!("expected PressureLimitReached, got {other:?}"),

@@ -45,6 +45,8 @@
 
 pub mod chains;
 pub mod dms;
+#[cfg(test)]
+mod lifetime;
 pub mod state;
 
 pub use chains::{ChainPlan, ChainPolicy};

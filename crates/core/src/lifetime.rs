@@ -1,19 +1,15 @@
-//! Loop-variant lifetimes of a modulo-scheduled loop.
+//! Tests of the lifetime math in `dms_sched::pressure` on DMS schedules.
 //!
-//! The lifetime math itself lives in [`dms_sched::pressure`] so that the DMS
-//! scheduler's incremental pressure estimate and this crate's allocation pass
-//! are, by construction, the same computation; this module re-exports it
-//! under the allocator's historical path.
+//! They live here rather than beside the math because only this crate can
+//! build a clustered schedule: `dms-sched` cannot depend on the DMS
+//! scheduler that depends on it.
 
-pub use dms_sched::pressure::{edge_lifetime, lifetimes, lifetimes_of, max_live};
-pub use dms_sched::{Lifetime, LifetimeClass};
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use dms_core::{dms_schedule, DmsConfig};
+    use crate::{dms_schedule, DmsConfig};
     use dms_ir::kernels;
     use dms_machine::MachineConfig;
+    use dms_sched::pressure::{lifetimes_of, max_live};
+    use dms_sched::LifetimeClass;
 
     #[test]
     fn lifetime_lengths_and_depths() {

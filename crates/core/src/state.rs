@@ -227,11 +227,6 @@ impl SchedulerState {
         self.worklist.len
     }
 
-    /// Whether `op` is waiting to be scheduled.
-    pub fn is_unscheduled(&self, op: OpId) -> bool {
-        self.worklist.contains(op)
-    }
-
     /// Sets the per-slot perturbation added to the height-based priority
     /// when popping the next operation (empty = none, the deterministic
     /// default). Indexed like [`SchedulerState::height`]; operations added
@@ -308,14 +303,6 @@ impl SchedulerState {
         topology
             .iter()
             .filter(move |&c| neighbours.clusters().all(|n| topology.directly_connected(c, n)))
-    }
-
-    /// The clusters in which `op` could be placed without creating any
-    /// communication conflict with its scheduled flow neighbours.
-    pub fn communication_compatible_clusters(&self, op: OpId) -> Vec<ClusterId> {
-        let mut neighbours = FlowNeighbours::default();
-        self.fill_flow_neighbours(op, &mut neighbours);
-        self.compatible_clusters(&neighbours).collect()
     }
 
     /// The lifetime of a value-carrying edge whose endpoints are both placed
@@ -743,12 +730,12 @@ mod tests {
         let load = OpId(0);
         assert_eq!(st.window(load), (0, 1));
         st.place(load, 0, ClusterId(0));
-        assert!(!st.is_unscheduled(load));
+        assert!(st.schedule.get(load).is_some());
         // dependent mul must start at or after load latency
         assert_eq!(st.earliest_start(OpId(1)), 2);
         // unschedule and check forced progress
         st.unschedule(load);
-        assert!(st.is_unscheduled(load));
+        assert!(st.schedule.get(load).is_none());
         assert_eq!(st.window(load), (1, 2));
         assert_eq!(st.stats.evictions, 1);
     }
@@ -764,7 +751,7 @@ mod tests {
         let evicted = st.make_room(OpId(2), 3, ClusterId(0));
         assert_eq!(evicted, vec![OpId(0)]);
         st.place(OpId(2), 3, ClusterId(0));
-        assert!(st.is_unscheduled(OpId(0)));
+        assert!(st.schedule.get(OpId(0)).is_none());
     }
 
     #[test]
@@ -773,10 +760,14 @@ mod tests {
         let m = MachineConfig::paper_clustered(6);
         let mut st = SchedulerState::new(l.ddg.clone(), &m, 4);
         st.place(OpId(0), 0, ClusterId(0)); // load in cluster 0
-        let compat = st.communication_compatible_clusters(OpId(1));
-        assert_eq!(compat, vec![ClusterId(0), ClusterId(1), ClusterId(5)]);
+        let compatible = |op: OpId| {
+            let mut neighbours = FlowNeighbours::default();
+            st.fill_flow_neighbours(op, &mut neighbours);
+            st.compatible_clusters(&neighbours).collect::<Vec<_>>()
+        };
+        assert_eq!(compatible(OpId(1)), vec![ClusterId(0), ClusterId(1), ClusterId(5)]);
         // no constraint for an operation with no scheduled neighbours
-        assert_eq!(st.communication_compatible_clusters(OpId(2)).len(), 6);
+        assert_eq!(compatible(OpId(2)).len(), 6);
     }
 
     #[test]
@@ -846,7 +837,6 @@ mod tests {
         st.unschedule(moves[0]);
         assert!(st.chains.is_empty());
         assert!(st.schedule.get(OpId(1)).is_none());
-        assert!(st.is_unscheduled(OpId(1)));
         // producer stays scheduled
         assert!(st.schedule.get(OpId(0)).is_some());
     }

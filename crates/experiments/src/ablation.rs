@@ -10,8 +10,9 @@
 //!   ablation compares this against a naive shortest-path-only policy.
 
 use crate::fig4::{figure4, Fig4Row};
-use crate::runner::{measure_loops, ExperimentConfig};
+use crate::runner::{measure_loops_with_stats_on, ExperimentConfig};
 use dms_core::{ChainPolicy, DmsConfig};
+use dms_service::ScheduleService;
 use dms_workloads::generate;
 use serde::{Deserialize, Serialize};
 
@@ -50,9 +51,12 @@ impl AblationResult {
 /// configurations of `config`.
 pub fn copy_unit_ablation(config: &ExperimentConfig, copy_units: u32) -> AblationResult {
     let suite = generate(&config.suite);
-    let baseline = figure4(&measure_loops(&suite, config));
+    // One service for both sweeps: the variant changes only the DMS
+    // requests, so its IMS requests are answered from the baseline's cache.
+    let service = ScheduleService::default();
+    let baseline = figure4(&measure_loops_with_stats_on(&suite, config, &service).0);
     let variant_cfg = ExperimentConfig { copy_units, ..config.clone() };
-    let variant = figure4(&measure_loops(&suite, &variant_cfg));
+    let variant = figure4(&measure_loops_with_stats_on(&suite, &variant_cfg, &service).0);
     AblationResult { name: format!("copy units per cluster: 1 vs {copy_units}"), baseline, variant }
 }
 
@@ -60,12 +64,13 @@ pub fn copy_unit_ablation(config: &ExperimentConfig, copy_units: u32) -> Ablatio
 /// shortest-path selection.
 pub fn chain_policy_ablation(config: &ExperimentConfig) -> AblationResult {
     let suite = generate(&config.suite);
-    let baseline = figure4(&measure_loops(&suite, config));
+    let service = ScheduleService::default();
+    let baseline = figure4(&measure_loops_with_stats_on(&suite, config, &service).0);
     let variant_cfg = ExperimentConfig {
         dms: DmsConfig { chain_policy: ChainPolicy::ShortestPath, ..config.dms },
         ..config.clone()
     };
-    let variant = figure4(&measure_loops(&suite, &variant_cfg));
+    let variant = figure4(&measure_loops_with_stats_on(&suite, &variant_cfg, &service).0);
     AblationResult {
         name: "chain direction policy: max-free-slots vs shortest-path".to_string(),
         baseline,

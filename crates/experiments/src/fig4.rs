@@ -7,7 +7,7 @@
 //! clusters, and a growing overhead at 9–10 clusters caused mainly by Copy
 //! unit saturation.
 
-use crate::runner::{mean, per_cluster, percent, LoopMeasurement};
+use crate::runner::{cluster_counts, mean, per_cluster, percent, LoopMeasurement};
 use serde::{Deserialize, Serialize};
 
 /// One bar of figure 4.
@@ -37,11 +37,7 @@ pub struct Fig4Row {
 
 /// Aggregates the per-loop measurements into the figure-4 series.
 pub fn figure4(measurements: &[LoopMeasurement]) -> Vec<Fig4Row> {
-    let mut clusters: Vec<u32> = measurements.iter().map(|m| m.clusters).collect();
-    clusters.sort_unstable();
-    clusters.dedup();
-
-    per_cluster(measurements, &clusters, |c, rows| {
+    per_cluster(measurements, &cluster_counts(measurements), |c, rows| {
         let percent_increased = percent(rows, LoopMeasurement::ii_increased);
         let overhead_rows: Vec<&LoopMeasurement> =
             rows.iter().copied().filter(|m| m.ii_increased()).collect();
@@ -73,7 +69,7 @@ pub fn claim_no_overhead_up_to_8_clusters(rows: &[Fig4Row]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{measure_suite, ExperimentConfig};
+    use crate::runner::{measure_suite_with_stats, ExperimentConfig};
 
     fn fake(clusters: u32, unclustered_ii: u32, clustered_ii: u32) -> LoopMeasurement {
         LoopMeasurement {
@@ -128,7 +124,7 @@ mod tests {
     fn end_to_end_small_suite_has_low_overhead_on_one_and_two_clusters() {
         let mut cfg = ExperimentConfig::quick(20);
         cfg.cluster_counts = vec![1, 2];
-        let rows = figure4(&measure_suite(&cfg));
+        let rows = figure4(&measure_suite_with_stats(&cfg).0);
         let one = rows.iter().find(|r| r.clusters == 1).unwrap();
         assert_eq!(one.percent_increased, 0.0);
         let two = rows.iter().find(|r| r.clusters == 2).unwrap();

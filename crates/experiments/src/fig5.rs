@@ -8,53 +8,69 @@
 //! so that the Set 1 unclustered machine with 3 FUs is 100, as in the paper's
 //! relative plot.
 
-use crate::runner::LoopMeasurement;
+use crate::runner::{cluster_counts, LoopMeasurement};
 use serde::{Deserialize, Serialize};
 
-/// One x-position (functional-unit count) of figure 5.
+/// One x-position (functional-unit count) of figure 5 or figure 6: the
+/// four series' values (relative cycles in figure 5, IPC in figure 6).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Fig5Row {
+pub struct SeriesRow {
     /// Number of clusters of the clustered machine.
     pub clusters: u32,
     /// Number of useful functional units (`3 * clusters`).
     pub functional_units: u32,
-    /// Relative cycles, Set 1, unclustered machine (IMS).
+    /// Set 1, unclustered machine (IMS).
     pub set1_unclustered: f64,
-    /// Relative cycles, Set 1, clustered machine (DMS).
+    /// Set 1, clustered machine (DMS).
     pub set1_clustered: f64,
-    /// Relative cycles, Set 2, unclustered machine (IMS).
+    /// Set 2, unclustered machine (IMS).
     pub set2_unclustered: f64,
-    /// Relative cycles, Set 2, clustered machine (DMS).
+    /// Set 2, clustered machine (DMS).
     pub set2_clustered: f64,
 }
 
-impl Fig5Row {
+impl SeriesRow {
     /// Relative slowdown of the clustered machine on Set 1
     /// (`clustered / unclustered`).
     pub fn set1_slowdown(&self) -> f64 {
-        if self.set1_unclustered == 0.0 {
-            1.0
-        } else {
-            self.set1_clustered / self.set1_unclustered
-        }
+        slowdown(self.set1_clustered, self.set1_unclustered)
     }
 
     /// Relative slowdown of the clustered machine on Set 2.
     pub fn set2_slowdown(&self) -> f64 {
-        if self.set2_unclustered == 0.0 {
-            1.0
-        } else {
-            self.set2_clustered / self.set2_unclustered
-        }
+        slowdown(self.set2_clustered, self.set2_unclustered)
     }
 }
 
-/// Aggregates per-loop measurements into the figure-5 series.
-pub fn figure5(measurements: &[LoopMeasurement]) -> Vec<Fig5Row> {
-    let mut clusters: Vec<u32> = measurements.iter().map(|m| m.clusters).collect();
-    clusters.sort_unstable();
-    clusters.dedup();
+fn slowdown(clustered: f64, unclustered: f64) -> f64 {
+    if unclustered == 0.0 {
+        1.0
+    } else {
+        clustered / unclustered
+    }
+}
 
+/// One row per cluster count present in `measurements`, ascending, with
+/// each series evaluated as `value(clusters, set2_only, clustered)`.
+pub(crate) fn series_rows(
+    measurements: &[LoopMeasurement],
+    value: impl Fn(u32, bool, bool) -> f64,
+) -> Vec<SeriesRow> {
+    cluster_counts(measurements)
+        .into_iter()
+        .map(|c| SeriesRow {
+            clusters: c,
+            functional_units: 3 * c,
+            set1_unclustered: value(c, false, false),
+            set1_clustered: value(c, false, true),
+            set2_unclustered: value(c, true, false),
+            set2_clustered: value(c, true, true),
+        })
+        .collect()
+}
+
+/// Aggregates per-loop measurements into the figure-5 series.
+pub fn figure5(measurements: &[LoopMeasurement]) -> Vec<SeriesRow> {
     let totals = |c: u32, set2_only: bool, clustered: bool| -> f64 {
         measurements
             .iter()
@@ -64,33 +80,24 @@ pub fn figure5(measurements: &[LoopMeasurement]) -> Vec<Fig5Row> {
     };
 
     // Normalisation: Set 1 on the narrowest unclustered machine = 100.
-    let base_cluster = *clusters.first().unwrap_or(&1);
+    let base_cluster = measurements.iter().map(|m| m.clusters).min().unwrap_or(1);
     let base = totals(base_cluster, false, false).max(1.0);
     let base2 = totals(base_cluster, true, false).max(1.0);
-
-    clusters
-        .into_iter()
-        .map(|c| Fig5Row {
-            clusters: c,
-            functional_units: 3 * c,
-            set1_unclustered: 100.0 * totals(c, false, false) / base,
-            set1_clustered: 100.0 * totals(c, false, true) / base,
-            set2_unclustered: 100.0 * totals(c, true, false) / base2,
-            set2_clustered: 100.0 * totals(c, true, true) / base2,
-        })
-        .collect()
+    series_rows(measurements, |c, set2_only, clustered| {
+        100.0 * totals(c, set2_only, clustered) / if set2_only { base2 } else { base }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{measure_suite, ExperimentConfig};
+    use crate::runner::{measure_suite_with_stats, ExperimentConfig};
 
     #[test]
     fn normalisation_and_monotonicity() {
         let mut cfg = ExperimentConfig::quick(24);
         cfg.cluster_counts = vec![1, 2, 4, 8];
-        let rows = figure5(&measure_suite(&cfg));
+        let rows = figure5(&measure_suite_with_stats(&cfg).0);
         assert_eq!(rows.len(), 4);
         // the narrowest unclustered configuration is the 100 reference
         assert!((rows[0].set1_unclustered - 100.0).abs() < 1e-9);

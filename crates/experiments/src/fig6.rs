@@ -6,33 +6,12 @@
 //! including prologue and epilogue cycles through the
 //! `(trip + stages - 1) * II` cycle model.
 
+use crate::fig5::{series_rows, SeriesRow};
 use crate::runner::LoopMeasurement;
-use serde::{Deserialize, Serialize};
-
-/// One x-position (functional-unit count) of figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Fig6Row {
-    /// Number of clusters of the clustered machine.
-    pub clusters: u32,
-    /// Number of useful functional units (`3 * clusters`).
-    pub functional_units: u32,
-    /// IPC, Set 1, unclustered machine (IMS).
-    pub set1_unclustered: f64,
-    /// IPC, Set 1, clustered machine (DMS).
-    pub set1_clustered: f64,
-    /// IPC, Set 2, unclustered machine (IMS).
-    pub set2_unclustered: f64,
-    /// IPC, Set 2, clustered machine (DMS).
-    pub set2_clustered: f64,
-}
 
 /// Aggregates per-loop measurements into the figure-6 series.
-pub fn figure6(measurements: &[LoopMeasurement]) -> Vec<Fig6Row> {
-    let mut clusters: Vec<u32> = measurements.iter().map(|m| m.clusters).collect();
-    clusters.sort_unstable();
-    clusters.dedup();
-
-    let ipc = |c: u32, set2_only: bool, clustered: bool| -> f64 {
+pub fn figure6(measurements: &[LoopMeasurement]) -> Vec<SeriesRow> {
+    series_rows(measurements, |c, set2_only, clustered| {
         let rows = measurements.iter().filter(|m| m.clusters == c && (!set2_only || m.set2));
         let mut instructions = 0u64;
         let mut cycles = 0u64;
@@ -45,19 +24,7 @@ pub fn figure6(measurements: &[LoopMeasurement]) -> Vec<Fig6Row> {
         } else {
             instructions as f64 / cycles as f64
         }
-    };
-
-    clusters
-        .into_iter()
-        .map(|c| Fig6Row {
-            clusters: c,
-            functional_units: 3 * c,
-            set1_unclustered: ipc(c, false, false),
-            set1_clustered: ipc(c, false, true),
-            set2_unclustered: ipc(c, true, false),
-            set2_clustered: ipc(c, true, true),
-        })
-        .collect()
+    })
 }
 
 /// The paper's qualitative observations about figure 6, checked numerically:
@@ -65,7 +32,7 @@ pub fn figure6(measurements: &[LoopMeasurement]) -> Vec<Fig6Row> {
 /// the first is true when Set 1 clustered IPC stops improving meaningfully
 /// after ~7 clusters and the second is true when Set 2 clustered IPC at the
 /// widest machine exceeds its value at 7 clusters.
-pub fn claim_ipc_trends(rows: &[Fig6Row]) -> (bool, bool) {
+pub fn claim_ipc_trends(rows: &[SeriesRow]) -> (bool, bool) {
     let at = |c: u32| rows.iter().find(|r| r.clusters == c);
     let (Some(mid), Some(widest)) = (at(7), rows.last()) else {
         return (false, false);
@@ -82,13 +49,13 @@ pub fn claim_ipc_trends(rows: &[Fig6Row]) -> (bool, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{measure_suite, ExperimentConfig};
+    use crate::runner::{measure_suite_with_stats, ExperimentConfig};
 
     #[test]
     fn ipc_grows_with_machine_width_and_clustered_never_exceeds_unclustered() {
         let mut cfg = ExperimentConfig::quick(24);
         cfg.cluster_counts = vec![1, 2, 4, 8];
-        let rows = figure6(&measure_suite(&cfg));
+        let rows = figure6(&measure_suite_with_stats(&cfg).0);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.set1_unclustered > 0.0);

@@ -20,13 +20,14 @@
 //! is figure T's sweep with contention timing switched on.
 
 use crate::runner::{
-    mean, measure_suite_with_stats_on, per_cluster, percent, ExperimentConfig, LoopMeasurement,
+    mean, measure_loops_with_stats_on, per_cluster, percent, ExperimentConfig, LoopMeasurement,
     SweepStats,
 };
 use dms_machine::TopologyKind;
 use dms_service::service::DEFAULT_SHARDS;
 use dms_service::ScheduleService;
 use dms_telemetry::Telemetry;
+use dms_workloads::generate;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -66,12 +67,13 @@ pub fn sweep_topologies(
     // telemetry registry, if any, so a `--metrics-json` dump counts the
     // sweep's link stalls and cache traffic.
     let registry = Telemetry::current().registry().cloned().unwrap_or_default();
+    let suite = generate(&config.suite);
     topologies
         .iter()
         .map(|&topology| {
             let cfg = ExperimentConfig { topology, verify: true, contention, ..config.clone() };
             let service = ScheduleService::with_registry(DEFAULT_SHARDS, Arc::clone(&registry));
-            let (measurements, stats) = measure_suite_with_stats_on(&cfg, &service);
+            let (measurements, stats) = measure_loops_with_stats_on(&suite, &cfg, &service);
             TopologySweep { topology, measurements, stats }
         })
         .collect()

@@ -23,7 +23,7 @@
 //! [`runner`] produces the raw per-loop measurements shared by all figures
 //! (fanning the (loop × cluster-count) grid out across worker threads with
 //! deterministic, worker-count-independent results — see
-//! [`runner::measure_loops_with_stats`]). Every scheduler invocation goes
+//! [`runner::measure_loops_with_stats_on`]). Every scheduler invocation goes
 //! through the `dms-service` crate's [`ScheduleService`], whose
 //! content-addressed cache makes repeated sweeps against a resident service
 //! (the `dms-experiments serve` subcommand) answer from memory.
@@ -46,14 +46,14 @@ pub mod runner;
 
 pub use dms_service::ScheduleService;
 pub use fig4::{figure4, Fig4Row};
-pub use fig5::{figure5, Fig5Row};
-pub use fig6::{figure6, Fig6Row};
+pub use fig5::{figure5, SeriesRow};
+pub use fig6::figure6;
 pub use figc::{
     figure_c, sweep_topologies, FigCRow, TopologySweep, FIGC_CLUSTERS, FIGC_TOPOLOGIES,
 };
 pub use figp::{figure_p, FigPRow, FIGP_CLUSTERS};
 pub use figt::{figure_t, FigTRow};
 pub use runner::{
-    measure_suite, measure_suite_with_stats, measure_suite_with_stats_on, ExperimentConfig,
-    LoopMeasurement, SweepStats,
+    measure_loops_with_stats_on, measure_suite_with_stats, ExperimentConfig, LoopMeasurement,
+    SweepStats,
 };

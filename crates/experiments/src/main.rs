@@ -51,8 +51,8 @@
 use dms_experiments::ablation::{chain_policy_ablation, copy_unit_ablation};
 use dms_experiments::report;
 use dms_experiments::{
-    figure4, figure5, figure6, figure_c, figure_p, figure_t, measure_suite_with_stats_on,
-    sweep_topologies, ExperimentConfig, LoopMeasurement, TopologySweep, FIGC_CLUSTERS,
+    figure4, figure5, figure6, figure_c, figure_p, figure_t, measure_loops_with_stats_on,
+    sweep_topologies, ExperimentConfig, LoopMeasurement, SweepStats, TopologySweep, FIGC_CLUSTERS,
     FIGC_TOPOLOGIES, FIGP_CLUSTERS,
 };
 use dms_machine::TopologyKind;
@@ -108,24 +108,12 @@ fn parse_args() -> Result<Cli, String> {
             "figC" | "figc" => command = Command::FigC,
             "ablation" => command = Command::Ablation,
             "all" => command = Command::All,
-            "--loops" => {
-                let v = args.next().ok_or("--loops needs a value")?;
-                config.suite.num_loops = v.parse().map_err(|_| format!("bad --loops value {v}"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                config.suite.seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                config.threads = v.parse().map_err(|_| format!("bad --threads value {v}"))?;
-            }
+            "--loops" => config.suite.num_loops = flag_value("--loops", args.next())?,
+            "--seed" => config.suite.seed = flag_value("--seed", args.next())?,
+            "--threads" => config.threads = flag_value("--threads", args.next())?,
             "--clusters" => {
                 let v = args.next().ok_or("--clusters needs a value")?;
-                config.cluster_counts = v
-                    .split(',')
-                    .map(|x| x.trim().parse().map_err(|_| format!("bad cluster count {x}")))
-                    .collect::<Result<Vec<u32>, String>>()?;
+                config.cluster_counts = parse_clusters(&v)?;
                 clusters_given = true;
             }
             "--topology" => {
@@ -141,9 +129,7 @@ fn parse_args() -> Result<Cli, String> {
             "--verify" => config.verify = true,
             "--contention" => config.contention = true,
             "--cqrf-capacity" => {
-                let v = args.next().ok_or("--cqrf-capacity needs a value")?;
-                config.cqrf_capacity =
-                    Some(v.parse().map_err(|_| format!("bad --cqrf-capacity value {v}"))?);
+                config.cqrf_capacity = Some(flag_value("--cqrf-capacity", args.next())?);
             }
             "--csv" => csv_dir = Some(args.next().ok_or("--csv needs a directory")?),
             "--metrics-json" => {
@@ -200,6 +186,35 @@ fn parse_args() -> Result<Cli, String> {
         }
     }
     Ok(Cli { command, config, csv_dir, metrics_json, grid_topologies })
+}
+
+/// Parses the value that follows `flag` on the command line.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let v = value.ok_or(format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("bad {flag} value {v}"))
+}
+
+/// Parses a `--clusters` comma list. Every entry must be a cluster count
+/// of at least 1 (a machine has at least one cluster), so an empty list or
+/// a 0 is rejected here instead of reaching the machine builder.
+fn parse_clusters(v: &str) -> Result<Vec<u32>, String> {
+    v.split(',')
+        .map(|x| match x.trim().parse::<u32>() {
+            Ok(c) if c > 0 => Ok(c),
+            _ => Err(format!(
+                "bad --clusters value {x:?}: cluster counts are integers of at least 1"
+            )),
+        })
+        .collect()
+}
+
+/// The one-line summary of a verified sweep (figP, figT, figC).
+fn verified_sweep_summary(s: &SweepStats) -> String {
+    format!(
+        "swept {} tasks on {} thread(s) in {:.2} s — {} store values verified, \
+         {} pressure retries, {} failed",
+        s.tasks, s.threads, s.wall_seconds, s.stores_verified, s.pressure_retries, s.failed
+    )
 }
 
 fn write_csv(dir: &str, name: &str, contents: &str) {
@@ -268,18 +283,11 @@ fn run_client(args: &[String]) -> ExitCode {
         let mut take = |name: &str| it.next().cloned().ok_or(format!("{name} needs a value"));
         let parsed = match arg.as_str() {
             "--addr" => take("--addr").map(|v| addr = v),
-            "--loops" => take("--loops").and_then(|v| {
-                v.parse().map(|n| loops = n).map_err(|_| format!("bad --loops value {v}"))
-            }),
-            "--seed" => take("--seed").and_then(|v| {
-                v.parse().map(|s| seed = Some(s)).map_err(|_| format!("bad --seed value {v}"))
-            }),
-            "--clusters" => take("--clusters").and_then(|v| {
-                v.split(',')
-                    .map(|x| x.trim().parse().map_err(|_| format!("bad cluster count {x}")))
-                    .collect::<Result<Vec<u32>, String>>()
-                    .map(|c| clusters = c)
-            }),
+            "--loops" => flag_value("--loops", it.next().cloned()).map(|n| loops = n),
+            "--seed" => flag_value("--seed", it.next().cloned()).map(|s| seed = Some(s)),
+            "--clusters" => {
+                take("--clusters").and_then(|v| parse_clusters(&v).map(|c| clusters = c))
+            }
             "--shutdown" => {
                 shutdown = true;
                 Ok(())
@@ -319,7 +327,8 @@ fn drive_service(
         config.suite.seed = s;
     }
     let suite = dms_workloads::generate(&config.suite);
-    let reference = dms_experiments::runner::measure_loops(&suite, &config);
+    let (reference, _) =
+        measure_loops_with_stats_on(&suite, &config, &dms_service::ScheduleService::default());
 
     let mut client = dms_service::net::Client::connect_with_retry(addr)
         .map_err(|e| format!("could not connect to {addr}: {e}"))?;
@@ -463,16 +472,7 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
 
     if cli.command == Command::FigP {
         let (rows, stats) = figure_p(&cli.config);
-        println!(
-            "swept {} tasks on {} thread(s) in {:.2} s — {} store values verified, \
-             {} pressure retries, {} failed",
-            stats.tasks,
-            stats.threads,
-            stats.wall_seconds,
-            stats.stores_verified,
-            stats.pressure_retries,
-            stats.failed
-        );
+        println!("{}", verified_sweep_summary(&stats));
         let recovered: usize = rows.iter().map(|r| r.recovered).sum();
         let loops: usize = rows.iter().map(|r| r.loops).sum();
         println!("portfolio recovered II on {recovered} of {loops} (loop, cluster-count) tasks");
@@ -493,11 +493,7 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         let contention = cli.command == Command::FigC;
         let sweeps = sweep_topologies(&cli.config, &cli.grid_topologies, contention);
         for TopologySweep { topology, stats: s, .. } in &sweeps {
-            println!(
-                "{topology}: swept {} tasks on {} thread(s) in {:.2} s — {} store values \
-                 verified, {} pressure retries, {} failed",
-                s.tasks, s.threads, s.wall_seconds, s.stores_verified, s.pressure_retries, s.failed
-            );
+            println!("{topology}: {}", verified_sweep_summary(s));
         }
         println!();
         let measurements = || sweeps.iter().flat_map(|s| &s.measurements);
@@ -552,7 +548,8 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         dms_service::service::DEFAULT_SHARDS,
         Arc::clone(registry),
     );
-    let (measurements, stats) = measure_suite_with_stats_on(&cli.config, &service);
+    let suite = dms_workloads::generate(&cli.config.suite);
+    let (measurements, stats) = measure_loops_with_stats_on(&suite, &cli.config, &service);
     let scheduling = scheduling_timer.stop();
     let reporting_timer = registry.timer("dms_phase_reporting_nanoseconds_total");
     println!(
@@ -608,14 +605,14 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         let rows = figure5(&measurements);
         println!("{}", report::render_fig5(&rows));
         if let Some(dir) = &cli.csv_dir {
-            write_csv(dir, "figure5.csv", &report::fig5_csv(&rows));
+            write_csv(dir, "figure5.csv", &report::series_csv(&rows));
         }
     }
     if matches!(cli.command, Command::Fig6 | Command::All) {
         let rows = figure6(&measurements);
         println!("{}", report::render_fig6(&rows));
         if let Some(dir) = &cli.csv_dir {
-            write_csv(dir, "figure6.csv", &report::fig6_csv(&rows));
+            write_csv(dir, "figure6.csv", &report::series_csv(&rows));
         }
     }
     // The three phases are scoped telemetry timers off one clock: the run
@@ -640,4 +637,18 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_clusters;
+
+    #[test]
+    fn cluster_lists_reject_zero_and_empty_entries() {
+        assert_eq!(parse_clusters("1,2, 8"), Ok(vec![1, 2, 8]));
+        for bad in ["0", "2,0,4", "", "2,", "two"] {
+            let err = parse_clusters(bad).unwrap_err();
+            assert!(err.contains("--clusters"), "{bad:?}: {err}");
+        }
+    }
 }

@@ -2,8 +2,8 @@
 
 use crate::ablation::AblationResult;
 use crate::fig4::{claim_no_overhead_up_to_8_clusters, Fig4Row};
-use crate::fig5::Fig5Row;
-use crate::fig6::{claim_ipc_trends, Fig6Row};
+use crate::fig5::SeriesRow;
+use crate::fig6::claim_ipc_trends;
 use crate::figc::FigCRow;
 use crate::figp::FigPRow;
 use crate::figt::FigTRow;
@@ -101,7 +101,7 @@ pub fn render_fig4(rows: &[Fig4Row]) -> String {
 }
 
 /// Renders figure 5 as an aligned text table.
-pub fn render_fig5(rows: &[Fig5Row]) -> String {
+pub fn render_fig5(rows: &[SeriesRow]) -> String {
     let mut out = String::new();
     let _ =
         writeln!(out, "Figure 5 — relative dynamic cycle count (Set1 unclustered @ 3 FUs = 100)");
@@ -129,7 +129,7 @@ pub fn render_fig5(rows: &[Fig5Row]) -> String {
 
 /// Renders figure 6 as an aligned text table plus the paper's qualitative
 /// claims.
-pub fn render_fig6(rows: &[Fig6Row]) -> String {
+pub fn render_fig6(rows: &[SeriesRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 6 — IPC (useful operations only, kernel + prologue + epilogue)");
     let _ = writeln!(
@@ -380,28 +380,8 @@ pub fn fig4_csv(rows: &[Fig4Row]) -> String {
     out
 }
 
-/// Figure 5 as CSV.
-pub fn fig5_csv(rows: &[Fig5Row]) -> String {
-    let mut out = String::from(
-        "functional_units,clusters,set1_unclustered,set1_clustered,set2_unclustered,set2_clustered\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{:.4},{:.4},{:.4},{:.4}",
-            r.functional_units,
-            r.clusters,
-            r.set1_unclustered,
-            r.set1_clustered,
-            r.set2_unclustered,
-            r.set2_clustered
-        );
-    }
-    out
-}
-
-/// Figure 6 as CSV.
-pub fn fig6_csv(rows: &[Fig6Row]) -> String {
+/// Figure 5 or figure 6 as CSV.
+pub fn series_csv(rows: &[SeriesRow]) -> String {
     let mut out = String::from(
         "functional_units,clusters,set1_unclustered,set1_clustered,set2_unclustered,set2_clustered\n",
     );
@@ -569,7 +549,7 @@ mod tests {
 
     #[test]
     fn fig5_and_fig6_render() {
-        let f5 = vec![Fig5Row {
+        let f5 = vec![SeriesRow {
             clusters: 1,
             functional_units: 3,
             set1_unclustered: 100.0,
@@ -577,7 +557,7 @@ mod tests {
             set2_unclustered: 100.0,
             set2_clustered: 100.0,
         }];
-        let f6 = vec![Fig6Row {
+        let f6 = vec![SeriesRow {
             clusters: 1,
             functional_units: 3,
             set1_unclustered: 1.5,
@@ -587,7 +567,7 @@ mod tests {
         }];
         assert!(render_fig5(&f5).contains("Figure 5"));
         assert!(render_fig6(&f6).contains("Figure 6"));
-        assert!(fig5_csv(&f5).contains("100.0000"));
-        assert!(fig6_csv(&f6).contains("1.8000"));
+        assert!(series_csv(&f5).contains("100.0000"));
+        assert!(series_csv(&f6).contains("1.8000"));
     }
 }

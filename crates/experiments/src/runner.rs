@@ -5,10 +5,11 @@
 //! loops × 10 cluster counts, each scheduled twice (IMS on the unclustered
 //! machine and DMS on the clustered one). Work cost varies by an order of
 //! magnitude with body size and cluster count, so a static chunking of the
-//! suite leaves workers idle behind the unlucky chunk. [`measure_loops`]
-//! instead runs a work-stealing executor: every worker claims small batches
-//! of *loop* indices from a shared lock-free cursor, so fast workers steal
-//! the tail of the suite from slow ones automatically.
+//! suite leaves workers idle behind the unlucky chunk.
+//! [`measure_loops_with_stats_on`] instead runs a work-stealing executor:
+//! every worker claims small batches of *loop* indices from a shared
+//! lock-free cursor, so fast workers steal the tail of the suite from slow
+//! ones automatically.
 //!
 //! The unit of work is one **loop**, not one grid cell: a worker measures
 //! its loop at every cluster count in configuration order, which lets it
@@ -29,7 +30,7 @@
 
 use dms_core::DmsConfig;
 use dms_machine::{MachineConfig, TopologyKind};
-use dms_service::{run_indexed, ScheduleRequest, ScheduleService, SchedulerKind};
+use dms_service::{resolve_threads, run_indexed, ScheduleRequest, ScheduleService, SchedulerKind};
 use dms_workloads::{generate, SuiteConfig, SuiteLoop, UnrollPolicy};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -219,6 +220,14 @@ pub(crate) fn per_cluster<R>(
         .collect()
 }
 
+/// The distinct cluster counts of `measurements`, ascending.
+pub(crate) fn cluster_counts(measurements: &[LoopMeasurement]) -> Vec<u32> {
+    let mut clusters: Vec<u32> = measurements.iter().map(|m| m.clusters).collect();
+    clusters.sort_unstable();
+    clusters.dedup();
+    clusters
+}
+
 /// Percentage of `rows` satisfying `pred` (0 for no rows).
 pub(crate) fn percent(rows: &[&LoopMeasurement], pred: impl Fn(&LoopMeasurement) -> bool) -> f64 {
     let count = rows.iter().filter(|m| pred(m)).count();
@@ -272,11 +281,6 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
-    /// Schedulers invoked: every task runs both IMS and DMS.
-    pub fn schedules(&self) -> u64 {
-        2 * self.tasks as u64
-    }
-
     /// Grid tasks per wall-clock second.
     pub fn tasks_per_second(&self) -> f64 {
         if self.wall_seconds > 0.0 {
@@ -286,26 +290,21 @@ impl SweepStats {
         }
     }
 
-    /// Scheduler invocations per wall-clock second.
+    /// Scheduler invocations per wall-clock second (every task runs both
+    /// IMS and DMS).
     pub fn schedules_per_second(&self) -> f64 {
         2.0 * self.tasks_per_second()
     }
 }
 
-pub use dms_service::resolve_threads;
-
 /// The clustered machine of one sweep cell.
 fn clustered_machine(clusters: u32, config: &ExperimentConfig) -> MachineConfig {
-    let mut machine = if config.copy_units == 1 {
-        MachineConfig::paper_clustered(clusters)
-    } else {
-        MachineConfig::paper_clustered_with_copy_units(clusters, config.copy_units)
-    }
-    .with_topology(config.topology);
-    if let Some(capacity) = config.cqrf_capacity {
-        machine = machine.with_cqrf_capacity(capacity);
-    }
-    machine
+    MachineConfig::paper_clustered_with(
+        clusters,
+        config.copy_units,
+        config.cqrf_capacity,
+        config.topology,
+    )
 }
 
 /// Schedules one suite loop for one cluster count and returns the
@@ -413,35 +412,12 @@ fn measure_body(
     })
 }
 
-/// Generates the suite and measures every loop on every cluster count,
-/// in parallel.
-pub fn measure_suite(config: &ExperimentConfig) -> Vec<LoopMeasurement> {
-    measure_suite_with_stats(config).0
-}
-
-/// [`measure_suite`] plus the sweep's aggregate throughput. Runs against a
-/// fresh (cold) schedule service; use [`measure_suite_with_stats_on`] to
-/// sweep against a resident service whose cache outlives the sweep.
+/// Generates the suite and measures every loop on every cluster count, in
+/// parallel, against a fresh (cold) schedule service. Use
+/// [`measure_loops_with_stats_on`] to sweep an already-generated suite
+/// against a resident service whose cache outlives the sweep.
 pub fn measure_suite_with_stats(config: &ExperimentConfig) -> (Vec<LoopMeasurement>, SweepStats) {
-    measure_suite_with_stats_on(config, &ScheduleService::default())
-}
-
-/// [`measure_suite_with_stats`] against a caller-owned [`ScheduleService`].
-/// Re-running the same sweep on the same service answers every request from
-/// the cache: the CSV is byte-identical (the `cache_hit` column aside) and
-/// the sweep skips all scheduling and verification work.
-pub fn measure_suite_with_stats_on(
-    config: &ExperimentConfig,
-    service: &ScheduleService,
-) -> (Vec<LoopMeasurement>, SweepStats) {
-    let suite = generate(&config.suite);
-    measure_loops_with_stats_on(&suite, config, service)
-}
-
-/// Measures an already-generated suite (useful when the caller also needs the
-/// suite itself).
-pub fn measure_loops(suite: &[SuiteLoop], config: &ExperimentConfig) -> Vec<LoopMeasurement> {
-    measure_loops_with_stats(suite, config).0
+    measure_loops_with_stats_on(&generate(&config.suite), config, &ScheduleService::default())
 }
 
 /// Measures one suite loop at every configured cluster count, in
@@ -482,14 +458,6 @@ fn measure_loop(
         .collect()
 }
 
-/// The sweep executor, on a fresh (cold) schedule service.
-pub fn measure_loops_with_stats(
-    suite: &[SuiteLoop],
-    config: &ExperimentConfig,
-) -> (Vec<LoopMeasurement>, SweepStats) {
-    measure_loops_with_stats_on(suite, config, &ScheduleService::default())
-}
-
 /// The sweep executor, against a caller-owned [`ScheduleService`].
 ///
 /// The work-stealing worker pool ([`dms_service::run_indexed`]) claims
@@ -500,8 +468,10 @@ pub fn measure_loops_with_stats(
 /// configuration order, bit-identical for any worker count.
 ///
 /// Every scheduler invocation goes through `service`, so a sweep the
-/// service has already absorbed is answered entirely from its cache; the
-/// per-sweep hit/miss delta is reported in [`SweepStats`].
+/// service has already absorbed is answered entirely from its cache: the
+/// CSV is byte-identical (the `cache_hit` column aside) and the sweep skips
+/// all scheduling and verification work. The per-sweep hit/miss delta is
+/// reported in [`SweepStats`].
 pub fn measure_loops_with_stats_on(
     suite: &[SuiteLoop],
     config: &ExperimentConfig,
@@ -546,7 +516,7 @@ mod tests {
     fn quick_sweep_produces_one_row_per_loop_and_cluster_count() {
         let mut cfg = ExperimentConfig::quick(12);
         cfg.cluster_counts = vec![1, 2, 4];
-        let rows = measure_suite(&cfg);
+        let (rows, _) = measure_suite_with_stats(&cfg);
         assert_eq!(rows.len(), 12 * 3);
         for m in &rows {
             assert!(m.clustered_ii >= 1);
@@ -562,7 +532,7 @@ mod tests {
     fn single_cluster_never_shows_overhead() {
         let mut cfg = ExperimentConfig::quick(16);
         cfg.cluster_counts = vec![1];
-        let rows = measure_suite(&cfg);
+        let (rows, _) = measure_suite_with_stats(&cfg);
         assert!(rows.iter().all(|m| !m.ii_increased()), "1 cluster == the unclustered machine");
     }
 
@@ -570,7 +540,7 @@ mod tests {
     fn two_cluster_overhead_only_from_copies() {
         let mut cfg = ExperimentConfig::quick(24);
         cfg.cluster_counts = vec![2];
-        let rows = measure_suite(&cfg);
+        let (rows, _) = measure_suite_with_stats(&cfg);
         for m in rows {
             assert_eq!(m.moves, 0, "2-cluster machines never need moves");
             if m.ii_increased() {
@@ -583,8 +553,8 @@ mod tests {
     fn deterministic_across_runs() {
         let mut cfg = ExperimentConfig::quick(8);
         cfg.cluster_counts = vec![2, 6];
-        let a = measure_suite(&cfg);
-        let b = measure_suite(&cfg);
+        let (a, _) = measure_suite_with_stats(&cfg);
+        let (b, _) = measure_suite_with_stats(&cfg);
         assert_eq!(a, b);
     }
 
@@ -610,7 +580,7 @@ mod tests {
     fn rows_come_back_loop_major_in_cluster_config_order() {
         let mut cfg = ExperimentConfig::quick(4);
         cfg.cluster_counts = vec![2, 1];
-        let rows = measure_suite(&cfg);
+        let (rows, _) = measure_suite_with_stats(&cfg);
         let order: Vec<(usize, u32)> = rows.iter().map(|m| (m.loop_id, m.clusters)).collect();
         assert_eq!(order, vec![(0, 2), (0, 1), (1, 2), (1, 1), (2, 2), (2, 1), (3, 2), (3, 1)]);
     }
@@ -620,7 +590,7 @@ mod tests {
         let mut cfg = ExperimentConfig::quick(6);
         cfg.cluster_counts = vec![2];
         let (_, stats) = measure_suite_with_stats(&cfg);
-        assert_eq!(stats.schedules(), 12);
+        assert_eq!(stats.tasks, 6);
         assert!(stats.wall_seconds > 0.0);
         assert!(stats.tasks_per_second() > 0.0);
         assert!((stats.schedules_per_second() - 2.0 * stats.tasks_per_second()).abs() < 1e-9);
@@ -699,7 +669,7 @@ mod tests {
         let mut cfg = ExperimentConfig::quick(16);
         cfg.cluster_counts = vec![1, 2, 4, 8, 10];
         let suite = generate(&cfg.suite);
-        let (swept, stats) = measure_loops_with_stats(&suite, &cfg);
+        let (swept, stats) = measure_loops_with_stats_on(&suite, &cfg, &ScheduleService::default());
         assert_eq!(stats.failed, 0);
         let reference: Vec<LoopMeasurement> = suite
             .iter()

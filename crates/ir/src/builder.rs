@@ -136,21 +136,10 @@ impl LoopBuilder {
         self.feedback(OpKind::Add, value, distance)
     }
 
-    /// Shorthand for [`LoopBuilder::feedback`] with [`OpKind::Mul`]: a running
-    /// product `p = p@(i - distance) * value`.
-    pub fn mul_feedback(&mut self, value: Operand, distance: u32) -> OpId {
-        self.feedback(OpKind::Mul, value, distance)
-    }
-
     /// Adds an explicit dependence edge of the given kind (used for memory
     /// ordering or anti/output dependences that are not visible as operands).
     pub fn dep(&mut self, kind: DepKind, src: OpId, dst: OpId, latency: u32, distance: u32) {
         self.ddg.add_edge(DepEdge { src, dst, kind, latency, distance });
-    }
-
-    /// Adds a memory-ordering dependence with latency 1.
-    pub fn mem_dep(&mut self, src: OpId, dst: OpId, distance: u32) {
-        self.dep(DepKind::Memory, src, dst, 1, distance);
     }
 
     /// Current number of operations added so far.
@@ -218,7 +207,7 @@ mod tests {
         let mut b = LoopBuilder::new("mem");
         let s = b.store(Operand::Immediate(1));
         let ld = b.load(Operand::Induction);
-        b.mem_dep(s, ld, 0);
+        b.dep(DepKind::Memory, s, ld, 1, 0);
         let l = b.finish(4);
         let e = l.ddg.live_edges().find(|(_, e)| e.kind == DepKind::Memory).unwrap().1;
         assert_eq!((e.src, e.dst), (s, ld));

@@ -32,34 +32,8 @@
 //! from `b - a`.
 
 use crate::ddg::{Ddg, DepEdge, DepKind};
+use crate::fnv::Fnv;
 use crate::op::{OpId, Operand, Operation};
-
-/// FNV-1a offset basis (the same constants the portfolio candidate seeding
-/// uses; the two streams never mix because they hash disjoint domains).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a over a stream of `u64` words.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn word(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// Stable small discriminant for an operation kind (independent of the enum
 /// declaration order, so reordering the `OpKind` variants can never silently
@@ -289,8 +263,8 @@ mod tests {
 
     #[test]
     fn fir_hash_is_pinned() {
-        // Cache keys of every FIR request derive from this value; it was
-        // recorded before the FNV-1a digest was shared.
+        // Every cache key of a FIR request derives from this value, so a
+        // change to the digest or the refinement shows here first.
         assert_eq!(canonical_hash(&kernels::fir(8, 64).ddg), 0x861f_86aa_68d0_4025);
     }
 

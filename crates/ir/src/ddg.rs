@@ -235,33 +235,6 @@ impl Ddg {
         self.succs(id).filter(|(_, e)| e.kind.carries_value())
     }
 
-    /// Number of live Copy and Move operations.
-    pub fn num_copy_like(&self) -> usize {
-        self.live_ops().filter(|(_, o)| !o.kind.is_useful()).count()
-    }
-
-    /// Rewrites every read of `old_producer` (at any distance) in `consumer`
-    /// to read `new_producer` instead, preserving the distance, and returns
-    /// how many operands were rewritten.
-    pub fn redirect_reads(
-        &mut self,
-        consumer: OpId,
-        old_producer: OpId,
-        new_producer: OpId,
-    ) -> usize {
-        let op = self.op_mut(consumer);
-        let mut n = 0;
-        for r in &mut op.reads {
-            if let Operand::Def { op: p, .. } = r {
-                if *p == old_producer {
-                    *p = new_producer;
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
     /// Rewrites every read of `old_producer` *at exactly* `old_distance` in
     /// `consumer` to read `new_producer` at `new_distance`, and returns how
     /// many operands were rewritten.
@@ -269,8 +242,8 @@ impl Ddg {
     /// This is the redirection the DMS move chains need: a chain realising a
     /// distance-`d` dependence absorbs the distance at its first move, so the
     /// consumer must read the last move at distance 0 — re-pointing the
-    /// operand while *preserving* its distance (as [`Ddg::redirect_reads`]
-    /// does) would apply the distance twice. Matching on the distance also
+    /// operand while *preserving* its distance would apply the distance
+    /// twice. Matching on the distance also
     /// keeps a second read of the same producer at a different distance
     /// untouched.
     pub fn redirect_reads_at(
@@ -353,7 +326,7 @@ mod tests {
         assert_eq!(g.preds(c).count(), 1);
         assert_eq!(g.flow_preds(b).count(), 1);
         assert!(g.validate().is_ok());
-        assert_eq!(g.num_copy_like(), 0);
+        assert!(g.live_ops().all(|(_, o)| o.kind.is_useful()));
     }
 
     #[test]
@@ -384,7 +357,7 @@ mod tests {
     fn redirect_reads_rewrites_operands() {
         let (mut g, a, b, _c) = simple_graph();
         let copy = g.add_op(Operation::new(OpKind::Copy, vec![a.into()]));
-        let n = g.redirect_reads(b, a, copy);
+        let n = g.redirect_reads_at(b, a, 0, copy, 0);
         assert_eq!(n, 1);
         assert_eq!(g.op(b).defs_read().next(), Some((copy, 0)));
     }

@@ -40,6 +40,7 @@ pub mod analysis;
 pub mod builder;
 pub mod canon;
 pub mod ddg;
+pub mod fnv;
 pub mod kernels;
 pub mod latency;
 pub mod op;
@@ -48,6 +49,7 @@ pub mod transform;
 pub use builder::LoopBuilder;
 pub use canon::canonical_hash;
 pub use ddg::{Ddg, DepEdge, DepKind, EdgeId};
+pub use fnv::Fnv;
 pub use latency::LatencySpec;
 pub use op::{OpId, OpKind, Operand, Operation};
 

@@ -2,7 +2,7 @@
 
 use crate::fu::FuKind;
 use crate::topology::{ClusterId, Topology, TopologyKind};
-use dms_ir::{LatencySpec, OpKind};
+use dms_ir::LatencySpec;
 use serde::{Deserialize, Serialize};
 
 /// Functional units available in one cluster.
@@ -113,12 +113,23 @@ impl MachineConfig {
         Self::homogeneous(clusters, ClusterFus::PAPER, LatencySpec::default())
     }
 
-    /// The paper's clustered machine with `copy_units` Copy units per cluster
-    /// instead of one (the §5 suggestion of "additional FUs to schedule move
-    /// operations").
-    pub fn paper_clustered_with_copy_units(clusters: u32, copy_units: u32) -> Self {
+    /// The paper's clustered machine as the sweep and the wire parameterise
+    /// it: `copy_units` Copy units per cluster (the paper has one; §5
+    /// suggests "additional FUs to schedule move operations"), an optional
+    /// CQRF capacity override and the interconnect.
+    pub fn paper_clustered_with(
+        clusters: u32,
+        copy_units: u32,
+        cqrf_capacity: Option<u32>,
+        topology: TopologyKind,
+    ) -> Self {
         let fus = ClusterFus { copy: copy_units, ..ClusterFus::PAPER };
-        Self::homogeneous(clusters, fus, LatencySpec::default())
+        let machine =
+            Self::homogeneous(clusters, fus, LatencySpec::default()).with_topology(topology);
+        match cqrf_capacity {
+            Some(capacity) => machine.with_cqrf_capacity(capacity),
+            None => machine,
+        }
     }
 
     /// The unclustered machine equivalent to `equivalent_clusters` clusters:
@@ -161,12 +172,6 @@ impl MachineConfig {
     #[inline]
     pub fn latency(&self) -> &LatencySpec {
         &self.latency
-    }
-
-    /// Latency of an operation kind on this machine.
-    #[inline]
-    pub fn latency_of(&self, kind: OpKind) -> u32 {
-        self.latency.of(kind)
     }
 
     /// Number of clusters.
@@ -219,12 +224,6 @@ impl MachineConfig {
     pub fn cluster_ids(&self) -> impl Iterator<Item = ClusterId> {
         (0..self.num_clusters()).map(ClusterId)
     }
-
-    /// The functional-unit class and cluster-local unit count needed by an
-    /// operation kind, in cluster `id`.
-    pub fn units_for(&self, id: ClusterId, kind: OpKind) -> u32 {
-        self.fu_count(id, FuKind::for_op(kind))
-    }
 }
 
 impl Default for MachineConfig {
@@ -236,6 +235,7 @@ impl Default for MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dms_ir::OpKind;
 
     #[test]
     fn paper_configuration_counts() {
@@ -259,23 +259,29 @@ mod tests {
 
     #[test]
     fn copy_unit_ablation_config() {
-        let m = MachineConfig::paper_clustered_with_copy_units(6, 2);
+        let m = MachineConfig::paper_clustered_with(6, 2, Some(12), TopologyKind::Bus);
         assert_eq!(m.total_fu(FuKind::Copy), 12);
         assert_eq!(m.total_useful_fus(), 18);
+        assert_eq!((m.cqrf_capacity, m.topology_kind), (12, TopologyKind::Bus));
+        // one Copy unit, no override and the ring is exactly the paper's machine
+        assert_eq!(
+            MachineConfig::paper_clustered_with(6, 1, None, TopologyKind::Ring),
+            MachineConfig::paper_clustered(6)
+        );
     }
 
     #[test]
     fn latency_override() {
         let m = MachineConfig::paper_clustered(2).with_latency(LatencySpec::uniform(1));
-        assert_eq!(m.latency_of(OpKind::Load), 1);
-        assert_eq!(m.latency_of(OpKind::Div), 1);
+        assert_eq!(m.latency().of(OpKind::Load), 1);
+        assert_eq!(m.latency().of(OpKind::Div), 1);
     }
 
     #[test]
     fn units_for_op() {
         let m = MachineConfig::paper_clustered(2);
-        assert_eq!(m.units_for(ClusterId(0), OpKind::Load), 1);
-        assert_eq!(m.units_for(ClusterId(1), OpKind::Move), 1);
+        assert_eq!(m.fu_count(ClusterId(0), FuKind::for_op(OpKind::Load)), 1);
+        assert_eq!(m.fu_count(ClusterId(1), FuKind::for_op(OpKind::Move)), 1);
     }
 
     #[test]

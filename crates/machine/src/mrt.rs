@@ -241,17 +241,6 @@ impl Mrt {
         self.capacity[column] * self.ii - self.column_used[column]
     }
 
-    /// Utilisation (0..=1) of units of `fu` in `cluster` over the whole
-    /// kernel.
-    pub fn utilisation(&self, cluster: ClusterId, fu: FuKind) -> f64 {
-        let cap = self.capacity(cluster, fu) * self.ii;
-        if cap == 0 {
-            return 0.0;
-        }
-        let used = cap - self.free_slots(cluster, fu);
-        used as f64 / cap as f64
-    }
-
     /// Number of clusters of the underlying machine.
     #[inline]
     pub fn num_clusters(&self) -> u32 {
@@ -307,7 +296,6 @@ mod tests {
         mrt.reserve(OpId(0), 0, ClusterId(0), FuKind::Copy).unwrap();
         mrt.reserve(OpId(1), 2, ClusterId(0), FuKind::Copy).unwrap();
         assert_eq!(mrt.free_slots(ClusterId(0), FuKind::Copy), 1);
-        assert!((mrt.utilisation(ClusterId(0), FuKind::Copy) - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(mrt.free_slots(ClusterId(1), FuKind::Copy), 3);
     }
 
@@ -316,7 +304,7 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         // The O(1) per-column count must equal the definition: free units
         // summed over every row of the table.
-        let config = MachineConfig::paper_clustered_with_copy_units(3, 2);
+        let config = MachineConfig::paper_clustered_with(3, 2, None, crate::TopologyKind::Ring);
         let mut mrt = Mrt::new(&config, 5);
         let mut rng = StdRng::seed_from_u64(7);
         let mut placed: Vec<OpId> = Vec::new();

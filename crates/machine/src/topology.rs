@@ -462,23 +462,6 @@ impl Topology {
         }
     }
 
-    /// Whether `cluster` is a legal reader of `queue` on this topology —
-    /// i.e. the queue file exists on this interconnect *and* `cluster` is
-    /// on its read side. A validity predicate for queue annotations (the
-    /// VLIW executor checks its annotations with the stricter
-    /// producer-cluster [`Topology::queue_between`] equality, which this
-    /// predicate is the cluster-agnostic relaxation of).
-    pub fn reads_queue(&self, queue: CqrfId, cluster: ClusterId) -> bool {
-        if queue.writer == queue.reader {
-            // A shared bus output queue: every other cluster may read it.
-            self.kind == TopologyKind::Bus && cluster != queue.writer
-        } else {
-            // On a bus, queue_between names the shared {w, w} queue, so a
-            // per-pair id correctly fails the equality.
-            cluster == queue.reader && self.queue_between(queue.writer, queue.reader) == Some(queue)
-        }
-    }
-
     /// How this interconnect serialises concurrent transfers — the
     /// declarative bandwidth surface consumed by the contention-accurate
     /// timing (`dms-sim`'s `contention` module).
@@ -762,8 +745,6 @@ mod tests {
         assert_eq!(q1, q2, "all traffic leaving a cluster shares its bus queue");
         assert_eq!(q1.writer, ClusterId(1));
         assert_eq!(t.queue_files().len(), 4);
-        assert!(t.reads_queue(q1, ClusterId(0)));
-        assert!(!t.reads_queue(q1, ClusterId(1)), "the writer reads its own values via the LRF");
     }
 
     #[test]
@@ -772,8 +753,6 @@ mod tests {
         assert_eq!(t.queue_files().len(), 5 * 4);
         let q = t.queue_between(ClusterId(4), ClusterId(1)).unwrap();
         assert_eq!((q.writer, q.reader), (ClusterId(4), ClusterId(1)));
-        assert!(t.reads_queue(q, ClusterId(1)));
-        assert!(!t.reads_queue(q, ClusterId(2)));
     }
 
     #[test]

@@ -275,15 +275,16 @@ pub fn emit(result: &ScheduleResult, machine: &MachineConfig) -> VliwProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifetime::{lifetimes_of, LifetimeClass};
     use dms_core::{dms_schedule, DmsConfig};
     use dms_ir::kernels;
     use dms_machine::MachineConfig;
+    use dms_sched::pressure::lifetimes_of;
+    use dms_sched::LifetimeClass;
 
     fn program(clusters: u32) -> (ScheduleResult, MachineConfig, VliwProgram) {
         let l = kernels::fir(8, 256);
         let m = MachineConfig::paper_clustered(clusters);
-        let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap().into_result();
+        let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap().result;
         let p = emit(&r, &m);
         (r, m, p)
     }

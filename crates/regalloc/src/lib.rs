@@ -8,18 +8,21 @@
 //! module reproduces).
 //!
 //! After modulo scheduling, every value-carrying (flow) dependence of the
-//! scheduled DDG becomes one *lifetime*. This crate computes, per lifetime,
-//! how many values of it are simultaneously in flight (its queue depth) and
-//! aggregates the per-LRF and per-CQRF register requirements, which is the
-//! quantity a hardware designer needs to size the queue files.
+//! scheduled DDG becomes one *lifetime*. [`allocate`] assigns each lifetime
+//! its queue file and reports the per-LRF and per-CQRF register
+//! requirements ([`RegAllocResult::pressure`]), the quantity a hardware
+//! designer needs to size the queue files. The lifetime math, the
+//! requirement sums and the capacity check all live in
+//! `dms_sched::pressure`, the same code the DMS scheduler uses for its
+//! incremental estimate, so a [`AllocError::CapacityExceeded`] carries
+//! exactly the `CapacityExcess` the scheduler's pressure retries reject on.
+//! [`emit`] then lowers the schedule to the annotated VLIW program.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod codegen;
-pub mod lifetime;
 pub mod queues;
 
 pub use codegen::{emit, VliwProgram};
-pub use lifetime::{lifetimes, Lifetime, LifetimeClass};
 pub use queues::{allocate, AllocError, RegAllocResult};

@@ -1,11 +1,10 @@
 //! Allocation of lifetimes to queue register files.
 
-use crate::lifetime::{lifetimes, max_live, Lifetime, LifetimeClass};
-use dms_machine::{CqrfId, MachineConfig, Topology};
+use dms_machine::MachineConfig;
+use dms_sched::pressure::{lifetimes, max_live};
 use dms_sched::schedule::ScheduleResult;
-use dms_sched::QueuePressure;
+use dms_sched::{CapacityExcess, Lifetime, LifetimeClass, QueuePressure};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Error returned by [`allocate`].
@@ -19,14 +18,7 @@ pub enum AllocError {
         lifetime: Lifetime,
     },
     /// The register requirement of a queue file exceeds its capacity.
-    CapacityExceeded {
-        /// Human-readable name of the queue file.
-        queue: String,
-        /// Registers required.
-        required: u32,
-        /// Registers available.
-        capacity: u32,
-    },
+    CapacityExceeded(CapacityExcess),
 }
 
 impl fmt::Display for AllocError {
@@ -37,7 +29,7 @@ impl fmt::Display for AllocError {
                 "lifetime {} -> {} crosses indirectly connected clusters",
                 lifetime.producer, lifetime.consumer
             ),
-            AllocError::CapacityExceeded { queue, required, capacity } => {
+            AllocError::CapacityExceeded(CapacityExcess { queue, required, capacity }) => {
                 write!(f, "{queue} needs {required} registers but only {capacity} exist")
             }
         }
@@ -50,31 +42,12 @@ impl std::error::Error for AllocError {}
 /// register files.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegAllocResult {
-    /// Registers required in the LRF of each cluster (indexed by cluster id).
-    pub lrf_registers: Vec<u32>,
-    /// Registers required in each CQRF.
-    pub cqrf_registers: BTreeMap<CqrfId, u32>,
+    /// Registers required in each LRF and CQRF.
+    pub pressure: QueuePressure,
     /// The classic MaxLive register-pressure metric over the whole loop.
     pub max_live: u32,
     /// The allocated lifetimes.
     pub lifetimes: Vec<Lifetime>,
-}
-
-impl RegAllocResult {
-    /// Total register requirement across every queue file of the machine.
-    pub fn total_registers(&self) -> u32 {
-        self.lrf_registers.iter().sum::<u32>() + self.cqrf_registers.values().sum::<u32>()
-    }
-
-    /// The largest requirement of any single LRF.
-    pub fn max_lrf(&self) -> u32 {
-        self.lrf_registers.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The largest requirement of any single CQRF.
-    pub fn max_cqrf(&self) -> u32 {
-        self.cqrf_registers.values().copied().max().unwrap_or(0)
-    }
 }
 
 /// Allocates every lifetime of a scheduled loop to the LRF of its cluster or
@@ -95,8 +68,7 @@ pub fn allocate(
     result: &ScheduleResult,
     machine: &MachineConfig,
 ) -> Result<RegAllocResult, AllocError> {
-    let topology: Topology = machine.topology();
-    let lts = lifetimes(&result.ddg, &result.schedule, &topology);
+    let lts = lifetimes(&result.ddg, &result.schedule, &machine.topology());
     if let Some(conflict) = lts.iter().find(|lt| matches!(lt.class, LifetimeClass::Conflict { .. }))
     {
         return Err(AllocError::CommunicationConflict { lifetime: *conflict });
@@ -104,20 +76,9 @@ pub fn allocate(
 
     let pressure = QueuePressure::from_lifetimes(&lts, machine.num_clusters());
     if let Some(x) = pressure.capacity_excess(machine) {
-        return Err(AllocError::CapacityExceeded {
-            queue: x.queue,
-            required: x.required,
-            capacity: x.capacity,
-        });
+        return Err(AllocError::CapacityExceeded(x));
     }
-
-    let max_live = max_live(&lts, result.ii());
-    Ok(RegAllocResult {
-        lrf_registers: pressure.lrf_registers().to_vec(),
-        cqrf_registers: pressure.cqrf_registers().clone(),
-        max_live,
-        lifetimes: lts,
-    })
+    Ok(RegAllocResult { pressure, max_live: max_live(&lts, result.ii()), lifetimes: lts })
 }
 
 #[cfg(test)]
@@ -137,8 +98,8 @@ mod tests {
                 let alloc = allocate(&r, &m).unwrap_or_else(|e| {
                     panic!("{} on {} clusters: allocation failed: {e}", l.name, clusters)
                 });
-                assert!(alloc.total_registers() >= 1);
-                assert_eq!(alloc.lrf_registers.len(), clusters as usize);
+                assert!(alloc.pressure.total() >= 1);
+                assert_eq!(alloc.pressure.lrf_registers().len(), clusters as usize);
             }
         }
     }
@@ -149,8 +110,8 @@ mod tests {
         let m = MachineConfig::paper_clustered(1);
         let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
         let alloc = allocate(&r, &m).unwrap();
-        assert!(alloc.cqrf_registers.is_empty());
-        assert!(alloc.lrf_registers[0] > 0);
+        assert!(alloc.pressure.cqrf_registers().is_empty());
+        assert!(alloc.pressure.lrf_registers()[0] > 0);
     }
 
     #[test]
@@ -164,10 +125,7 @@ mod tests {
         let used_clusters: std::collections::HashSet<_> =
             r.schedule.iter().map(|(_, s)| s.cluster).collect();
         if used_clusters.len() > 1 {
-            assert!(
-                !alloc.cqrf_registers.is_empty() || alloc.max_lrf() > 0,
-                "values must live somewhere"
-            );
+            assert!(alloc.pressure.total() > 0, "values must live somewhere");
         }
     }
 
@@ -181,8 +139,14 @@ mod tests {
             m2
         };
         let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
+        // The allocator rejects exactly the excess the scheduler's pressure
+        // model reports for the same schedule, so DMS's pressure retries
+        // reject exactly what allocation would.
+        let expected = QueuePressure::of_schedule(&r.ddg, &r.schedule, &tight.topology())
+            .capacity_excess(&tight)
+            .expect("one LRF register cannot hold fir16");
         match allocate(&r, &tight) {
-            Err(AllocError::CapacityExceeded { .. }) => {}
+            Err(AllocError::CapacityExceeded(x)) => assert_eq!(x, expected),
             other => panic!("expected a capacity error, got {other:?}"),
         }
     }
@@ -193,19 +157,19 @@ mod tests {
         let m = MachineConfig::unclustered(4);
         let r = ims_schedule(&l, &m, &ImsConfig::default()).unwrap();
         let alloc = allocate(&r, &m).unwrap();
-        assert!(alloc.cqrf_registers.is_empty());
-        assert_eq!(alloc.lrf_registers.len(), 1);
-        assert_eq!(alloc.total_registers(), alloc.lrf_registers[0]);
+        assert!(alloc.pressure.cqrf_registers().is_empty());
+        assert_eq!(alloc.pressure.lrf_registers().len(), 1);
+        assert_eq!(alloc.pressure.total(), alloc.pressure.lrf_registers()[0]);
         assert!(alloc.max_live > 0);
     }
 
     #[test]
     fn error_display() {
-        let e = AllocError::CapacityExceeded {
+        let e = AllocError::CapacityExceeded(CapacityExcess {
             queue: "LRF of cluster 0".into(),
             required: 9,
             capacity: 4,
-        };
-        assert!(e.to_string().contains("9"));
+        });
+        assert_eq!(e.to_string(), "LRF of cluster 0 needs 9 registers but only 4 exist");
     }
 }

@@ -209,7 +209,7 @@ mod tests {
         // distance 1 would give 2
         let mut b = LoopBuilder::new("d1");
         let x = b.load(Operand::Induction);
-        let s = b.mul_feedback(x.into(), 1);
+        let s = b.feedback(dms_ir::OpKind::Mul, x.into(), 1);
         b.store(s.into());
         assert_eq!(rec_mii(&b.finish(8).ddg), 2);
     }

@@ -317,11 +317,6 @@ impl QueuePressure {
         self.conflict
     }
 
-    /// The largest requirement of any single LRF.
-    pub fn max_lrf(&self) -> u32 {
-        self.lrf.iter().copied().max().unwrap_or(0)
-    }
-
     /// The largest requirement of any single CQRF.
     pub fn max_cqrf(&self) -> u32 {
         self.cqrf.values().copied().max().unwrap_or(0)
@@ -476,6 +471,6 @@ mod tests {
         let p = QueuePressure::of_schedule(&g, &s, &ring);
         assert_eq!(p, QueuePressure::from_lifetimes(&lifetimes(&g, &s, &ring), 4));
         assert_eq!(p.max_cqrf(), p.total());
-        assert_eq!(p.max_lrf(), 0);
+        assert!(p.lrf_registers().iter().all(|&r| r == 0));
     }
 }

@@ -1,4 +1,4 @@
-//! Cache-key derivation: FNV-1a digests and the two-part content address.
+//! Cache-key derivation: the two-part content address and its exact guard.
 //!
 //! A schedule is a pure function of (loop body, machine, scheduler
 //! configuration, verification trip count). The cache key splits that into:
@@ -21,62 +21,8 @@
 //! when the guard matches. Isomorphic twins coexist under one key; a guard
 //! mismatch is a miss, never a wrong answer.
 
+pub use dms_ir::Fnv;
 use dms_ir::Loop;
-use std::fmt::{self, Write as _};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a hasher, also usable as a [`fmt::Write`] sink so
-/// `Debug` renderings can be hashed without materialising the string.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv {
-    /// Starts a new digest at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    /// Feeds raw bytes.
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Feeds one `u64` (little-endian).
-    pub fn word(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// Feeds a value's `Debug` rendering. The derived `Debug` of a plain
-    /// data structure is a deterministic function of its fields, and the
-    /// cache is process-local, so this is a cheap way to fingerprint
-    /// configuration structs without a serialization framework.
-    pub fn debug<T: fmt::Debug>(&mut self, value: &T) {
-        let _ = write!(self, "{value:?}");
-    }
-
-    /// Returns the digest.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
-}
 
 /// The two-part content address of a schedule request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -250,14 +250,12 @@ impl ScheduleService {
         let key = cache_key(req);
         let guard = guard_fingerprint(req.body);
         if let Some(entry) = self.cache.lookup(&key, guard) {
-            self.registry.record_event(EventKind::CacheHit);
             return Ok(ScheduleResponse {
                 output: entry.output,
                 verify: entry.verify,
                 cache_hit: true,
             });
         }
-        self.registry.record_event(EventKind::CacheMiss);
 
         let output = match req.scheduler {
             SchedulerKind::Ims => SchedulerOutput::Ims(Box::new(
@@ -489,8 +487,6 @@ mod tests {
         assert_eq!(service.cache_stats(), CacheCounters { hits: 1, misses: 1, inserts: 1 });
         assert_eq!(registry.histogram("dms_request_latency_micros").count(), 2);
         assert_eq!(registry.gauge("dms_requests_inflight").get(), 0, "track() guard restored");
-        assert_eq!(registry.event_count(dms_telemetry::EventKind::CacheHit), 1);
-        assert_eq!(registry.event_count(dms_telemetry::EventKind::CacheMiss), 1);
 
         let text = service.metrics_text();
         assert!(text.contains("dms_cache_hits_total 1"), "exposition holds the hit count:\n{text}");
@@ -514,12 +510,13 @@ mod tests {
     fn scheduler_failures_are_reported_and_not_cached() {
         let service = ScheduleService::default();
         let fir = kernels::fir(8, 64);
-        let machine = MachineConfig::paper_clustered(4);
-        let req = ScheduleRequest {
-            dms: DmsConfig { max_ii: Some(1), budget_ratio: 1, ..DmsConfig::default() },
-            ..dms_request(&fir, &machine)
-        };
-        let err = service.schedule(&req).unwrap_err();
+        // No Load/Store unit: the loads and stores can never be placed.
+        let machine = MachineConfig::homogeneous(
+            4,
+            dms_machine::ClusterFus { load_store: 0, ..dms_machine::ClusterFus::PAPER },
+            dms_ir::LatencySpec::default(),
+        );
+        let err = service.schedule(&dms_request(&fir, &machine)).unwrap_err();
         assert!(matches!(err, ServiceError::Schedule(_)));
         assert_eq!(service.cache_len(), 0, "failures are never cached");
     }

@@ -9,7 +9,7 @@
 //!
 //! ```json
 //! {"op":"schedule","loop":{...},"machine":{...},"scheduler":"dms",
-//!  "strategy":"dms","ii_seed":null,"verify_trips":64}
+//!  "strategy":"dms","ii_seed":null,"verify_trips":64,"contention":false}
 //! {"op":"stats"}
 //! {"op":"metrics"}
 //! {"op":"shutdown"}
@@ -27,7 +27,8 @@
 //! ## Responses
 //!
 //! A schedule response reports the [`dms_sched::ScheduleSummary`] plus the
-//! DMS search telemetry and the verification digest when present:
+//! DMS search telemetry and the verification digest when present
+//! (`achieved_ii` is 0 unless the request asked for `contention`):
 //!
 //! ```json
 //! {"ok":true,"cache_hit":false,"scheduler":"dms",
@@ -35,7 +36,7 @@
 //!             "useful_ops":12,"copies":5,"moves":1,"ii_attempts":1},
 //!  "dms":{"first_ii":3,"pressure_retries":0,"baseline_ii":3,
 //!         "candidates":0,"winner":0},
-//!  "verify":{"stores_checked":128,"max_queue_depth":3}}
+//!  "verify":{"stores_checked":128,"max_queue_depth":3,"achieved_ii":0}}
 //! ```
 //!
 //! A `metrics` response carries the registry's Prometheus text exposition
@@ -417,16 +418,12 @@ impl WireMachine {
         if self.unclustered {
             return MachineConfig::unclustered(self.clusters);
         }
-        let mut machine = if self.copy_units == 1 {
-            MachineConfig::paper_clustered(self.clusters)
-        } else {
-            MachineConfig::paper_clustered_with_copy_units(self.clusters, self.copy_units)
-        }
-        .with_topology(self.topology);
-        if let Some(capacity) = self.cqrf_capacity {
-            machine = machine.with_cqrf_capacity(capacity);
-        }
-        machine
+        MachineConfig::paper_clustered_with(
+            self.clusters,
+            self.copy_units,
+            self.cqrf_capacity,
+            self.topology,
+        )
     }
 }
 

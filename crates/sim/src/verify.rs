@@ -181,7 +181,7 @@ pub fn verify_schedule(
         useful_instances: exec.useful_instances,
         cross_cluster_values: exec.cross_cluster_values,
         max_queue_depth: exec.max_queue_depth,
-        total_registers: alloc.total_registers(),
+        total_registers: alloc.pressure.total(),
         max_live: alloc.max_live,
         achieved_ii: exec.contention.achieved_ii,
         stall_cycles: exec.contention.stall_cycles,

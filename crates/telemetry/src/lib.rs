@@ -4,8 +4,10 @@
 //! named monotonic [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s,
 //! [`ScopedTimer`]s that accumulate phase wall-time into counters, and
 //! per-kind counts of scheduler events ([`EventKind`]) — II attempts,
-//! pressure retries, chain dismantles, portfolio candidate wins, cache
-//! hits/misses and contention link-stalls.
+//! pressure retries, chain dismantles, portfolio candidate wins and
+//! contention link-stalls. Cache hits and misses are the schedule cache's
+//! own counters (`dms_cache_hits_total` / `dms_cache_misses_total`), not
+//! events.
 //!
 //! ## The determinism argument
 //!

@@ -481,7 +481,7 @@ mod tests {
         let h = r.histogram("dms_lat_micros");
         h.observe(1);
         h.observe(3);
-        r.record_event(EventKind::CacheHit);
+        r.record_event(EventKind::CandidateWon);
         let text = r.render_prometheus();
         let a = text.find("dms_a_total 1").expect("counter a rendered");
         let b = text.find("dms_b_total 2").expect("counter b rendered");
@@ -491,7 +491,7 @@ mod tests {
         assert!(text.contains("dms_lat_micros_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("dms_lat_micros_sum 4"));
         assert!(text.contains("dms_lat_micros_count 2"));
-        assert!(text.contains("dms_trace_events_total{kind=\"cache_hit\"} 1"));
+        assert!(text.contains("dms_trace_events_total{kind=\"candidate_won\"} 1"));
         assert!(text.contains("dms_trace_events_total{kind=\"pressure_retry\"} 0"));
     }
 

@@ -10,8 +10,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The kind of a scheduler event. The taxonomy covers the II search, the
-/// pressure-relaxation loop, chain lifecycle, portfolio selection, the
-/// schedule cache and contention-accurate link timing.
+/// pressure-relaxation loop, chain lifecycle, portfolio selection and
+/// contention-accurate link timing. Cache hits and misses are counted by
+/// the cache's own counters, not here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// The II search started an attempt at one candidate II.
@@ -26,24 +27,18 @@ pub enum EventKind {
     ChainDismantled,
     /// A portfolio/beam challenger Pareto-beat the incumbent.
     CandidateWon,
-    /// A schedule-cache lookup hit.
-    CacheHit,
-    /// A schedule-cache lookup missed.
-    CacheMiss,
     /// A contention request's program stalled on a link.
     LinkStall,
 }
 
 impl EventKind {
     /// Every kind, in declaration order (the fixed order used by renderers).
-    pub const ALL: [EventKind; 8] = [
+    pub const ALL: [EventKind; 6] = [
         EventKind::IiAttemptStarted,
         EventKind::IiAttemptFailed,
         EventKind::PressureRetry,
         EventKind::ChainDismantled,
         EventKind::CandidateWon,
-        EventKind::CacheHit,
-        EventKind::CacheMiss,
         EventKind::LinkStall,
     ];
 
@@ -59,8 +54,6 @@ impl EventKind {
             EventKind::PressureRetry => "pressure_retry",
             EventKind::ChainDismantled => "chain_dismantled",
             EventKind::CandidateWon => "candidate_won",
-            EventKind::CacheHit => "cache_hit",
-            EventKind::CacheMiss => "cache_miss",
             EventKind::LinkStall => "link_stall",
         }
     }
@@ -97,9 +90,9 @@ mod tests {
         for _ in 0..10 {
             counts.record(EventKind::IiAttemptStarted);
         }
-        counts.record(EventKind::CacheHit);
+        counts.record(EventKind::CandidateWon);
         assert_eq!(counts.get(EventKind::IiAttemptStarted), 10);
-        assert_eq!(counts.get(EventKind::CacheHit), 1);
+        assert_eq!(counts.get(EventKind::CandidateWon), 1);
         assert_eq!(counts.get(EventKind::LinkStall), 0);
     }
 

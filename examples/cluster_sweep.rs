@@ -14,14 +14,14 @@
 //! ```
 
 use dms_experiments::report;
-use dms_experiments::{figure4, figure5, figure6, measure_suite, ExperimentConfig};
+use dms_experiments::{figure4, figure5, figure6, measure_suite_with_stats, ExperimentConfig};
 
 fn main() {
     let mut config = ExperimentConfig::quick(120);
     config.cluster_counts = (1..=10).collect();
 
     let started = std::time::Instant::now();
-    let measurements = measure_suite(&config);
+    let (measurements, _) = measure_suite_with_stats(&config);
     println!(
         "measured {} loops on {} machine pairs in {:.1} s\n",
         config.suite.num_loops,

@@ -71,7 +71,7 @@ fn main() {
             dms.stats.moves_inserted,
             dms.stats.copies_inserted,
             report.cross_cluster_values,
-            registers.max_cqrf(),
+            registers.pressure.max_cqrf(),
         );
     }
 

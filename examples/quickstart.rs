@@ -57,8 +57,8 @@ fn main() {
     assert!(violations.is_empty(), "the schedule must be valid: {violations:?}");
 
     let registers = allocate(&result, &machine).expect("allocation fits the default capacities");
-    println!("\nLRF registers per cluster : {:?}", registers.lrf_registers);
-    for (queue, regs) in &registers.cqrf_registers {
+    println!("\nLRF registers per cluster : {:?}", registers.pressure.lrf_registers());
+    for (queue, regs) in registers.pressure.cqrf_registers() {
         println!("{queue} registers       : {regs}");
     }
     println!("MaxLive                   : {}", registers.max_live);

@@ -8,8 +8,10 @@
 
 use dms_experiments::report;
 use dms_experiments::{
-    figure4, figure5, figure6, measure_suite_with_stats, ExperimentConfig, ScheduleService,
+    figure4, figure5, figure6, measure_loops_with_stats_on, measure_suite_with_stats,
+    ExperimentConfig, ScheduleService,
 };
+use dms_workloads::generate;
 
 fn suite_config(threads: usize) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::quick(32);
@@ -40,13 +42,13 @@ fn csv_output_is_byte_identical_for_1_and_4_threads() {
         "figure 4 CSV must not depend on the worker count"
     );
     assert_eq!(
-        report::fig5_csv(&figure5(&serial)),
-        report::fig5_csv(&figure5(&parallel)),
+        report::series_csv(&figure5(&serial)),
+        report::series_csv(&figure5(&parallel)),
         "figure 5 CSV must not depend on the worker count"
     );
     assert_eq!(
-        report::fig6_csv(&figure6(&serial)),
-        report::fig6_csv(&figure6(&parallel)),
+        report::series_csv(&figure6(&serial)),
+        report::series_csv(&figure6(&parallel)),
         "figure 6 CSV must not depend on the worker count"
     );
 }
@@ -214,21 +216,21 @@ fn strip_cache_hit(csv: &str) -> String {
 /// (`cache_hit` column aside), every row flagged as cached, zero misses.
 #[test]
 fn warm_sweep_is_answered_entirely_from_the_schedule_cache() {
-    use dms_experiments::runner::measure_suite_with_stats_on;
     let mut cfg = ExperimentConfig::quick(16);
     cfg.cluster_counts = vec![1, 2, 4, 8];
     cfg.verify = true;
     cfg.threads = 4;
 
+    let suite = generate(&cfg.suite);
     let service = ScheduleService::default();
-    let (cold, cold_stats) = measure_suite_with_stats_on(&cfg, &service);
+    let (cold, cold_stats) = measure_loops_with_stats_on(&suite, &cfg, &service);
     assert_eq!(cold_stats.failed, 0);
     assert_eq!(cold_stats.cache_hits, 0, "a fresh service has nothing to hit");
     // Each task issues two scheduler requests: IMS and DMS.
     assert_eq!(cold_stats.cache_misses, 2 * cold_stats.tasks as u64);
     assert!(cold.iter().all(|m| !m.cache_hit), "cold rows must not claim a cache hit");
 
-    let (warm, warm_stats) = measure_suite_with_stats_on(&cfg, &service);
+    let (warm, warm_stats) = measure_loops_with_stats_on(&suite, &cfg, &service);
     assert_eq!(warm_stats.failed, 0);
     assert_eq!(
         warm_stats.cache_hits,
@@ -252,13 +254,13 @@ fn warm_sweep_is_answered_entirely_from_the_schedule_cache() {
 /// 1-shard and an 8-shard service produce byte-identical sweep CSV.
 #[test]
 fn cache_shard_count_does_not_change_results() {
-    use dms_experiments::runner::measure_suite_with_stats_on;
     let mut cfg = ExperimentConfig::quick(12);
     cfg.cluster_counts = vec![2, 4, 8];
     cfg.threads = 4;
 
-    let (one, one_stats) = measure_suite_with_stats_on(&cfg, &ScheduleService::new(1));
-    let (eight, eight_stats) = measure_suite_with_stats_on(&cfg, &ScheduleService::new(8));
+    let suite = generate(&cfg.suite);
+    let (one, one_stats) = measure_loops_with_stats_on(&suite, &cfg, &ScheduleService::new(1));
+    let (eight, eight_stats) = measure_loops_with_stats_on(&suite, &cfg, &ScheduleService::new(8));
     assert_eq!(one_stats.failed, 0);
     assert_eq!(eight_stats.failed, 0);
     assert_eq!(
@@ -368,12 +370,12 @@ fn fig5_and_fig6_match_the_committed_fixtures() {
     let (measurements, stats) = measure_suite_with_stats(&cfg);
     assert_eq!(stats.failed, 0);
     assert_eq!(
-        report::fig5_csv(&figure5(&measurements)),
+        report::series_csv(&figure5(&measurements)),
         include_str!("fixtures/figure5_loops24.csv"),
         "figure-5 CSV must match the fixture"
     );
     assert_eq!(
-        report::fig6_csv(&figure6(&measurements)),
+        report::series_csv(&figure6(&measurements)),
         include_str!("fixtures/figure6_loops24.csv"),
         "figure-6 CSV must match the fixture"
     );

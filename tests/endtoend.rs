@@ -133,7 +133,7 @@ fn pinned_capacity_findings_schedule_allocate_and_verify_at_8_clusters() {
             .unwrap_or_else(|e| panic!("loop {id} (aware): {e}"));
         let alloc = dms_regalloc::allocate(&r, &machine)
             .unwrap_or_else(|e| panic!("loop {id}: aware schedule must allocate: {e}"));
-        assert!(alloc.max_cqrf() <= machine.cqrf_capacity);
+        assert!(alloc.pressure.max_cqrf() <= machine.cqrf_capacity);
         let rep = verify_schedule(&body, &r, &machine, trips)
             .unwrap_or_else(|e| panic!("loop {id}: aware schedule must verify: {e}"));
         assert!(rep.stores_checked > 0);
@@ -166,7 +166,7 @@ fn non_ring_topologies_schedule_allocate_and_verify() {
                 let alloc = dms_regalloc::allocate(&r, &machine).unwrap_or_else(|e| {
                     panic!("{} ({kind}, {clusters} clusters): allocation failed: {e}", body.name)
                 });
-                for q in alloc.cqrf_registers.keys() {
+                for q in alloc.pressure.cqrf_registers().keys() {
                     assert!(
                         legal.contains(q),
                         "{} ({kind}): lifetime in nonexistent queue {q}",

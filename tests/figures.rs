@@ -6,12 +6,12 @@
 //! produced by `cargo run --release -p dms-experiments` and recorded in
 //! `EXPERIMENTS.md`.
 
-use dms_experiments::{figure4, figure5, figure6, measure_suite, ExperimentConfig};
+use dms_experiments::{figure4, figure5, figure6, measure_suite_with_stats, ExperimentConfig};
 
 fn measurements() -> Vec<dms_experiments::LoopMeasurement> {
     let mut cfg = ExperimentConfig::quick(60);
     cfg.cluster_counts = vec![1, 2, 3, 4, 8];
-    measure_suite(&cfg)
+    measure_suite_with_stats(&cfg).0
 }
 
 #[test]

@@ -25,7 +25,7 @@ fn full_pipeline_for_every_kernel_and_cluster_count() {
 
             let alloc = allocate(&result, &machine)
                 .unwrap_or_else(|e| panic!("{}: register allocation failed: {e}", l.name));
-            assert!(alloc.total_registers() > 0);
+            assert!(alloc.pressure.total() > 0);
 
             let report = verify_schedule(&l, &result, &machine, l.trip_count)
                 .unwrap_or_else(|e| panic!("{}: verification failed: {e}", l.name));
@@ -91,7 +91,7 @@ fn unrolled_wide_loop_uses_the_ring() {
     assert!(used.len() >= 4, "a 50-op loop should use at least half of the 8 clusters");
 
     let alloc = allocate(&result, &machine).unwrap();
-    assert!(!alloc.cqrf_registers.is_empty(), "cross-cluster values must use CQRFs");
+    assert!(!alloc.pressure.cqrf_registers().is_empty(), "cross-cluster values must use CQRFs");
 
     let report = verify_schedule(&l, &result, &machine, 64).unwrap();
     assert!(report.cross_cluster_values > 0);

@@ -138,7 +138,7 @@ fn dms_schedules_are_valid_and_execute_correctly() {
 
 /// The incremental queue-pressure estimate maintained by `SchedulerState`
 /// while placing, displacing and chaining operations must equal the register
-/// requirements `dms_regalloc::lifetime` derives from the final schedule —
+/// requirements `dms_sched::pressure::lifetimes` derives from the final schedule —
 /// in particular the estimator may never under-report, or the scheduler's
 /// capacity-driven II retries would accept schedules the allocator rejects.
 /// Checked for every suite loop on every cluster count of the paper's range,
@@ -155,7 +155,7 @@ fn incremental_pressure_estimate_equals_the_allocators_ground_truth() {
             let body = unroll_for_machine(&sl.body, machine.total_useful_fus(), &unroll);
             let r = dms_schedule(&body, &machine, &DmsConfig::default()).unwrap();
             let topology = machine.topology();
-            let lifetimes = dms_regalloc::lifetime::lifetimes(&r.ddg, &r.schedule, &topology);
+            let lifetimes = dms_sched::pressure::lifetimes(&r.ddg, &r.schedule, &topology);
             let truth = QueuePressure::from_lifetimes(&lifetimes, clusters);
             assert_eq!(
                 r.pressure, truth,
@@ -168,8 +168,7 @@ fn incremental_pressure_estimate_equals_the_allocators_ground_truth() {
             // no-under-reporting guarantee in its strongest form.
             let alloc = dms_regalloc::allocate(&r, &machine)
                 .unwrap_or_else(|e| panic!("{} on {clusters} clusters: {e}", body.name));
-            assert_eq!(r.pressure.lrf_registers(), alloc.lrf_registers.as_slice());
-            assert_eq!(r.pressure.cqrf_registers(), &alloc.cqrf_registers);
+            assert_eq!(r.pressure, alloc.pressure);
         }
     }
 }
@@ -339,10 +338,10 @@ fn register_allocation_succeeds_for_every_valid_schedule() {
             let machine = MachineConfig::paper_clustered(clusters);
             let r = dms_schedule(&l, &machine, &DmsConfig::default()).unwrap();
             let alloc = dms_regalloc::allocate(&r, &machine).unwrap();
-            assert!(alloc.total_registers() >= 1);
-            assert_eq!(alloc.lrf_registers.len(), clusters as usize);
+            assert!(alloc.pressure.total() >= 1);
+            assert_eq!(alloc.pressure.lrf_registers().len(), clusters as usize);
             // every cross-cluster lifetime lives in a CQRF between adjacent clusters
-            for id in alloc.cqrf_registers.keys() {
+            for id in alloc.pressure.cqrf_registers().keys() {
                 assert_eq!(machine.topology().distance(id.writer, id.reader), 1);
             }
         }

@@ -13,7 +13,7 @@
 
 use dms::experiments::report;
 use dms::experiments::{
-    measure_suite_with_stats, measure_suite_with_stats_on, ExperimentConfig, ScheduleService,
+    measure_loops_with_stats_on, measure_suite_with_stats, ExperimentConfig, ScheduleService,
 };
 use dms::telemetry::{EventKind, Registry, Telemetry};
 use std::sync::Arc;
@@ -49,7 +49,9 @@ fn measurement_csv_is_byte_identical_with_telemetry_on_and_off() {
     dms::telemetry::install(Arc::clone(&registry));
     for (baseline_csv, threads) in baseline.iter().zip([1usize, 4]) {
         let service = ScheduleService::with_registry(16, Arc::clone(&registry));
-        let (measurements, stats) = measure_suite_with_stats_on(&sweep_config(threads), &service);
+        let cfg = sweep_config(threads);
+        let suite = dms::workloads::generate(&cfg.suite);
+        let (measurements, stats) = measure_loops_with_stats_on(&suite, &cfg, &service);
         assert_eq!(stats.failed, 0, "threads={threads}: every schedule must verify");
         assert_eq!(
             &report::measurements_csv(&measurements),
