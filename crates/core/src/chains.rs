@@ -21,7 +21,7 @@ use dms_sched::schedule::{dependence_bound, ScheduledOp};
 use serde::{Deserialize, Serialize};
 
 /// How strategy 2 chooses between the alternative topology paths of a chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum ChainPolicy {
     /// The paper's policy: among the feasible options, pick the one that
     /// maximises the number of Copy-unit slots left free in the most loaded

@@ -40,7 +40,7 @@ use std::rc::Rc;
 /// assert!(out.ii() <= out.baseline_ii);
 /// assert!(out.ii() >= out.stats.mii.unwrap().mii());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DmsConfig {
     /// How chains pick between the two ring directions.
     pub chain_policy: ChainPolicy,

@@ -10,10 +10,10 @@
 //!   ablation compares this against a naive shortest-path-only policy.
 
 use crate::fig4::{figure4, Fig4Row};
-use crate::runner::{measure_loops_with_stats_on, ExperimentConfig};
+use crate::runner::{measure_loops_with_stats_on, ExperimentConfig, SweepStats};
 use dms_core::{ChainPolicy, DmsConfig};
 use dms_service::ScheduleService;
-use dms_workloads::generate;
+use dms_workloads::{generate, SuiteLoop};
 use serde::{Deserialize, Serialize};
 
 /// Figure-4-style rows for two variants of the same configuration.
@@ -47,35 +47,62 @@ impl AblationResult {
     }
 }
 
-/// Copy-unit ablation: 1 vs `copy_units` Copy units per cluster on the wide
-/// configurations of `config`.
-pub fn copy_unit_ablation(config: &ExperimentConfig, copy_units: u32) -> AblationResult {
+/// The sweep both ablations compare against: the suite, generated once,
+/// swept once under the unvaried configuration on the service that then
+/// answers the variants too. A variant changes only its DMS requests (copy
+/// units and chain policy never reach IMS), so its IMS requests are cache
+/// hits.
+#[derive(Debug)]
+pub struct Baseline {
+    config: ExperimentConfig,
+    suite: Vec<SuiteLoop>,
+    service: ScheduleService,
+    rows: Vec<Fig4Row>,
+    /// Throughput and failures of the baseline sweep.
+    pub stats: SweepStats,
+}
+
+/// Generates the suite of `config` and sweeps it once.
+pub fn sweep_baseline(config: &ExperimentConfig) -> Baseline {
     let suite = generate(&config.suite);
-    // One service for both sweeps: the variant changes only the DMS
-    // requests, so its IMS requests are answered from the baseline's cache.
     let service = ScheduleService::default();
-    let baseline = figure4(&measure_loops_with_stats_on(&suite, config, &service).0);
-    let variant_cfg = ExperimentConfig { copy_units, ..config.clone() };
-    let variant = figure4(&measure_loops_with_stats_on(&suite, &variant_cfg, &service).0);
-    AblationResult { name: format!("copy units per cluster: 1 vs {copy_units}"), baseline, variant }
+    let (measurements, stats) = measure_loops_with_stats_on(&suite, config, &service);
+    Baseline { config: config.clone(), suite, service, rows: figure4(&measurements), stats }
+}
+
+/// Sweeps `variant` over the baseline's suite and pairs its rows with the
+/// baseline's.
+fn ablate(
+    baseline: &Baseline,
+    name: String,
+    variant: &ExperimentConfig,
+) -> (AblationResult, SweepStats) {
+    let (measurements, stats) =
+        measure_loops_with_stats_on(&baseline.suite, variant, &baseline.service);
+    let result =
+        AblationResult { name, baseline: baseline.rows.clone(), variant: figure4(&measurements) };
+    (result, stats)
+}
+
+/// Copy-unit ablation: 1 vs `copy_units` Copy units per cluster on the
+/// baseline's configurations. Also returns the variant sweep's stats.
+pub fn copy_unit_ablation(baseline: &Baseline, copy_units: u32) -> (AblationResult, SweepStats) {
+    let variant = ExperimentConfig { copy_units, ..baseline.config.clone() };
+    ablate(baseline, format!("copy units per cluster: 1 vs {copy_units}"), &variant)
 }
 
 /// Chain-policy ablation: the paper's max-free-slots selection vs the naive
-/// shortest-path selection.
-pub fn chain_policy_ablation(config: &ExperimentConfig) -> AblationResult {
-    let suite = generate(&config.suite);
-    let service = ScheduleService::default();
-    let baseline = figure4(&measure_loops_with_stats_on(&suite, config, &service).0);
-    let variant_cfg = ExperimentConfig {
-        dms: DmsConfig { chain_policy: ChainPolicy::ShortestPath, ..config.dms },
-        ..config.clone()
+/// shortest-path selection. Also returns the variant sweep's stats.
+pub fn chain_policy_ablation(baseline: &Baseline) -> (AblationResult, SweepStats) {
+    let variant = ExperimentConfig {
+        dms: DmsConfig { chain_policy: ChainPolicy::ShortestPath, ..baseline.config.dms },
+        ..baseline.config.clone()
     };
-    let variant = figure4(&measure_loops_with_stats_on(&suite, &variant_cfg, &service).0);
-    AblationResult {
-        name: "chain direction policy: max-free-slots vs shortest-path".to_string(),
+    ablate(
         baseline,
-        variant,
-    }
+        "chain direction policy: max-free-slots vs shortest-path".to_string(),
+        &variant,
+    )
 }
 
 #[cfg(test)]
@@ -90,7 +117,8 @@ mod tests {
 
     #[test]
     fn copy_unit_ablation_never_increases_overhead_much() {
-        let result = copy_unit_ablation(&tiny_config(), 2);
+        let (result, stats) = copy_unit_ablation(&sweep_baseline(&tiny_config()), 2);
+        assert_eq!(stats.failed, 0);
         assert_eq!(result.baseline.len(), 2);
         assert_eq!(result.variant.len(), 2);
         // Extra copy units relax a constraint; the overhead fraction should
@@ -104,8 +132,24 @@ mod tests {
 
     #[test]
     fn chain_policy_ablation_produces_comparable_rows() {
-        let result = chain_policy_ablation(&tiny_config());
+        let (result, _) = chain_policy_ablation(&sweep_baseline(&tiny_config()));
         assert_eq!(result.baseline.len(), result.variant.len());
         assert!(result.name.contains("chain"));
+    }
+
+    /// Both variants compare against one baseline sweep, whose service
+    /// answers their IMS requests from its cache.
+    #[test]
+    fn both_ablations_share_one_baseline_sweep() {
+        let baseline = sweep_baseline(&tiny_config());
+        assert_eq!(baseline.stats.failed, 0);
+        assert_eq!(baseline.stats.cache_hits, 0, "the baseline runs on a cold service");
+        let (copy, copy_stats) = copy_unit_ablation(&baseline, 2);
+        let (chain, chain_stats) = chain_policy_ablation(&baseline);
+        assert_eq!(copy.baseline, chain.baseline);
+        for stats in [copy_stats, chain_stats] {
+            assert_eq!(stats.failed, 0);
+            assert!(stats.cache_hits >= stats.tasks as u64, "every IMS request hits");
+        }
     }
 }

@@ -71,9 +71,10 @@ fn aggregate(strategy: &str, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<
 /// Runs the figure-P sweep: the configured suite under the configured
 /// search strategy (a default portfolio when the configuration still says
 /// plain `dms`), with end-to-end verification forced on — the oracle gates
-/// every portfolio winner. Returns the aggregate rows plus the sweep's
-/// [`SweepStats`] (whose `failed` count gates the CLI exit code).
-pub fn figure_p(config: &ExperimentConfig) -> (Vec<FigPRow>, SweepStats) {
+/// every portfolio winner. Returns the aggregate rows, the per-row
+/// measurements they aggregate, and the sweep's [`SweepStats`] (whose
+/// `failed` count gates the CLI exit code).
+pub fn figure_p(config: &ExperimentConfig) -> (Vec<FigPRow>, Vec<LoopMeasurement>, SweepStats) {
     let mut cfg = ExperimentConfig { verify: true, ..config.clone() };
     if cfg.dms.strategy == SchedulerStrategy::Dms {
         cfg.dms.strategy = SchedulerStrategy::Portfolio {
@@ -83,7 +84,7 @@ pub fn figure_p(config: &ExperimentConfig) -> (Vec<FigPRow>, SweepStats) {
     }
     let strategy = cfg.dms.strategy.label();
     let (measurements, stats) = measure_suite_with_stats(&cfg);
-    (aggregate(&strategy, &measurements, &cfg.cluster_counts), stats)
+    (aggregate(&strategy, &measurements, &cfg.cluster_counts), measurements, stats)
 }
 
 #[cfg(test)]
@@ -94,8 +95,10 @@ mod tests {
     fn figure_p_defaults_to_a_portfolio_and_verifies_every_winner() {
         let mut cfg = ExperimentConfig::quick(8);
         cfg.cluster_counts = FIGP_CLUSTERS.to_vec();
-        let (rows, stats) = figure_p(&cfg);
+        let (rows, measurements, stats) = figure_p(&cfg);
         assert_eq!(rows.len(), FIGP_CLUSTERS.len());
+        assert_eq!(measurements.len(), 8 * FIGP_CLUSTERS.len());
+        assert!(measurements.iter().all(|m| m.verified_stores > 0));
         assert_eq!(stats.failed, 0, "figure P must verify every winning schedule");
         assert!(stats.stores_verified > 0);
         for row in &rows {
@@ -140,7 +143,7 @@ mod tests {
         let mut cfg = ExperimentConfig::quick(4);
         cfg.cluster_counts = vec![4];
         cfg.dms.strategy = SchedulerStrategy::Beam { width: 2 };
-        let (rows, _) = figure_p(&cfg);
+        let (rows, _, _) = figure_p(&cfg);
         assert!(rows.iter().all(|r| r.strategy == "beam:2"));
     }
 }

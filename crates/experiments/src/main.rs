@@ -48,7 +48,7 @@
 //! observation-only, so the flag never changes a measurement (a workspace
 //! test pins the CSVs byte-identical with it on and off).
 
-use dms_experiments::ablation::{chain_policy_ablation, copy_unit_ablation};
+use dms_experiments::ablation::{chain_policy_ablation, copy_unit_ablation, sweep_baseline};
 use dms_experiments::report;
 use dms_experiments::{
     figure4, figure5, figure6, figure_c, figure_p, figure_t, measure_loops_with_stats_on,
@@ -471,7 +471,7 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
     );
 
     if cli.command == Command::FigP {
-        let (rows, stats) = figure_p(&cli.config);
+        let (rows, measurements, stats) = figure_p(&cli.config);
         println!("{}", verified_sweep_summary(&stats));
         let recovered: usize = rows.iter().map(|r| r.recovered).sum();
         let loops: usize = rows.iter().map(|r| r.loops).sum();
@@ -480,6 +480,7 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         println!("{}", report::render_figp(&rows));
         if let Some(dir) = &cli.csv_dir {
             write_csv(dir, "figureP.csv", &report::figp_csv(&rows));
+            write_csv(dir, "measurementsP.csv", &report::measurements_csv(&measurements));
         }
         // Figure P always verifies: any failed task is a compiler bug.
         if stats.failed > 0 {
@@ -536,10 +537,16 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         if cfg.cluster_counts.is_empty() {
             cfg.cluster_counts = vec![6, 8, 10];
         }
-        let copy = copy_unit_ablation(&cfg, 2);
+        let baseline = sweep_baseline(&cfg);
+        let (copy, copy_stats) = copy_unit_ablation(&baseline, 2);
         println!("\n{}", report::render_ablation(&copy));
-        let chain = chain_policy_ablation(&cfg);
+        let (chain, chain_stats) = chain_policy_ablation(&baseline);
         println!("\n{}", report::render_ablation(&chain));
+        let failed = baseline.stats.failed + copy_stats.failed + chain_stats.failed;
+        if failed > 0 {
+            eprintln!("error: {failed} task(s) of the ablation sweeps failed");
+            return ExitCode::FAILURE;
+        }
         return ExitCode::SUCCESS;
     }
 

@@ -10,11 +10,12 @@
 //! is permuted) hash identically; changing any op kind, operand, edge
 //! endpoint, latency or iteration distance changes the hash.
 //!
-//! That invariance is what makes the hash usable as a *content address* for
-//! schedule caching (the `dms-service` crate): a cached schedule keyed by
-//! the canonical hash is valid for every isomorphic body, because the
-//! scheduler's constraints (dependences, latencies, distances, resource
-//! classes) are exactly the hashed structure.
+//! That invariance makes the hash a *content address* for every isomorphic
+//! body: the scheduler's constraints (dependences, latencies, distances,
+//! resource classes) are exactly the hashed structure. The `dms-service`
+//! cache no longer keys by it — some tie-breaks depend on ids and names the
+//! hash erases, so the service keys by an exact fingerprint instead — but
+//! a caller that wants isomorphic bodies under one key can still use it.
 //!
 //! The construction is Weisfeiler–Leman-style label refinement:
 //!

@@ -83,7 +83,7 @@ impl fmt::Display for DepEdge {
 }
 
 /// The data-dependence graph of one loop-body iteration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Hash, Serialize, Deserialize)]
 pub struct Ddg {
     ops: Vec<Option<Operation>>,
     edges: Vec<Option<DepEdge>>,

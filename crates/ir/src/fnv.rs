@@ -2,11 +2,17 @@
 //! canonical DDG hash, the schedule cache's keys and guard, and the
 //! portfolio's per-candidate seeds.
 //!
+//! [`Fnv`] is also a [`Hasher`], so any `#[derive(Hash)]` type can be
+//! digested field by field (the service's guard fingerprint and cache
+//! context do this). Such digests follow `Hash`'s native-endian integer
+//! encoding, so they are process-local: nothing may persist or pin them.
+//!
 //! The byte-feeding methods are `#[inline]` so the service and scheduler
 //! crates inline the digest loop across the crate boundary: the guard
-//! fingerprint and the canonical hash run it on every request.
+//! fingerprint runs it on every request.
 
 use std::fmt::{self, Write as _};
+use std::hash::Hasher;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -53,6 +59,17 @@ impl Fnv {
 
     /// Returns the digest.
     pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Hasher for Fnv {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+
+    fn finish(&self) -> u64 {
         self.0
     }
 }

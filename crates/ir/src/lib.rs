@@ -9,8 +9,9 @@
 //! * a convenient [`LoopBuilder`] for writing loop bodies by hand,
 //! * graph analyses (strongly connected components, recurrence detection,
 //!   critical-path metrics) in [`analysis`],
-//! * an isomorphism-invariant content hash of a DDG ([`canon`]) — the
-//!   content address the `dms-service` schedule cache keys on,
+//! * an isomorphism-invariant content hash of a DDG ([`canon`]),
+//! * [`Fnv`], the FNV-1a digest behind every content hash (also a
+//!   `std::hash::Hasher`, so derived `Hash` types digest field by field),
 //! * the DDG transformations required by the paper: loop [`transform::unroll`]
 //!   and the single-use lifetime conversion
 //!   [`transform::convert_to_single_use`],

@@ -150,7 +150,7 @@ impl From<OpId> for Operand {
 }
 
 /// A single operation of the loop body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Operation {
     /// What the operation does (and which functional unit class it needs).
     pub kind: OpKind,

@@ -38,21 +38,26 @@ struct Read {
 pub fn convert_to_single_use(ddg: &mut Ddg, latency: &LatencySpec) -> usize {
     let producers: Vec<OpId> =
         ddg.live_ops().filter(|(_, o)| o.kind.has_result()).map(|(id, _)| id).collect();
-    let mut inserted = 0;
-
-    for p in producers {
-        // Collect every operand read of `p` across the graph.
-        let mut reads: Vec<Read> = Vec::new();
-        let consumers: Vec<OpId> = ddg.live_op_ids().collect();
-        for c in consumers {
-            for (i, r) in ddg.op(c).reads.iter().enumerate() {
-                if let Operand::Def { op, distance } = *r {
-                    if op == p {
-                        reads.push(Read { consumer: c, operand_idx: i, distance });
-                    }
+    // Every read of every producer, bucketed by producer in one walk. A
+    // producer's rewrite below only redirects its own reads and its copies
+    // only read it or each other, so each bucket stays exactly what a scan
+    // of the graph at that producer's turn would find.
+    let mut reads_of: Vec<Vec<Read>> = vec![Vec::new(); ddg.num_slots()];
+    for (c, op) in ddg.live_ops() {
+        for (i, r) in op.reads.iter().enumerate() {
+            if let Operand::Def { op: p, distance } = *r {
+                // An id past the last slot (a malformed graph) names no
+                // producer.
+                if let Some(bucket) = reads_of.get_mut(p.index()) {
+                    bucket.push(Read { consumer: c, operand_idx: i, distance });
                 }
             }
         }
+    }
+
+    let mut inserted = 0;
+    for p in producers {
+        let reads = &mut reads_of[p.index()];
         if reads.len() <= 2 {
             continue;
         }

@@ -71,7 +71,7 @@ impl Default for ClusterFus {
 /// assert!(clustered.is_clustered());
 /// assert!(!unclustered.is_clustered());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MachineConfig {
     clusters: Vec<ClusterFus>,
     latency: LatencySpec,

@@ -74,24 +74,36 @@ pub fn res_mii(ddg: &Ddg, machine: &MachineConfig) -> Result<u32, ScheduleError>
 /// the component. Acyclic graphs have `RecMII = 1`.
 pub fn rec_mii(ddg: &Ddg) -> u32 {
     let mut best = 1u32;
+    // `pos[slot]` is the slot's index inside the cyclic component being
+    // bounded, `None` outside it. Only cyclic components are entered, and
+    // each is cleared again before the next, so an edge leaving the
+    // component never finds a stale entry.
+    let mut pos: Vec<Option<usize>> = vec![None; ddg.num_slots()];
     for comp in sccs(ddg) {
         let cyclic = comp.len() > 1 || ddg.succs(comp[0]).any(|(_, e)| e.dst == comp[0]);
         if !cyclic {
             continue;
         }
-        best = best.max(scc_rec_mii(ddg, &comp));
+        for (i, v) in comp.iter().enumerate() {
+            pos[v.index()] = Some(i);
+        }
+        best = best.max(scc_rec_mii(ddg, &comp, &pos));
+        for v in &comp {
+            pos[v.index()] = None;
+        }
     }
     best
 }
 
-/// Recurrence bound of a single strongly connected component.
-fn scc_rec_mii(ddg: &Ddg, comp: &[OpId]) -> u32 {
+/// Recurrence bound of a single strongly connected component, whose
+/// members `pos` maps to their index in `comp`.
+fn scc_rec_mii(ddg: &Ddg, comp: &[OpId], pos: &[Option<usize>]) -> u32 {
     // Upper bound: the sum of all edge latencies inside the component is
     // enough to make every circuit non-positive (total distance >= 1).
     let hi: u32 = comp
         .iter()
         .flat_map(|&v| ddg.succs(v))
-        .filter(|(_, e)| comp.contains(&e.src) && comp.contains(&e.dst))
+        .filter(|(_, e)| pos[e.dst.index()].is_some())
         .map(|(_, e)| e.latency)
         .sum::<u32>()
         .max(1);
@@ -99,7 +111,7 @@ fn scc_rec_mii(ddg: &Ddg, comp: &[OpId]) -> u32 {
     let mut hi = hi;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if has_positive_cycle(ddg, comp, mid) {
+        if has_positive_cycle(ddg, comp, pos, mid) {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -110,14 +122,13 @@ fn scc_rec_mii(ddg: &Ddg, comp: &[OpId]) -> u32 {
 
 /// Whether the component contains a circuit with positive slack at the given
 /// II (max-plus Floyd–Warshall on the component subgraph).
-fn has_positive_cycle(ddg: &Ddg, comp: &[OpId], ii: u32) -> bool {
+fn has_positive_cycle(ddg: &Ddg, comp: &[OpId], pos: &[Option<usize>], ii: u32) -> bool {
     const NEG_INF: i64 = i64::MIN / 4;
     let n = comp.len();
-    let pos = |id: OpId| comp.iter().position(|&x| x == id);
     let mut dist = vec![NEG_INF; n * n];
     for (i, &v) in comp.iter().enumerate() {
         for (_, e) in ddg.succs(v) {
-            if let Some(j) = pos(e.dst) {
+            if let Some(j) = pos[e.dst.index()] {
                 let w = e.latency as i64 - ii as i64 * e.distance as i64;
                 let cell = &mut dist[i * n + j];
                 *cell = (*cell).max(w);

@@ -11,18 +11,23 @@ use dms_ir::{Ddg, OpId};
 /// Computes the height of every operation for the given II.
 ///
 /// The returned vector is indexed by [`OpId::index`]; slots of removed
-/// operations hold 0. Heights are computed by fixpoint iteration; at any
-/// `II >= RecMII` every circuit has non-positive weight, so the iteration
-/// converges within `|ops|` rounds. If it has not converged by then (the II
-/// is below RecMII), the partially relaxed heights are returned — they are
-/// still a usable priority order.
+/// operations hold 0. Heights are computed by fixpoint iteration, relaxing
+/// live operations in descending id order: a producer almost always has a
+/// lower id than its consumers (loop-carried edges and appended `Copy`
+/// operations are the exceptions), so one sweep settles most of a body
+/// and only the exceptions take further rounds. At any `II >= RecMII`
+/// every circuit has non-positive weight, so the iteration reaches the
+/// least fixpoint — the same for every relaxation order — within `|ops|`
+/// rounds. If it has not converged by then (the II is below RecMII), the
+/// partially relaxed heights are returned — they are still a usable
+/// priority order.
 pub fn heights(ddg: &Ddg, ii: u32) -> Vec<i64> {
     let n = ddg.num_slots();
     let mut h = vec![0i64; n];
     let live: Vec<OpId> = ddg.live_op_ids().collect();
     for _ in 0..live.len().max(1) {
         let mut changed = false;
-        for &v in &live {
+        for &v in live.iter().rev() {
             let mut best = 0i64;
             for (_, e) in ddg.succs(v) {
                 let cand = h[e.dst.index()] + e.latency as i64 - ii as i64 * e.distance as i64;

@@ -56,7 +56,7 @@ pub const DEFAULT_PORTFOLIO_CANDIDATES: u32 = 8;
 /// assert_eq!(SchedulerStrategy::parse(&p.label()).unwrap(), p);
 /// assert!(SchedulerStrategy::parse("beam:0").is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum SchedulerStrategy {
     /// The paper's deterministic DMS heuristic (the default; bit-identical
     /// to the pre-strategy scheduler).

@@ -3,10 +3,12 @@
 //! A fixed number of `Mutex`-guarded shards, picked by hashing the
 //! [`CacheKey`]; concurrent sweep workers only contend when they touch the
 //! same shard. Every entry is guarded by the requester's exact fingerprint
-//! (see [`crate::hash`]): one canonical key can hold several
-//! isomorphic-twin entries side by side, and a lookup hits only on an exact
-//! guard match — so a cached value is always *the* value the cold path
-//! would have produced for that precise request, bit for bit.
+//! (see [`crate::hash`]), and a lookup hits only on an exact guard match —
+//! so a cached value is always *the* value the cold path would have
+//! produced for that precise request, bit for bit. A key can hold several
+//! entries side by side when its body half does not already decide the
+//! guard (a caller keying by an isomorphism-invariant digest); the
+//! service keys by the fingerprint itself, so its lists hold one entry.
 //!
 //! The shard count is a pure performance knob: results never depend on it
 //! (a regression test in the workspace pins 1-shard vs 8-shard sweeps to
@@ -38,7 +40,9 @@ pub struct CacheCounters {
 }
 
 /// One shard: a key mapped to its guard-disambiguated entries. The inner
-/// `Vec` is almost always length 1; isomorphic twins make it longer.
+/// `Vec` is almost always length 1; only a key whose body half erases
+/// detail the guard keeps (isomorphic twins under a canonical key) makes
+/// it longer.
 type Shard<V> = Mutex<HashMap<CacheKey, Vec<(u64, V)>>>;
 
 /// A sharded map from (key, guard) to a cloneable value.

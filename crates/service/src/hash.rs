@@ -1,25 +1,32 @@
-//! Cache-key derivation: the two-part content address and its exact guard.
+//! Cache-key derivation: the exact body fingerprint and the request
+//! context.
 //!
 //! A schedule is a pure function of (loop body, machine, scheduler
 //! configuration, verification trip count). The cache key splits that into:
 //!
-//! * `canon` — [`dms_ir::canonical_hash`] of the body's DDG: invariant
-//!   under op/edge reordering and id renaming, so isomorphic bodies key
-//!   identically;
+//! * `canon` — the body digest the caller keys by. The service keys by
+//!   [`guard_fingerprint`]: FNV over the loop name, the trip count and the
+//!   derived `Hash` of the DDG, field by field. The DDG's hash covers every
+//!   field its `Debug` rendering shows — tombstones, edge ids and the
+//!   `succs`/`preds` lists included — so two bodies get equal fingerprints
+//!   exactly when their renderings are equal (up to a 64-bit collision).
 //! * `context` — an FNV-1a digest of everything else: scheduler kind, the
 //!   `DmsConfig` (DMS requests only — IMS ignores it, so it must not
 //!   fragment IMS entries), the machine description and the verify trip
-//!   count.
+//!   count, each hashed by derived `Hash`.
 //!
-//! Because some scheduler tie-breaks legitimately depend on non-canonical
-//! detail (the portfolio jitter is seeded from the *loop name*; DMS
-//! priority ties break on raw `OpId` numbering), a canonical key alone
-//! could serve one twin the other twin's schedule and break bit-exact
-//! determinism. Every cache entry therefore also carries an **exact
-//! fingerprint guard** — [`guard_fingerprint`]: FNV over the name, trip
-//! count and the raw `Debug` rendering of the DDG — and a lookup only hits
-//! when the guard matches. Isomorphic twins coexist under one key; a guard
-//! mismatch is a miss, never a wrong answer.
+//! The fingerprint is exact rather than isomorphism-invariant on purpose:
+//! some scheduler tie-breaks depend on detail a canonical hash erases (the
+//! portfolio jitter is seeded from the *loop name*; DMS priority ties break
+//! on raw `OpId` numbering), so two isomorphic twins must never share an
+//! entry. Every entry also stores the fingerprint as its guard, and a
+//! lookup only hits when the guard matches.
+//!
+//! Fingerprints follow `Hash`'s native-endian integer encoding, so they are
+//! process-local: the cache lives in memory and nothing persists or pins
+//! them.
+
+use std::hash::Hash;
 
 pub use dms_ir::Fnv;
 use dms_ir::Loop;
@@ -27,7 +34,8 @@ use dms_ir::Loop;
 /// The two-part content address of a schedule request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Canonical (isomorphism-invariant) hash of the loop body's DDG.
+    /// The body digest the caller keys by ([`guard_fingerprint`] for the
+    /// service).
     pub canon: u64,
     /// Digest of the request context: scheduler kind and configuration,
     /// machine description, verification trip count.
@@ -45,20 +53,20 @@ impl CacheKey {
     }
 }
 
-/// The exact-identity fingerprint guarding a cache entry: loop name, trip
-/// count and the raw (id-sensitive) DDG rendering.
+/// The exact-identity fingerprint of a request body: loop name, trip count
+/// and the derived (id-sensitive) `Hash` of the DDG.
 pub fn guard_fingerprint(body: &Loop) -> u64 {
     let mut h = Fnv::new();
-    h.bytes(body.name.as_bytes());
-    h.word(body.trip_count);
-    h.debug(&body.ddg);
+    body.name.hash(&mut h);
+    body.trip_count.hash(&mut h);
+    body.ddg.hash(&mut h);
     h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dms_ir::{LoopBuilder, Operand};
+    use dms_ir::{Ddg, DepEdge, LoopBuilder, OpKind, Operand, Operation};
 
     fn sample(name: &str, trips: u64) -> Loop {
         let mut b = LoopBuilder::new(name);
@@ -86,5 +94,32 @@ mod tests {
         assert_eq!(base, guard_fingerprint(&sample("a", 8)));
         assert_ne!(base, guard_fingerprint(&sample("b", 8)));
         assert_ne!(base, guard_fingerprint(&sample("a", 9)));
+    }
+
+    /// Tombstones and the order of the adjacency lists show in the `Debug`
+    /// rendering, so they must separate guards too.
+    #[test]
+    fn guard_separates_tombstones_and_adjacency_order() {
+        let graph = |dead_op: bool, edges_reversed: bool| {
+            let mut g = Ddg::new();
+            let a = g.add_op(Operation::new(OpKind::Load, vec![Operand::Induction]));
+            if dead_op {
+                let dead = g.add_op(Operation::new(OpKind::Load, vec![Operand::Induction]));
+                g.remove_op(dead);
+            }
+            let b = g.add_op(Operation::new(OpKind::Add, vec![a.into(), a.into()]));
+            let mut edges = [DepEdge::flow(a, b, 2, 0), DepEdge::flow(a, b, 2, 1)];
+            if edges_reversed {
+                edges.reverse();
+            }
+            for e in edges {
+                g.add_edge(e);
+            }
+            Loop::new("g", g, 8)
+        };
+        let base = guard_fingerprint(&graph(false, false));
+        assert_eq!(base, guard_fingerprint(&graph(false, false)));
+        assert_ne!(base, guard_fingerprint(&graph(true, false)), "a tombstone");
+        assert_ne!(base, guard_fingerprint(&graph(false, true)), "edge order");
     }
 }

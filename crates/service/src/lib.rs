@@ -16,15 +16,16 @@
 //!   [`cache`] or by running the scheduler (and, when asked, the end-to-end
 //!   verify oracle) cold and inserting the result. Cached responses are
 //!   bit-identical to cold ones: the cache stores the full outcome plus the
-//!   verified-stores digest, and an exact fingerprint guard inside every
-//!   entry keeps isomorphic-but-distinct loops (whose schedules can differ
-//!   in name-seeded tie-breaks) from ever sharing an entry.
+//!   verified-stores digest, and the key is exact — isomorphic-but-distinct
+//!   loops (whose schedules can differ in name-seeded tie-breaks) never
+//!   share an entry.
 //! * [`cache`] — N `Mutex`-guarded shards keyed by
-//!   (canonical DDG hash, context hash), with hit/miss/insert counters
+//!   (exact body fingerprint, context hash), with hit/miss/insert counters
 //!   published as `dms-telemetry` handles into the owning service's
-//!   metrics registry. The canonical half of the key is
-//!   [`dms_ir::canonical_hash`]; the context half folds the machine
-//!   description, the scheduler kind and configuration, and the
+//!   metrics registry. The fingerprint ([`hash::guard_fingerprint`]) is one
+//!   linear pass over the loop name, trip count and the derived `Hash` of
+//!   the DDG, and also guards each entry; the context half folds the
+//!   machine description, the scheduler kind and configuration, and the
 //!   verification trip count.
 //! * [`pool`] — the deterministic work-stealing worker pool (shared atomic
 //!   cursor, small claimed batches, one pre-allocated result slot per item)

@@ -11,8 +11,9 @@
 //!
 //! **Cached responses are bit-identical to cold ones.** The cache stores
 //! the complete [`ScheduleOutcome`]/[`ScheduleResult`] plus the verify
-//! digest, keyed by (canonical DDG hash, context hash) and guarded by the
-//! exact loop fingerprint (see [`crate::hash`] for why the guard exists).
+//! digest, keyed by (exact body fingerprint, context hash) and guarded by
+//! the same fingerprint (see [`crate::hash`] for why it is exact rather
+//! than isomorphism-invariant).
 //! Failures — scheduler errors and verification failures — are never
 //! cached: they are rare (a healthy sweep has none) and a negative cache
 //! would complicate the bit-exactness story for no measurable win.
@@ -20,12 +21,13 @@
 use crate::cache::{CacheCounters, ShardedCache};
 use crate::hash::{guard_fingerprint, CacheKey, Fnv};
 use dms_core::{dms_schedule, DmsConfig, ScheduleOutcome};
-use dms_ir::{canonical_hash, Loop};
+use dms_ir::Loop;
 use dms_machine::MachineConfig;
 use dms_sched::{ims_schedule, ImsConfig, ScheduleError, ScheduleResult};
 use dms_sim::verify_schedule;
 use dms_telemetry::{EventKind, Gauge, Histogram, Registry};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -247,8 +249,8 @@ impl ScheduleService {
     }
 
     fn answer(&self, req: &ScheduleRequest<'_>) -> Result<ScheduleResponse, ServiceError> {
-        let key = cache_key(req);
         let guard = guard_fingerprint(req.body);
+        let key = cache_key(req, guard);
         if let Some(entry) = self.cache.lookup(&key, guard) {
             return Ok(ScheduleResponse {
                 output: entry.output,
@@ -290,32 +292,26 @@ impl ScheduleService {
     }
 }
 
-/// Derives the content address of a request. The canonical half is the
-/// isomorphism-invariant DDG hash; the context half folds everything else
+/// Derives the content address of a request from its body fingerprint
+/// `guard` ([`guard_fingerprint`]). The context half folds everything else
 /// the schedule depends on. `DmsConfig` only enters DMS keys — IMS ignores
 /// it, so including it would make identical IMS requests miss whenever an
 /// unrelated DMS knob (e.g. the sweep's `ii_seed` threading) changes.
-fn cache_key(req: &ScheduleRequest<'_>) -> CacheKey {
+fn cache_key(req: &ScheduleRequest<'_>, guard: u64) -> CacheKey {
     let mut ctx = Fnv::new();
     match req.scheduler {
         SchedulerKind::Ims => ctx.word(1),
         SchedulerKind::Dms => {
             ctx.word(2);
-            ctx.debug(&req.dms);
+            req.dms.hash(&mut ctx);
         }
     }
-    ctx.debug(req.machine);
-    match req.verify_trips {
-        None => ctx.word(0),
-        Some(trips) => {
-            ctx.word(1);
-            ctx.word(trips);
-        }
-    }
+    req.machine.hash(&mut ctx);
+    req.verify_trips.hash(&mut ctx);
     // A contention request carries an extra digest field, so it must not
     // hit a plain verified entry (and vice versa).
-    ctx.word(u64::from(req.contention));
-    CacheKey { canon: canonical_hash(&req.body.ddg), context: ctx.finish() }
+    req.contention.hash(&mut ctx);
+    CacheKey { canon: guard, context: ctx.finish() }
 }
 
 #[cfg(test)]
@@ -451,10 +447,36 @@ mod tests {
         let twin_resp = service.schedule(&dms_request(&twin, &machine)).unwrap();
         assert!(
             !twin_resp.cache_hit,
-            "the exact-fingerprint guard must keep name-seeded tie-breaks from leaking \
-             across isomorphic twins"
+            "the exact fingerprint must keep name-seeded tie-breaks from leaking across \
+             isomorphic twins"
         );
-        assert_eq!(service.cache_len(), 2, "both twins coexist under one canonical key");
+        assert_eq!(twin_resp.output.result().loop_name, "fir_renamed", "its own schedule");
+        assert_eq!(service.cache_len(), 2, "each twin has its own entry");
+        assert!(service.schedule(&dms_request(&twin, &machine)).unwrap().cache_hit);
+    }
+
+    /// A body whose ops are renumbered is isomorphic to the original (same
+    /// canonical hash) but schedules on its own: priority ties break on raw
+    /// op ids.
+    #[test]
+    fn isomorphic_twin_with_renumbered_ops_misses_and_gets_its_own_schedule() {
+        let service = ScheduleService::default();
+        let fir = kernels::fir(8, 64);
+        let reversal: Vec<usize> = (0..fir.ddg.num_slots()).rev().collect();
+        let twin = Loop::new(&fir.name, dms_ir::canon::permute(&fir.ddg, &reversal), 64);
+        assert_eq!(dms_ir::canonical_hash(&twin.ddg), dms_ir::canonical_hash(&fir.ddg));
+        let machine = MachineConfig::paper_clustered(4);
+
+        service.schedule(&dms_request(&fir, &machine)).unwrap();
+        let twin_resp = service.schedule(&dms_request(&twin, &machine)).unwrap();
+        assert!(!twin_resp.cache_hit, "a renumbered twin must not hit the original's entry");
+        assert_eq!(service.cache_len(), 2);
+        let cold = dms_schedule(&twin, &machine, &DmsConfig::default()).unwrap();
+        assert_eq!(
+            format!("{:?}", twin_resp.output.result()),
+            format!("{:?}", cold.result),
+            "the twin's response is its own cold schedule"
+        );
     }
 
     #[test]

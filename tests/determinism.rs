@@ -250,6 +250,30 @@ fn warm_sweep_is_answered_entirely_from_the_schedule_cache() {
     );
 }
 
+/// The cache keys by the exact body fingerprint and the request context:
+/// a warm re-sweep of the paper grid at `--loops 24` (clusters 1–10) hits
+/// on every request and reproduces the cold CSV, `cache_hit` column aside.
+#[test]
+fn warm_resweep_of_the_24_loop_paper_grid_hits_every_request() {
+    let mut cfg = ExperimentConfig::paper();
+    cfg.suite.num_loops = 24;
+    cfg.threads = 2;
+
+    let suite = generate(&cfg.suite);
+    let service = ScheduleService::default();
+    let (cold, cold_stats) = measure_loops_with_stats_on(&suite, &cfg, &service);
+    assert_eq!(cold_stats.failed, 0);
+    let (warm, warm_stats) = measure_loops_with_stats_on(&suite, &cfg, &service);
+    assert_eq!(warm_stats.failed, 0);
+    assert_eq!(warm_stats.tasks, 240);
+    assert_eq!(warm_stats.cache_hits, 2 * warm_stats.tasks as u64);
+    assert_eq!(warm_stats.cache_misses, 0);
+    assert_eq!(
+        strip_cache_hit(&report::measurements_csv(&cold)),
+        strip_cache_hit(&report::measurements_csv(&warm)),
+    );
+}
+
 /// The shard count of the schedule cache is a pure performance knob: a
 /// 1-shard and an 8-shard service produce byte-identical sweep CSV.
 #[test]
@@ -343,16 +367,13 @@ fn figp_grid_matches_the_committed_fixture() {
     cfg.cluster_counts = FIGP_CLUSTERS.to_vec();
     cfg.threads = 1;
     cfg.dms.strategy = SchedulerStrategy::Portfolio { n_candidates: 4, exploit_percent: 50 };
-    let (rows, stats) = figure_p(&cfg);
+    let (rows, measurements, stats) = figure_p(&cfg);
     assert_eq!(stats.failed, 0, "figure P verifies every winning schedule");
     assert_eq!(
         report::figp_csv(&rows),
         include_str!("fixtures/figurep_loops24.csv"),
         "figure-P aggregate CSV must match the fixture"
     );
-    cfg.verify = true;
-    let (measurements, stats) = measure_suite_with_stats(&cfg);
-    assert_eq!(stats.failed, 0);
     assert_eq!(measurements.len(), 72);
     assert_eq!(
         report::measurements_csv(&measurements),

@@ -1,0 +1,339 @@
+//! Exactness of the linear per-request passes against the quadratic
+//! algorithms they replaced.
+//!
+//! The guard fingerprint, the single-use conversion, RecMII and the height
+//! priority each run once per request or per II attempt, so each has a
+//! linear implementation. The algorithms they replaced are kept here, in
+//! [`reference`], and every test checks the fast path against its reference
+//! on the paper suite unrolled for the 1–10-cluster paper machines (12,580
+//! bodies) and on [`dms_ir::kernels`].
+
+use dms_ir::transform::convert_to_single_use;
+use dms_ir::{analysis, kernels, Ddg, DepEdge, DepKind, Fnv, LatencySpec, Loop};
+use dms_ir::{OpId, OpKind, Operand, Operation};
+use dms_machine::MachineConfig;
+use dms_sched::mii::{mii, rec_mii};
+use dms_sched::priority::heights;
+use dms_service::hash::guard_fingerprint;
+use dms_workloads::{generate, unroll_for_machine, SuiteConfig, UnrollPolicy};
+use std::collections::{BTreeSet, HashMap};
+
+/// The algorithms the fast paths replaced.
+mod reference {
+    use super::*;
+
+    /// FNV over the name, the trip count and the DDG's `Debug` rendering.
+    pub fn debug_guard(body: &Loop) -> u64 {
+        let mut h = Fnv::new();
+        h.bytes(body.name.as_bytes());
+        h.word(body.trip_count);
+        h.debug(&body.ddg);
+        h.finish()
+    }
+
+    #[derive(Clone, Copy)]
+    struct Read {
+        consumer: OpId,
+        operand_idx: usize,
+        distance: u32,
+    }
+
+    /// The single-use conversion that scans every op once per producer.
+    pub fn convert_to_single_use(ddg: &mut Ddg, latency: &LatencySpec) -> usize {
+        let producers: Vec<OpId> =
+            ddg.live_ops().filter(|(_, o)| o.kind.has_result()).map(|(id, _)| id).collect();
+        let mut inserted = 0;
+        for p in producers {
+            let mut reads: Vec<Read> = Vec::new();
+            let consumers: Vec<OpId> = ddg.live_op_ids().collect();
+            for c in consumers {
+                for (i, r) in ddg.op(c).reads.iter().enumerate() {
+                    if let Operand::Def { op, distance } = *r {
+                        if op == p {
+                            reads.push(Read { consumer: c, operand_idx: i, distance });
+                        }
+                    }
+                }
+            }
+            if reads.len() <= 2 {
+                continue;
+            }
+            reads.sort_by_key(|r| (r.consumer != p, r.distance, r.consumer, r.operand_idx));
+            let mut prev = p;
+            let mut prev_lat = latency.of(ddg.op(p).kind);
+            for (i, read) in reads.iter().enumerate().skip(1) {
+                if i != reads.len() - 1 {
+                    let copy = ddg.add_op(Operation::new(OpKind::Copy, vec![Operand::def(prev)]));
+                    ddg.add_edge(DepEdge::flow(prev, copy, prev_lat, 0));
+                    inserted += 1;
+                    prev = copy;
+                    prev_lat = latency.copy;
+                }
+                let old_edge = ddg
+                    .preds(read.consumer)
+                    .find(|(_, e)| {
+                        e.kind == DepKind::Flow && e.src == p && e.distance == read.distance
+                    })
+                    .map(|(id, _)| id);
+                if let Some(eid) = old_edge {
+                    ddg.remove_edge(eid);
+                }
+                ddg.op_mut(read.consumer).reads[read.operand_idx] =
+                    Operand::def_at(prev, read.distance);
+                ddg.add_edge(DepEdge::flow(prev, read.consumer, prev_lat, read.distance));
+            }
+        }
+        inserted
+    }
+
+    /// RecMII with linear `contains`/`position` lookups into each component.
+    pub fn rec_mii(ddg: &Ddg) -> u32 {
+        let mut best = 1u32;
+        for comp in analysis::sccs(ddg) {
+            let cyclic = comp.len() > 1 || ddg.succs(comp[0]).any(|(_, e)| e.dst == comp[0]);
+            if !cyclic {
+                continue;
+            }
+            let hi: u32 = comp
+                .iter()
+                .flat_map(|&v| ddg.succs(v))
+                .filter(|(_, e)| comp.contains(&e.src) && comp.contains(&e.dst))
+                .map(|(_, e)| e.latency)
+                .sum::<u32>()
+                .max(1);
+            let (mut lo, mut hi) = (1u32, hi);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if has_positive_cycle(ddg, &comp, mid) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            best = best.max(lo);
+        }
+        best
+    }
+
+    fn has_positive_cycle(ddg: &Ddg, comp: &[OpId], ii: u32) -> bool {
+        const NEG_INF: i64 = i64::MIN / 4;
+        let n = comp.len();
+        let pos = |id: OpId| comp.iter().position(|&x| x == id);
+        let mut dist = vec![NEG_INF; n * n];
+        for (i, &v) in comp.iter().enumerate() {
+            for (_, e) in ddg.succs(v) {
+                if let Some(j) = pos(e.dst) {
+                    let w = e.latency as i64 - ii as i64 * e.distance as i64;
+                    dist[i * n + j] = dist[i * n + j].max(w);
+                }
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                let dik = dist[i * n + k];
+                if dik == NEG_INF {
+                    continue;
+                }
+                for j in 0..n {
+                    let dkj = dist[k * n + j];
+                    if dkj != NEG_INF && dik + dkj > dist[i * n + j] {
+                        dist[i * n + j] = dik + dkj;
+                    }
+                }
+            }
+        }
+        (0..n).any(|i| dist[i * n + i] > 0)
+    }
+
+    /// Heights relaxed in ascending id order until nothing changes.
+    pub fn heights(ddg: &Ddg, ii: u32) -> Vec<i64> {
+        let mut h = vec![0i64; ddg.num_slots()];
+        let live: Vec<OpId> = ddg.live_op_ids().collect();
+        for _ in 0..live.len().max(1) {
+            let mut changed = false;
+            for &v in &live {
+                let best = ddg
+                    .succs(v)
+                    .map(|(_, e)| {
+                        h[e.dst.index()] + e.latency as i64 - ii as i64 * e.distance as i64
+                    })
+                    .fold(0, i64::max);
+                if best > h[v.index()] {
+                    h[v.index()] = best;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        h
+    }
+}
+
+/// One distinct body of the test corpus and the cluster counts whose paper
+/// machine unrolls to it.
+struct Body {
+    body: Loop,
+    clusters: Vec<u32>,
+}
+
+/// The paper suite unrolled for clusters 1–10, one entry per distinct
+/// (loop, unroll factor) — neighbouring cluster counts often share a
+/// factor — followed by the kernels, each on the 4-cluster machine.
+fn corpus() -> Vec<Body> {
+    let policy = UnrollPolicy::default();
+    let mut bodies = Vec::new();
+    for l in generate(&SuiteConfig::paper()) {
+        let mut factors: Vec<(u32, Body)> = Vec::new();
+        for clusters in 1..=10 {
+            let fus = MachineConfig::paper_clustered(clusters).total_useful_fus();
+            let factor = policy.factor(l.body.useful_ops(), fus);
+            match factors.iter_mut().find(|(f, _)| *f == factor) {
+                Some((_, b)) => b.clusters.push(clusters),
+                None => factors.push((
+                    factor,
+                    Body {
+                        body: unroll_for_machine(&l.body, fus, &policy),
+                        clusters: vec![clusters],
+                    },
+                )),
+            }
+        }
+        bodies.extend(factors.into_iter().map(|(_, b)| b));
+    }
+    bodies.extend(kernels::all(64).into_iter().map(|body| Body { body, clusters: vec![4] }));
+    bodies
+}
+
+/// The body's DDG after the single-use conversion.
+fn single_use(body: &Loop) -> Ddg {
+    let mut ddg = body.ddg.clone();
+    convert_to_single_use(&mut ddg, &LatencySpec::default());
+    ddg
+}
+
+#[test]
+fn the_corpus_covers_every_paper_grid_cell() {
+    let cells: usize = corpus().iter().map(|b| b.clusters.len()).sum();
+    assert_eq!(cells, 1258 * 10 + kernels::all(64).len());
+}
+
+/// The field guard partitions bodies exactly as the `Debug`-rendered guard
+/// does: each maps one-to-one onto the other. Every body enters as unrolled
+/// and after single-use conversion (whose removed edges leave tombstones),
+/// each once with its own name and trip count and once stripped of both, so
+/// the bodies of different loops with identical DDGs must collide.
+#[test]
+fn the_field_guard_is_equal_exactly_when_the_debug_guard_is() {
+    let mut fast_of: HashMap<u64, u64> = HashMap::new();
+    let mut debug_of: HashMap<u64, u64> = HashMap::new();
+    let mut check = |l: &Loop| {
+        let (fast, debug) = (guard_fingerprint(l), reference::debug_guard(l));
+        assert_eq!(*fast_of.entry(debug).or_insert(fast), fast, "{}", l.name);
+        assert_eq!(*debug_of.entry(fast).or_insert(debug), debug, "{}", l.name);
+    };
+    let mut checked = 0;
+    for b in corpus() {
+        let converted = Loop { ddg: single_use(&b.body), ..b.body.clone() };
+        for l in [b.body, converted] {
+            check(&l);
+            check(&Loop::new("", l.ddg, 0));
+            checked += 2;
+        }
+    }
+    assert_eq!(fast_of.len(), debug_of.len());
+    assert!(fast_of.len() < checked, "identical DDGs of different loops share a guard");
+}
+
+#[test]
+fn single_use_conversion_matches_the_per_producer_scan() {
+    let latency = LatencySpec::default();
+    let mut copies = 0;
+    for b in corpus() {
+        let (mut fast, mut reference) = (b.body.ddg.clone(), b.body.ddg.clone());
+        let fast_copies = convert_to_single_use(&mut fast, &latency);
+        let reference_copies = reference::convert_to_single_use(&mut reference, &latency);
+        assert_eq!(fast_copies, reference_copies, "{}", b.body.name);
+        assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{}", b.body.name);
+        copies += fast_copies;
+    }
+    assert!(copies > 0, "the corpus exercises copy chains");
+}
+
+#[test]
+fn rec_mii_matches_the_reference_before_and_after_conversion() {
+    for b in corpus() {
+        let converted = single_use(&b.body);
+        for ddg in [&b.body.ddg, &converted] {
+            assert_eq!(rec_mii(ddg), reference::rec_mii(ddg), "{}", b.body.name);
+        }
+    }
+}
+
+/// Tarjan emits this graph's components as `[x6], [x5, x4], [x3], [x2, x1],
+/// [x0]`: acyclic singletons interleaved with two cyclic components, with
+/// edges from each cyclic component into components emitted before it. A
+/// position map that kept an earlier component's entries — an acyclic
+/// singleton's (`x5 -> x6`, `x2 -> x3`) or a cyclic one's (`x1 -> x4`) —
+/// would read those edges as self-loops and raise the bound.
+#[test]
+fn rec_mii_ignores_edges_into_earlier_components() {
+    let latency = LatencySpec::default();
+    let mut ddg = Ddg::new();
+    let kinds = [
+        OpKind::Load,
+        OpKind::Add,
+        OpKind::Mul,
+        OpKind::Add,
+        OpKind::Add,
+        OpKind::Add,
+        OpKind::Store,
+    ];
+    let x: Vec<OpId> = kinds.iter().map(|&k| ddg.add_op(Operation::new(k, Vec::new()))).collect();
+    let reads: [(usize, &[(usize, u32)]); 6] = [
+        (1, &[(0, 0), (2, 1)]),
+        (2, &[(1, 0)]),
+        (3, &[(2, 0)]),
+        (4, &[(3, 0), (5, 1), (1, 0)]),
+        (5, &[(4, 0)]),
+        (6, &[(5, 0)]),
+    ];
+    for (consumer, defs) in reads {
+        for &(producer, distance) in defs {
+            ddg.op_mut(x[consumer]).reads.push(Operand::def_at(x[producer], distance));
+            let lat = latency.of(kinds[producer]);
+            ddg.add_edge(DepEdge::flow(x[producer], x[consumer], lat, distance));
+        }
+    }
+    assert!(ddg.validate().is_ok());
+    let comps = analysis::sccs(&ddg);
+    let order = [vec![6], vec![5, 4], vec![3], vec![2, 1], vec![0]];
+    assert_eq!(comps, order.map(|c| c.into_iter().map(|i| x[i]).collect::<Vec<_>>()));
+
+    // {x1, x2}: add (1) + mul (2) over distance 1; {x4, x5}: 1 + 1 over 1.
+    assert_eq!(rec_mii(&ddg), 3);
+    assert_eq!(reference::rec_mii(&ddg), 3);
+}
+
+/// At every II from the MII to MII+3 — on the clustered machine for the
+/// converted body DMS schedules, on the unclustered one for the body IMS
+/// schedules — the one-sweep heights equal the id-order fixpoint.
+#[test]
+fn heights_match_the_id_order_fixpoint_from_mii_to_mii_plus_3() {
+    for b in corpus() {
+        let converted = single_use(&b.body);
+        // (DMS body?, II) for every II some cell's search starts within 3 of.
+        let mut targets = BTreeSet::new();
+        for &clusters in &b.clusters {
+            let dms_mii = mii(&converted, &MachineConfig::paper_clustered(clusters)).unwrap();
+            let ims_mii = mii(&b.body.ddg, &MachineConfig::unclustered(clusters)).unwrap();
+            targets.extend((0..=3).map(|k| (true, dms_mii.mii() + k)));
+            targets.extend((0..=3).map(|k| (false, ims_mii.mii() + k)));
+        }
+        for (dms, ii) in targets {
+            let ddg = if dms { &converted } else { &b.body.ddg };
+            assert_eq!(heights(ddg, ii), reference::heights(ddg, ii), "{} II {ii}", b.body.name);
+        }
+    }
+}
