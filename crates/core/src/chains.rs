@@ -386,8 +386,7 @@ mod tests {
         let c1 = st.ddg.add_op(dms_ir::Operation::new(dms_ir::OpKind::Copy, vec![]));
         let c2 = st.ddg.add_op(dms_ir::Operation::new(dms_ir::OpKind::Copy, vec![]));
         st.height.resize(st.ddg.num_slots(), 0);
-        st.never_scheduled.resize(st.ddg.num_slots(), true);
-        st.prev_time.resize(st.ddg.num_slots(), 0);
+        st.prev_time.resize(st.ddg.num_slots(), None);
         st.place(c1, 0, ClusterId(1));
         st.place(c2, 0, ClusterId(3));
         assert!(best_option(&st, OpId(2), ChainPolicy::MaxFreeSlots).is_none());

@@ -575,13 +575,10 @@ fn beam_strategy1_options(
     pending: &Pending,
     width: usize,
 ) -> Vec<(u32, ClusterId)> {
-    let (min_time, max_time) = pending.window;
     let mut options: Vec<(u32, ClusterId)> = pending
         .compatible
         .iter()
-        .filter_map(|&c| {
-            (min_time..=max_time).find(|&t| st.mrt.has_free(t, c, pending.fu)).map(|t| (t, c))
-        })
+        .filter_map(|&c| st.mrt.first_free(pending.window, c, pending.fu).map(|t| (t, c)))
         .collect();
     // cached: the preference walks the neighbours' queues, so evaluate it
     // once per cluster rather than once per comparison.
@@ -628,19 +625,12 @@ fn place_strategy2(st: &mut SchedulerState, op: OpId, policy: ChainPolicy) -> bo
     for plan in &option.chains {
         st.commit_chain(plan.edge, &plan.moves);
     }
-    let fu = FuKind::for_op(st.ddg.op(op).kind);
     // The chains were only built if their Copy slots were free; the operation
     // itself may still have to evict a resource conflict (paper, figure 2,
     // strategy 2: "If necessary, unschedule other ops due to ... Resource
-    // conflicts").
-    let (min_time, max_time) = st.window(op);
-    let free = (min_time..=max_time).find(|&t| st.mrt.has_free(t, option.cluster, fu));
-    let time = free.unwrap_or(min_time);
-    if free.is_none() {
-        st.make_room(op, time, option.cluster);
-    }
-    st.place(op, time, option.cluster);
-    st.displace_conflicts(op, time, option.cluster);
+    // conflicts"). The window is taken after the commit: the chain's last
+    // move is now a predecessor.
+    force_place(st, op, option.cluster);
     true
 }
 
@@ -651,14 +641,19 @@ fn place_strategy2(st: &mut SchedulerState, op: OpId, policy: ChainPolicy) -> bo
 /// covers communication conflicts, and evicting any part of a chain
 /// dismantles the whole chain.
 fn place_strategy3(st: &mut SchedulerState, pending: &Pending) {
-    let (op, fu) = (pending.op, pending.fu);
     let cluster = strategy3_cluster(st, pending);
-    let (min_time, max_time) = pending.window;
-    let free = (min_time..=max_time).find(|&t| st.mrt.has_free(t, cluster, fu));
-    let time = free.unwrap_or(min_time);
-    if free.is_none() {
-        st.make_room(op, time, cluster);
-    }
+    force_place(st, pending.op, cluster);
+}
+
+/// IMS's forced placement of `op` in `cluster`, which strategies 2 and 3
+/// end in: the first free slot of the scheduling window, or else the
+/// window's start after evicting occupants until a unit is free, then
+/// displacement of every operation the placement now conflicts with.
+fn force_place(st: &mut SchedulerState, op: OpId, cluster: ClusterId) {
+    let fu = FuKind::for_op(st.ddg.op(op).kind);
+    let window = st.window(op);
+    let time = st.mrt.first_free(window, cluster, fu).unwrap_or(window.0);
+    st.make_room(op, time, cluster);
     st.place(op, time, cluster);
     st.displace_conflicts(op, time, cluster);
 }

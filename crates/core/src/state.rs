@@ -7,12 +7,11 @@
 
 use dms_ir::{Ddg, DepEdge, OpId, OpKind, Operation};
 use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt, PathCache, TopoPath, Topology};
+use dms_sched::ims::{eviction_victim, violated_successors, Worklist};
 use dms_sched::pressure::{edge_lifetime, Lifetime, QueuePressure};
 use dms_sched::priority::heights;
-use dms_sched::schedule::{dependence_bound, SchedStats, Schedule};
+use dms_sched::schedule::{SchedStats, Schedule};
 use dms_telemetry::{EventKind, Telemetry};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// A committed chain of `move` operations realising one too-distant flow
@@ -49,59 +48,6 @@ impl FlowNeighbours {
     }
 }
 
-/// The operations waiting to be scheduled, popped highest priority first
-/// (largest priority, then smallest id).
-///
-/// A waiting op's priority never changes: heights are fixed when the
-/// attempt starts (only chain moves get theirs later, and moves never
-/// wait), and setting the jitter rebuilds the heap. So a binary heap pops
-/// exactly the op a scan for the maximum would. Removing an op other than
-/// by popping only clears its flag; its heap entry is dropped when it
-/// reaches the top.
-#[derive(Debug, Clone, Default)]
-struct Worklist {
-    heap: BinaryHeap<(i64, Reverse<OpId>)>,
-    /// Per op id: whether the op is waiting.
-    waiting: Vec<bool>,
-    len: usize,
-}
-
-impl Worklist {
-    fn contains(&self, op: OpId) -> bool {
-        self.waiting.get(op.index()).copied().unwrap_or(false)
-    }
-
-    /// Adds `op` unless it is already waiting.
-    fn push(&mut self, op: OpId, priority: i64) {
-        if self.contains(op) {
-            return;
-        }
-        if self.waiting.len() <= op.index() {
-            self.waiting.resize(op.index() + 1, false);
-        }
-        self.waiting[op.index()] = true;
-        self.len += 1;
-        self.heap.push((priority, Reverse(op)));
-    }
-
-    fn remove(&mut self, op: OpId) {
-        if self.contains(op) {
-            self.waiting[op.index()] = false;
-            self.len -= 1;
-        }
-    }
-
-    fn pop(&mut self) -> Option<OpId> {
-        while let Some((_, Reverse(op))) = self.heap.pop() {
-            if self.contains(op) {
-                self.remove(op);
-                return Some(op);
-            }
-        }
-        None
-    }
-}
-
 /// Mutable state of one DMS scheduling attempt (one candidate II).
 ///
 /// `Clone` is cheapest-possible but not free (the DDG, MRT and schedule are
@@ -117,12 +63,13 @@ pub struct SchedulerState {
     /// Scheduling priority (height) per operation slot. Fixed once the
     /// attempt starts, except for the chain moves `commit_chain` adds.
     pub height: Vec<i64>,
-    /// Whether each operation has never been scheduled yet.
-    pub never_scheduled: Vec<bool>,
-    /// The last time at which each operation was scheduled (for the IMS
-    /// "forced progress" rule).
-    pub prev_time: Vec<u32>,
-    /// Operations waiting to be scheduled.
+    /// The last time at which each operation was scheduled, `None` if
+    /// never (for the IMS forced-progress rule of [`dms_sched::ims::window`]).
+    pub prev_time: Vec<Option<u32>>,
+    /// Operations waiting to be scheduled, keyed by their pop priority.
+    /// Heights are fixed when the attempt starts (only chain moves get
+    /// theirs later, and moves never wait) and setting the jitter rebuilds
+    /// the worklist, so a waiting op's key never changes.
     worklist: Worklist,
     /// Committed chains, indexed implicitly by position.
     pub chains: Vec<Chain>,
@@ -176,8 +123,7 @@ impl SchedulerState {
             mrt: Mrt::new(machine, ii),
             schedule: Schedule::new(ii, n),
             height,
-            never_scheduled: vec![true; n],
-            prev_time: vec![0; n],
+            prev_time: vec![None; n],
             worklist,
             chains: Vec::new(),
             stats: SchedStats::default(),
@@ -219,12 +165,12 @@ impl SchedulerState {
 
     /// Whether all operations have been placed.
     pub fn complete(&self) -> bool {
-        self.worklist.len == 0
+        self.worklist.is_empty()
     }
 
     /// Number of operations waiting to be scheduled.
     pub fn num_unscheduled(&self) -> usize {
-        self.worklist.len
+        self.worklist.len()
     }
 
     /// Sets the per-slot perturbation added to the height-based priority
@@ -264,16 +210,9 @@ impl SchedulerState {
         dms_sched::schedule::earliest_start(&self.ddg, &self.schedule, op, self.ii)
     }
 
-    /// The scheduling window `[min_time, min_time + II - 1]` of `op`,
-    /// honouring the forced-progress rule for re-scheduled operations.
+    /// The scheduling [`window`](dms_sched::ims::window) of `op`.
     pub fn window(&self, op: OpId) -> (u32, u32) {
-        let estart = self.earliest_start(op);
-        let min_time = if self.never_scheduled[op.index()] {
-            estart
-        } else {
-            estart.max(self.prev_time[op.index()] + 1)
-        };
-        (min_time, min_time + self.ii - 1)
+        dms_sched::ims::window(self.earliest_start(op), self.prev_time[op.index()], self.ii)
     }
 
     /// Fills `neighbours` with the clusters hosting already-scheduled
@@ -417,49 +356,31 @@ impl SchedulerState {
             .expect("place() requires a free unit; call make_room() first");
         self.schedule.place(op, time, cluster);
         self.pressure_add_op(op);
-        self.never_scheduled[op.index()] = false;
-        self.prev_time[op.index()] = time;
+        self.prev_time[op.index()] = Some(time);
         self.worklist.remove(op);
     }
 
     /// Evicts occupants of the `(time, cluster)` slot of `op`'s unit class
-    /// until one unit is free, lowest-priority occupants first. Returns the
-    /// evicted operations.
+    /// until one unit is free, each the [`eviction_victim`] by height.
+    /// Returns the evicted operations.
     pub fn make_room(&mut self, op: OpId, time: u32, cluster: ClusterId) -> Vec<OpId> {
         let fu = FuKind::for_op(self.ddg.op(op).kind);
         let mut evicted = Vec::new();
         while !self.mrt.has_free(time, cluster, fu) {
-            let victim = *self
-                .mrt
-                .occupants(time, cluster, fu)
-                .iter()
-                .min_by_key(|&&o| (self.height[o.index()], std::cmp::Reverse(o)))
-                .expect("a full slot has occupants");
+            let victim = eviction_victim(self.mrt.occupants(time, cluster, fu), &self.height);
             self.unschedule(victim);
             evicted.push(victim);
         }
         evicted
     }
 
-    /// Unschedules every already-scheduled successor of `op` whose dependence
-    /// would be violated by `op` issuing at `time`, and every scheduled flow
-    /// neighbour that would sit in an indirectly connected cluster
-    /// (communication conflict — the extra backtracking cause specific to
-    /// DMS strategy 3).
+    /// Unschedules IMS's [`violated_successors`] of `op` issuing at `time`,
+    /// and every scheduled flow neighbour that would sit in an indirectly
+    /// connected cluster (communication conflict — the extra backtracking
+    /// cause specific to DMS strategy 3).
     pub fn displace_conflicts(&mut self, op: OpId, time: u32, cluster: ClusterId) {
-        // Dependence conflicts with successors.
-        let mut victims: Vec<OpId> = self
-            .ddg
-            .succs(op)
-            .filter(|(_, e)| e.dst != op)
-            .filter_map(|(_, e)| {
-                self.schedule.get(e.dst).and_then(|d| {
-                    let bound = dependence_bound(time, e.latency, self.ii, e.distance);
-                    ((d.time as i64) < bound).then_some(e.dst)
-                })
-            })
-            .collect();
-        // Communication conflicts with flow neighbours.
+        let mut victims: Vec<OpId> =
+            violated_successors(&self.ddg, &self.schedule, op, time).collect();
         for (_, e) in self.ddg.flow_preds(op) {
             if e.src == op {
                 continue;
@@ -614,8 +535,7 @@ impl SchedulerState {
                 .expect("chain planning verified this Copy slot was free");
             self.schedule.place(m, time, cluster);
             self.pressure_add_op(m);
-            self.never_scheduled[m.index()] = false;
-            self.prev_time[m.index()] = time;
+            self.prev_time[m.index()] = Some(time);
             move_ids.push(m);
             prev = m;
             prev_latency = self.move_latency;
@@ -651,8 +571,7 @@ impl SchedulerState {
     fn grow_tables(&mut self) {
         let n = self.ddg.num_slots();
         self.height.resize(n, 0);
-        self.never_scheduled.resize(n, true);
-        self.prev_time.resize(n, 0);
+        self.prev_time.resize(n, None);
     }
 
     /// Finalises the attempt, consuming the state. The returned

@@ -10,10 +10,11 @@
 //! `serve` keeps a [`dms_service::ScheduleService`] resident behind a
 //! newline-delimited JSON TCP endpoint (see `dms_service::wire` for the
 //! protocol); repeated requests are answered from its content-addressed
-//! schedule cache. `client` drives a served instance end to end: it runs a
-//! reduced sweep locally, replays every (loop, cluster-count) cell as a wire
-//! request, checks each response against the direct measurement, and then
-//! repeats the last request to prove it hits the cache.
+//! schedule cache. `client` drives a freshly started instance end to end:
+//! it sends every (loop, cluster-count) cell of a reduced sweep as a wire
+//! request, checks each served line byte for byte against the line a local
+//! service answers, and then repeats the last request to prove it hits the
+//! cache.
 //!
 //! With no arguments it runs `all` at paper scale (1258 loops, 1–10
 //! clusters), prints every figure as a text table and checks the paper's
@@ -308,9 +309,10 @@ fn run_client(args: &[String]) -> ExitCode {
     }
 }
 
-/// The client smoke loop: replays a reduced sweep against a served
-/// instance, one DMS request per (loop, cluster-count) cell, and checks
-/// every response against the locally-computed direct measurement.
+/// The client smoke loop: replays a reduced sweep against a freshly started
+/// server, one DMS request per (loop, cluster-count) cell, and checks that
+/// every served line equals, byte for byte, the line a local service
+/// answers the same request with.
 fn drive_service(
     addr: &str,
     loops: usize,
@@ -318,29 +320,24 @@ fn drive_service(
     seed: Option<u64>,
     shutdown: bool,
 ) -> Result<(), String> {
-    use dms_service::wire::{self, Json, WireMachine, WireSchedule};
+    use dms_service::net::{answer_schedule, Client};
+    use dms_service::wire::{self, Json, WireMachine, WireRequest, WireSchedule};
 
     let mut config = ExperimentConfig::quick(loops);
-    config.cluster_counts = clusters.to_vec();
-    config.threads = 1;
     if let Some(s) = seed {
         config.suite.seed = s;
     }
-    let suite = dms_workloads::generate(&config.suite);
-    let (reference, _) =
-        measure_loops_with_stats_on(&suite, &config, &dms_service::ScheduleService::default());
-
-    let mut client = dms_service::net::Client::connect_with_retry(addr)
+    let local = dms_service::ScheduleService::default();
+    let mut client = Client::connect_with_retry(addr)
         .map_err(|e| format!("could not connect to {addr}: {e}"))?;
     let io = |e: std::io::Error| format!("connection to {addr} failed: {e}");
 
     let mut matched = 0usize;
     let mut total = 0usize;
     let mut last_request = None;
-    for suite_loop in &suite {
+    for suite_loop in &dms_workloads::generate(&config.suite) {
         for &c in clusters {
-            // Unroll exactly as the sweep executor does, so the request body
-            // is the body the reference measurement scheduled.
+            // Unroll exactly as the sweep executor does.
             let useful_fus = dms_machine::MachineConfig::paper_clustered(c).total_useful_fus();
             let body =
                 dms_workloads::unroll_for_machine(&suite_loop.body, useful_fus, &config.unroll);
@@ -359,38 +356,28 @@ fn drive_service(
                 contention: false,
             });
             let line = client.roundtrip(&request).map_err(io)?;
-            let resp = Json::parse(&line)?;
-            if resp.get("ok").and_then(Json::as_bool) != Some(true) {
+            if Json::parse(&line)?.get("ok").and_then(Json::as_bool) != Some(true) {
                 return Err(format!("server rejected the request: {line}"));
             }
+            let Ok(WireRequest::Schedule(ws)) = wire::decode_request(&request) else {
+                return Err("the client's own request does not decode".to_string());
+            };
+            let expected = answer_schedule(&local, &ws);
             total += 1;
-            let row = reference
-                .iter()
-                .find(|m| m.loop_id == suite_loop.id && m.clusters == c)
-                .ok_or("reference sweep is missing a row")?;
-            let summary = resp.get("summary").ok_or("response has no summary")?;
-            let dms = resp.get("dms").ok_or("response has no dms block")?;
-            let field = |obj: &Json, key: &str| obj.get(key).and_then(Json::as_u64);
-            let ok = field(summary, "ii") == Some(u64::from(row.clustered_ii))
-                && field(summary, "mii") == Some(u64::from(row.clustered_mii))
-                && field(summary, "copies") == Some(row.copies)
-                && field(summary, "moves") == Some(row.moves)
-                && field(dms, "first_ii") == Some(u64::from(row.first_ii))
-                && field(dms, "baseline_ii") == Some(u64::from(row.baseline_ii));
-            if ok {
+            if line == expected {
                 matched += 1;
             } else {
                 eprintln!(
-                    "mismatch on loop {} at {} clusters: served {} vs direct ii {}",
-                    suite_loop.id, c, line, row.clustered_ii
+                    "mismatch on loop {} at {c} clusters: served {line} vs local {expected}",
+                    suite_loop.id
                 );
             }
             last_request = Some(request);
         }
     }
-    println!("{matched}/{total} responses match the direct sweep");
+    println!("{matched}/{total} responses match the local service byte for byte");
     if matched != total {
-        return Err(format!("{} response(s) diverged from the direct sweep", total - matched));
+        return Err(format!("{} response(s) diverged from the local service", total - matched));
     }
 
     if let Some(request) = last_request {

@@ -10,64 +10,66 @@ use std::collections::HashSet;
 /// of every kind and distance), using Tarjan's algorithm. Components are
 /// returned in reverse topological order; singleton components without a
 /// self-edge are included.
+///
+/// The depth-first search keeps its own stack of frames instead of
+/// recursing, so a long dependence chain cannot overflow the thread's
+/// stack; it emits the components, and the members within each, in the
+/// order the recursive formulation does.
 pub fn sccs(ddg: &Ddg) -> Vec<Vec<OpId>> {
-    struct State<'a> {
-        ddg: &'a Ddg,
-        index: Vec<Option<u32>>,
-        lowlink: Vec<u32>,
-        on_stack: Vec<bool>,
-        stack: Vec<OpId>,
-        next_index: u32,
-        out: Vec<Vec<OpId>>,
-    }
-
-    fn strongconnect(s: &mut State<'_>, v: OpId) {
-        s.index[v.index()] = Some(s.next_index);
-        s.lowlink[v.index()] = s.next_index;
-        s.next_index += 1;
-        s.stack.push(v);
-        s.on_stack[v.index()] = true;
-
-        let succs: Vec<OpId> = s.ddg.succs(v).map(|(_, e)| e.dst).collect();
-        for w in succs {
-            if s.index[w.index()].is_none() {
-                strongconnect(s, w);
-                s.lowlink[v.index()] = s.lowlink[v.index()].min(s.lowlink[w.index()]);
-            } else if s.on_stack[w.index()] {
-                s.lowlink[v.index()] = s.lowlink[v.index()].min(s.index[w.index()].unwrap());
-            }
-        }
-
-        if s.lowlink[v.index()] == s.index[v.index()].unwrap() {
-            let mut comp = Vec::new();
-            loop {
-                let w = s.stack.pop().expect("tarjan stack underflow");
-                s.on_stack[w.index()] = false;
-                comp.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            s.out.push(comp);
-        }
-    }
-
+    /// `index` of an op not yet visited.
+    const UNVISITED: u32 = u32::MAX;
+    /// `index` of an op already assigned to an emitted component.
+    const DONE: u32 = u32::MAX - 1;
     let n = ddg.num_slots();
-    let mut st = State {
-        ddg,
-        index: vec![None; n],
-        lowlink: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next_index: 0,
-        out: Vec::new(),
-    };
-    for v in ddg.live_op_ids() {
-        if st.index[v.index()].is_none() {
-            strongconnect(&mut st, v);
+    // Per op: its visit order (or a sentinel above) and its lowlink.
+    let mut index = vec![UNVISITED; n];
+    let mut lowlink = vec![0u32; n];
+    let mut next_index = 0u32;
+    // Tarjan's stack of visited ops not yet in a component.
+    let mut stack = Vec::new();
+    // The depth-first path: each op with its successor edges not yet walked.
+    let mut path = Vec::new();
+    let mut out = Vec::new();
+    for root in ddg.live_op_ids() {
+        if index[root.index()] != UNVISITED {
+            continue;
+        }
+        let mut enter = Some(root);
+        loop {
+            if let Some(v) = enter.take() {
+                index[v.index()] = next_index;
+                lowlink[v.index()] = next_index;
+                next_index += 1;
+                stack.push(v);
+                path.push((v, ddg.succs(v)));
+            }
+            let Some((v, succs)) = path.last_mut() else {
+                break;
+            };
+            let v = *v;
+            if let Some((_, e)) = succs.next() {
+                match index[e.dst.index()] {
+                    UNVISITED => enter = Some(e.dst),
+                    DONE => {}
+                    on_stack => lowlink[v.index()] = lowlink[v.index()].min(on_stack),
+                }
+                continue;
+            }
+            path.pop();
+            if let Some(&(parent, _)) = path.last() {
+                lowlink[parent.index()] = lowlink[parent.index()].min(lowlink[v.index()]);
+            }
+            if lowlink[v.index()] == index[v.index()] {
+                let start = stack.iter().rposition(|&w| w == v).expect("v is on the stack");
+                let comp: Vec<OpId> = stack.drain(start..).rev().collect();
+                for w in &comp {
+                    index[w.index()] = DONE;
+                }
+                out.push(comp);
+            }
         }
     }
-    st.out
+    out
 }
 
 /// Returns the set of operations that participate in a recurrence circuit

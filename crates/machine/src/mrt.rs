@@ -166,6 +166,12 @@ impl Mrt {
         self.capacity[column] - self.used[self.slot_index(time, column)]
     }
 
+    /// The earliest time in the inclusive `window` at which a unit of `fu`
+    /// in `cluster` is free, if any.
+    pub fn first_free(&self, window: (u32, u32), cluster: ClusterId, fu: FuKind) -> Option<u32> {
+        (window.0..=window.1).find(|&t| self.has_free(t, cluster, fu))
+    }
+
     /// Reserves one unit of `fu` in `cluster` at `time` for `op`.
     ///
     /// # Errors

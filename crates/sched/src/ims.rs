@@ -8,6 +8,11 @@
 //! resource or dependence conflicts force it to, within a fixed budget of
 //! placement attempts.
 //!
+//! The rules of one IMS step — the [`Worklist`] order, the scheduling
+//! [`window`], the [`eviction_victim`] and the [`violated_successors`] —
+//! are defined here once. DMS (the `dms-core` crate) runs the same step and
+//! adds its three placement strategies on top.
+//!
 //! On a clustered [`MachineConfig`] this implementation places every
 //! operation in cluster 0 (it knows nothing about partitioning); use the
 //! `dms-core` crate for clustered targets.
@@ -20,24 +25,17 @@ use crate::schedule::{
 use dms_ir::{Ddg, Loop, OpId};
 use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt};
 use dms_telemetry::{EventKind, Telemetry};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Tuning parameters of the IMS search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImsConfig {
-    /// Scheduling budget per candidate II, expressed as a multiple of the
-    /// number of operations (Rau uses small single-digit ratios; 6–8 is a
-    /// common choice).
-    pub budget_ratio: u32,
-    /// Upper limit on the II search; `None` derives a safe limit from the
-    /// loop size and latencies.
-    pub max_ii: Option<u32>,
-}
+/// Options of the IMS search. It has none: the budget is a fixed multiple of
+/// the operation count and the II ceiling is [`default_max_ii`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ImsConfig {}
 
-impl Default for ImsConfig {
-    fn default() -> Self {
-        ImsConfig { budget_ratio: 8, max_ii: None }
-    }
-}
+/// Scheduling budget per candidate II, as a multiple of the number of
+/// operations (Rau uses small single-digit ratios).
+const BUDGET_RATIO: u64 = 8;
 
 /// Schedules a loop with IMS on the given machine.
 ///
@@ -46,17 +44,17 @@ impl Default for ImsConfig {
 /// Returns [`ScheduleError::UnexecutableLoop`] if the loop needs a
 /// functional-unit class the machine does not have, and
 /// [`ScheduleError::IiLimitReached`] if no schedule is found up to the II
-/// limit (which indicates an unreasonably small budget or limit).
+/// limit.
 pub fn ims_schedule(
     l: &Loop,
     machine: &MachineConfig,
-    config: &ImsConfig,
+    _config: &ImsConfig,
 ) -> Result<ScheduleResult, ScheduleError> {
     let ddg = l.ddg.clone();
     let bounds = mii(&ddg, machine)?;
     let start_ii = bounds.mii();
-    let max_ii = config.max_ii.unwrap_or_else(|| default_max_ii(&ddg, machine, start_ii));
-    let budget = config.budget_ratio as u64 * ddg.num_live_ops().max(1) as u64;
+    let max_ii = default_max_ii(&ddg, machine, start_ii);
+    let budget = BUDGET_RATIO * ddg.num_live_ops().max(1) as u64;
 
     let mut stats = SchedStats { mii: Some(bounds), ..SchedStats::default() };
 
@@ -97,6 +95,109 @@ fn saturating_max_ii(ops: u32, lat: u32, start_ii: u32) -> u32 {
     ops.saturating_mul(lat).max(start_ii).saturating_add(ops).saturating_add(8)
 }
 
+/// The operations waiting to be scheduled, popped highest priority first
+/// (largest priority, then smallest id).
+///
+/// A waiting op's priority never changes while it waits (DMS rebuilds the
+/// worklist when it sets new priorities), so a binary heap pops exactly the
+/// op a scan for the maximum would. Removing an op other than by popping
+/// only clears its flag; its heap entry is dropped when it reaches the top.
+#[derive(Debug, Clone, Default)]
+pub struct Worklist {
+    heap: BinaryHeap<(i64, Reverse<OpId>)>,
+    /// Per op id: whether the op is waiting.
+    waiting: Vec<bool>,
+    len: usize,
+}
+
+impl Worklist {
+    /// Whether `op` is waiting.
+    pub fn contains(&self, op: OpId) -> bool {
+        self.waiting.get(op.index()).copied().unwrap_or(false)
+    }
+
+    /// The number of waiting operations.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no operation is waiting.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Adds `op` with the given priority unless it is already waiting.
+    pub fn push(&mut self, op: OpId, priority: i64) {
+        if self.contains(op) {
+            return;
+        }
+        if self.waiting.len() <= op.index() {
+            self.waiting.resize(op.index() + 1, false);
+        }
+        self.waiting[op.index()] = true;
+        self.len += 1;
+        self.heap.push((priority, Reverse(op)));
+    }
+
+    /// Stops `op` waiting, if it was.
+    pub fn remove(&mut self, op: OpId) {
+        if self.contains(op) {
+            self.waiting[op.index()] = false;
+            self.len -= 1;
+        }
+    }
+
+    /// Removes and returns the highest-priority waiting operation.
+    pub fn pop(&mut self) -> Option<OpId> {
+        while let Some((_, Reverse(op))) = self.heap.pop() {
+            if self.contains(op) {
+                self.remove(op);
+                return Some(op);
+            }
+        }
+        None
+    }
+}
+
+/// The scheduling window `(min_time, max_time)` of an operation whose
+/// predecessors allow it to start at `estart`: II consecutive times, so
+/// every MRT row once. An operation scheduled before, last at `prev_time`,
+/// must start later than that time (Rau's forced-progress rule), so
+/// re-scheduling cannot cycle.
+pub fn window(estart: u32, prev_time: Option<u32>, ii: u32) -> (u32, u32) {
+    let min_time = prev_time.map_or(estart, |prev| estart.max(prev + 1));
+    (min_time, min_time + ii - 1)
+}
+
+/// The occupant evicted to free a unit of a full slot: the lowest
+/// priority, then the larger id.
+///
+/// # Panics
+///
+/// Panics if `occupants` is empty.
+pub fn eviction_victim(occupants: &[OpId], priority: &[i64]) -> OpId {
+    *occupants
+        .iter()
+        .min_by_key(|&&o| (priority[o.index()], Reverse(o)))
+        .expect("a full slot has occupants")
+}
+
+/// The scheduled successors of `op` (self edges excluded, in edge order)
+/// whose dependence is violated once `op` issues at `time`. A successor
+/// reached by several violated edges appears once per edge.
+pub fn violated_successors<'a>(
+    ddg: &'a Ddg,
+    schedule: &'a Schedule,
+    op: OpId,
+    time: u32,
+) -> impl Iterator<Item = OpId> + 'a {
+    let ii = schedule.ii();
+    ddg.succs(op).filter(move |(_, e)| e.dst != op).filter_map(move |(_, e)| {
+        let d = schedule.get(e.dst)?;
+        ((d.time as i64) < dependence_bound(time, e.latency, ii, e.distance)).then_some(e.dst)
+    })
+}
+
 struct ImsOutcome {
     schedule: Schedule,
     evictions: u64,
@@ -110,74 +211,42 @@ fn try_ims(ddg: &Ddg, machine: &MachineConfig, ii: u32, budget: u64) -> Option<I
     let cluster = ClusterId(0);
     let mut mrt = Mrt::new(machine, ii);
     let mut schedule = Schedule::new(ii, ddg.num_slots());
-    let mut never_scheduled = vec![true; ddg.num_slots()];
-    let mut prev_time = vec![0u32; ddg.num_slots()];
-    let mut unscheduled: Vec<OpId> = ddg.live_op_ids().collect();
-    let mut remaining = budget;
+    let mut prev_time = vec![None; ddg.num_slots()];
+    let mut worklist = Worklist::default();
+    for op in ddg.live_op_ids() {
+        worklist.push(op, height[op.index()]);
+    }
     let mut evictions = 0u64;
     let mut budget_used = 0u64;
+    let mut unschedule = |v: OpId, mrt: &mut Mrt, schedule: &mut Schedule, wl: &mut Worklist| {
+        mrt.release(v);
+        schedule.remove(v);
+        wl.push(v, height[v.index()]);
+        evictions += 1;
+    };
 
-    while !unscheduled.is_empty() {
-        if remaining == 0 {
+    while let Some(op) = worklist.pop() {
+        if budget_used == budget {
             return None;
         }
-        remaining -= 1;
         budget_used += 1;
 
-        // Highest priority first; ties broken by the smaller id.
-        let (idx, &op) = unscheduled
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &o)| (height[o.index()], std::cmp::Reverse(o)))
-            .expect("unscheduled list is non-empty");
-        unscheduled.swap_remove(idx);
-
         let estart = earliest_start(ddg, &schedule, op, ii);
-        let min_time = if never_scheduled[op.index()] {
-            estart
-        } else {
-            estart.max(prev_time[op.index()] + 1)
-        };
-        let max_time = min_time + ii - 1;
+        let (min_time, max_time) = window(estart, prev_time[op.index()], ii);
         let fu = FuKind::for_op(ddg.op(op).kind);
-
-        let time =
-            (min_time..=max_time).find(|&t| mrt.has_free(t, cluster, fu)).unwrap_or(min_time);
-
-        // Evict as many occupants as needed to make room (lowest priority first).
+        let time = mrt.first_free((min_time, max_time), cluster, fu).unwrap_or(min_time);
         while !mrt.has_free(time, cluster, fu) {
-            let victim = *mrt
-                .occupants(time, cluster, fu)
-                .iter()
-                .min_by_key(|&&o| (height[o.index()], std::cmp::Reverse(o)))
-                .expect("a full slot has occupants");
-            mrt.release(victim);
-            schedule.remove(victim);
-            unscheduled.push(victim);
-            evictions += 1;
+            let victim = eviction_victim(mrt.occupants(time, cluster, fu), &height);
+            unschedule(victim, &mut mrt, &mut schedule, &mut worklist);
         }
         mrt.reserve(op, time, cluster, fu).expect("a unit was freed for this op");
         schedule.place(op, time, cluster);
-        never_scheduled[op.index()] = false;
-        prev_time[op.index()] = time;
+        prev_time[op.index()] = Some(time);
 
-        // Displace already-scheduled successors whose dependence is now violated.
-        let victims: Vec<OpId> = ddg
-            .succs(op)
-            .filter(|(_, e)| e.dst != op)
-            .filter_map(|(_, e)| {
-                schedule.get(e.dst).and_then(|d| {
-                    let bound = dependence_bound(time, e.latency, ii, e.distance);
-                    ((d.time as i64) < bound).then_some(e.dst)
-                })
-            })
-            .collect();
-        for v in victims {
+        let violated: Vec<OpId> = violated_successors(ddg, &schedule, op, time).collect();
+        for v in violated {
             if schedule.get(v).is_some() {
-                mrt.release(v);
-                schedule.remove(v);
-                unscheduled.push(v);
-                evictions += 1;
+                unschedule(v, &mut mrt, &mut schedule, &mut worklist);
             }
         }
     }
@@ -265,6 +334,22 @@ mod tests {
             ims_schedule(&l, &m, &ImsConfig::default()),
             Err(ScheduleError::UnexecutableLoop { fu: FuKind::LoadStore, .. })
         ));
+    }
+
+    #[test]
+    fn eviction_victim_is_the_lowest_priority_then_the_larger_id() {
+        let priority = [5, 3, 3, 7];
+        let all = [OpId(0), OpId(1), OpId(2), OpId(3)];
+        assert_eq!(eviction_victim(&all, &priority), OpId(2));
+        assert_eq!(eviction_victim(&[OpId(3), OpId(0)], &priority), OpId(0));
+    }
+
+    #[test]
+    fn window_starts_after_the_previous_time() {
+        assert_eq!(window(4, None, 3), (4, 6));
+        assert_eq!(window(4, Some(2), 3), (4, 6));
+        assert_eq!(window(4, Some(4), 3), (5, 7));
+        assert_eq!(window(0, Some(0), 1), (1, 1));
     }
 
     #[test]

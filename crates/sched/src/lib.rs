@@ -16,10 +16,13 @@
 //!   search drives scheduling (deterministic DMS, beam, or an
 //!   explore/exploit portfolio),
 //! * [`ims`] — **Iterative Modulo Scheduling** (Rau), the scheduler used for
-//!   the unclustered baseline machine in the paper's experiments.
+//!   the unclustered baseline machine in the paper's experiments, and the
+//!   rules of its scheduling step (worklist order, window, eviction victim,
+//!   violated successors).
 //!
 //! The DMS scheduler itself (cluster-aware scheduling with move chains) lives
-//! in the `dms-core` crate and builds on the types defined here.
+//! in the `dms-core` crate: it runs the IMS step defined here and adds its
+//! three placement strategies.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -175,18 +175,7 @@ fn handle_connection(
                 let _ = TcpStream::connect(local);
                 wire::encode_shutdown_response()
             }
-            Ok(wire::WireRequest::Schedule(ws)) => {
-                let machine = ws.machine.build();
-                let request = ScheduleRequest {
-                    body: &ws.body,
-                    machine: &machine,
-                    dms: ws.dms,
-                    scheduler: ws.scheduler,
-                    verify_trips: ws.verify_trips,
-                    contention: ws.contention,
-                };
-                wire::encode_response(&service.schedule(&request))
-            }
+            Ok(wire::WireRequest::Schedule(ws)) => answer_schedule(service, &ws),
         };
         line.clear();
         reply.push('\n');
@@ -197,6 +186,20 @@ fn handle_connection(
             break;
         }
     }
+}
+
+/// Schedules a decoded `schedule` request on `service` and encodes the
+/// response line (no trailing newline), as the server answers it.
+pub fn answer_schedule(service: &ScheduleService, ws: &wire::WireSchedule) -> String {
+    let machine = ws.machine.build();
+    wire::encode_response(&service.schedule(&ScheduleRequest {
+        body: &ws.body,
+        machine: &machine,
+        dms: ws.dms,
+        scheduler: ws.scheduler,
+        verify_trips: ws.verify_trips,
+        contention: ws.contention,
+    }))
 }
 
 /// A blocking line-oriented client for the service.

@@ -758,7 +758,9 @@ fn decode_operand(json: &Json) -> Result<Operand, String> {
 }
 
 /// Decodes the loop object back into a [`Loop`], reconstructing tombstone
-/// slots so every producer slot index of the wire form stays valid.
+/// slots so every producer slot index of the wire form stays valid. A body
+/// with a dependence cycle of zero total distance is rejected: no II can
+/// schedule it, so the II search would walk its whole range to fail.
 pub fn decode_loop(json: &Json) -> Result<Loop, String> {
     let name = json.get("name").and_then(Json::as_str).ok_or("loop needs a name")?.to_string();
     let trip_count =
@@ -813,6 +815,9 @@ pub fn decode_loop(json: &Json) -> Result<Loop, String> {
         ddg.remove_op(OpId(slot as u32));
     }
     ddg.validate().map_err(|e| format!("decoded DDG is malformed: {e}"))?;
+    if !dms_ir::analysis::cycles_have_positive_distance(&ddg) {
+        return Err("decoded DDG has a dependence cycle of zero total distance".to_string());
+    }
     Ok(Loop { name, ddg, trip_count })
 }
 
@@ -1186,6 +1191,17 @@ mod tests {
             }
         }
         assert!(decode_loop(&json).is_err());
+    }
+
+    #[test]
+    fn zero_distance_cycles_are_rejected() {
+        let mut iir = kernels::iir(16);
+        assert!(decode_loop(&loop_json(&iir)).is_ok(), "a carried recurrence is schedulable");
+        let (_, back) = iir.ddg.live_edges().find(|(_, e)| e.distance > 0).unwrap();
+        let back = DepEdge { distance: 0, ..*back };
+        iir.ddg.add_edge(back);
+        let err = decode_loop(&loop_json(&iir)).unwrap_err();
+        assert!(err.contains("zero total distance"), "got {err}");
     }
 
     #[test]

@@ -1,19 +1,22 @@
-//! Exactness of the linear per-request passes against the quadratic
-//! algorithms they replaced.
+//! Exactness of the linear per-request passes against the algorithms they
+//! replaced.
 //!
-//! The guard fingerprint, the single-use conversion, RecMII and the height
-//! priority each run once per request or per II attempt, so each has a
-//! linear implementation. The algorithms they replaced are kept here, in
-//! [`reference`], and every test checks the fast path against its reference
-//! on the paper suite unrolled for the 1–10-cluster paper machines (12,580
-//! bodies) and on [`dms_ir::kernels`].
+//! The guard fingerprint, the single-use conversion, the strongly connected
+//! components, RecMII, the height priority and the IMS step each run once
+//! per request or per II attempt, so each has a linear (or heap-ordered, or
+//! iterative) implementation. The algorithms they replaced are kept here,
+//! in [`reference`], and every test checks the fast path against its
+//! reference on the paper suite unrolled for the 1–10-cluster paper
+//! machines (12,580 bodies) and on [`dms_ir::kernels`].
 
 use dms_ir::transform::convert_to_single_use;
 use dms_ir::{analysis, kernels, Ddg, DepEdge, DepKind, Fnv, LatencySpec, Loop};
 use dms_ir::{OpId, OpKind, Operand, Operation};
-use dms_machine::MachineConfig;
+use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt};
+use dms_sched::ims::{default_max_ii, ims_schedule, ImsConfig};
 use dms_sched::mii::{mii, rec_mii};
 use dms_sched::priority::heights;
+use dms_sched::schedule::{dependence_bound, earliest_start, Schedule};
 use dms_service::hash::guard_fingerprint;
 use dms_workloads::{generate, unroll_for_machine, SuiteConfig, UnrollPolicy};
 use std::collections::{BTreeSet, HashMap};
@@ -84,6 +87,67 @@ mod reference {
             }
         }
         inserted
+    }
+
+    /// Tarjan's algorithm, recursing once per op along the depth-first path.
+    pub fn sccs(ddg: &Ddg) -> Vec<Vec<OpId>> {
+        struct State<'a> {
+            ddg: &'a Ddg,
+            index: Vec<Option<u32>>,
+            lowlink: Vec<u32>,
+            on_stack: Vec<bool>,
+            stack: Vec<OpId>,
+            next_index: u32,
+            out: Vec<Vec<OpId>>,
+        }
+
+        fn strongconnect(s: &mut State<'_>, v: OpId) {
+            s.index[v.index()] = Some(s.next_index);
+            s.lowlink[v.index()] = s.next_index;
+            s.next_index += 1;
+            s.stack.push(v);
+            s.on_stack[v.index()] = true;
+
+            let succs: Vec<OpId> = s.ddg.succs(v).map(|(_, e)| e.dst).collect();
+            for w in succs {
+                if s.index[w.index()].is_none() {
+                    strongconnect(s, w);
+                    s.lowlink[v.index()] = s.lowlink[v.index()].min(s.lowlink[w.index()]);
+                } else if s.on_stack[w.index()] {
+                    s.lowlink[v.index()] = s.lowlink[v.index()].min(s.index[w.index()].unwrap());
+                }
+            }
+
+            if s.lowlink[v.index()] == s.index[v.index()].unwrap() {
+                let mut comp = Vec::new();
+                loop {
+                    let w = s.stack.pop().expect("tarjan stack underflow");
+                    s.on_stack[w.index()] = false;
+                    comp.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                s.out.push(comp);
+            }
+        }
+
+        let n = ddg.num_slots();
+        let mut st = State {
+            ddg,
+            index: vec![None; n],
+            lowlink: vec![0; n],
+            on_stack: vec![false; n],
+            stack: Vec::new(),
+            next_index: 0,
+            out: Vec::new(),
+        };
+        for v in ddg.live_op_ids() {
+            if st.index[v.index()].is_none() {
+                strongconnect(&mut st, v);
+            }
+        }
+        st.out
     }
 
     /// RecMII with linear `contains`/`position` lookups into each component.
@@ -168,6 +232,96 @@ mod reference {
             }
         }
         h
+    }
+
+    /// What an IMS search returns: the II, the schedule, the evictions and
+    /// the budget used.
+    pub type ImsRun = (u32, Schedule, u64, u64);
+
+    /// IMS with its own step: a scan of the unscheduled list for the
+    /// highest-priority op per pop, and a `never_scheduled` flag beside the
+    /// previous time.
+    pub fn ims_schedule(l: &Loop, machine: &MachineConfig) -> ImsRun {
+        let ddg = &l.ddg;
+        let start_ii = mii(ddg, machine).unwrap().mii();
+        let budget = 8 * ddg.num_live_ops().max(1) as u64;
+        (start_ii..=default_max_ii(ddg, machine, start_ii))
+            .find_map(|ii| try_ims(ddg, machine, ii, budget))
+            .expect("IMS schedules every paper-grid body")
+    }
+
+    fn try_ims(ddg: &Ddg, machine: &MachineConfig, ii: u32, budget: u64) -> Option<ImsRun> {
+        let height = heights(ddg, ii);
+        let cluster = ClusterId(0);
+        let mut mrt = Mrt::new(machine, ii);
+        let mut schedule = Schedule::new(ii, ddg.num_slots());
+        let mut never_scheduled = vec![true; ddg.num_slots()];
+        let mut prev_time = vec![0u32; ddg.num_slots()];
+        let mut unscheduled: Vec<OpId> = ddg.live_op_ids().collect();
+        let mut remaining = budget;
+        let mut evictions = 0u64;
+        let mut budget_used = 0u64;
+
+        while !unscheduled.is_empty() {
+            if remaining == 0 {
+                return None;
+            }
+            remaining -= 1;
+            budget_used += 1;
+
+            let (idx, &op) = unscheduled
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, &o)| (height[o.index()], std::cmp::Reverse(o)))
+                .unwrap();
+            unscheduled.swap_remove(idx);
+
+            let estart = earliest_start(ddg, &schedule, op, ii);
+            let min_time = if never_scheduled[op.index()] {
+                estart
+            } else {
+                estart.max(prev_time[op.index()] + 1)
+            };
+            let max_time = min_time + ii - 1;
+            let fu = FuKind::for_op(ddg.op(op).kind);
+            let time =
+                (min_time..=max_time).find(|&t| mrt.has_free(t, cluster, fu)).unwrap_or(min_time);
+            while !mrt.has_free(time, cluster, fu) {
+                let victim = *mrt
+                    .occupants(time, cluster, fu)
+                    .iter()
+                    .min_by_key(|&&o| (height[o.index()], std::cmp::Reverse(o)))
+                    .unwrap();
+                mrt.release(victim);
+                schedule.remove(victim);
+                unscheduled.push(victim);
+                evictions += 1;
+            }
+            mrt.reserve(op, time, cluster, fu).unwrap();
+            schedule.place(op, time, cluster);
+            never_scheduled[op.index()] = false;
+            prev_time[op.index()] = time;
+
+            let victims: Vec<OpId> = ddg
+                .succs(op)
+                .filter(|(_, e)| e.dst != op)
+                .filter_map(|(_, e)| {
+                    schedule.get(e.dst).and_then(|d| {
+                        let bound = dependence_bound(time, e.latency, ii, e.distance);
+                        ((d.time as i64) < bound).then_some(e.dst)
+                    })
+                })
+                .collect();
+            for v in victims {
+                if schedule.get(v).is_some() {
+                    mrt.release(v);
+                    schedule.remove(v);
+                    unscheduled.push(v);
+                    evictions += 1;
+                }
+            }
+        }
+        Some((ii, schedule, evictions, budget_used))
     }
 }
 
@@ -334,6 +488,81 @@ fn heights_match_the_id_order_fixpoint_from_mii_to_mii_plus_3() {
         for (dms, ii) in targets {
             let ddg = if dms { &converted } else { &b.body.ddg };
             assert_eq!(heights(ddg, ii), reference::heights(ddg, ii), "{} II {ii}", b.body.name);
+        }
+    }
+}
+
+#[test]
+fn sccs_match_the_recursive_reference_before_and_after_conversion() {
+    for b in corpus() {
+        let converted = single_use(&b.body);
+        for ddg in [&b.body.ddg, &converted] {
+            assert_eq!(analysis::sccs(ddg), reference::sccs(ddg), "{}", b.body.name);
+        }
+    }
+}
+
+/// A chain of `n` adds, op `i` reading op `i - 1`, closed into one cycle by
+/// a distance-1 edge from the last op back to the first when `cyclic`.
+fn add_chain(n: u32, cyclic: bool) -> Ddg {
+    let mut ddg = Ddg::new();
+    let mut prev = ddg.add_op(Operation::new(OpKind::Add, vec![Operand::Invariant(0)]));
+    let first = prev;
+    for _ in 1..n {
+        let next = ddg.add_op(Operation::new(OpKind::Add, vec![Operand::def(prev)]));
+        ddg.add_edge(DepEdge::flow(prev, next, 1, 0));
+        prev = next;
+    }
+    if cyclic {
+        ddg.op_mut(first).reads.push(Operand::def_at(prev, 1));
+        ddg.add_edge(DepEdge::flow(prev, first, 1, 1));
+    }
+    ddg
+}
+
+/// A request body may be one long dependence chain, and RecMII computes its
+/// components before any scheduling budget applies, so the components must
+/// come back within the 2 MiB stack a spawned thread gets by default,
+/// however deep the chain. The recursive reference agrees on shorter chains
+/// of both shapes.
+#[test]
+fn sccs_of_a_100000_op_chain_fit_a_2_mib_stack() {
+    for cyclic in [false, true] {
+        let short = add_chain(1_000, cyclic);
+        assert_eq!(analysis::sccs(&short), reference::sccs(&short));
+    }
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let n = 100_000;
+            let reversed: Vec<OpId> = (0..n).rev().map(OpId).collect();
+            let chain = add_chain(n, false);
+            let singletons: Vec<Vec<OpId>> = reversed.iter().map(|&v| vec![v]).collect();
+            assert_eq!(analysis::sccs(&chain), singletons);
+            assert_eq!(rec_mii(&chain), 1);
+            let cycle = add_chain(n, true);
+            assert_eq!(analysis::sccs(&cycle), vec![reversed]);
+        })
+        .unwrap()
+        .join()
+        .expect("the deep chain's analysis overflowed the stack");
+}
+
+/// IMS with the shared worklist heap, window, eviction victim and violated
+/// successors schedules every paper-grid body on its unclustered machine,
+/// and every kernel, exactly as the max-scan reference does.
+#[test]
+fn ims_schedule_matches_the_max_scan_reference() {
+    for b in corpus() {
+        for &clusters in &b.clusters {
+            let machine = MachineConfig::unclustered(clusters);
+            let r = ims_schedule(&b.body, &machine, &ImsConfig::default()).unwrap();
+            let (ii, schedule, evictions, budget_used) = reference::ims_schedule(&b.body, &machine);
+            let name = format!("{} on {clusters} clusters", b.body.name);
+            assert_eq!(r.ii(), ii, "{name}");
+            assert_eq!(r.schedule, schedule, "{name}");
+            assert_eq!(r.stats.evictions, evictions, "{name}");
+            assert_eq!(r.stats.budget_used, budget_used, "{name}");
         }
     }
 }
