@@ -10,7 +10,7 @@ use dms_machine::{ClusterId, FuKind, MachineConfig, PathCache};
 use dms_sched::ims::default_max_ii;
 use dms_sched::mii::{mii, MiiBreakdown};
 use dms_sched::pressure::QueuePressure;
-use dms_sched::schedule::{SchedStats, Schedule, ScheduleError, ScheduleResult};
+use dms_sched::schedule::{admit_mrt, SchedStats, Schedule, ScheduleError, ScheduleResult};
 use dms_sched::strategy::SchedulerStrategy;
 use dms_telemetry::{EventKind, Telemetry};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -142,9 +142,11 @@ impl std::ops::DerefMut for ScheduleOutcome {
 /// # Errors
 ///
 /// Returns [`ScheduleError::UnexecutableLoop`] if the machine lacks a
-/// required functional-unit class and [`ScheduleError::IiLimitReached`] if no
-/// schedule both fitting the queue files and satisfying the structural
-/// constraints is found up to the II limit.
+/// required functional-unit class, the recurrence and reservation-table
+/// errors [`dms_sched::ims_schedule`] returns, and
+/// [`ScheduleError::IiLimitReached`] if no schedule both fitting the queue
+/// files and satisfying the structural constraints is found up to the II
+/// limit.
 ///
 /// # Panics
 ///
@@ -261,6 +263,7 @@ fn run_search(
     let mut first_ii = None;
     let mut pressure_retries = 0u32;
     for ii in prep.start_ii..=max_ii {
+        admit_mrt(machine, ii)?;
         attempts += 1;
         telemetry.event(EventKind::IiAttemptStarted);
         // Chains are steered away from congested queue files only once a

@@ -24,7 +24,6 @@ use crate::runner::{
     SweepStats,
 };
 use dms_machine::TopologyKind;
-use dms_service::service::DEFAULT_SHARDS;
 use dms_service::ScheduleService;
 use dms_telemetry::Telemetry;
 use dms_workloads::generate;
@@ -72,7 +71,7 @@ pub fn sweep_topologies(
         .iter()
         .map(|&topology| {
             let cfg = ExperimentConfig { topology, verify: true, contention, ..config.clone() };
-            let service = ScheduleService::with_registry(DEFAULT_SHARDS, Arc::clone(&registry));
+            let service = ScheduleService::with_registry(Arc::clone(&registry));
             let (measurements, stats) = measure_loops_with_stats_on(&suite, &cfg, &service);
             TopologySweep { topology, measurements, stats }
         })

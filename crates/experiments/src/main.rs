@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! dms-experiments [fig4|fig5|fig6|figT|figP|figC|ablation|all] [--loops N] [--clusters A,B,C] [--seed S] [--csv DIR] [--threads T] [--verify] [--contention] [--cqrf-capacity N] [--topology ring|chordal[:K]|bus|crossbar] [--strategy dms|beam:W|portfolio:N[:E]] [--metrics-json PATH]
-//! dms-experiments serve [--addr HOST:PORT] [--shards N]
+//! dms-experiments serve [--addr HOST:PORT]
 //! dms-experiments client [--addr HOST:PORT] [--loops N] [--clusters A,B,C] [--seed S] [--shutdown]
 //! ```
 //!
@@ -89,7 +89,7 @@ struct Cli {
     grid_topologies: Vec<TopologyKind>,
 }
 
-const USAGE: &str = "usage: dms-experiments [fig4|fig5|fig6|figT|figP|figC|ablation|all] [--loops N] [--clusters A,B,C] [--seed S] [--csv DIR] [--threads T] [--verify] [--contention] [--cqrf-capacity N] [--topology ring|chordal[:K]|bus|crossbar] [--strategy dms|beam:W|portfolio:N[:E]] [--metrics-json PATH]\n       dms-experiments serve [--addr HOST:PORT] [--shards N]\n       dms-experiments client [--addr HOST:PORT] [--loops N] [--clusters A,B,C] [--seed S] [--shutdown]";
+const USAGE: &str = "usage: dms-experiments [fig4|fig5|fig6|figT|figP|figC|ablation|all] [--loops N] [--clusters A,B,C] [--seed S] [--csv DIR] [--threads T] [--verify] [--contention] [--cqrf-capacity N] [--topology ring|chordal[:K]|bus|crossbar] [--strategy dms|beam:W|portfolio:N[:E]] [--metrics-json PATH]\n       dms-experiments serve [--addr HOST:PORT]\n       dms-experiments client [--addr HOST:PORT] [--loops N] [--clusters A,B,C] [--seed S] [--shutdown]";
 
 fn parse_args() -> Result<Cli, String> {
     let mut command = Command::All;
@@ -229,7 +229,6 @@ fn write_csv(dir: &str, name: &str, contents: &str) {
 
 fn run_serve(args: &[String]) -> ExitCode {
     let mut addr = "127.0.0.1:47117".to_string();
-    let mut shards = dms_service::service::DEFAULT_SHARDS;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -237,13 +236,6 @@ fn run_serve(args: &[String]) -> ExitCode {
                 Some(v) => addr = v.clone(),
                 None => {
                     eprintln!("--addr needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => shards = v,
-                None => {
-                    eprintln!("--shards needs a number");
                     return ExitCode::FAILURE;
                 }
             },
@@ -259,8 +251,7 @@ fn run_serve(args: &[String]) -> ExitCode {
     // alongside the cache counters and request latencies.
     let registry = Arc::new(Registry::new());
     dms_telemetry::install(Arc::clone(&registry));
-    let service =
-        std::sync::Arc::new(dms_service::ScheduleService::with_registry(shards, registry));
+    let service = std::sync::Arc::new(dms_service::ScheduleService::with_registry(registry));
     match dms_service::net::serve(addr.as_str(), service) {
         Ok(()) => {
             println!("dms-service shut down cleanly");
@@ -538,10 +529,7 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
     }
 
     let scheduling_timer = registry.timer("dms_phase_scheduling_nanoseconds_total");
-    let service = dms_service::ScheduleService::with_registry(
-        dms_service::service::DEFAULT_SHARDS,
-        Arc::clone(registry),
-    );
+    let service = dms_service::ScheduleService::with_registry(Arc::clone(registry));
     let suite = dms_workloads::generate(&cli.config.suite);
     let (measurements, stats) = measure_loops_with_stats_on(&suite, &cli.config, &service);
     let scheduling = scheduling_timer.stop();

@@ -101,10 +101,6 @@ pub fn has_recurrence(ddg: &Ddg) -> bool {
 pub fn topological_order(ddg: &Ddg) -> Option<Vec<OpId>> {
     let n = ddg.num_slots();
     let mut indegree = vec![0usize; n];
-    let mut present = vec![false; n];
-    for id in ddg.live_op_ids() {
-        present[id.index()] = true;
-    }
     for (_, e) in ddg.live_edges() {
         if e.distance == 0 {
             indegree[e.dst.index()] += 1;

@@ -115,6 +115,17 @@ impl Mrt {
         }
     }
 
+    /// The occupant cells a table for `config` at `ii` would hold: II times
+    /// the machine's functional units (the width of one row). Lets a caller
+    /// price a table before building it.
+    pub fn cells(config: &MachineConfig, ii: u32) -> u64 {
+        let units: u64 = config
+            .cluster_ids()
+            .flat_map(|c| FuKind::ALL.map(|kind| u64::from(config.fu_count(c, kind))))
+            .sum();
+        units.saturating_mul(u64::from(ii))
+    }
+
     /// The initiation interval this table was built for.
     #[inline]
     pub fn ii(&self) -> u32 {
@@ -346,6 +357,10 @@ mod tests {
         assert_eq!(mrt.capacity(ClusterId(0), FuKind::LoadStore), 5);
         assert_eq!(mrt.capacity(ClusterId(0), FuKind::Copy), 5);
         assert_eq!(mrt.num_clusters(), 1);
+        // 5 units of each of the 4 classes per row, over 4 rows.
+        assert_eq!(Mrt::cells(&MachineConfig::unclustered(5), 4), 80);
+        // The paper grid's widest table: II 40 on the 10-cluster machine.
+        assert_eq!(Mrt::cells(&MachineConfig::paper_clustered(10), 40), 1600);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 use crate::mii::mii;
 use crate::priority::heights;
 use crate::schedule::{
-    dependence_bound, earliest_start, SchedStats, Schedule, ScheduleError, ScheduleResult,
+    admit_mrt, dependence_bound, earliest_start, SchedStats, Schedule, ScheduleError,
+    ScheduleResult,
 };
 use dms_ir::{Ddg, Loop, OpId};
 use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt};
@@ -42,7 +43,8 @@ const BUDGET_RATIO: u64 = 8;
 /// # Errors
 ///
 /// Returns [`ScheduleError::UnexecutableLoop`] if the loop needs a
-/// functional-unit class the machine does not have, and
+/// functional-unit class the machine does not have, the errors of
+/// [`mii`] and [`crate::schedule::admit_mrt`], and
 /// [`ScheduleError::IiLimitReached`] if no schedule is found up to the II
 /// limit.
 pub fn ims_schedule(
@@ -60,6 +62,7 @@ pub fn ims_schedule(
 
     let telemetry = Telemetry::current();
     for ii in start_ii..=max_ii {
+        admit_mrt(machine, ii)?;
         stats.ii_attempts += 1;
         telemetry.event(EventKind::IiAttemptStarted);
         if let Some(outcome) = try_ims(&ddg, machine, ii, budget) {

@@ -5,7 +5,8 @@
 //!
 //! * [`mod@mii`] — lower bounds on the initiation interval: the resource-bound
 //!   `ResMII` and the recurrence-bound `RecMII`,
-//! * [`priority`] — Rau's height-based scheduling priority,
+//! * [`priority`] — Rau's height-based scheduling priority and the sparse
+//!   longest-path relaxation it shares with RecMII,
 //! * [`schedule`] — the modulo-schedule representation, stage counts and the
 //!   dynamic cycle/IPC model used by the paper's figures,
 //! * [`validate`] — an independent checker for dependence, resource and

@@ -4,13 +4,17 @@
 //!   class, the number of operations needing that class divided by the number
 //!   of units of that class in the whole machine, rounded up.
 //! * `RecMII` — the recurrence-constrained bound: the smallest II such that
-//!   no dependence circuit has `sum(latency) > II * sum(distance)`.
+//!   no dependence circuit has `sum(latency) > II * sum(distance)`, found
+//!   per recurrence by bisection, each step one sparse longest-path
+//!   relaxation (see [`crate::priority`]): O(ops) memory, and a ring closed
+//!   by one carried edge settles in 3 sweeps.
 //!
 //! `MII = max(ResMII, RecMII)` is the starting point of the iterative search
 //! performed by both IMS and DMS.
 
+use crate::priority::relax;
 use crate::schedule::ScheduleError;
-use dms_ir::analysis::sccs;
+use dms_ir::analysis::{sccs, topological_order};
 use dms_ir::{Ddg, OpId};
 use dms_machine::{FuKind, MachineConfig};
 use serde::{Deserialize, Serialize};
@@ -43,8 +47,7 @@ impl MiiBreakdown {
 ///
 /// Returns [`ScheduleError::UnexecutableLoop`] if the loop demands a
 /// functional-unit class of which the machine has zero units: no II, however
-/// large, can execute such a loop. (Earlier versions returned a `u32::MAX`
-/// sentinel here, which overflowed the derived II-search limit.)
+/// large, can execute such a loop.
 pub fn res_mii(ddg: &Ddg, machine: &MachineConfig) -> Result<u32, ScheduleError> {
     let mut demand = [0u32; 4];
     for (_, op) in ddg.live_ops() {
@@ -67,93 +70,61 @@ pub fn res_mii(ddg: &Ddg, machine: &MachineConfig) -> Result<u32, ScheduleError>
 
 /// Computes the recurrence-constrained lower bound on the II.
 ///
-/// For every strongly connected component of the DDG, the smallest II such
-/// that no circuit in the component has positive slack
-/// (`sum(latency) - II * sum(distance) > 0`) is found by binary search with a
-/// longest-path (max-plus Floyd–Warshall) positive-cycle check restricted to
-/// the component. Acyclic graphs have `RecMII = 1`.
-pub fn rec_mii(ddg: &Ddg) -> u32 {
-    let mut best = 1u32;
-    // `pos[slot]` is the slot's index inside the cyclic component being
-    // bounded, `None` outside it. Only cyclic components are entered, and
-    // each is cleared again before the next, so an edge leaving the
-    // component never finds a stale entry.
-    let mut pos: Vec<Option<usize>> = vec![None; ddg.num_slots()];
+/// For every cyclic strongly connected component, the smallest II at which
+/// none of its circuits has positive weight is bisected in `u64` between 1
+/// and its total latency, each step one `relax` over its ops in sink-first
+/// order. Acyclic graphs have `RecMII = 1`.
+///
+/// # Errors
+///
+/// Returns [`ScheduleError::RecurrenceUnschedulable`] if a circuit needs an
+/// II above `u32::MAX`, or if the intra-iteration (distance-0) subgraph is
+/// cyclic, so that no II at all satisfies it.
+pub fn rec_mii(ddg: &Ddg) -> Result<u32, ScheduleError> {
+    // Per op, the index of its recurrence (cyclic component), if it has one.
+    let mut recurrence_of = vec![usize::MAX; ddg.num_slots()];
+    let mut recurrences: Vec<Vec<OpId>> = Vec::new();
     for comp in sccs(ddg) {
-        let cyclic = comp.len() > 1 || ddg.succs(comp[0]).any(|(_, e)| e.dst == comp[0]);
-        if !cyclic {
-            continue;
-        }
-        for (i, v) in comp.iter().enumerate() {
-            pos[v.index()] = Some(i);
-        }
-        best = best.max(scc_rec_mii(ddg, &comp, &pos));
-        for v in &comp {
-            pos[v.index()] = None;
+        if comp.len() > 1 || ddg.succs(comp[0]).any(|(_, e)| e.dst == comp[0]) {
+            for v in &comp {
+                recurrence_of[v.index()] = recurrences.len();
+            }
+            recurrences.push(Vec::with_capacity(comp.len()));
         }
     }
-    best
-}
-
-/// Recurrence bound of a single strongly connected component, whose
-/// members `pos` maps to their index in `comp`.
-fn scc_rec_mii(ddg: &Ddg, comp: &[OpId], pos: &[Option<usize>]) -> u32 {
-    // Upper bound: the sum of all edge latencies inside the component is
-    // enough to make every circuit non-positive (total distance >= 1).
-    let hi: u32 = comp
-        .iter()
-        .flat_map(|&v| ddg.succs(v))
-        .filter(|(_, e)| pos[e.dst.index()].is_some())
-        .map(|(_, e)| e.latency)
-        .sum::<u32>()
-        .max(1);
-    let mut lo = 1u32;
-    let mut hi = hi;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if has_positive_cycle(ddg, comp, pos, mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+    if recurrences.is_empty() {
+        return Ok(1);
+    }
+    let order =
+        topological_order(ddg).ok_or(ScheduleError::RecurrenceUnschedulable { rec_mii: None })?;
+    for &v in order.iter().rev() {
+        if let Some(ops) = recurrences.get_mut(recurrence_of[v.index()]) {
+            ops.push(v);
         }
     }
-    lo
-}
-
-/// Whether the component contains a circuit with positive slack at the given
-/// II (max-plus Floyd–Warshall on the component subgraph).
-fn has_positive_cycle(ddg: &Ddg, comp: &[OpId], pos: &[Option<usize>], ii: u32) -> bool {
-    const NEG_INF: i64 = i64::MIN / 4;
-    let n = comp.len();
-    let mut dist = vec![NEG_INF; n * n];
-    for (i, &v) in comp.iter().enumerate() {
-        for (_, e) in ddg.succs(v) {
-            if let Some(j) = pos[e.dst.index()] {
-                let w = e.latency as i64 - ii as i64 * e.distance as i64;
-                let cell = &mut dist[i * n + j];
-                *cell = (*cell).max(w);
+    let mut h = vec![0i64; ddg.num_slots()];
+    let mut best = 1u64;
+    for (r, ops) in recurrences.iter().enumerate() {
+        let in_recurrence = |v: OpId| recurrence_of[v.index()] == r;
+        // Every circuit has a total distance of at least 1, so at an II of
+        // the recurrence's total latency none has positive weight.
+        let total = ops
+            .iter()
+            .flat_map(|&v| ddg.succs(v))
+            .filter(|(_, e)| in_recurrence(e.dst))
+            .fold(0, |sum: u64, (_, e)| sum.saturating_add(e.latency.into()));
+        let (mut lo, mut hi) = (1u64, total.max(1));
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if relax(ddg, ops, in_recurrence, mid, &mut h) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
         }
+        best = best.max(lo);
     }
-    for k in 0..n {
-        for i in 0..n {
-            let dik = dist[i * n + k];
-            if dik == NEG_INF {
-                continue;
-            }
-            for j in 0..n {
-                let dkj = dist[k * n + j];
-                if dkj == NEG_INF {
-                    continue;
-                }
-                let cand = dik + dkj;
-                if cand > dist[i * n + j] {
-                    dist[i * n + j] = cand;
-                }
-            }
-        }
-    }
-    (0..n).any(|i| dist[i * n + i] > 0)
+    u32::try_from(best).map_err(|_| ScheduleError::RecurrenceUnschedulable { rec_mii: Some(best) })
 }
 
 /// Computes both lower bounds.
@@ -161,9 +132,11 @@ fn has_positive_cycle(ddg: &Ddg, comp: &[OpId], pos: &[Option<usize>], ii: u32) 
 /// # Errors
 ///
 /// Returns [`ScheduleError::UnexecutableLoop`] if the loop demands a
-/// functional-unit class the machine does not have (see [`res_mii`]).
+/// functional-unit class the machine does not have (see [`res_mii`]), and
+/// [`ScheduleError::RecurrenceUnschedulable`] if no 32-bit II satisfies its
+/// recurrences (see [`rec_mii`]).
 pub fn mii(ddg: &Ddg, machine: &MachineConfig) -> Result<MiiBreakdown, ScheduleError> {
-    Ok(MiiBreakdown { res_mii: res_mii(ddg, machine)?, rec_mii: rec_mii(ddg) })
+    Ok(MiiBreakdown { res_mii: res_mii(ddg, machine)?, rec_mii: rec_mii(ddg)? })
 }
 
 #[cfg(test)]
@@ -190,22 +163,22 @@ mod tests {
 
     #[test]
     fn rec_mii_of_acyclic_graph_is_one() {
-        assert_eq!(rec_mii(&kernels::daxpy(8).ddg), 1);
-        assert_eq!(rec_mii(&kernels::stencil3(8).ddg), 1);
+        assert_eq!(rec_mii(&kernels::daxpy(8).ddg), Ok(1));
+        assert_eq!(rec_mii(&kernels::stencil3(8).ddg), Ok(1));
     }
 
     #[test]
     fn rec_mii_of_accumulator_equals_add_latency() {
         // s = s@(i-1) + x : circuit latency = add latency (1), distance 1.
         let l = kernels::prefix_sum(8);
-        assert_eq!(rec_mii(&l.ddg), 1);
+        assert_eq!(rec_mii(&l.ddg), Ok(1));
     }
 
     #[test]
     fn rec_mii_of_iir_is_mul_plus_add() {
         // circuit: add -> mul (dist 1) -> add, latency = add(1) + mul(2) = 3.
         let l = kernels::iir(8);
-        assert_eq!(rec_mii(&l.ddg), 3);
+        assert_eq!(rec_mii(&l.ddg), Ok(3));
     }
 
     #[test]
@@ -216,13 +189,46 @@ mod tests {
         let s = b.feedback(dms_ir::OpKind::Mul, x.into(), 2); // mul latency 2 over distance 2
         b.store(s.into());
         let l = b.finish(8);
-        assert_eq!(rec_mii(&l.ddg), 1);
+        assert_eq!(rec_mii(&l.ddg), Ok(1));
         // distance 1 would give 2
         let mut b = LoopBuilder::new("d1");
         let x = b.load(Operand::Induction);
         let s = b.feedback(dms_ir::OpKind::Mul, x.into(), 1);
         b.store(s.into());
-        assert_eq!(rec_mii(&b.finish(8).ddg), 2);
+        assert_eq!(rec_mii(&b.finish(8).ddg), Ok(2));
+    }
+
+    /// A two-op cycle `a -> b` (distance 0), `b -> a` (distance 1).
+    fn two_op_cycle(forward: u32, back: u32, back_distance: u32) -> Ddg {
+        use dms_ir::{DepEdge, OpKind, Operation};
+        let mut g = Ddg::new();
+        let a = g.add_op(Operation::new(OpKind::Add, Vec::new()));
+        let b = g.add_op(Operation::new(OpKind::Add, vec![Operand::def(a)]));
+        g.op_mut(a).reads.push(Operand::def_at(b, back_distance));
+        g.add_edge(DepEdge::flow(a, b, forward, 0));
+        g.add_edge(DepEdge::flow(b, a, back, back_distance));
+        g
+    }
+
+    #[test]
+    fn rec_mii_does_not_wrap_above_32_bits() {
+        // The latencies sum to 2^32 - 1: the largest II that fits.
+        assert_eq!(rec_mii(&two_op_cycle(1 << 31, (1 << 31) - 1, 1)), Ok(u32::MAX));
+        // They sum to 2^32, which a 32-bit bound wrapped to 0 (and reported
+        // as 1).
+        assert_eq!(
+            rec_mii(&two_op_cycle(1 << 31, 1 << 31, 1)),
+            Err(ScheduleError::RecurrenceUnschedulable { rec_mii: Some(1 << 32) })
+        );
+        // Spread over two iterations, the same circuit fits again.
+        assert_eq!(rec_mii(&two_op_cycle(1 << 31, 1 << 31, 2)), Ok(1 << 31));
+    }
+
+    #[test]
+    fn a_zero_distance_cycle_has_no_rec_mii() {
+        let err = ScheduleError::RecurrenceUnschedulable { rec_mii: None };
+        assert_eq!(rec_mii(&two_op_cycle(1, 1, 0)), Err(err.clone()));
+        assert_eq!(mii(&two_op_cycle(1, 1, 0), &MachineConfig::unclustered(1)), Err(err));
     }
 
     #[test]

@@ -1,50 +1,77 @@
-//! Scheduling priority.
+//! Scheduling priority, and the longest-path relaxation behind it and
+//! behind RecMII.
 //!
 //! Both IMS and DMS schedule operations in order of decreasing *height*: the
 //! length of the longest dependence path from the operation to any leaf of
-//! the DDG, where each edge contributes `latency - II * distance` (Rau's
-//! height-based priority). Operations on critical recurrence circuits and on
-//! long dependence chains are scheduled first.
+//! the DDG, where each edge weighs `latency - II * distance` (Rau's
+//! height-based priority). [`heights`] and RecMII ([`crate::mii::rec_mii`])
+//! both call `relax`, which sweeps the ops sinks first (the reverse of the
+//! topological order of the distance-0 subgraph) and stops after `K + 2`
+//! sweeps, `K` being the number of distinct targets of carried non-self
+//! edges. The cap is exact: one sweep settles every distance-0 path, and
+//! each further sweep one more carried edge; a longest path without a
+//! positive-weight circuit is simple, so it enters each op at most once and
+//! crosses at most `K` carried non-self edges. A sweep that still changes a
+//! height at the cap therefore proves a positive-weight circuit at that II.
 
+use dms_ir::analysis::topological_order;
 use dms_ir::{Ddg, OpId};
 
 /// Computes the height of every operation for the given II.
 ///
 /// The returned vector is indexed by [`OpId::index`]; slots of removed
-/// operations hold 0. Heights are computed by fixpoint iteration, relaxing
-/// live operations in descending id order: a producer almost always has a
-/// lower id than its consumers (loop-carried edges and appended `Copy`
-/// operations are the exceptions), so one sweep settles most of a body
-/// and only the exceptions take further rounds. At any `II >= RecMII`
-/// every circuit has non-positive weight, so the iteration reaches the
-/// least fixpoint — the same for every relaxation order — within `|ops|`
-/// rounds. If it has not converged by then (the II is below RecMII), the
-/// partially relaxed heights are returned — they are still a usable
-/// priority order.
+/// operations hold 0. Below RecMII the relaxation stops at its cap, and the
+/// partial heights are still a usable priority order. A body with a
+/// zero-distance cycle, which no II can schedule, is swept in descending id
+/// order.
 pub fn heights(ddg: &Ddg, ii: u32) -> Vec<i64> {
-    let n = ddg.num_slots();
-    let mut h = vec![0i64; n];
-    let live: Vec<OpId> = ddg.live_op_ids().collect();
-    for _ in 0..live.len().max(1) {
-        let mut changed = false;
-        for &v in live.iter().rev() {
-            let mut best = 0i64;
-            for (_, e) in ddg.succs(v) {
-                let cand = h[e.dst.index()] + e.latency as i64 - ii as i64 * e.distance as i64;
-                if cand > best {
-                    best = cand;
-                }
-            }
-            if best > h[v.index()] {
-                h[v.index()] = best;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
+    let mut order = topological_order(ddg).unwrap_or_else(|| ddg.live_op_ids().collect());
+    order.reverse();
+    let mut h = vec![0i64; ddg.num_slots()];
+    relax(ddg, &order, |_| true, u64::from(ii), &mut h);
+    h
+}
+
+/// Sets `h[v]` for each op `v` of the sink-first `order` to the longest path
+/// from `v` over edges between ops `in_scope` (at least 0, the empty path).
+/// Returns `false` if a positive-weight circuit keeps raising the heights.
+/// Weights and heights saturate instead of wrapping, so any II and distance
+/// is safe: without such a circuit no height exceeds the total latency in
+/// scope, far below `i64::MAX`, so a saturated height proves one too.
+pub(crate) fn relax(
+    ddg: &Ddg,
+    order: &[OpId],
+    in_scope: impl Fn(OpId) -> bool,
+    ii: u64,
+    h: &mut [i64],
+) -> bool {
+    let ii = i64::try_from(ii).unwrap_or(i64::MAX);
+    let mut carried_targets = 0usize;
+    for &v in order {
+        h[v.index()] = 0;
+        if ddg.preds(v).any(|(_, e)| e.distance > 0 && e.src != v && in_scope(e.src)) {
+            carried_targets += 1;
         }
     }
-    h
+    for _ in 0..carried_targets + 2 {
+        let mut changed = false;
+        for &v in order {
+            let mut best = h[v.index()];
+            for (_, e) in ddg.succs(v).filter(|(_, e)| in_scope(e.dst)) {
+                let weight = i64::from(e.latency) - ii.saturating_mul(i64::from(e.distance));
+                best = best.max(h[e.dst.index()].saturating_add(weight));
+            }
+            if best == i64::MAX {
+                return false;
+            }
+            changed |= best > h[v.index()];
+            h[v.index()] = best;
+        }
+        if !changed {
+            return true;
+        }
+    }
+    false
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! by the paper's figures.
 
 use dms_ir::{Ddg, OpId};
-use dms_machine::{ClusterId, FuKind};
+use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -279,15 +279,47 @@ pub enum ScheduleError {
         retries: u32,
     },
     /// The loop demands a functional-unit class of which the machine has
-    /// zero units, so no II — however large — can execute it. Replaces the
-    /// old `u32::MAX` ResMII sentinel, which silently overflowed the II
-    /// search bounds.
+    /// zero units, so no II — however large — can execute it.
     UnexecutableLoop {
         /// The demanded functional-unit class with zero units.
         fu: FuKind,
         /// Number of operations demanding it.
         demand: u32,
     },
+    /// No 32-bit II satisfies the loop's recurrences: a circuit needs the II
+    /// `rec_mii`, or (`None`) has a total distance of zero.
+    RecurrenceUnschedulable {
+        /// The recurrence bound, if one exists.
+        rec_mii: Option<u64>,
+    },
+    /// An II attempt's reservation table would hold more than
+    /// [`MAX_MRT_CELLS`] cells, so the attempt is refused before allocating.
+    MrtTooLarge {
+        /// The II of the refused attempt.
+        ii: u32,
+        /// The cells its table would hold.
+        cells: u64,
+    },
+}
+
+/// The most cells (II × units per row) one attempt's reservation table may
+/// hold: 2^24, 64 MiB of occupant ids, 10,000 times the paper grid's largest
+/// table (1,600 cells: II 40 × 40 units at 10 clusters).
+pub const MAX_MRT_CELLS: u64 = 1 << 24;
+
+/// Refuses an II attempt whose reservation table would exceed
+/// [`MAX_MRT_CELLS`] with [`ScheduleError::MrtTooLarge`]. IMS and DMS call
+/// it before every attempt.
+///
+/// # Errors
+///
+/// Returns [`ScheduleError::MrtTooLarge`] for such an attempt.
+pub fn admit_mrt(machine: &MachineConfig, ii: u32) -> Result<(), ScheduleError> {
+    let cells = Mrt::cells(machine, ii);
+    if cells > MAX_MRT_CELLS {
+        return Err(ScheduleError::MrtTooLarge { ii, cells });
+    }
+    Ok(())
 }
 
 impl fmt::Display for ScheduleError {
@@ -305,6 +337,18 @@ impl fmt::Display for ScheduleError {
                 f,
                 "loop is unexecutable on this machine: {demand} operation(s) demand the {fu} \
                  unit class, of which the machine has none"
+            ),
+            ScheduleError::RecurrenceUnschedulable { rec_mii: Some(bound) } => write!(
+                f,
+                "the loop's recurrences need an II of at least {bound}, above the 32-bit limit"
+            ),
+            ScheduleError::RecurrenceUnschedulable { rec_mii: None } => {
+                write!(f, "a dependence cycle has a total distance of zero, which no II satisfies")
+            }
+            ScheduleError::MrtTooLarge { ii, cells } => write!(
+                f,
+                "the reservation table at II = {ii} would hold {cells} cells, above the budget \
+                 of {MAX_MRT_CELLS}"
             ),
         }
     }
@@ -385,6 +429,25 @@ mod tests {
         let e = ScheduleError::PressureLimitReached { limit: 12, retries: 5 };
         assert!(e.to_string().contains("II = 12"));
         assert!(e.to_string().contains("5 structurally-valid"));
+        let e = ScheduleError::RecurrenceUnschedulable { rec_mii: Some(1 << 32) };
+        assert!(e.to_string().contains("4294967296"));
+        let e = ScheduleError::RecurrenceUnschedulable { rec_mii: None };
+        assert!(e.to_string().contains("total distance of zero"));
+        let e = ScheduleError::MrtTooLarge { ii: 7, cells: 1 << 30 };
+        assert!(e.to_string().contains("II = 7"));
+        assert!(e.to_string().contains(&MAX_MRT_CELLS.to_string()));
+    }
+
+    #[test]
+    fn admit_mrt_refuses_tables_above_the_cell_budget() {
+        let machine = MachineConfig::paper_clustered(10); // 40 units per row
+        assert_eq!(admit_mrt(&machine, 40), Ok(()));
+        let widest = (MAX_MRT_CELLS / 40) as u32;
+        assert_eq!(admit_mrt(&machine, widest), Ok(()));
+        assert_eq!(
+            admit_mrt(&machine, widest + 1),
+            Err(ScheduleError::MrtTooLarge { ii: widest + 1, cells: 40 * u64::from(widest + 1) })
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub fn serve(addr: impl ToSocketAddrs, service: Arc<ScheduleService>) -> std::io
 /// Returns the error if the listener's local address cannot be read.
 pub fn serve_on(listener: TcpListener, service: Arc<ScheduleService>) -> std::io::Result<()> {
     let local = listener.local_addr()?;
-    println!("dms-service listening on {local} ({} cache shards)", service.num_shards());
+    println!("dms-service listening on {local}");
     let shutdown = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
@@ -417,6 +417,49 @@ mod tests {
         let mut client = Client::connect(addr).unwrap();
         let stats = Json::parse(&client.roundtrip(&wire::encode_stats_request()).unwrap()).unwrap();
         assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        client.roundtrip(&wire::encode_shutdown_request()).unwrap();
+        handle.join().unwrap();
+    }
+
+    /// Requests that once aborted the whole process get an error reply
+    /// within a second, and the same server then schedules the valid
+    /// variant of the same loop. The loop is a 3-op recurrence. With an
+    /// edge latency of 2^31 its II is near 2^31, where a reservation table
+    /// would take 137 GB, under either scheduler. A machine with 2^30 copy
+    /// units would have taken 34 GB.
+    #[test]
+    fn hostile_requests_get_error_replies_and_the_server_keeps_serving() {
+        let (addr, handle) = spawn_server();
+        let mut client = Client::connect(addr).unwrap();
+        let request = |scheduler: &str, latency: u64, copy_units: u64| {
+            format!(
+                concat!(
+                    r#"{{"op":"schedule","loop":{{"name":"ring3","trip_count":8,"ops":["#,
+                    r#"["add",[["def",2,1]]],["add",[["def",0,0]]],["add",[["def",1,0]]]],"#,
+                    r#""edges":[[0,1,"flow",{},0],[1,2,"flow",1,0],[2,0,"flow",1,1]]}},"#,
+                    r#""machine":{{"clusters":4,"copy_units":{}}},"scheduler":"{}"}}"#,
+                ),
+                latency, copy_units, scheduler
+            )
+        };
+        let hostile = [
+            (request("dms", 1 << 31, 1), "MrtTooLarge"),
+            (request("ims", 1 << 31, 1), "MrtTooLarge"),
+            (request("dms", 1, 1 << 30), "copy_units"),
+        ];
+        for (line, error) in hostile {
+            let started = std::time::Instant::now();
+            let reply = Json::parse(&client.roundtrip(&line).unwrap()).unwrap();
+            assert!(started.elapsed() < Duration::from_secs(1), "{line}: {:?}", started.elapsed());
+            assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{line}");
+            assert!(
+                reply.get("error").and_then(Json::as_str).unwrap().contains(error),
+                "{reply:?}"
+            );
+        }
+        let valid = Json::parse(&client.roundtrip(&request("dms", 1, 1)).unwrap()).unwrap();
+        assert_eq!(valid.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(valid.get("summary").unwrap().get("ii").and_then(Json::as_u64), Some(3));
         client.roundtrip(&wire::encode_shutdown_request()).unwrap();
         handle.join().unwrap();
     }

@@ -154,7 +154,7 @@ struct CachedSchedule {
     verify: Option<VerifyDigest>,
 }
 
-/// Default shard count: comfortably above the worker counts the sweep
+/// The cache's shard count: comfortably above the worker counts the sweep
 /// engine runs with, so shard contention stays negligible.
 pub const DEFAULT_SHARDS: usize = 16;
 
@@ -181,23 +181,21 @@ pub struct ScheduleService {
 
 impl Default for ScheduleService {
     fn default() -> Self {
-        Self::new(DEFAULT_SHARDS)
+        Self::new()
     }
 }
 
 impl ScheduleService {
-    /// Creates a service whose cache has `shards` shards (clamped to at
-    /// least 1) and a private metrics registry. The shard count is a
-    /// performance knob only: responses never depend on it.
-    pub fn new(shards: usize) -> Self {
-        Self::with_registry(shards, Arc::new(Registry::new()))
+    /// Creates a service with a private metrics registry.
+    pub fn new() -> Self {
+        Self::with_registry(Arc::new(Registry::new()))
     }
 
     /// Creates a service that publishes its metrics into the given
     /// registry instead of a private one.
-    pub fn with_registry(shards: usize, registry: Arc<Registry>) -> Self {
+    pub fn with_registry(registry: Arc<Registry>) -> Self {
         let cache = ShardedCache::with_counters(
-            shards,
+            DEFAULT_SHARDS,
             registry.counter("dms_cache_hits_total"),
             registry.counter("dms_cache_misses_total"),
             registry.counter("dms_cache_inserts_total"),
@@ -216,11 +214,6 @@ impl ScheduleService {
     /// payload of the wire `{"op":"metrics"}` response.
     pub fn metrics_text(&self) -> String {
         self.registry.render_prometheus()
-    }
-
-    /// Number of cache shards.
-    pub fn num_shards(&self) -> usize {
-        self.cache.num_shards()
     }
 
     /// Snapshot of the cache hit/miss/insert counters.
@@ -377,7 +370,7 @@ mod tests {
 
     #[test]
     fn warm_response_is_identical_to_cold_and_flagged_as_hit() {
-        let service = ScheduleService::new(4);
+        let service = ScheduleService::new();
         let fir = kernels::fir(8, 64);
         let machine = MachineConfig::paper_clustered(4);
         let req = dms_request(&fir, &machine);
@@ -494,7 +487,7 @@ mod tests {
 
     #[test]
     fn the_registry_mirrors_cache_stats_and_counts_request_latencies() {
-        let service = ScheduleService::new(4);
+        let service = ScheduleService::new();
         let fir = kernels::fir(8, 64);
         let machine = MachineConfig::paper_clustered(4);
         let req = dms_request(&fir, &machine);
@@ -519,7 +512,7 @@ mod tests {
     fn a_shared_registry_merges_metrics_from_the_owning_driver() {
         let registry = Arc::new(Registry::new());
         registry.counter("driver_sweeps_total").inc();
-        let service = ScheduleService::with_registry(2, Arc::clone(&registry));
+        let service = ScheduleService::with_registry(Arc::clone(&registry));
         let fir = kernels::fir(8, 64);
         let machine = MachineConfig::paper_clustered(4);
         service.schedule(&dms_request(&fir, &machine)).unwrap();

@@ -717,10 +717,11 @@ fn narrow_u32(value: u64, field: &str) -> Result<u32, String> {
 }
 
 // Admission bounds of a schedule request. Sweeps and the benchmark send at
-// most 10 clusters, 64 verified trips and 8 portfolio candidates; the bounds
-// sit far above that and keep one request from asking for an unbounded
-// machine, execution or search.
+// most 10 clusters, 2 copy units, 64 verified trips and 8 portfolio
+// candidates; the bounds sit far above that and keep one request from
+// asking for an unbounded machine, execution or search.
 const MAX_CLUSTERS: u32 = 64;
+const MAX_COPY_UNITS: u32 = 64;
 const MAX_VERIFY_TRIPS: u64 = 1 << 16;
 const MAX_CANDIDATES: u32 = 64;
 
@@ -832,8 +833,12 @@ fn decode_machine(json: &Json) -> Result<WireMachine, String> {
     Ok(WireMachine {
         unclustered: json.get("unclustered").and_then(Json::as_bool).unwrap_or(false),
         clusters: at_most(clusters, MAX_CLUSTERS, "machine clusters")?,
-        copy_units: narrow_u32(
-            json.get("copy_units").and_then(Json::as_u64).unwrap_or(1),
+        copy_units: at_most(
+            narrow_u32(
+                json.get("copy_units").and_then(Json::as_u64).unwrap_or(1),
+                "machine copy_units",
+            )?,
+            MAX_COPY_UNITS,
             "machine copy_units",
         )?,
         cqrf_capacity: match json.get("cqrf_capacity") {
@@ -1111,6 +1116,13 @@ mod tests {
         // themselves are still admitted.
         let cases = [
             ("\"clusters\":4", "machine clusters", u64::from(MAX_CLUSTERS), "\"clusters\":", ""),
+            (
+                "\"copy_units\":1",
+                "machine copy_units",
+                u64::from(MAX_COPY_UNITS),
+                "\"copy_units\":",
+                "",
+            ),
             ("\"verify_trips\":8", "verify_trips", MAX_VERIFY_TRIPS, "\"verify_trips\":", ""),
             (
                 "\"strategy\":\"dms\"",

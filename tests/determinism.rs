@@ -274,26 +274,6 @@ fn warm_resweep_of_the_24_loop_paper_grid_hits_every_request() {
     );
 }
 
-/// The shard count of the schedule cache is a pure performance knob: a
-/// 1-shard and an 8-shard service produce byte-identical sweep CSV.
-#[test]
-fn cache_shard_count_does_not_change_results() {
-    let mut cfg = ExperimentConfig::quick(12);
-    cfg.cluster_counts = vec![2, 4, 8];
-    cfg.threads = 4;
-
-    let suite = generate(&cfg.suite);
-    let (one, one_stats) = measure_loops_with_stats_on(&suite, &cfg, &ScheduleService::new(1));
-    let (eight, eight_stats) = measure_loops_with_stats_on(&suite, &cfg, &ScheduleService::new(8));
-    assert_eq!(one_stats.failed, 0);
-    assert_eq!(eight_stats.failed, 0);
-    assert_eq!(
-        report::measurements_csv(&one),
-        report::measurements_csv(&eight),
-        "the shard count may only affect lock contention, never results"
-    );
-}
-
 /// The discrete-event replay core is as deterministic as the scheduler it
 /// replays: a figure-C sweep (contention + verification forced on across
 /// topologies) produces byte-identical aggregate *and* per-row CSV for 1

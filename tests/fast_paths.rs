@@ -4,10 +4,11 @@
 //! The guard fingerprint, the single-use conversion, the strongly connected
 //! components, RecMII, the height priority and the IMS step each run once
 //! per request or per II attempt, so each has a linear (or heap-ordered, or
-//! iterative) implementation. The algorithms they replaced are kept here,
-//! in [`reference`], and every test checks the fast path against its
-//! reference on the paper suite unrolled for the 1–10-cluster paper
-//! machines (12,580 bodies) and on [`dms_ir::kernels`].
+//! iterative, or sparse) implementation. The algorithms they replaced are
+//! kept here, in [`reference`], and every test checks the fast path against
+//! its reference on the paper suite unrolled for the 1–10-cluster paper
+//! machines (12,580 bodies) and on [`dms_ir::kernels`]; RecMII and the
+//! heights also on seeded random recurrences.
 
 use dms_ir::transform::convert_to_single_use;
 use dms_ir::{analysis, kernels, Ddg, DepEdge, DepKind, Fnv, LatencySpec, Loop};
@@ -19,6 +20,8 @@ use dms_sched::priority::heights;
 use dms_sched::schedule::{dependence_bound, earliest_start, Schedule};
 use dms_service::hash::guard_fingerprint;
 use dms_workloads::{generate, unroll_for_machine, SuiteConfig, UnrollPolicy};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
 
 /// The algorithms the fast paths replaced.
@@ -150,7 +153,8 @@ mod reference {
         st.out
     }
 
-    /// RecMII with linear `contains`/`position` lookups into each component.
+    /// RecMII bisected in `u32` over a dense max-plus Floyd–Warshall per
+    /// component, with linear `contains`/`position` lookups into it.
     pub fn rec_mii(ddg: &Ddg) -> u32 {
         let mut best = 1u32;
         for comp in analysis::sccs(ddg) {
@@ -420,7 +424,7 @@ fn rec_mii_matches_the_reference_before_and_after_conversion() {
     for b in corpus() {
         let converted = single_use(&b.body);
         for ddg in [&b.body.ddg, &converted] {
-            assert_eq!(rec_mii(ddg), reference::rec_mii(ddg), "{}", b.body.name);
+            assert_eq!(rec_mii(ddg).unwrap(), reference::rec_mii(ddg), "{}", b.body.name);
         }
     }
 }
@@ -466,7 +470,7 @@ fn rec_mii_ignores_edges_into_earlier_components() {
     assert_eq!(comps, order.map(|c| c.into_iter().map(|i| x[i]).collect::<Vec<_>>()));
 
     // {x1, x2}: add (1) + mul (2) over distance 1; {x4, x5}: 1 + 1 over 1.
-    assert_eq!(rec_mii(&ddg), 3);
+    assert_eq!(rec_mii(&ddg).unwrap(), 3);
     assert_eq!(reference::rec_mii(&ddg), 3);
 }
 
@@ -539,13 +543,132 @@ fn sccs_of_a_100000_op_chain_fit_a_2_mib_stack() {
             let chain = add_chain(n, false);
             let singletons: Vec<Vec<OpId>> = reversed.iter().map(|&v| vec![v]).collect();
             assert_eq!(analysis::sccs(&chain), singletons);
-            assert_eq!(rec_mii(&chain), 1);
+            assert_eq!(rec_mii(&chain), Ok(1));
             let cycle = add_chain(n, true);
             assert_eq!(analysis::sccs(&cycle), vec![reversed]);
         })
         .unwrap()
         .join()
         .expect("the deep chain's analysis overflowed the stack");
+}
+
+/// Runs `f` on a thread with the 2 MiB stack a spawned thread gets by
+/// default and returns how long it took.
+fn timed_on_a_2_mib_stack(f: impl FnOnce() + Send + 'static) -> std::time::Duration {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let started = std::time::Instant::now();
+            f();
+            started.elapsed()
+        })
+        .unwrap()
+        .join()
+        .expect("the deep body's analysis overflowed the stack")
+}
+
+/// The bound on one deep-body analysis: 1 s in an optimised build, which
+/// CI runs; an unoptimised one gets ten times that. The replaced dense
+/// RecMII needs 80 GB for the ring, and the id-order heights take minutes
+/// on the reversed chain.
+fn deep_body_bound() -> std::time::Duration {
+    std::time::Duration::from_secs(if cfg!(debug_assertions) { 10 } else { 1 })
+}
+
+/// A 100,000-op ring closed by one distance-1 edge bounds its II by the
+/// ring's whole latency. Each bisection step settles in three sweeps.
+#[test]
+fn rec_mii_of_a_100000_op_ring_is_fast_on_a_2_mib_stack() {
+    let elapsed =
+        timed_on_a_2_mib_stack(|| assert_eq!(rec_mii(&add_chain(100_000, true)), Ok(100_000)));
+    assert!(elapsed < deep_body_bound(), "took {elapsed:?}");
+}
+
+/// A 100,000-op chain whose ids run against its edges: op `i` reads op
+/// `i + 1`, so sweeping in descending id order settles one op per sweep,
+/// where the sink-first order settles the whole chain in one.
+#[test]
+fn heights_of_a_100000_op_reversed_chain_are_fast_on_a_2_mib_stack() {
+    let elapsed = timed_on_a_2_mib_stack(|| {
+        let n = 100_000;
+        let mut ddg = Ddg::new();
+        let x: Vec<OpId> =
+            (0..n).map(|_| ddg.add_op(Operation::new(OpKind::Add, Vec::new()))).collect();
+        for i in 0..n - 1 {
+            ddg.op_mut(x[i]).reads.push(Operand::def(x[i + 1]));
+            ddg.add_edge(DepEdge::flow(x[i + 1], x[i], 1, 0));
+        }
+        let h = heights(&ddg, 1);
+        assert!(x.iter().enumerate().all(|(i, v)| h[v.index()] == i as i64));
+    });
+    assert!(elapsed < deep_body_bound(), "took {elapsed:?}");
+}
+
+/// A seeded random DDG of at most 40 ops. A quarter are disjoint 2-op
+/// recurrences; the rest close random distance-0 edges into recurrences
+/// with several carried edges, self-loops among them. Distance-0 edges follow
+/// a random permutation of the ids, so the intra-iteration subgraph stays
+/// acyclic while its order runs against the ids as often as with them.
+fn random_recurrences(rng: &mut StdRng) -> Ddg {
+    let n = rng.gen_range(2..=40usize);
+    let mut ddg = Ddg::new();
+    let x: Vec<OpId> =
+        (0..n).map(|_| ddg.add_op(Operation::new(OpKind::Add, Vec::new()))).collect();
+    let mut rank: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        rank.swap(i, rng.gen_range(0..=i));
+    }
+    let latency = |rng: &mut StdRng| {
+        if rng.gen_bool(0.1) {
+            1 << 20
+        } else {
+            rng.gen_range(0..=6u32)
+        }
+    };
+    let edge = |ddg: &mut Ddg, src: usize, dst: usize, latency: u32, distance: u32| {
+        ddg.op_mut(x[dst]).reads.push(Operand::def_at(x[src], distance));
+        ddg.add_edge(DepEdge::flow(x[src], x[dst], latency, distance));
+    };
+    if rng.gen_bool(0.25) {
+        for pair in 0..n / 2 {
+            let (a, b) = (2 * pair, 2 * pair + 1);
+            let (forward, back) = (latency(rng), latency(rng));
+            edge(&mut ddg, a, b, forward, 0);
+            edge(&mut ddg, b, a, back, rng.gen_range(1..=3u32));
+        }
+        return ddg;
+    }
+    for _ in 0..rng.gen_range(0..=2 * n) {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if rank[a] < rank[b] {
+            let lat = latency(rng);
+            edge(&mut ddg, a, b, lat, 0);
+        }
+    }
+    for _ in 0..rng.gen_range(1..=n) {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        let lat = latency(rng);
+        edge(&mut ddg, a, b, lat, rng.gen_range(1..=3u32));
+    }
+    ddg
+}
+
+/// RecMII equals the dense reference on seeded random recurrences, and
+/// the heights equal the id-order fixpoint from RecMII to RecMII+3.
+#[test]
+fn rec_mii_and_heights_match_the_references_on_random_recurrences() {
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut cyclic = 0;
+    for case in 0..2_000 {
+        let ddg = random_recurrences(&mut rng);
+        let bound = rec_mii(&ddg).unwrap();
+        assert_eq!(bound, reference::rec_mii(&ddg), "case {case}: {ddg:?}");
+        cyclic += usize::from(bound > 1);
+        for ii in bound..=bound + 3 {
+            assert_eq!(heights(&ddg, ii), reference::heights(&ddg, ii), "case {case} II {ii}");
+        }
+    }
+    assert!(cyclic > 1_000, "only {cyclic} of the cases bind the II by a recurrence");
 }
 
 /// IMS with the shared worklist heap, window, eviction victim and violated

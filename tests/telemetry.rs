@@ -48,7 +48,7 @@ fn measurement_csv_is_byte_identical_with_telemetry_on_and_off() {
     let registry = Arc::new(Registry::new());
     dms::telemetry::install(Arc::clone(&registry));
     for (baseline_csv, threads) in baseline.iter().zip([1usize, 4]) {
-        let service = ScheduleService::with_registry(16, Arc::clone(&registry));
+        let service = ScheduleService::with_registry(Arc::clone(&registry));
         let cfg = sweep_config(threads);
         let suite = dms::workloads::generate(&cfg.suite);
         let (measurements, stats) = measure_loops_with_stats_on(&suite, &cfg, &service);
