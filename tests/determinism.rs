@@ -362,6 +362,27 @@ fn figp_grid_matches_the_committed_fixture() {
     );
 }
 
+/// `fig4 --loops 24 --clusters 2,4,8 --strategy beam:3 --cqrf-capacity 12`
+/// is pinned byte for byte. The shrunken CQRFs force pressure retries, so
+/// chain steering runs inside the beam as well as in the heuristic.
+#[test]
+fn beam_grid_matches_the_committed_fixture() {
+    use dms_sched::SchedulerStrategy;
+    let mut cfg = ExperimentConfig::quick(24);
+    cfg.cluster_counts = vec![2, 4, 8];
+    cfg.cqrf_capacity = Some(12);
+    cfg.threads = 1;
+    cfg.dms.strategy = SchedulerStrategy::Beam { width: 3 };
+    let (measurements, stats) = measure_suite_with_stats(&cfg);
+    assert_eq!(stats.failed, 0);
+    assert!(stats.pressure_retries > 0, "the fixture must hold a pressure retry");
+    assert_eq!(
+        report::measurements_csv(&measurements),
+        include_str!("fixtures/measurements_beam3_loops24.csv"),
+        "beam:3 per-row CSV must match the fixture"
+    );
+}
+
 /// `fig5`/`fig6 --loops 24` (clusters 1–10) are pinned byte for byte.
 #[test]
 fn fig5_and_fig6_match_the_committed_fixtures() {
