@@ -10,6 +10,7 @@ use dms_machine::{ClusterId, FuKind, MachineConfig, PathCache};
 use dms_sched::ims::default_max_ii;
 use dms_sched::mii::{mii, MiiBreakdown};
 use dms_sched::pressure::QueuePressure;
+use dms_sched::priority::SweepOrder;
 use dms_sched::schedule::{admit_mrt, SchedStats, Schedule, ScheduleError, ScheduleResult};
 use dms_sched::strategy::SchedulerStrategy;
 use dms_telemetry::{EventKind, Telemetry};
@@ -163,13 +164,13 @@ pub fn dms_schedule(
         panic!("invalid scheduler strategy: {msg}");
     }
     let prep = prepare(l, machine, config)?;
-    let plain = run_search(l, machine, config, &prep, None, &mut SearchMode::Deterministic);
+    let plain = run_search(l, machine, config, &prep, None, SearchMode { width: 1, jitter: None });
     let baseline_ii = plain.as_ref().ok().map(|o| o.ii());
     let (outcome, candidates_run, winner) = match config.strategy {
         SchedulerStrategy::Dms => (plain, 0, 0),
         SchedulerStrategy::Beam { width } => {
             let (outcome, winner) = run_challengers(plain, 1, |_, cap| {
-                run_search(l, machine, config, &prep, cap, &mut SearchMode::Beam { width })
+                run_search(l, machine, config, &prep, cap, SearchMode { width, jitter: None })
             });
             (outcome, 1, winner)
         }
@@ -178,14 +179,8 @@ pub fn dms_schedule(
             let (outcome, winner) = run_challengers(plain, challengers, |i, cap| {
                 let mut rng = StdRng::seed_from_u64(candidate_seed(&l.name, i));
                 let explore = !rng.gen_bool(f64::from(exploit_percent) / 100.0);
-                run_search(
-                    l,
-                    machine,
-                    config,
-                    &prep,
-                    cap,
-                    &mut SearchMode::Jittered { rng, explore },
-                )
+                let mode = SearchMode { width: 1, jitter: Some((rng, explore)) };
+                run_search(l, machine, config, &prep, cap, mode)
             });
             (outcome, challengers, winner)
         }
@@ -213,6 +208,8 @@ struct Prepared {
     budget: u64,
     /// The machine's chain paths, shared by every attempt.
     paths: Rc<PathCache>,
+    /// The order the heights are relaxed in, shared by every attempt.
+    order: SweepOrder,
 }
 
 fn prepare(
@@ -231,19 +228,19 @@ fn prepare(
     let max_ii = default_max_ii(&ddg, machine, start_ii).max(config.ii_seed.unwrap_or(0));
     let budget = BUDGET_RATIO * ddg.num_live_ops().max(1) as u64;
     let paths = Rc::new(PathCache::new(machine.topology()));
-    Ok(Prepared { ddg, copies, bounds, start_ii, max_ii, budget, paths })
+    let order = SweepOrder::of_body(&ddg);
+    Ok(Prepared { ddg, copies, bounds, start_ii, max_ii, budget, paths, order })
 }
 
 /// How a single candidate attempts each II of the search.
-enum SearchMode {
-    /// The paper's deterministic heuristic.
-    Deterministic,
-    /// The deterministic heuristic with jittered priorities (a portfolio
-    /// challenger). The RNG persists across the candidate's II attempts, so
-    /// each attempt draws a fresh perturbation.
-    Jittered { rng: StdRng, explore: bool },
-    /// Beam search over strategy-1 placements.
-    Beam { width: u32 },
+struct SearchMode {
+    /// Partial placements kept per scheduling step: 1 for the paper's
+    /// heuristic and the portfolio challengers, `W` for `beam:W`.
+    width: u32,
+    /// The jitter of a portfolio challenger: its RNG, which persists across
+    /// the candidate's II attempts so each draws a fresh perturbation, and
+    /// whether it explores.
+    jitter: Option<(StdRng, bool)>,
 }
 
 /// The II search with the pressure-relaxation loop, for one candidate.
@@ -255,7 +252,7 @@ fn run_search(
     config: &DmsConfig,
     prep: &Prepared,
     ii_cap: Option<u32>,
-    mode: &mut SearchMode,
+    mut mode: SearchMode,
 ) -> Result<ScheduleOutcome, ScheduleError> {
     let max_ii = ii_cap.map_or(prep.max_ii, |cap| prep.max_ii.min(cap));
     let telemetry = Telemetry::current();
@@ -271,13 +268,7 @@ fn run_search(
         // loop; until then every attempt follows the paper's criterion
         // exactly.
         let steer_chains = pressure_retries > 0;
-        let attempt = match mode {
-            SearchMode::Deterministic => try_dms(prep, machine, ii, config, steer_chains, None),
-            SearchMode::Jittered { rng, explore } => {
-                try_dms(prep, machine, ii, config, steer_chains, Some((rng, *explore)))
-            }
-            SearchMode::Beam { width } => try_beam(prep, machine, ii, config, steer_chains, *width),
-        };
+        let attempt = try_attempt(prep, machine, ii, config, steer_chains, &mut mode);
         let Some((out_ddg, schedule, mut stats, pressure)) = attempt else {
             telemetry.event(EventKind::IiAttemptFailed);
             continue;
@@ -387,79 +378,50 @@ fn draw_jitter(rng: &mut StdRng, heights: &[i64], explore: bool) -> Vec<i64> {
     heights.iter().map(|_| rng.gen_range(0..=bound)).collect()
 }
 
-/// One II attempt of the plain (optionally jittered) heuristic. Returns
-/// `None` when the budget is exhausted.
-fn try_dms(
+/// One II attempt: a beam that keeps the best `mode.width` partial
+/// placements per scheduling step. Width 1 is the paper's heuristic, since
+/// its one branch always takes the slot plain strategy 1 picks. Branching
+/// happens only where the heuristic has slack, the (time, cluster)
+/// alternatives of strategy 1; chain building and forced placement stay
+/// single-choice. Returns `None` when the budget pool is exhausted before
+/// any branch completes.
+fn try_attempt(
     prep: &Prepared,
     machine: &MachineConfig,
     ii: u32,
     config: &DmsConfig,
     steer_chains: bool,
-    jitter: Option<(&mut StdRng, bool)>,
+    mode: &mut SearchMode,
 ) -> Option<(Ddg, Schedule, SchedStats, QueuePressure)> {
-    let mut st = SchedulerState::with_paths(prep.ddg.clone(), machine, ii, Rc::clone(&prep.paths));
-    st.chain_steering = steer_chains;
-    if let Some((rng, explore)) = jitter {
-        let jitter = draw_jitter(rng, &st.height, explore);
-        st.set_jitter(jitter);
-    }
-    let mut remaining = prep.budget;
-    let mut pending = Pending::empty();
-
-    while let Some(op) = st.pop_highest_priority() {
-        if remaining == 0 {
-            return None;
-        }
-        remaining -= 1;
-        st.stats.budget_used += 1;
-
-        pending.fill(&st, op);
-        if place_strategy1(&mut st, &pending) {
-            st.stats.strategy1_placements += 1;
-            continue;
-        }
-        if place_strategy2(&mut st, op, config.chain_policy) {
-            st.stats.strategy2_placements += 1;
-            continue;
-        }
-        place_strategy3(&mut st, &pending);
-        st.stats.strategy3_placements += 1;
-    }
-
-    Some(st.into_parts())
-}
-
-/// One II attempt of the beam search: keep the best `width` partial
-/// placements per scheduling step. Branching happens only where the
-/// heuristic actually has slack — the (time, cluster) alternatives of
-/// strategy 1; chain building and forced placement stay single-choice.
-/// Returns `None` when the shared budget pool is exhausted before any
-/// branch completes.
-fn try_beam(
-    prep: &Prepared,
-    machine: &MachineConfig,
-    ii: u32,
-    config: &DmsConfig,
-    steer_chains: bool,
-    width: u32,
-) -> Option<(Ddg, Schedule, SchedStats, QueuePressure)> {
-    let width = width.max(1) as usize;
-    let mut seed =
-        SchedulerState::with_paths(prep.ddg.clone(), machine, ii, Rc::clone(&prep.paths));
+    let width = mode.width as usize;
+    let mut seed = SchedulerState::with_paths(
+        prep.ddg.clone(),
+        machine,
+        ii,
+        Rc::clone(&prep.paths),
+        &prep.order,
+    );
     seed.chain_steering = steer_chains;
-    let mut beam = vec![seed];
+    if let Some((rng, explore)) = &mut mode.jitter {
+        let jitter = draw_jitter(rng, &seed.height, *explore);
+        seed.set_jitter(jitter);
+    }
+    // Boxed, so a step moves pointers rather than whole states.
+    let mut beam = vec![Box::new(seed)];
+    let mut next = Vec::with_capacity(width);
     // One pool for the whole beam, `width` single-search budgets deep: a
     // wide beam explores more but never does unbounded extra work.
     let mut remaining = prep.budget.saturating_mul(width as u64);
+    let mut pending = Pending::empty();
+    let mut options = Vec::with_capacity(width);
 
-    while !beam.iter().all(SchedulerState::complete) {
+    while !beam.iter().all(|st| st.complete()) {
         if remaining == 0 {
             // Out of budget: settle for the branches that did finish.
-            beam.retain(SchedulerState::complete);
+            beam.retain(|st| st.complete());
             break;
         }
-        let mut next: Vec<SchedulerState> = Vec::with_capacity(beam.len() * 2);
-        for mut st in beam {
+        for mut st in beam.drain(..) {
             let Some(op) = st.pop_highest_priority() else {
                 // Already complete: carried along as a finished candidate.
                 next.push(st);
@@ -470,21 +432,17 @@ fn try_beam(
             }
             remaining -= 1;
             st.stats.budget_used += 1;
-            let mut pending = Pending::empty();
             pending.fill(&st, op);
-            let options = beam_strategy1_options(&st, &pending, width);
-            if let Some((&first, rest)) = options.split_first() {
-                for &(time, cluster) in rest {
+            strategy1_options(&st, &pending, width, &mut options);
+            if let Some((&(time, cluster), rest)) = options.split_first() {
+                for &(t, c) in rest {
                     let mut branch = st.clone();
-                    branch.place(op, time, cluster);
-                    branch.displace_conflicts(op, time, cluster);
-                    branch.stats.strategy1_placements += 1;
+                    branch.place(op, t, c);
+                    branch.displace_conflicts(op, t, c);
                     next.push(branch);
                 }
-                let (time, cluster) = first;
                 st.place(op, time, cluster);
                 st.displace_conflicts(op, time, cluster);
-                st.stats.strategy1_placements += 1;
             } else if place_strategy2(&mut st, op, config.chain_policy) {
                 st.stats.strategy2_placements += 1;
             } else {
@@ -502,12 +460,12 @@ fn try_beam(
             (st.num_unscheduled(), st.schedule.max_time(), st.pressure.total(), st.stats.evictions)
         });
         next.truncate(width);
-        beam = next;
+        std::mem::swap(&mut beam, &mut next);
     }
 
     beam.into_iter()
         .min_by_key(|st| (st.pressure.total(), st.schedule.max_time()))
-        .map(SchedulerState::into_parts)
+        .map(|st| st.into_parts())
 }
 
 /// What the placement strategies need to know about the operation being
@@ -569,49 +527,41 @@ impl Pending {
     }
 }
 
-/// The strategy-1 placements a beam branch may take: for each compatible
-/// cluster the first free slot in the scheduling window, best `width` kept,
-/// ordered so that `options[0]` is exactly the slot plain strategy 1 picks
-/// (earliest time, then cluster preference).
-fn beam_strategy1_options(
+/// Strategy 1: the free slots of clusters directly connected to every
+/// scheduled flow neighbour, at most `width` of them and one per cluster,
+/// written to `options`. The window's times are walked in ascending order
+/// and the clusters free at each time taken by [`Pending::preference`], so
+/// `options[0]` is the earliest free slot in the most preferred cluster
+/// free then. Empty if no such cluster exists or if every such cluster is
+/// out of free units across the whole window (the resource-blocked case,
+/// handled by chains or forced placement).
+fn strategy1_options(
     st: &SchedulerState,
     pending: &Pending,
     width: usize,
-) -> Vec<(u32, ClusterId)> {
-    let mut options: Vec<(u32, ClusterId)> = pending
-        .compatible
-        .iter()
-        .filter_map(|&c| st.mrt.first_free(pending.window, c, pending.fu).map(|t| (t, c)))
-        .collect();
-    // cached: the preference walks the neighbours' queues, so evaluate it
-    // once per cluster rather than once per comparison.
-    options.sort_by_cached_key(|&(t, c)| (t, pending.preference(st, c)));
-    options.truncate(width);
-    options
-}
-
-/// Strategy 1: place `op` in a *free* slot of a cluster that is directly
-/// connected to every scheduled flow neighbour: the earliest time at which
-/// such a cluster has a free unit, in the most preferred cluster free then.
-/// Returns `false` if no such cluster exists or if every such cluster is
-/// out of free units across the whole scheduling window (the
-/// resource-blocked case, handled by chains or forced placement).
-fn place_strategy1(st: &mut SchedulerState, pending: &Pending) -> bool {
+    options: &mut Vec<(u32, ClusterId)>,
+) {
+    options.clear();
     let fu = pending.fu;
     // The window spans II consecutive times, i.e. every MRT row once, so a
     // cluster has a free unit in it exactly when its column has free slots.
-    if pending.compatible.iter().all(|&c| st.mrt.free_slots(c, fu) == 0) {
-        return false;
-    }
+    let open = pending.compatible.iter().filter(|&&c| st.mrt.free_slots(c, fu) > 0);
+    let wanted = open.take(width).count();
     let (min_time, max_time) = pending.window;
-    let found = (min_time..=max_time).find_map(|t| {
-        let free = pending.compatible.iter().filter(|&&c| st.mrt.has_free(t, c, fu));
-        free.min_by_key(|&&c| pending.preference(st, c)).map(|&c| (t, c))
-    });
-    let (time, cluster) = found.expect("a compatible cluster has a free slot in the window");
-    st.place(pending.op, time, cluster);
-    st.displace_conflicts(pending.op, time, cluster);
-    true
+    for t in min_time..=max_time {
+        while options.len() < wanted {
+            let taken = |c: ClusterId| options.iter().any(|&(_, o)| o == c);
+            let free =
+                pending.compatible.iter().filter(|&&c| st.mrt.has_free(t, c, fu) && !taken(c));
+            let Some(&c) = free.min_by_key(|&&c| pending.preference(st, c)) else {
+                break;
+            };
+            options.push((t, c));
+        }
+        if options.len() == wanted {
+            return;
+        }
+    }
 }
 
 /// Strategy 2: build chains of moves towards the too-distant predecessors
@@ -949,10 +899,16 @@ mod tests {
 
     #[test]
     fn beam_width_one_still_schedules_every_kernel() {
+        // The plain heuristic is the width-1 beam, so its challenger
+        // repeats the baseline and never replaces it.
         let cfg =
             DmsConfig { strategy: SchedulerStrategy::Beam { width: 1 }, ..DmsConfig::default() };
         for l in kernels::all(64) {
-            check(&l, &MachineConfig::paper_clustered(4), &cfg);
+            let m = MachineConfig::paper_clustered(4);
+            let r = check(&l, &m, &cfg);
+            let plain = check(&l, &m, &DmsConfig::default());
+            assert_eq!(r.schedule, plain.schedule, "{}", l.name);
+            assert_eq!(r.winner_candidate, 0, "{}", l.name);
         }
     }
 }

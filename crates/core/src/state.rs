@@ -9,7 +9,7 @@ use dms_ir::{Ddg, DepEdge, OpId, OpKind, Operation};
 use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt, PathCache, TopoPath, Topology};
 use dms_sched::ims::{eviction_victim, violated_successors, Worklist};
 use dms_sched::pressure::{edge_lifetime, Lifetime, QueuePressure};
-use dms_sched::priority::heights;
+use dms_sched::priority::SweepOrder;
 use dms_sched::schedule::{SchedStats, Schedule};
 use dms_telemetry::{EventKind, Telemetry};
 use std::rc::Rc;
@@ -105,16 +105,25 @@ pub struct SchedulerState {
 impl SchedulerState {
     /// Creates the state for one scheduling attempt.
     pub fn new(ddg: Ddg, machine: &MachineConfig, ii: u32) -> Self {
-        Self::with_paths(ddg, machine, ii, Rc::new(PathCache::new(machine.topology())))
+        let paths = Rc::new(PathCache::new(machine.topology()));
+        let order = SweepOrder::of_body(&ddg);
+        Self::with_paths(ddg, machine, ii, paths, &order)
     }
 
     /// [`SchedulerState::new`] sharing `paths`, the machine's chain paths,
-    /// with the other attempts of one II search, so each cluster pair's
-    /// paths are computed once per machine instead of once per attempt.
-    pub fn with_paths(ddg: Ddg, machine: &MachineConfig, ii: u32, paths: Rc<PathCache>) -> Self {
+    /// and `order`, the body's [`SweepOrder::of_body`], with the other
+    /// attempts of one II search, so each is computed once per machine or
+    /// body instead of once per attempt.
+    pub fn with_paths(
+        ddg: Ddg,
+        machine: &MachineConfig,
+        ii: u32,
+        paths: Rc<PathCache>,
+        order: &SweepOrder,
+    ) -> Self {
         debug_assert_eq!(*paths.topology(), machine.topology(), "paths of another machine");
         let n = ddg.num_slots();
-        let height = heights(&ddg, ii);
+        let height = order.heights(&ddg, ii);
         let mut worklist = Worklist::default();
         for op in ddg.live_op_ids() {
             worklist.push(op, height[op.index()]);

@@ -18,7 +18,7 @@
 //! `dms-core` crate for clustered targets.
 
 use crate::mii::mii;
-use crate::priority::heights;
+use crate::priority::SweepOrder;
 use crate::schedule::{
     admit_mrt, dependence_bound, earliest_start, SchedStats, Schedule, ScheduleError,
     ScheduleResult,
@@ -57,6 +57,7 @@ pub fn ims_schedule(
     let start_ii = bounds.mii();
     let max_ii = default_max_ii(&ddg, machine, start_ii);
     let budget = BUDGET_RATIO * ddg.num_live_ops().max(1) as u64;
+    let order = SweepOrder::of_body(&ddg);
 
     let mut stats = SchedStats { mii: Some(bounds), ..SchedStats::default() };
 
@@ -65,7 +66,7 @@ pub fn ims_schedule(
         admit_mrt(machine, ii)?;
         stats.ii_attempts += 1;
         telemetry.event(EventKind::IiAttemptStarted);
-        if let Some(outcome) = try_ims(&ddg, machine, ii, budget) {
+        if let Some(outcome) = try_ims(&ddg, &order, machine, ii, budget) {
             stats.evictions += outcome.evictions;
             stats.budget_used += outcome.budget_used;
             return Ok(ScheduleResult {
@@ -207,10 +208,16 @@ struct ImsOutcome {
     budget_used: u64,
 }
 
-/// One II attempt. Returns `None` if the budget is exhausted before every
-/// operation is placed.
-fn try_ims(ddg: &Ddg, machine: &MachineConfig, ii: u32, budget: u64) -> Option<ImsOutcome> {
-    let height = heights(ddg, ii);
+/// One II attempt, with priorities from the body's sweep `order`. Returns
+/// `None` if the budget is exhausted before every operation is placed.
+fn try_ims(
+    ddg: &Ddg,
+    order: &SweepOrder,
+    machine: &MachineConfig,
+    ii: u32,
+    budget: u64,
+) -> Option<ImsOutcome> {
+    let height = order.heights(ddg, ii);
     let cluster = ClusterId(0);
     let mut mrt = Mrt::new(machine, ii);
     let mut schedule = Schedule::new(ii, ddg.num_slots());

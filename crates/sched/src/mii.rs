@@ -6,13 +6,13 @@
 //! * `RecMII` — the recurrence-constrained bound: the smallest II such that
 //!   no dependence circuit has `sum(latency) > II * sum(distance)`, found
 //!   per recurrence by bisection, each step one sparse longest-path
-//!   relaxation (see [`crate::priority`]): O(ops) memory, and a ring closed
-//!   by one carried edge settles in 3 sweeps.
+//!   relaxation (see [`crate::priority`]): O(ops) memory, and a ring settles
+//!   in 3 sweeps however many of its edges are carried.
 //!
 //! `MII = max(ResMII, RecMII)` is the starting point of the iterative search
 //! performed by both IMS and DMS.
 
-use crate::priority::relax;
+use crate::priority::SweepOrder;
 use crate::schedule::ScheduleError;
 use dms_ir::analysis::{sccs, topological_order};
 use dms_ir::{Ddg, OpId};
@@ -72,8 +72,9 @@ pub fn res_mii(ddg: &Ddg, machine: &MachineConfig) -> Result<u32, ScheduleError>
 ///
 /// For every cyclic strongly connected component, the smallest II at which
 /// none of its circuits has positive weight is bisected in `u64` between 1
-/// and its total latency, each step one `relax` over its ops in sink-first
-/// order. Acyclic graphs have `RecMII = 1`.
+/// and its total latency, each step one relaxation over its ops in the
+/// depth-first, sinks-first member order of [`sccs`]. Acyclic graphs have
+/// `RecMII = 1`.
 ///
 /// # Errors
 ///
@@ -81,30 +82,29 @@ pub fn res_mii(ddg: &Ddg, machine: &MachineConfig) -> Result<u32, ScheduleError>
 /// II above `u32::MAX`, or if the intra-iteration (distance-0) subgraph is
 /// cyclic, so that no II at all satisfies it.
 pub fn rec_mii(ddg: &Ddg) -> Result<u32, ScheduleError> {
-    // Per op, the index of its recurrence (cyclic component), if it has one.
+    // Per op, the index of its recurrence (cyclic component), if it has
+    // one, and its position in that recurrence's sweep order.
     let mut recurrence_of = vec![usize::MAX; ddg.num_slots()];
+    let mut position = vec![0; ddg.num_slots()];
     let mut recurrences: Vec<Vec<OpId>> = Vec::new();
     for comp in sccs(ddg) {
         if comp.len() > 1 || ddg.succs(comp[0]).any(|(_, e)| e.dst == comp[0]) {
-            for v in &comp {
+            for (i, v) in comp.iter().enumerate() {
                 recurrence_of[v.index()] = recurrences.len();
+                position[v.index()] = i;
             }
-            recurrences.push(Vec::with_capacity(comp.len()));
+            recurrences.push(comp);
         }
     }
     if recurrences.is_empty() {
         return Ok(1);
     }
-    let order =
-        topological_order(ddg).ok_or(ScheduleError::RecurrenceUnschedulable { rec_mii: None })?;
-    for &v in order.iter().rev() {
-        if let Some(ops) = recurrences.get_mut(recurrence_of[v.index()]) {
-            ops.push(v);
-        }
+    if topological_order(ddg).is_none() {
+        return Err(ScheduleError::RecurrenceUnschedulable { rec_mii: None });
     }
     let mut h = vec![0i64; ddg.num_slots()];
     let mut best = 1u64;
-    for (r, ops) in recurrences.iter().enumerate() {
+    for (r, ops) in recurrences.into_iter().enumerate() {
         let in_recurrence = |v: OpId| recurrence_of[v.index()] == r;
         // Every circuit has a total distance of at least 1, so at an II of
         // the recurrence's total latency none has positive weight.
@@ -113,10 +113,11 @@ pub fn rec_mii(ddg: &Ddg) -> Result<u32, ScheduleError> {
             .flat_map(|&v| ddg.succs(v))
             .filter(|(_, e)| in_recurrence(e.dst))
             .fold(0, |sum: u64, (_, e)| sum.saturating_add(e.latency.into()));
+        let order = SweepOrder::new(ddg, ops, in_recurrence, &position);
         let (mut lo, mut hi) = (1u64, total.max(1));
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if relax(ddg, ops, in_recurrence, mid, &mut h) {
+            if order.relax(ddg, in_recurrence, mid, &mut h) {
                 hi = mid;
             } else {
                 lo = mid + 1;

@@ -5,14 +5,20 @@
 //! length of the longest dependence path from the operation to any leaf of
 //! the DDG, where each edge weighs `latency - II * distance` (Rau's
 //! height-based priority). [`heights`] and RecMII ([`crate::mii::rec_mii`])
-//! both call `relax`, which sweeps the ops sinks first (the reverse of the
-//! topological order of the distance-0 subgraph) and stops after `K + 2`
-//! sweeps, `K` being the number of distinct targets of carried non-self
-//! edges. The cap is exact: one sweep settles every distance-0 path, and
-//! each further sweep one more carried edge; a longest path without a
+//! both relax a [`SweepOrder`]: they sweep its ops in order and stop after
+//! `K + 2` sweeps, `K` being the number of distinct targets of in-scope
+//! non-self edges that point later in the sweep order. The cap is exact:
+//! one sweep settles every path whose edges all point earlier, and each
+//! further sweep one more later-pointing edge; a longest path without a
 //! positive-weight circuit is simple, so it enters each op at most once and
-//! crosses at most `K` carried non-self edges. A sweep that still changes a
+//! crosses at most `K` later-pointing edges. A sweep that still changes a
 //! height at the cap therefore proves a positive-weight circuit at that II.
+//!
+//! The heights sweep a body sinks first (the reverse of the topological
+//! order of the distance-0 subgraph), where no distance-0 edge points
+//! later. RecMII sweeps each recurrence in the depth-first, sinks-first
+//! member order of [`dms_ir::analysis::sccs`], where a ring points later
+//! only at the edge that closes it, whichever way its ids run.
 
 use dms_ir::analysis::topological_order;
 use dms_ir::{Ddg, OpId};
@@ -23,55 +29,93 @@ use dms_ir::{Ddg, OpId};
 /// operations hold 0. Below RecMII the relaxation stops at its cap, and the
 /// partial heights are still a usable priority order. A body with a
 /// zero-distance cycle, which no II can schedule, is swept in descending id
-/// order.
+/// order. An II search computes the [`SweepOrder::of_body`] once and calls
+/// [`SweepOrder::heights`] per attempt instead.
 pub fn heights(ddg: &Ddg, ii: u32) -> Vec<i64> {
-    let mut order = topological_order(ddg).unwrap_or_else(|| ddg.live_op_ids().collect());
-    order.reverse();
-    let mut h = vec![0i64; ddg.num_slots()];
-    relax(ddg, &order, |_| true, u64::from(ii), &mut h);
-    h
+    SweepOrder::of_body(ddg).heights(ddg, ii)
 }
 
-/// Sets `h[v]` for each op `v` of the sink-first `order` to the longest path
-/// from `v` over edges between ops `in_scope` (at least 0, the empty path).
-/// Returns `false` if a positive-weight circuit keeps raising the heights.
-/// Weights and heights saturate instead of wrapping, so any II and distance
-/// is safe: without such a circuit no height exceeds the total latency in
-/// scope, far below `i64::MAX`, so a saturated height proves one too.
-pub(crate) fn relax(
-    ddg: &Ddg,
-    order: &[OpId],
-    in_scope: impl Fn(OpId) -> bool,
-    ii: u64,
-    h: &mut [i64],
-) -> bool {
-    let ii = i64::try_from(ii).unwrap_or(i64::MAX);
-    let mut carried_targets = 0usize;
-    for &v in order {
-        h[v.index()] = 0;
-        if ddg.preds(v).any(|(_, e)| e.distance > 0 && e.src != v && in_scope(e.src)) {
-            carried_targets += 1;
+/// An order to sweep some ops of a body in, with the sweep cap that keeps
+/// the relaxation exact on it. It depends only on the body, not on the II.
+#[derive(Debug, Clone)]
+pub struct SweepOrder {
+    ops: Vec<OpId>,
+    sweeps: usize,
+}
+
+impl SweepOrder {
+    /// The sink-first order of a whole body that [`heights`] sweeps.
+    pub fn of_body(ddg: &Ddg) -> Self {
+        let mut ops = topological_order(ddg).unwrap_or_else(|| ddg.live_op_ids().collect());
+        ops.reverse();
+        let mut position = vec![0; ddg.num_slots()];
+        for (i, v) in ops.iter().enumerate() {
+            position[v.index()] = i;
         }
+        Self::new(ddg, ops, |_| true, &position)
     }
-    for _ in 0..carried_targets + 2 {
-        let mut changed = false;
-        for &v in order {
-            let mut best = h[v.index()];
-            for (_, e) in ddg.succs(v).filter(|(_, e)| in_scope(e.dst)) {
-                let weight = i64::from(e.latency) - ii.saturating_mul(i64::from(e.distance));
-                best = best.max(h[e.dst.index()].saturating_add(weight));
-            }
-            if best == i64::MAX {
-                return false;
-            }
-            changed |= best > h[v.index()];
-            h[v.index()] = best;
-        }
-        if !changed {
-            return true;
-        }
+
+    /// Sweeps `ops` in the given order. `in_scope` must hold for each of
+    /// `ops`, and `position[v]` be the index of each in `ops`.
+    pub(crate) fn new(
+        ddg: &Ddg,
+        ops: Vec<OpId>,
+        in_scope: impl Fn(OpId) -> bool,
+        position: &[usize],
+    ) -> Self {
+        let later = |e: &dms_ir::DepEdge| position[e.src.index()] < position[e.dst.index()];
+        let later_targets = ops
+            .iter()
+            .filter(|&&v| ddg.preds(v).any(|(_, e)| e.src != v && in_scope(e.src) && later(e)))
+            .count();
+        SweepOrder { ops, sweeps: later_targets + 2 }
     }
-    false
+
+    /// The height of every operation of the body at `ii` (see [`heights`]).
+    pub fn heights(&self, ddg: &Ddg, ii: u32) -> Vec<i64> {
+        let mut h = vec![0i64; ddg.num_slots()];
+        self.relax(ddg, |_| true, u64::from(ii), &mut h);
+        h
+    }
+
+    /// Sets `h[v]` for each op `v` of the order to the longest path from `v`
+    /// over edges between ops `in_scope` (at least 0, the empty path).
+    /// Returns `false` if a positive-weight circuit keeps raising the
+    /// heights. Weights and heights saturate instead of wrapping, so any II
+    /// and distance is safe: without such a circuit no height exceeds the
+    /// total latency in scope, far below `i64::MAX`, so a saturated height
+    /// proves one too.
+    pub(crate) fn relax(
+        &self,
+        ddg: &Ddg,
+        in_scope: impl Fn(OpId) -> bool,
+        ii: u64,
+        h: &mut [i64],
+    ) -> bool {
+        let ii = i64::try_from(ii).unwrap_or(i64::MAX);
+        for &v in &self.ops {
+            h[v.index()] = 0;
+        }
+        for _ in 0..self.sweeps {
+            let mut changed = false;
+            for &v in &self.ops {
+                let mut best = h[v.index()];
+                for (_, e) in ddg.succs(v).filter(|(_, e)| in_scope(e.dst)) {
+                    let weight = i64::from(e.latency) - ii.saturating_mul(i64::from(e.distance));
+                    best = best.max(h[e.dst.index()].saturating_add(weight));
+                }
+                if best == i64::MAX {
+                    return false;
+                }
+                changed |= best > h[v.index()];
+                h[v.index()] = best;
+            }
+            if !changed {
+                return true;
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]

@@ -162,8 +162,6 @@ pub struct SchedStats {
     pub copies_inserted: u64,
     /// Number of `Move` operations inserted by DMS chains (strategy 2).
     pub moves_inserted: u64,
-    /// Number of operations placed by strategy 1 (no conflicts).
-    pub strategy1_placements: u64,
     /// Number of operations placed by strategy 2 (chains of moves).
     pub strategy2_placements: u64,
     /// Number of operations placed by strategy 3 (forced placement).

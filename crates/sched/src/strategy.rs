@@ -63,8 +63,8 @@ pub enum SchedulerStrategy {
     #[default]
     Dms,
     /// Beam search: keep the best `width` partial placements per scheduling
-    /// step. Deterministic. `width == 1` degenerates to a greedy search
-    /// that still branches only on the single best placement.
+    /// step. Deterministic. The plain heuristic is the `width == 1` case,
+    /// so a width-1 beam repeats it and never replaces it.
     Beam {
         /// Partial placements kept alive per scheduling step (≥ 1).
         width: u32,

@@ -443,8 +443,8 @@ mod tests {
             )
         };
         let hostile = [
-            (request("dms", 1 << 31, 1), "MrtTooLarge"),
-            (request("ims", 1 << 31, 1), "MrtTooLarge"),
+            (request("dms", 1 << 31, 1), "reservation table"),
+            (request("ims", 1 << 31, 1), "reservation table"),
             (request("dms", 1, 1 << 30), "copy_units"),
         ];
         for (line, error) in hostile {

@@ -138,7 +138,7 @@ pub enum ServiceError {
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServiceError::Schedule(e) => write!(f, "scheduling failed: {e:?}"),
+            ServiceError::Schedule(e) => write!(f, "scheduling failed: {e}"),
             ServiceError::Verify(msg) => write!(f, "verification failed: {msg}"),
         }
     }

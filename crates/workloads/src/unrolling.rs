@@ -14,20 +14,16 @@
 use dms_ir::{transform, Loop};
 use serde::{Deserialize, Serialize};
 
-/// Parameters of the unrolling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UnrollPolicy {
-    /// Desired useful operations per useful functional unit.
-    pub ops_per_fu: f64,
-    /// Upper bound on the unroll factor.
-    pub max_factor: u32,
-}
+/// Desired useful operations per useful functional unit.
+const OPS_PER_FU: f64 = 2.0;
 
-impl Default for UnrollPolicy {
-    fn default() -> Self {
-        UnrollPolicy { ops_per_fu: 2.0, max_factor: 8 }
-    }
-}
+/// Upper bound on the unroll factor.
+const MAX_FACTOR: u32 = 8;
+
+/// The unrolling policy: unroll until the body offers about two useful
+/// operations per useful functional unit, at most eight times.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct UnrollPolicy {}
 
 impl UnrollPolicy {
     /// The unroll factor chosen for a loop with `useful_ops` operations on a
@@ -36,8 +32,8 @@ impl UnrollPolicy {
         if useful_ops == 0 {
             return 1;
         }
-        let wanted = (self.ops_per_fu * useful_fus as f64 / useful_ops as f64).ceil() as u32;
-        wanted.clamp(1, self.max_factor)
+        let wanted = (OPS_PER_FU * useful_fus as f64 / useful_ops as f64).ceil() as u32;
+        wanted.clamp(1, MAX_FACTOR)
     }
 }
 

@@ -584,6 +584,27 @@ fn rec_mii_of_a_100000_op_ring_is_fast_on_a_2_mib_stack() {
     assert!(elapsed < deep_body_bound(), "took {elapsed:?}");
 }
 
+/// A 100,000-op ring whose every edge is carried (latency 2, distance 1)
+/// bounds its II by 2. Below that bound each bisection step gives up after
+/// three sweeps: in the recurrence's depth-first order only the edge that
+/// closes the ring points later.
+#[test]
+fn rec_mii_of_a_100000_op_all_carried_ring_is_fast_on_a_2_mib_stack() {
+    let elapsed = timed_on_a_2_mib_stack(|| {
+        let n = 100_000;
+        let mut ddg = Ddg::new();
+        let x: Vec<OpId> =
+            (0..n).map(|_| ddg.add_op(Operation::new(OpKind::Add, Vec::new()))).collect();
+        for i in 0..n {
+            let src = x[(i + n - 1) % n];
+            ddg.op_mut(x[i]).reads.push(Operand::def_at(src, 1));
+            ddg.add_edge(DepEdge::flow(src, x[i], 2, 1));
+        }
+        assert_eq!(rec_mii(&ddg), Ok(2));
+    });
+    assert!(elapsed < deep_body_bound(), "took {elapsed:?}");
+}
+
 /// A 100,000-op chain whose ids run against its edges: op `i` reads op
 /// `i + 1`, so sweeping in descending id order settles one op per sweep,
 /// where the sink-first order settles the whole chain in one.
