@@ -176,9 +176,12 @@ pub struct LoopMeasurement {
     /// `clustered_ii` under the `dms` strategy.
     pub baseline_ii: u32,
     /// Whether *both* scheduler requests of this cell (IMS and DMS) were
-    /// answered from the service's content-addressed schedule cache. Always
-    /// `false` on a cold sweep; a warm re-run of the same sweep against a
-    /// resident service flips every row to `true`.
+    /// answered from the service's content-addressed schedule cache. A cold
+    /// sweep hits too, wherever an earlier cell sent the same body to the
+    /// same machine: suite loops that differ only in trip count often
+    /// unroll to the same body, because the unrolled trip count is the
+    /// original divided by the factor. A warm re-run of the same sweep
+    /// against a resident service flips every row to `true`.
     pub cache_hit: bool,
     /// Steady-state II of the clustered schedule measured by the
     /// contention-accurate replay (always `>= clustered_ii`;
@@ -273,8 +276,9 @@ pub struct SweepStats {
     /// mode).
     pub peak_queue_depth: u64,
     /// Scheduler requests this sweep answered from the service's schedule
-    /// cache (0 on a cold service; `2 * tasks` when re-running a sweep the
-    /// resident service has fully absorbed).
+    /// cache (on a cold service, only repeats within the sweep, see
+    /// [`LoopMeasurement::cache_hit`]; `2 * tasks` when re-running a sweep
+    /// the resident service has fully absorbed).
     pub cache_hits: u64,
     /// Scheduler requests this sweep had to compute cold.
     pub cache_misses: u64,

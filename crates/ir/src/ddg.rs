@@ -99,6 +99,17 @@ impl Ddg {
         Self::default()
     }
 
+    /// Creates an empty graph with room for `ops` operation slots and
+    /// `edges` edges.
+    pub fn with_capacity(ops: usize, edges: usize) -> Self {
+        Ddg {
+            ops: Vec::with_capacity(ops),
+            edges: Vec::with_capacity(edges),
+            succs: Vec::with_capacity(ops),
+            preds: Vec::with_capacity(ops),
+        }
+    }
+
     /// Adds an operation and returns its identifier.
     pub fn add_op(&mut self, op: Operation) -> OpId {
         let id = OpId(self.ops.len() as u32);

@@ -6,13 +6,14 @@
 //! * `RecMII` — the recurrence-constrained bound: the smallest II such that
 //!   no dependence circuit has `sum(latency) > II * sum(distance)`, found
 //!   per recurrence by bisection, each step one sparse longest-path
-//!   relaxation (see [`crate::priority`]): O(ops) memory, and a ring settles
-//!   in 3 sweeps however many of its edges are carried.
+//!   relaxation (see [`crate::priority`]): O(ops) memory, a ring settles
+//!   in 3 sweeps however many of its edges are carried, and a step below
+//!   the bound stops once the relaxation's parent pointers close a cycle.
 //!
 //! `MII = max(ResMII, RecMII)` is the starting point of the iterative search
 //! performed by both IMS and DMS.
 
-use crate::priority::SweepOrder;
+use crate::priority::{Parents, SweepOrder};
 use crate::schedule::ScheduleError;
 use dms_ir::analysis::{sccs, topological_order};
 use dms_ir::{Ddg, OpId};
@@ -103,6 +104,7 @@ pub fn rec_mii(ddg: &Ddg) -> Result<u32, ScheduleError> {
         return Err(ScheduleError::RecurrenceUnschedulable { rec_mii: None });
     }
     let mut h = vec![0i64; ddg.num_slots()];
+    let mut parents = Parents::default();
     let mut best = 1u64;
     for (r, ops) in recurrences.into_iter().enumerate() {
         let in_recurrence = |v: OpId| recurrence_of[v.index()] == r;
@@ -117,7 +119,7 @@ pub fn rec_mii(ddg: &Ddg) -> Result<u32, ScheduleError> {
         let (mut lo, mut hi) = (1u64, total.max(1));
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if order.relax(ddg, in_recurrence, mid, &mut h) {
+            if order.relax(ddg, in_recurrence, mid, &mut h, Some(&mut parents)) {
                 hi = mid;
             } else {
                 lo = mid + 1;

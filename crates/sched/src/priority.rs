@@ -19,6 +19,15 @@
 //! later. RecMII sweeps each recurrence in the depth-first, sinks-first
 //! member order of [`dms_ir::analysis::sccs`], where a ring points later
 //! only at the edge that closes it, whichever way its ids run.
+//!
+//! RecMII also records, for each op, the successor its height last rose
+//! through, and gives up after any sweep that leaves those parent pointers
+//! with a cycle. Such a cycle is a positive-weight circuit (the standard
+//! Bellman–Ford parent-graph argument: each pointer was set by a strict
+//! rise, so the weights around the cycle sum to more than zero). A
+//! "ladder", whose adjacent ops form 2-cycles, has `K` = ops, yet below
+//! RecMII its parent pointers close a 2-cycle within a few sweeps. The
+//! heights keep sweeping to the cap, since they use the partial heights.
 
 use dms_ir::analysis::topological_order;
 use dms_ir::{Ddg, OpId};
@@ -74,7 +83,7 @@ impl SweepOrder {
     /// The height of every operation of the body at `ii` (see [`heights`]).
     pub fn heights(&self, ddg: &Ddg, ii: u32) -> Vec<i64> {
         let mut h = vec![0i64; ddg.num_slots()];
-        self.relax(ddg, |_| true, u64::from(ii), &mut h);
+        self.relax(ddg, |_| true, u64::from(ii), &mut h, None);
         h
     }
 
@@ -84,34 +93,97 @@ impl SweepOrder {
     /// heights. Weights and heights saturate instead of wrapping, so any II
     /// and distance is safe: without such a circuit no height exceeds the
     /// total latency in scope, far below `i64::MAX`, so a saturated height
-    /// proves one too.
+    /// proves one too. Given `parents`, it also returns `false` as soon as
+    /// a sweep leaves the parent pointers with a cycle (see the module
+    /// docs), with the heights partial.
     pub(crate) fn relax(
         &self,
         ddg: &Ddg,
         in_scope: impl Fn(OpId) -> bool,
         ii: u64,
         h: &mut [i64],
+        mut parents: Option<&mut Parents>,
     ) -> bool {
         let ii = i64::try_from(ii).unwrap_or(i64::MAX);
         for &v in &self.ops {
             h[v.index()] = 0;
         }
+        if let Some(p) = parents.as_deref_mut() {
+            p.reset(ddg.num_slots(), &self.ops);
+        }
         for _ in 0..self.sweeps {
             let mut changed = false;
             for &v in &self.ops {
-                let mut best = h[v.index()];
+                let (mut best, mut through) = (h[v.index()], None);
                 for (_, e) in ddg.succs(v).filter(|(_, e)| in_scope(e.dst)) {
                     let weight = i64::from(e.latency) - ii.saturating_mul(i64::from(e.distance));
-                    best = best.max(h[e.dst.index()].saturating_add(weight));
+                    let height = h[e.dst.index()].saturating_add(weight);
+                    if height > best {
+                        (best, through) = (height, Some(e.dst));
+                    }
                 }
                 if best == i64::MAX {
                     return false;
                 }
-                changed |= best > h[v.index()];
-                h[v.index()] = best;
+                if let Some(succ) = through {
+                    changed = true;
+                    h[v.index()] = best;
+                    if let Some(p) = parents.as_deref_mut() {
+                        p.succ[v.index()] = succ;
+                    }
+                }
             }
             if !changed {
                 return true;
+            }
+            if parents.as_deref_mut().is_some_and(|p| p.have_a_cycle(&self.ops)) {
+                return false;
+            }
+        }
+        false
+    }
+}
+
+/// The parent pointers of one relaxation, and the marks of the walks that
+/// look for a cycle among them. RecMII reuses one across its bisection.
+#[derive(Debug, Default)]
+pub(crate) struct Parents {
+    /// `succ[v]`: the successor `v`'s height last rose through, or
+    /// [`Parents::NONE`] while it has not risen.
+    succ: Vec<OpId>,
+    /// The walk that last visited each op; walks are numbered from 1.
+    seen: Vec<usize>,
+    walks: usize,
+}
+
+impl Parents {
+    const NONE: OpId = OpId(u32::MAX);
+
+    fn reset(&mut self, slots: usize, ops: &[OpId]) {
+        self.succ.resize(slots, Self::NONE);
+        self.seen.resize(slots, 0);
+        for &v in ops {
+            self.succ[v.index()] = Self::NONE;
+        }
+    }
+
+    /// Whether the pointers of `ops` hold a cycle. Each op has at most one
+    /// pointer, so walks that stop at the first op any walk of this check
+    /// reached visit each op once.
+    fn have_a_cycle(&mut self, ops: &[OpId]) -> bool {
+        let first = self.walks + 1;
+        for &start in ops {
+            self.walks += 1;
+            let mut v = start;
+            while v != Self::NONE {
+                if self.seen[v.index()] >= first {
+                    if self.seen[v.index()] == self.walks {
+                        return true;
+                    }
+                    break;
+                }
+                self.seen[v.index()] = self.walks;
+                v = self.succ[v.index()];
             }
         }
         false

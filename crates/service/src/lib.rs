@@ -59,6 +59,6 @@ pub use cache::{CacheCounters, ShardedCache};
 pub use hash::CacheKey;
 pub use pool::{resolve_threads, run_indexed};
 pub use service::{
-    ScheduleRequest, ScheduleResponse, ScheduleService, SchedulerKind, SchedulerOutput,
-    ServiceError, VerifyDigest,
+    LentResponse, ScheduleRequest, ScheduleResponse, ScheduleService, SchedulerKind,
+    SchedulerOutput, ServiceError, VerifyDigest,
 };

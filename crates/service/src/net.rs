@@ -18,10 +18,17 @@
 //! quiet client into a shutdown that never completes. On every timeout the
 //! handler re-checks the shutdown flag and hangs up once it is set.
 //!
+//! Each handler times every line's decode into the service registry's
+//! `dms_wire_decode_micros` histogram and every schedule reply's encode
+//! into `dms_wire_encode_micros`, so a `{"op":"metrics"}` scrape splits a
+//! request's time into wire and service (`dms_request_latency_micros`).
+//! A schedule reply is encoded from the cache entry the service lends
+//! ([`ScheduleService::lend`]), with no copy of it.
+//!
 //! [`Client`] is the matching blocking connector used by the
 //! `dms-experiments client` smoke driver and the CI service-smoke job.
 
-use crate::service::{ScheduleRequest, ScheduleService};
+use crate::service::{timed, LentResponse, ScheduleRequest, ScheduleService, ServiceError};
 use crate::wire;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -120,6 +127,8 @@ fn handle_connection(
     if stream.set_read_timeout(Some(READ_POLL_INTERVAL)).is_err() {
         return;
     }
+    let decode_us = service.registry().histogram("dms_wire_decode_micros");
+    let encode_us = service.registry().histogram("dms_wire_encode_micros");
     let mut reader = BufReader::new(stream);
     // Not `reader.lines()`: with a read timeout a line may arrive in
     // pieces, and `read_line` appends whatever bytes preceded the timeout
@@ -160,7 +169,8 @@ fn handle_connection(
             line.clear();
             continue;
         }
-        let mut reply = match wire::decode_request(line.trim()) {
+        let request = timed(&decode_us, || wire::decode_request(line.trim()));
+        let mut reply = match request {
             Err(e) => wire::encode_error(&e),
             Ok(wire::WireRequest::Stats) => {
                 wire::encode_stats_response(service.cache_stats(), service.cache_len())
@@ -175,7 +185,10 @@ fn handle_connection(
                 let _ = TcpStream::connect(local);
                 wire::encode_shutdown_response()
             }
-            Ok(wire::WireRequest::Schedule(ws)) => answer_schedule(service, &ws),
+            Ok(wire::WireRequest::Schedule(ws)) => {
+                let answer = lend_schedule(service, &ws);
+                timed(&encode_us, || wire::encode_lent_response(&answer))
+            }
         };
         line.clear();
         reply.push('\n');
@@ -191,15 +204,22 @@ fn handle_connection(
 /// Schedules a decoded `schedule` request on `service` and encodes the
 /// response line (no trailing newline), as the server answers it.
 pub fn answer_schedule(service: &ScheduleService, ws: &wire::WireSchedule) -> String {
+    wire::encode_lent_response(&lend_schedule(service, ws))
+}
+
+fn lend_schedule(
+    service: &ScheduleService,
+    ws: &wire::WireSchedule,
+) -> Result<LentResponse, ServiceError> {
     let machine = ws.machine.build();
-    wire::encode_response(&service.schedule(&ScheduleRequest {
+    service.lend(&ScheduleRequest {
         body: &ws.body,
         machine: &machine,
         dms: ws.dms,
         scheduler: ws.scheduler,
         verify_trips: ws.verify_trips,
         contention: ws.contention,
-    }))
+    })
 }
 
 /// A blocking line-oriented client for the service.
@@ -327,6 +347,10 @@ mod tests {
         let exposition = scrape.get("metrics").and_then(Json::as_str).unwrap();
         assert!(exposition.contains("dms_cache_hits_total 1"), "scrape:\n{exposition}");
         assert!(exposition.contains("dms_request_latency_micros_count 2"), "scrape:\n{exposition}");
+        // Two schedules, the stats line and this scrape were decoded; the
+        // two schedule replies were encoded.
+        assert!(exposition.contains("dms_wire_decode_micros_count 4"), "scrape:\n{exposition}");
+        assert!(exposition.contains("dms_wire_encode_micros_count 2"), "scrape:\n{exposition}");
 
         let bye =
             Json::parse(&client.roundtrip(&wire::encode_shutdown_request()).unwrap()).unwrap();

@@ -1,19 +1,21 @@
 //! The resident schedule service: requests in, cached-or-cold responses
 //! out.
 //!
-//! [`ScheduleService::schedule`] is the single entry point every driver
-//! (the sweep engine, the wire frontend, the benches) goes through. A
-//! request names a loop body, a machine, a scheduler and optionally a
-//! verification trip count; the response carries the full scheduler output
-//! (not a summary — drivers need cycles, stats and the transformed DDG),
-//! the verified-stores digest when verification ran, and whether the answer
-//! came from the cache.
+//! Every driver goes through one lookup path: the sweep engine and the
+//! benches call [`ScheduleService::schedule`] for an owned response, the
+//! wire frontend calls [`ScheduleService::lend`], which lends the cache
+//! entry instead of copying it. A request names a loop body, a machine, a
+//! scheduler and optionally a verification trip count; the response
+//! carries the full scheduler output (not a summary — drivers need cycles,
+//! stats and the transformed DDG), the verified-stores digest when
+//! verification ran, and whether the answer came from the cache.
 //!
 //! **Cached responses are bit-identical to cold ones.** The cache stores
 //! the complete [`ScheduleOutcome`]/[`ScheduleResult`] plus the verify
-//! digest, keyed by (exact body fingerprint, context hash) and guarded by
-//! the same fingerprint (see [`crate::hash`] for why it is exact rather
-//! than isomorphism-invariant).
+//! digest behind an `Arc`, which a hit lends out ([`LentResponse`]). It is
+//! keyed by (exact body fingerprint, context hash) and guarded by the same
+//! fingerprint (see [`crate::hash`] for why it is exact rather than
+//! isomorphism-invariant).
 //! Failures — scheduler errors and verification failures — are never
 //! cached: they are rare (a healthy sweep has none) and a negative cache
 //! would complicate the bit-exactness story for no measurable win.
@@ -154,6 +156,38 @@ struct CachedSchedule {
     verify: Option<VerifyDigest>,
 }
 
+/// A successful response that lends the service's cache entry instead of
+/// copying it: a hit costs a reference count, not a deep clone of the
+/// transformed DDG and the schedule. The wire server encodes its reply
+/// straight from one.
+#[derive(Debug, Clone)]
+pub struct LentResponse {
+    entry: Arc<CachedSchedule>,
+    /// Whether this response was answered from the cache.
+    pub cache_hit: bool,
+}
+
+impl LentResponse {
+    /// The full scheduler output (bit-identical whether cached or cold).
+    pub fn output(&self) -> &SchedulerOutput {
+        &self.entry.output
+    }
+
+    /// The verification digest, present iff the request asked to verify.
+    pub fn verify(&self) -> Option<VerifyDigest> {
+        self.entry.verify
+    }
+
+    /// An owned copy of the response (one deep clone of the entry).
+    pub fn to_response(&self) -> ScheduleResponse {
+        ScheduleResponse {
+            output: self.entry.output.clone(),
+            verify: self.entry.verify,
+            cache_hit: self.cache_hit,
+        }
+    }
+}
+
 /// The cache's shard count: comfortably above the worker counts the sweep
 /// engine runs with, so shard contention stays negligible.
 pub const DEFAULT_SHARDS: usize = 16;
@@ -173,7 +207,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// event counts.
 #[derive(Debug)]
 pub struct ScheduleService {
-    cache: ShardedCache<CachedSchedule>,
+    cache: ShardedCache<Arc<CachedSchedule>>,
     registry: Arc<Registry>,
     latency: Histogram,
     inflight: Gauge,
@@ -226,7 +260,9 @@ impl ScheduleService {
         self.cache.len()
     }
 
-    /// Answers one request, from the cache when possible.
+    /// Answers one request, from the cache when possible, with an owned
+    /// response: [`ScheduleService::lend`] plus one deep clone of the
+    /// entry, as drivers that keep or take apart the output need.
     ///
     /// # Errors
     ///
@@ -234,22 +270,44 @@ impl ScheduleService {
     /// [`ServiceError::Verify`] when the requested end-to-end verification
     /// fails. Neither is cached.
     pub fn schedule(&self, req: &ScheduleRequest<'_>) -> Result<ScheduleResponse, ServiceError> {
-        let _inflight = self.inflight.track();
-        let started = Instant::now();
-        let result = self.answer(req);
-        self.latency.observe(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        result
+        Ok(match self.timed_answer(req)? {
+            Answer::Hit(entry) => LentResponse { entry, cache_hit: true }.to_response(),
+            Answer::Miss(cold) => {
+                ScheduleResponse { output: cold.output, verify: cold.verify, cache_hit: false }
+            }
+        })
     }
 
-    fn answer(&self, req: &ScheduleRequest<'_>) -> Result<ScheduleResponse, ServiceError> {
+    /// Answers one request, from the cache when possible, lending the cache
+    /// entry instead of copying it. A miss lends its own cold output, and
+    /// the cache keeps a copy, as it does for [`ScheduleService::schedule`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ScheduleService::schedule`].
+    pub fn lend(&self, req: &ScheduleRequest<'_>) -> Result<LentResponse, ServiceError> {
+        Ok(match self.timed_answer(req)? {
+            Answer::Hit(entry) => LentResponse { entry, cache_hit: true },
+            Answer::Miss(cold) => LentResponse { entry: Arc::new(cold), cache_hit: false },
+        })
+    }
+
+    /// [`ScheduleService::answer`], seen by the latency histogram and the
+    /// in-flight gauge.
+    fn timed_answer(&self, req: &ScheduleRequest<'_>) -> Result<Answer, ServiceError> {
+        let _inflight = self.inflight.track();
+        timed(&self.latency, || self.answer(req))
+    }
+
+    /// The one lookup path: the cached entry, or the cold output after a
+    /// copy of it went into the cache. The copy, not the output the
+    /// scheduler grew, is what stays resident, so entries hold no spare
+    /// capacity.
+    fn answer(&self, req: &ScheduleRequest<'_>) -> Result<Answer, ServiceError> {
         let guard = guard_fingerprint(req.body);
         let key = cache_key(req, guard);
         if let Some(entry) = self.cache.lookup(&key, guard) {
-            return Ok(ScheduleResponse {
-                output: entry.output,
-                verify: entry.verify,
-                cache_hit: true,
-            });
+            return Ok(Answer::Hit(entry));
         }
 
         let output = match req.scheduler {
@@ -280,9 +338,24 @@ impl ScheduleService {
             }
         };
 
-        self.cache.insert(key, guard, CachedSchedule { output: output.clone(), verify });
-        Ok(ScheduleResponse { output, verify, cache_hit: false })
+        let cold = CachedSchedule { output, verify };
+        self.cache.insert(key, guard, Arc::new(cold.clone()));
+        Ok(Answer::Miss(cold))
     }
+}
+
+/// What [`ScheduleService::answer`] found.
+enum Answer {
+    Hit(Arc<CachedSchedule>),
+    Miss(CachedSchedule),
+}
+
+/// Runs `f`, recording how long it took, in µs, into `histogram`.
+pub(crate) fn timed<T>(histogram: &Histogram, f: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let value = f();
+    histogram.observe(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+    value
 }
 
 /// Derives the content address of a request from its body fingerprint

@@ -2,8 +2,22 @@
 //!
 //! One request per line, one response per line. The vendored serde shim is
 //! marker-traits only (this build environment is offline), so the codec is
-//! hand-rolled: a small recursive-descent parser over a [`Json`] value tree
-//! and explicit renderers. All numbers on the wire are integers.
+//! hand-rolled on one small recursive-descent lexer. All numbers on the wire
+//! are integers.
+//!
+//! * [`decode_request`] reads a request line in one pass straight into a
+//!   [`WireRequest`], building no value tree. Object keys are matched as
+//!   they come, in any order; the first of a duplicated key wins and
+//!   unknown keys are skipped without building anything. Ops, reads, edges
+//!   and tombstone slots go straight into the loop's [`Ddg`], and edges may
+//!   arrive before ops. The bounds, error messages and the nesting cap are
+//!   those of a tree decoder, which `tests/fast_paths.rs` keeps as the
+//!   reference.
+//! * Responses are rendered straight into the line. The server encodes a
+//!   schedule reply from the cache entry the service lends it
+//!   ([`encode_lent_response`]), without copying the entry.
+//! * [`Json::parse`] builds a [`Json`] tree on the same lexer, for reading
+//!   replies (the CLI `client`, the tests).
 //!
 //! ## Requests
 //!
@@ -44,11 +58,14 @@
 //! Errors are `{"ok":false,"error":"..."}`.
 
 use crate::cache::CacheCounters;
-use crate::service::{ScheduleResponse, SchedulerKind, ServiceError};
+use crate::service::{
+    LentResponse, ScheduleResponse, SchedulerKind, SchedulerOutput, ServiceError, VerifyDigest,
+};
 use dms_core::DmsConfig;
 use dms_ir::{Ddg, DepEdge, DepKind, Loop, OpId, OpKind, Operand, Operation};
 use dms_machine::{MachineConfig, TopologyKind};
 use dms_sched::SchedulerStrategy;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
@@ -75,19 +92,14 @@ pub enum Json {
 
 impl Json {
     /// Parses one JSON document (trailing whitespace allowed, nothing else).
+    /// Request lines do not go through here: [`decode_request`] reads them
+    /// in one pass without building a tree.
     ///
     /// # Errors
     ///
     /// Returns a position-annotated message on malformed input.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
+        Parser::document(s, Parser::value)
     }
 
     /// Member lookup on an object.
@@ -199,27 +211,91 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+// ---------------------------------------------------------------------------
+// Lexer
+// ---------------------------------------------------------------------------
+
 /// The deepest array/object nesting a document may have. A real request
 /// nests only a few levels; the cap keeps a hostile line of `[` from
 /// overflowing a handler's stack through the recursive descent.
 const MAX_DEPTH: usize = 64;
 
+/// A member value as the one-pass decoder keeps it: a scalar, or only the
+/// fact that it was an array or object, whose bytes were checked and
+/// skipped. Its accessors answer as [`Json`]'s do.
+#[derive(Debug)]
+enum Field<'a> {
+    Null,
+    Bool(bool),
+    Num(i64),
+    /// Borrowed from the line unless it holds an escape.
+    Str(Cow<'a, str>),
+    Nested,
+}
+
+impl Field<'_> {
+    fn as_i64(&self) -> Option<i64> {
+        match self {
+            Field::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    fn as_u64(&self) -> Option<u64> {
+        self.as_i64().and_then(|n| u64::try_from(n).ok())
+    }
+
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            Field::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn as_bool(&self) -> Option<bool> {
+        match self {
+            Field::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// A recursive-descent walk over one document. Arrays and objects are
+/// visited element by element through a callback, so the same walk builds
+/// a [`Json`] tree, skips a value, or decodes a request in place, and
+/// every reader meets the same syntax errors at the same bytes.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// Reads `text` as one value with `read`, allowing whitespace around it
+    /// and nothing else.
+    fn document<T>(
+        text: &'a str,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let mut p = Parser { text, pos: 0, depth: 0 };
+        p.skip_ws();
+        let value = read(&mut p)?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(format!("trailing garbage at byte {}", p.pos));
+        }
+        Ok(value)
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -231,8 +307,8 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str, value: Field<'a>) -> Result<Field<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -240,28 +316,84 @@ impl Parser<'_> {
         }
     }
 
+    /// Builds the [`Json`] tree of the value at the cursor.
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
-                Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
             }
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.object(|p, key| {
+                    let value = p.value()?;
+                    members.push((key.into_owned(), value));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(members))
+            }
+            _ => Ok(match self.scalar()? {
+                Field::Null => Json::Null,
+                Field::Bool(b) => Json::Bool(b),
+                Field::Num(n) => Json::Num(n),
+                Field::Str(s) => Json::Str(s.into_owned()),
+                Field::Nested => unreachable!("scalar() reads no arrays or objects"),
+            }),
+        }
+    }
+
+    /// Checks the value at the cursor and moves past it, building nothing.
+    fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'[') => self.array(Self::skip),
+            Some(b'{') => self.object(|p, _| p.skip()),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// Reads a scalar, or skips an array or object and reports it as
+    /// [`Field::Nested`].
+    fn field(&mut self) -> Result<Field<'a>, String> {
+        if matches!(self.peek(), Some(b'[' | b'{')) {
+            self.skip()?;
+            return Ok(Field::Nested);
+        }
+        self.scalar()
+    }
+
+    fn scalar(&mut self) -> Result<Field<'a>, String> {
+        match self.peek() {
+            Some(b'n') => self.literal("null", Field::Null),
+            Some(b't') => self.literal("true", Field::Bool(true)),
+            Some(b'f') => self.literal("false", Field::Bool(false)),
+            Some(b'"') => Ok(Field::Str(self.string()?)),
+            Some(b'-' | b'0'..=b'9') => Ok(Field::Num(self.number()?)),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Reads an integer, accumulating its digits as it scans them.
+    fn number(&mut self) -> Result<i64, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
+        let digits = self.pos;
+        // Accumulated towards its sign, so that `i64::MIN` fits; `None`
+        // once it overflows.
+        let mut value = Some(0i64);
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            let digit = i64::from(digit - b'0');
+            value = value.and_then(|v| v.checked_mul(10)).and_then(|v| {
+                if negative {
+                    v.checked_sub(digit)
+                } else {
+                    v.checked_add(digit)
+                }
+            });
             self.pos += 1;
         }
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
@@ -269,22 +401,38 @@ impl Parser<'_> {
                 "floating-point numbers are not part of this protocol (byte {start})"
             ));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<i64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        value.filter(|_| self.pos > digits).ok_or_else(|| format!("bad number at byte {start}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Moves past a run of bytes up to the next quote, backslash or the end.
+    /// Both stop bytes are ASCII, so a run ends on a character boundary.
+    fn skip_run(&mut self) {
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+    }
+
+    fn slice(&self, start: usize) -> Result<&'a str, String> {
+        self.text.get(start..self.pos).ok_or_else(|| "invalid utf-8".to_string())
+    }
+
+    /// Reads a string, borrowed from the line unless it holds an escape, in
+    /// time linear in its length.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.skip_run();
+        let run = self.slice(start)?;
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = run.to_string();
         loop {
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -299,7 +447,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{000c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
@@ -315,59 +464,65 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume the whole run up to the next quote or escape
-                    // in one slice, so a string costs time linear in its
-                    // length. Both stop bytes are ASCII, so the run ends on
-                    // a character boundary of the (valid UTF-8) input.
                     let start = self.pos;
-                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    out.push_str(run);
+                    self.skip_run();
+                    out.push_str(self.slice(start)?);
                 }
             }
         }
     }
 
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+    /// Opens an array or object at the cursor, within the nesting cap.
+    fn enter(&mut self, opener: u8) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.expect(opener)?;
         self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
+        Ok(())
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Reads an array, calling `element` with the cursor on each element;
+    /// `element` must read exactly that one value.
+    fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.enter(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            element(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
+    /// Reads an object, calling `member` with each key and the cursor on
+    /// its value; `member` must read exactly that one value.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.enter(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(members));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -375,17 +530,30 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(members));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
+        }
+    }
+
+    /// Reads the members of the object at the cursor like [`Self::object`].
+    /// Any other value has no members: it is skipped.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.peek() == Some(b'{') {
+            self.object(|p, key| member(p, &key))
+        } else {
+            self.skip()
         }
     }
 }
@@ -617,51 +785,69 @@ pub fn encode_shutdown_request() -> String {
 pub fn encode_response(result: &Result<ScheduleResponse, ServiceError>) -> String {
     match result {
         Err(e) => encode_error(&e.to_string()),
-        Ok(resp) => {
-            let summary = resp.output.result().summary();
-            let summary_json = Json::Obj(vec![
-                ("loop".to_string(), Json::Str(summary.loop_name.clone())),
-                ("ii".to_string(), Json::Num(i64::from(summary.ii))),
-                ("mii".to_string(), Json::Num(i64::from(summary.mii))),
-                ("stages".to_string(), Json::Num(i64::from(summary.stages))),
-                ("ops".to_string(), Json::Num(summary.ops as i64)),
-                ("useful_ops".to_string(), Json::Num(summary.useful_ops as i64)),
-                ("copies".to_string(), Json::Num(summary.copies as i64)),
-                ("moves".to_string(), Json::Num(summary.moves as i64)),
-                ("ii_attempts".to_string(), Json::Num(i64::from(summary.ii_attempts))),
-            ]);
-            let dms = match resp.output.dms() {
-                None => Json::Null,
-                Some(o) => Json::Obj(vec![
-                    ("first_ii".to_string(), Json::Num(i64::from(o.first_ii))),
-                    ("pressure_retries".to_string(), Json::Num(i64::from(o.pressure_retries))),
-                    ("baseline_ii".to_string(), Json::Num(i64::from(o.baseline_ii))),
-                    ("candidates".to_string(), Json::Num(i64::from(o.candidates_run))),
-                    ("winner".to_string(), Json::Num(i64::from(o.winner_candidate))),
-                ]),
-            };
-            let verify = match resp.verify {
-                None => Json::Null,
-                Some(d) => Json::Obj(vec![
-                    ("stores_checked".to_string(), Json::Num(d.stores_checked as i64)),
-                    ("max_queue_depth".to_string(), Json::Num(d.max_queue_depth as i64)),
-                    ("achieved_ii".to_string(), Json::Num(i64::from(d.achieved_ii))),
-                ]),
-            };
-            Json::Obj(vec![
-                ("ok".to_string(), Json::Bool(true)),
-                ("cache_hit".to_string(), Json::Bool(resp.cache_hit)),
-                (
-                    "scheduler".to_string(),
-                    Json::Str(if resp.output.dms().is_some() { "dms" } else { "ims" }.to_string()),
-                ),
-                ("summary".to_string(), summary_json),
-                ("dms".to_string(), dms),
-                ("verify".to_string(), verify),
-            ])
-            .render()
+        Ok(resp) => encode_schedule(&resp.output, resp.verify, resp.cache_hit),
+    }
+}
+
+/// Encodes a response that lends the service's cache entry, byte for byte
+/// as [`encode_response`] encodes an owned copy of it.
+pub fn encode_lent_response(result: &Result<LentResponse, ServiceError>) -> String {
+    match result {
+        Err(e) => encode_error(&e.to_string()),
+        Ok(resp) => encode_schedule(resp.output(), resp.verify(), resp.cache_hit),
+    }
+}
+
+/// Renders a schedule response straight into the line, member for member
+/// as [`Json::render`] renders the same object.
+fn encode_schedule(
+    output: &SchedulerOutput,
+    verify: Option<VerifyDigest>,
+    cache_hit: bool,
+) -> String {
+    let summary = output.result().summary();
+    let scheduler = if output.dms().is_some() { "dms" } else { "ims" };
+    let mut out = String::with_capacity(320);
+    let _ = write!(
+        out,
+        r#"{{"ok":true,"cache_hit":{cache_hit},"scheduler":"{scheduler}","summary":{{"loop":"#
+    );
+    render_string(&summary.loop_name, &mut out);
+    let _ = write!(
+        out,
+        r#","ii":{},"mii":{},"stages":{},"ops":{},"useful_ops":{},"copies":{},"moves":{},"ii_attempts":{}}},"dms":"#,
+        summary.ii,
+        summary.mii,
+        summary.stages,
+        summary.ops as i64,
+        summary.useful_ops as i64,
+        summary.copies as i64,
+        summary.moves as i64,
+        summary.ii_attempts,
+    );
+    match output.dms() {
+        None => out.push_str("null"),
+        Some(o) => {
+            let _ = write!(
+                out,
+                r#"{{"first_ii":{},"pressure_retries":{},"baseline_ii":{},"candidates":{},"winner":{}}}"#,
+                o.first_ii, o.pressure_retries, o.baseline_ii, o.candidates_run, o.winner_candidate,
+            );
         }
     }
+    out.push_str(r#","verify":"#);
+    match verify {
+        None => out.push_str("null"),
+        Some(d) => {
+            let _ = write!(
+                out,
+                r#"{{"stores_checked":{},"max_queue_depth":{},"achieved_ii":{}}}"#,
+                d.stores_checked as i64, d.max_queue_depth as i64, d.achieved_ii,
+            );
+        }
+    }
+    out.push('}');
+    out
 }
 
 /// Encodes a `stats` response.
@@ -733,24 +919,66 @@ fn at_most<T: PartialOrd + std::fmt::Display>(value: T, max: T, field: &str) -> 
     Ok(value)
 }
 
-fn decode_operand(json: &Json) -> Result<Operand, String> {
-    let arr = json.as_arr().ok_or("operand must be an array")?;
-    let tag = arr.first().and_then(Json::as_str).ok_or("operand needs a tag")?;
+/// Reads a member's value into `slot` unless an earlier member of the same
+/// name filled it: the first of a duplicated key wins, as in [`Json::get`].
+fn first<'a>(slot: &mut Option<Field<'a>>, p: &mut Parser<'a>) -> Result<(), String> {
+    match slot {
+        None => *slot = Some(p.field()?),
+        Some(_) => p.skip()?,
+    }
+    Ok(())
+}
+
+/// The first `N` elements of an array, each read as a [`Field`], and the
+/// array's length.
+struct Shallow<'a, const N: usize> {
+    items: [Option<Field<'a>>; N],
+    len: usize,
+}
+
+impl<'a, const N: usize> Shallow<'a, N> {
+    /// Reads the array at the cursor, or skips any other value and returns
+    /// `None`.
+    fn read(p: &mut Parser<'a>) -> Result<Option<Self>, String> {
+        if p.peek() != Some(b'[') {
+            p.skip()?;
+            return Ok(None);
+        }
+        let mut array = Shallow { items: std::array::from_fn(|_| None), len: 0 };
+        p.array(|p| {
+            match array.items.get_mut(array.len) {
+                Some(item) => *item = Some(p.field()?),
+                None => p.skip()?,
+            }
+            array.len += 1;
+            Ok(())
+        })?;
+        Ok(Some(array))
+    }
+
+    fn get(&self, i: usize) -> Option<&Field<'a>> {
+        self.items.get(i)?.as_ref()
+    }
+}
+
+fn decode_operand_fields(arr: Option<Shallow<'_, 3>>) -> Result<Operand, String> {
+    let arr = arr.ok_or("operand must be an array")?;
+    let tag = arr.get(0).and_then(Field::as_str).ok_or("operand needs a tag")?;
     match tag {
         "def" => {
-            let op = arr.get(1).and_then(Json::as_u64).ok_or("def needs a producer slot")?;
-            let distance = arr.get(2).and_then(Json::as_u64).ok_or("def needs a distance")?;
+            let op = arr.get(1).and_then(Field::as_u64).ok_or("def needs a producer slot")?;
+            let distance = arr.get(2).and_then(Field::as_u64).ok_or("def needs a distance")?;
             Ok(Operand::Def {
                 op: OpId(narrow_u32(op, "operand producer slot")?),
                 distance: narrow_u32(distance, "operand distance")?,
             })
         }
         "inv" => {
-            let i = arr.get(1).and_then(Json::as_u64).ok_or("inv needs an index")?;
+            let i = arr.get(1).and_then(Field::as_u64).ok_or("inv needs an index")?;
             Ok(Operand::Invariant(narrow_u32(i, "invariant index")?))
         }
         "imm" => {
-            let v = arr.get(1).and_then(Json::as_i64).ok_or("imm needs a value")?;
+            let v = arr.get(1).and_then(Field::as_i64).ok_or("imm needs a value")?;
             Ok(Operand::Immediate(v))
         }
         "ind" => Ok(Operand::Induction),
@@ -758,165 +986,392 @@ fn decode_operand(json: &Json) -> Result<Operand, String> {
     }
 }
 
-/// Decodes the loop object back into a [`Loop`], reconstructing tombstone
-/// slots so every producer slot index of the wire form stays valid. A body
-/// with a dependence cycle of zero total distance is rejected: no II can
-/// schedule it, so the II search would walk its whole range to fail.
-pub fn decode_loop(json: &Json) -> Result<Loop, String> {
-    let name = json.get("name").and_then(Json::as_str).ok_or("loop needs a name")?.to_string();
-    let trip_count =
-        json.get("trip_count").and_then(Json::as_u64).ok_or("loop needs a trip_count")?;
-    let ops = json.get("ops").and_then(Json::as_arr).ok_or("loop needs an ops array")?;
-    let edges = json.get("edges").and_then(Json::as_arr).ok_or("loop needs an edges array")?;
+#[cfg(test)]
+fn decode_operand(json: &Json) -> Result<Operand, String> {
+    decode_operand_fields(Parser::document(&json.render(), Shallow::read)?)
+}
 
-    let mut ddg = Ddg::new();
-    // `tombstone[slot]`: the wire slot is `null`.
-    let tombstone: Vec<bool> = ops.iter().map(Json::is_null).collect();
-    for entry in ops {
-        if entry.is_null() {
-            // Placeholder re-creating the tombstone: added now so later
-            // slots keep their index, removed again below.
-            ddg.add_op(Operation::new(OpKind::Add, Vec::new()));
-            continue;
-        }
-        let pair = entry.as_arr().ok_or("op must be [kind, [reads]]")?;
-        let kind = op_kind_parse(pair.first().and_then(Json::as_str).ok_or("op needs a kind")?)?;
-        let reads = pair
-            .get(1)
-            .and_then(Json::as_arr)
-            .ok_or("op needs a reads array")?
-            .iter()
-            .map(decode_operand)
-            .collect::<Result<Vec<_>, _>>()?;
-        ddg.add_op(Operation::new(kind, reads));
+/// The `[kind, [operand, ...]]` op entry at the cursor: `Ok(None)` for a
+/// `null` tombstone. The outer `Result` is the line's syntax, the inner one
+/// the entry's meaning, checked in the order of the fields.
+fn decode_op(p: &mut Parser<'_>) -> Result<Result<Option<Operation>, String>, String> {
+    if p.peek() != Some(b'[') {
+        return Ok(match p.field()? {
+            Field::Null => Ok(None),
+            _ => Err("op must be [kind, [reads]]".to_string()),
+        });
     }
-    let live = |id: u64| -> Result<OpId, String> {
-        let id = OpId(u32::try_from(id).map_err(|_| "op id out of range")?);
-        if tombstone.get(id.index()) == Some(&false) {
-            Ok(id)
-        } else {
-            Err(format!("edge references dead op slot {}", id.0))
+    let (mut kind, mut reads, mut index) = (None, None, 0);
+    p.array(|p| {
+        match index {
+            0 => kind = Some(p.field()?),
+            1 => reads = decode_reads(p)?,
+            _ => p.skip()?,
         }
+        index += 1;
+        Ok(())
+    })?;
+    let kind = match kind.as_ref().and_then(Field::as_str) {
+        None => return Ok(Err("op needs a kind".to_string())),
+        Some(kind) => op_kind_parse(kind),
     };
-    for entry in edges {
-        let e = entry.as_arr().ok_or("edge must be [src, dst, kind, latency, distance]")?;
-        if e.len() != 5 {
+    Ok(kind.and_then(|kind| {
+        let reads = reads.ok_or("op needs a reads array")??;
+        Ok(Some(Operation::new(kind, reads)))
+    }))
+}
+
+/// The reads array at the cursor, as [`decode_op`] answers: `None` when the
+/// value is not an array, else the operands or the first malformed one's
+/// error.
+fn decode_reads(p: &mut Parser<'_>) -> Result<Option<Result<Vec<Operand>, String>>, String> {
+    if p.peek() != Some(b'[') {
+        p.skip()?;
+        return Ok(None);
+    }
+    let mut reads = Ok(Vec::new());
+    p.array(|p| {
+        let operand = Shallow::read(p)?;
+        if let Ok(list) = &mut reads {
+            match decode_operand_fields(operand) {
+                Ok(operand) => list.push(operand),
+                Err(e) => reads = Err(e),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(Some(reads))
+}
+
+/// Line bytes per op, as the decoder guesses them to reserve room for the
+/// graph: the benchmark's paper-suite requests carry about 60 per op
+/// (its entry, its edges and a share of the rest). The guess is capped, so
+/// a long line of `null` tombstones reserves little.
+const BYTES_PER_OP: usize = 32;
+const MAX_RESERVED_OPS: usize = 4096;
+
+/// A loop object read member by member. Ops go into the DDG as they come;
+/// edges read before the ops wait in `pending`. Every malformation is
+/// kept, not returned, until [`LoopFields::finish`] reports the first in
+/// the order a loop is checked: name, trip count, the two arrays, each op,
+/// each edge, then the whole graph.
+#[derive(Default)]
+struct LoopFields<'a> {
+    name: Option<Field<'a>>,
+    trip_count: Option<Field<'a>>,
+    /// Whether the first `ops` (`edges`) member was an array.
+    ops: Option<bool>,
+    edges: Option<bool>,
+    ddg: Ddg,
+    /// `dead[slot]`: the wire slot is `null`.
+    dead: Vec<bool>,
+    /// The first malformed op, or else the first malformed edge: edges are
+    /// only checked once every op is well formed.
+    error: Option<String>,
+    pending: Vec<Option<Shallow<'a, 5>>>,
+}
+
+impl<'a> LoopFields<'a> {
+    fn read(p: &mut Parser<'a>) -> Result<Self, String> {
+        let mut fields = LoopFields::default();
+        p.members(|p, key| match key {
+            "name" => first(&mut fields.name, p),
+            "trip_count" => first(&mut fields.trip_count, p),
+            "ops" if fields.ops.is_none() => fields.read_ops(p),
+            "edges" if fields.edges.is_none() => fields.read_edges(p),
+            _ => p.skip(),
+        })?;
+        Ok(fields)
+    }
+
+    fn read_ops(&mut self, p: &mut Parser<'a>) -> Result<(), String> {
+        self.ops = Some(p.peek() == Some(b'['));
+        if self.ops == Some(false) {
+            return p.skip();
+        }
+        // Room for one op and one edge per `BYTES_PER_OP` bytes left in the
+        // line, so the graph seldom regrows.
+        let room = ((p.text.len() - p.pos) / BYTES_PER_OP).min(MAX_RESERVED_OPS);
+        self.ddg = Ddg::with_capacity(room, room);
+        self.dead.reserve(room);
+        p.array(|p| {
+            if self.error.is_some() {
+                return p.skip();
+            }
+            match decode_op(p)? {
+                Ok(op) => {
+                    self.dead.push(op.is_none());
+                    // A tombstone gets a placeholder, so later slots keep
+                    // their index; `finish` removes it again.
+                    self.ddg.add_op(op.unwrap_or_else(|| Operation::new(OpKind::Add, Vec::new())));
+                }
+                Err(e) => self.error = Some(e),
+            }
+            Ok(())
+        })?;
+        for edge in std::mem::take(&mut self.pending) {
+            self.add_edge(edge);
+        }
+        Ok(())
+    }
+
+    fn read_edges(&mut self, p: &mut Parser<'a>) -> Result<(), String> {
+        self.edges = Some(p.peek() == Some(b'['));
+        if self.edges == Some(false) {
+            return p.skip();
+        }
+        p.array(|p| {
+            let edge = Shallow::read(p)?;
+            match self.ops {
+                None => self.pending.push(edge),
+                Some(_) => self.add_edge(edge),
+            }
+            Ok(())
+        })
+    }
+
+    /// Adds one `[src, dst, kind, latency, distance]` edge to the ops read,
+    /// unless an op or an earlier edge is malformed.
+    fn add_edge(&mut self, edge: Option<Shallow<'a, 5>>) {
+        if self.ops != Some(true) || self.error.is_some() {
+            return;
+        }
+        if let Err(e) = self.try_add_edge(edge) {
+            self.error = Some(e);
+        }
+    }
+
+    fn try_add_edge(&mut self, edge: Option<Shallow<'a, 5>>) -> Result<(), String> {
+        let e = edge.ok_or("edge must be [src, dst, kind, latency, distance]")?;
+        if e.len != 5 {
             return Err("edge must have 5 fields".to_string());
         }
-        let src = live(e[0].as_u64().ok_or("edge src must be a slot")?)?;
-        let dst = live(e[1].as_u64().ok_or("edge dst must be a slot")?)?;
-        let kind = dep_kind_parse(e[2].as_str().ok_or("edge kind must be a string")?)?;
+        let number = |i: usize| e.get(i).and_then(Field::as_u64);
+        let live = |id: u64| -> Result<OpId, String> {
+            let id = OpId(u32::try_from(id).map_err(|_| "op id out of range")?);
+            if self.dead.get(id.index()) == Some(&false) {
+                Ok(id)
+            } else {
+                Err(format!("edge references dead op slot {}", id.0))
+            }
+        };
+        let src = live(number(0).ok_or("edge src must be a slot")?)?;
+        let dst = live(number(1).ok_or("edge dst must be a slot")?)?;
+        let kind =
+            dep_kind_parse(e.get(2).and_then(Field::as_str).ok_or("edge kind must be a string")?)?;
         let latency =
-            narrow_u32(e[3].as_u64().ok_or("edge latency must be a number")?, "edge latency")?;
+            narrow_u32(number(3).ok_or("edge latency must be a number")?, "edge latency")?;
         let distance =
-            narrow_u32(e[4].as_u64().ok_or("edge distance must be a number")?, "edge distance")?;
-        ddg.add_edge(DepEdge { src, dst, kind, latency, distance });
+            narrow_u32(number(4).ok_or("edge distance must be a number")?, "edge distance")?;
+        self.ddg.add_edge(DepEdge { src, dst, kind, latency, distance });
+        Ok(())
     }
-    for (slot, _) in tombstone.iter().enumerate().filter(|(_, &dead)| dead) {
-        ddg.remove_op(OpId(slot as u32));
+
+    /// The decoded [`Loop`], with its tombstone slots restored, or the first
+    /// malformation. A body with a dependence cycle of zero total distance
+    /// is rejected: no II can schedule it, so the II search would walk its
+    /// whole range to fail.
+    fn finish(mut self) -> Result<Loop, String> {
+        let name = self.name.as_ref().and_then(Field::as_str).ok_or("loop needs a name")?;
+        let name = name.to_string();
+        let trip_count =
+            self.trip_count.as_ref().and_then(Field::as_u64).ok_or("loop needs a trip_count")?;
+        if self.ops != Some(true) {
+            return Err("loop needs an ops array".to_string());
+        }
+        if self.edges != Some(true) {
+            return Err("loop needs an edges array".to_string());
+        }
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        for (slot, _) in self.dead.iter().enumerate().filter(|(_, &dead)| dead) {
+            self.ddg.remove_op(OpId(slot as u32));
+        }
+        let ddg = self.ddg;
+        ddg.validate().map_err(|e| format!("decoded DDG is malformed: {e}"))?;
+        if !dms_ir::analysis::cycles_have_positive_distance(&ddg) {
+            return Err("decoded DDG has a dependence cycle of zero total distance".to_string());
+        }
+        Ok(Loop { name, ddg, trip_count })
     }
-    ddg.validate().map_err(|e| format!("decoded DDG is malformed: {e}"))?;
-    if !dms_ir::analysis::cycles_have_positive_distance(&ddg) {
-        return Err("decoded DDG has a dependence cycle of zero total distance".to_string());
-    }
-    Ok(Loop { name, ddg, trip_count })
 }
 
-fn decode_machine(json: &Json) -> Result<WireMachine, String> {
-    let clusters = narrow_u32(
-        json.get("clusters").and_then(Json::as_u64).ok_or("machine needs a clusters count")?,
-        "machine clusters",
-    )?;
-    if clusters == 0 {
-        return Err("machine clusters must be at least 1".to_string());
+/// Decodes the loop object back into a [`Loop`], reconstructing tombstone
+/// slots so every producer slot index of the wire form stays valid; see
+/// [`decode_request`] for the checks.
+pub fn decode_loop(json: &Json) -> Result<Loop, String> {
+    Parser::document(&json.render(), LoopFields::read)?.finish()
+}
+
+/// A machine object's members.
+#[derive(Default)]
+struct MachineFields<'a> {
+    unclustered: Option<Field<'a>>,
+    clusters: Option<Field<'a>>,
+    copy_units: Option<Field<'a>>,
+    cqrf_capacity: Option<Field<'a>>,
+    topology: Option<Field<'a>>,
+}
+
+impl<'a> MachineFields<'a> {
+    fn read(p: &mut Parser<'a>) -> Result<Self, String> {
+        let mut m = MachineFields::default();
+        p.members(|p, key| match key {
+            "unclustered" => first(&mut m.unclustered, p),
+            "clusters" => first(&mut m.clusters, p),
+            "copy_units" => first(&mut m.copy_units, p),
+            "cqrf_capacity" => first(&mut m.cqrf_capacity, p),
+            "topology" => first(&mut m.topology, p),
+            _ => p.skip(),
+        })?;
+        Ok(m)
     }
-    Ok(WireMachine {
-        unclustered: json.get("unclustered").and_then(Json::as_bool).unwrap_or(false),
-        clusters: at_most(clusters, MAX_CLUSTERS, "machine clusters")?,
-        copy_units: at_most(
-            narrow_u32(
-                json.get("copy_units").and_then(Json::as_u64).unwrap_or(1),
+
+    fn decode(&self) -> Result<WireMachine, String> {
+        let clusters = narrow_u32(
+            self.clusters
+                .as_ref()
+                .and_then(Field::as_u64)
+                .ok_or("machine needs a clusters count")?,
+            "machine clusters",
+        )?;
+        if clusters == 0 {
+            return Err("machine clusters must be at least 1".to_string());
+        }
+        Ok(WireMachine {
+            unclustered: self.unclustered.as_ref().and_then(Field::as_bool).unwrap_or(false),
+            clusters: at_most(clusters, MAX_CLUSTERS, "machine clusters")?,
+            copy_units: at_most(
+                narrow_u32(
+                    self.copy_units.as_ref().and_then(Field::as_u64).unwrap_or(1),
+                    "machine copy_units",
+                )?,
+                MAX_COPY_UNITS,
                 "machine copy_units",
             )?,
-            MAX_COPY_UNITS,
-            "machine copy_units",
-        )?,
-        cqrf_capacity: match json.get("cqrf_capacity") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(narrow_u32(
-                v.as_u64().ok_or("cqrf_capacity must be a number or null")?,
-                "machine cqrf_capacity",
-            )?),
-        },
-        topology: match json.get("topology") {
-            None | Some(Json::Null) => TopologyKind::Ring,
-            Some(v) => TopologyKind::parse(v.as_str().ok_or("topology must be a string")?)?,
-        },
-    })
+            cqrf_capacity: match &self.cqrf_capacity {
+                None | Some(Field::Null) => None,
+                Some(v) => Some(narrow_u32(
+                    v.as_u64().ok_or("cqrf_capacity must be a number or null")?,
+                    "machine cqrf_capacity",
+                )?),
+            },
+            topology: match &self.topology {
+                None | Some(Field::Null) => TopologyKind::Ring,
+                Some(v) => TopologyKind::parse(v.as_str().ok_or("topology must be a string")?)?,
+            },
+        })
+    }
 }
 
-/// Decodes one request line.
+/// A request object's members.
+#[derive(Default)]
+struct RequestFields<'a> {
+    op: Option<Field<'a>>,
+    body: Option<LoopFields<'a>>,
+    machine: Option<MachineFields<'a>>,
+    scheduler: Option<Field<'a>>,
+    strategy: Option<Field<'a>>,
+    ii_seed: Option<Field<'a>>,
+    verify_trips: Option<Field<'a>>,
+    contention: Option<Field<'a>>,
+}
+
+impl<'a> RequestFields<'a> {
+    fn read(p: &mut Parser<'a>) -> Result<Self, String> {
+        let mut r = RequestFields::default();
+        p.members(|p, key| {
+            match key {
+                "op" => first(&mut r.op, p)?,
+                "loop" if r.body.is_none() => r.body = Some(LoopFields::read(p)?),
+                "machine" if r.machine.is_none() => r.machine = Some(MachineFields::read(p)?),
+                "scheduler" => first(&mut r.scheduler, p)?,
+                "strategy" => first(&mut r.strategy, p)?,
+                "ii_seed" => first(&mut r.ii_seed, p)?,
+                "verify_trips" => first(&mut r.verify_trips, p)?,
+                "contention" => first(&mut r.contention, p)?,
+                _ => p.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(r)
+    }
+
+    fn decode(self) -> Result<WireRequest, String> {
+        match self.op.as_ref().and_then(Field::as_str) {
+            Some("stats") => Ok(WireRequest::Stats),
+            Some("metrics") => Ok(WireRequest::Metrics),
+            Some("shutdown") => Ok(WireRequest::Shutdown),
+            Some("schedule") => {
+                let body = self.body.ok_or("schedule needs a loop")?.finish()?;
+                let machine = self.machine.as_ref().ok_or("schedule needs a machine")?.decode()?;
+                let scheduler = match self.scheduler.as_ref().and_then(Field::as_str) {
+                    Some("ims") => SchedulerKind::Ims,
+                    Some("dms") | None => SchedulerKind::Dms,
+                    Some(other) => return Err(format!("unknown scheduler {other:?}")),
+                };
+                let mut dms = DmsConfig::default();
+                if let Some(s) = self.strategy.as_ref().and_then(Field::as_str) {
+                    dms.strategy = SchedulerStrategy::parse(s)?;
+                    match dms.strategy {
+                        SchedulerStrategy::Dms => {}
+                        SchedulerStrategy::Beam { width } => {
+                            at_most(width, MAX_CANDIDATES, "strategy beam width")?;
+                        }
+                        SchedulerStrategy::Portfolio { n_candidates, .. } => {
+                            at_most(n_candidates, MAX_CANDIDATES, "strategy portfolio candidates")?;
+                        }
+                    }
+                }
+                if let Some(seed) = self.ii_seed.as_ref().filter(|v| !matches!(v, Field::Null)) {
+                    dms.ii_seed = Some(narrow_u32(
+                        seed.as_u64().ok_or("ii_seed must be a number or null")?,
+                        "ii_seed",
+                    )?);
+                }
+                let verify_trips = match &self.verify_trips {
+                    None | Some(Field::Null) => None,
+                    Some(v) => Some(at_most(
+                        v.as_u64().ok_or("verify_trips must be a number or null")?,
+                        MAX_VERIFY_TRIPS,
+                        "verify_trips",
+                    )?),
+                };
+                let contention = match &self.contention {
+                    None | Some(Field::Null) => false,
+                    Some(v) => v.as_bool().ok_or("contention must be a boolean or null")?,
+                };
+                Ok(WireRequest::Schedule(Box::new(WireSchedule {
+                    body,
+                    machine,
+                    scheduler,
+                    dms,
+                    verify_trips,
+                    contention,
+                })))
+            }
+            Some(other) => Err(format!("unknown op {other:?}")),
+            None => Err("request needs an \"op\" field".to_string()),
+        }
+    }
+}
+
+/// Decodes one request line in one pass over its bytes, building no
+/// [`Json`] tree.
+///
+/// Object keys are matched as they come, in any order; the first of a
+/// duplicated key wins and unknown keys are skipped. A malformed member is
+/// noted, not reported, while the rest of the line is read: a syntax error
+/// anywhere wins, and otherwise the members are judged in a fixed order
+/// (op, loop, machine, scheduler, strategy, ii_seed, verify_trips,
+/// contention), so a line's error does not depend on its key order.
 ///
 /// # Errors
 ///
 /// Returns a message suitable for an [`encode_error`] reply.
 pub fn decode_request(line: &str) -> Result<WireRequest, String> {
-    let json = Json::parse(line)?;
-    match json.get("op").and_then(Json::as_str) {
-        Some("stats") => Ok(WireRequest::Stats),
-        Some("metrics") => Ok(WireRequest::Metrics),
-        Some("shutdown") => Ok(WireRequest::Shutdown),
-        Some("schedule") => {
-            let body = decode_loop(json.get("loop").ok_or("schedule needs a loop")?)?;
-            let machine = decode_machine(json.get("machine").ok_or("schedule needs a machine")?)?;
-            let scheduler = match json.get("scheduler").and_then(Json::as_str) {
-                Some("ims") => SchedulerKind::Ims,
-                Some("dms") | None => SchedulerKind::Dms,
-                Some(other) => return Err(format!("unknown scheduler {other:?}")),
-            };
-            let mut dms = DmsConfig::default();
-            if let Some(s) = json.get("strategy").and_then(Json::as_str) {
-                dms.strategy = SchedulerStrategy::parse(s)?;
-                match dms.strategy {
-                    SchedulerStrategy::Dms => {}
-                    SchedulerStrategy::Beam { width } => {
-                        at_most(width, MAX_CANDIDATES, "strategy beam width")?;
-                    }
-                    SchedulerStrategy::Portfolio { n_candidates, .. } => {
-                        at_most(n_candidates, MAX_CANDIDATES, "strategy portfolio candidates")?;
-                    }
-                }
-            }
-            if let Some(seed) = json.get("ii_seed").filter(|v| !v.is_null()) {
-                dms.ii_seed = Some(narrow_u32(
-                    seed.as_u64().ok_or("ii_seed must be a number or null")?,
-                    "ii_seed",
-                )?);
-            }
-            let verify_trips = match json.get("verify_trips") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(at_most(
-                    v.as_u64().ok_or("verify_trips must be a number or null")?,
-                    MAX_VERIFY_TRIPS,
-                    "verify_trips",
-                )?),
-            };
-            let contention = match json.get("contention") {
-                None | Some(Json::Null) => false,
-                Some(v) => v.as_bool().ok_or("contention must be a boolean or null")?,
-            };
-            Ok(WireRequest::Schedule(Box::new(WireSchedule {
-                body,
-                machine,
-                scheduler,
-                dms,
-                verify_trips,
-                contention,
-            })))
-        }
-        Some(other) => Err(format!("unknown op {other:?}")),
-        None => Err("request needs an \"op\" field".to_string()),
-    }
+    Parser::document(line, RequestFields::read)?.decode()
 }
 
 #[cfg(test)]

@@ -1,14 +1,16 @@
 //! Exactness of the linear per-request passes against the algorithms they
 //! replaced.
 //!
-//! The guard fingerprint, the single-use conversion, the strongly connected
-//! components, RecMII, the height priority and the IMS step each run once
-//! per request or per II attempt, so each has a linear (or heap-ordered, or
-//! iterative, or sparse) implementation. The algorithms they replaced are
-//! kept here, in [`reference`], and every test checks the fast path against
-//! its reference on the paper suite unrolled for the 1–10-cluster paper
-//! machines (12,580 bodies) and on [`dms_ir::kernels`]; RecMII and the
-//! heights also on seeded random recurrences.
+//! The wire codec, the guard fingerprint, the single-use conversion, the
+//! strongly connected components, RecMII, the height priority and the IMS
+//! step each run once per request or per II attempt, so each has a one-pass
+//! (or linear, heap-ordered, iterative or sparse) implementation. The
+//! algorithms they replaced are kept here, in [`reference`], and every test
+//! checks the fast path against its reference on the paper suite unrolled
+//! for the 1–10-cluster paper machines (12,580 bodies) and on
+//! [`dms_ir::kernels`]; RecMII and the heights also on seeded random
+//! recurrences, the request decoder on the benchmark's and the CLI client's
+//! requests and seeded mutations of them.
 
 use dms_ir::transform::convert_to_single_use;
 use dms_ir::{analysis, kernels, Ddg, DepEdge, DepKind, Fnv, LatencySpec, Loop};
@@ -19,6 +21,7 @@ use dms_sched::mii::{mii, rec_mii};
 use dms_sched::priority::heights;
 use dms_sched::schedule::{dependence_bound, earliest_start, Schedule};
 use dms_service::hash::guard_fingerprint;
+use dms_service::wire::Json;
 use dms_workloads::{generate, unroll_for_machine, SuiteConfig, UnrollPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -327,6 +330,543 @@ mod reference {
         }
         Some((ii, schedule, evictions, budget_used))
     }
+
+    /// The tree decoder and encoder the one-pass wire codec replaced:
+    /// `Json::parse` builds the whole tree, `decode_request` then reads it.
+    pub mod wire {
+        use dms_core::DmsConfig;
+        use dms_ir::{Ddg, DepEdge, DepKind, Loop, OpId, OpKind, Operand, Operation};
+        use dms_machine::TopologyKind;
+        use dms_sched::SchedulerStrategy;
+        use dms_service::wire::{Json, WireMachine, WireRequest, WireSchedule};
+        use dms_service::{ScheduleResponse, SchedulerKind, ServiceError};
+
+        fn encode_error(message: &str) -> String {
+            Json::Obj(vec![
+                ("ok".to_string(), Json::Bool(false)),
+                ("error".to_string(), Json::Str(message.to_string())),
+            ])
+            .render()
+        }
+
+        /// `Json::parse`.
+        fn parse(s: &str) -> Result<Json, String> {
+            let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
+            p.skip_ws();
+            let v = p.value()?;
+            p.skip_ws();
+            if p.pos != p.bytes.len() {
+                return Err(format!("trailing garbage at byte {}", p.pos));
+            }
+            Ok(v)
+        }
+
+        /// The deepest array/object nesting a document may have. A real request
+        /// nests only a few levels; the cap keeps a hostile line of `[` from
+        /// overflowing a handler's stack through the recursive descent.
+        const MAX_DEPTH: usize = 64;
+
+        struct Parser<'a> {
+            bytes: &'a [u8],
+            pos: usize,
+            /// Arrays and objects currently open.
+            depth: usize,
+        }
+
+        impl Parser<'_> {
+            fn skip_ws(&mut self) {
+                while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                    self.pos += 1;
+                }
+            }
+
+            fn peek(&self) -> Option<u8> {
+                self.bytes.get(self.pos).copied()
+            }
+
+            fn expect(&mut self, b: u8) -> Result<(), String> {
+                if self.peek() == Some(b) {
+                    self.pos += 1;
+                    Ok(())
+                } else {
+                    Err(format!("expected '{}' at byte {}", b as char, self.pos))
+                }
+            }
+
+            fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+                if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+                    self.pos += word.len();
+                    Ok(value)
+                } else {
+                    Err(format!("bad literal at byte {}", self.pos))
+                }
+            }
+
+            fn value(&mut self) -> Result<Json, String> {
+                match self.peek() {
+                    Some(b'n') => self.literal("null", Json::Null),
+                    Some(b't') => self.literal("true", Json::Bool(true)),
+                    Some(b'f') => self.literal("false", Json::Bool(false)),
+                    Some(b'"') => Ok(Json::Str(self.string()?)),
+                    Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                        Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+                    }
+                    Some(b'[') => self.nested(Self::array),
+                    Some(b'{') => self.nested(Self::object),
+                    Some(b'-' | b'0'..=b'9') => self.number(),
+                    _ => Err(format!("unexpected input at byte {}", self.pos)),
+                }
+            }
+
+            fn number(&mut self) -> Result<Json, String> {
+                let start = self.pos;
+                if self.peek() == Some(b'-') {
+                    self.pos += 1;
+                }
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
+                }
+                if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+                    return Err(format!(
+                        "floating-point numbers are not part of this protocol (byte {start})"
+                    ));
+                }
+                std::str::from_utf8(&self.bytes[start..self.pos])
+                    .ok()
+                    .and_then(|s| s.parse::<i64>().ok())
+                    .map(Json::Num)
+                    .ok_or_else(|| format!("bad number at byte {start}"))
+            }
+
+            fn string(&mut self) -> Result<String, String> {
+                self.expect(b'"')?;
+                let mut out = String::new();
+                loop {
+                    match self.peek() {
+                        None => return Err("unterminated string".to_string()),
+                        Some(b'"') => {
+                            self.pos += 1;
+                            return Ok(out);
+                        }
+                        Some(b'\\') => {
+                            self.pos += 1;
+                            match self.peek() {
+                                Some(b'"') => out.push('"'),
+                                Some(b'\\') => out.push('\\'),
+                                Some(b'/') => out.push('/'),
+                                Some(b'n') => out.push('\n'),
+                                Some(b'r') => out.push('\r'),
+                                Some(b't') => out.push('\t'),
+                                Some(b'b') => out.push('\u{0008}'),
+                                Some(b'f') => out.push('\u{000c}'),
+                                Some(b'u') => {
+                                    let hex = self
+                                        .bytes
+                                        .get(self.pos + 1..self.pos + 5)
+                                        .and_then(|h| std::str::from_utf8(h).ok())
+                                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                        .ok_or_else(|| {
+                                            format!("bad \\u escape at byte {}", self.pos)
+                                        })?;
+                                    out.push(
+                                        char::from_u32(hex)
+                                            .ok_or_else(|| "surrogate \\u escape".to_string())?,
+                                    );
+                                    self.pos += 4;
+                                }
+                                _ => return Err(format!("bad escape at byte {}", self.pos)),
+                            }
+                            self.pos += 1;
+                        }
+                        Some(_) => {
+                            // Consume the whole run up to the next quote or escape
+                            // in one slice, so a string costs time linear in its
+                            // length. Both stop bytes are ASCII, so the run ends on
+                            // a character boundary of the (valid UTF-8) input.
+                            let start = self.pos;
+                            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                                self.pos += 1;
+                            }
+                            let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                                .map_err(|_| "invalid utf-8".to_string())?;
+                            out.push_str(run);
+                        }
+                    }
+                }
+            }
+
+            fn nested(
+                &mut self,
+                parse: fn(&mut Self) -> Result<Json, String>,
+            ) -> Result<Json, String> {
+                self.depth += 1;
+                let value = parse(self);
+                self.depth -= 1;
+                value
+            }
+
+            fn array(&mut self) -> Result<Json, String> {
+                self.expect(b'[')?;
+                let mut items = Vec::new();
+                self.skip_ws();
+                if self.peek() == Some(b']') {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    self.skip_ws();
+                    items.push(self.value()?);
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b']') => {
+                            self.pos += 1;
+                            return Ok(Json::Arr(items));
+                        }
+                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                    }
+                }
+            }
+
+            fn object(&mut self) -> Result<Json, String> {
+                self.expect(b'{')?;
+                let mut members = Vec::new();
+                self.skip_ws();
+                if self.peek() == Some(b'}') {
+                    self.pos += 1;
+                    return Ok(Json::Obj(members));
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    self.skip_ws();
+                    self.expect(b':')?;
+                    self.skip_ws();
+                    let value = self.value()?;
+                    members.push((key, value));
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b'}') => {
+                            self.pos += 1;
+                            return Ok(Json::Obj(members));
+                        }
+                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                    }
+                }
+            }
+        }
+
+        fn op_kind_parse(s: &str) -> Result<OpKind, String> {
+            Ok(match s {
+                "load" => OpKind::Load,
+                "store" => OpKind::Store,
+                "add" => OpKind::Add,
+                "sub" => OpKind::Sub,
+                "mul" => OpKind::Mul,
+                "div" => OpKind::Div,
+                "copy" => OpKind::Copy,
+                "move" => OpKind::Move,
+                other => return Err(format!("unknown op kind {other:?}")),
+            })
+        }
+
+        fn dep_kind_parse(s: &str) -> Result<DepKind, String> {
+            Ok(match s {
+                "flow" => DepKind::Flow,
+                "anti" => DepKind::Anti,
+                "output" => DepKind::Output,
+                "memory" => DepKind::Memory,
+                other => return Err(format!("unknown dependence kind {other:?}")),
+            })
+        }
+
+        /// Encodes a schedule response (or failure) as one wire line.
+        pub fn encode_response(result: &Result<ScheduleResponse, ServiceError>) -> String {
+            match result {
+                Err(e) => encode_error(&e.to_string()),
+                Ok(resp) => {
+                    let summary = resp.output.result().summary();
+                    let summary_json = Json::Obj(vec![
+                        ("loop".to_string(), Json::Str(summary.loop_name.clone())),
+                        ("ii".to_string(), Json::Num(i64::from(summary.ii))),
+                        ("mii".to_string(), Json::Num(i64::from(summary.mii))),
+                        ("stages".to_string(), Json::Num(i64::from(summary.stages))),
+                        ("ops".to_string(), Json::Num(summary.ops as i64)),
+                        ("useful_ops".to_string(), Json::Num(summary.useful_ops as i64)),
+                        ("copies".to_string(), Json::Num(summary.copies as i64)),
+                        ("moves".to_string(), Json::Num(summary.moves as i64)),
+                        ("ii_attempts".to_string(), Json::Num(i64::from(summary.ii_attempts))),
+                    ]);
+                    let dms = match resp.output.dms() {
+                        None => Json::Null,
+                        Some(o) => Json::Obj(vec![
+                            ("first_ii".to_string(), Json::Num(i64::from(o.first_ii))),
+                            (
+                                "pressure_retries".to_string(),
+                                Json::Num(i64::from(o.pressure_retries)),
+                            ),
+                            ("baseline_ii".to_string(), Json::Num(i64::from(o.baseline_ii))),
+                            ("candidates".to_string(), Json::Num(i64::from(o.candidates_run))),
+                            ("winner".to_string(), Json::Num(i64::from(o.winner_candidate))),
+                        ]),
+                    };
+                    let verify = match resp.verify {
+                        None => Json::Null,
+                        Some(d) => Json::Obj(vec![
+                            ("stores_checked".to_string(), Json::Num(d.stores_checked as i64)),
+                            ("max_queue_depth".to_string(), Json::Num(d.max_queue_depth as i64)),
+                            ("achieved_ii".to_string(), Json::Num(i64::from(d.achieved_ii))),
+                        ]),
+                    };
+                    Json::Obj(vec![
+                        ("ok".to_string(), Json::Bool(true)),
+                        ("cache_hit".to_string(), Json::Bool(resp.cache_hit)),
+                        (
+                            "scheduler".to_string(),
+                            Json::Str(
+                                if resp.output.dms().is_some() { "dms" } else { "ims" }.to_string(),
+                            ),
+                        ),
+                        ("summary".to_string(), summary_json),
+                        ("dms".to_string(), dms),
+                        ("verify".to_string(), verify),
+                    ])
+                    .render()
+                }
+            }
+        }
+
+        /// Narrows a parsed `u64` into the `u32` the model stores, rejecting (with
+        /// the field's name in the error) instead of silently truncating a huge
+        /// value into a valid-looking small one.
+        fn narrow_u32(value: u64, field: &str) -> Result<u32, String> {
+            u32::try_from(value).map_err(|_| format!("{field} {value} does not fit in 32 bits"))
+        }
+
+        // Admission bounds of a schedule request. Sweeps and the benchmark send at
+        // most 10 clusters, 2 copy units, 64 verified trips and 8 portfolio
+        // candidates; the bounds sit far above that and keep one request from
+        // asking for an unbounded machine, execution or search.
+        const MAX_CLUSTERS: u32 = 64;
+        const MAX_COPY_UNITS: u32 = 64;
+        const MAX_VERIFY_TRIPS: u64 = 1 << 16;
+        const MAX_CANDIDATES: u32 = 64;
+
+        /// Rejects `value` above `max`, naming the field.
+        fn at_most<T: PartialOrd + std::fmt::Display>(
+            value: T,
+            max: T,
+            field: &str,
+        ) -> Result<T, String> {
+            if value > max {
+                return Err(format!("{field} {value} exceeds the admission bound {max}"));
+            }
+            Ok(value)
+        }
+
+        fn decode_operand(json: &Json) -> Result<Operand, String> {
+            let arr = json.as_arr().ok_or("operand must be an array")?;
+            let tag = arr.first().and_then(Json::as_str).ok_or("operand needs a tag")?;
+            match tag {
+                "def" => {
+                    let op =
+                        arr.get(1).and_then(Json::as_u64).ok_or("def needs a producer slot")?;
+                    let distance =
+                        arr.get(2).and_then(Json::as_u64).ok_or("def needs a distance")?;
+                    Ok(Operand::Def {
+                        op: OpId(narrow_u32(op, "operand producer slot")?),
+                        distance: narrow_u32(distance, "operand distance")?,
+                    })
+                }
+                "inv" => {
+                    let i = arr.get(1).and_then(Json::as_u64).ok_or("inv needs an index")?;
+                    Ok(Operand::Invariant(narrow_u32(i, "invariant index")?))
+                }
+                "imm" => {
+                    let v = arr.get(1).and_then(Json::as_i64).ok_or("imm needs a value")?;
+                    Ok(Operand::Immediate(v))
+                }
+                "ind" => Ok(Operand::Induction),
+                other => Err(format!("unknown operand tag {other:?}")),
+            }
+        }
+
+        /// Decodes the loop object back into a [`Loop`], reconstructing tombstone
+        /// slots so every producer slot index of the wire form stays valid. A body
+        /// with a dependence cycle of zero total distance is rejected: no II can
+        /// schedule it, so the II search would walk its whole range to fail.
+        pub fn decode_loop(json: &Json) -> Result<Loop, String> {
+            let name =
+                json.get("name").and_then(Json::as_str).ok_or("loop needs a name")?.to_string();
+            let trip_count =
+                json.get("trip_count").and_then(Json::as_u64).ok_or("loop needs a trip_count")?;
+            let ops = json.get("ops").and_then(Json::as_arr).ok_or("loop needs an ops array")?;
+            let edges =
+                json.get("edges").and_then(Json::as_arr).ok_or("loop needs an edges array")?;
+
+            let mut ddg = Ddg::new();
+            // `tombstone[slot]`: the wire slot is `null`.
+            let tombstone: Vec<bool> = ops.iter().map(Json::is_null).collect();
+            for entry in ops {
+                if entry.is_null() {
+                    // Placeholder re-creating the tombstone: added now so later
+                    // slots keep their index, removed again below.
+                    ddg.add_op(Operation::new(OpKind::Add, Vec::new()));
+                    continue;
+                }
+                let pair = entry.as_arr().ok_or("op must be [kind, [reads]]")?;
+                let kind =
+                    op_kind_parse(pair.first().and_then(Json::as_str).ok_or("op needs a kind")?)?;
+                let reads = pair
+                    .get(1)
+                    .and_then(Json::as_arr)
+                    .ok_or("op needs a reads array")?
+                    .iter()
+                    .map(decode_operand)
+                    .collect::<Result<Vec<_>, _>>()?;
+                ddg.add_op(Operation::new(kind, reads));
+            }
+            let live = |id: u64| -> Result<OpId, String> {
+                let id = OpId(u32::try_from(id).map_err(|_| "op id out of range")?);
+                if tombstone.get(id.index()) == Some(&false) {
+                    Ok(id)
+                } else {
+                    Err(format!("edge references dead op slot {}", id.0))
+                }
+            };
+            for entry in edges {
+                let e = entry.as_arr().ok_or("edge must be [src, dst, kind, latency, distance]")?;
+                if e.len() != 5 {
+                    return Err("edge must have 5 fields".to_string());
+                }
+                let src = live(e[0].as_u64().ok_or("edge src must be a slot")?)?;
+                let dst = live(e[1].as_u64().ok_or("edge dst must be a slot")?)?;
+                let kind = dep_kind_parse(e[2].as_str().ok_or("edge kind must be a string")?)?;
+                let latency = narrow_u32(
+                    e[3].as_u64().ok_or("edge latency must be a number")?,
+                    "edge latency",
+                )?;
+                let distance = narrow_u32(
+                    e[4].as_u64().ok_or("edge distance must be a number")?,
+                    "edge distance",
+                )?;
+                ddg.add_edge(DepEdge { src, dst, kind, latency, distance });
+            }
+            for (slot, _) in tombstone.iter().enumerate().filter(|(_, &dead)| dead) {
+                ddg.remove_op(OpId(slot as u32));
+            }
+            ddg.validate().map_err(|e| format!("decoded DDG is malformed: {e}"))?;
+            if !dms_ir::analysis::cycles_have_positive_distance(&ddg) {
+                return Err("decoded DDG has a dependence cycle of zero total distance".to_string());
+            }
+            Ok(Loop { name, ddg, trip_count })
+        }
+
+        fn decode_machine(json: &Json) -> Result<WireMachine, String> {
+            let clusters = narrow_u32(
+                json.get("clusters")
+                    .and_then(Json::as_u64)
+                    .ok_or("machine needs a clusters count")?,
+                "machine clusters",
+            )?;
+            if clusters == 0 {
+                return Err("machine clusters must be at least 1".to_string());
+            }
+            Ok(WireMachine {
+                unclustered: json.get("unclustered").and_then(Json::as_bool).unwrap_or(false),
+                clusters: at_most(clusters, MAX_CLUSTERS, "machine clusters")?,
+                copy_units: at_most(
+                    narrow_u32(
+                        json.get("copy_units").and_then(Json::as_u64).unwrap_or(1),
+                        "machine copy_units",
+                    )?,
+                    MAX_COPY_UNITS,
+                    "machine copy_units",
+                )?,
+                cqrf_capacity: match json.get("cqrf_capacity") {
+                    None | Some(Json::Null) => None,
+                    Some(v) => Some(narrow_u32(
+                        v.as_u64().ok_or("cqrf_capacity must be a number or null")?,
+                        "machine cqrf_capacity",
+                    )?),
+                },
+                topology: match json.get("topology") {
+                    None | Some(Json::Null) => TopologyKind::Ring,
+                    Some(v) => TopologyKind::parse(v.as_str().ok_or("topology must be a string")?)?,
+                },
+            })
+        }
+
+        /// Decodes one request line.
+        ///
+        /// # Errors
+        ///
+        /// Returns a message suitable for an [`encode_error`] reply.
+        pub fn decode_request(line: &str) -> Result<WireRequest, String> {
+            let json = parse(line)?;
+            match json.get("op").and_then(Json::as_str) {
+                Some("stats") => Ok(WireRequest::Stats),
+                Some("metrics") => Ok(WireRequest::Metrics),
+                Some("shutdown") => Ok(WireRequest::Shutdown),
+                Some("schedule") => {
+                    let body = decode_loop(json.get("loop").ok_or("schedule needs a loop")?)?;
+                    let machine =
+                        decode_machine(json.get("machine").ok_or("schedule needs a machine")?)?;
+                    let scheduler = match json.get("scheduler").and_then(Json::as_str) {
+                        Some("ims") => SchedulerKind::Ims,
+                        Some("dms") | None => SchedulerKind::Dms,
+                        Some(other) => return Err(format!("unknown scheduler {other:?}")),
+                    };
+                    let mut dms = DmsConfig::default();
+                    if let Some(s) = json.get("strategy").and_then(Json::as_str) {
+                        dms.strategy = SchedulerStrategy::parse(s)?;
+                        match dms.strategy {
+                            SchedulerStrategy::Dms => {}
+                            SchedulerStrategy::Beam { width } => {
+                                at_most(width, MAX_CANDIDATES, "strategy beam width")?;
+                            }
+                            SchedulerStrategy::Portfolio { n_candidates, .. } => {
+                                at_most(
+                                    n_candidates,
+                                    MAX_CANDIDATES,
+                                    "strategy portfolio candidates",
+                                )?;
+                            }
+                        }
+                    }
+                    if let Some(seed) = json.get("ii_seed").filter(|v| !v.is_null()) {
+                        dms.ii_seed = Some(narrow_u32(
+                            seed.as_u64().ok_or("ii_seed must be a number or null")?,
+                            "ii_seed",
+                        )?);
+                    }
+                    let verify_trips = match json.get("verify_trips") {
+                        None | Some(Json::Null) => None,
+                        Some(v) => Some(at_most(
+                            v.as_u64().ok_or("verify_trips must be a number or null")?,
+                            MAX_VERIFY_TRIPS,
+                            "verify_trips",
+                        )?),
+                    };
+                    let contention = match json.get("contention") {
+                        None | Some(Json::Null) => false,
+                        Some(v) => v.as_bool().ok_or("contention must be a boolean or null")?,
+                    };
+                    Ok(WireRequest::Schedule(Box::new(WireSchedule {
+                        body,
+                        machine,
+                        scheduler,
+                        dms,
+                        verify_trips,
+                        contention,
+                    })))
+                }
+                Some(other) => Err(format!("unknown op {other:?}")),
+                None => Err("request needs an \"op\" field".to_string()),
+            }
+        }
+    }
 }
 
 /// One distinct body of the test corpus and the cluster counts whose paper
@@ -506,6 +1046,354 @@ fn sccs_match_the_recursive_reference_before_and_after_conversion() {
     }
 }
 
+/// The requests the `service-mixed` benchmark sends, one per cell of its
+/// universe: 400 cells over the 1,258-loop suite, cluster counts cycling
+/// through 1–10, and a mix of plain, verified and contention-timed DMS on
+/// three topologies, IMS, and a 4-candidate portfolio (the universe of
+/// `perfbench/src/service_mixed.rs`). Then the requests of
+/// `dms-experiments client` at its defaults (4 loops on 2 and 4 clusters).
+fn served_request_lines() -> Vec<String> {
+    use dms_sched::{SchedulerStrategy, DEFAULT_EXPLOIT_PERCENT};
+    use dms_service::wire::{encode_schedule_request, WireMachine, WireSchedule};
+    use dms_service::SchedulerKind;
+
+    let loops = 1_258;
+    let suite = generate(&SuiteConfig::small(loops));
+    // D: DMS, V: verified, P: portfolio:4, I: IMS, C/B: verified and
+    // contention-timed on chordal:2 / on a bus.
+    let mix = b"DDVDPDIDCDPDVDIDBDPD";
+    let mut lines: Vec<String> = (0..400)
+        .map(|i| {
+            let kind = mix[i % mix.len()];
+            let clusters = 1 + (i * 3 % 10) as u32;
+            let body = &suite[i * loops / 400].body;
+            let useful_fus = MachineConfig::paper_clustered(clusters).total_useful_fus();
+            let strategy = match kind {
+                b'P' => SchedulerStrategy::Portfolio {
+                    n_candidates: 4,
+                    exploit_percent: DEFAULT_EXPLOIT_PERCENT,
+                },
+                _ => SchedulerStrategy::Dms,
+            };
+            encode_schedule_request(&WireSchedule {
+                body: unroll_for_machine(body, useful_fus, &UnrollPolicy::default()),
+                machine: WireMachine {
+                    unclustered: kind == b'I',
+                    clusters,
+                    copy_units: 1,
+                    cqrf_capacity: None,
+                    topology: match kind {
+                        b'C' => dms_machine::TopologyKind::ChordalRing { chord: 2 },
+                        b'B' => dms_machine::TopologyKind::Bus,
+                        _ => dms_machine::TopologyKind::Ring,
+                    },
+                },
+                scheduler: if kind == b'I' { SchedulerKind::Ims } else { SchedulerKind::Dms },
+                dms: dms_core::DmsConfig { strategy, ..dms_core::DmsConfig::default() },
+                verify_trips: matches!(kind, b'V' | b'C' | b'B')
+                    .then(|| body.trip_count.min(dms_experiments::runner::VERIFY_TRIP_CAP)),
+                contention: matches!(kind, b'C' | b'B'),
+            })
+        })
+        .collect();
+    let config = dms_experiments::ExperimentConfig::quick(4);
+    for suite_loop in &generate(&config.suite) {
+        for clusters in [2, 4] {
+            let useful_fus = MachineConfig::paper_clustered(clusters).total_useful_fus();
+            lines.push(encode_schedule_request(&WireSchedule {
+                body: unroll_for_machine(&suite_loop.body, useful_fus, &config.unroll),
+                machine: WireMachine {
+                    unclustered: false,
+                    clusters,
+                    copy_units: 1,
+                    cqrf_capacity: None,
+                    topology: dms_machine::TopologyKind::Ring,
+                },
+                scheduler: SchedulerKind::Dms,
+                dms: dms_core::DmsConfig::default(),
+                verify_trips: None,
+                contention: false,
+            }));
+        }
+    }
+    lines
+}
+
+/// Decodes `line` with the one-pass decoder and the tree reference and
+/// requires the same request (by `Debug`, so tombstones, edge ids and the
+/// `succs`/`preds` lists too) or the same error message.
+fn assert_decodes_as_the_reference(line: &str) -> bool {
+    let fast = dms_service::wire::decode_request(line);
+    let tree = reference::wire::decode_request(line);
+    match (&fast, &tree) {
+        (Ok(a), Ok(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "line {line}"),
+        (Err(a), Err(b)) => assert_eq!(a, b, "line {line}"),
+        _ => panic!("line {line}: one-pass {fast:?} vs tree {tree:?}"),
+    }
+    fast.is_ok()
+}
+
+/// The paths to every node of a JSON tree (member or element indices).
+fn json_paths(json: &Json, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    out.push(path.clone());
+    let children: Vec<&Json> = match json {
+        Json::Arr(items) => items.iter().collect(),
+        Json::Obj(members) => members.iter().map(|(_, v)| v).collect(),
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        json_paths(child, path, out);
+        path.pop();
+    }
+}
+
+fn json_at<'j>(json: &'j mut Json, path: &[usize]) -> &'j mut Json {
+    path.iter().fold(json, |node, &i| match node {
+        Json::Arr(items) => &mut items[i],
+        Json::Obj(members) => &mut members[i].1,
+        _ => unreachable!("paths only lead through arrays and objects"),
+    })
+}
+
+fn shuffle_members(json: &mut Json, rng: &mut StdRng) {
+    match json {
+        Json::Arr(items) => items.iter_mut().for_each(|item| shuffle_members(item, rng)),
+        Json::Obj(members) => {
+            for i in (1..members.len()).rev() {
+                members.swap(i, rng.gen_range(0..=i));
+            }
+            members.iter_mut().for_each(|(_, v)| shuffle_members(v, rng));
+        }
+        _ => {}
+    }
+}
+
+/// Renders `json` with random whitespace around every token.
+fn render_spaced(json: &Json, rng: &mut StdRng, out: &mut String) {
+    let ws = |rng: &mut StdRng, out: &mut String| {
+        for _ in 0..rng.gen_range(0..3) {
+            out.push([' ', '\t', '\n', '\r'][rng.gen_range(0..4)]);
+        }
+    };
+    ws(rng, out);
+    match json {
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render_spaced(item, rng, out);
+            }
+            ws(rng, out);
+            out.push(']');
+        }
+        Json::Obj(members) => {
+            out.push('{');
+            for (i, (k, v)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(rng, out);
+                out.push_str(&Json::Str(k.clone()).render());
+                ws(rng, out);
+                out.push(':');
+                render_spaced(v, rng, out);
+            }
+            ws(rng, out);
+            out.push('}');
+        }
+        scalar => out.push_str(&scalar.render()),
+    }
+    ws(rng, out);
+}
+
+/// One seeded mutation of a request line.
+fn mutate(line: &str, rng: &mut StdRng) -> String {
+    // A string no request holds, replaced by raw text after rendering.
+    const RAW: &str = "\u{1}raw";
+    let mut json = Json::parse(line).unwrap();
+    let mut paths = Vec::new();
+    json_paths(&json, &mut Vec::new(), &mut paths);
+    let pick = |rng: &mut StdRng, want: &dyn Fn(&Json) -> bool, json: &mut Json| {
+        let fits: Vec<&Vec<usize>> =
+            paths.iter().filter(|p| want(json_at(json, p))).collect::<Vec<_>>();
+        fits[rng.gen_range(0..fits.len())].clone()
+    };
+    let mut raw = String::new();
+    match rng.gen_range(0..10) {
+        // Permute the members of every object: edges may come before ops.
+        0 => shuffle_members(&mut json, rng),
+        // Duplicate a member, with another value, before or after it.
+        1 => {
+            let path = pick(rng, &|j| matches!(j, Json::Obj(m) if !m.is_empty()), &mut json);
+            let Json::Obj(members) = json_at(&mut json, &path) else { unreachable!() };
+            let (key, value) = members[rng.gen_range(0..members.len())].clone();
+            let value = if rng.gen_bool(0.5) { Json::Null } else { Json::Arr(vec![value]) };
+            members.insert(rng.gen_range(0..=members.len()), (key, value));
+        }
+        // An unknown member holding any value.
+        2 => {
+            let path = pick(rng, &|j| matches!(j, Json::Obj(_)), &mut json);
+            let value = json_at(&mut json, &paths[rng.gen_range(0..paths.len())]).clone();
+            let Json::Obj(members) = json_at(&mut json, &path) else { unreachable!() };
+            members.insert(rng.gen_range(0..=members.len()), ("unknown".to_string(), value));
+        }
+        // Extra whitespace between every two tokens.
+        3 => {
+            let mut out = String::new();
+            render_spaced(&json, rng, &mut out);
+            return out;
+        }
+        // A number from the edges of the integer ranges.
+        4 | 5 => {
+            let path = pick(rng, &|j| matches!(j, Json::Num(_)), &mut json);
+            let k = rng.gen_range(0..=64u32);
+            raw = match rng.gen_range(0..7) {
+                0 => "0".to_string(),
+                1 => "1".to_string(),
+                2 => ((1u128 << k) - 1).to_string(),
+                3 => (1u128 << k).to_string(),
+                4 => u32::MAX.to_string(),
+                5 => i64::MIN.to_string(),
+                _ => i64::MAX.to_string(),
+            };
+            *json_at(&mut json, &path) = Json::Str(RAW.to_string());
+        }
+        // A float where an integer was.
+        6 => {
+            let path = pick(rng, &|j| matches!(j, Json::Num(_)), &mut json);
+            raw = ["1.5", "2e3", "-0.5E-1", "7."][rng.gen_range(0..4)].to_string();
+            *json_at(&mut json, &path) = Json::Str(RAW.to_string());
+        }
+        // Nesting around the 64-level cap.
+        7 => {
+            let path = paths[rng.gen_range(0..paths.len())].clone();
+            let levels = 64 - path.len().min(64) + rng.gen_range(0..=2);
+            raw = format!("{}0{}", "[".repeat(levels), "]".repeat(levels));
+            *json_at(&mut json, &path) = Json::Str(RAW.to_string());
+        }
+        // Any node replaced by a value of another type or a telling string.
+        8 => {
+            let path = paths[rng.gen_range(0..paths.len())].clone();
+            let strings = ["add", "flow", "def", "ims", "beam:65", "chordal:3", "", "é\"\\"];
+            *json_at(&mut json, &path) = match rng.gen_range(0..6) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.gen_bool(0.5)),
+                2 => Json::Arr(Vec::new()),
+                3 => Json::Obj(Vec::new()),
+                4 => Json::Num(rng.gen_range(0..8)),
+                _ => Json::Str(strings[rng.gen_range(0..strings.len())].to_string()),
+            };
+        }
+        // A member or element removed.
+        _ => {
+            let path = pick(
+                rng,
+                &|j| {
+                    matches!(j, Json::Obj(m) if !m.is_empty())
+                        || matches!(j, Json::Arr(a) if !a.is_empty())
+                },
+                &mut json,
+            );
+            match json_at(&mut json, &path) {
+                Json::Obj(members) => drop(members.remove(rng.gen_range(0..members.len()))),
+                Json::Arr(items) => drop(items.remove(rng.gen_range(0..items.len()))),
+                _ => unreachable!(),
+            }
+        }
+    }
+    json.render().replace(&Json::Str(RAW.to_string()).render(), &raw)
+}
+
+/// The one-pass request decoder against the tree decoder it replaced, on
+/// every request the benchmark's universe and the CLI client send, then on
+/// seeded mutations of them: each line decodes to the same request or
+/// fails with the same message. Mutations cover every truncation of three
+/// lines, permuted and duplicated keys, unknown keys, extra whitespace,
+/// integers at the edges of `u32`, `i64` and beyond, floats, nesting
+/// around the 64-level cap, retyped values, removed members and elements.
+#[test]
+fn decoder_matches_the_tree_reference() {
+    let lines = served_request_lines();
+    assert_eq!(lines.len(), 408);
+    for line in &lines {
+        assert!(assert_decodes_as_the_reference(line), "a served request must decode");
+    }
+    // The shortest plain DMS, IMS and contention-timed requests.
+    let shortest =
+        |marker: &str| lines.iter().filter(|l| l.contains(marker)).min_by_key(|l| l.len()).unwrap();
+    for line in [
+        shortest(r#""scheduler":"dms","strategy":"dms","ii_seed":null,"verify_trips":null"#),
+        shortest(r#""scheduler":"ims""#),
+        shortest(r#""contention":true"#),
+    ] {
+        for end in (0..line.len()).filter(|&end| line.is_char_boundary(end)) {
+            assert_decodes_as_the_reference(&line[..end]);
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(23);
+    let (mut decoded, mutations) = (0, 3_000);
+    for _ in 0..mutations {
+        let line = mutate(&lines[rng.gen_range(0..lines.len())], &mut rng);
+        decoded += usize::from(assert_decodes_as_the_reference(&line));
+    }
+    assert!(
+        (mutations / 5..mutations * 4 / 5).contains(&decoded),
+        "{decoded} of {mutations} mutated lines decode: both outcomes must be exercised"
+    );
+}
+
+/// The response renderer against the tree it replaced, on owned and lent
+/// responses, missed and hit: plain, verified and contention-timed DMS,
+/// a portfolio search, IMS, a loop name that needs escapes, and an error.
+#[test]
+fn encoder_matches_the_tree_reference() {
+    use dms_service::{wire, LentResponse, ScheduleRequest, ScheduleService, SchedulerKind};
+    let service = ScheduleService::default();
+    let clustered = MachineConfig::paper_clustered(4);
+    let bus = MachineConfig::paper_clustered(4).with_topology(dms_machine::TopologyKind::Bus);
+    let unclustered = MachineConfig::unclustered(4);
+    let portfolio = dms_core::DmsConfig {
+        strategy: dms_sched::SchedulerStrategy::Portfolio { n_candidates: 2, exploit_percent: 50 },
+        ..dms_core::DmsConfig::default()
+    };
+    let no_load_store = MachineConfig::homogeneous(
+        4,
+        dms_machine::ClusterFus { load_store: 0, ..dms_machine::ClusterFus::PAPER },
+        LatencySpec::default(),
+    );
+    let mut bodies = kernels::all(64);
+    bodies[0].name = "fïr \"α\"\\β\n→😀\t\u{1}end".to_string();
+    for body in &bodies {
+        let dms = ScheduleRequest {
+            body,
+            machine: &clustered,
+            dms: dms_core::DmsConfig::default(),
+            scheduler: SchedulerKind::Dms,
+            verify_trips: None,
+            contention: false,
+        };
+        for req in [
+            dms,
+            ScheduleRequest { verify_trips: Some(16), ..dms },
+            ScheduleRequest { machine: &bus, verify_trips: Some(16), contention: true, ..dms },
+            ScheduleRequest { dms: portfolio, ..dms },
+            ScheduleRequest { machine: &unclustered, scheduler: SchedulerKind::Ims, ..dms },
+            ScheduleRequest { machine: &no_load_store, ..dms },
+        ] {
+            for _ in ["miss", "hit"] {
+                let lent = service.lend(&req);
+                let owned = lent.as_ref().map(LentResponse::to_response).map_err(Clone::clone);
+                let expected = reference::wire::encode_response(&owned);
+                assert_eq!(wire::encode_response(&owned), expected);
+                assert_eq!(wire::encode_lent_response(&lent), expected);
+            }
+        }
+    }
+}
+
 /// A chain of `n` adds, op `i` reading op `i - 1`, closed into one cycle by
 /// a distance-1 edge from the last op back to the first when `cyclic`.
 fn add_chain(n: u32, cyclic: bool) -> Ddg {
@@ -599,6 +1487,29 @@ fn rec_mii_of_a_100000_op_all_carried_ring_is_fast_on_a_2_mib_stack() {
             let src = x[(i + n - 1) % n];
             ddg.op_mut(x[i]).reads.push(Operand::def_at(src, 1));
             ddg.add_edge(DepEdge::flow(src, x[i], 2, 1));
+        }
+        assert_eq!(rec_mii(&ddg), Ok(2));
+    });
+    assert!(elapsed < deep_body_bound(), "took {elapsed:?}");
+}
+
+/// A 100,000-op ladder: each adjacent pair of ops forms a 2-cycle, a
+/// distance-0 edge one way and a carried edge back, so every op is the
+/// target of an edge that points later in the sweep order and the cap is
+/// 100,002 sweeps. Below the bound of 2, each bisection step stops once the
+/// relaxation's parent pointers close a cycle, a few sweeps in.
+#[test]
+fn rec_mii_of_a_100000_op_ladder_is_fast_on_a_2_mib_stack() {
+    let elapsed = timed_on_a_2_mib_stack(|| {
+        let n = 100_000;
+        let mut ddg = Ddg::new();
+        let x: Vec<OpId> =
+            (0..n).map(|_| ddg.add_op(Operation::new(OpKind::Add, Vec::new()))).collect();
+        for i in 0..n - 1 {
+            ddg.op_mut(x[i + 1]).reads.push(Operand::def(x[i]));
+            ddg.add_edge(DepEdge::flow(x[i], x[i + 1], 1, 0));
+            ddg.op_mut(x[i]).reads.push(Operand::def_at(x[i + 1], 1));
+            ddg.add_edge(DepEdge::flow(x[i + 1], x[i], 1, 1));
         }
         assert_eq!(rec_mii(&ddg), Ok(2));
     });
