@@ -436,3 +436,64 @@ fn achieved_ii_never_undercut_the_scheduled_ii() {
         }
     }
 }
+
+/// Every rendered table, and the figure-4 and figure-T CSVs, are pinned
+/// byte for byte: figures 4, 5 and 6 (with their claim lines) from the
+/// `--loops 24` 1–10-cluster sweep, figures T, C and P (`portfolio:4`)
+/// from their `--loops 24` 2/4/8-cluster sweeps, and both ablation tables
+/// of `ablation --loops 24` (clusters 6–10). Each table is followed by a
+/// blank line, as the CLI prints it.
+#[test]
+fn every_table_and_the_fig4_and_figt_csvs_match_the_committed_fixtures() {
+    use dms_experiments::ablation::{chain_policy_ablation, copy_unit_ablation, sweep_baseline};
+    use dms_experiments::{
+        figure_c, figure_p, figure_t, sweep_topologies, FIGC_CLUSTERS, FIGC_TOPOLOGIES,
+    };
+    use dms_sched::SchedulerStrategy;
+    let mut cfg = ExperimentConfig::quick(24);
+    cfg.cluster_counts = (1..=10).collect();
+    cfg.threads = 1;
+    let (measurements, stats) = measure_suite_with_stats(&cfg);
+    assert_eq!(stats.failed, 0);
+    let fig4 = figure4(&measurements);
+    assert_eq!(
+        report::fig4_csv(&fig4),
+        include_str!("fixtures/figure4_loops24.csv"),
+        "figure-4 CSV must match the fixture"
+    );
+    let mut tables = vec![
+        report::render_fig4(&fig4),
+        report::render_fig5(&figure5(&measurements)),
+        report::render_fig6(&figure6(&measurements)),
+    ];
+
+    let mut grid = ExperimentConfig::quick(24);
+    grid.cluster_counts = FIGC_CLUSTERS.to_vec();
+    grid.threads = 1;
+    let figt = figure_t(&sweep_topologies(&grid, &FIGC_TOPOLOGIES, false), &grid.cluster_counts);
+    assert_eq!(
+        report::figt_csv(&figt),
+        include_str!("fixtures/figuret_loops24.csv"),
+        "figure-T CSV must match the fixture"
+    );
+    tables.push(report::render_figt(&figt));
+    let figc = figure_c(&sweep_topologies(&grid, &FIGC_TOPOLOGIES, true), &grid.cluster_counts);
+    tables.push(report::render_figc(&figc));
+    let mut portfolio = grid.clone();
+    portfolio.dms.strategy = SchedulerStrategy::Portfolio { n_candidates: 4, exploit_percent: 50 };
+    tables.push(report::render_figp(&figure_p(&portfolio).0));
+
+    let mut wide = ExperimentConfig::quick(24);
+    wide.cluster_counts = (6..=10).collect();
+    wide.threads = 1;
+    let baseline = sweep_baseline(&wide);
+    tables.push(report::render_ablation(&copy_unit_ablation(&baseline, 2).0));
+    tables.push(report::render_ablation(&chain_policy_ablation(&baseline).0));
+
+    let text: String = tables.iter().map(|t| format!("{t}\n")).collect();
+    assert_eq!(
+        text,
+        include_str!("fixtures/tables_loops24.txt"),
+        "the rendered tables must match the fixture"
+    );
+}
