@@ -62,10 +62,10 @@ pub struct Baseline {
     pub stats: SweepStats,
 }
 
-/// Generates the suite of `config` and sweeps it once.
-pub fn sweep_baseline(config: &ExperimentConfig) -> Baseline {
+/// Generates the suite of `config` and sweeps it once on `service`, which
+/// then answers the variants too.
+pub fn sweep_baseline(config: &ExperimentConfig, service: ScheduleService) -> Baseline {
     let suite = generate(&config.suite);
-    let service = ScheduleService::default();
     let (measurements, stats) = measure_loops_with_stats_on(&suite, config, &service);
     Baseline { config: config.clone(), suite, service, rows: figure4(&measurements), stats }
 }
@@ -117,7 +117,8 @@ mod tests {
 
     #[test]
     fn copy_unit_ablation_never_increases_overhead_much() {
-        let (result, stats) = copy_unit_ablation(&sweep_baseline(&tiny_config()), 2);
+        let (result, stats) =
+            copy_unit_ablation(&sweep_baseline(&tiny_config(), ScheduleService::default()), 2);
         assert_eq!(stats.failed, 0);
         assert_eq!(result.baseline.len(), 2);
         assert_eq!(result.variant.len(), 2);
@@ -132,7 +133,8 @@ mod tests {
 
     #[test]
     fn chain_policy_ablation_produces_comparable_rows() {
-        let (result, _) = chain_policy_ablation(&sweep_baseline(&tiny_config()));
+        let (result, _) =
+            chain_policy_ablation(&sweep_baseline(&tiny_config(), ScheduleService::default()));
         assert_eq!(result.baseline.len(), result.variant.len());
         assert!(result.name.contains("chain"));
     }
@@ -141,7 +143,7 @@ mod tests {
     /// answers their IMS requests from its cache.
     #[test]
     fn both_ablations_share_one_baseline_sweep() {
-        let baseline = sweep_baseline(&tiny_config());
+        let baseline = sweep_baseline(&tiny_config(), ScheduleService::default());
         assert_eq!(baseline.stats.failed, 0);
         assert_eq!(baseline.stats.cache_hits, 0, "the baseline runs on a cold service");
         let (copy, copy_stats) = copy_unit_ablation(&baseline, 2);

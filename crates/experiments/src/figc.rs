@@ -25,7 +25,7 @@ use crate::runner::{
 };
 use dms_machine::TopologyKind;
 use dms_service::ScheduleService;
-use dms_telemetry::Telemetry;
+use dms_telemetry::Registry;
 use dms_workloads::generate;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -38,7 +38,7 @@ pub const FIGC_TOPOLOGIES: [TopologyKind; 4] = [
     TopologyKind::Crossbar,
 ];
 
-/// The cluster counts figures T and C evaluate.
+/// The cluster counts figures T, C and P evaluate.
 pub const FIGC_CLUSTERS: [u32; 3] = [2, 4, 8];
 
 /// One interconnect's share of a topology sweep.
@@ -56,22 +56,20 @@ pub struct TopologySweep {
 /// cluster counts, with end-to-end verification forced on — the sweep
 /// behind both figure T (`contention == false`) and figure C
 /// (`contention == true`, which also reports every verified program's
-/// achieved II under contention-accurate link timing).
+/// achieved II under contention-accurate link timing). Each topology runs
+/// on its own cold service, which publishes into `registry`.
 pub fn sweep_topologies(
     config: &ExperimentConfig,
     topologies: &[TopologyKind],
     contention: bool,
+    registry: &Arc<Registry>,
 ) -> Vec<TopologySweep> {
-    // Each topology gets a cold service. They publish into the installed
-    // telemetry registry, if any, so a `--metrics-json` dump counts the
-    // sweep's link stalls and cache traffic.
-    let registry = Telemetry::current().registry().cloned().unwrap_or_default();
     let suite = generate(&config.suite);
     topologies
         .iter()
         .map(|&topology| {
             let cfg = ExperimentConfig { topology, verify: true, contention, ..config.clone() };
-            let service = ScheduleService::with_registry(Arc::clone(&registry));
+            let service = ScheduleService::with_registry(Arc::clone(registry));
             let (measurements, stats) = measure_loops_with_stats_on(&suite, &cfg, &service);
             TopologySweep { topology, measurements, stats }
         })
@@ -135,7 +133,7 @@ mod tests {
     fn figure_c_covers_every_topology_and_cluster_count() {
         let mut cfg = ExperimentConfig::quick(6);
         cfg.cluster_counts = FIGC_CLUSTERS.to_vec();
-        let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, true);
+        let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, true, &Default::default());
         let rows = figure_c(&sweeps, &cfg.cluster_counts);
         assert_eq!(rows.len(), FIGC_TOPOLOGIES.len() * FIGC_CLUSTERS.len());
         for s in &sweeps {
@@ -159,7 +157,7 @@ mod tests {
     fn replay_never_beats_the_schedule_and_crossbars_never_stall() {
         let mut cfg = ExperimentConfig::quick(8);
         cfg.cluster_counts = vec![8];
-        let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, true);
+        let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, true, &Default::default());
         let rows = figure_c(&sweeps, &cfg.cluster_counts);
         let raw: Vec<&LoopMeasurement> = sweeps.iter().flat_map(|s| &s.measurements).collect();
         for m in &raw {
@@ -188,7 +186,7 @@ mod tests {
     fn a_topology_filter_restricts_the_sweep() {
         let mut cfg = ExperimentConfig::quick(3);
         cfg.cluster_counts = vec![2];
-        let sweeps = sweep_topologies(&cfg, &[TopologyKind::Bus], true);
+        let sweeps = sweep_topologies(&cfg, &[TopologyKind::Bus], true, &Default::default());
         assert_eq!(figure_c(&sweeps, &cfg.cluster_counts).len(), 1);
         assert_eq!(sweeps.len(), 1);
         assert!(sweeps[0].measurements.iter().all(|m| m.topology == "bus"));

@@ -13,16 +13,8 @@
 //! code, executed on the machine interpreter and bit-compared against a
 //! scalar reference of its source loop.
 
-use crate::runner::{
-    mean, measure_suite_with_stats, per_cluster, percent, ExperimentConfig, LoopMeasurement,
-    SweepStats,
-};
-use dms_core::SchedulerStrategy;
-use dms_sched::DEFAULT_PORTFOLIO_CANDIDATES;
+use crate::runner::{mean, per_cluster, percent, ExperimentConfig, LoopMeasurement};
 use serde::{Deserialize, Serialize};
-
-/// The cluster counts figure P evaluates (figure T's, for comparability).
-pub const FIGP_CLUSTERS: [u32; 3] = [2, 4, 8];
 
 /// One per-cluster-count aggregate of figure P.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,12 +43,13 @@ pub struct FigPRow {
     pub verified_stores: u64,
 }
 
-/// Aggregates a portfolio sweep into per-cluster-count rows. Every row of
-/// the sweep carries both the winner's II and the plain heuristic's II, so
-/// no second baseline sweep is needed.
-fn aggregate(strategy: &str, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<FigPRow> {
-    per_cluster(rows, clusters, |c, of_c| FigPRow {
-        strategy: strategy.to_string(),
+/// Figure P: one row per configured cluster count of a sweep of `config`,
+/// labelled with its strategy. Every row of the sweep carries both the
+/// winner's II and the plain heuristic's II, so no second baseline sweep is
+/// needed.
+pub fn figure_p(measurements: &[LoopMeasurement], config: &ExperimentConfig) -> Vec<FigPRow> {
+    per_cluster(measurements, &config.cluster_counts, |c, of_c| FigPRow {
+        strategy: config.dms.strategy.label(),
         clusters: c,
         loops: of_c.len(),
         recovered: of_c.iter().filter(|m| m.clustered_ii < m.baseline_ii).count(),
@@ -68,36 +61,23 @@ fn aggregate(strategy: &str, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<
     })
 }
 
-/// Runs the figure-P sweep: the configured suite under the configured
-/// search strategy (a default portfolio when the configuration still says
-/// plain `dms`), with end-to-end verification forced on — the oracle gates
-/// every portfolio winner. Returns the aggregate rows, the per-row
-/// measurements they aggregate, and the sweep's [`SweepStats`] (whose
-/// `failed` count gates the CLI exit code).
-pub fn figure_p(config: &ExperimentConfig) -> (Vec<FigPRow>, Vec<LoopMeasurement>, SweepStats) {
-    let mut cfg = ExperimentConfig { verify: true, ..config.clone() };
-    if cfg.dms.strategy == SchedulerStrategy::Dms {
-        cfg.dms.strategy = SchedulerStrategy::Portfolio {
-            n_candidates: DEFAULT_PORTFOLIO_CANDIDATES,
-            exploit_percent: dms_sched::DEFAULT_EXPLOIT_PERCENT,
-        };
-    }
-    let strategy = cfg.dms.strategy.label();
-    let (measurements, stats) = measure_suite_with_stats(&cfg);
-    (aggregate(&strategy, &measurements, &cfg.cluster_counts), measurements, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figc::FIGC_CLUSTERS;
+    use crate::runner::measure_suite_with_stats;
+    use dms_core::SchedulerStrategy;
 
     #[test]
-    fn figure_p_defaults_to_a_portfolio_and_verifies_every_winner() {
+    fn figure_p_verifies_every_portfolio_winner() {
         let mut cfg = ExperimentConfig::quick(8);
-        cfg.cluster_counts = FIGP_CLUSTERS.to_vec();
-        let (rows, measurements, stats) = figure_p(&cfg);
-        assert_eq!(rows.len(), FIGP_CLUSTERS.len());
-        assert_eq!(measurements.len(), 8 * FIGP_CLUSTERS.len());
+        cfg.cluster_counts = FIGC_CLUSTERS.to_vec();
+        cfg.dms.strategy = SchedulerStrategy::Portfolio { n_candidates: 8, exploit_percent: 50 };
+        cfg.verify = true;
+        let (measurements, stats) = measure_suite_with_stats(&cfg);
+        let rows = figure_p(&measurements, &cfg);
+        assert_eq!(rows.len(), FIGC_CLUSTERS.len());
+        assert_eq!(measurements.len(), 8 * FIGC_CLUSTERS.len());
         assert!(measurements.iter().all(|m| m.verified_stores > 0));
         assert_eq!(stats.failed, 0, "figure P must verify every winning schedule");
         assert!(stats.stores_verified > 0);
@@ -136,14 +116,5 @@ mod tests {
             assert_eq!(m.candidates, 5);
             assert_eq!(m.strategy, "portfolio:6:50");
         }
-    }
-
-    #[test]
-    fn an_explicit_beam_strategy_is_respected() {
-        let mut cfg = ExperimentConfig::quick(4);
-        cfg.cluster_counts = vec![4];
-        cfg.dms.strategy = SchedulerStrategy::Beam { width: 2 };
-        let (rows, _, _) = figure_p(&cfg);
-        assert!(rows.iter().all(|r| r.strategy == "beam:2"));
     }
 }

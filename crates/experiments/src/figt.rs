@@ -71,7 +71,7 @@ mod tests {
     fn figure_t_covers_every_topology_and_cluster_count() {
         let mut cfg = ExperimentConfig::quick(6);
         cfg.cluster_counts = FIGC_CLUSTERS.to_vec();
-        let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, false);
+        let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, false, &Default::default());
         let rows = figure_t(&sweeps, &cfg.cluster_counts);
         assert_eq!(rows.len(), FIGC_TOPOLOGIES.len() * FIGC_CLUSTERS.len());
         for s in &sweeps {
@@ -100,7 +100,8 @@ mod tests {
         // higher on this deterministic suite.
         let mut cfg = ExperimentConfig::quick(10);
         cfg.cluster_counts = vec![8];
-        let rows = figure_t(&sweep_topologies(&cfg, &FIGC_TOPOLOGIES, false), &[8]);
+        let rows =
+            figure_t(&sweep_topologies(&cfg, &FIGC_TOPOLOGIES, false, &Default::default()), &[8]);
         let pct = |label: &str| {
             rows.iter().find(|r| r.topology == label).map(|r| r.percent_no_overhead).unwrap()
         };

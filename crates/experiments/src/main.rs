@@ -50,11 +50,11 @@
 //! test pins the CSVs byte-identical with it on and off).
 
 use dms_experiments::ablation::{chain_policy_ablation, copy_unit_ablation, sweep_baseline};
-use dms_experiments::report;
+use dms_experiments::report::{self, Figure, FIG4, FIG5, FIG6, FIGC, FIGP, FIGT};
 use dms_experiments::{
     figure4, figure5, figure6, figure_c, figure_p, figure_t, measure_loops_with_stats_on,
-    sweep_topologies, ExperimentConfig, LoopMeasurement, SweepStats, TopologySweep, FIGC_CLUSTERS,
-    FIGC_TOPOLOGIES, FIGP_CLUSTERS,
+    sweep_topologies, ExperimentConfig, LoopMeasurement, ScheduleService, SweepStats,
+    TopologySweep, FIGC_CLUSTERS, FIGC_TOPOLOGIES,
 };
 use dms_machine::TopologyKind;
 use dms_sched::SchedulerStrategy;
@@ -62,7 +62,7 @@ use dms_telemetry::Registry;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Command {
     Fig4,
     Fig5,
@@ -72,6 +72,8 @@ enum Command {
     FigC,
     Ablation,
     All,
+    Serve,
+    Client,
 }
 
 #[derive(Debug)]
@@ -87,42 +89,71 @@ struct Cli {
     /// Interconnects the figT/figC sweep covers (ignored by every other
     /// command, which uses `config.topology`).
     grid_topologies: Vec<TopologyKind>,
+    /// The address `serve` binds and `client` connects to.
+    addr: String,
+    /// Whether `client` asks the server to shut down when it is done.
+    shutdown: bool,
 }
 
 const USAGE: &str = "usage: dms-experiments [fig4|fig5|fig6|figT|figP|figC|ablation|all] [--loops N] [--clusters A,B,C] [--seed S] [--csv DIR] [--threads T] [--verify] [--contention] [--cqrf-capacity N] [--topology ring|chordal[:K]|bus|crossbar] [--strategy dms|beam:W|portfolio:N[:E]] [--metrics-json PATH]\n       dms-experiments serve [--addr HOST:PORT]\n       dms-experiments client [--addr HOST:PORT] [--loops N] [--clusters A,B,C] [--seed S] [--shutdown]";
 
-fn parse_args() -> Result<Cli, String> {
+/// Whether `flag` applies to `command`: `serve` takes only `--addr`,
+/// `client` the flags of its reduced sweep, and the figure commands every
+/// flag but `--addr` and `--shutdown`.
+fn applies(command: Command, flag: &str) -> bool {
+    match command {
+        Command::Serve => flag == "--addr",
+        Command::Client => {
+            matches!(flag, "--addr" | "--loops" | "--clusters" | "--seed" | "--shutdown")
+        }
+        _ => !matches!(flag, "--addr" | "--shutdown"),
+    }
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut command = Command::All;
+    let mut keyword = "all".to_string();
     let mut config = ExperimentConfig::paper();
     let mut csv_dir = None;
     let mut metrics_json = None;
-    let mut clusters_given = false;
+    let mut addr = "127.0.0.1:47117".to_string();
+    let mut shutdown = false;
+    let mut flags: Vec<String> = Vec::new();
     let mut topology_arg: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        if arg.starts_with("--") {
+            flags.push(arg.clone());
+        }
+        let keyword_command = match arg.as_str() {
+            "fig4" => Some(Command::Fig4),
+            "fig5" => Some(Command::Fig5),
+            "fig6" => Some(Command::Fig6),
+            "figT" | "figt" => Some(Command::FigT),
+            "figP" | "figp" => Some(Command::FigP),
+            "figC" | "figc" => Some(Command::FigC),
+            "ablation" => Some(Command::Ablation),
+            "all" => Some(Command::All),
+            "serve" => Some(Command::Serve),
+            "client" => Some(Command::Client),
+            _ => None,
+        };
+        if let Some(c) = keyword_command {
+            (command, keyword) = (c, arg);
+            continue;
+        }
         match arg.as_str() {
-            "fig4" => command = Command::Fig4,
-            "fig5" => command = Command::Fig5,
-            "fig6" => command = Command::Fig6,
-            "figT" | "figt" => command = Command::FigT,
-            "figP" | "figp" => command = Command::FigP,
-            "figC" | "figc" => command = Command::FigC,
-            "ablation" => command = Command::Ablation,
-            "all" => command = Command::All,
             "--loops" => config.suite.num_loops = flag_value("--loops", args.next())?,
             "--seed" => config.suite.seed = flag_value("--seed", args.next())?,
             "--threads" => config.threads = flag_value("--threads", args.next())?,
             "--clusters" => {
-                let v = args.next().ok_or("--clusters needs a value")?;
-                config.cluster_counts = parse_clusters(&v)?;
-                clusters_given = true;
+                config.cluster_counts =
+                    parse_clusters(&args.next().ok_or("--clusters needs a value")?)?;
             }
-            "--topology" => {
-                // Resolved after the loop: figC accepts a comma list, every
-                // other command a single interconnect, and figT none at all
-                // — and the command keyword may come later in the argv.
-                topology_arg = Some(args.next().ok_or("--topology needs a value")?);
-            }
+            // Resolved below: figC accepts a comma list, every other
+            // command a single interconnect, and figT none at all — and the
+            // command keyword may come later in the argv.
+            "--topology" => topology_arg = Some(args.next().ok_or("--topology needs a value")?),
             "--strategy" => {
                 let v = args.next().ok_or("--strategy needs a value")?;
                 config.dms.strategy = SchedulerStrategy::parse(&v)?;
@@ -136,6 +167,8 @@ fn parse_args() -> Result<Cli, String> {
             "--metrics-json" => {
                 metrics_json = Some(args.next().ok_or("--metrics-json needs a path")?);
             }
+            "--addr" => addr = args.next().ok_or("--addr needs a value")?,
+            "--shutdown" => shutdown = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -143,16 +176,33 @@ fn parse_args() -> Result<Cli, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    // Figures T and C compare the four interconnects at the paper's
-    // 2/4/8-cluster points unless the user picked an explicit grid. Figure
-    // T always sweeps all four, so a --topology override would be silently
-    // ignored; a --topology comma list narrows figure C's sweep. Other
-    // commands take exactly one.
-    if matches!(command, Command::FigT | Command::FigC) && !clusters_given {
-        config.cluster_counts = FIGC_CLUSTERS.to_vec();
+    if let Some(flag) = flags.iter().find(|f| !applies(command, f)) {
+        return Err(format!("{flag} does not apply to {keyword}"));
     }
+    let given = |flag: &str| flags.iter().any(|f| f == flag);
+    // Figures T, C and P compare at the paper's 2/4/8-cluster points, and
+    // the client smoke drives 4 loops at 2 and 4 clusters, unless the user
+    // picked an explicit grid.
+    if !given("--clusters") {
+        match command {
+            Command::FigT | Command::FigC | Command::FigP => {
+                config.cluster_counts = FIGC_CLUSTERS.to_vec();
+            }
+            Command::Client => config.cluster_counts = vec![2, 4],
+            _ => {}
+        }
+    }
+    if command == Command::Client && !given("--loops") {
+        config.suite.num_loops = 4;
+    }
+    // Figure T always sweeps all four topologies without contention
+    // timing, so either flag would be silently ignored; a --topology comma
+    // list narrows figure C's sweep. Other commands take one topology.
     if command == Command::FigT && topology_arg.is_some() {
         return Err("figT sweeps every topology; --topology does not apply".to_string());
+    }
+    if command == Command::FigT && config.contention {
+        return Err("figT reports the scheduled II; figC times contention".to_string());
     }
     let mut grid_topologies = FIGC_TOPOLOGIES.to_vec();
     if let Some(v) = &topology_arg {
@@ -170,15 +220,10 @@ fn parse_args() -> Result<Cli, String> {
             config.topology = TopologyKind::parse(v)?;
         }
     }
-    // Figure P compares the portfolio against its embedded baseline at the
-    // same 2/4/8-cluster points unless the user picked an explicit grid.
-    // An explicit --strategy still applies; the default-portfolio swap is
-    // resolved here so the run banner reports the strategy actually swept
-    // (`figure_p` repeats the override as a safety net for library callers).
+    // Figure P verifies every winner and, unless told otherwise, runs the
+    // default portfolio against its embedded plain-DMS baseline.
     if command == Command::FigP {
-        if !clusters_given {
-            config.cluster_counts = FIGP_CLUSTERS.to_vec();
-        }
+        config.verify = true;
         if config.dms.strategy == SchedulerStrategy::Dms {
             config.dms.strategy = SchedulerStrategy::Portfolio {
                 n_candidates: dms_sched::DEFAULT_PORTFOLIO_CANDIDATES,
@@ -186,7 +231,7 @@ fn parse_args() -> Result<Cli, String> {
             };
         }
     }
-    Ok(Cli { command, config, csv_dir, metrics_json, grid_topologies })
+    Ok(Cli { command, config, csv_dir, metrics_json, grid_topologies, addr, shutdown })
 }
 
 /// Parses the value that follows `flag` on the command line.
@@ -227,98 +272,45 @@ fn write_csv(dir: &str, name: &str, contents: &str) {
     }
 }
 
-fn run_serve(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:47117".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => {
-                    eprintln!("--addr needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown serve argument: {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // The served registry is also installed process-wide, so the
-    // scheduler core's events (II attempts, pressure retries, chain
-    // dismantles, link stalls) show up in `{"op":"metrics"}` scrapes
-    // alongside the cache counters and request latencies.
-    let registry = Arc::new(Registry::new());
-    dms_telemetry::install(Arc::clone(&registry));
-    let service = std::sync::Arc::new(dms_service::ScheduleService::with_registry(registry));
-    match dms_service::net::serve(addr.as_str(), service) {
-        Ok(()) => {
-            println!("dms-service shut down cleanly");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: could not serve on {addr}: {e}");
-            ExitCode::FAILURE
+/// Prints `figure`'s table of `rows` and, with `--csv DIR`, writes its CSV
+/// to `DIR/figure{id}.csv` and the `measurements` it aggregates, if given,
+/// to `DIR/measurements{id}.csv`.
+fn publish<R>(
+    cli: &Cli,
+    figure: &Figure<R>,
+    rows: &[R],
+    id: &str,
+    measurements: Option<&[LoopMeasurement]>,
+) {
+    println!("{}", figure.table(rows));
+    if let Some(dir) = &cli.csv_dir {
+        write_csv(dir, &format!("figure{id}.csv"), &figure.csv(rows));
+        if let Some(m) = measurements {
+            write_csv(dir, &format!("measurements{id}.csv"), &report::measurements_csv(m));
         }
     }
 }
 
-fn run_client(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:47117".to_string();
-    let mut loops = 4usize;
-    let mut clusters: Vec<u32> = vec![2, 4];
-    let mut seed: Option<u64> = None;
-    let mut shutdown = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| it.next().cloned().ok_or(format!("{name} needs a value"));
-        let parsed = match arg.as_str() {
-            "--addr" => take("--addr").map(|v| addr = v),
-            "--loops" => flag_value("--loops", it.next().cloned()).map(|n| loops = n),
-            "--seed" => flag_value("--seed", it.next().cloned()).map(|s| seed = Some(s)),
-            "--clusters" => {
-                take("--clusters").and_then(|v| parse_clusters(&v).map(|c| clusters = c))
-            }
-            "--shutdown" => {
-                shutdown = true;
-                Ok(())
-            }
-            other => Err(format!("unknown client argument: {other}\n{USAGE}")),
-        };
-        if let Err(msg) = parsed {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+/// Fails the run if any task of a verified sweep failed: a failed task is
+/// a compiler bug.
+fn gate_verified(failed: usize) -> ExitCode {
+    if failed > 0 {
+        eprintln!("error: {failed} task(s) failed end-to-end verification");
+        return ExitCode::FAILURE;
     }
-    match drive_service(&addr, loops, &clusters, seed, shutdown) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    ExitCode::SUCCESS
 }
 
 /// The client smoke loop: replays a reduced sweep against a freshly started
 /// server, one DMS request per (loop, cluster-count) cell, and checks that
 /// every served line equals, byte for byte, the line a local service
 /// answers the same request with.
-fn drive_service(
-    addr: &str,
-    loops: usize,
-    clusters: &[u32],
-    seed: Option<u64>,
-    shutdown: bool,
-) -> Result<(), String> {
+fn drive_service(cli: &Cli) -> Result<(), String> {
     use dms_service::net::{answer_schedule, Client};
     use dms_service::wire::{self, Json, WireMachine, WireRequest, WireSchedule};
 
-    let mut config = ExperimentConfig::quick(loops);
-    if let Some(s) = seed {
-        config.suite.seed = s;
-    }
-    let local = dms_service::ScheduleService::default();
+    let (addr, config) = (&cli.addr, &cli.config);
+    let local = ScheduleService::default();
     let mut client = Client::connect_with_retry(addr)
         .map_err(|e| format!("could not connect to {addr}: {e}"))?;
     let io = |e: std::io::Error| format!("connection to {addr} failed: {e}");
@@ -327,7 +319,7 @@ fn drive_service(
     let mut total = 0usize;
     let mut last_request = None;
     for suite_loop in &dms_workloads::generate(&config.suite) {
-        for &c in clusters {
+        for &c in &config.cluster_counts {
             // Unroll exactly as the sweep executor does.
             let useful_fus = dms_machine::MachineConfig::paper_clustered(c).total_useful_fus();
             let body =
@@ -390,7 +382,7 @@ fn drive_service(
     println!("server metrics after the sweep:");
     print!("{exposition}");
 
-    if shutdown {
+    if cli.shutdown {
         client.roundtrip(&wire::encode_shutdown_request()).map_err(io)?;
         println!("server asked to shut down");
     }
@@ -398,14 +390,7 @@ fn drive_service(
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("serve") => return run_serve(&argv[1..]),
-        Some("client") => return run_client(&argv[1..]),
-        _ => {}
-    }
-
-    let cli = match parse_args() {
+    let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(msg) => {
             eprintln!("{msg}");
@@ -413,18 +398,40 @@ fn main() -> ExitCode {
         }
     };
 
-    // One registry for the whole run: the sweep's service publishes its
+    // One registry for the whole run: the sweep's services publish their
     // cache counters and request latencies into it, the phase timers land
-    // in it, and — when `--metrics-json` asks for the dump — it is also
-    // installed process-wide so the scheduler core's events are counted.
-    // Collection is observation-only, so installing it cannot change a
-    // single scheduled cycle (a workspace test pins the CSVs byte-identical
-    // either way).
+    // in it, and — when `--metrics-json` asks for the dump, or when serving
+    // `{"op":"metrics"}` scrapes — it is also installed process-wide so the
+    // scheduler core's events are counted. Collection is observation-only,
+    // so installing it cannot change a single scheduled cycle (a workspace
+    // test pins the CSVs byte-identical either way).
     let registry = Arc::new(Registry::new());
-    if cli.metrics_json.is_some() {
+    if cli.metrics_json.is_some() || cli.command == Command::Serve {
         dms_telemetry::install(Arc::clone(&registry));
     }
-    let code = run(&cli, &registry);
+    let code = match cli.command {
+        Command::Serve => {
+            let service = Arc::new(ScheduleService::with_registry(Arc::clone(&registry)));
+            match dms_service::net::serve(cli.addr.as_str(), service) {
+                Ok(()) => {
+                    println!("dms-service shut down cleanly");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("error: could not serve on {}: {e}", cli.addr);
+                    ExitCode::FAILURE
+                }
+            }
+        }
+        Command::Client => match drive_service(&cli) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                ExitCode::FAILURE
+            }
+        },
+        _ => run(&cli, &registry),
+    };
     if let Some(path) = &cli.metrics_json {
         match std::fs::write(path, registry.render_json()) {
             Ok(()) => println!("wrote {path}"),
@@ -437,6 +444,7 @@ fn main() -> ExitCode {
     code
 }
 
+/// Runs a figure command. Every sweep publishes into `registry`.
 fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
     let run_timer = registry.timer("dms_run_wall_nanoseconds_total");
     println!(
@@ -448,64 +456,30 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         cli.config.dms.strategy
     );
 
-    if cli.command == Command::FigP {
-        let (rows, measurements, stats) = figure_p(&cli.config);
-        println!("{}", verified_sweep_summary(&stats));
-        let recovered: usize = rows.iter().map(|r| r.recovered).sum();
-        let loops: usize = rows.iter().map(|r| r.loops).sum();
-        println!("portfolio recovered II on {recovered} of {loops} (loop, cluster-count) tasks");
-        println!();
-        println!("{}", report::render_figp(&rows));
-        if let Some(dir) = &cli.csv_dir {
-            write_csv(dir, "figureP.csv", &report::figp_csv(&rows));
-            write_csv(dir, "measurementsP.csv", &report::measurements_csv(&measurements));
-        }
-        // Figure P always verifies: any failed task is a compiler bug.
-        if stats.failed > 0 {
-            eprintln!("error: {} task(s) failed end-to-end verification", stats.failed);
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
     if matches!(cli.command, Command::FigT | Command::FigC) {
         let contention = cli.command == Command::FigC;
-        let sweeps = sweep_topologies(&cli.config, &cli.grid_topologies, contention);
+        let sweeps = sweep_topologies(&cli.config, &cli.grid_topologies, contention, registry);
         for TopologySweep { topology, stats: s, .. } in &sweeps {
             println!("{topology}: {}", verified_sweep_summary(s));
         }
         println!();
-        let measurements = || sweeps.iter().flat_map(|s| &s.measurements);
+        let raw: Vec<LoopMeasurement> =
+            sweeps.iter().flat_map(|s| s.measurements.iter().cloned()).collect();
         if contention {
-            let rows = figure_c(&sweeps, &cli.config.cluster_counts);
-            println!("{}", report::render_figc(&rows));
-            if let Some(dir) = &cli.csv_dir {
-                let raw: Vec<LoopMeasurement> = measurements().cloned().collect();
-                write_csv(dir, "figureC.csv", &report::figc_csv(&rows));
-                write_csv(dir, "measurementsC.csv", &report::measurements_csv(&raw));
-            }
+            publish(cli, &FIGC, &figure_c(&sweeps, &cli.config.cluster_counts), "C", Some(&raw));
         } else {
-            let rows = figure_t(&sweeps, &cli.config.cluster_counts);
-            println!("{}", report::render_figt(&rows));
-            if let Some(dir) = &cli.csv_dir {
-                write_csv(dir, "figureT.csv", &report::figt_csv(&rows));
-            }
-        }
-        // Both figures always verify: any failed task is a compiler bug.
-        let failed: usize = sweeps.iter().map(|s| s.stats.failed).sum();
-        if failed > 0 {
-            eprintln!("error: {failed} task(s) failed end-to-end verification");
-            return ExitCode::FAILURE;
+            publish(cli, &FIGT, &figure_t(&sweeps, &cli.config.cluster_counts), "T", None);
         }
         // The replay only adds stalls, so an achieved II below the
         // scheduled II is a timing-model bug: gate on it here so the
         // nightly paper-scale run fails loudly.
-        let impossible = measurements().filter(|m| m.achieved_ii < m.clustered_ii).count();
-        if contention && impossible > 0 {
+        let failed = sweeps.iter().map(|s| s.stats.failed).sum();
+        let impossible = raw.iter().filter(|m| m.achieved_ii < m.clustered_ii).count();
+        if failed == 0 && contention && impossible > 0 {
             eprintln!("error: {impossible} replay(s) undercut the scheduled II");
             return ExitCode::FAILURE;
         }
-        return ExitCode::SUCCESS;
+        return gate_verified(failed);
     }
 
     if cli.command == Command::Ablation {
@@ -515,7 +489,8 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         if cfg.cluster_counts.is_empty() {
             cfg.cluster_counts = vec![6, 8, 10];
         }
-        let baseline = sweep_baseline(&cfg);
+        let service = ScheduleService::with_registry(Arc::clone(registry));
+        let baseline = sweep_baseline(&cfg, service);
         let (copy, copy_stats) = copy_unit_ablation(&baseline, 2);
         println!("\n{}", report::render_ablation(&copy));
         let (chain, chain_stats) = chain_policy_ablation(&baseline);
@@ -529,10 +504,22 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
     }
 
     let scheduling_timer = registry.timer("dms_phase_scheduling_nanoseconds_total");
-    let service = dms_service::ScheduleService::with_registry(Arc::clone(registry));
+    let service = ScheduleService::with_registry(Arc::clone(registry));
     let suite = dms_workloads::generate(&cli.config.suite);
     let (measurements, stats) = measure_loops_with_stats_on(&suite, &cli.config, &service);
     let scheduling = scheduling_timer.stop();
+
+    if cli.command == Command::FigP {
+        let rows = figure_p(&measurements, &cli.config);
+        println!("{}", verified_sweep_summary(&stats));
+        let recovered: usize = rows.iter().map(|r| r.recovered).sum();
+        let loops: usize = rows.iter().map(|r| r.loops).sum();
+        println!("portfolio recovered II on {recovered} of {loops} (loop, cluster-count) tasks");
+        println!();
+        publish(cli, &FIGP, &rows, "P", Some(&measurements));
+        return gate_verified(stats.failed);
+    }
+
     let reporting_timer = registry.timer("dms_phase_reporting_nanoseconds_total");
     println!(
         "swept {} (loop, machine) tasks twice (IMS + DMS) on {} thread{} in {:.2} s \
@@ -575,27 +562,15 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
     if let Some(dir) = &cli.csv_dir {
         write_csv(dir, "measurements.csv", &report::measurements_csv(&measurements));
     }
-
-    if matches!(cli.command, Command::Fig4 | Command::All) {
-        let rows = figure4(&measurements);
-        println!("{}", report::render_fig4(&rows));
-        if let Some(dir) = &cli.csv_dir {
-            write_csv(dir, "figure4.csv", &report::fig4_csv(&rows));
-        }
+    let all = cli.command == Command::All;
+    if all || cli.command == Command::Fig4 {
+        publish(cli, &FIG4, &figure4(&measurements), "4", None);
     }
-    if matches!(cli.command, Command::Fig5 | Command::All) {
-        let rows = figure5(&measurements);
-        println!("{}", report::render_fig5(&rows));
-        if let Some(dir) = &cli.csv_dir {
-            write_csv(dir, "figure5.csv", &report::series_csv(&rows));
-        }
+    if all || cli.command == Command::Fig5 {
+        publish(cli, &FIG5, &figure5(&measurements), "5", None);
     }
-    if matches!(cli.command, Command::Fig6 | Command::All) {
-        let rows = figure6(&measurements);
-        println!("{}", report::render_fig6(&rows));
-        if let Some(dir) = &cli.csv_dir {
-            write_csv(dir, "figure6.csv", &report::series_csv(&rows));
-        }
+    if all || cli.command == Command::Fig6 {
+        publish(cli, &FIG6, &figure6(&measurements), "6", None);
     }
     // The three phases are scoped telemetry timers off one clock: the run
     // timer spans both, so scheduling + reporting + overhead == total by
@@ -614,16 +589,19 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
     // In verify mode a failed task is a compiler bug (a schedule that could
     // not be allocated, executed, or whose stores diverged from the scalar
     // reference): fail the run so scheduled CI sweeps gate on it.
-    if cli.config.verify && stats.failed > 0 {
-        eprintln!("error: {} task(s) failed end-to-end verification", stats.failed);
-        return ExitCode::FAILURE;
+    if cli.config.verify {
+        return gate_verified(stats.failed);
     }
     ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse_clusters;
+    use super::*;
+
+    fn parse(line: &str) -> Result<Cli, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
 
     #[test]
     fn cluster_lists_reject_zero_and_empty_entries() {
@@ -632,5 +610,59 @@ mod tests {
             let err = parse_clusters(bad).unwrap_err();
             assert!(err.contains("--clusters"), "{bad:?}: {err}");
         }
+    }
+
+    #[test]
+    fn a_flag_outside_its_command_is_an_error() {
+        for line in [
+            "serve --loops 3",
+            "client --verify",
+            "fig4 --addr x",
+            "fig4 --shutdown",
+            "figT --topology bus",
+            "figT --contention",
+        ] {
+            assert!(parse(line).is_err(), "{line} must be rejected");
+        }
+        assert!(parse("figT --contention").unwrap_err().contains("figC"));
+        assert!(parse("fig4 --bogus").unwrap_err().contains("unknown argument"));
+    }
+
+    #[test]
+    fn client_defaults_to_4_loops_at_2_and_4_clusters() {
+        let cli = parse("client --shutdown").unwrap();
+        assert_eq!(cli.command, Command::Client);
+        assert_eq!(cli.config.suite.num_loops, 4);
+        assert_eq!(cli.config.cluster_counts, [2, 4]);
+        assert_eq!(cli.addr, "127.0.0.1:47117");
+        assert!(cli.shutdown);
+        let cli = parse("client --loops 48 --clusters 1,3 --addr 127.0.0.1:9").unwrap();
+        assert_eq!(cli.config.suite.num_loops, 48);
+        assert_eq!(cli.config.cluster_counts, [1, 3]);
+        assert_eq!(cli.addr, "127.0.0.1:9");
+    }
+
+    #[test]
+    fn fig_p_defaults_to_a_verified_portfolio_at_2_4_and_8_clusters() {
+        let cli = parse("figP --loops 3").unwrap();
+        assert_eq!(cli.config.dms.strategy.label(), "portfolio:8:50");
+        assert_eq!(cli.config.cluster_counts, FIGC_CLUSTERS);
+        assert!(cli.config.verify);
+    }
+
+    #[test]
+    fn fig_p_keeps_an_explicit_beam_strategy() {
+        let cli = parse("figP --strategy beam:2").unwrap();
+        assert_eq!(cli.config.dms.strategy, SchedulerStrategy::Beam { width: 2 });
+        assert!(cli.config.verify);
+    }
+
+    #[test]
+    fn a_fig_c_topology_list_narrows_the_sweep() {
+        let cli = parse("figC --topology bus,crossbar").unwrap();
+        assert_eq!(cli.grid_topologies, [TopologyKind::Bus, TopologyKind::Crossbar]);
+        assert_eq!(cli.config.cluster_counts, FIGC_CLUSTERS);
+        assert_eq!(parse("figT").unwrap().grid_topologies, FIGC_TOPOLOGIES);
+        assert!(parse("fig4 --topology bus,crossbar").is_err());
     }
 }

@@ -1,4 +1,9 @@
 //! Text-table and CSV rendering of the experiment results.
+//!
+//! Each figure is one [`Figure`]: a title, one column list and the claim
+//! lines printed below its table. [`Figure::table`] and [`Figure::csv`]
+//! both render from that list, so a figure's two outputs cannot drift
+//! apart.
 
 use crate::ablation::AblationResult;
 use crate::fig4::{claim_no_overhead_up_to_8_clusters, Fig4Row};
@@ -9,6 +14,7 @@ use crate::figp::FigPRow;
 use crate::figt::FigTRow;
 use crate::runner::LoopMeasurement;
 use std::fmt::Write as _;
+use Value::{Count, Label, Real};
 
 /// Raw per-(loop, cluster-count) measurements as CSV, in sweep order.
 ///
@@ -57,286 +63,224 @@ pub fn measurements_csv(rows: &[LoopMeasurement]) -> String {
     out
 }
 
-/// Renders figure 4 as an aligned text table plus the paper's headline claim.
-pub fn render_fig4(rows: &[Fig4Row]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Figure 4 — II increase due to partitioning");
-    let _ = writeln!(
-        out,
-        "{:>8} {:>6} {:>12} {:>14} {:>14} {:>12} {:>12} {:>12}",
-        "clusters",
-        "loops",
-        "II up (%)",
-        "no overhead(%)",
-        "mean ovhd(%)",
-        "moves/loop",
-        "copies/loop",
-        "inherent(%)"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>8} {:>6} {:>12.1} {:>14.1} {:>14.1} {:>12.2} {:>12.2} {:>12.1}",
-            r.clusters,
-            r.loops,
-            r.percent_increased,
-            r.percent_no_overhead,
-            100.0 * r.mean_overhead,
-            r.mean_moves,
-            r.mean_copies,
-            r.percent_overhead_inherent
-        );
-    }
-    let worst = claim_no_overhead_up_to_8_clusters(rows);
-    if worst.is_finite() {
-        let _ = writeln!(
-            out,
-            "claim check [paper: \"over 80% of the loops do not present any overhead up to 8 clusters\"]: worst no-overhead fraction for <=8 clusters = {worst:.1}% -> {}",
-            if worst >= 80.0 { "HOLDS" } else { "DOES NOT HOLD" }
-        );
-    } else {
-        let _ = writeln!(out, "claim check skipped: no rows for <=8 clusters");
-    }
-    out
+/// One cell of a figure row.
+enum Value {
+    /// A label (topology or strategy), printed as is.
+    Label(String),
+    /// A count, printed as an integer.
+    Count(u64),
+    /// A real, printed at the column's precision.
+    Real(f64),
 }
 
-/// Renders figure 5 as an aligned text table.
-pub fn render_fig5(rows: &[SeriesRow]) -> String {
-    let mut out = String::new();
-    let _ =
-        writeln!(out, "Figure 5 — relative dynamic cycle count (Set1 unclustered @ 3 FUs = 100)");
-    let _ = writeln!(
-        out,
-        "{:>4} {:>6} {:>10} {:>10} {:>10} {:>10} {:>9} {:>9}",
-        "FUs", "clstrs", "S1-unclu", "S1-clust", "S2-unclu", "S2-clust", "S1 slow", "S2 slow"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>4} {:>6} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>9.3} {:>9.3}",
-            r.functional_units,
-            r.clusters,
-            r.set1_unclustered,
-            r.set1_clustered,
-            r.set2_unclustered,
-            r.set2_clustered,
-            r.set1_slowdown(),
-            r.set2_slowdown()
-        );
-    }
-    out
+/// A column's text-table half: header, width, precision and scale (the
+/// factor a real is multiplied by before printing; 100 shows a ratio as a
+/// percentage).
+type Text = (&'static str, usize, usize, f64);
+
+/// A column's CSV half: header and precision.
+type Csv = (&'static str, usize);
+
+/// One column of a figure: its text-table half, its CSV half (either may
+/// be absent) and the row value.
+#[derive(Debug)]
+struct Column<R>(Option<Text>, Option<Csv>, fn(&R) -> Value);
+
+const fn both<R>(text: Text, csv: Csv, value: fn(&R) -> Value) -> Column<R> {
+    Column(Some(text), Some(csv), value)
 }
 
-/// Renders figure 6 as an aligned text table plus the paper's qualitative
-/// claims.
-pub fn render_fig6(rows: &[SeriesRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Figure 6 — IPC (useful operations only, kernel + prologue + epilogue)");
-    let _ = writeln!(
-        out,
-        "{:>4} {:>6} {:>10} {:>10} {:>10} {:>10}",
-        "FUs", "clstrs", "S1-unclu", "S1-clust", "S2-unclu", "S2-clust"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>4} {:>6} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
-            r.functional_units,
-            r.clusters,
-            r.set1_unclustered,
-            r.set1_clustered,
-            r.set2_unclustered,
-            r.set2_clustered
-        );
-    }
-    let (saturates, improves) = claim_ipc_trends(rows);
-    if rows.last().map(|r| r.clusters > 7).unwrap_or(false) {
-        let _ = writeln!(
-            out,
-            "claim check [paper: Set 1 IPC levels off beyond ~21 FUs]: {}",
-            if saturates { "HOLDS" } else { "DOES NOT HOLD" }
-        );
-        let _ = writeln!(
-            out,
-            "claim check [paper: Set 2 keeps improving across the whole range]: {}",
-            if improves { "HOLDS" } else { "DOES NOT HOLD" }
-        );
-    }
-    out
+const fn text_only<R>(text: Text, value: fn(&R) -> Value) -> Column<R> {
+    Column(Some(text), None, value)
 }
 
-/// Renders figure T as an aligned text table.
-pub fn render_figt(rows: &[FigTRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Figure T — achievable II across interconnect topologies (verified)");
-    let _ = writeln!(
-        out,
-        "{:>10} {:>8} {:>6} {:>14} {:>13} {:>11} {:>13} {:>15}",
-        "topology",
-        "clusters",
-        "loops",
-        "no overhead(%)",
-        "mean ovhd(%)",
-        "moves/loop",
-        "II retries",
-        "verified stores"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>10} {:>8} {:>6} {:>14.1} {:>13.1} {:>11.2} {:>13} {:>15}",
-            r.topology,
-            r.clusters,
-            r.loops,
-            r.percent_no_overhead,
-            100.0 * r.mean_overhead,
-            r.mean_moves,
-            r.pressure_retries,
-            r.verified_stores
-        );
-    }
-    out
+/// The layout of one figure's text table and CSV.
+#[derive(Debug)]
+pub struct Figure<R: 'static> {
+    title: &'static str,
+    columns: &'static [Column<R>],
+    /// The lines printed below the table (the paper's claim checks).
+    claims: fn(&[R]) -> String,
 }
 
-/// Figure T as CSV.
-pub fn figt_csv(rows: &[FigTRow]) -> String {
-    let mut out = String::from(
-        "topology,clusters,loops,percent_no_overhead,mean_overhead,mean_moves,\
-         pressure_retries,verified_stores\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.4},{:.6},{:.4},{},{}",
-            r.topology,
-            r.clusters,
-            r.loops,
-            r.percent_no_overhead,
-            r.mean_overhead,
-            r.mean_moves,
-            r.pressure_retries,
-            r.verified_stores
-        );
+impl<R> Figure<R> {
+    /// The aligned text table: title, header, one line per row, claims.
+    pub fn table(&self, rows: &[R]) -> String {
+        let text = || self.columns.iter().filter_map(|c| Some((c.0?, c.2)));
+        let mut out = format!("{}\n", self.title);
+        out += &line(text().map(|((header, w, _, _), _)| format!("{header:>w$}")), " ");
+        for row in rows {
+            out += &line(
+                text().map(|((_, w, p, scale), value)| match value(row) {
+                    Label(s) => format!("{s:>w$}"),
+                    Count(n) => format!("{n:>w$}"),
+                    Real(v) => format!("{:>w$.p$}", scale * v),
+                }),
+                " ",
+            );
+        }
+        out + &(self.claims)(rows)
     }
-    out
+
+    /// The CSV: one header line, one line per row.
+    pub fn csv(&self, rows: &[R]) -> String {
+        let csv = || self.columns.iter().filter_map(|c| Some((c.1?, c.2)));
+        let mut out = line(csv().map(|((header, _), _)| header.to_string()), ",");
+        for row in rows {
+            out += &line(
+                csv().map(|((_, p), value)| match value(row) {
+                    Label(s) => s,
+                    Count(n) => n.to_string(),
+                    Real(v) => format!("{v:.p$}"),
+                }),
+                ",",
+            );
+        }
+        out
+    }
 }
 
-/// Renders figure C as an aligned text table.
-pub fn render_figc(rows: &[FigCRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Figure C — achieved II under contention replay (verified)");
-    let _ = writeln!(
-        out,
-        "{:>10} {:>8} {:>6} {:>13} {:>13} {:>12} {:>13} {:>12} {:>15}",
-        "topology",
-        "clusters",
-        "loops",
-        "sched noOv(%)",
-        "achvd noOv(%)",
-        "contended(%)",
-        "mean slow(%)",
-        "max slow(%)",
-        "verified stores"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>10} {:>8} {:>6} {:>13.1} {:>13.1} {:>12.1} {:>13.2} {:>12.1} {:>15}",
-            r.topology,
-            r.clusters,
-            r.loops,
-            r.percent_no_overhead_scheduled,
-            r.percent_no_overhead_achieved,
-            r.percent_contended,
-            100.0 * r.mean_slowdown,
-            100.0 * r.max_slowdown,
-            r.verified_stores
-        );
-    }
-    out
+/// `cells` joined by `separator`, newline-terminated.
+fn line(cells: impl Iterator<Item = String>, separator: &str) -> String {
+    cells.collect::<Vec<_>>().join(separator) + "\n"
 }
 
-/// Figure C as CSV.
-pub fn figc_csv(rows: &[FigCRow]) -> String {
-    let mut out = String::from(
-        "topology,clusters,loops,percent_no_overhead_scheduled,\
-         percent_no_overhead_achieved,percent_contended,mean_slowdown,\
-         max_slowdown,verified_stores\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.4},{:.4},{:.4},{:.6},{:.6},{}",
-            r.topology,
-            r.clusters,
-            r.loops,
-            r.percent_no_overhead_scheduled,
-            r.percent_no_overhead_achieved,
-            r.percent_contended,
-            r.mean_slowdown,
-            r.max_slowdown,
-            r.verified_stores
-        );
-    }
-    out
+fn no_claims<R>(_: &[R]) -> String {
+    String::new()
 }
 
-/// Renders figure P as an aligned text table.
-pub fn render_figp(rows: &[FigPRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Figure P — portfolio search vs the single DMS heuristic (verified)");
-    let _ = writeln!(
-        out,
-        "{:>16} {:>8} {:>6} {:>12} {:>13} {:>16} {:>16} {:>15}",
-        "strategy",
-        "clusters",
-        "loops",
-        "II recov(%)",
-        "mean II red(%)",
-        "no ovhd dms(%)",
-        "no ovhd port(%)",
-        "verified stores"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>16} {:>8} {:>6} {:>12.1} {:>13.2} {:>16.1} {:>16.1} {:>15}",
-            r.strategy,
-            r.clusters,
-            r.loops,
-            r.percent_recovered,
-            100.0 * r.mean_ii_reduction,
-            r.percent_no_overhead_dms,
-            r.percent_no_overhead,
-            r.verified_stores
-        );
-    }
-    out
-}
+/// Figure 4, with the paper's headline claim below the table.
+pub const FIG4: Figure<Fig4Row> = Figure {
+    title: "Figure 4 — II increase due to partitioning",
+    columns: &[
+        both(("clusters", 8, 0, 1.0), ("clusters", 0), |r| Count(r.clusters.into())),
+        both(("loops", 6, 0, 1.0), ("loops", 0), |r| Count(r.loops as u64)),
+        both(("II up (%)", 12, 1, 1.0), ("percent_increased", 4), |r| Real(r.percent_increased)),
+        both(("no overhead(%)", 14, 1, 1.0), ("percent_no_overhead", 4), |r| {
+            Real(r.percent_no_overhead)
+        }),
+        both(("mean ovhd(%)", 14, 1, 100.0), ("mean_overhead", 6), |r| Real(r.mean_overhead)),
+        both(("moves/loop", 12, 2, 1.0), ("mean_moves", 4), |r| Real(r.mean_moves)),
+        both(("copies/loop", 12, 2, 1.0), ("mean_copies", 4), |r| Real(r.mean_copies)),
+        text_only(("inherent(%)", 12, 1, 1.0), |r| Real(r.percent_overhead_inherent)),
+    ],
+    claims: |rows| {
+        let worst = claim_no_overhead_up_to_8_clusters(rows);
+        if worst.is_finite() {
+            format!(
+                "claim check [paper: \"over 80% of the loops do not present any overhead up to 8 clusters\"]: worst no-overhead fraction for <=8 clusters = {worst:.1}% -> {}\n",
+                if worst >= 80.0 { "HOLDS" } else { "DOES NOT HOLD" }
+            )
+        } else {
+            "claim check skipped: no rows for <=8 clusters\n".to_string()
+        }
+    },
+};
 
-/// Figure P as CSV.
-pub fn figp_csv(rows: &[FigPRow]) -> String {
-    let mut out = String::from(
-        "strategy,clusters,loops,recovered,percent_recovered,mean_ii_reduction,\
-         percent_no_overhead_dms,percent_no_overhead,verified_stores\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{:.4},{:.6},{:.4},{:.4},{}",
-            r.strategy,
-            r.clusters,
-            r.loops,
-            r.recovered,
-            r.percent_recovered,
-            r.mean_ii_reduction,
-            r.percent_no_overhead_dms,
-            r.percent_no_overhead,
-            r.verified_stores
-        );
-    }
-    out
-}
+/// Figure 5: relative cycle counts and the clustered machine's slowdowns.
+pub const FIG5: Figure<SeriesRow> = Figure {
+    title: "Figure 5 — relative dynamic cycle count (Set1 unclustered @ 3 FUs = 100)",
+    columns: &[
+        both(("FUs", 4, 0, 1.0), ("functional_units", 0), |r| Count(r.functional_units.into())),
+        both(("clstrs", 6, 0, 1.0), ("clusters", 0), |r| Count(r.clusters.into())),
+        both(("S1-unclu", 10, 1, 1.0), ("set1_unclustered", 4), |r| Real(r.set1_unclustered)),
+        both(("S1-clust", 10, 1, 1.0), ("set1_clustered", 4), |r| Real(r.set1_clustered)),
+        both(("S2-unclu", 10, 1, 1.0), ("set2_unclustered", 4), |r| Real(r.set2_unclustered)),
+        both(("S2-clust", 10, 1, 1.0), ("set2_clustered", 4), |r| Real(r.set2_clustered)),
+        text_only(("S1 slow", 9, 3, 1.0), |r| Real(r.set1_slowdown())),
+        text_only(("S2 slow", 9, 3, 1.0), |r| Real(r.set2_slowdown())),
+    ],
+    claims: no_claims,
+};
+
+/// Figure 6: IPC, with the paper's two qualitative claims below the table
+/// when the sweep reaches past 7 clusters.
+pub const FIG6: Figure<SeriesRow> = Figure {
+    title: "Figure 6 — IPC (useful operations only, kernel + prologue + epilogue)",
+    columns: &[
+        both(("FUs", 4, 0, 1.0), ("functional_units", 0), |r| Count(r.functional_units.into())),
+        both(("clstrs", 6, 0, 1.0), ("clusters", 0), |r| Count(r.clusters.into())),
+        both(("S1-unclu", 10, 2, 1.0), ("set1_unclustered", 4), |r| Real(r.set1_unclustered)),
+        both(("S1-clust", 10, 2, 1.0), ("set1_clustered", 4), |r| Real(r.set1_clustered)),
+        both(("S2-unclu", 10, 2, 1.0), ("set2_unclustered", 4), |r| Real(r.set2_unclustered)),
+        both(("S2-clust", 10, 2, 1.0), ("set2_clustered", 4), |r| Real(r.set2_clustered)),
+    ],
+    claims: |rows| {
+        if rows.last().is_none_or(|r| r.clusters <= 7) {
+            return String::new();
+        }
+        let (saturates, improves) = claim_ipc_trends(rows);
+        let verdict = |holds: bool| if holds { "HOLDS" } else { "DOES NOT HOLD" };
+        format!(
+            "claim check [paper: Set 1 IPC levels off beyond ~21 FUs]: {}\n\
+             claim check [paper: Set 2 keeps improving across the whole range]: {}\n",
+            verdict(saturates),
+            verdict(improves)
+        )
+    },
+};
+
+/// Figure T: achievable II across interconnect topologies.
+pub const FIGT: Figure<FigTRow> = Figure {
+    title: "Figure T — achievable II across interconnect topologies (verified)",
+    columns: &[
+        both(("topology", 10, 0, 1.0), ("topology", 0), |r| Label(r.topology.clone())),
+        both(("clusters", 8, 0, 1.0), ("clusters", 0), |r| Count(r.clusters.into())),
+        both(("loops", 6, 0, 1.0), ("loops", 0), |r| Count(r.loops as u64)),
+        both(("no overhead(%)", 14, 1, 1.0), ("percent_no_overhead", 4), |r| {
+            Real(r.percent_no_overhead)
+        }),
+        both(("mean ovhd(%)", 13, 1, 100.0), ("mean_overhead", 6), |r| Real(r.mean_overhead)),
+        both(("moves/loop", 11, 2, 1.0), ("mean_moves", 4), |r| Real(r.mean_moves)),
+        both(("II retries", 13, 0, 1.0), ("pressure_retries", 0), |r| Count(r.pressure_retries)),
+        both(("verified stores", 15, 0, 1.0), ("verified_stores", 0), |r| Count(r.verified_stores)),
+    ],
+    claims: no_claims,
+};
+
+/// Figure C: achieved II under contention timing.
+pub const FIGC: Figure<FigCRow> = Figure {
+    title: "Figure C — achieved II under contention replay (verified)",
+    columns: &[
+        both(("topology", 10, 0, 1.0), ("topology", 0), |r| Label(r.topology.clone())),
+        both(("clusters", 8, 0, 1.0), ("clusters", 0), |r| Count(r.clusters.into())),
+        both(("loops", 6, 0, 1.0), ("loops", 0), |r| Count(r.loops as u64)),
+        both(("sched noOv(%)", 13, 1, 1.0), ("percent_no_overhead_scheduled", 4), |r| {
+            Real(r.percent_no_overhead_scheduled)
+        }),
+        both(("achvd noOv(%)", 13, 1, 1.0), ("percent_no_overhead_achieved", 4), |r| {
+            Real(r.percent_no_overhead_achieved)
+        }),
+        both(("contended(%)", 12, 1, 1.0), ("percent_contended", 4), |r| Real(r.percent_contended)),
+        both(("mean slow(%)", 13, 2, 100.0), ("mean_slowdown", 6), |r| Real(r.mean_slowdown)),
+        both(("max slow(%)", 12, 1, 100.0), ("max_slowdown", 6), |r| Real(r.max_slowdown)),
+        both(("verified stores", 15, 0, 1.0), ("verified_stores", 0), |r| Count(r.verified_stores)),
+    ],
+    claims: no_claims,
+};
+
+/// Figure P: portfolio search against the single DMS heuristic.
+pub const FIGP: Figure<FigPRow> = Figure {
+    title: "Figure P — portfolio search vs the single DMS heuristic (verified)",
+    columns: &[
+        both(("strategy", 16, 0, 1.0), ("strategy", 0), |r| Label(r.strategy.clone())),
+        both(("clusters", 8, 0, 1.0), ("clusters", 0), |r| Count(r.clusters.into())),
+        both(("loops", 6, 0, 1.0), ("loops", 0), |r| Count(r.loops as u64)),
+        Column(None, Some(("recovered", 0)), |r| Count(r.recovered as u64)),
+        both(("II recov(%)", 12, 1, 1.0), ("percent_recovered", 4), |r| Real(r.percent_recovered)),
+        both(("mean II red(%)", 13, 2, 100.0), ("mean_ii_reduction", 6), |r| {
+            Real(r.mean_ii_reduction)
+        }),
+        both(("no ovhd dms(%)", 16, 1, 1.0), ("percent_no_overhead_dms", 4), |r| {
+            Real(r.percent_no_overhead_dms)
+        }),
+        both(("no ovhd port(%)", 16, 1, 1.0), ("percent_no_overhead", 4), |r| {
+            Real(r.percent_no_overhead)
+        }),
+        both(("verified stores", 15, 0, 1.0), ("verified_stores", 0), |r| Count(r.verified_stores)),
+    ],
+    claims: no_claims,
+};
 
 /// Renders an ablation comparison.
 pub fn render_ablation(result: &AblationResult) -> String {
@@ -358,45 +302,6 @@ pub fn render_ablation(result: &AblationResult) -> String {
         "mean reduction of loops-with-overhead: {:.1} percentage points",
         result.mean_overhead_reduction()
     );
-    out
-}
-
-/// Figure 4 as CSV.
-pub fn fig4_csv(rows: &[Fig4Row]) -> String {
-    let mut out = String::from("clusters,loops,percent_increased,percent_no_overhead,mean_overhead,mean_moves,mean_copies\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{:.4},{:.4},{:.6},{:.4},{:.4}",
-            r.clusters,
-            r.loops,
-            r.percent_increased,
-            r.percent_no_overhead,
-            r.mean_overhead,
-            r.mean_moves,
-            r.mean_copies
-        );
-    }
-    out
-}
-
-/// Figure 5 or figure 6 as CSV.
-pub fn series_csv(rows: &[SeriesRow]) -> String {
-    let mut out = String::from(
-        "functional_units,clusters,set1_unclustered,set1_clustered,set2_unclustered,set2_clustered\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{:.4},{:.4},{:.4},{:.4}",
-            r.functional_units,
-            r.clusters,
-            r.set1_unclustered,
-            r.set1_clustered,
-            r.set2_unclustered,
-            r.set2_clustered
-        );
-    }
     out
 }
 
@@ -431,7 +336,7 @@ mod tests {
 
     #[test]
     fn fig4_rendering_contains_claim() {
-        let text = render_fig4(&fig4_rows());
+        let text = FIG4.table(&fig4_rows());
         assert!(text.contains("Figure 4"));
         assert!(text.contains("HOLDS"));
         assert!(text.contains("85.0"));
@@ -494,10 +399,10 @@ mod tests {
             max_slowdown: 0.5,
             verified_stores: 654321,
         }];
-        let text = render_figc(&rows);
+        let text = FIGC.table(&rows);
         assert!(text.contains("Figure C"));
         assert!(text.contains("bus"));
-        let csv = figc_csv(&rows);
+        let csv = FIGC.csv(&rows);
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap(),
@@ -513,7 +418,7 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_rows() {
-        let csv = fig4_csv(&fig4_rows());
+        let csv = FIG4.csv(&fig4_rows());
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("clusters,"));
     }
@@ -531,10 +436,10 @@ mod tests {
             percent_no_overhead: 78.3,
             verified_stores: 123456,
         }];
-        let text = render_figp(&rows);
+        let text = FIGP.table(&rows);
         assert!(text.contains("Figure P"));
         assert!(text.contains("portfolio:8:50"));
-        let csv = figp_csv(&rows);
+        let csv = FIGP.csv(&rows);
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap(),
@@ -565,9 +470,9 @@ mod tests {
             set2_unclustered: 1.8,
             set2_clustered: 1.8,
         }];
-        assert!(render_fig5(&f5).contains("Figure 5"));
-        assert!(render_fig6(&f6).contains("Figure 6"));
-        assert!(series_csv(&f5).contains("100.0000"));
-        assert!(series_csv(&f6).contains("1.8000"));
+        assert!(FIG5.table(&f5).contains("Figure 5"));
+        assert!(FIG6.table(&f6).contains("Figure 6"));
+        assert!(FIG5.csv(&f5).contains("100.0000"));
+        assert!(FIG6.csv(&f6).contains("1.8000"));
     }
 }

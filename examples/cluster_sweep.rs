@@ -29,9 +29,9 @@ fn main() {
         started.elapsed().as_secs_f64()
     );
 
-    println!("{}", report::render_fig4(&figure4(&measurements)));
-    println!("{}", report::render_fig5(&figure5(&measurements)));
-    println!("{}", report::render_fig6(&figure6(&measurements)));
+    println!("{}", report::FIG4.table(&figure4(&measurements)));
+    println!("{}", report::FIG5.table(&figure5(&measurements)));
+    println!("{}", report::FIG6.table(&figure6(&measurements)));
 
     // A couple of derived observations a user might care about:
     let at8: Vec<_> = measurements.iter().filter(|m| m.clusters == 8).collect();

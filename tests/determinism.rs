@@ -37,18 +37,18 @@ fn csv_output_is_byte_identical_for_1_and_4_threads() {
         "raw measurement CSV must not depend on the worker count"
     );
     assert_eq!(
-        report::fig4_csv(&figure4(&serial)),
-        report::fig4_csv(&figure4(&parallel)),
+        report::FIG4.csv(&figure4(&serial)),
+        report::FIG4.csv(&figure4(&parallel)),
         "figure 4 CSV must not depend on the worker count"
     );
     assert_eq!(
-        report::series_csv(&figure5(&serial)),
-        report::series_csv(&figure5(&parallel)),
+        report::FIG5.csv(&figure5(&serial)),
+        report::FIG5.csv(&figure5(&parallel)),
         "figure 5 CSV must not depend on the worker count"
     );
     assert_eq!(
-        report::series_csv(&figure6(&serial)),
-        report::series_csv(&figure6(&parallel)),
+        report::FIG6.csv(&figure6(&serial)),
+        report::FIG6.csv(&figure6(&parallel)),
         "figure 6 CSV must not depend on the worker count"
     );
 }
@@ -289,14 +289,14 @@ fn contention_replay_csv_is_byte_identical_for_1_and_4_threads() {
     let mut parallel = serial.clone();
     parallel.threads = 4;
 
-    let sweeps_a = sweep_topologies(&serial, &kinds, true);
-    let sweeps_b = sweep_topologies(&parallel, &kinds, true);
+    let sweeps_a = sweep_topologies(&serial, &kinds, true, &Default::default());
+    let sweeps_b = sweep_topologies(&parallel, &kinds, true, &Default::default());
     for s in sweeps_a.iter().chain(&sweeps_b) {
         assert_eq!(s.stats.failed, 0, "{}: every replayed schedule must verify", s.topology);
     }
     assert_eq!(
-        report::figc_csv(&figure_c(&sweeps_a, &serial.cluster_counts)),
-        report::figc_csv(&figure_c(&sweeps_b, &parallel.cluster_counts)),
+        report::FIGC.csv(&figure_c(&sweeps_a, &serial.cluster_counts)),
+        report::FIGC.csv(&figure_c(&sweeps_b, &parallel.cluster_counts)),
         "figure C aggregate CSV must not depend on the worker count"
     );
     for (a, b) in sweeps_a.iter().zip(&sweeps_b) {
@@ -319,7 +319,7 @@ fn figc_grid_matches_the_committed_fixture() {
     let mut cfg = ExperimentConfig::quick(24);
     cfg.cluster_counts = FIGC_CLUSTERS.to_vec();
     cfg.threads = 1;
-    let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, true);
+    let sweeps = sweep_topologies(&cfg, &FIGC_TOPOLOGIES, true, &Default::default());
     assert!(sweeps.iter().all(|s| s.stats.failed == 0), "every replayed schedule must verify");
     let rows: Vec<_> = sweeps.iter().flat_map(|s| s.measurements.iter().cloned()).collect();
     assert_eq!(rows.len(), 288);
@@ -329,7 +329,7 @@ fn figc_grid_matches_the_committed_fixture() {
         "figure-C per-row CSV must match the fixture"
     );
     assert_eq!(
-        report::figc_csv(&figure_c(&sweeps, &cfg.cluster_counts)),
+        report::FIGC.csv(&figure_c(&sweeps, &cfg.cluster_counts)),
         include_str!("fixtures/figurec_loops24.csv"),
         "figure-C aggregate CSV must match the fixture"
     );
@@ -341,16 +341,18 @@ fn figc_grid_matches_the_committed_fixture() {
 /// so this is the test that catches a change to that hash.
 #[test]
 fn figp_grid_matches_the_committed_fixture() {
-    use dms_experiments::{figure_p, FIGP_CLUSTERS};
+    use dms_experiments::{figure_p, FIGC_CLUSTERS};
     use dms_sched::SchedulerStrategy;
     let mut cfg = ExperimentConfig::quick(24);
-    cfg.cluster_counts = FIGP_CLUSTERS.to_vec();
+    cfg.cluster_counts = FIGC_CLUSTERS.to_vec();
     cfg.threads = 1;
+    cfg.verify = true;
     cfg.dms.strategy = SchedulerStrategy::Portfolio { n_candidates: 4, exploit_percent: 50 };
-    let (rows, measurements, stats) = figure_p(&cfg);
+    let (measurements, stats) = measure_suite_with_stats(&cfg);
+    let rows = figure_p(&measurements, &cfg);
     assert_eq!(stats.failed, 0, "figure P verifies every winning schedule");
     assert_eq!(
-        report::figp_csv(&rows),
+        report::FIGP.csv(&rows),
         include_str!("fixtures/figurep_loops24.csv"),
         "figure-P aggregate CSV must match the fixture"
     );
@@ -392,12 +394,12 @@ fn fig5_and_fig6_match_the_committed_fixtures() {
     let (measurements, stats) = measure_suite_with_stats(&cfg);
     assert_eq!(stats.failed, 0);
     assert_eq!(
-        report::series_csv(&figure5(&measurements)),
+        report::FIG5.csv(&figure5(&measurements)),
         include_str!("fixtures/figure5_loops24.csv"),
         "figure-5 CSV must match the fixture"
     );
     assert_eq!(
-        report::series_csv(&figure6(&measurements)),
+        report::FIG6.csv(&figure6(&measurements)),
         include_str!("fixtures/figure6_loops24.csv"),
         "figure-6 CSV must match the fixture"
     );
@@ -457,36 +459,43 @@ fn every_table_and_the_fig4_and_figt_csvs_match_the_committed_fixtures() {
     assert_eq!(stats.failed, 0);
     let fig4 = figure4(&measurements);
     assert_eq!(
-        report::fig4_csv(&fig4),
+        report::FIG4.csv(&fig4),
         include_str!("fixtures/figure4_loops24.csv"),
         "figure-4 CSV must match the fixture"
     );
     let mut tables = vec![
-        report::render_fig4(&fig4),
-        report::render_fig5(&figure5(&measurements)),
-        report::render_fig6(&figure6(&measurements)),
+        report::FIG4.table(&fig4),
+        report::FIG5.table(&figure5(&measurements)),
+        report::FIG6.table(&figure6(&measurements)),
     ];
 
     let mut grid = ExperimentConfig::quick(24);
     grid.cluster_counts = FIGC_CLUSTERS.to_vec();
     grid.threads = 1;
-    let figt = figure_t(&sweep_topologies(&grid, &FIGC_TOPOLOGIES, false), &grid.cluster_counts);
+    let figt = figure_t(
+        &sweep_topologies(&grid, &FIGC_TOPOLOGIES, false, &Default::default()),
+        &grid.cluster_counts,
+    );
     assert_eq!(
-        report::figt_csv(&figt),
+        report::FIGT.csv(&figt),
         include_str!("fixtures/figuret_loops24.csv"),
         "figure-T CSV must match the fixture"
     );
-    tables.push(report::render_figt(&figt));
-    let figc = figure_c(&sweep_topologies(&grid, &FIGC_TOPOLOGIES, true), &grid.cluster_counts);
-    tables.push(report::render_figc(&figc));
-    let mut portfolio = grid.clone();
+    tables.push(report::FIGT.table(&figt));
+    let figc = figure_c(
+        &sweep_topologies(&grid, &FIGC_TOPOLOGIES, true, &Default::default()),
+        &grid.cluster_counts,
+    );
+    tables.push(report::FIGC.table(&figc));
+    let mut portfolio = ExperimentConfig { verify: true, ..grid.clone() };
     portfolio.dms.strategy = SchedulerStrategy::Portfolio { n_candidates: 4, exploit_percent: 50 };
-    tables.push(report::render_figp(&figure_p(&portfolio).0));
+    let measurements = measure_suite_with_stats(&portfolio).0;
+    tables.push(report::FIGP.table(&figure_p(&measurements, &portfolio)));
 
     let mut wide = ExperimentConfig::quick(24);
     wide.cluster_counts = (6..=10).collect();
     wide.threads = 1;
-    let baseline = sweep_baseline(&wide);
+    let baseline = sweep_baseline(&wide, ScheduleService::default());
     tables.push(report::render_ablation(&copy_unit_ablation(&baseline, 2).0));
     tables.push(report::render_ablation(&chain_policy_ablation(&baseline).0));
 
