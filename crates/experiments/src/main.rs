@@ -99,13 +99,16 @@ const USAGE: &str = "usage: dms-experiments [fig4|fig5|fig6|figT|figP|figC|ablat
 
 /// Whether `flag` applies to `command`: `serve` takes only `--addr`,
 /// `client` the flags of its reduced sweep, and the figure commands every
-/// flag but `--addr` and `--shutdown`.
+/// flag but `--addr` and `--shutdown`. `ablation` prints two tables and
+/// neither writes a CSV nor reports contention timing, so it also refuses
+/// `--csv` and `--contention`.
 fn applies(command: Command, flag: &str) -> bool {
     match command {
         Command::Serve => flag == "--addr",
         Command::Client => {
             matches!(flag, "--addr" | "--loops" | "--clusters" | "--seed" | "--shutdown")
         }
+        Command::Ablation => !matches!(flag, "--addr" | "--shutdown" | "--csv" | "--contention"),
         _ => !matches!(flag, "--addr" | "--shutdown"),
     }
 }
@@ -626,6 +629,20 @@ mod tests {
         }
         assert!(parse("figT --contention").unwrap_err().contains("figC"));
         assert!(parse("fig4 --bogus").unwrap_err().contains("unknown argument"));
+    }
+
+    #[test]
+    fn ablation_refuses_the_flags_it_would_ignore() {
+        for line in ["ablation --loops 2 --csv out", "ablation --loops 2 --contention"] {
+            let flag = line.split_whitespace().nth(3).unwrap();
+            assert_eq!(parse(line).err(), Some(format!("{flag} does not apply to ablation")));
+        }
+        let cli = parse("ablation --loops 2 --verify --metrics-json m.json").unwrap();
+        assert_eq!(cli.command, Command::Ablation);
+        assert!(cli.config.verify);
+        // The other figure commands keep both flags.
+        assert!(parse("fig4 --loops 2 --csv out --contention").is_ok());
+        assert!(parse("all --loops 2 --csv out --contention").is_ok());
     }
 
     #[test]

@@ -8,10 +8,20 @@
 //! Operations and edges can be removed again (the DMS scheduler inserts and
 //! removes `Move` chains while scheduling); removal leaves a tombstone so
 //! that [`OpId`]s and [`EdgeId`]s remain stable.
+//!
+//! The graph is four flat vectors, so building or cloning one allocates a
+//! fixed number of blocks (plus each operation's operand list): the op
+//! table, the edge table, per op slot the first and last edge of its succ
+//! and pred lists, and per edge slot the next edge of the succ list and of
+//! the pred list it is on. An op's succs (preds) are its live outgoing
+//! (incoming) edges in ascending edge id: [`Ddg::add_edge`] appends the
+//! largest id at both tails, and [`Ddg::remove_edge`] unlinks the edge from
+//! both lists in place.
 
 use crate::op::{OpId, Operand, Operation};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Kind of a data dependence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -82,15 +92,42 @@ impl fmt::Display for DepEdge {
     }
 }
 
+/// The end of a list: no next edge, and the ends of an empty list.
+const NIL: u32 = u32::MAX;
+
+/// Index of the succ list in [`Ddg::ends`] and of the next succ in
+/// [`Ddg::next`].
+const SUCC: usize = 0;
+
+/// Index of the pred list in [`Ddg::ends`] and of the next pred in
+/// [`Ddg::next`].
+const PRED: usize = 1;
+
+/// The first and the last edge id of one op's succ or pred list.
+#[derive(Clone, Copy)]
+struct Ends {
+    first: u32,
+    last: u32,
+}
+
+impl Ends {
+    const EMPTY: Ends = Ends { first: NIL, last: NIL };
+}
+
 /// The data-dependence graph of one loop-body iteration.
-#[derive(Debug, Clone, Default, Hash, Serialize, Deserialize)]
+///
+/// `Hash` covers the op and edge tables, which decide the adjacency lists.
+/// `Debug` prints the lists as `succs` and `preds`, exactly as the derived
+/// impl of a layout with `Vec<Vec<EdgeId>>` fields would.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Ddg {
     ops: Vec<Option<Operation>>,
     edges: Vec<Option<DepEdge>>,
-    /// Outgoing edge ids per operation slot.
-    succs: Vec<Vec<EdgeId>>,
-    /// Incoming edge ids per operation slot.
-    preds: Vec<Vec<EdgeId>>,
+    /// Per op slot: the ends of its succ list and of its pred list.
+    ends: Vec<[Ends; 2]>,
+    /// Per edge slot: the next edge of its source's succ list and of its
+    /// destination's pred list ([`NIL`] at the end and once removed).
+    next: Vec<[u32; 2]>,
 }
 
 impl Ddg {
@@ -105,8 +142,8 @@ impl Ddg {
         Ddg {
             ops: Vec::with_capacity(ops),
             edges: Vec::with_capacity(edges),
-            succs: Vec::with_capacity(ops),
-            preds: Vec::with_capacity(ops),
+            ends: Vec::with_capacity(ops),
+            next: Vec::with_capacity(edges),
         }
     }
 
@@ -114,8 +151,7 @@ impl Ddg {
     pub fn add_op(&mut self, op: Operation) -> OpId {
         let id = OpId(self.ops.len() as u32);
         self.ops.push(Some(op));
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
+        self.ends.push([Ends::EMPTY; 2]);
         id
     }
 
@@ -128,11 +164,13 @@ impl Ddg {
     /// Panics if the operation does not exist or was already removed.
     pub fn remove_op(&mut self, id: OpId) {
         assert!(self.is_live(id), "remove_op: {id} is not a live operation");
-        let incident: Vec<EdgeId> =
-            self.preds[id.index()].iter().chain(self.succs[id.index()].iter()).copied().collect();
-        for e in incident {
-            if self.edges[e.index()].is_some() {
-                self.remove_edge(e);
+        for dir in [PRED, SUCC] {
+            loop {
+                let first = self.ends[id.index()][dir].first;
+                if first == NIL {
+                    break;
+                }
+                self.remove_edge(EdgeId(first));
             }
         }
         self.ops[id.index()] = None;
@@ -194,11 +232,22 @@ impl Ddg {
     pub fn add_edge(&mut self, edge: DepEdge) -> EdgeId {
         assert!(self.is_live(edge.src), "add_edge: source {} is not live", edge.src);
         assert!(self.is_live(edge.dst), "add_edge: destination {} is not live", edge.dst);
-        let id = EdgeId(self.edges.len() as u32);
-        self.succs[edge.src.index()].push(id);
-        self.preds[edge.dst.index()].push(id);
+        let id = self.edges.len() as u32;
         self.edges.push(Some(edge));
-        id
+        self.next.push([NIL; 2]);
+        self.append(SUCC, edge.src, id);
+        self.append(PRED, edge.dst, id);
+        EdgeId(id)
+    }
+
+    /// Links edge `id`, the largest so far, at the end of `op`'s `dir` list.
+    fn append(&mut self, dir: usize, op: OpId, id: u32) {
+        let ends = &mut self.ends[op.index()][dir];
+        match ends.last {
+            NIL => ends.first = id,
+            last => self.next[last as usize][dir] = id,
+        }
+        ends.last = id;
     }
 
     /// Removes an edge.
@@ -208,8 +257,32 @@ impl Ddg {
     /// Panics if the edge does not exist or was already removed.
     pub fn remove_edge(&mut self, id: EdgeId) {
         let edge = self.edges[id.index()].take().expect("edge was already removed");
-        self.succs[edge.src.index()].retain(|&e| e != id);
-        self.preds[edge.dst.index()].retain(|&e| e != id);
+        self.unlink(SUCC, edge.src, id.0);
+        self.unlink(PRED, edge.dst, id.0);
+    }
+
+    /// Unlinks edge `id` from `op`'s `dir` list, keeping the others' order.
+    fn unlink(&mut self, dir: usize, op: OpId, id: u32) {
+        let after = std::mem::replace(&mut self.next[id as usize][dir], NIL);
+        let ends = &mut self.ends[op.index()][dir];
+        let mut before = NIL;
+        let mut at = ends.first;
+        while at != id {
+            before = at;
+            at = self.next[at as usize][dir];
+        }
+        match before {
+            NIL => ends.first = after,
+            before => self.next[before as usize][dir] = after,
+        }
+        if ends.last == id {
+            ends.last = before;
+        }
+    }
+
+    /// The live edges of `op`'s `dir` list, in ascending id.
+    fn list(&self, dir: usize, op: OpId) -> List<'_> {
+        List { ddg: self, dir, at: self.ends[op.index()][dir].first }
     }
 
     /// Returns the edge with the given id, if it is still present.
@@ -226,14 +299,16 @@ impl Ddg {
             .filter_map(|(i, e)| e.as_ref().map(|edge| (EdgeId(i as u32), edge)))
     }
 
-    /// Incoming edges of an operation (dependences it must wait for).
+    /// Incoming edges of an operation (dependences it must wait for), in
+    /// ascending id.
     pub fn preds(&self, id: OpId) -> impl Iterator<Item = (EdgeId, &DepEdge)> + '_ {
-        self.preds[id.index()].iter().filter_map(move |&e| self.edge(e).map(|edge| (e, edge)))
+        self.list(PRED, id)
     }
 
-    /// Outgoing edges of an operation (dependences waiting for it).
+    /// Outgoing edges of an operation (dependences waiting for it), in
+    /// ascending id.
     pub fn succs(&self, id: OpId) -> impl Iterator<Item = (EdgeId, &DepEdge)> + '_ {
-        self.succs[id.index()].iter().filter_map(move |&e| self.edge(e).map(|edge| (e, edge)))
+        self.list(SUCC, id)
     }
 
     /// Incoming *flow* (value-carrying) edges of an operation.
@@ -283,7 +358,8 @@ impl Ddg {
     /// * every edge endpoint is a live operation,
     /// * every `Def` operand references a live operation,
     /// * store operations are never read,
-    /// * adjacency lists are consistent with the edge table.
+    /// * each succ (pred) list holds exactly the live edges out of (into) its
+    ///   op, in ascending id.
     pub fn validate(&self) -> Result<(), String> {
         for (id, edge) in self.live_edges() {
             if !self.is_live(edge.src) {
@@ -292,12 +368,33 @@ impl Ddg {
             if !self.is_live(edge.dst) {
                 return Err(format!("edge {id:?} has a removed destination {}", edge.dst));
             }
-            if !self.succs[edge.src.index()].contains(&id) {
-                return Err(format!("edge {id:?} missing from succ list of {}", edge.src));
+        }
+        let mut listed = 0;
+        for (op, ends) in self.ends.iter().enumerate() {
+            let op = OpId(op as u32);
+            for (dir, name) in [(SUCC, "succ"), (PRED, "pred")] {
+                let mut last = NIL;
+                let mut at = ends[dir].first;
+                while at != NIL {
+                    let end = self.edge(EdgeId(at)).map(|e| [e.src, e.dst][dir]);
+                    if end != Some(op) || (last != NIL && last >= at) {
+                        return Err(format!(
+                            "{:?} is out of place in the {name} list of {op}",
+                            EdgeId(at)
+                        ));
+                    }
+                    listed += 1;
+                    last = at;
+                    at = self.next[at as usize][dir];
+                }
+                if last != ends[dir].last {
+                    return Err(format!("the {name} list of {op} does not end at its last edge"));
+                }
             }
-            if !self.preds[edge.dst.index()].contains(&id) {
-                return Err(format!("edge {id:?} missing from pred list of {}", edge.dst));
-            }
+        }
+        let live = self.live_edges().count();
+        if listed != 2 * live {
+            return Err(format!("the lists hold {listed} entries for {live} live edges"));
         }
         for (id, op) in self.live_ops() {
             for (producer, _) in op.defs_read() {
@@ -310,6 +407,70 @@ impl Ddg {
             }
         }
         Ok(())
+    }
+}
+
+/// One op's succ or pred list, walked through [`Ddg::next`].
+struct List<'a> {
+    ddg: &'a Ddg,
+    dir: usize,
+    at: u32,
+}
+
+impl<'a> Iterator for List<'a> {
+    type Item = (EdgeId, &'a DepEdge);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let at = self.at;
+        if at == NIL {
+            return None;
+        }
+        self.at = self.ddg.next[at as usize][self.dir];
+        Some((EdgeId(at), self.ddg.edges[at as usize].as_ref().expect("listed edges are live")))
+    }
+}
+
+/// Every op slot's succ or pred list, rendered as `Vec<Vec<EdgeId>>` is.
+struct Lists<'a>(&'a Ddg, usize);
+
+impl fmt::Debug for Lists<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Lists(ddg, dir) = *self;
+        f.debug_list()
+            .entries((0..ddg.ops.len()).map(|op| ListIds(ddg, dir, OpId(op as u32))))
+            .finish()
+    }
+}
+
+/// The edge ids of one list, rendered as `Vec<EdgeId>` is.
+struct ListIds<'a>(&'a Ddg, usize, OpId);
+
+impl fmt::Debug for ListIds<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ListIds(ddg, dir, op) = *self;
+        f.debug_list().entries(ddg.list(dir, op).map(|(e, _)| e)).finish()
+    }
+}
+
+/// The rendering is part of the output: the benchmark orders its suite by
+/// a digest of it, so the lists print as `Vec<Vec<EdgeId>>` fields would.
+impl fmt::Debug for Ddg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ddg")
+            .field("ops", &self.ops)
+            .field("edges", &self.edges)
+            .field("succs", &Lists(self, SUCC))
+            .field("preds", &Lists(self, PRED))
+            .finish()
+    }
+}
+
+/// The op and edge tables decide the lists, so the hash leaves them out.
+impl Hash for Ddg {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.ops.hash(state);
+        self.edges.hash(state);
     }
 }
 
@@ -403,6 +564,148 @@ mod tests {
         let (mut g, a, _, _) = simple_graph();
         g.remove_op(a);
         g.remove_op(a);
+    }
+
+    /// A load, an add with a self-edge, and a copy that is removed with
+    /// its two edges; the add's first incoming edge is removed too, so
+    /// both lists of the add and the tombstones show.
+    fn pinned_graph() -> Ddg {
+        let mut g = Ddg::new();
+        let a = g.add_op(Operation::new(OpKind::Load, vec![Operand::Induction]));
+        let b = g.add_op(Operation::new(OpKind::Add, Vec::new()));
+        let c = g.add_op(Operation::new(OpKind::Copy, Vec::new()));
+        let first = g.add_edge(DepEdge::flow(a, b, 2, 0));
+        g.add_edge(DepEdge::flow(b, b, 1, 1));
+        g.add_edge(DepEdge::flow(a, c, 2, 0));
+        g.add_edge(DepEdge { src: c, dst: b, kind: DepKind::Memory, latency: 0, distance: 0 });
+        g.add_edge(DepEdge::flow(a, b, 2, 0));
+        g.remove_edge(first);
+        g.remove_op(c);
+        g
+    }
+
+    /// The rendering of the layout that kept `succs` and `preds` as
+    /// `Vec<Vec<EdgeId>>` fields and derived `Debug`.
+    const PINNED_DEBUG: &str = "Ddg { ops: [Some(Operation { kind: Load, reads: [Induction] }), Some(Operation { kind: Add, reads: [] }), None], edges: [None, Some(DepEdge { src: OpId(1), dst: OpId(1), kind: Flow, latency: 1, distance: 1 }), None, None, Some(DepEdge { src: OpId(0), dst: OpId(1), kind: Flow, latency: 2, distance: 0 })], succs: [[EdgeId(4)], [EdgeId(1)], []], preds: [[], [EdgeId(1), EdgeId(4)], []] }";
+
+    const PINNED_PRETTY_DEBUG: &str = "\
+Ddg {
+    ops: [
+        Some(
+            Operation {
+                kind: Load,
+                reads: [
+                    Induction,
+                ],
+            },
+        ),
+        Some(
+            Operation {
+                kind: Add,
+                reads: [],
+            },
+        ),
+        None,
+    ],
+    edges: [
+        None,
+        Some(
+            DepEdge {
+                src: OpId(
+                    1,
+                ),
+                dst: OpId(
+                    1,
+                ),
+                kind: Flow,
+                latency: 1,
+                distance: 1,
+            },
+        ),
+        None,
+        None,
+        Some(
+            DepEdge {
+                src: OpId(
+                    0,
+                ),
+                dst: OpId(
+                    1,
+                ),
+                kind: Flow,
+                latency: 2,
+                distance: 0,
+            },
+        ),
+    ],
+    succs: [
+        [
+            EdgeId(
+                4,
+            ),
+        ],
+        [
+            EdgeId(
+                1,
+            ),
+        ],
+        [],
+    ],
+    preds: [
+        [],
+        [
+            EdgeId(
+                1,
+            ),
+            EdgeId(
+                4,
+            ),
+        ],
+        [],
+    ],
+}";
+
+    #[test]
+    fn debug_renders_the_lists_as_the_derived_impl_did() {
+        let g = pinned_graph();
+        assert!(g.validate().is_ok());
+        assert_eq!(format!("{g:?}"), PINNED_DEBUG);
+        assert_eq!(format!("{g:#?}"), PINNED_PRETTY_DEBUG);
+    }
+
+    #[test]
+    fn lists_stay_in_ascending_id_through_removals() {
+        let mut g = Ddg::new();
+        let a = g.add_op(Operation::new(OpKind::Add, Vec::new()));
+        let b = g.add_op(Operation::new(OpKind::Add, Vec::new()));
+        let e: Vec<EdgeId> = (0..5).map(|_| g.add_edge(DepEdge::flow(a, b, 1, 0))).collect();
+        let ids = |g: &Ddg| g.succs(a).map(|(id, _)| id).collect::<Vec<_>>();
+        // the last, the first and a middle edge of the list
+        for (removed, left) in [(4, vec![0, 1, 2, 3]), (0, vec![1, 2, 3]), (2, vec![1, 3])] {
+            g.remove_edge(e[removed]);
+            let left: Vec<EdgeId> = left.into_iter().map(|i| e[i]).collect();
+            assert_eq!(ids(&g), left);
+            assert_eq!(g.preds(b).map(|(id, _)| id).collect::<Vec<_>>(), left);
+            assert!(g.validate().is_ok());
+        }
+        // appending after removing the tail links behind the new tail
+        let tail = g.add_edge(DepEdge::flow(a, b, 1, 0));
+        assert_eq!(ids(&g), [e[1], e[3], tail]);
+        g.remove_op(b);
+        assert_eq!(ids(&g), []);
+        assert_eq!(g.live_edges().count(), 0);
+        assert!(g.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_detects_a_broken_list() {
+        let (mut g, a, _, _) = simple_graph();
+        g.ends[a.index()][SUCC].first = NIL;
+        assert!(g.validate().unwrap_err().contains("succ list of op0"));
+        let (mut g, _, b, _) = simple_graph();
+        g.next[0][PRED] = 1;
+        g.ends[b.index()][PRED].last = 1;
+        assert!(g.validate().unwrap_err().contains("pred list of op1"));
     }
 
     #[test]

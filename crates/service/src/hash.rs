@@ -6,10 +6,11 @@
 //!
 //! * `canon` — the body digest the caller keys by. The service keys by
 //!   [`guard_fingerprint`]: FNV over the loop name, the trip count and the
-//!   derived `Hash` of the DDG, field by field. The DDG's hash covers every
-//!   field its `Debug` rendering shows — tombstones, edge ids and the
-//!   `succs`/`preds` lists included — so two bodies get equal fingerprints
-//!   exactly when their renderings are equal (up to a 64-bit collision).
+//!   `Hash` of the DDG, field by field. The DDG's hash covers its op and
+//!   edge tables, tombstones and edge ids included. Those decide the
+//!   `succs`/`preds` lists its `Debug` rendering also shows, so two bodies
+//!   get equal fingerprints exactly when their renderings are equal (up to
+//!   a 64-bit collision).
 //! * `context` — an FNV-1a digest of everything else: scheduler kind, the
 //!   `DmsConfig` (DMS requests only — IMS ignores it, so it must not
 //!   fragment IMS entries), the machine description and the verify trip
@@ -54,7 +55,8 @@ impl CacheKey {
 }
 
 /// The exact-identity fingerprint of a request body: loop name, trip count
-/// and the derived (id-sensitive) `Hash` of the DDG.
+/// and the (id-sensitive) `Hash` of the DDG, which covers its op and edge
+/// tables and so the adjacency lists they decide.
 pub fn guard_fingerprint(body: &Loop) -> u64 {
     let mut h = Fnv::new();
     body.name.hash(&mut h);

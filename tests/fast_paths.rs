@@ -10,10 +10,13 @@
 //! for the 1–10-cluster paper machines (12,580 bodies) and on
 //! [`dms_ir::kernels`]; RecMII and the heights also on seeded random
 //! recurrences, the request decoder on the benchmark's and the CLI client's
-//! requests and seeded mutations of them.
+//! requests and seeded mutations of them. The DDG's linked succ and pred
+//! lists are checked against the per-op `Vec<EdgeId>` lists they replaced
+//! after every step of seeded random graph edits, and against a scan of the
+//! edge table on every corpus body and on its DMS output.
 
 use dms_ir::transform::convert_to_single_use;
-use dms_ir::{analysis, kernels, Ddg, DepEdge, DepKind, Fnv, LatencySpec, Loop};
+use dms_ir::{analysis, kernels, Ddg, DepEdge, DepKind, EdgeId, Fnv, LatencySpec, Loop};
 use dms_ir::{OpId, OpKind, Operand, Operation};
 use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt};
 use dms_sched::ims::{default_max_ii, ims_schedule, ImsConfig};
@@ -329,6 +332,121 @@ mod reference {
             }
         }
         Some((ii, schedule, evictions, budget_used))
+    }
+
+    /// The DDG adjacency the linked lists in the edge table replaced: a
+    /// `Vec<EdgeId>` of succs and one of preds per op slot, each kept in
+    /// ascending id by appending and `retain`. `Debug` renders it as the
+    /// `Ddg` that held these fields rendered by its derived impl.
+    #[derive(Default)]
+    pub struct Adjacency {
+        ops: Vec<Option<Operation>>,
+        edges: Vec<Option<DepEdge>>,
+        succs: Vec<Vec<EdgeId>>,
+        preds: Vec<Vec<EdgeId>>,
+    }
+
+    impl Adjacency {
+        pub fn add_op(&mut self, op: Operation) -> OpId {
+            self.ops.push(Some(op));
+            self.succs.push(Vec::new());
+            self.preds.push(Vec::new());
+            OpId(self.ops.len() as u32 - 1)
+        }
+
+        pub fn remove_op(&mut self, id: OpId) {
+            let incident: Vec<EdgeId> =
+                self.preds[id.index()].iter().chain(&self.succs[id.index()]).copied().collect();
+            for e in incident {
+                if self.edges[e.index()].is_some() {
+                    self.remove_edge(e);
+                }
+            }
+            self.ops[id.index()] = None;
+        }
+
+        pub fn add_edge(&mut self, edge: DepEdge) -> EdgeId {
+            let id = EdgeId(self.edges.len() as u32);
+            self.succs[edge.src.index()].push(id);
+            self.preds[edge.dst.index()].push(id);
+            self.edges.push(Some(edge));
+            id
+        }
+
+        pub fn remove_edge(&mut self, id: EdgeId) {
+            let edge = self.edges[id.index()].take().expect("edge was already removed");
+            self.succs[edge.src.index()].retain(|&e| e != id);
+            self.preds[edge.dst.index()].retain(|&e| e != id);
+        }
+
+        fn listed(&self, list: &[EdgeId]) -> Vec<(EdgeId, DepEdge)> {
+            list.iter().filter_map(|&e| self.edges[e.index()].map(|edge| (e, edge))).collect()
+        }
+
+        pub fn succs(&self, id: OpId) -> Vec<(EdgeId, DepEdge)> {
+            self.listed(&self.succs[id.index()])
+        }
+
+        pub fn preds(&self, id: OpId) -> Vec<(EdgeId, DepEdge)> {
+            self.listed(&self.preds[id.index()])
+        }
+
+        pub fn live_edges(&self) -> Vec<(EdgeId, DepEdge)> {
+            let all: Vec<EdgeId> = (0..self.edges.len() as u32).map(EdgeId).collect();
+            self.listed(&all)
+        }
+
+        fn is_live(&self, id: OpId) -> bool {
+            self.ops.get(id.index()).is_some_and(Option::is_some)
+        }
+
+        pub fn validate(&self) -> Result<(), String> {
+            for (id, edge) in self.live_edges() {
+                if !self.is_live(edge.src) {
+                    return Err(format!("edge {id:?} has a removed source {}", edge.src));
+                }
+                if !self.is_live(edge.dst) {
+                    return Err(format!("edge {id:?} has a removed destination {}", edge.dst));
+                }
+                if !self.succs[edge.src.index()].contains(&id) {
+                    return Err(format!("edge {id:?} missing from succ list of {}", edge.src));
+                }
+                if !self.preds[edge.dst.index()].contains(&id) {
+                    return Err(format!("edge {id:?} missing from pred list of {}", edge.dst));
+                }
+            }
+            for (id, op) in self.ops.iter().enumerate() {
+                for (producer, _) in op.iter().flat_map(Operation::defs_read) {
+                    match self.ops.get(producer.index()) {
+                        Some(Some(p)) if p.kind.has_result() => {}
+                        Some(Some(_)) => {
+                            return Err(format!(
+                                "{} reads {producer}, which produces no result",
+                                OpId(id as u32)
+                            ))
+                        }
+                        _ => {
+                            return Err(format!(
+                                "{} reads removed operation {producer}",
+                                OpId(id as u32)
+                            ))
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    impl std::fmt::Debug for Adjacency {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("Ddg")
+                .field("ops", &self.ops)
+                .field("edges", &self.edges)
+                .field("succs", &self.succs)
+                .field("preds", &self.preds)
+                .finish()
+        }
     }
 
     /// The tree decoder and encoder the one-pass wire codec replaced:
@@ -1044,6 +1162,156 @@ fn sccs_match_the_recursive_reference_before_and_after_conversion() {
             assert_eq!(analysis::sccs(ddg), reference::sccs(ddg), "{}", b.body.name);
         }
     }
+}
+
+/// Requires `ddg` to answer every adjacency query as `reference` does, and
+/// to render as it does.
+fn assert_same_adjacency(ddg: &Ddg, reference: &reference::Adjacency, pretty: bool, at: &str) {
+    let pairs = |it: &mut dyn Iterator<Item = (EdgeId, &DepEdge)>| -> Vec<(EdgeId, DepEdge)> {
+        it.map(|(id, e)| (id, *e)).collect()
+    };
+    let flow = |list: Vec<(EdgeId, DepEdge)>| -> Vec<(EdgeId, DepEdge)> {
+        list.into_iter().filter(|(_, e)| e.kind.carries_value()).collect()
+    };
+    for op in (0..ddg.num_slots() as u32).map(OpId) {
+        assert_eq!(pairs(&mut ddg.succs(op)), reference.succs(op), "{at}: succs of {op}");
+        assert_eq!(pairs(&mut ddg.preds(op)), reference.preds(op), "{at}: preds of {op}");
+        assert_eq!(pairs(&mut ddg.flow_succs(op)), flow(reference.succs(op)), "{at}: {op}");
+        assert_eq!(pairs(&mut ddg.flow_preds(op)), flow(reference.preds(op)), "{at}: {op}");
+    }
+    assert_eq!(pairs(&mut ddg.live_edges()), reference.live_edges(), "{at}: live edges");
+    assert_eq!(ddg.validate(), reference.validate(), "{at}: validate");
+    assert_eq!(format!("{ddg:?}"), format!("{reference:?}"), "{at}: Debug");
+    if pretty {
+        assert_eq!(format!("{ddg:#?}"), format!("{reference:#?}"), "{at}: pretty Debug");
+    }
+}
+
+/// A random operation reading up to two random live ops (any of which may
+/// be a store, so `validate` fails on some graphs as it should).
+fn random_operation(rng: &mut StdRng, live: &[OpId]) -> Operation {
+    const KINDS: [OpKind; 5] =
+        [OpKind::Load, OpKind::Store, OpKind::Add, OpKind::Copy, OpKind::Move];
+    let reads = (0..rng.gen_range(0..=2usize))
+        .map(|_| {
+            if live.is_empty() {
+                Operand::Induction
+            } else {
+                Operand::def_at(live[rng.gen_range(0..live.len())], rng.gen_range(0..=1u32))
+            }
+        })
+        .collect();
+    Operation::new(KINDS[rng.gen_range(0..KINDS.len())], reads)
+}
+
+/// The linked succ and pred lists answer every query and render exactly as
+/// the `Vec<EdgeId>` lists did, after every step of seeded random graph
+/// edits: self-edges and parallel edges among a few ops, removal of the
+/// first, a middle and the last edge of a list, and removal of ops with
+/// edges in both directions.
+#[test]
+fn linked_adjacency_matches_the_vec_reference_under_random_edits() {
+    let mut rng = StdRng::seed_from_u64(25);
+    let (mut self_edges, mut removed_at) = (0, [0; 3]);
+    for case in 0..3_000 {
+        let mut ddg = Ddg::new();
+        let mut reference = reference::Adjacency::default();
+        for step in 0..rng.gen_range(1..=40) {
+            let live: Vec<OpId> = ddg.live_op_ids().collect();
+            let action = if live.is_empty() { 0 } else { rng.gen_range(0..10) };
+            match action {
+                0..=2 => {
+                    let op = random_operation(&mut rng, &live);
+                    assert_eq!(ddg.add_op(op.clone()), reference.add_op(op));
+                }
+                3..=6 => {
+                    let src = live[rng.gen_range(0..live.len())];
+                    let dst =
+                        if rng.gen_bool(0.2) { src } else { live[rng.gen_range(0..live.len())] };
+                    self_edges += usize::from(src == dst);
+                    let kinds = [DepKind::Flow, DepKind::Anti, DepKind::Output, DepKind::Memory];
+                    let edge = DepEdge {
+                        src,
+                        dst,
+                        kind: kinds[rng.gen_range(0..kinds.len())],
+                        latency: rng.gen_range(0..=3u32),
+                        distance: rng.gen_range(0..=1u32),
+                    };
+                    assert_eq!(ddg.add_edge(edge), reference.add_edge(edge));
+                }
+                7..=8 => {
+                    let op = live[rng.gen_range(0..live.len())];
+                    let list: Vec<EdgeId> = if rng.gen_bool(0.5) {
+                        ddg.succs(op).map(|(id, _)| id).collect()
+                    } else {
+                        ddg.preds(op).map(|(id, _)| id).collect()
+                    };
+                    if !list.is_empty() {
+                        let at = rng.gen_range(0..3usize);
+                        removed_at[at] += usize::from(list.len() > 2);
+                        let e = list[[0, list.len() / 2, list.len() - 1][at]];
+                        ddg.remove_edge(e);
+                        reference.remove_edge(e);
+                    }
+                }
+                _ => {
+                    let op = live[rng.gen_range(0..live.len())];
+                    ddg.remove_op(op);
+                    reference.remove_op(op);
+                }
+            }
+            assert_same_adjacency(
+                &ddg,
+                &reference,
+                step % 8 == 0,
+                &format!("case {case} step {step}"),
+            );
+        }
+    }
+    assert!(self_edges > 1_000, "only {self_edges} self-edges");
+    assert!(removed_at.iter().all(|&n| n > 200), "removals by position {removed_at:?}");
+}
+
+/// The succ and pred lists of `ddg` as the `Vec<EdgeId>` layout held them:
+/// each op's live edges in ascending id, from a scan of the edge table.
+fn scanned_lists(ddg: &Ddg) -> (Vec<Vec<EdgeId>>, Vec<Vec<EdgeId>>) {
+    let mut lists = (vec![Vec::new(); ddg.num_slots()], vec![Vec::new(); ddg.num_slots()]);
+    for (id, e) in ddg.live_edges() {
+        lists.0[e.src.index()].push(id);
+        lists.1[e.dst.index()].push(id);
+    }
+    lists
+}
+
+/// Every corpus body before and after the single-use conversion, and the
+/// DDG DMS returns for it on the widest paper machine it is unrolled for
+/// (copies, moves and the tombstones of dismantled chains included), lists
+/// exactly the edges a scan of its edge table finds, and renders them as
+/// the `Vec<EdgeId>` layout did.
+#[test]
+fn linked_adjacency_matches_the_edge_table_on_the_corpus_and_its_dms_output() {
+    let mut checked = 0;
+    for b in corpus() {
+        let machine = MachineConfig::paper_clustered(*b.clusters.last().unwrap());
+        let outcome = dms_core::dms_schedule(&b.body, &machine, &dms_core::DmsConfig::default());
+        let ddgs = [b.body.ddg.clone(), single_use(&b.body), outcome.unwrap().result.ddg];
+        for ddg in &ddgs {
+            let (succs, preds) = scanned_lists(ddg);
+            for op in (0..ddg.num_slots() as u32).map(OpId) {
+                let ids = |it: &mut dyn Iterator<Item = (EdgeId, &DepEdge)>| -> Vec<EdgeId> {
+                    it.map(|(id, _)| id).collect()
+                };
+                assert_eq!(ids(&mut ddg.succs(op)), succs[op.index()], "{} {op}", b.body.name);
+                assert_eq!(ids(&mut ddg.preds(op)), preds[op.index()], "{} {op}", b.body.name);
+            }
+            assert_eq!(ddg.validate(), Ok(()), "{}", b.body.name);
+            let rendered = format!("{ddg:?}");
+            let lists = format!(", succs: {succs:?}, preds: {preds:?} }}");
+            assert!(rendered.ends_with(&lists), "{}: {rendered}", b.body.name);
+            checked += 1;
+        }
+    }
+    assert!(checked > 3 * 5_000, "{checked} DDGs");
 }
 
 /// The requests the `service-mixed` benchmark sends, one per cell of its
