@@ -1662,6 +1662,66 @@ fn encoder_matches_the_tree_reference() {
     }
 }
 
+/// Every byte the wire encoders write, pinned: an FNV-1a digest over the
+/// 408 served requests, a request whose loop name needs escapes and one
+/// with tombstone slots, then each small request and reply line as a
+/// literal. A parent server and a new client (or the reverse) exchange
+/// exactly these lines.
+#[test]
+fn wire_bytes_match_the_pinned_lines() {
+    use dms_service::cache::CacheCounters;
+    use dms_service::wire::{self, WireMachine, WireSchedule};
+    let request = |body: Loop| {
+        wire::encode_schedule_request(&WireSchedule {
+            body,
+            machine: WireMachine {
+                unclustered: false,
+                clusters: 3,
+                copy_units: 2,
+                cqrf_capacity: Some(12),
+                topology: dms_machine::TopologyKind::ChordalRing { chord: 2 },
+            },
+            scheduler: dms_service::SchedulerKind::Dms,
+            dms: dms_core::DmsConfig { ii_seed: Some(5), ..dms_core::DmsConfig::default() },
+            verify_trips: Some(16),
+            contention: true,
+        })
+    };
+    let mut escaped = kernels::fir(4, 32);
+    escaped.name = "fïr \"α\"\\β\n→😀\t\u{1}end".to_string();
+    let mut tombstones = kernels::dot_product(32);
+    let dead = tombstones.ddg.add_op(Operation::new(OpKind::Add, vec![Operand::Immediate(-1)]));
+    tombstones.ddg.add_op(Operation::new(OpKind::Add, vec![Operand::Invariant(2)]));
+    tombstones.ddg.remove_op(dead);
+    let mut lines = served_request_lines();
+    lines.extend([request(escaped), request(tombstones)]);
+    assert!(lines[408].contains(r#""name":"fïr \"α\"\\β\n→😀\t\u0001end""#), "{}", lines[408]);
+    assert!(lines[409].contains(r#",null,["add",[["inv",2]]]],"edges":"#), "{}", lines[409]);
+    let mut h = Fnv::new();
+    for line in &lines {
+        h.bytes(line.as_bytes());
+        h.bytes(b"\n");
+    }
+    assert_eq!(format!("{:016x}", h.finish()), "253655b00d29e874");
+
+    assert_eq!(wire::encode_stats_request(), r#"{"op":"stats"}"#);
+    assert_eq!(wire::encode_metrics_request(), r#"{"op":"metrics"}"#);
+    assert_eq!(wire::encode_shutdown_request(), r#"{"op":"shutdown"}"#);
+    assert_eq!(
+        wire::encode_stats_response(CacheCounters { hits: 7, misses: 3, inserts: 2 }, 11),
+        r#"{"ok":true,"hits":7,"misses":3,"inserts":2,"entries":11}"#
+    );
+    assert_eq!(
+        wire::encode_metrics_response("# TYPE a counter\na 1\nb{le=\"+Inf\"} 2\n"),
+        r##"{"ok":true,"metrics":"# TYPE a counter\na 1\nb{le=\"+Inf\"} 2\n"}"##
+    );
+    assert_eq!(wire::encode_shutdown_response(), r#"{"ok":true,"shutdown":true}"#);
+    assert_eq!(
+        wire::encode_error("bad \"op\"\\ at\tbyte 3\r\n\u{7}→"),
+        r#"{"ok":false,"error":"bad \"op\"\\ at\tbyte 3\r\n\u0007→"}"#
+    );
+}
+
 /// A chain of `n` adds, op `i` reading op `i - 1`, closed into one cycle by
 /// a distance-1 edge from the last op back to the first when `cyclic`.
 fn add_chain(n: u32, cyclic: bool) -> Ddg {
