@@ -310,7 +310,7 @@ fn gate_verified(failed: usize) -> ExitCode {
 /// answers the same request with.
 fn drive_service(cli: &Cli) -> Result<(), String> {
     use dms_service::net::{answer_schedule, Client};
-    use dms_service::wire::{self, Json, WireMachine, WireRequest, WireSchedule};
+    use dms_service::wire::{self, WireMachine, WireRequest, WireSchedule};
 
     let (addr, config) = (&cli.addr, &cli.config);
     let local = ScheduleService::default();
@@ -342,7 +342,7 @@ fn drive_service(cli: &Cli) -> Result<(), String> {
                 contention: false,
             });
             let line = client.roundtrip(&request).map_err(io)?;
-            if Json::parse(&line)?.get("ok").and_then(Json::as_bool) != Some(true) {
+            if !wire::decode_reply(&line)?.ok {
                 return Err(format!("server rejected the request: {line}"));
             }
             let Ok(WireRequest::Schedule(ws)) = wire::decode_request(&request) else {
@@ -367,8 +367,8 @@ fn drive_service(cli: &Cli) -> Result<(), String> {
     }
 
     if let Some(request) = last_request {
-        let resp = Json::parse(&client.roundtrip(&request).map_err(io)?)?;
-        if resp.get("cache_hit").and_then(Json::as_bool) != Some(true) {
+        let resp = wire::decode_reply(&client.roundtrip(&request).map_err(io)?)?;
+        if resp.cache_hit != Some(true) {
             return Err("repeat request missed the schedule cache".to_string());
         }
         println!("repeat request answered from cache");
@@ -377,11 +377,9 @@ fn drive_service(cli: &Cli) -> Result<(), String> {
     // Scrape the server's metrics registry and print the exposition: the
     // CI smoke job greps this for a nonzero cache-hit counter and a
     // populated request-latency histogram.
-    let scrape = Json::parse(&client.roundtrip(&wire::encode_metrics_request()).map_err(io)?)?;
-    let exposition = scrape
-        .get("metrics")
-        .and_then(Json::as_str)
-        .ok_or("metrics response carries no exposition text")?;
+    let scrape =
+        wire::decode_reply(&client.roundtrip(&wire::encode_metrics_request()).map_err(io)?)?;
+    let exposition = scrape.metrics.ok_or("metrics response carries no exposition text")?;
     println!("server metrics after the sweep:");
     print!("{exposition}");
 

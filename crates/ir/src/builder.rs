@@ -56,7 +56,8 @@ impl LoopBuilder {
     /// Appends an extra read operand to an existing operation *without*
     /// creating the corresponding flow edge. This is only needed to close a
     /// recurrence circuit through an operation created before its producer;
-    /// the caller must add the matching edge with [`LoopBuilder::dep`].
+    /// the caller must add the matching edge with [`LoopBuilder::dep`]
+    /// ([`Ddg::validate`] rejects a `Def` read without it).
     pub fn push_read(&mut self, op: OpId, operand: Operand) {
         self.ddg.op_mut(op).reads.push(operand);
     }

@@ -356,7 +356,8 @@ impl Ddg {
     ///
     /// Checked invariants:
     /// * every edge endpoint is a live operation,
-    /// * every `Def` operand references a live operation,
+    /// * every `Def` operand references a live operation, and a flow edge
+    ///   from it at the operand's distance enters the reader,
     /// * store operations are never read,
     /// * each succ (pred) list holds exactly the live edges out of (into) its
     ///   op, in ascending id.
@@ -396,13 +397,24 @@ impl Ddg {
         if listed != 2 * live {
             return Err(format!("the lists hold {listed} entries for {live} live edges"));
         }
+        // Each op's flow preds as sorted (source, distance) pairs, so a body
+        // of many reads and many edges is still checked in n log n.
+        let mut flows = Vec::new();
         for (id, op) in self.live_ops() {
-            for (producer, _) in op.defs_read() {
+            flows.clear();
+            flows.extend(self.flow_preds(id).map(|(_, e)| (e.src, e.distance)));
+            flows.sort_unstable();
+            for (producer, distance) in op.defs_read() {
                 if !self.is_live(producer) {
                     return Err(format!("{id} reads removed operation {producer}"));
                 }
                 if !self.op(producer).kind.has_result() {
                     return Err(format!("{id} reads {producer}, which produces no result"));
+                }
+                if flows.binary_search(&(producer, distance)).is_err() {
+                    return Err(format!(
+                        "{id} reads {producer} at distance {distance} with no flow edge from it"
+                    ));
                 }
             }
         }

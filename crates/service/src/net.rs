@@ -130,18 +130,19 @@ fn handle_connection(
     let decode_us = service.registry().histogram("dms_wire_decode_micros");
     let encode_us = service.registry().histogram("dms_wire_encode_micros");
     let mut reader = BufReader::new(stream);
-    // Not `reader.lines()`: with a read timeout a line may arrive in
-    // pieces, and `read_line` appends whatever bytes preceded the timeout
-    // to `line`. Keep the accumulator across timeouts and only clear it
-    // after a *complete* line is processed.
-    let mut line = String::new();
+    // Not `reader.lines()` nor `read_line`: with a read timeout a line may
+    // arrive in pieces, split anywhere, even inside a character. Keep the
+    // raw bytes across timeouts (`read_until` appends whatever preceded
+    // the timeout), check UTF-8 once per complete line, and only clear the
+    // accumulator after that line is answered.
+    let mut line = Vec::new();
     loop {
         // Never buffer past the cap: a line that reaches it without a
         // newline is answered below instead of growing without bound.
         let room = (MAX_LINE_BYTES - line.len()) as u64;
-        match reader.by_ref().take(room).read_line(&mut line) {
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => break, // EOF: client hung up
-            Ok(_) if line.len() >= MAX_LINE_BYTES && !line.ends_with('\n') => {
+            Ok(_) if line.len() >= MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
                 let mut reply = wire::encode_error(&format!(
                     "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
                 ));
@@ -165,11 +166,17 @@ fn handle_connection(
             }
             Err(_) => break,
         }
-        if line.trim().is_empty() {
-            line.clear();
-            continue;
-        }
-        let request = timed(&decode_us, || wire::decode_request(line.trim()));
+        let request = match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => {
+                line.clear();
+                continue;
+            }
+            Ok(text) => timed(&decode_us, || wire::decode_request(text)),
+            Err(e) => Err(format!(
+                "request line is not valid UTF-8 (byte {} of the line)",
+                e.valid_up_to()
+            )),
+        };
         let mut reply = match request {
             Err(e) => wire::encode_error(&e),
             Ok(wire::WireRequest::Stats) => {
@@ -289,8 +296,9 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheCounters;
     use crate::service::SchedulerKind;
-    use crate::wire::{Json, WireMachine, WireSchedule};
+    use crate::wire::{decode_reply, WireMachine, WireRequest, WireSchedule};
     use dms_core::DmsConfig;
     use dms_ir::kernels;
     use dms_machine::TopologyKind;
@@ -326,25 +334,37 @@ mod tests {
             contention: false,
         });
 
-        let cold = Json::parse(&client.roundtrip(&request).unwrap()).unwrap();
-        assert_eq!(cold.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(cold.get("cache_hit").and_then(Json::as_bool), Some(false));
-        assert!(cold.get("summary").unwrap().get("ii").and_then(Json::as_u64).unwrap() >= 1);
-        assert!(!cold.get("verify").unwrap().is_null());
+        // The served line is the one a fresh local service answers.
+        let Ok(WireRequest::Schedule(ws)) = wire::decode_request(&request) else {
+            panic!("the request must decode");
+        };
+        let local = ScheduleService::default();
+        let expected = lend_schedule(&local, &ws).unwrap();
+        assert!(expected.output().result().summary().ii >= 1);
+        assert!(expected.verify().is_some());
 
-        let warm = Json::parse(&client.roundtrip(&request).unwrap()).unwrap();
-        assert_eq!(warm.get("cache_hit").and_then(Json::as_bool), Some(true));
-        assert_eq!(warm.get("summary"), cold.get("summary"), "warm must equal cold");
+        let cold = client.roundtrip(&request).unwrap();
+        assert_eq!(cold, wire::encode_lent_response(&Ok(expected)));
+        let reply = decode_reply(&cold).unwrap();
+        assert!(reply.ok);
+        assert_eq!(reply.cache_hit, Some(false));
 
-        let stats = Json::parse(&client.roundtrip(&wire::encode_stats_request()).unwrap()).unwrap();
-        assert_eq!(stats.get("hits").and_then(Json::as_u64), Some(1));
-        assert_eq!(stats.get("misses").and_then(Json::as_u64), Some(1));
-        assert_eq!(stats.get("entries").and_then(Json::as_u64), Some(1));
+        let warm = client.roundtrip(&request).unwrap();
+        assert_eq!(decode_reply(&warm).unwrap().cache_hit, Some(true));
+        assert_eq!(
+            warm,
+            cold.replacen(r#""cache_hit":false"#, r#""cache_hit":true"#, 1),
+            "warm must equal cold"
+        );
+
+        let stats = client.roundtrip(&wire::encode_stats_request()).unwrap();
+        let counters = CacheCounters { hits: 1, misses: 1, inserts: 1 };
+        assert_eq!(stats, wire::encode_stats_response(counters, 1));
 
         let scrape =
-            Json::parse(&client.roundtrip(&wire::encode_metrics_request()).unwrap()).unwrap();
-        assert_eq!(scrape.get("ok").and_then(Json::as_bool), Some(true));
-        let exposition = scrape.get("metrics").and_then(Json::as_str).unwrap();
+            decode_reply(&client.roundtrip(&wire::encode_metrics_request()).unwrap()).unwrap();
+        assert!(scrape.ok);
+        let exposition = scrape.metrics.unwrap();
         assert!(exposition.contains("dms_cache_hits_total 1"), "scrape:\n{exposition}");
         assert!(exposition.contains("dms_request_latency_micros_count 2"), "scrape:\n{exposition}");
         // Two schedules, the stats line and this scrape were decoded; the
@@ -352,9 +372,8 @@ mod tests {
         assert!(exposition.contains("dms_wire_decode_micros_count 4"), "scrape:\n{exposition}");
         assert!(exposition.contains("dms_wire_encode_micros_count 2"), "scrape:\n{exposition}");
 
-        let bye =
-            Json::parse(&client.roundtrip(&wire::encode_shutdown_request()).unwrap()).unwrap();
-        assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
+        let bye = client.roundtrip(&wire::encode_shutdown_request()).unwrap();
+        assert_eq!(bye, wire::encode_shutdown_response());
         handle.join().unwrap();
     }
 
@@ -363,14 +382,15 @@ mod tests {
         let (addr, handle) = spawn_server();
         let mut client = Client::connect(addr).unwrap();
 
-        let bad = Json::parse(&client.roundtrip("{\"op\":\"nope\"}").unwrap()).unwrap();
-        assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
-        let garbled = Json::parse(&client.roundtrip("{not json").unwrap()).unwrap();
-        assert_eq!(garbled.get("ok").and_then(Json::as_bool), Some(false));
+        let bad = decode_reply(&client.roundtrip("{\"op\":\"nope\"}").unwrap()).unwrap();
+        assert!(!bad.ok);
+        let garbled = decode_reply(&client.roundtrip("{not json").unwrap()).unwrap();
+        assert!(!garbled.ok);
 
         // The connection survived both errors.
-        let stats = Json::parse(&client.roundtrip(&wire::encode_stats_request()).unwrap()).unwrap();
-        assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        let stats =
+            decode_reply(&client.roundtrip(&wire::encode_stats_request()).unwrap()).unwrap();
+        assert!(stats.ok);
 
         client.roundtrip(&wire::encode_shutdown_request()).unwrap();
         handle.join().unwrap();
@@ -390,9 +410,8 @@ mod tests {
         let idle = TcpStream::connect(addr).unwrap();
 
         let started = std::time::Instant::now();
-        let bye =
-            Json::parse(&active.roundtrip(&wire::encode_shutdown_request()).unwrap()).unwrap();
-        assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
+        let bye = active.roundtrip(&wire::encode_shutdown_request()).unwrap();
+        assert_eq!(bye, wire::encode_shutdown_response());
         handle.join().unwrap();
         assert!(
             started.elapsed() < Duration::from_secs(10),
@@ -410,9 +429,8 @@ mod tests {
         let mut client = Client::connect(addr).unwrap();
         let started = std::time::Instant::now();
         for _ in 0..20 {
-            let stats =
-                Json::parse(&client.roundtrip(&wire::encode_stats_request()).unwrap()).unwrap();
-            assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+            let stats = client.roundtrip(&wire::encode_stats_request()).unwrap();
+            assert!(decode_reply(&stats).unwrap().ok);
         }
         let elapsed = started.elapsed();
         client.roundtrip(&wire::encode_shutdown_request()).unwrap();
@@ -432,15 +450,16 @@ mod tests {
         let mut reader = BufReader::new(stream);
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
-        let parsed = Json::parse(reply.trim()).unwrap();
-        assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false));
-        assert!(parsed.get("error").and_then(Json::as_str).unwrap().contains("exceeds"));
+        let parsed = decode_reply(reply.trim()).unwrap();
+        assert!(!parsed.ok);
+        assert!(parsed.error.unwrap().contains("exceeds"));
         reply.clear();
         assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "the connection must close");
 
         let mut client = Client::connect(addr).unwrap();
-        let stats = Json::parse(&client.roundtrip(&wire::encode_stats_request()).unwrap()).unwrap();
-        assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        let stats =
+            decode_reply(&client.roundtrip(&wire::encode_stats_request()).unwrap()).unwrap();
+        assert!(stats.ok);
         client.roundtrip(&wire::encode_shutdown_request()).unwrap();
         handle.join().unwrap();
     }
@@ -473,17 +492,14 @@ mod tests {
         ];
         for (line, error) in hostile {
             let started = std::time::Instant::now();
-            let reply = Json::parse(&client.roundtrip(&line).unwrap()).unwrap();
+            let reply = decode_reply(&client.roundtrip(&line).unwrap()).unwrap();
             assert!(started.elapsed() < Duration::from_secs(1), "{line}: {:?}", started.elapsed());
-            assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{line}");
-            assert!(
-                reply.get("error").and_then(Json::as_str).unwrap().contains(error),
-                "{reply:?}"
-            );
+            assert!(!reply.ok, "{line}");
+            assert!(reply.error.as_deref().unwrap().contains(error), "{reply:?}");
         }
-        let valid = Json::parse(&client.roundtrip(&request("dms", 1, 1)).unwrap()).unwrap();
-        assert_eq!(valid.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(valid.get("summary").unwrap().get("ii").and_then(Json::as_u64), Some(3));
+        let valid = client.roundtrip(&request("dms", 1, 1)).unwrap();
+        assert!(decode_reply(&valid).unwrap().ok);
+        assert!(valid.contains(r#","summary":{"loop":"ring3","ii":3,"mii":"#), "{valid}");
         client.roundtrip(&wire::encode_shutdown_request()).unwrap();
         handle.join().unwrap();
     }
@@ -508,12 +524,59 @@ mod tests {
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
-        let parsed = Json::parse(reply.trim()).unwrap();
-        assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(true));
+        assert!(decode_reply(reply.trim()).unwrap().ok);
 
         stream.write_all(wire::encode_shutdown_request().as_bytes()).unwrap();
         stream.write_all(b"\n").unwrap();
         stream.flush().unwrap();
+        handle.join().unwrap();
+    }
+
+    /// A line that is not UTF-8 gets an error reply like any other
+    /// malformed line, and the connection goes on serving.
+    #[test]
+    fn non_utf8_lines_get_error_replies_not_disconnects() {
+        let (addr, handle) = spawn_server();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut reply = String::new();
+        for line in [&b"{\"op\":\"st\xffats\"}\n"[..], b"\xff\xfe\n"] {
+            stream.write_all(line).unwrap();
+            reply.clear();
+            reader.read_line(&mut reply).unwrap();
+            let parsed = decode_reply(reply.trim()).unwrap();
+            assert!(!parsed.ok, "{reply}");
+            assert!(parsed.error.unwrap().contains("not valid UTF-8"), "{reply}");
+        }
+        stream.write_all(format!("{}\n", wire::encode_stats_request()).as_bytes()).unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).unwrap();
+        assert!(decode_reply(reply.trim()).unwrap().ok, "{reply}");
+
+        stream.write_all(format!("{}\n", wire::encode_shutdown_request()).as_bytes()).unwrap();
+        handle.join().unwrap();
+    }
+
+    /// A line whose bytes stop inside a multi-byte character when a poll
+    /// timeout falls keeps every byte read before the timeout.
+    #[test]
+    fn a_character_split_by_a_read_timeout_survives() {
+        let (addr, handle) = spawn_server();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let request = "{\"op\":\"stats\",\"note\":\"é\"}\n".as_bytes();
+        let split = request.iter().position(|&b| b >= 0x80).unwrap() + 1;
+        stream.write_all(&request[..split]).unwrap();
+        stream.flush().unwrap();
+        std::thread::sleep(READ_POLL_INTERVAL * 3);
+        stream.write_all(&request[split..]).unwrap();
+        stream.flush().unwrap();
+
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert!(decode_reply(reply.trim()).unwrap().ok, "{reply}");
+
+        stream.write_all(format!("{}\n", wire::encode_shutdown_request()).as_bytes()).unwrap();
         handle.join().unwrap();
     }
 }

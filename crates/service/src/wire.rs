@@ -13,11 +13,12 @@
 //!   arrive before ops. The bounds, error messages and the nesting cap are
 //!   those of a tree decoder, which `tests/fast_paths.rs` keeps as the
 //!   reference.
-//! * Responses are rendered straight into the line. The server encodes a
-//!   schedule reply from the cache entry the service lends it
+//! * Requests and responses are rendered straight into the line. The server
+//!   encodes a schedule reply from the cache entry the service lends it
 //!   ([`encode_lent_response`]), without copying the entry.
-//! * [`Json::parse`] builds a [`Json`] tree on the same lexer, for reading
-//!   replies (the CLI `client`, the tests).
+//! * [`decode_reply`] reads the members of a reply a client acts on (`ok`,
+//!   `cache_hit`, `metrics`, `error`) on the same lexer, with the same
+//!   first-key-wins rule.
 //!
 //! ## Requests
 //!
@@ -66,150 +67,7 @@ use dms_ir::{Ddg, DepEdge, DepKind, Loop, OpId, OpKind, Operand, Operation};
 use dms_machine::{MachineConfig, TopologyKind};
 use dms_sched::SchedulerStrategy;
 use std::borrow::Cow;
-use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// JSON value tree
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers are `i64` — every field of this protocol is
-/// integral.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An integer.
-    Num(i64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (insertion-ordered).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON document (trailing whitespace allowed, nothing else).
-    /// Request lines do not go through here: [`decode_request`] reads them
-    /// in one pass without building a tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns a position-annotated message on malformed input.
-    pub fn parse(s: &str) -> Result<Json, String> {
-        Parser::document(s, Parser::value)
-    }
-
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The integer value, if this is a number.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The non-negative integer value, if this is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|n| u64::try_from(n).ok())
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
-    /// Renders the value as compact JSON.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Str(s) => render_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_string(k, out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+use std::fmt::{self, Write as _};
 
 // ---------------------------------------------------------------------------
 // Lexer
@@ -220,9 +78,9 @@ fn render_string(s: &str, out: &mut String) {
 /// overflowing a handler's stack through the recursive descent.
 const MAX_DEPTH: usize = 64;
 
-/// A member value as the one-pass decoder keeps it: a scalar, or only the
+/// A member value as the one-pass decoders keep it: a scalar, or only the
 /// fact that it was an array or object, whose bytes were checked and
-/// skipped. Its accessors answer as [`Json`]'s do.
+/// skipped. Each accessor answers `None` for a value of another type.
 #[derive(Debug)]
 enum Field<'a> {
     Null,
@@ -261,9 +119,9 @@ impl Field<'_> {
 }
 
 /// A recursive-descent walk over one document. Arrays and objects are
-/// visited element by element through a callback, so the same walk builds
-/// a [`Json`] tree, skips a value, or decodes a request in place, and
-/// every reader meets the same syntax errors at the same bytes.
+/// visited element by element through a callback, so the same walk skips a
+/// value, decodes a request in place or reads a reply, and every reader
+/// meets the same syntax errors at the same bytes.
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
@@ -313,36 +171,6 @@ impl<'a> Parser<'a> {
             Ok(value)
         } else {
             Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    /// Builds the [`Json`] tree of the value at the cursor.
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'[') => {
-                let mut items = Vec::new();
-                self.array(|p| {
-                    items.push(p.value()?);
-                    Ok(())
-                })?;
-                Ok(Json::Arr(items))
-            }
-            Some(b'{') => {
-                let mut members = Vec::new();
-                self.object(|p, key| {
-                    let value = p.value()?;
-                    members.push((key.into_owned(), value));
-                    Ok(())
-                })?;
-                Ok(Json::Obj(members))
-            }
-            _ => Ok(match self.scalar()? {
-                Field::Null => Json::Null,
-                Field::Bool(b) => Json::Bool(b),
-                Field::Num(n) => Json::Num(n),
-                Field::Str(s) => Json::Str(s.into_owned()),
-                Field::Nested => unreachable!("scalar() reads no arrays or objects"),
-            }),
         }
     }
 
@@ -631,154 +459,160 @@ pub enum WireRequest {
 // Encoding (client side emits requests, server side emits responses)
 // ---------------------------------------------------------------------------
 
-fn op_kind_str(kind: OpKind) -> &'static str {
-    match kind {
-        OpKind::Load => "load",
-        OpKind::Store => "store",
-        OpKind::Add => "add",
-        OpKind::Sub => "sub",
-        OpKind::Mul => "mul",
-        OpKind::Div => "div",
-        OpKind::Copy => "copy",
-        OpKind::Move => "move",
-    }
+/// The wire names of the op and dependence kinds.
+const OP_KINDS: [(OpKind, &str); 8] = [
+    (OpKind::Load, "load"),
+    (OpKind::Store, "store"),
+    (OpKind::Add, "add"),
+    (OpKind::Sub, "sub"),
+    (OpKind::Mul, "mul"),
+    (OpKind::Div, "div"),
+    (OpKind::Copy, "copy"),
+    (OpKind::Move, "move"),
+];
+const DEP_KINDS: [(DepKind, &str); 4] = [
+    (DepKind::Flow, "flow"),
+    (DepKind::Anti, "anti"),
+    (DepKind::Output, "output"),
+    (DepKind::Memory, "memory"),
+];
+
+/// The wire name of `kind` in `names`.
+fn name_of<K: PartialEq>(names: &[(K, &'static str)], kind: K) -> &'static str {
+    names.iter().find(|(k, _)| *k == kind).expect("every kind has a wire name").1
 }
 
-fn op_kind_parse(s: &str) -> Result<OpKind, String> {
-    Ok(match s {
-        "load" => OpKind::Load,
-        "store" => OpKind::Store,
-        "add" => OpKind::Add,
-        "sub" => OpKind::Sub,
-        "mul" => OpKind::Mul,
-        "div" => OpKind::Div,
-        "copy" => OpKind::Copy,
-        "move" => OpKind::Move,
-        other => return Err(format!("unknown op kind {other:?}")),
-    })
+/// The kind named `name` in `names`; `what` names the table in the error.
+fn kind_named<K: Copy>(names: &[(K, &str)], name: &str, what: &str) -> Result<K, String> {
+    names
+        .iter()
+        .find(|(_, n)| *n == name)
+        .map(|&(k, _)| k)
+        .ok_or_else(|| format!("unknown {what} {name:?}"))
 }
 
-fn dep_kind_str(kind: DepKind) -> &'static str {
-    match kind {
-        DepKind::Flow => "flow",
-        DepKind::Anti => "anti",
-        DepKind::Output => "output",
-        DepKind::Memory => "memory",
-    }
-}
+/// Displays a string as a JSON string literal.
+struct Quoted<'s>(&'s str);
 
-fn dep_kind_parse(s: &str) -> Result<DepKind, String> {
-    Ok(match s {
-        "flow" => DepKind::Flow,
-        "anti" => DepKind::Anti,
-        "output" => DepKind::Output,
-        "memory" => DepKind::Memory,
-        other => return Err(format!("unknown dependence kind {other:?}")),
-    })
-}
-
-fn operand_json(operand: &Operand) -> Json {
-    match *operand {
-        Operand::Def { op, distance } => Json::Arr(vec![
-            Json::Str("def".to_string()),
-            Json::Num(i64::from(op.0)),
-            Json::Num(i64::from(distance)),
-        ]),
-        Operand::Invariant(i) => {
-            Json::Arr(vec![Json::Str("inv".to_string()), Json::Num(i64::from(i))])
-        }
-        Operand::Immediate(v) => Json::Arr(vec![Json::Str("imm".to_string()), Json::Num(v)]),
-        Operand::Induction => Json::Arr(vec![Json::Str("ind".to_string())]),
-    }
-}
-
-/// Serializes a loop (name, trip count and the full DDG) as a JSON object.
-pub fn loop_json(body: &Loop) -> Json {
-    let ops: Vec<Json> = (0..body.ddg.num_slots())
-        .map(|slot| {
-            let id = OpId(slot as u32);
-            if !body.ddg.is_live(id) {
-                return Json::Null;
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if c < ' ' => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
             }
-            let op = body.ddg.op(id);
-            Json::Arr(vec![
-                Json::Str(op_kind_str(op.kind).to_string()),
-                Json::Arr(op.reads.iter().map(operand_json).collect()),
-            ])
-        })
-        .collect();
-    let edges: Vec<Json> = body
-        .ddg
-        .live_edges()
-        .map(|(_, e)| {
-            Json::Arr(vec![
-                Json::Num(i64::from(e.src.0)),
-                Json::Num(i64::from(e.dst.0)),
-                Json::Str(dep_kind_str(e.kind).to_string()),
-                Json::Num(i64::from(e.latency)),
-                Json::Num(i64::from(e.distance)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("name".to_string(), Json::Str(body.name.clone())),
-        ("trip_count".to_string(), Json::Num(body.trip_count as i64)),
-        ("ops".to_string(), Json::Arr(ops)),
-        ("edges".to_string(), Json::Arr(edges)),
-    ])
+        }
+        f.write_char('"')
+    }
 }
 
-fn opt_num<T: Into<i64>>(v: Option<T>) -> Json {
-    match v {
-        None => Json::Null,
-        Some(n) => Json::Num(n.into()),
+/// Displays `Some(n)` as `n` and `None` as `null`.
+struct OrNull<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for OrNull<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("null"),
+        }
     }
+}
+
+/// Writes `items` as a JSON array, each element by `item`.
+fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+/// Writes a loop (name, trip count and the full DDG) as a JSON object.
+fn write_loop(body: &Loop, out: &mut String) {
+    let (name, trips) = (Quoted(&body.name), body.trip_count as i64);
+    let _ = write!(out, r#"{{"name":{name},"trip_count":{trips},"ops":"#);
+    write_array(out, 0..body.ddg.num_slots(), |out, slot| {
+        let id = OpId(slot as u32);
+        if !body.ddg.is_live(id) {
+            return out.push_str("null");
+        }
+        let op = body.ddg.op(id);
+        let _ = write!(out, r#"["{}","#, name_of(&OP_KINDS, op.kind));
+        write_array(out, &op.reads, |out, read| {
+            let _ = match *read {
+                Operand::Def { op, distance } => write!(out, r#"["def",{},{distance}]"#, op.0),
+                Operand::Invariant(i) => write!(out, r#"["inv",{i}]"#),
+                Operand::Immediate(v) => write!(out, r#"["imm",{v}]"#),
+                Operand::Induction => write!(out, r#"["ind"]"#),
+            };
+        });
+        out.push(']');
+    });
+    out.push_str(r#","edges":"#);
+    write_array(out, body.ddg.live_edges(), |out, (_, e)| {
+        let (src, dst, kind) = (e.src.0, e.dst.0, name_of(&DEP_KINDS, e.kind));
+        let _ = write!(out, r#"[{src},{dst},"{kind}",{},{}]"#, e.latency, e.distance);
+    });
+    out.push('}');
 }
 
 /// Encodes a `schedule` request as one wire line (no trailing newline).
 pub fn encode_schedule_request(ws: &WireSchedule) -> String {
-    let machine = Json::Obj(vec![
-        ("unclustered".to_string(), Json::Bool(ws.machine.unclustered)),
-        ("clusters".to_string(), Json::Num(i64::from(ws.machine.clusters))),
-        ("copy_units".to_string(), Json::Num(i64::from(ws.machine.copy_units))),
-        ("cqrf_capacity".to_string(), opt_num(ws.machine.cqrf_capacity)),
-        ("topology".to_string(), Json::Str(ws.machine.topology.label())),
-    ]);
-    Json::Obj(vec![
-        ("op".to_string(), Json::Str("schedule".to_string())),
-        ("loop".to_string(), loop_json(&ws.body)),
-        ("machine".to_string(), machine),
-        (
-            "scheduler".to_string(),
-            Json::Str(
-                match ws.scheduler {
-                    SchedulerKind::Ims => "ims",
-                    SchedulerKind::Dms => "dms",
-                }
-                .to_string(),
-            ),
+    let mut out = String::with_capacity(1024);
+    out.push_str(r#"{"op":"schedule","loop":"#);
+    write_loop(&ws.body, &mut out);
+    let m = &ws.machine;
+    let scheduler = match ws.scheduler {
+        SchedulerKind::Ims => "ims",
+        SchedulerKind::Dms => "dms",
+    };
+    let _ = write!(
+        out,
+        concat!(
+            r#","machine":{{"unclustered":{},"clusters":{},"copy_units":{},"cqrf_capacity":{},"#,
+            r#""topology":{}}},"scheduler":"{}","strategy":{},"ii_seed":{},"verify_trips":{},"#,
+            r#""contention":{}}}"#,
         ),
-        ("strategy".to_string(), Json::Str(ws.dms.strategy.label())),
-        ("ii_seed".to_string(), opt_num(ws.dms.ii_seed)),
-        ("verify_trips".to_string(), opt_num(ws.verify_trips.map(|t| t as i64))),
-        ("contention".to_string(), Json::Bool(ws.contention)),
-    ])
-    .render()
+        m.unclustered,
+        m.clusters,
+        m.copy_units,
+        OrNull(m.cqrf_capacity),
+        Quoted(&m.topology.label()),
+        scheduler,
+        Quoted(&ws.dms.strategy.label()),
+        OrNull(ws.dms.ii_seed),
+        OrNull(ws.verify_trips.map(|t| t as i64)),
+        ws.contention,
+    );
+    out
 }
 
 /// Encodes a `stats` request.
 pub fn encode_stats_request() -> String {
-    Json::Obj(vec![("op".to_string(), Json::Str("stats".to_string()))]).render()
+    r#"{"op":"stats"}"#.to_string()
 }
 
 /// Encodes a `metrics` request.
 pub fn encode_metrics_request() -> String {
-    Json::Obj(vec![("op".to_string(), Json::Str("metrics".to_string()))]).render()
+    r#"{"op":"metrics"}"#.to_string()
 }
 
 /// Encodes a `shutdown` request.
 pub fn encode_shutdown_request() -> String {
-    Json::Obj(vec![("op".to_string(), Json::Str("shutdown".to_string()))]).render()
+    r#"{"op":"shutdown"}"#.to_string()
 }
 
 /// Encodes a schedule response (or failure) as one wire line.
@@ -798,8 +632,7 @@ pub fn encode_lent_response(result: &Result<LentResponse, ServiceError>) -> Stri
     }
 }
 
-/// Renders a schedule response straight into the line, member for member
-/// as [`Json::render`] renders the same object.
+/// Renders a schedule response straight into the line.
 fn encode_schedule(
     output: &SchedulerOutput,
     verify: Option<VerifyDigest>,
@@ -810,12 +643,14 @@ fn encode_schedule(
     let mut out = String::with_capacity(320);
     let _ = write!(
         out,
-        r#"{{"ok":true,"cache_hit":{cache_hit},"scheduler":"{scheduler}","summary":{{"loop":"#
-    );
-    render_string(&summary.loop_name, &mut out);
-    let _ = write!(
-        out,
-        r#","ii":{},"mii":{},"stages":{},"ops":{},"useful_ops":{},"copies":{},"moves":{},"ii_attempts":{}}},"dms":"#,
+        concat!(
+            r#"{{"ok":true,"cache_hit":{},"scheduler":"{}","summary":{{"loop":{},"ii":{},"#,
+            r#""mii":{},"stages":{},"ops":{},"useful_ops":{},"copies":{},"moves":{},"#,
+            r#""ii_attempts":{}}},"dms":"#,
+        ),
+        cache_hit,
+        scheduler,
+        Quoted(&summary.loop_name),
         summary.ii,
         summary.mii,
         summary.stages,
@@ -852,43 +687,27 @@ fn encode_schedule(
 
 /// Encodes a `stats` response.
 pub fn encode_stats_response(counters: CacheCounters, entries: usize) -> String {
-    Json::Obj(vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("hits".to_string(), Json::Num(counters.hits as i64)),
-        ("misses".to_string(), Json::Num(counters.misses as i64)),
-        ("inserts".to_string(), Json::Num(counters.inserts as i64)),
-        ("entries".to_string(), Json::Num(entries as i64)),
-    ])
-    .render()
+    format!(
+        r#"{{"ok":true,"hits":{},"misses":{},"inserts":{},"entries":{}}}"#,
+        counters.hits as i64, counters.misses as i64, counters.inserts as i64, entries as i64,
+    )
 }
 
 /// Encodes a `metrics` response. The multi-line Prometheus exposition
 /// text rides inside the single-line wire protocol as an escaped JSON
 /// string — a scraper unescapes `"metrics"` and has the standard format.
 pub fn encode_metrics_response(text: &str) -> String {
-    Json::Obj(vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("metrics".to_string(), Json::Str(text.to_string())),
-    ])
-    .render()
+    format!(r#"{{"ok":true,"metrics":{}}}"#, Quoted(text))
 }
 
 /// Encodes the `shutdown` acknowledgement.
 pub fn encode_shutdown_response() -> String {
-    Json::Obj(vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("shutdown".to_string(), Json::Bool(true)),
-    ])
-    .render()
+    r#"{"ok":true,"shutdown":true}"#.to_string()
 }
 
 /// Encodes a protocol-level failure.
 pub fn encode_error(message: &str) -> String {
-    Json::Obj(vec![
-        ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), Json::Str(message.to_string())),
-    ])
-    .render()
+    format!(r#"{{"ok":false,"error":{}}}"#, Quoted(message))
 }
 
 // ---------------------------------------------------------------------------
@@ -920,7 +739,7 @@ fn at_most<T: PartialOrd + std::fmt::Display>(value: T, max: T, field: &str) -> 
 }
 
 /// Reads a member's value into `slot` unless an earlier member of the same
-/// name filled it: the first of a duplicated key wins, as in [`Json::get`].
+/// name filled it: the first of a duplicated key wins.
 fn first<'a>(slot: &mut Option<Field<'a>>, p: &mut Parser<'a>) -> Result<(), String> {
     match slot {
         None => *slot = Some(p.field()?),
@@ -986,11 +805,6 @@ fn decode_operand_fields(arr: Option<Shallow<'_, 3>>) -> Result<Operand, String>
     }
 }
 
-#[cfg(test)]
-fn decode_operand(json: &Json) -> Result<Operand, String> {
-    decode_operand_fields(Parser::document(&json.render(), Shallow::read)?)
-}
-
 /// The `[kind, [operand, ...]]` op entry at the cursor: `Ok(None)` for a
 /// `null` tombstone. The outer `Result` is the line's syntax, the inner one
 /// the entry's meaning, checked in the order of the fields.
@@ -1013,7 +827,7 @@ fn decode_op(p: &mut Parser<'_>) -> Result<Result<Option<Operation>, String>, St
     })?;
     let kind = match kind.as_ref().and_then(Field::as_str) {
         None => return Ok(Err("op needs a kind".to_string())),
-        Some(kind) => op_kind_parse(kind),
+        Some(kind) => kind_named(&OP_KINDS, kind, "op kind"),
     };
     Ok(kind.and_then(|kind| {
         let reads = reads.ok_or("op needs a reads array")??;
@@ -1157,8 +971,8 @@ impl<'a> LoopFields<'a> {
         };
         let src = live(number(0).ok_or("edge src must be a slot")?)?;
         let dst = live(number(1).ok_or("edge dst must be a slot")?)?;
-        let kind =
-            dep_kind_parse(e.get(2).and_then(Field::as_str).ok_or("edge kind must be a string")?)?;
+        let kind = e.get(2).and_then(Field::as_str).ok_or("edge kind must be a string")?;
+        let kind = kind_named(&DEP_KINDS, kind, "dependence kind")?;
         let latency =
             narrow_u32(number(3).ok_or("edge latency must be a number")?, "edge latency")?;
         let distance =
@@ -1195,13 +1009,6 @@ impl<'a> LoopFields<'a> {
         }
         Ok(Loop { name, ddg, trip_count })
     }
-}
-
-/// Decodes the loop object back into a [`Loop`], reconstructing tombstone
-/// slots so every producer slot index of the wire form stays valid; see
-/// [`decode_request`] for the checks.
-pub fn decode_loop(json: &Json) -> Result<Loop, String> {
-    Parser::document(&json.render(), LoopFields::read)?.finish()
 }
 
 /// A machine object's members.
@@ -1357,8 +1164,8 @@ impl<'a> RequestFields<'a> {
     }
 }
 
-/// Decodes one request line in one pass over its bytes, building no
-/// [`Json`] tree.
+/// Decodes one request line in one pass over its bytes, building no value
+/// tree.
 ///
 /// Object keys are matched as they come, in any order; the first of a
 /// duplicated key wins and unknown keys are skipped. A malformed member is
@@ -1374,35 +1181,129 @@ pub fn decode_request(line: &str) -> Result<WireRequest, String> {
     Parser::document(line, RequestFields::read)?.decode()
 }
 
+/// The members of a reply line that a client acts on. A member that is
+/// missing or of another type reads as `false` or `None`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Reply {
+    /// Whether `ok` is `true`.
+    pub ok: bool,
+    /// `cache_hit`, in a schedule reply.
+    pub cache_hit: Option<bool>,
+    /// `metrics`, the exposition text of a metrics reply.
+    pub metrics: Option<String>,
+    /// `error`, the message of a failure.
+    pub error: Option<String>,
+}
+
+/// Reads one reply line. As in [`decode_request`], the first of a
+/// duplicated key wins and other members are checked and skipped.
+///
+/// # Errors
+///
+/// Returns the position-annotated message of a malformed line.
+pub fn decode_reply(line: &str) -> Result<Reply, String> {
+    let (mut ok, mut cache_hit, mut metrics, mut error) = (None, None, None, None);
+    Parser::document(line, |p| {
+        p.members(|p, key| match key {
+            "ok" => first(&mut ok, p),
+            "cache_hit" => first(&mut cache_hit, p),
+            "metrics" => first(&mut metrics, p),
+            "error" => first(&mut error, p),
+            _ => p.skip(),
+        })
+    })?;
+    let text = |field: Option<Field<'_>>| field.as_ref().and_then(Field::as_str).map(String::from);
+    Ok(Reply {
+        ok: ok.as_ref().and_then(Field::as_bool) == Some(true),
+        cache_hit: cache_hit.as_ref().and_then(Field::as_bool),
+        metrics: text(metrics),
+        error: text(error),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dms_ir::{canonical_hash, kernels};
 
+    /// A plain DMS request for `body` on the 4-cluster paper machine.
+    fn request_for(body: Loop) -> String {
+        encode_schedule_request(&WireSchedule {
+            body,
+            machine: WireMachine {
+                unclustered: false,
+                clusters: 4,
+                copy_units: 1,
+                cqrf_capacity: None,
+                topology: TopologyKind::Ring,
+            },
+            scheduler: SchedulerKind::Dms,
+            dms: DmsConfig::default(),
+            verify_trips: None,
+            contention: false,
+        })
+    }
+
+    /// The loop a schedule request line decodes to, or the decoder's error.
+    fn decode_body(line: &str) -> Result<Loop, String> {
+        match decode_request(line)? {
+            WireRequest::Schedule(ws) => Ok(ws.body),
+            other => panic!("expected a schedule request, got {other:?}"),
+        }
+    }
+
+    /// Every value type is read around a reply's members, a string renders
+    /// and reads back unchanged, and an array's elements are visited once
+    /// each.
     #[test]
     fn json_roundtrips() {
-        let line = r#"{"a":[1,-2,null,true,"x\n\"y\""],"b":{"c":[]}}"#;
-        let v = Json::parse(line).unwrap();
-        assert_eq!(Json::parse(&v.render()).unwrap(), v);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 5);
+        let line = r#"{"a":[1,-2,null,true,"x\n\"y\""],"b":{"c":[]},"error":"x\n\"y\""}"#;
+        let reply = decode_reply(line).unwrap();
+        assert_eq!(reply.error.as_deref(), Some("x\n\"y\""));
+        assert_eq!(decode_reply(&encode_error("x\n\"y\"")).unwrap(), reply);
+        let mut elements = 0;
+        Parser::document(line, |p| {
+            p.members(|p, key| match key {
+                "a" => p.array(|p| {
+                    elements += 1;
+                    p.skip()
+                }),
+                _ => p.skip(),
+            })
+        })
+        .unwrap();
+        assert_eq!(elements, 5);
     }
 
     #[test]
     fn multibyte_strings_with_escapes_roundtrip() {
         let mut l = kernels::fir(4, 32);
         l.name = "fïr \"α\"\\β\n→😀\t\u{1}end".to_string();
-        let text = loop_json(&l).render();
-        assert_eq!(decode_loop(&Json::parse(&text).unwrap()).unwrap().name, l.name);
-        let escaped = Json::parse(r#""caf\u00e9 ☕ \"q\" \/""#).unwrap();
-        assert_eq!(escaped.as_str(), Some("café ☕ \"q\" /"));
+        assert_eq!(decode_body(&request_for(l.clone())).unwrap().name, l.name);
+        let escaped = decode_reply(r#"{"error":"caf\u00e9 ☕ \"q\" \/"}"#).unwrap();
+        assert_eq!(escaped.error.as_deref(), Some("café ☕ \"q\" /"));
     }
 
     #[test]
     fn json_rejects_garbage_and_floats() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("1.5").is_err());
-        assert!(Json::parse("{} trailing").is_err());
+        assert!(decode_reply("{").is_err());
+        assert!(decode_reply("[1,]").is_err());
+        assert!(decode_reply("1.5").is_err());
+        assert!(decode_reply("{} trailing").is_err());
+    }
+
+    /// A reply is read as a request is: the first of a duplicated key wins,
+    /// a member of another type reads as absent, and a line that is no
+    /// object has no members.
+    #[test]
+    fn a_reply_keeps_the_first_of_a_duplicated_key() {
+        let line =
+            r#"{"ok":true,"ok":false,"cache_hit":true,"x":{"ok":false},"metrics":"m","error":7}"#;
+        let expected =
+            Reply { ok: true, cache_hit: Some(true), metrics: Some("m".to_string()), error: None };
+        assert_eq!(decode_reply(line).unwrap(), expected);
+        assert_eq!(decode_reply(r#"{"ok":1,"cache_hit":null}"#).unwrap(), Reply::default());
+        assert_eq!(decode_reply("[true]").unwrap(), Reply::default());
     }
 
     /// A line of nothing but openers must come back as an error, not
@@ -1414,13 +1315,13 @@ mod tests {
         let objects = "{\"a\":".repeat(100_000);
         assert!(decode_request(&objects).unwrap_err().contains("nesting deeper than 64"));
         let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
-        assert!(Json::parse(&at_cap).is_ok(), "{MAX_DEPTH} levels are still accepted");
+        assert!(decode_reply(&at_cap).is_ok(), "{MAX_DEPTH} levels are still accepted");
     }
 
     #[test]
     fn loop_roundtrips_through_the_wire_encoding() {
         let fir = kernels::fir(8, 64);
-        let decoded = decode_loop(&loop_json(&fir)).unwrap();
+        let decoded = decode_body(&request_for(fir.clone())).unwrap();
         assert_eq!(decoded.name, fir.name);
         assert_eq!(decoded.trip_count, fir.trip_count);
         assert_eq!(decoded.ddg.num_slots(), fir.ddg.num_slots());
@@ -1437,7 +1338,7 @@ mod tests {
         let mut l = kernels::dot_product(32);
         let extra = l.ddg.add_op(Operation::new(OpKind::Add, vec![Operand::Immediate(1)]));
         l.ddg.remove_op(extra);
-        let decoded = decode_loop(&loop_json(&l)).unwrap();
+        let decoded = decode_body(&request_for(l.clone())).unwrap();
         assert_eq!(decoded.ddg.num_slots(), l.ddg.num_slots());
         assert_eq!(decoded.ddg.num_live_ops(), l.ddg.num_live_ops());
         assert_eq!(canonical_hash(&decoded.ddg), canonical_hash(&l.ddg));
@@ -1454,9 +1355,9 @@ mod tests {
             ddg.remove_op(dead);
         }
         let load = ddg.add_op(Operation::new(OpKind::Load, vec![Operand::Induction]));
-        let json = loop_json(&Loop { name: "sparse".to_string(), ddg, trip_count: 4 });
+        let line = request_for(Loop { name: "sparse".to_string(), ddg, trip_count: 4 });
         let started = std::time::Instant::now();
-        let decoded = decode_loop(&json).unwrap();
+        let decoded = decode_body(&line).unwrap();
         let elapsed = started.elapsed();
         assert_eq!(decoded.ddg.num_slots(), NULLS + 1);
         assert_eq!(decoded.ddg.live_ops().map(|(id, _)| id).collect::<Vec<_>>(), [load]);
@@ -1605,69 +1506,94 @@ mod tests {
         }
     }
 
-    /// Edge latency/distance and operand fields narrow too: patch the loop
-    /// object directly (their values are not unique in a full request
-    /// line).
+    /// Edge latency/distance and operand fields narrow too: patch the
+    /// first edge, and the operands of a loop whose reads are unique in its
+    /// line.
     #[test]
     fn oversized_loop_fields_are_rejected_with_positioned_errors() {
         let huge = i64::from(u32::MAX) + 1;
         let fir = kernels::fir(4, 32);
+        let line = request_for(fir.clone());
 
         // edge latency (index 3) and distance (index 4)
+        let (_, e) = fir.ddg.live_edges().next().unwrap();
+        let mut fields = [e.src.0, e.dst.0, 0, e.latency, e.distance].map(i64::from);
+        let edge = |f: &[i64; 5]| {
+            format!(
+                r#""edges":[[{},{},"{}",{},{}]"#,
+                f[0],
+                f[1],
+                name_of(&DEP_KINDS, e.kind),
+                f[3],
+                f[4]
+            )
+        };
+        let first = edge(&fields);
+        assert!(line.contains(&first), "{first} not found in {line}");
         for (index, field) in [(3usize, "edge latency"), (4usize, "edge distance")] {
-            let mut json = loop_json(&fir);
-            let Json::Obj(members) = &mut json else { unreachable!() };
-            let edges = members.iter_mut().find(|(k, _)| k == "edges").unwrap();
-            let Json::Arr(list) = &mut edges.1 else { unreachable!() };
-            let Json::Arr(edge) = &mut list[0] else { unreachable!() };
-            edge[index] = Json::Num(huge);
-            let err = decode_loop(&json).unwrap_err();
+            let kept = std::mem::replace(&mut fields[index], huge);
+            let err = decode_body(&line.replacen(&first, &edge(&fields), 1)).unwrap_err();
+            fields[index] = kept;
             assert!(err.contains(field), "{field}: got {err}");
         }
 
-        // operand producer slot and distance of a "def" read
-        for (index, field) in [(1usize, "operand producer slot"), (2usize, "operand distance")] {
-            let mut bad = Json::Arr(vec![Json::Str("def".to_string()), Json::Num(0), Json::Num(0)]);
-            let Json::Arr(parts) = &mut bad else { unreachable!() };
-            parts[index] = Json::Num(huge);
-            let err = decode_operand(&bad).unwrap_err();
-            assert!(err.contains(field), "{field}: got {err}");
-        }
-
+        // operand producer slot and distance of a "def" read, and an
         // invariant index
-        let bad = Json::Arr(vec![Json::Str("inv".to_string()), Json::Num(huge)]);
-        let err = decode_operand(&bad).unwrap_err();
-        assert!(err.contains("invariant index"), "got {err}");
+        let mut ddg = Ddg::new();
+        let load = ddg.add_op(Operation::new(OpKind::Load, vec![Operand::Induction]));
+        let reads = vec![Operand::def(load), Operand::Invariant(0)];
+        let add = ddg.add_op(Operation::new(OpKind::Add, reads));
+        ddg.add_edge(DepEdge::flow(load, add, 2, 0));
+        let line = request_for(Loop { name: "reads".to_string(), ddg, trip_count: 4 });
+        assert!(decode_body(&line).is_ok(), "the baseline loop must decode");
+        let cases = [
+            (r#"["def",0,0]"#, format!(r#"["def",{huge},0]"#), "operand producer slot"),
+            (r#"["def",0,0]"#, format!(r#"["def",0,{huge}]"#), "operand distance"),
+            (r#"["inv",0]"#, format!(r#"["inv",{huge}]"#), "invariant index"),
+        ];
+        for (needle, bad, field) in cases {
+            assert!(line.contains(needle), "{needle} not found in {line}");
+            let err = decode_body(&line.replace(needle, &bad)).unwrap_err();
+            assert!(err.contains(field), "{field}: got {err}");
+        }
     }
 
     #[test]
     fn malformed_edges_are_rejected_not_panicked_on() {
-        let fir = kernels::fir(4, 32);
-        let mut json = loop_json(&fir);
-        if let Json::Obj(members) = &mut json {
-            for (k, v) in members.iter_mut() {
-                if k == "edges" {
-                    *v = Json::Arr(vec![Json::Arr(vec![
-                        Json::Num(999),
-                        Json::Num(0),
-                        Json::Str("flow".to_string()),
-                        Json::Num(1),
-                        Json::Num(0),
-                    ])]);
-                }
-            }
+        let line = request_for(kernels::fir(4, 32));
+        let start = line.find(r#""edges":["#).unwrap();
+        let end = start + line[start..].find('}').unwrap();
+        let bad = format!(r#"{}"edges":[[999,0,"flow",1,0]]{}"#, &line[..start], &line[end..]);
+        assert!(decode_body(&bad).is_err());
+    }
+
+    /// A `def` read needs a flow edge from its producer at its distance:
+    /// the scheduler orders ops by edges alone, so it would ignore the read
+    /// and verification would fail as if the compiler were wrong.
+    #[test]
+    fn a_def_read_without_its_flow_edge_is_rejected_naming_the_op() {
+        let mut ddg = Ddg::new();
+        let load = ddg.add_op(Operation::new(OpKind::Load, vec![Operand::Induction]));
+        ddg.add_op(Operation::new(OpKind::Store, vec![Operand::def(load)]));
+        let line = request_for(Loop { name: "unlinked".to_string(), ddg, trip_count: 8 });
+        assert!(line.contains(r#""edges":[]"#), "{line}");
+        for edges in ["[]", r#"[[0,1,"flow",2,1]]"#, r#"[[0,1,"anti",2,0]]"#] {
+            let err = decode_body(&line.replace(r#""edges":[]"#, &format!(r#""edges":{edges}"#)))
+                .unwrap_err();
+            assert!(err.contains("op1 reads op0 at distance 0"), "{edges}: got {err}");
         }
-        assert!(decode_loop(&json).is_err());
+        let linked = line.replace(r#""edges":[]"#, r#""edges":[[0,1,"flow",2,0]]"#);
+        assert!(decode_body(&linked).is_ok());
     }
 
     #[test]
     fn zero_distance_cycles_are_rejected() {
         let mut iir = kernels::iir(16);
-        assert!(decode_loop(&loop_json(&iir)).is_ok(), "a carried recurrence is schedulable");
+        assert!(decode_body(&request_for(iir.clone())).is_ok(), "a carried recurrence schedules");
         let (_, back) = iir.ddg.live_edges().find(|(_, e)| e.distance > 0).unwrap();
         let back = DepEdge { distance: 0, ..*back };
         iir.ddg.add_edge(back);
-        let err = decode_loop(&loop_json(&iir)).unwrap_err();
+        let err = decode_body(&request_for(iir)).unwrap_err();
         assert!(err.contains("zero total distance"), "got {err}");
     }
 
@@ -1684,8 +1610,8 @@ mod tests {
         let text = "# TYPE dms_cache_hits_total counter\ndms_cache_hits_total 3\n";
         let line = encode_metrics_response(text);
         assert!(!line.contains('\n'), "wire responses are single lines: {line}");
-        let parsed = Json::parse(&line).unwrap();
-        assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(parsed.get("metrics").and_then(Json::as_str), Some(text));
+        let reply = decode_reply(&line).unwrap();
+        assert!(reply.ok);
+        assert_eq!(reply.metrics.as_deref(), Some(text));
     }
 }

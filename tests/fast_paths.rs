@@ -24,10 +24,10 @@ use dms_sched::mii::{mii, rec_mii};
 use dms_sched::priority::heights;
 use dms_sched::schedule::{dependence_bound, earliest_start, Schedule};
 use dms_service::hash::guard_fingerprint;
-use dms_service::wire::Json;
 use dms_workloads::{generate, unroll_for_machine, SuiteConfig, UnrollPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use reference::wire::Json;
 use std::collections::{BTreeSet, HashMap};
 
 /// The algorithms the fast paths replaced.
@@ -416,21 +416,22 @@ mod reference {
                 }
             }
             for (id, op) in self.ops.iter().enumerate() {
-                for (producer, _) in op.iter().flat_map(Operation::defs_read) {
+                let id = OpId(id as u32);
+                for (producer, distance) in op.iter().flat_map(Operation::defs_read) {
                     match self.ops.get(producer.index()) {
                         Some(Some(p)) if p.kind.has_result() => {}
                         Some(Some(_)) => {
-                            return Err(format!(
-                                "{} reads {producer}, which produces no result",
-                                OpId(id as u32)
-                            ))
+                            return Err(format!("{id} reads {producer}, which produces no result"))
                         }
-                        _ => {
-                            return Err(format!(
-                                "{} reads removed operation {producer}",
-                                OpId(id as u32)
-                            ))
-                        }
+                        _ => return Err(format!("{id} reads removed operation {producer}")),
+                    }
+                    let flow = |(_, e): &(EdgeId, DepEdge)| {
+                        e.kind == DepKind::Flow && e.src == producer && e.distance == distance
+                    };
+                    if !self.preds(id).iter().any(flow) {
+                        return Err(format!(
+                            "{id} reads {producer} at distance {distance} with no flow edge from it"
+                        ));
                     }
                 }
             }
@@ -456,8 +457,132 @@ mod reference {
         use dms_ir::{Ddg, DepEdge, DepKind, Loop, OpId, OpKind, Operand, Operation};
         use dms_machine::TopologyKind;
         use dms_sched::SchedulerStrategy;
-        use dms_service::wire::{Json, WireMachine, WireRequest, WireSchedule};
+        use dms_service::wire::{WireMachine, WireRequest, WireSchedule};
         use dms_service::{ScheduleResponse, SchedulerKind, ServiceError};
+        use std::fmt::Write as _;
+
+        /// A parsed JSON value. Numbers are `i64` — every field of this
+        /// protocol is integral.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Json {
+            Null,
+            Bool(bool),
+            Num(i64),
+            Str(String),
+            Arr(Vec<Json>),
+            /// An object (insertion-ordered).
+            Obj(Vec<(String, Json)>),
+        }
+
+        impl Json {
+            /// Parses one JSON document (trailing whitespace allowed,
+            /// nothing else).
+            pub fn parse(s: &str) -> Result<Json, String> {
+                parse(s)
+            }
+
+            /// Member lookup on an object: the first of a duplicated key.
+            pub fn get(&self, key: &str) -> Option<&Json> {
+                match self {
+                    Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                    _ => None,
+                }
+            }
+
+            pub fn as_i64(&self) -> Option<i64> {
+                match self {
+                    Json::Num(n) => Some(*n),
+                    _ => None,
+                }
+            }
+
+            pub fn as_u64(&self) -> Option<u64> {
+                self.as_i64().and_then(|n| u64::try_from(n).ok())
+            }
+
+            pub fn as_str(&self) -> Option<&str> {
+                match self {
+                    Json::Str(s) => Some(s),
+                    _ => None,
+                }
+            }
+
+            pub fn as_bool(&self) -> Option<bool> {
+                match self {
+                    Json::Bool(b) => Some(*b),
+                    _ => None,
+                }
+            }
+
+            pub fn as_arr(&self) -> Option<&[Json]> {
+                match self {
+                    Json::Arr(items) => Some(items),
+                    _ => None,
+                }
+            }
+
+            pub fn is_null(&self) -> bool {
+                matches!(self, Json::Null)
+            }
+
+            /// Renders the value as compact JSON.
+            pub fn render(&self) -> String {
+                let mut out = String::new();
+                self.render_into(&mut out);
+                out
+            }
+
+            fn render_into(&self, out: &mut String) {
+                match self {
+                    Json::Null => out.push_str("null"),
+                    Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                    Json::Num(n) => {
+                        let _ = write!(out, "{n}");
+                    }
+                    Json::Str(s) => render_string(s, out),
+                    Json::Arr(items) => {
+                        out.push('[');
+                        for (i, item) in items.iter().enumerate() {
+                            if i > 0 {
+                                out.push(',');
+                            }
+                            item.render_into(out);
+                        }
+                        out.push(']');
+                    }
+                    Json::Obj(members) => {
+                        out.push('{');
+                        for (i, (k, v)) in members.iter().enumerate() {
+                            if i > 0 {
+                                out.push(',');
+                            }
+                            render_string(k, out);
+                            out.push(':');
+                            v.render_into(out);
+                        }
+                        out.push('}');
+                    }
+                }
+            }
+        }
+
+        fn render_string(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
 
         fn encode_error(message: &str) -> String {
             Json::Obj(vec![
