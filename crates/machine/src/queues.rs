@@ -14,7 +14,8 @@
 //! Which queue files exist — one per adjacent directed pair on a ring, one
 //! shared output queue per cluster on a bus, one per directed pair on a
 //! crossbar — is decided by [`Topology::queue_files`]; this module only
-//! provides the identifier and the FIFO used by the simulators.
+//! provides the CQRF identifier and [`QueueFile`], the bounded FIFO the
+//! program executor keeps every operand stream in, LRF and CQRF alike.
 //!
 //! [`Topology::queue_between`]: crate::topology::Topology::queue_between
 //! [`Topology::queue_files`]: crate::topology::Topology::queue_files
@@ -56,8 +57,6 @@ pub struct QueueFile<T> {
     /// Highest occupancy ever observed; reported by the register-requirement
     /// statistics.
     high_water: usize,
-    /// Number of pushes rejected because the queue was full.
-    overflows: u64,
 }
 
 impl<T> QueueFile<T> {
@@ -68,25 +67,7 @@ impl<T> QueueFile<T> {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a queue register file needs a positive capacity");
-        QueueFile { capacity, values: VecDeque::new(), high_water: 0, overflows: 0 }
-    }
-
-    /// Capacity of the queue.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current number of values held.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the queue holds no value.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        QueueFile { capacity, values: VecDeque::new(), high_water: 0 }
     }
 
     /// Whether the queue is full.
@@ -95,11 +76,10 @@ impl<T> QueueFile<T> {
         self.values.len() >= self.capacity
     }
 
-    /// Appends a value at the tail. Returns `false` (and records an
-    /// overflow) if the queue is full.
+    /// Appends a value at the tail. Returns `false`, leaving the queue
+    /// unchanged, if it is full.
     pub fn push(&mut self, value: T) -> bool {
         if self.is_full() {
-            self.overflows += 1;
             return false;
         }
         self.values.push_back(value);
@@ -121,12 +101,6 @@ impl<T> QueueFile<T> {
     #[inline]
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Number of rejected pushes.
-    #[inline]
-    pub fn overflows(&self) -> u64 {
-        self.overflows
     }
 }
 
@@ -168,25 +142,33 @@ mod tests {
     #[test]
     fn queue_fifo_and_single_read() {
         let mut q: QueueFile<i64> = QueueFile::new(2);
-        assert!(q.is_empty());
+        assert_eq!(q.peek(), None);
         assert!(q.push(1));
         assert!(q.push(2));
         assert!(q.is_full());
+        // a rejected push neither stores the value nor raises the high water
         assert!(!q.push(3));
-        assert_eq!(q.overflows(), 1);
+        assert_eq!(q.high_water(), 2);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
         assert_eq!(q.high_water(), 2);
-        assert_eq!(q.capacity(), 2);
+        // the capacity is 2: once drained, two pushes fit again and a third
+        // does not
+        assert!(q.push(4) && q.push(5));
+        assert!(!q.push(6));
+        assert_eq!(q.pop(), Some(4));
     }
 
     #[test]
     fn queue_peek_does_not_consume() {
         let mut q: QueueFile<&str> = QueueFile::new(4);
-        q.push("a");
+        assert!(q.push("a"));
         assert_eq!(q.peek(), Some(&"a"));
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek(), Some(&"a"));
+        assert_eq!(q.high_water(), 1);
+        assert_eq!(q.pop(), Some("a"));
+        assert_eq!(q.peek(), None);
     }
 
     #[test]

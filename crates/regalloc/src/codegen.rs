@@ -62,12 +62,9 @@ pub struct CodeSlot {
     pub cluster: ClusterId,
     /// The functional unit class it occupies.
     pub fu: FuKind,
-    /// Where its operands come from.
+    /// Where its operands come from. A value's route is named once, at the
+    /// operand that reads it.
     pub sources: Vec<OperandSource>,
-    /// The CQRFs the result must additionally be written to (one per
-    /// consumer sitting in an adjacent cluster); an empty list means the
-    /// result only lives in the local register file.
-    pub result_queues: Vec<CqrfId>,
 }
 
 impl fmt::Display for CodeSlot {
@@ -79,11 +76,7 @@ impl fmt::Display for CodeSlot {
             }
             write!(f, "{s}")?;
         }
-        write!(f, ")")?;
-        for q in &self.result_queues {
-            write!(f, " -> {q}")?;
-        }
-        Ok(())
+        write!(f, ")")
     }
 }
 
@@ -187,32 +180,12 @@ fn build_slot(result: &ScheduleResult, machine: &MachineConfig, op: OpId) -> Cod
         })
         .collect();
 
-    // Result routing: one CQRF write per consumer in an adjacent cluster.
-    let mut result_queues: Vec<CqrfId> = result
-        .ddg
-        .flow_succs(op)
-        .filter_map(|(_, e)| {
-            let c = result.schedule.get(e.dst)?;
-            if c.cluster == placed.cluster {
-                return None;
-            }
-            Some(
-                topology
-                    .queue_between(placed.cluster, c.cluster)
-                    .expect("codegen requires a communication-conflict-free schedule"),
-            )
-        })
-        .collect();
-    result_queues.sort();
-    result_queues.dedup();
-
     CodeSlot {
         op,
         kind: operation.kind,
         cluster: placed.cluster,
         fu: FuKind::for_op(operation.kind),
         sources,
-        result_queues,
     }
 }
 
@@ -351,9 +324,6 @@ mod tests {
                     assert_eq!(topology.distance(queue.writer, queue.reader), 1);
                     assert_eq!(queue.reader, slot.cluster);
                 }
-            }
-            for q in &slot.result_queues {
-                assert_eq!(q.writer, slot.cluster);
             }
         }
     }

@@ -46,8 +46,6 @@ pub struct RegAllocResult {
     pub pressure: QueuePressure,
     /// The classic MaxLive register-pressure metric over the whole loop.
     pub max_live: u32,
-    /// The allocated lifetimes.
-    pub lifetimes: Vec<Lifetime>,
 }
 
 /// Allocates every lifetime of a scheduled loop to the LRF of its cluster or
@@ -78,7 +76,7 @@ pub fn allocate(
     if let Some(x) = pressure.capacity_excess(machine) {
         return Err(AllocError::CapacityExceeded(x));
     }
-    Ok(RegAllocResult { pressure, max_live: max_live(&lts, result.ii()), lifetimes: lts })
+    Ok(RegAllocResult { pressure, max_live: max_live(&lts, result.ii()) })
 }
 
 #[cfg(test)]

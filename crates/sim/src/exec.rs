@@ -113,6 +113,25 @@ mod tests {
     }
 
     #[test]
+    fn a_consumer_issued_before_its_same_cluster_producer_reads_an_empty_lrf() {
+        // The late producer above, on a schedule where the store and its
+        // producer share a cluster: the store's first read finds the LRF
+        // stream empty instead of reading a value nobody produced.
+        let l = kernels::daxpy(32);
+        let m = MachineConfig::paper_clustered(2);
+        let mut r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
+        let (store, producer) = store_and_producer(&r);
+        let place = r.schedule.get(producer).unwrap();
+        assert_eq!(r.schedule.get(store).unwrap().cluster, place.cluster, "an LRF value");
+        let late = place.time + 10 * r.ii();
+        r.schedule.place(producer, late, place.cluster);
+        assert_eq!(
+            execute_program(&emit(&r, &m), &r.ddg, &m, 8),
+            Err(SimError::EmptyQueueRead { consumer: store, iteration: 0 })
+        );
+    }
+
+    #[test]
     fn report_ipc_matches_schedule_model() {
         let l = kernels::fir(8, 200);
         let m = MachineConfig::paper_clustered(4);

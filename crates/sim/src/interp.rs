@@ -9,7 +9,6 @@ use crate::values::{apply, initial_value, invariant_value, live_in_value};
 use dms_ir::analysis::topological_order;
 use dms_ir::{Ddg, OpId, OpKind, Operand};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One value written by a store operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,8 +29,8 @@ pub struct StoreRecord {
 /// Panics if the intra-iteration dependence graph is cyclic (an invalid DDG).
 pub fn reference_trace(ddg: &Ddg, trip_count: u64) -> Vec<StoreRecord> {
     let order = topological_order(ddg).expect("reference interpreter needs an acyclic body");
-    // history[op] holds the op's values for every executed iteration.
-    let mut history: HashMap<OpId, Vec<i64>> = HashMap::new();
+    // history[op.index()] holds the op's values for every executed iteration.
+    let mut history = vec![Vec::new(); ddg.num_slots()];
     let mut trace = Vec::new();
 
     for i in 0..trip_count {
@@ -40,7 +39,7 @@ pub fn reference_trace(ddg: &Ddg, trip_count: u64) -> Vec<StoreRecord> {
             let operands: Vec<i64> =
                 operation.reads.iter().map(|r| operand_value(ddg, r, i, &history)).collect();
             let value = apply(operation.kind, &operands, i);
-            history.entry(op).or_default().push(value);
+            history[op.index()].push(value);
             if operation.kind == OpKind::Store {
                 trace.push(StoreRecord { op, iteration: i, value });
             }
@@ -49,12 +48,7 @@ pub fn reference_trace(ddg: &Ddg, trip_count: u64) -> Vec<StoreRecord> {
     trace
 }
 
-fn operand_value(
-    ddg: &Ddg,
-    operand: &Operand,
-    iteration: u64,
-    history: &HashMap<OpId, Vec<i64>>,
-) -> i64 {
+fn operand_value(ddg: &Ddg, operand: &Operand, iteration: u64, history: &[Vec<i64>]) -> i64 {
     match *operand {
         Operand::Immediate(v) => v,
         Operand::Invariant(k) => invariant_value(k),
@@ -64,9 +58,8 @@ fn operand_value(
             if wanted < 0 {
                 live_in_value(ddg, op, wanted)
             } else {
-                history
-                    .get(&op)
-                    .and_then(|h| h.get(wanted as usize))
+                history[op.index()]
+                    .get(wanted as usize)
                     .copied()
                     .unwrap_or_else(|| initial_value(op, wanted))
             }

@@ -11,9 +11,10 @@
 //! * [`vliw`] — the executor of the *emitted* VLIW program (the
 //!   `dms_regalloc::emit` output): prologue, kernel repetitions and epilogue
 //!   run instruction word by instruction word, operands read from the
-//!   register files their codegen annotations name, every cross-cluster
-//!   value routed through a FIFO stream with single-read discipline; the
-//!   same walk times every transfer under the topology's link bandwidth,
+//!   register files their codegen annotations name, every loop-variant
+//!   value — local (LRF) or cross-cluster (CQRF) — routed through a
+//!   capacity-bounded FIFO stream with single-read discipline; the same
+//!   walk times every CQRF transfer under the topology's link bandwidth,
 //! * [`contention`] — that timing model (link bookings, the achieved II)
 //!   and [`replay_schedule`], its one-call form for a schedule,
 //! * [`verify`] — the end-to-end oracle: validate → allocate → emit →

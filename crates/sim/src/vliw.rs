@@ -4,15 +4,17 @@
 //! actually emits — the fully unrolled prologue, `K` repetitions of the
 //! steady-state kernel, and the epilogue — the way the hardware would:
 //! instruction word by instruction word, each operand read from the
-//! register file its [`OperandSource`] annotation names. Every value that
-//! the code generator routed through a CQRF travels through a FIFO stream
-//! with single-read discipline; every local value is read back from the
-//! producing cluster's register file.
+//! register file its [`OperandSource`] annotation names. Every loop-variant
+//! value travels through a FIFO stream with single-read discipline: the
+//! consumer cluster's LRF when producer and consumer share a cluster, the
+//! CQRF between them otherwise. Each stream starts with its dependence's
+//! live-in values and holds no more than its queue file's capacity.
 //!
 //! Executing the emitted program (rather than the schedule) makes the
 //! codegen layer load-bearing: a wrong operand annotation, a missing kernel
-//! slot or a mis-ordered prologue changes the values reaching the stores and
-//! is caught by the cross-check in [`crate::verify`].
+//! slot or a mis-ordered prologue changes the values reaching the stores,
+//! leaves a read with no value, or fails the setup checks, and is caught by
+//! [`crate::verify`].
 //!
 //! The same walk times the interconnect ([`crate::contention`]): every
 //! queued value carries the first cycle its consumer may read it, so a word
@@ -21,17 +23,16 @@
 
 use crate::contention::{ContentionReport, Timing};
 use crate::interp::StoreRecord;
-use crate::values::{apply, initial_value, invariant_value, live_in_value};
+use crate::values::{apply, invariant_value, live_in_value};
 use dms_ir::{Ddg, OpId, OpKind};
-use dms_machine::{ClusterId, CqrfId, MachineConfig, QueueFile};
+use dms_machine::{CqrfId, MachineConfig, QueueFile};
 use dms_regalloc::codegen::{CodeSlot, OperandSource, VliwProgram};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors detected while executing an emitted program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A consumer tried to read from an empty inter-cluster queue (the value
+    /// A consumer tried to read from an empty LRF or CQRF stream (the value
     /// had not been produced yet).
     EmptyQueueRead {
         /// Consumer operation.
@@ -39,15 +40,19 @@ pub enum SimError {
         /// Iteration of the consumer.
         iteration: u64,
     },
-    /// A producer pushed into a full inter-cluster queue: the schedule keeps
-    /// more values in flight than the CQRF capacity allows. Reported eagerly
-    /// instead of dropping the value, which would corrupt every later read
-    /// of the stream and misdiagnose a capacity problem as a value bug.
+    /// A producer pushed into a full stream: the schedule keeps more values
+    /// in flight than the capacity of the queue file holding them. Reported
+    /// eagerly instead of dropping the value, which would corrupt every
+    /// later read of the stream and misdiagnose a capacity problem as a
+    /// value bug.
     QueueOverflow {
         /// Producer operation whose value did not fit.
         producer: OpId,
         /// Consumer operation owning the overflowing stream.
         consumer: OpId,
+        /// The CQRF that overflowed, or `None` for the LRF of the cluster
+        /// both operations sit in.
+        cqrf: Option<CqrfId>,
     },
     /// The emitted VLIW program is inconsistent with the DDG it claims to
     /// implement (wrong operand annotation, wrong arity, wrong endpoint).
@@ -68,8 +73,12 @@ impl fmt::Display for SimError {
             SimError::MalformedProgram { op, detail } => {
                 write!(f, "emitted program is inconsistent at {op}: {detail}")
             }
-            SimError::QueueOverflow { producer, consumer } => {
-                write!(f, "value of {producer} for {consumer} overflowed a CQRF: capacity exceeded")
+            SimError::QueueOverflow { producer, consumer, cqrf } => {
+                let queue = cqrf.map_or_else(|| "their LRF".to_string(), |q| q.to_string());
+                write!(
+                    f,
+                    "value of {producer} for {consumer} overflowed {queue}: capacity exceeded"
+                )
             }
         }
     }
@@ -82,9 +91,6 @@ impl std::error::Error for SimError {}
 pub struct ProgramReport {
     /// Total cycles under idealised timing: `(trip_count + stages - 1) * II`.
     pub cycles: u64,
-    /// Times the steady-state kernel was issued
-    /// (`trip_count - stages + 1` when the pipeline fills completely).
-    pub kernel_repetitions: u64,
     /// Operation instances executed across prologue, kernel and epilogue.
     pub instances_executed: u64,
     /// Useful (non copy/move) instances among them.
@@ -100,28 +106,31 @@ pub struct ProgramReport {
     pub contention: ContentionReport,
 }
 
-/// Key of a CQRF operand stream: `(consumer, operand index)` — one stream
-/// per consuming operand, exactly how the queue registers are allocated.
+/// Key of an operand stream: `(consumer, operand index)` — one stream per
+/// operand that reads a loop-variant value, exactly how the queue registers
+/// are allocated.
 type StreamKey = (OpId, usize);
 
-/// One CQRF operand stream.
+/// One operand stream, held in the consumer cluster's LRF or in a CQRF.
 struct Stream {
     /// Values in flight, oldest first, each with the first cycle its
     /// consumer may read it.
     queue: QueueFile<(i64, u64)>,
-    /// The link the values cross and its slots per cycle; `None` on an
-    /// unconstrained fabric.
-    link: Option<(CqrfId, u32)>,
+    /// The CQRF the values cross a cluster boundary through; `None` for an
+    /// LRF stream.
+    cqrf: Option<CqrfId>,
+    /// Slots per cycle of that CQRF's link; `None` for an LRF stream and on
+    /// an unconstrained fabric.
+    link_slots: Option<u32>,
 }
 
 /// Per-operation state, indexed by [`OpId::index`].
 struct ProgramState {
-    /// The CQRF stream of each operand, if it reads one.
+    /// The stream of each operand, if it reads a loop-variant value.
     streams: Vec<Vec<Option<Stream>>>,
     /// The streams each producer pushes into, sorted for a deterministic
     /// push order.
     fanout: Vec<Vec<StreamKey>>,
-    history: Vec<Vec<i64>>,
     iteration_of: Vec<u64>,
     trip_count: u64,
     timing: Timing,
@@ -162,7 +171,7 @@ struct ProgramState {
 /// # Errors
 ///
 /// Returns a [`SimError`] for an inconsistency between program and DDG, a
-/// read from an empty CQRF stream or a push into a full one; a correctly
+/// read from an empty stream or a push into a full one; a correctly
 /// emitted program of a valid schedule never fails.
 pub fn execute_program(
     program: &VliwProgram,
@@ -174,59 +183,64 @@ pub fn execute_program(
     let kernel_repetitions = trip_count.saturating_sub(stages - 1);
     let cycles = if trip_count == 0 { 0 } else { (trip_count + stages - 1) * program.ii as u64 };
 
-    // --- set up one FIFO stream per CQRF-annotated operand ------------------
+    // --- set up one FIFO stream per LRF- or CQRF-annotated operand ----------
     // Every live operation appears exactly once in the kernel, so one pass
     // over the kernel words discovers every stream (and a preliminary pass
-    // the cluster of every producer, needed to check that each CQRF
-    // annotation names the queue file the topology actually provides
-    // between the two clusters).
+    // the cluster of every producer, needed to check that each annotation
+    // names the consumer's own LRF or the queue file the topology actually
+    // provides between the two clusters).
     let topology = machine.topology();
-    let cluster_of: HashMap<OpId, ClusterId> =
-        program.kernel.iter().flat_map(|w| &w.slots).map(|slot| (slot.op, slot.cluster)).collect();
+    let mut cluster_of = vec![None; ddg.num_slots()];
+    for slot in program.kernel.iter().flat_map(|w| &w.slots) {
+        cluster_of[slot.op.index()] = Some(slot.cluster);
+    }
     let mut streams: Vec<Vec<Option<Stream>>> = (0..ddg.num_slots()).map(|_| Vec::new()).collect();
     let mut fanout = vec![Vec::new(); ddg.num_slots()];
     for slot in program.kernel.iter().flat_map(|w| &w.slots) {
         let operation = ddg.op(slot.op);
+        let malformed = |detail| SimError::MalformedProgram { op: slot.op, detail };
         if slot.sources.len() != operation.reads.len() {
-            return Err(SimError::MalformedProgram {
-                op: slot.op,
-                detail: format!(
-                    "slot has {} operand sources but the operation reads {} values",
-                    slot.sources.len(),
-                    operation.reads.len()
-                ),
-            });
+            return Err(malformed(format!(
+                "slot has {} operand sources but the operation reads {} values",
+                slot.sources.len(),
+                operation.reads.len()
+            )));
         }
         for (idx, source) in slot.sources.iter().enumerate() {
-            let OperandSource::Cqrf { producer, queue } = *source else { continue };
-            let Some((read_producer, distance)) = operation.reads[idx].producer() else {
-                return Err(SimError::MalformedProgram {
-                    op: slot.op,
-                    detail: format!("operand {idx} is annotated as a CQRF read but is no Def"),
-                });
+            let (producer, cqrf, file) = match *source {
+                OperandSource::Lrf { producer } => (producer, None, "LRF"),
+                OperandSource::Cqrf { producer, queue } => (producer, Some(queue), "CQRF"),
+                _ => continue,
             };
-            let from = cluster_of.get(&producer).copied().filter(|&pc| {
-                read_producer == producer && topology.queue_between(pc, slot.cluster) == Some(queue)
+            let Some((read_producer, distance)) = operation.reads[idx].producer() else {
+                return Err(malformed(format!("operand {idx} {file} annotation is on no Def")));
+            };
+            let from = cluster_of[read_producer.index()].filter(|&pc| {
+                read_producer == producer
+                    && match cqrf {
+                        None => pc == slot.cluster,
+                        Some(queue) => topology.queue_between(pc, slot.cluster) == Some(queue),
+                    }
             });
             let Some(from) = from else {
-                return Err(SimError::MalformedProgram {
-                    op: slot.op,
-                    detail: format!("operand {idx} CQRF annotation names the wrong endpoint"),
-                });
+                return Err(malformed(format!(
+                    "operand {idx} {file} annotation names the wrong endpoint"
+                )));
             };
-            let mut values = QueueFile::new(machine.cqrf_capacity.max(1) as usize);
+            let capacity = cqrf.map_or(machine.lrf_capacity, |_| machine.cqrf_capacity);
+            let mut values = QueueFile::new(capacity.max(1) as usize);
             for k in 0..distance {
                 // live-in values of loop-carried dependences, oldest first,
                 // queued before cycle 0
                 let value = live_in_value(ddg, producer, k as i64 - distance as i64);
                 if !values.push((value, 0)) {
-                    return Err(SimError::QueueOverflow { producer, consumer: slot.op });
+                    return Err(SimError::QueueOverflow { producer, consumer: slot.op, cqrf });
                 }
             }
-            let link = topology.link_capacity(from, slot.cluster).map(|slots| (queue, slots));
+            let link_slots = cqrf.and_then(|_| topology.link_capacity(from, slot.cluster));
             let operands = &mut streams[slot.op.index()];
             operands.resize_with(slot.sources.len(), || None);
-            operands[idx] = Some(Stream { queue: values, link });
+            operands[idx] = Some(Stream { queue: values, cqrf, link_slots });
             fanout[producer.index()].push((slot.op, idx));
         }
     }
@@ -237,14 +251,12 @@ pub fn execute_program(
     let mut st = ProgramState {
         streams,
         fanout,
-        history: vec![Vec::new(); ddg.num_slots()],
         iteration_of: vec![0; ddg.num_slots()],
         trip_count,
         timing: Timing::new(topology.transfer_model(), ddg.num_slots()),
         granted: Vec::new(),
         report: ProgramReport {
             cycles,
-            kernel_repetitions,
             instances_executed: 0,
             useful_instances: 0,
             cross_cluster_values: 0,
@@ -268,7 +280,7 @@ pub fn execute_program(
     for (word, in_kernel) in words {
         let at = word.slots.iter().fold(next_cycle, |at, slot| at.max(ready_cycle(&st, slot)));
         for slot in &word.slots {
-            issue(&mut st, ddg, slot, at, in_kernel)?;
+            issue(&mut st, slot, at, in_kernel)?;
         }
         next_cycle = at + 1;
         ideal_cycles += 1;
@@ -279,6 +291,7 @@ pub fn execute_program(
         .iter()
         .flatten()
         .flatten()
+        .filter(|s| s.cqrf.is_some())
         .map(|s| s.queue.high_water() as u64)
         .max()
         .unwrap_or(0);
@@ -286,9 +299,12 @@ pub fn execute_program(
     Ok(st.report)
 }
 
-/// First cycle at which every CQRF operand of `slot` is readable (0 for a
-/// slot that is predicated off or reads no CQRF). An empty stream does not
-/// constrain the word: the read itself reports it.
+/// First cycle at which every stream operand of `slot` is readable (0 for
+/// a slot that is predicated off or reads no stream). An empty stream does
+/// not constrain the word: the read itself reports it. Only a CQRF value
+/// can hold a word back: an LRF value is readable the cycle after its
+/// producer issues, and words issue in order, so every later word issues
+/// at least that late.
 fn ready_cycle(st: &ProgramState, slot: &CodeSlot) -> u64 {
     let ready = st.streams[slot.op.index()]
         .iter()
@@ -303,13 +319,7 @@ fn ready_cycle(st: &ProgramState, slot: &CodeSlot) -> u64 {
 
 /// Executes one slot occurrence, issued at cycle `at`: the next iteration
 /// of its operation.
-fn issue(
-    st: &mut ProgramState,
-    ddg: &Ddg,
-    slot: &CodeSlot,
-    at: u64,
-    in_kernel: bool,
-) -> Result<(), SimError> {
+fn issue(st: &mut ProgramState, slot: &CodeSlot, at: u64, in_kernel: bool) -> Result<(), SimError> {
     let j = st.iteration_of[slot.op.index()];
     if j >= st.trip_count {
         // Ramp code for an iteration beyond the trip count (only possible
@@ -317,7 +327,6 @@ fn issue(
         return Ok(());
     }
     st.iteration_of[slot.op.index()] = j + 1;
-    let operation = ddg.op(slot.op);
 
     let mut operands = Vec::with_capacity(slot.sources.len());
     for (idx, source) in slot.sources.iter().enumerate() {
@@ -325,42 +334,18 @@ fn issue(
             OperandSource::Immediate(v) => *v,
             OperandSource::Invariant(k) => invariant_value(*k),
             OperandSource::Induction => j as i64,
-            OperandSource::Cqrf { .. } => {
+            OperandSource::Lrf { .. } | OperandSource::Cqrf { .. } => {
                 st.streams[slot.op.index()]
                     .get_mut(idx)
                     .and_then(|s| s.as_mut()?.queue.pop())
                     .ok_or(SimError::EmptyQueueRead { consumer: slot.op, iteration: j })?
                     .0
             }
-            OperandSource::Lrf { producer } => {
-                let Some((read_producer, distance)) = operation.reads[idx].producer() else {
-                    return Err(SimError::MalformedProgram {
-                        op: slot.op,
-                        detail: format!("operand {idx} is annotated as an LRF read but is no Def"),
-                    });
-                };
-                if read_producer != *producer {
-                    return Err(SimError::MalformedProgram {
-                        op: slot.op,
-                        detail: format!("operand {idx} LRF annotation names the wrong producer"),
-                    });
-                }
-                let wanted = j as i64 - distance as i64;
-                if wanted < 0 {
-                    live_in_value(ddg, *producer, wanted)
-                } else {
-                    st.history[producer.index()]
-                        .get(wanted as usize)
-                        .copied()
-                        .unwrap_or_else(|| initial_value(*producer, wanted))
-                }
-            }
         };
         operands.push(value);
     }
 
     let value = apply(slot.kind, &operands, j);
-    st.history[slot.op.index()].push(value);
     st.report.instances_executed += 1;
     if slot.kind.is_useful() {
         st.report.useful_instances += 1;
@@ -372,15 +357,14 @@ fn issue(
         }
     }
     // The value requests each link at the issue cycle and is readable the
-    // cycle after its grant. Requests come in program order and grants are
+    // cycle after its grant (after `at` itself on an LRF or an
+    // unconstrained link). Requests come in program order and grants are
     // first-free-cycle, so every stream stays FIFO in time.
     st.granted.clear();
     for &(consumer, idx) in &st.fanout[slot.op.index()] {
-        st.report.cross_cluster_values += 1;
         let Some(stream) = st.streams[consumer.index()][idx].as_mut() else { continue };
-        let grant = match stream.link {
-            None => at,
-            Some((link, slots)) => match st.granted.iter().find(|(l, _)| *l == link) {
+        let grant = match (stream.cqrf, stream.link_slots) {
+            (Some(link), Some(slots)) => match st.granted.iter().find(|(l, _)| *l == link) {
                 Some(&(_, grant)) => grant,
                 None => {
                     let grant = st.timing.acquire(link, slots, at);
@@ -388,9 +372,11 @@ fn issue(
                     grant
                 }
             },
+            _ => at,
         };
+        st.report.cross_cluster_values += u64::from(stream.cqrf.is_some());
         if !stream.queue.push((value, grant + 1)) {
-            return Err(SimError::QueueOverflow { producer: slot.op, consumer });
+            return Err(SimError::QueueOverflow { producer: slot.op, consumer, cqrf: stream.cqrf });
         }
     }
     Ok(())
@@ -473,14 +459,15 @@ mod tests {
             }
             exercised = true;
             let tight = MachineConfig::paper_clustered(8).with_cqrf_capacity(1);
-            assert!(
-                matches!(
-                    execute_program(&p, &r.ddg, &tight, 64),
-                    Err(SimError::QueueOverflow { .. })
+            match execute_program(&p, &r.ddg, &tight, 64) {
+                Err(e @ SimError::QueueOverflow { cqrf: Some(queue), .. }) => {
+                    assert!(e.to_string().contains(&format!("overflowed {queue}")), "{e}");
+                }
+                other => panic!(
+                    "{}: a depth-{depth} stream must overflow a 1-register CQRF, got {other:?}",
+                    l.name
                 ),
-                "{}: a depth-{depth} stream must overflow a 1-register CQRF",
-                l.name
-            );
+            }
             assert!(
                 matches!(replay_schedule(&r, &tight, 64), Err(SimError::QueueOverflow { .. })),
                 "{}: contention timing runs the same capacity-checked walk",
@@ -488,6 +475,25 @@ mod tests {
             );
         }
         assert!(exercised, "no candidate schedule had queue depth >= 2");
+    }
+
+    #[test]
+    fn undersized_lrf_reports_overflow_naming_the_lrf() {
+        // LRF streams are capacity-checked like CQRF ones: on one cluster
+        // every value stays local, and a load that takes longer than the II
+        // has two values in flight, one more than a one-register LRF holds.
+        let l = kernels::prefix_sum(64);
+        let mut m = MachineConfig::paper_clustered(1);
+        let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
+        let p = emit(&r, &m);
+        assert!(execute_program(&p, &r.ddg, &m, 64).is_ok());
+        m.lrf_capacity = 1;
+        match execute_program(&p, &r.ddg, &m, 64) {
+            Err(e @ SimError::QueueOverflow { cqrf: None, .. }) => {
+                assert!(e.to_string().contains("overflowed their LRF"), "{e}");
+            }
+            other => panic!("a 1-register LRF must overflow, got {other:?}"),
+        }
     }
 
     #[test]
@@ -508,5 +514,42 @@ mod tests {
             execute_program(&p, &r.ddg, &m, 8),
             Err(SimError::MalformedProgram { .. })
         ));
+    }
+
+    #[test]
+    fn an_lrf_annotation_on_a_value_from_another_cluster_is_malformed() {
+        // An LRF holds only the values of its own cluster: relabelling one
+        // CQRF read as an LRF read of the same producer (in every word, so
+        // each occurrence agrees) must be rejected, although the value the
+        // operand names is the right one.
+        let l = kernels::fir(16, 512);
+        let m = MachineConfig::paper_clustered(8);
+        let r = dms_schedule(&l, &m, &DmsConfig::default()).unwrap();
+        let mut p = emit(&r, &m);
+        let (op, idx, producer) = p
+            .kernel
+            .iter()
+            .flat_map(|w| &w.slots)
+            .find_map(|s| {
+                s.sources.iter().enumerate().find_map(|(idx, src)| match *src {
+                    OperandSource::Cqrf { producer, .. } => Some((s.op, idx, producer)),
+                    _ => None,
+                })
+            })
+            .expect("fir16 on 8 clusters reads a value across clusters");
+        let words = p.prologue.iter_mut().chain(&mut p.kernel).chain(&mut p.epilogue);
+        for slot in words.flat_map(|w| &mut w.slots).filter(|s| s.op == op) {
+            slot.sources[idx] = OperandSource::Lrf { producer };
+        }
+        match execute_program(&p, &r.ddg, &m, 64) {
+            Err(SimError::MalformedProgram { op: at, detail }) => {
+                assert_eq!(at, op);
+                assert_eq!(
+                    detail,
+                    format!("operand {idx} LRF annotation names the wrong endpoint")
+                );
+            }
+            other => panic!("expected a malformed program, got {other:?}"),
+        }
     }
 }
