@@ -336,9 +336,10 @@ pub fn measure_one(
 
 /// Measures one already-unrolled body on one cluster count. Both scheduler
 /// runs (IMS on the unclustered machine, DMS on the clustered one) go
-/// through the schedule service; in verify mode the service also executes
+/// through the schedule service's one lookup path, and each row is made
+/// from the two answers' records; in verify mode the service also executes
 /// the schedule against the scalar reference and the digests come back in
-/// the response — cached or cold, the same bits either way.
+/// the records — cached or cold, the same bits either way.
 fn measure_body(
     suite_loop: &SuiteLoop,
     body: &dms_ir::Loop,
@@ -354,8 +355,8 @@ fn measure_body(
 
     // A schedule or verification failure is a compiler bug; the task is
     // dropped here and counted as failed by the sweep stats.
-    let ims_resp = service
-        .schedule(&ScheduleRequest {
+    let ims = service
+        .answer(&ScheduleRequest {
             body,
             machine: &unclustered_machine,
             dms: DmsConfig::default(),
@@ -367,8 +368,8 @@ fn measure_body(
         })
         .ok()?;
     let dms_cfg = DmsConfig { ii_seed, ..config.dms };
-    let dms_resp = service
-        .schedule(&ScheduleRequest {
+    let dms = service
+        .answer(&ScheduleRequest {
             body,
             machine: &clustered_machine,
             dms: dms_cfg,
@@ -378,9 +379,9 @@ fn measure_body(
         })
         .ok()?;
 
-    let ims = ims_resp.output.result();
-    let dms = dms_resp.output.dms().expect("a DMS request yields a DMS outcome");
-    let (verified_stores, max_queue_depth) = match (ims_resp.verify, dms_resp.verify) {
+    let (unclustered, clustered) = (&ims.record, &dms.record);
+    let search = clustered.dms.expect("a DMS request yields the DMS search's scalars");
+    let (verified_stores, max_queue_depth) = match (unclustered.verify, clustered.verify) {
         (Some(i), Some(d)) => {
             (i.stores_checked + d.stores_checked, i.max_queue_depth.max(d.max_queue_depth))
         }
@@ -393,26 +394,26 @@ fn measure_body(
         clusters,
         useful_ops: body.useful_ops(),
         trip_count: body.trip_count,
-        unclustered_ii: ims.ii(),
-        clustered_ii: dms.result.ii(),
-        unclustered_mii: ims.stats.mii.map(|m| m.mii()).unwrap_or(1),
-        clustered_mii: dms.result.stats.mii.map(|m| m.mii()).unwrap_or(1),
-        unclustered_cycles: ims.cycles(body.trip_count),
-        clustered_cycles: dms.result.cycles(body.trip_count),
-        copies: dms.result.stats.copies_inserted,
-        moves: dms.result.stats.moves_inserted,
-        strategy2: dms.result.stats.strategy2_placements,
-        strategy3: dms.result.stats.strategy3_placements,
+        unclustered_ii: unclustered.ii,
+        clustered_ii: clustered.ii,
+        unclustered_mii: unclustered.mii,
+        clustered_mii: clustered.mii,
+        unclustered_cycles: unclustered.cycles(body.trip_count),
+        clustered_cycles: clustered.cycles(body.trip_count),
+        copies: clustered.copies,
+        moves: clustered.moves,
+        strategy2: clustered.strategy2,
+        strategy3: clustered.strategy3,
         verified_stores,
-        pressure_retries: dms.pressure_retries,
-        first_ii: dms.first_ii,
+        pressure_retries: search.pressure_retries,
+        first_ii: search.first_ii,
         max_queue_depth,
         topology: config.topology.label(),
         strategy: config.dms.strategy.label(),
-        candidates: dms.candidates_run,
-        baseline_ii: dms.baseline_ii,
-        cache_hit: ims_resp.cache_hit && dms_resp.cache_hit,
-        achieved_ii: dms_resp.verify.map_or(0, |d| d.achieved_ii),
+        candidates: search.candidates_run,
+        baseline_ii: search.baseline_ii,
+        cache_hit: ims.cache_hit && dms.cache_hit,
+        achieved_ii: clustered.verify.map_or(0, |v| v.achieved_ii),
     })
 }
 

@@ -356,6 +356,9 @@ impl Ddg {
     ///
     /// Checked invariants:
     /// * every edge endpoint is a live operation,
+    /// * every flow edge has a latency of at least 1: a value is readable
+    ///   no earlier than the cycle after its producer issues, so a consumer
+    ///   never shares its producer's instruction word,
     /// * every `Def` operand references a live operation, and a flow edge
     ///   from it at the operand's distance enters the reader,
     /// * store operations are never read,
@@ -368,6 +371,9 @@ impl Ddg {
             }
             if !self.is_live(edge.dst) {
                 return Err(format!("edge {id:?} has a removed destination {}", edge.dst));
+            }
+            if edge.kind == DepKind::Flow && edge.latency == 0 {
+                return Err(format!("flow edge {id:?} ({edge}) has latency 0"));
             }
         }
         let mut listed = 0;
@@ -560,6 +566,20 @@ mod tests {
         assert_eq!(defs, vec![(a, 0), (mv, 0)]);
         // no operand matches (a, 1) any more
         assert_eq!(g.redirect_reads_at(b, a, 1, mv, 0), 0);
+    }
+
+    /// A flow edge of latency 0 would let a consumer issue in its
+    /// producer's word; other kinds of edge may order two ops in one cycle.
+    #[test]
+    fn validate_rejects_a_latency_0_flow_edge_naming_it() {
+        let (mut g, _, b, c) = simple_graph();
+        g.add_edge(DepEdge { src: b, dst: c, kind: DepKind::Memory, latency: 0, distance: 0 });
+        assert!(g.validate().is_ok());
+        let zero = g.add_edge(DepEdge::flow(b, c, 0, 1));
+        assert_eq!(
+            g.validate().unwrap_err(),
+            format!("flow edge {zero:?} (op1 -> op2 (Flow, lat 0, dist 1)) has latency 0")
+        );
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! same shard. Every entry is guarded by the requester's exact fingerprint
 //! (see [`crate::hash`]), and a lookup hits only on an exact guard match —
 //! so a cached value is always *the* value the cold path would have
-//! produced for that precise request, bit for bit. A key can hold several
-//! entries side by side when its body half does not already decide the
-//! guard (a caller keying by an isomorphism-invariant digest); the
-//! service keys by the fingerprint itself, so its lists hold one entry.
+//! produced for that precise request, bit for bit. A shard maps (key,
+//! guard) to the value, so a key can hold several entries side by side
+//! when its body half does not already decide the guard (a caller keying
+//! by an isomorphism-invariant digest), and an entry is the value itself:
+//! a value that owns no heap block makes the map's table the only block
+//! the shard holds.
 //!
 //! The shard count is a pure performance knob: results never depend on it
 //! (a regression test in the workspace pins 1-shard vs 8-shard sweeps to
@@ -18,13 +20,14 @@
 //! thread poisons whatever shard mutex it held; unwrapping the poison would
 //! turn one bad request into a permanently dead resident service. Entries
 //! are insert-once keep-first — a lookup never observes a half-written
-//! entry because the `Vec` push is the last thing an insert does and
+//! entry because the map insert is the last thing an insert does and
 //! clones are taken under the lock — so the map behind a poisoned mutex is
 //! still consistent and every accessor simply takes the guard back with
 //! [`PoisonError::into_inner`].
 
 use crate::hash::CacheKey;
 use dms_telemetry::Counter;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -39,11 +42,8 @@ pub struct CacheCounters {
     pub inserts: u64,
 }
 
-/// One shard: a key mapped to its guard-disambiguated entries. The inner
-/// `Vec` is almost always length 1; only a key whose body half erases
-/// detail the guard keeps (isomorphic twins under a canonical key) makes
-/// it longer.
-type Shard<V> = Mutex<HashMap<CacheKey, Vec<(u64, V)>>>;
+/// One shard: (key, guard) mapped to its entry.
+type Shard<V> = Mutex<HashMap<(CacheKey, u64), V>>;
 
 /// A sharded map from (key, guard) to a cloneable value.
 ///
@@ -97,10 +97,7 @@ impl<V: Clone> ShardedCache<V> {
     /// hit or a miss.
     pub fn lookup(&self, key: &CacheKey, guard: u64) -> Option<V> {
         let shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
-        let found = shard
-            .get(key)
-            .and_then(|entries| entries.iter().find(|(g, _)| *g == guard))
-            .map(|(_, v)| v.clone());
+        let found = shard.get(&(*key, guard)).cloned();
         drop(shard);
         match &found {
             Some(_) => self.hits.inc(),
@@ -115,27 +112,15 @@ impl<V: Clone> ShardedCache<V> {
     /// pipeline, so the values are identical and the first stays.
     pub fn insert(&self, key: CacheKey, guard: u64, value: V) {
         let mut shard = self.shard(&key).lock().unwrap_or_else(PoisonError::into_inner);
-        let entries = shard.entry(key).or_default();
-        if entries.iter().any(|(g, _)| *g == guard) {
-            return;
-        }
-        entries.push((guard, value));
+        let Entry::Vacant(entry) = shard.entry((key, guard)) else { return };
+        entry.insert(value);
         drop(shard);
         self.inserts.inc();
     }
 
     /// Total entries across all shards (guard-level granularity).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len()).sum()
     }
 
     /// Whether the cache holds no entries.

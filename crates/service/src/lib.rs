@@ -14,11 +14,12 @@
 //! * [`ScheduleService`] ([`service`]) — answers
 //!   [`ScheduleRequest`]s, either from the sharded content-addressed
 //!   [`cache`] or by running the scheduler (and, when asked, the end-to-end
-//!   verify oracle) cold and inserting the result. Cached responses are
-//!   bit-identical to cold ones: the cache stores the full outcome plus the
-//!   verified-stores digest, and the key is exact — isomorphic-but-distinct
-//!   loops (whose schedules can differ in name-seeded tie-breaks) never
-//!   share an entry.
+//!   verify oracle) cold and caching what the answer is made of. Cached
+//!   answers are bit-identical to cold ones: an entry is a fixed-size
+//!   [`ScheduleRecord`] (the summary numbers, the DMS search's scalars and
+//!   the verified-stores digest) that owns no heap block, and the key is
+//!   exact — isomorphic-but-distinct loops (whose schedules can differ in
+//!   name-seeded tie-breaks) never share an entry.
 //! * [`cache`] — N `Mutex`-guarded shards keyed by
 //!   (exact body fingerprint, context hash), with hit/miss/insert counters
 //!   published as `dms-telemetry` handles into the owning service's
@@ -59,6 +60,6 @@ pub use cache::{CacheCounters, ShardedCache};
 pub use hash::CacheKey;
 pub use pool::{resolve_threads, run_indexed};
 pub use service::{
-    LentResponse, ScheduleRequest, ScheduleResponse, ScheduleService, SchedulerKind,
-    SchedulerOutput, ServiceError, VerifyDigest,
+    Answer, DmsScalars, ScheduleRecord, ScheduleRequest, ScheduleResponse, ScheduleService,
+    SchedulerKind, SchedulerOutput, ServiceError, VerifyDigest,
 };

@@ -22,16 +22,24 @@
 //! `dms_wire_decode_micros` histogram and every schedule reply's encode
 //! into `dms_wire_encode_micros`, so a `{"op":"metrics"}` scrape splits a
 //! request's time into wire and service (`dms_request_latency_micros`).
-//! A schedule reply is encoded from the cache entry the service lends
-//! ([`ScheduleService::lend`]), with no copy of it.
+//! A schedule reply is encoded from the record the service answers with
+//! ([`ScheduleService::answer`]) and the request's loop name.
+//!
+//! A panic while answering a schedule request is caught per request: the
+//! line gets one `{"ok":false,"error":"internal error: ..."}` reply, the
+//! registry's `dms_request_panics_total` counts it, and the connection
+//! goes on serving.
 //!
 //! [`Client`] is the matching blocking connector used by the
 //! `dms-experiments client` smoke driver and the CI service-smoke job.
 
-use crate::service::{timed, LentResponse, ScheduleRequest, ScheduleService, ServiceError};
+use crate::service::{timed, Answer, ScheduleRequest, ScheduleService, ServiceError};
 use crate::wire;
+use dms_telemetry::Counter;
+use std::any::Any;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
@@ -129,6 +137,7 @@ fn handle_connection(
     }
     let decode_us = service.registry().histogram("dms_wire_decode_micros");
     let encode_us = service.registry().histogram("dms_wire_encode_micros");
+    let panics = service.registry().counter("dms_request_panics_total");
     let mut reader = BufReader::new(stream);
     // Not `reader.lines()` nor `read_line`: with a read timeout a line may
     // arrive in pieces, split anywhere, even inside a character. Keep the
@@ -192,10 +201,10 @@ fn handle_connection(
                 let _ = TcpStream::connect(local);
                 wire::encode_shutdown_response()
             }
-            Ok(wire::WireRequest::Schedule(ws)) => {
-                let answer = lend_schedule(service, &ws);
-                timed(&encode_us, || wire::encode_lent_response(&answer))
-            }
+            Ok(wire::WireRequest::Schedule(ws)) => guarded(&panics, || {
+                let answer = answer_request(service, &ws);
+                timed(&encode_us, || wire::encode_answer(&ws.body.name, &answer))
+            }),
         };
         line.clear();
         reply.push('\n');
@@ -208,18 +217,36 @@ fn handle_connection(
     }
 }
 
+/// Runs `reply`, which answers one request line. A panic in it is caught:
+/// `panics` counts it, and the line is answered with an `internal error`
+/// reply instead.
+fn guarded(panics: &Counter, reply: impl FnOnce() -> String) -> String {
+    catch_unwind(AssertUnwindSafe(reply)).unwrap_or_else(|payload| {
+        panics.inc();
+        wire::encode_error(&format!("internal error: {}", panic_message(payload.as_ref())))
+    })
+}
+
+/// The message a panic was raised with, when it is a string.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(message) => message,
+        None => payload.downcast_ref::<String>().map_or("a panic", String::as_str),
+    }
+}
+
 /// Schedules a decoded `schedule` request on `service` and encodes the
 /// response line (no trailing newline), as the server answers it.
 pub fn answer_schedule(service: &ScheduleService, ws: &wire::WireSchedule) -> String {
-    wire::encode_lent_response(&lend_schedule(service, ws))
+    wire::encode_answer(&ws.body.name, &answer_request(service, ws))
 }
 
-fn lend_schedule(
+fn answer_request(
     service: &ScheduleService,
     ws: &wire::WireSchedule,
-) -> Result<LentResponse, ServiceError> {
+) -> Result<Answer, ServiceError> {
     let machine = ws.machine.build();
-    service.lend(&ScheduleRequest {
+    service.answer(&ScheduleRequest {
         body: &ws.body,
         machine: &machine,
         dms: ws.dms,
@@ -339,12 +366,12 @@ mod tests {
             panic!("the request must decode");
         };
         let local = ScheduleService::default();
-        let expected = lend_schedule(&local, &ws).unwrap();
-        assert!(expected.output().result().summary().ii >= 1);
-        assert!(expected.verify().is_some());
+        let expected = answer_request(&local, &ws).unwrap();
+        assert!(expected.record.ii >= 1);
+        assert!(expected.record.verify.is_some());
 
         let cold = client.roundtrip(&request).unwrap();
-        assert_eq!(cold, wire::encode_lent_response(&Ok(expected)));
+        assert_eq!(cold, wire::encode_answer(&ws.body.name, &Ok(expected)));
         let reply = decode_reply(&cold).unwrap();
         assert!(reply.ok);
         assert_eq!(reply.cache_hit, Some(false));
@@ -502,6 +529,24 @@ mod tests {
         assert!(valid.contains(r#","summary":{"loop":"ring3","ii":3,"mii":"#), "{valid}");
         client.roundtrip(&wire::encode_shutdown_request()).unwrap();
         handle.join().unwrap();
+    }
+
+    /// A panic while answering a line becomes one internal-error reply and
+    /// one count, and the caller goes on to the next line; a reply that
+    /// does not panic passes through.
+    #[test]
+    fn a_panicking_answer_gets_an_internal_error_reply_and_is_counted() {
+        let panics = Counter::standalone();
+        assert_eq!(guarded(&panics, || "fine".to_string()), "fine");
+        assert_eq!(panics.get(), 0);
+        let reply = guarded(&panics, || panic!("no schedule at II {}", 3));
+        assert_eq!(reply, wire::encode_error("internal error: no schedule at II 3"));
+        let reply = guarded(&panics, || panic!("a static message"));
+        assert_eq!(reply, wire::encode_error("internal error: a static message"));
+        let reply = guarded(&panics, || std::panic::panic_any(7u32));
+        assert_eq!(reply, wire::encode_error("internal error: a panic"));
+        assert_eq!(panics.get(), 3);
+        assert_eq!(guarded(&panics, || "next".to_string()), "next");
     }
 
     /// A request line delivered byte-by-byte across many poll timeouts

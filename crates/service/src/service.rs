@@ -1,21 +1,25 @@
-//! The resident schedule service: requests in, cached-or-cold responses
+//! The resident schedule service: requests in, cached-or-cold answers
 //! out.
 //!
-//! Every driver goes through one lookup path: the sweep engine and the
-//! benches call [`ScheduleService::schedule`] for an owned response, the
-//! wire frontend calls [`ScheduleService::lend`], which lends the cache
-//! entry instead of copying it. A request names a loop body, a machine, a
-//! scheduler and optionally a verification trip count; the response
-//! carries the full scheduler output (not a summary — drivers need cycles,
-//! stats and the transformed DDG), the verified-stores digest when
-//! verification ran, and whether the answer came from the cache.
+//! Every driver goes through one lookup path, [`ScheduleService::answer`]:
+//! the sweep engine, the wire frontend and the benches ask it, and it
+//! answers with a [`ScheduleRecord`], the numbers the figures and the wire
+//! reply are made of (II, MII, stages, op counts, strategy counts, the DMS
+//! search's scalars and the verified-stores digest when verification
+//! ran), plus whether the answer came from the cache. A request names a
+//! loop body, a machine, a scheduler and optionally a verification trip
+//! count; the loop's name is the request's own.
 //!
-//! **Cached responses are bit-identical to cold ones.** The cache stores
-//! the complete [`ScheduleOutcome`]/[`ScheduleResult`] plus the verify
-//! digest behind an `Arc`, which a hit lends out ([`LentResponse`]). It is
-//! keyed by (exact body fingerprint, context hash) and guarded by the same
-//! fingerprint (see [`crate::hash`] for why it is exact rather than
-//! isomorphism-invariant).
+//! **Cached answers are bit-identical to cold ones.** The cache keeps one
+//! fixed-size record per request, which owns no heap block: the transformed
+//! DDG, the schedule and the queue pressure a cold run produces are
+//! dropped once the record is read off them. It is keyed by (exact body
+//! fingerprint, context hash) and guarded by the same fingerprint (see
+//! [`crate::hash`] for why it is exact rather than isomorphism-invariant).
+//! A caller that needs the full output (the schedule itself, the
+//! transformed DDG) calls [`ScheduleService::schedule`], which runs the
+//! same cold function the miss path runs and neither reads nor fills the
+//! cache.
 //! Failures — scheduler errors and verification failures — are never
 //! cached: they are rare (a healthy sweep has none) and a negative cache
 //! would complicate the bit-exactness story for no measurable win.
@@ -116,14 +120,107 @@ impl SchedulerOutput {
     }
 }
 
-/// A successful response.
+/// A response carrying the full scheduler output, as
+/// [`ScheduleService::schedule`] returns it.
 #[derive(Debug, Clone)]
 pub struct ScheduleResponse {
-    /// The full scheduler output (bit-identical whether cached or cold).
+    /// The full scheduler output.
     pub output: SchedulerOutput,
     /// The verification digest, present iff the request asked to verify.
     pub verify: Option<VerifyDigest>,
-    /// Whether this response was answered from the cache.
+    /// Whether this response was answered from the cache
+    /// ([`ScheduleService::schedule`] never is).
+    pub cache_hit: bool,
+}
+
+/// The DMS search's scalars of a [`ScheduleRecord`] (see
+/// [`ScheduleOutcome`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DmsScalars {
+    /// II of the first structurally-valid schedule the search found.
+    pub first_ii: u32,
+    /// Schedules rejected for exceeding a queue-file capacity.
+    pub pressure_retries: u32,
+    /// II the plain deterministic heuristic achieves on this loop.
+    pub baseline_ii: u32,
+    /// Challenger searches attempted beyond the deterministic baseline.
+    pub candidates_run: u32,
+    /// Index of the candidate whose schedule was kept.
+    pub winner_candidate: u32,
+}
+
+/// What one answer carries, and what one cache entry holds: the
+/// [`dms_sched::ScheduleSummary`] numbers, the strategy counts, the DMS
+/// scalars and the verify digest. It is `Copy` and owns no heap block; the
+/// loop name is the request's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduleRecord {
+    /// Achieved initiation interval.
+    pub ii: u32,
+    /// Lower bound (MII) on this machine (1 when no bound was computed).
+    pub mii: u32,
+    /// Kernel stage count of the modulo schedule.
+    pub stages: u32,
+    /// Candidate IIs tried before the schedule was accepted.
+    pub ii_attempts: u32,
+    /// Live operations in the scheduled (transformed) DDG.
+    pub ops: usize,
+    /// Useful operations (excludes the inserted copies and moves).
+    pub useful_ops: usize,
+    /// Copy operations inserted by the single-use conversion.
+    pub copies: u64,
+    /// Move operations inserted by DMS chains.
+    pub moves: u64,
+    /// Operations placed by strategy 2.
+    pub strategy2: u64,
+    /// Operations placed by strategy 3.
+    pub strategy3: u64,
+    /// The DMS search's scalars, or `None` for an IMS answer.
+    pub dms: Option<DmsScalars>,
+    /// The verification digest, present iff the request asked to verify.
+    pub verify: Option<VerifyDigest>,
+}
+
+impl ScheduleRecord {
+    /// Reads the record off a full scheduler output.
+    pub fn new(output: &SchedulerOutput, verify: Option<VerifyDigest>) -> Self {
+        let result = output.result();
+        let summary = result.summary();
+        ScheduleRecord {
+            ii: summary.ii,
+            mii: summary.mii,
+            stages: summary.stages,
+            ii_attempts: summary.ii_attempts,
+            ops: summary.ops,
+            useful_ops: summary.useful_ops,
+            copies: summary.copies,
+            moves: summary.moves,
+            strategy2: result.stats.strategy2_placements,
+            strategy3: result.stats.strategy3_placements,
+            dms: output.dms().map(|o| DmsScalars {
+                first_ii: o.first_ii,
+                pressure_retries: o.pressure_retries,
+                baseline_ii: o.baseline_ii,
+                candidates_run: o.candidates_run,
+                winner_candidate: o.winner_candidate,
+            }),
+            verify,
+        }
+    }
+
+    /// Dynamic cycle count for the given trip count, as
+    /// [`dms_sched::Schedule::cycles`] computes it.
+    pub fn cycles(&self, trip_count: u64) -> u64 {
+        (trip_count + u64::from(self.stages) - 1) * u64::from(self.ii)
+    }
+}
+
+/// A successful answer from [`ScheduleService::answer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Answer {
+    /// The answer's numbers (bit-identical whether cached or cold).
+    pub record: ScheduleRecord,
+    /// Whether the record came from the cache.
     pub cache_hit: bool,
 }
 
@@ -148,57 +245,17 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// What one cache entry stores: everything needed to replay the cold
-/// response bit for bit.
-#[derive(Debug, Clone)]
-struct CachedSchedule {
-    output: SchedulerOutput,
-    verify: Option<VerifyDigest>,
-}
-
-/// A successful response that lends the service's cache entry instead of
-/// copying it: a hit costs a reference count, not a deep clone of the
-/// transformed DDG and the schedule. The wire server encodes its reply
-/// straight from one.
-#[derive(Debug, Clone)]
-pub struct LentResponse {
-    entry: Arc<CachedSchedule>,
-    /// Whether this response was answered from the cache.
-    pub cache_hit: bool,
-}
-
-impl LentResponse {
-    /// The full scheduler output (bit-identical whether cached or cold).
-    pub fn output(&self) -> &SchedulerOutput {
-        &self.entry.output
-    }
-
-    /// The verification digest, present iff the request asked to verify.
-    pub fn verify(&self) -> Option<VerifyDigest> {
-        self.entry.verify
-    }
-
-    /// An owned copy of the response (one deep clone of the entry).
-    pub fn to_response(&self) -> ScheduleResponse {
-        ScheduleResponse {
-            output: self.entry.output.clone(),
-            verify: self.entry.verify,
-            cache_hit: self.cache_hit,
-        }
-    }
-}
-
 /// The cache's shard count: comfortably above the worker counts the sweep
 /// engine runs with, so shard contention stays negligible.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// The resident scheduling service: a sharded content-addressed schedule
-/// cache in front of the deterministic scheduling (+ verification)
+/// The resident scheduling service: a sharded content-addressed cache of
+/// [`ScheduleRecord`]s in front of the deterministic scheduling (+ verification)
 /// pipeline.
 ///
 /// Every service owns a [`Registry`]: the cache's hit/miss/insert counters
 /// live in it (as `dms_cache_hits_total` / `dms_cache_misses_total` /
-/// `dms_cache_inserts_total`), every [`ScheduleService::schedule`] call
+/// `dms_cache_inserts_total`), every [`ScheduleService::answer`] call
 /// lands in the `dms_request_latency_micros` histogram, and
 /// `dms_requests_inflight` tracks concurrent requests. [`ScheduleService::new`]
 /// builds a private registry (unit tests stay isolated from each other);
@@ -207,7 +264,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// event counts.
 #[derive(Debug)]
 pub struct ScheduleService {
-    cache: ShardedCache<Arc<CachedSchedule>>,
+    cache: ShardedCache<ScheduleRecord>,
     registry: Arc<Registry>,
     latency: Histogram,
     inflight: Gauge,
@@ -260,56 +317,49 @@ impl ScheduleService {
         self.cache.len()
     }
 
-    /// Answers one request, from the cache when possible, with an owned
-    /// response: [`ScheduleService::lend`] plus one deep clone of the
-    /// entry, as drivers that keep or take apart the output need.
+    /// Answers one request, from the cache when possible. This is the one
+    /// lookup path: a miss runs the scheduler (and the verify oracle when
+    /// asked) cold, keeps the record it reads off the output, and drops the
+    /// output. Each call lands in the latency histogram and the in-flight
+    /// gauge.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::Schedule`] when the scheduler fails and
     /// [`ServiceError::Verify`] when the requested end-to-end verification
     /// fails. Neither is cached.
-    pub fn schedule(&self, req: &ScheduleRequest<'_>) -> Result<ScheduleResponse, ServiceError> {
-        Ok(match self.timed_answer(req)? {
-            Answer::Hit(entry) => LentResponse { entry, cache_hit: true }.to_response(),
-            Answer::Miss(cold) => {
-                ScheduleResponse { output: cold.output, verify: cold.verify, cache_hit: false }
+    pub fn answer(&self, req: &ScheduleRequest<'_>) -> Result<Answer, ServiceError> {
+        let _inflight = self.inflight.track();
+        timed(&self.latency, || {
+            let guard = guard_fingerprint(req.body);
+            let key = cache_key(req, guard);
+            if let Some(record) = self.cache.lookup(&key, guard) {
+                return Ok(Answer { record, cache_hit: true });
             }
+            let (output, verify) = self.cold(req)?;
+            let record = ScheduleRecord::new(&output, verify);
+            self.cache.insert(key, guard, record);
+            Ok(Answer { record, cache_hit: false })
         })
     }
 
-    /// Answers one request, from the cache when possible, lending the cache
-    /// entry instead of copying it. A miss lends its own cold output, and
-    /// the cache keeps a copy, as it does for [`ScheduleService::schedule`].
+    /// The full scheduler output for one request, computed by the cold
+    /// function [`ScheduleService::answer`]'s miss path runs. It neither
+    /// reads nor fills the cache, so `cache_hit` is `false`.
     ///
     /// # Errors
     ///
-    /// As [`ScheduleService::schedule`].
-    pub fn lend(&self, req: &ScheduleRequest<'_>) -> Result<LentResponse, ServiceError> {
-        Ok(match self.timed_answer(req)? {
-            Answer::Hit(entry) => LentResponse { entry, cache_hit: true },
-            Answer::Miss(cold) => LentResponse { entry: Arc::new(cold), cache_hit: false },
-        })
+    /// As [`ScheduleService::answer`].
+    pub fn schedule(&self, req: &ScheduleRequest<'_>) -> Result<ScheduleResponse, ServiceError> {
+        let (output, verify) = self.cold(req)?;
+        Ok(ScheduleResponse { output, verify, cache_hit: false })
     }
 
-    /// [`ScheduleService::answer`], seen by the latency histogram and the
-    /// in-flight gauge.
-    fn timed_answer(&self, req: &ScheduleRequest<'_>) -> Result<Answer, ServiceError> {
-        let _inflight = self.inflight.track();
-        timed(&self.latency, || self.answer(req))
-    }
-
-    /// The one lookup path: the cached entry, or the cold output after a
-    /// copy of it went into the cache. The copy, not the output the
-    /// scheduler grew, is what stays resident, so entries hold no spare
-    /// capacity.
-    fn answer(&self, req: &ScheduleRequest<'_>) -> Result<Answer, ServiceError> {
-        let guard = guard_fingerprint(req.body);
-        let key = cache_key(req, guard);
-        if let Some(entry) = self.cache.lookup(&key, guard) {
-            return Ok(Answer::Hit(entry));
-        }
-
+    /// Runs the request's scheduler, then the verify oracle when asked.
+    fn cold(
+        &self,
+        req: &ScheduleRequest<'_>,
+    ) -> Result<(SchedulerOutput, Option<VerifyDigest>), ServiceError> {
         let output = match req.scheduler {
             SchedulerKind::Ims => SchedulerOutput::Ims(Box::new(
                 ims_schedule(req.body, req.machine, &ImsConfig::default())
@@ -337,17 +387,8 @@ impl ScheduleService {
                 })
             }
         };
-
-        let cold = CachedSchedule { output, verify };
-        self.cache.insert(key, guard, Arc::new(cold.clone()));
-        Ok(Answer::Miss(cold))
+        Ok((output, verify))
     }
-}
-
-/// What [`ScheduleService::answer`] found.
-enum Answer {
-    Hit(Arc<CachedSchedule>),
-    Miss(CachedSchedule),
 }
 
 /// Runs `f`, recording how long it took, in µs, into `histogram`.
@@ -405,17 +446,17 @@ mod tests {
         let plain = ScheduleRequest { verify_trips: Some(64), ..dms_request(&fir, &machine) };
         let contended = ScheduleRequest { contention: true, ..plain };
 
-        let cold = service.schedule(&plain).unwrap();
-        assert_eq!(cold.verify.unwrap().achieved_ii, 0, "no replay without contention");
+        let cold = service.answer(&plain).unwrap();
+        assert_eq!(cold.record.verify.unwrap().achieved_ii, 0, "no replay without contention");
 
-        let timed = service.schedule(&contended).unwrap();
+        let timed = service.answer(&contended).unwrap();
         assert!(!timed.cache_hit, "a contention request must not hit a plain verified entry");
-        let digest = timed.verify.unwrap();
-        assert!(digest.achieved_ii >= cold.output.result().ii());
+        let digest = timed.record.verify.unwrap();
+        assert!(digest.achieved_ii >= cold.record.ii);
 
-        let warm = service.schedule(&contended).unwrap();
+        let warm = service.answer(&contended).unwrap();
         assert!(warm.cache_hit);
-        assert_eq!(warm.verify, Some(digest), "the achieved II is cached with the digest");
+        assert_eq!(warm.record.verify, Some(digest), "the achieved II is cached with the digest");
     }
 
     /// `link_stall` counts contention misses whose program stalled on a
@@ -430,14 +471,15 @@ mod tests {
         let contended = ScheduleRequest { contention: true, ..plain };
         let stalls = || service.registry().event_count(EventKind::LinkStall);
 
-        service.schedule(&plain).unwrap();
+        service.answer(&plain).unwrap();
         assert_eq!(stalls(), 0, "a plain verify records no link stall");
-        let timed = service.schedule(&contended).unwrap();
+        let timed = service.answer(&contended).unwrap();
         assert!(stalls() >= 1, "the bus serialises this loop's transfers");
-        let walk = verify_schedule(&fir, timed.output.result(), &machine, 64).unwrap();
+        let output = dms_schedule(&fir, &machine, &DmsConfig::default()).unwrap();
+        let walk = verify_schedule(&fir, &output.result, &machine, 64).unwrap();
         assert!(walk.stall_cycles > 0);
-        assert_eq!(timed.verify.unwrap().achieved_ii, walk.achieved_ii);
-        service.schedule(&contended).unwrap();
+        assert_eq!(timed.record.verify.unwrap().achieved_ii, walk.achieved_ii);
+        service.answer(&contended).unwrap();
         assert_eq!(stalls(), 1, "a cache hit executes nothing");
     }
 
@@ -448,17 +490,30 @@ mod tests {
         let machine = MachineConfig::paper_clustered(4);
         let req = dms_request(&fir, &machine);
 
-        let cold = service.schedule(&req).unwrap();
+        let cold = service.answer(&req).unwrap();
         assert!(!cold.cache_hit);
-        let warm = service.schedule(&req).unwrap();
+        let warm = service.answer(&req).unwrap();
         assert!(warm.cache_hit);
-        assert_eq!(cold.output.result().ii(), warm.output.result().ii());
         assert_eq!(
-            format!("{:?}", cold.output.result().schedule),
-            format!("{:?}", warm.output.result().schedule),
-            "a cached schedule must be bit-identical to the cold one"
+            cold.record, warm.record,
+            "a cached record must be bit-identical to the cold one"
         );
+        let full = service.schedule(&req).unwrap();
+        assert!(!full.cache_hit, "the full output is always computed cold");
+        assert_eq!(ScheduleRecord::new(&full.output, full.verify), cold.record);
         assert_eq!(service.cache_stats(), CacheCounters { hits: 1, misses: 1, inserts: 1 });
+    }
+
+    #[test]
+    fn a_record_counts_cycles_as_the_schedule_does() {
+        let service = ScheduleService::new();
+        let fir = kernels::fir(8, 64);
+        let machine = MachineConfig::paper_clustered(4);
+        let full = service.schedule(&dms_request(&fir, &machine)).unwrap();
+        let record = ScheduleRecord::new(&full.output, None);
+        for trips in [1, 7, 64] {
+            assert_eq!(record.cycles(trips), full.output.result().cycles(trips));
+        }
     }
 
     #[test]
@@ -468,12 +523,13 @@ mod tests {
         let machine = MachineConfig::paper_clustered(4);
         let req = ScheduleRequest { verify_trips: Some(64), ..dms_request(&fir, &machine) };
 
-        let cold = service.schedule(&req).unwrap();
-        let digest = cold.verify.expect("verification ran");
+        let cold = service.answer(&req).unwrap();
+        let digest = cold.record.verify.expect("verification ran");
         assert!(digest.stores_checked > 0);
-        let warm = service.schedule(&req).unwrap();
+        let warm = service.answer(&req).unwrap();
         assert!(warm.cache_hit);
-        assert_eq!(warm.verify, Some(digest));
+        assert_eq!(warm.record.verify, Some(digest));
+        assert_eq!(service.schedule(&req).unwrap().verify, Some(digest));
     }
 
     #[test]
@@ -483,22 +539,22 @@ mod tests {
         let clustered = MachineConfig::paper_clustered(4);
         let unclustered = MachineConfig::unclustered(4);
 
-        let dms = service.schedule(&dms_request(&fir, &clustered)).unwrap();
+        let dms = service.answer(&dms_request(&fir, &clustered)).unwrap();
         let ims = service
-            .schedule(&ScheduleRequest {
+            .answer(&ScheduleRequest {
                 scheduler: SchedulerKind::Ims,
                 ..dms_request(&fir, &unclustered)
             })
             .unwrap();
         assert!(!ims.cache_hit, "IMS on another machine must not hit the DMS entry");
-        assert!(ims.output.dms().is_none());
-        assert!(dms.output.dms().is_some());
+        assert!(ims.record.dms.is_none());
+        assert!(dms.record.dms.is_some());
 
         let verified = service
-            .schedule(&ScheduleRequest { verify_trips: Some(16), ..dms_request(&fir, &clustered) })
+            .answer(&ScheduleRequest { verify_trips: Some(16), ..dms_request(&fir, &clustered) })
             .unwrap();
         assert!(!verified.cache_hit, "a verified request must not hit an unverified entry");
-        assert!(verified.verify.is_some());
+        assert!(verified.record.verify.is_some());
     }
 
     #[test]
@@ -509,16 +565,18 @@ mod tests {
         twin.name = "fir_renamed".to_string();
         let machine = MachineConfig::paper_clustered(4);
 
-        service.schedule(&dms_request(&fir, &machine)).unwrap();
-        let twin_resp = service.schedule(&dms_request(&twin, &machine)).unwrap();
+        service.answer(&dms_request(&fir, &machine)).unwrap();
+        let twin_resp = service.answer(&dms_request(&twin, &machine)).unwrap();
         assert!(
             !twin_resp.cache_hit,
             "the exact fingerprint must keep name-seeded tie-breaks from leaking across \
              isomorphic twins"
         );
-        assert_eq!(twin_resp.output.result().loop_name, "fir_renamed", "its own schedule");
+        let full = service.schedule(&dms_request(&twin, &machine)).unwrap();
+        assert_eq!(full.output.result().loop_name, "fir_renamed", "its own schedule");
+        assert_eq!(ScheduleRecord::new(&full.output, None), twin_resp.record);
         assert_eq!(service.cache_len(), 2, "each twin has its own entry");
-        assert!(service.schedule(&dms_request(&twin, &machine)).unwrap().cache_hit);
+        assert!(service.answer(&dms_request(&twin, &machine)).unwrap().cache_hit);
     }
 
     /// A body whose ops are renumbered is isomorphic to the original (same
@@ -533,15 +591,21 @@ mod tests {
         assert_eq!(dms_ir::canonical_hash(&twin.ddg), dms_ir::canonical_hash(&fir.ddg));
         let machine = MachineConfig::paper_clustered(4);
 
-        service.schedule(&dms_request(&fir, &machine)).unwrap();
-        let twin_resp = service.schedule(&dms_request(&twin, &machine)).unwrap();
+        service.answer(&dms_request(&fir, &machine)).unwrap();
+        let twin_resp = service.answer(&dms_request(&twin, &machine)).unwrap();
         assert!(!twin_resp.cache_hit, "a renumbered twin must not hit the original's entry");
         assert_eq!(service.cache_len(), 2);
         let cold = dms_schedule(&twin, &machine, &DmsConfig::default()).unwrap();
+        let full = service.schedule(&dms_request(&twin, &machine)).unwrap();
         assert_eq!(
-            format!("{:?}", twin_resp.output.result()),
+            format!("{:?}", full.output.result()),
             format!("{:?}", cold.result),
-            "the twin's response is its own cold schedule"
+            "the twin's full output is its own cold schedule"
+        );
+        assert_eq!(
+            twin_resp.record,
+            ScheduleRecord::new(&SchedulerOutput::Dms(Box::new(cold)), None),
+            "the twin's answer is read off its own cold schedule"
         );
     }
 
@@ -552,9 +616,9 @@ mod tests {
         let machine = MachineConfig::unclustered(4);
         let mut req =
             ScheduleRequest { scheduler: SchedulerKind::Ims, ..dms_request(&fir, &machine) };
-        service.schedule(&req).unwrap();
+        service.answer(&req).unwrap();
         req.dms.ii_seed = Some(7);
-        let warm = service.schedule(&req).unwrap();
+        let warm = service.answer(&req).unwrap();
         assert!(warm.cache_hit, "an IMS request must hit regardless of DMS knobs");
     }
 
@@ -565,8 +629,8 @@ mod tests {
         let machine = MachineConfig::paper_clustered(4);
         let req = dms_request(&fir, &machine);
 
-        service.schedule(&req).unwrap();
-        service.schedule(&req).unwrap();
+        service.answer(&req).unwrap();
+        service.answer(&req).unwrap();
 
         let registry = service.registry();
         assert_eq!(registry.counter("dms_cache_hits_total").get(), 1);
@@ -588,7 +652,7 @@ mod tests {
         let service = ScheduleService::with_registry(Arc::clone(&registry));
         let fir = kernels::fir(8, 64);
         let machine = MachineConfig::paper_clustered(4);
-        service.schedule(&dms_request(&fir, &machine)).unwrap();
+        service.answer(&dms_request(&fir, &machine)).unwrap();
         let text = service.metrics_text();
         assert!(text.contains("driver_sweeps_total 1"));
         assert!(text.contains("dms_cache_misses_total 1"));
@@ -604,8 +668,9 @@ mod tests {
             dms_machine::ClusterFus { load_store: 0, ..dms_machine::ClusterFus::PAPER },
             dms_ir::LatencySpec::default(),
         );
-        let err = service.schedule(&dms_request(&fir, &machine)).unwrap_err();
+        let err = service.answer(&dms_request(&fir, &machine)).unwrap_err();
         assert!(matches!(err, ServiceError::Schedule(_)));
         assert_eq!(service.cache_len(), 0, "failures are never cached");
+        assert_eq!(service.schedule(&dms_request(&fir, &machine)).unwrap_err(), err);
     }
 }

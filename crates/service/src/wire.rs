@@ -13,9 +13,10 @@
 //!   arrive before ops. The bounds, error messages and the nesting cap are
 //!   those of a tree decoder, which `tests/fast_paths.rs` keeps as the
 //!   reference.
-//! * Requests and responses are rendered straight into the line. The server
-//!   encodes a schedule reply from the cache entry the service lends it
-//!   ([`encode_lent_response`]), without copying the entry.
+//! * Requests and responses are rendered straight into the line. A schedule
+//!   reply is rendered from one [`ScheduleRecord`] and the request's loop
+//!   name: the server encodes the service's answer ([`encode_answer`]), and
+//!   [`encode_response`] reads the record off a full output first.
 //! * [`decode_reply`] reads the members of a reply a client acts on (`ok`,
 //!   `cache_hit`, `metrics`, `error`) on the same lexer, with the same
 //!   first-key-wins rule.
@@ -59,9 +60,7 @@
 //! Errors are `{"ok":false,"error":"..."}`.
 
 use crate::cache::CacheCounters;
-use crate::service::{
-    LentResponse, ScheduleResponse, SchedulerKind, SchedulerOutput, ServiceError, VerifyDigest,
-};
+use crate::service::{Answer, ScheduleRecord, ScheduleResponse, SchedulerKind, ServiceError};
 use dms_core::DmsConfig;
 use dms_ir::{Ddg, DepEdge, DepKind, Loop, OpId, OpKind, Operand, Operation};
 use dms_machine::{MachineConfig, TopologyKind};
@@ -615,31 +614,31 @@ pub fn encode_shutdown_request() -> String {
     r#"{"op":"shutdown"}"#.to_string()
 }
 
-/// Encodes a schedule response (or failure) as one wire line.
+/// Encodes a schedule response (or failure) as one wire line: the record
+/// read off its full output, named by the output's loop.
 pub fn encode_response(result: &Result<ScheduleResponse, ServiceError>) -> String {
     match result {
         Err(e) => encode_error(&e.to_string()),
-        Ok(resp) => encode_schedule(&resp.output, resp.verify, resp.cache_hit),
+        Ok(resp) => encode_record(
+            &resp.output.result().loop_name,
+            &ScheduleRecord::new(&resp.output, resp.verify),
+            resp.cache_hit,
+        ),
     }
 }
 
-/// Encodes a response that lends the service's cache entry, byte for byte
-/// as [`encode_response`] encodes an owned copy of it.
-pub fn encode_lent_response(result: &Result<LentResponse, ServiceError>) -> String {
+/// Encodes the service's answer (or failure) to a request for the loop
+/// named `loop_name` as one wire line.
+pub fn encode_answer(loop_name: &str, result: &Result<Answer, ServiceError>) -> String {
     match result {
         Err(e) => encode_error(&e.to_string()),
-        Ok(resp) => encode_schedule(resp.output(), resp.verify(), resp.cache_hit),
+        Ok(answer) => encode_record(loop_name, &answer.record, answer.cache_hit),
     }
 }
 
-/// Renders a schedule response straight into the line.
-fn encode_schedule(
-    output: &SchedulerOutput,
-    verify: Option<VerifyDigest>,
-    cache_hit: bool,
-) -> String {
-    let summary = output.result().summary();
-    let scheduler = if output.dms().is_some() { "dms" } else { "ims" };
+/// Renders a schedule reply straight into the line.
+fn encode_record(loop_name: &str, record: &ScheduleRecord, cache_hit: bool) -> String {
+    let scheduler = if record.dms.is_some() { "dms" } else { "ims" };
     let mut out = String::with_capacity(320);
     let _ = write!(
         out,
@@ -650,17 +649,17 @@ fn encode_schedule(
         ),
         cache_hit,
         scheduler,
-        Quoted(&summary.loop_name),
-        summary.ii,
-        summary.mii,
-        summary.stages,
-        summary.ops as i64,
-        summary.useful_ops as i64,
-        summary.copies as i64,
-        summary.moves as i64,
-        summary.ii_attempts,
+        Quoted(loop_name),
+        record.ii,
+        record.mii,
+        record.stages,
+        record.ops as i64,
+        record.useful_ops as i64,
+        record.copies as i64,
+        record.moves as i64,
+        record.ii_attempts,
     );
-    match output.dms() {
+    match record.dms {
         None => out.push_str("null"),
         Some(o) => {
             let _ = write!(
@@ -671,7 +670,7 @@ fn encode_schedule(
         }
     }
     out.push_str(r#","verify":"#);
-    match verify {
+    match record.verify {
         None => out.push_str("null"),
         Some(d) => {
             let _ = write!(
@@ -1584,6 +1583,34 @@ mod tests {
         }
         let linked = line.replace(r#""edges":[]"#, r#""edges":[[0,1,"flow",2,0]]"#);
         assert!(decode_body(&linked).is_ok());
+    }
+
+    /// A flow edge of latency 0 would let DMS put a producer and its
+    /// consumer in one word on two clusters: on `load -> add -> store` with
+    /// a latency-0 `add -> store` edge it placed the add on C0 and the store
+    /// on C1 in the same cycle, and the executor popped the CQRF value in
+    /// the cycle it was pushed. The decoder now refuses the loop, naming
+    /// the edge.
+    #[test]
+    fn a_latency_0_flow_edge_is_rejected_naming_the_edge() {
+        let loop_with = |store_latency| {
+            let mut ddg = Ddg::new();
+            let load = ddg.add_op(Operation::new(OpKind::Load, vec![Operand::Induction]));
+            let add =
+                ddg.add_op(Operation::new(OpKind::Add, vec![load.into(), Operand::Immediate(1)]));
+            let store = ddg.add_op(Operation::new(OpKind::Store, vec![add.into()]));
+            ddg.add_edge(DepEdge::flow(load, add, 2, 0));
+            ddg.add_edge(DepEdge::flow(add, store, store_latency, 0));
+            request_for(Loop { name: "scratch".to_string(), ddg, trip_count: 8 })
+        };
+        assert!(decode_body(&loop_with(1)).is_ok());
+        let err = decode_request(&loop_with(0)).unwrap_err();
+        assert_eq!(
+            err,
+            "decoded DDG is malformed: flow edge EdgeId(1) (op1 -> op2 (Flow, lat 0, dist 0)) \
+             has latency 0"
+        );
+        assert!(!decode_reply(&encode_error(&err)).unwrap().ok);
     }
 
     #[test]

@@ -1,53 +1,59 @@
-//! Heap allocations of the DDG, counted by a global allocator.
+//! Heap allocations of the DDG and of the schedule cache, counted by a
+//! global allocator.
 //!
-//! Every cache entry holds a clone of its schedule's DDG and every request
-//! decode builds one, so the number of blocks a `Ddg` takes is part of the
-//! service's cost. The graph keeps its adjacency as links in flat vectors,
-//! so a clone allocates its four tables plus one operand list per op that
-//! reads anything. Run with `-- --nocapture` to see the per-decode count of
-//! a benchmark request line.
+//! Every request decode builds a DDG, so the number of blocks a `Ddg` takes
+//! is part of the service's cost. The graph keeps its adjacency as links in
+//! flat vectors, so a clone allocates its four tables plus one operand list
+//! per op that reads anything. A cache entry, by contrast, is a fixed-size
+//! record that owns no heap block. Run with `-- --nocapture` to see the
+//! per-decode count of a benchmark request line.
 
 use dms_ir::transform::convert_to_single_use;
 use dms_ir::{Ddg, LatencySpec};
 use dms_machine::{MachineConfig, TopologyKind};
+use dms_service::service::DEFAULT_SHARDS;
 use dms_service::wire::{decode_request, encode_schedule_request, WireMachine, WireSchedule};
-use dms_service::SchedulerKind;
+use dms_service::{ScheduleRecord, ScheduleRequest, ScheduleService, SchedulerKind};
 use dms_workloads::{generate, unroll_for_machine, SuiteConfig, UnrollPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// The system allocator, counting on each thread the blocks it hands out
-/// (`alloc`, `alloc_zeroed` and `realloc`), so tests running on other
-/// threads do not disturb a count.
+/// (`alloc`, `alloc_zeroed` and `realloc`) and the blocks live (handed out
+/// by `alloc` or `alloc_zeroed` less those freed), so tests running on
+/// other threads do not disturb a count.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
-fn count_one() {
-    // During thread teardown the counter may be gone; that block is not
+fn count(allocations: usize, live: isize) {
+    // During thread teardown the counters may be gone; that block is not
     // one a test measures.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + allocations));
+    let _ = LIVE.try_with(|n| n.set(n.get() + live));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, 1);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, 1);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(1, 0);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -1);
         System.dealloc(ptr, layout)
     }
 }
@@ -61,6 +67,14 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.with(Cell::get);
     let value = f();
     (value, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns how many more blocks are live on this thread
+/// afterwards.
+fn live_blocks_after(f: impl FnOnce()) -> isize {
+    let before = LIVE.with(Cell::get);
+    f();
+    LIVE.with(Cell::get) - before
 }
 
 /// Ops whose operand list is non-empty: the blocks a clone allocates on
@@ -137,4 +151,44 @@ fn a_request_decode_allocates_a_bounded_count_beyond_its_operand_lists() {
         ops as f64 / 400.0
     );
     assert!(worst_extra <= 16, "{worst_extra} blocks beyond the operand lists");
+}
+
+/// A cache entry is a fixed-size record that owns no heap block, so cold
+/// answers of paper-suite loops leave nothing live but the cache's own
+/// tables: each of the 16 shards allocates one table, and the map's growth
+/// swaps it for a larger one, however many entries the answers add.
+#[test]
+fn cached_answers_own_no_heap_block() {
+    assert!(std::mem::size_of::<ScheduleRecord>() <= 128);
+    let suite = generate(&SuiteConfig::small(200));
+    let service = ScheduleService::default();
+    let clustered = MachineConfig::paper_clustered(4);
+    let unclustered = MachineConfig::unclustered(4);
+    let answer_all = |loops: &[dms_workloads::SuiteLoop]| {
+        for l in loops {
+            let dms = ScheduleRequest {
+                body: &l.body,
+                machine: &clustered,
+                dms: dms_core::DmsConfig::default(),
+                scheduler: SchedulerKind::Dms,
+                verify_trips: None,
+                contention: false,
+            };
+            let ims =
+                ScheduleRequest { machine: &unclustered, scheduler: SchedulerKind::Ims, ..dms };
+            for req in [dms, ims] {
+                assert!(!service.answer(&req).unwrap().cache_hit, "{}", l.body.name);
+            }
+        }
+    };
+    // The first answers set up what lives as long as the thread: the
+    // registry's handles and the telemetry thread-locals.
+    answer_all(&suite[..8]);
+    let live = live_blocks_after(|| answer_all(&suite[8..]));
+    let entries = service.cache_len();
+    assert_eq!(entries, 400);
+    assert!(
+        live <= DEFAULT_SHARDS as isize,
+        "{live} blocks stay live after {entries} cold answers"
+    );
 }

@@ -408,6 +408,9 @@ mod reference {
                 if !self.is_live(edge.dst) {
                     return Err(format!("edge {id:?} has a removed destination {}", edge.dst));
                 }
+                if edge.kind == DepKind::Flow && edge.latency == 0 {
+                    return Err(format!("flow edge {id:?} ({edge}) has latency 0"));
+                }
                 if !self.succs[edge.src.index()].contains(&id) {
                     return Err(format!("edge {id:?} missing from succ list of {}", edge.src));
                 }
@@ -1738,12 +1741,13 @@ fn decoder_matches_the_tree_reference() {
     );
 }
 
-/// The response renderer against the tree it replaced, on owned and lent
-/// responses, missed and hit: plain, verified and contention-timed DMS,
-/// a portfolio search, IMS, a loop name that needs escapes, and an error.
+/// The response renderer against the tree it replaced, on full responses
+/// and on the service's answers, missed and hit: plain, verified and
+/// contention-timed DMS, a portfolio search, IMS, a loop name that needs
+/// escapes, and an error.
 #[test]
 fn encoder_matches_the_tree_reference() {
-    use dms_service::{wire, LentResponse, ScheduleRequest, ScheduleService, SchedulerKind};
+    use dms_service::{wire, ScheduleRequest, ScheduleResponse, ScheduleService, SchedulerKind};
     let service = ScheduleService::default();
     let clustered = MachineConfig::paper_clustered(4);
     let bus = MachineConfig::paper_clustered(4).with_topology(dms_machine::TopologyKind::Bus);
@@ -1777,14 +1781,56 @@ fn encoder_matches_the_tree_reference() {
             ScheduleRequest { machine: &no_load_store, ..dms },
         ] {
             for _ in ["miss", "hit"] {
-                let lent = service.lend(&req);
-                let owned = lent.as_ref().map(LentResponse::to_response).map_err(Clone::clone);
-                let expected = reference::wire::encode_response(&owned);
-                assert_eq!(wire::encode_response(&owned), expected);
-                assert_eq!(wire::encode_lent_response(&lent), expected);
+                let answer = service.answer(&req);
+                let cache_hit = answer.as_ref().is_ok_and(|a| a.cache_hit);
+                let full = service.schedule(&req).map(|r| ScheduleResponse { cache_hit, ..r });
+                let expected = reference::wire::encode_response(&full);
+                assert_eq!(wire::encode_response(&full), expected);
+                assert_eq!(wire::encode_answer(&body.name, &answer), expected);
             }
         }
     }
+}
+
+/// The record the service answers with, cold and warm, is the one read
+/// off the full output of the same request, on every cell of the 48-loop
+/// served set (`dms-experiments client --loops 48 --clusters 1,...,10`):
+/// DMS on the clustered machine and IMS on the unclustered one.
+#[test]
+fn answer_records_match_the_full_output_cold_and_warm() {
+    use dms_service::{ScheduleRecord, ScheduleRequest, ScheduleService, SchedulerKind};
+    let config = dms_experiments::ExperimentConfig::quick(48);
+    let service = ScheduleService::default();
+    for suite_loop in &generate(&config.suite) {
+        for clusters in 1..=10 {
+            let clustered = MachineConfig::paper_clustered(clusters);
+            let unclustered = MachineConfig::unclustered(clusters);
+            let body =
+                unroll_for_machine(&suite_loop.body, clustered.total_useful_fus(), &config.unroll);
+            let dms = ScheduleRequest {
+                body: &body,
+                machine: &clustered,
+                dms: dms_core::DmsConfig::default(),
+                scheduler: SchedulerKind::Dms,
+                verify_trips: None,
+                contention: false,
+            };
+            let ims =
+                ScheduleRequest { machine: &unclustered, scheduler: SchedulerKind::Ims, ..dms };
+            for req in [dms, ims] {
+                let full = service.schedule(&req).unwrap();
+                assert!(!full.cache_hit);
+                let expected = ScheduleRecord::new(&full.output, full.verify);
+                let cold = service.answer(&req).unwrap();
+                assert!(!cold.cache_hit);
+                assert_eq!(cold.record, expected, "{} at {clusters} clusters", body.name);
+                let warm = service.answer(&req).unwrap();
+                assert!(warm.cache_hit);
+                assert_eq!(warm.record, expected, "{} at {clusters} clusters, warm", body.name);
+            }
+        }
+    }
+    assert_eq!(service.cache_len(), 960, "every cell's two requests are distinct");
 }
 
 /// Every byte the wire encoders write, pinned: an FNV-1a digest over the
