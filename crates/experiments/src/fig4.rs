@@ -70,6 +70,8 @@ pub fn claim_no_overhead_up_to_8_clusters(rows: &[Fig4Row]) -> f64 {
 mod tests {
     use super::*;
     use crate::runner::{measure_suite_with_stats, ExperimentConfig};
+    use dms_core::SchedulerStrategy;
+    use dms_machine::TopologyKind;
 
     fn fake(clusters: u32, unclustered_ii: u32, clustered_ii: u32) -> LoopMeasurement {
         LoopMeasurement {
@@ -92,8 +94,8 @@ mod tests {
             pressure_retries: 0,
             first_ii: clustered_ii,
             max_queue_depth: 0,
-            topology: "ring".to_string(),
-            strategy: "dms".to_string(),
+            topology: TopologyKind::Ring,
+            strategy: SchedulerStrategy::Dms,
             candidates: 0,
             baseline_ii: clustered_ii,
             cache_hit: false,

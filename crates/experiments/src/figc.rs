@@ -77,10 +77,10 @@ pub fn sweep_topologies(
 }
 
 /// One (topology, cluster count) aggregate of figure C.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FigCRow {
-    /// CSV label of the interconnect.
-    pub topology: String,
+    /// The interconnect.
+    pub topology: TopologyKind,
     /// Number of clusters.
     pub clusters: u32,
     /// Loops measured.
@@ -104,10 +104,10 @@ pub struct FigCRow {
 }
 
 /// Aggregates one topology's sweep into per-cluster-count rows.
-fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<FigCRow> {
+fn aggregate(topology: TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<FigCRow> {
     let slowdown = |m: &LoopMeasurement| m.achieved_ii as f64 / m.clustered_ii as f64 - 1.0;
     per_cluster(rows, clusters, |c, of_c| FigCRow {
-        topology: topology.label(),
+        topology,
         clusters: c,
         loops: of_c.len(),
         percent_no_overhead_scheduled: percent(of_c, |m| !m.ii_increased()),
@@ -122,7 +122,7 @@ fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]
 /// Figure C: one row per (topology, cluster count) of a contention
 /// sweep, topologies in sweep order.
 pub fn figure_c(sweeps: &[TopologySweep], clusters: &[u32]) -> Vec<FigCRow> {
-    sweeps.iter().flat_map(|s| aggregate(&s.topology, &s.measurements, clusters)).collect()
+    sweeps.iter().flat_map(|s| aggregate(s.topology, &s.measurements, clusters)).collect()
 }
 
 #[cfg(test)]
@@ -170,14 +170,14 @@ mod tests {
                 m.clustered_ii
             );
         }
-        for m in raw.iter().filter(|m| m.topology == "crossbar") {
+        for m in raw.iter().filter(|m| m.topology == TopologyKind::Crossbar) {
             assert_eq!(
                 m.achieved_ii, m.clustered_ii,
                 "loop {}: an unconstrained fabric cannot stall",
                 m.loop_id
             );
         }
-        let crossbar = rows.iter().find(|r| r.topology == "crossbar").unwrap();
+        let crossbar = rows.iter().find(|r| r.topology == TopologyKind::Crossbar).unwrap();
         assert_eq!(crossbar.percent_contended, 0.0);
         assert_eq!(crossbar.mean_slowdown, 0.0);
     }
@@ -189,6 +189,6 @@ mod tests {
         let sweeps = sweep_topologies(&cfg, &[TopologyKind::Bus], true, &Default::default());
         assert_eq!(figure_c(&sweeps, &cfg.cluster_counts).len(), 1);
         assert_eq!(sweeps.len(), 1);
-        assert!(sweeps[0].measurements.iter().all(|m| m.topology == "bus"));
+        assert!(sweeps[0].measurements.iter().all(|m| m.topology == TopologyKind::Bus));
     }
 }

@@ -14,13 +14,14 @@
 //! scalar reference of its source loop.
 
 use crate::runner::{mean, per_cluster, percent, ExperimentConfig, LoopMeasurement};
+use dms_core::SchedulerStrategy;
 use serde::{Deserialize, Serialize};
 
 /// One per-cluster-count aggregate of figure P.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FigPRow {
-    /// CSV label of the strategy that produced the winning schedules.
-    pub strategy: String,
+    /// The strategy that produced the winning schedules.
+    pub strategy: SchedulerStrategy,
     /// Number of clusters.
     pub clusters: u32,
     /// Loops measured.
@@ -49,7 +50,7 @@ pub struct FigPRow {
 /// needed.
 pub fn figure_p(measurements: &[LoopMeasurement], config: &ExperimentConfig) -> Vec<FigPRow> {
     per_cluster(measurements, &config.cluster_counts, |c, of_c| FigPRow {
-        strategy: config.dms.strategy.label(),
+        strategy: config.dms.strategy,
         clusters: c,
         loops: of_c.len(),
         recovered: of_c.iter().filter(|m| m.clustered_ii < m.baseline_ii).count(),
@@ -66,7 +67,6 @@ mod tests {
     use super::*;
     use crate::figc::FIGC_CLUSTERS;
     use crate::runner::measure_suite_with_stats;
-    use dms_core::SchedulerStrategy;
 
     #[test]
     fn figure_p_verifies_every_portfolio_winner() {
@@ -82,7 +82,8 @@ mod tests {
         assert_eq!(stats.failed, 0, "figure P must verify every winning schedule");
         assert!(stats.stores_verified > 0);
         for row in &rows {
-            assert_eq!(row.strategy, "portfolio:8:50");
+            assert_eq!(row.strategy, cfg.dms.strategy);
+            assert_eq!(row.strategy.to_string(), "portfolio:8:50");
             assert_eq!(row.loops, 8);
             assert!(row.verified_stores > 0, "{} clusters: nothing verified", row.clusters);
             // The portfolio embeds the plain heuristic, so its no-overhead
@@ -114,7 +115,8 @@ mod tests {
                 m.baseline_ii
             );
             assert_eq!(m.candidates, 5);
-            assert_eq!(m.strategy, "portfolio:6:50");
+            assert_eq!(m.strategy, cfg.dms.strategy);
+            assert_eq!(m.strategy.to_string(), "portfolio:6:50");
         }
     }
 }

@@ -18,10 +18,10 @@ use dms_machine::TopologyKind;
 use serde::{Deserialize, Serialize};
 
 /// One (topology, cluster count) aggregate of figure T.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FigTRow {
-    /// CSV label of the interconnect.
-    pub topology: String,
+    /// The interconnect.
+    pub topology: TopologyKind,
     /// Number of clusters.
     pub clusters: u32,
     /// Loops measured.
@@ -42,9 +42,9 @@ pub struct FigTRow {
 }
 
 /// Aggregates one topology's sweep into per-cluster-count rows.
-fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<FigTRow> {
+fn aggregate(topology: TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]) -> Vec<FigTRow> {
     per_cluster(rows, clusters, |c, of_c| FigTRow {
-        topology: topology.label(),
+        topology,
         clusters: c,
         loops: of_c.len(),
         percent_no_overhead: percent(of_c, |m| !m.ii_increased()),
@@ -58,7 +58,7 @@ fn aggregate(topology: &TopologyKind, rows: &[LoopMeasurement], clusters: &[u32]
 /// Figure T: one row per (topology, cluster count) of a topology sweep
 /// (see [`crate::figc::sweep_topologies`]), topologies in sweep order.
 pub fn figure_t(sweeps: &[TopologySweep], clusters: &[u32]) -> Vec<FigTRow> {
-    sweeps.iter().flat_map(|s| aggregate(&s.topology, &s.measurements, clusters)).collect()
+    sweeps.iter().flat_map(|s| aggregate(s.topology, &s.measurements, clusters)).collect()
 }
 
 #[cfg(test)]
@@ -83,13 +83,14 @@ mod tests {
             assert!(row.verified_stores > 0, "{}: nothing verified", row.topology);
         }
         // bus and crossbar are fully connected: chains can never arise
-        for row in rows.iter().filter(|r| r.topology == "bus" || r.topology == "crossbar") {
+        let fully_connected = [TopologyKind::Bus, TopologyKind::Crossbar];
+        for row in rows.iter().filter(|r| fully_connected.contains(&r.topology)) {
             assert_eq!(row.mean_moves, 0.0, "{}: moves on a fully connected fabric", row.topology);
         }
         // the ring rows match a plain ring sweep of the same configuration
         let ring_cfg = ExperimentConfig { verify: true, ..cfg };
         let (ring_rows, _) = crate::runner::measure_suite_with_stats(&ring_cfg);
-        let direct = aggregate(&TopologyKind::Ring, &ring_rows, &ring_cfg.cluster_counts);
+        let direct = aggregate(TopologyKind::Ring, &ring_rows, &ring_cfg.cluster_counts);
         assert_eq!(&rows[..FIGC_CLUSTERS.len()], &direct[..]);
     }
 
@@ -102,10 +103,14 @@ mod tests {
         cfg.cluster_counts = vec![8];
         let rows =
             figure_t(&sweep_topologies(&cfg, &FIGC_TOPOLOGIES, false, &Default::default()), &[8]);
-        let pct = |label: &str| {
-            rows.iter().find(|r| r.topology == label).map(|r| r.percent_no_overhead).unwrap()
+        let pct = |kind: TopologyKind| {
+            rows.iter().find(|r| r.topology == kind).map(|r| r.percent_no_overhead).unwrap()
         };
-        assert!(pct("crossbar") >= pct("ring"), "a crossbar can never lose to the ring");
-        assert!(pct("chordal:2") >= pct("ring"), "chords only add connectivity");
+        let ring = pct(TopologyKind::Ring);
+        assert!(pct(TopologyKind::Crossbar) >= ring, "a crossbar can never lose to the ring");
+        assert!(
+            pct(TopologyKind::ChordalRing { chord: 2 }) >= ring,
+            "chords only add connectivity"
+        );
     }
 }

@@ -245,16 +245,21 @@ fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result
 
 /// Parses a `--clusters` comma list. Every entry must be a cluster count
 /// of at least 1 (a machine has at least one cluster), so an empty list or
-/// a 0 is rejected here instead of reaching the machine builder.
+/// a 0 is rejected here instead of reaching the machine builder. A count
+/// may appear once: the figures aggregate every row of a count, so a
+/// repeat would measure each loop twice.
 fn parse_clusters(v: &str) -> Result<Vec<u32>, String> {
-    v.split(',')
-        .map(|x| match x.trim().parse::<u32>() {
-            Ok(c) if c > 0 => Ok(c),
-            _ => Err(format!(
-                "bad --clusters value {x:?}: cluster counts are integers of at least 1"
-            )),
-        })
-        .collect()
+    let mut counts = Vec::new();
+    for x in v.split(',') {
+        let c = x.trim().parse::<u32>().ok().filter(|&c| c > 0).ok_or_else(|| {
+            format!("bad --clusters value {x:?}: cluster counts are integers of at least 1")
+        })?;
+        if counts.contains(&c) {
+            return Err(format!("--clusters value {c} appears twice"));
+        }
+        counts.push(c);
+    }
+    Ok(counts)
 }
 
 /// The one-line summary of a verified sweep (figP, figT, figC).
@@ -465,7 +470,7 @@ fn run(cli: &Cli, registry: &Arc<Registry>) -> ExitCode {
         }
         println!();
         let raw: Vec<LoopMeasurement> =
-            sweeps.iter().flat_map(|s| s.measurements.iter().cloned()).collect();
+            sweeps.iter().flat_map(|s| s.measurements.iter().copied()).collect();
         if contention {
             publish(cli, &FIGC, &figure_c(&sweeps, &cli.config.cluster_counts), "C", Some(&raw));
         } else {
@@ -611,6 +616,15 @@ mod tests {
             let err = parse_clusters(bad).unwrap_err();
             assert!(err.contains("--clusters"), "{bad:?}: {err}");
         }
+        // A repeated count would measure every loop twice.
+        for bad in ["4,4", "2,4, 4", "1,2,1"] {
+            let repeated = bad.rsplit(',').next().unwrap().trim();
+            let err = parse_clusters(bad).unwrap_err();
+            assert_eq!(err, format!("--clusters value {repeated} appears twice"), "{bad:?}");
+        }
+        for line in ["fig4 --loops 3 --clusters 4,4", "client --clusters 2,4,2"] {
+            assert!(parse(line).unwrap_err().contains("appears twice"), "{line}");
+        }
     }
 
     #[test]
@@ -660,7 +674,7 @@ mod tests {
     #[test]
     fn fig_p_defaults_to_a_verified_portfolio_at_2_4_and_8_clusters() {
         let cli = parse("figP --loops 3").unwrap();
-        assert_eq!(cli.config.dms.strategy.label(), "portfolio:8:50");
+        assert_eq!(cli.config.dms.strategy.to_string(), "portfolio:8:50");
         assert_eq!(cli.config.cluster_counts, FIGC_CLUSTERS);
         assert!(cli.config.verify);
     }

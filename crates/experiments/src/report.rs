@@ -224,7 +224,7 @@ pub const FIG6: Figure<SeriesRow> = Figure {
 pub const FIGT: Figure<FigTRow> = Figure {
     title: "Figure T — achievable II across interconnect topologies (verified)",
     columns: &[
-        both(("topology", 10, 0, 1.0), ("topology", 0), |r| Label(r.topology.clone())),
+        both(("topology", 10, 0, 1.0), ("topology", 0), |r| Label(r.topology.to_string())),
         both(("clusters", 8, 0, 1.0), ("clusters", 0), |r| Count(r.clusters.into())),
         both(("loops", 6, 0, 1.0), ("loops", 0), |r| Count(r.loops as u64)),
         both(("no overhead(%)", 14, 1, 1.0), ("percent_no_overhead", 4), |r| {
@@ -242,7 +242,7 @@ pub const FIGT: Figure<FigTRow> = Figure {
 pub const FIGC: Figure<FigCRow> = Figure {
     title: "Figure C — achieved II under contention replay (verified)",
     columns: &[
-        both(("topology", 10, 0, 1.0), ("topology", 0), |r| Label(r.topology.clone())),
+        both(("topology", 10, 0, 1.0), ("topology", 0), |r| Label(r.topology.to_string())),
         both(("clusters", 8, 0, 1.0), ("clusters", 0), |r| Count(r.clusters.into())),
         both(("loops", 6, 0, 1.0), ("loops", 0), |r| Count(r.loops as u64)),
         both(("sched noOv(%)", 13, 1, 1.0), ("percent_no_overhead_scheduled", 4), |r| {
@@ -263,7 +263,7 @@ pub const FIGC: Figure<FigCRow> = Figure {
 pub const FIGP: Figure<FigPRow> = Figure {
     title: "Figure P — portfolio search vs the single DMS heuristic (verified)",
     columns: &[
-        both(("strategy", 16, 0, 1.0), ("strategy", 0), |r| Label(r.strategy.clone())),
+        both(("strategy", 16, 0, 1.0), ("strategy", 0), |r| Label(r.strategy.to_string())),
         both(("clusters", 8, 0, 1.0), ("clusters", 0), |r| Count(r.clusters.into())),
         both(("loops", 6, 0, 1.0), ("loops", 0), |r| Count(r.loops as u64)),
         Column(None, Some(("recovered", 0)), |r| Count(r.recovered as u64)),
@@ -308,6 +308,8 @@ pub fn render_ablation(result: &AblationResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dms_core::SchedulerStrategy;
+    use dms_machine::TopologyKind;
 
     fn fig4_rows() -> Vec<Fig4Row> {
         vec![
@@ -364,8 +366,8 @@ mod tests {
             pressure_retries: 1,
             first_ii: 2,
             max_queue_depth: 4,
-            topology: "ring".to_string(),
-            strategy: "portfolio:8:50".to_string(),
+            topology: TopologyKind::Ring,
+            strategy: SchedulerStrategy::Portfolio { n_candidates: 8, exploit_percent: 50 },
             candidates: 7,
             baseline_ii: 4,
             cache_hit: false,
@@ -389,7 +391,7 @@ mod tests {
     #[test]
     fn figc_rendering_and_csv_are_exact() {
         let rows = vec![FigCRow {
-            topology: "bus".to_string(),
+            topology: TopologyKind::Bus,
             clusters: 8,
             loops: 1258,
             percent_no_overhead_scheduled: 88.6,
@@ -426,7 +428,7 @@ mod tests {
     #[test]
     fn figp_rendering_and_csv_are_exact() {
         let rows = vec![FigPRow {
-            strategy: "portfolio:8:50".to_string(),
+            strategy: SchedulerStrategy::Portfolio { n_candidates: 8, exploit_percent: 50 },
             clusters: 8,
             loops: 1258,
             recovered: 63,

@@ -28,7 +28,7 @@
 //! identical — contents *and* order — for `threads = 1` and `threads = N`,
 //! and carries no trace of scheduling noise into the figures or CSV files.
 
-use dms_core::DmsConfig;
+use dms_core::{DmsConfig, SchedulerStrategy};
 use dms_machine::{MachineConfig, TopologyKind};
 use dms_service::{resolve_threads, run_indexed, ScheduleRequest, ScheduleService, SchedulerKind};
 use dms_workloads::{generate, SuiteConfig, SuiteLoop, UnrollPolicy};
@@ -113,8 +113,10 @@ impl Default for ExperimentConfig {
 }
 
 /// One loop scheduled on one cluster count, on both the clustered machine
-/// (DMS) and the equivalent unclustered machine (IMS).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// (DMS) and the equivalent unclustered machine (IMS). A plain `Copy`
+/// value: the topology and strategy are kinds, rendered to their labels
+/// only by the CSV and the tables.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LoopMeasurement {
     /// Suite index of the loop.
     pub loop_id: usize,
@@ -163,11 +165,10 @@ pub struct LoopMeasurement {
     /// schedules (IMS + DMS runs combined). 0 when the sweep ran without
     /// `--verify` — the streams only exist in the simulator.
     pub max_queue_depth: u64,
-    /// CSV label of the clustered machine's interconnect topology.
-    pub topology: String,
-    /// CSV label of the scheduler strategy that produced `clustered_ii`
-    /// (`dms`, `beam:W` or `portfolio:N:E`).
-    pub strategy: String,
+    /// Interconnect topology of the clustered machine.
+    pub topology: TopologyKind,
+    /// Scheduler strategy that produced `clustered_ii`.
+    pub strategy: SchedulerStrategy,
     /// Challenger searches run beyond the deterministic baseline (0 for the
     /// plain `dms` strategy).
     pub candidates: u32,
@@ -408,8 +409,8 @@ fn measure_body(
         pressure_retries: search.pressure_retries,
         first_ii: search.first_ii,
         max_queue_depth,
-        topology: config.topology.label(),
-        strategy: config.dms.strategy.label(),
+        topology: config.topology,
+        strategy: config.dms.strategy,
         candidates: search.candidates_run,
         baseline_ii: search.baseline_ii,
         cache_hit: ims.cache_hit && dms.cache_hit,

@@ -56,8 +56,9 @@ impl Default for ClusterFus {
     }
 }
 
-/// A complete machine description: per-cluster functional units, operation
-/// latencies and queue register file capacities.
+/// A complete machine description: a count of identical clusters, the
+/// functional units of each, operation latencies and queue register file
+/// capacities. A plain `Copy` value: it owns no heap block.
 ///
 /// # Example
 ///
@@ -71,9 +72,10 @@ impl Default for ClusterFus {
 /// assert!(clustered.is_clustered());
 /// assert!(!unclustered.is_clustered());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MachineConfig {
-    clusters: Vec<ClusterFus>,
+    clusters: u32,
+    fus: ClusterFus,
     latency: LatencySpec,
     /// The interconnect family connecting the clusters (the paper's
     /// bi-directional ring by default).
@@ -99,7 +101,8 @@ impl MachineConfig {
     pub fn homogeneous(clusters: u32, fus: ClusterFus, latency: LatencySpec) -> Self {
         assert!(clusters > 0, "a machine needs at least one cluster");
         MachineConfig {
-            clusters: vec![fus; clusters as usize],
+            clusters,
+            fus,
             latency,
             topology_kind: TopologyKind::Ring,
             cqrf_capacity: Self::DEFAULT_CQRF_CAPACITY,
@@ -177,14 +180,14 @@ impl MachineConfig {
     /// Number of clusters.
     #[inline]
     pub fn num_clusters(&self) -> u32 {
-        self.clusters.len() as u32
+        self.clusters
     }
 
     /// Whether the machine has more than one cluster (and therefore
     /// communication constraints).
     #[inline]
     pub fn is_clustered(&self) -> bool {
-        self.clusters.len() > 1
+        self.clusters > 1
     }
 
     /// The interconnect topology connecting the clusters.
@@ -193,31 +196,21 @@ impl MachineConfig {
         Topology::new(self.topology_kind, self.num_clusters())
     }
 
-    /// Functional-unit mix of one cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster does not exist.
+    /// Functional-unit mix of every cluster.
     #[inline]
-    pub fn cluster(&self, id: ClusterId) -> &ClusterFus {
-        &self.clusters[id.index()]
-    }
-
-    /// Number of units of `kind` in cluster `id`.
-    #[inline]
-    pub fn fu_count(&self, id: ClusterId, kind: FuKind) -> u32 {
-        self.cluster(id).count(kind)
+    pub fn fus(&self) -> ClusterFus {
+        self.fus
     }
 
     /// Total number of units of `kind` across all clusters.
     pub fn total_fu(&self, kind: FuKind) -> u32 {
-        self.clusters.iter().map(|c| c.count(kind)).sum()
+        self.fus.count(kind) * self.clusters
     }
 
     /// Total number of useful (non-Copy) functional units — the quantity the
     /// paper uses on the x-axis of figures 5 and 6.
     pub fn total_useful_fus(&self) -> u32 {
-        self.clusters.iter().map(ClusterFus::useful).sum()
+        self.fus.useful() * self.clusters
     }
 
     /// Iterates over all cluster identifiers.
@@ -243,7 +236,7 @@ mod tests {
         assert_eq!(m.num_clusters(), 8);
         assert_eq!(m.total_useful_fus(), 24);
         assert_eq!(m.total_fu(FuKind::Copy), 8);
-        assert_eq!(m.fu_count(ClusterId(3), FuKind::Mul), 1);
+        assert_eq!(m.fus().count(FuKind::Mul), 1);
         assert!(m.is_clustered());
     }
 
@@ -253,7 +246,7 @@ mod tests {
         assert_eq!(m.num_clusters(), 1);
         assert!(!m.is_clustered());
         assert_eq!(m.total_useful_fus(), 21);
-        assert_eq!(m.fu_count(ClusterId(0), FuKind::Add), 7);
+        assert_eq!(m.fus().count(FuKind::Add), 7);
         assert_eq!(m.total_fu(FuKind::Copy), 7);
     }
 
@@ -280,8 +273,8 @@ mod tests {
     #[test]
     fn units_for_op() {
         let m = MachineConfig::paper_clustered(2);
-        assert_eq!(m.fu_count(ClusterId(0), FuKind::for_op(OpKind::Load)), 1);
-        assert_eq!(m.fu_count(ClusterId(1), FuKind::for_op(OpKind::Move)), 1);
+        assert_eq!(m.fus().count(FuKind::for_op(OpKind::Load)), 1);
+        assert_eq!(m.fus().count(FuKind::for_op(OpKind::Move)), 1);
     }
 
     #[test]

@@ -88,13 +88,9 @@ impl Mrt {
     pub fn new(config: &MachineConfig, ii: u32) -> Self {
         assert!(ii > 0, "the initiation interval must be at least 1");
         let num_clusters = config.num_clusters();
-        let columns = (num_clusters as usize) * FuKind::ALL.len();
-        let mut capacity = vec![0u32; columns];
-        for c in config.cluster_ids() {
-            for kind in FuKind::ALL {
-                capacity[c.index() * FuKind::ALL.len() + kind.index()] = config.fu_count(c, kind);
-            }
-        }
+        let fus = config.fus();
+        let capacity = FuKind::ALL.map(|kind| fus.count(kind)).repeat(num_clusters as usize);
+        let columns = capacity.len();
         let mut offset = Vec::with_capacity(columns);
         let mut row_width = 0;
         for &cap in &capacity {
@@ -119,10 +115,7 @@ impl Mrt {
     /// the machine's functional units (the width of one row). Lets a caller
     /// price a table before building it.
     pub fn cells(config: &MachineConfig, ii: u32) -> u64 {
-        let units: u64 = config
-            .cluster_ids()
-            .flat_map(|c| FuKind::ALL.map(|kind| u64::from(config.fu_count(c, kind))))
-            .sum();
+        let units: u64 = FuKind::ALL.map(|kind| u64::from(config.total_fu(kind))).iter().sum();
         units.saturating_mul(u64::from(ii))
     }
 

@@ -80,17 +80,6 @@ pub enum TopologyKind {
 }
 
 impl TopologyKind {
-    /// Stable label used by CSV columns and the CLI (`ring`, `chordal:K`,
-    /// `bus`, `crossbar`).
-    pub fn label(&self) -> String {
-        match self {
-            TopologyKind::Ring => "ring".to_string(),
-            TopologyKind::ChordalRing { chord } => format!("chordal:{chord}"),
-            TopologyKind::Bus => "bus".to_string(),
-            TopologyKind::Crossbar => "crossbar".to_string(),
-        }
-    }
-
     /// Parses a CLI label: `ring`, `chordal` (stride 2), `chordal:K`, `bus`
     /// or `crossbar`.
     pub fn parse(s: &str) -> Result<TopologyKind, String> {
@@ -142,9 +131,16 @@ impl fmt::Display for TransferModel {
     }
 }
 
+/// The stable label used by CSV columns, the wire and the CLI (`ring`,
+/// `chordal:K`, `bus`, `crossbar`); [`TopologyKind::parse`] reads it back.
 impl fmt::Display for TopologyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label())
+        match self {
+            TopologyKind::Ring => f.write_str("ring"),
+            TopologyKind::ChordalRing { chord } => write!(f, "chordal:{chord}"),
+            TopologyKind::Bus => f.write_str("bus"),
+            TopologyKind::Crossbar => f.write_str("crossbar"),
+        }
     }
 }
 
@@ -766,13 +762,15 @@ mod tests {
 
     #[test]
     fn kind_labels_roundtrip_through_parse() {
-        for kind in [
-            TopologyKind::Ring,
-            TopologyKind::ChordalRing { chord: 3 },
-            TopologyKind::Bus,
-            TopologyKind::Crossbar,
+        for (kind, label) in [
+            (TopologyKind::Ring, "ring"),
+            (TopologyKind::ChordalRing { chord: 2 }, "chordal:2"),
+            (TopologyKind::ChordalRing { chord: 3 }, "chordal:3"),
+            (TopologyKind::Bus, "bus"),
+            (TopologyKind::Crossbar, "crossbar"),
         ] {
-            assert_eq!(TopologyKind::parse(&kind.label()), Ok(kind));
+            assert_eq!(kind.to_string(), label);
+            assert_eq!(TopologyKind::parse(&kind.to_string()), Ok(kind));
         }
         assert_eq!(TopologyKind::parse("chordal"), Ok(TopologyKind::ChordalRing { chord: 2 }));
         assert!(TopologyKind::parse("torus").is_err());

@@ -283,7 +283,7 @@ mod tests {
                     let used =
                         word.slots.iter().filter(|s| s.cluster == cluster && s.fu == fu).count()
                             as u32;
-                    assert!(used <= m.fu_count(cluster, fu));
+                    assert!(used <= m.fus().count(fu));
                 }
             }
         }

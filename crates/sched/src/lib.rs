@@ -42,7 +42,7 @@ pub use pressure::{CapacityExcess, Lifetime, LifetimeClass, QueuePressure};
 pub use priority::heights;
 pub use schedule::{
     dependence_bound, earliest_start, SchedStats, Schedule, ScheduleError, ScheduleResult,
-    ScheduleSummary, ScheduledOp,
+    ScheduledOp,
 };
 pub use strategy::{SchedulerStrategy, DEFAULT_EXPLOIT_PERCENT, DEFAULT_PORTFOLIO_CANDIDATES};
 pub use validate::{validate_schedule, Violation};

@@ -209,49 +209,6 @@ impl ScheduleResult {
     pub fn ipc(&self, trip_count: u64) -> f64 {
         self.schedule.ipc(trip_count, self.useful_ops())
     }
-
-    /// Flattens the result into the compact, id-free [`ScheduleSummary`]
-    /// used wherever a schedule crosses a serialization boundary (the
-    /// `dms-service` wire protocol, log lines): every field is a plain
-    /// integer or string, so rendering it needs no knowledge of the DDG.
-    pub fn summary(&self) -> ScheduleSummary {
-        ScheduleSummary {
-            loop_name: self.loop_name.clone(),
-            ii: self.ii(),
-            mii: self.stats.mii.map(|m| m.mii()).unwrap_or(1),
-            stages: self.schedule.stage_count(),
-            ops: self.ddg.num_live_ops(),
-            useful_ops: self.useful_ops(),
-            copies: self.stats.copies_inserted,
-            moves: self.stats.moves_inserted,
-            ii_attempts: self.stats.ii_attempts,
-        }
-    }
-}
-
-/// The flat, serialization-friendly projection of a [`ScheduleResult`] —
-/// the outcome surface the `dms-service` wire protocol reports. See
-/// [`ScheduleResult::summary`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScheduleSummary {
-    /// Name of the scheduled loop.
-    pub loop_name: String,
-    /// Achieved initiation interval.
-    pub ii: u32,
-    /// Lower bound (MII) on this machine (1 when no bound was computed).
-    pub mii: u32,
-    /// Kernel stage count of the modulo schedule.
-    pub stages: u32,
-    /// Live operations in the scheduled (transformed) DDG.
-    pub ops: usize,
-    /// Useful operations (excludes the inserted copies and moves).
-    pub useful_ops: usize,
-    /// Copy operations inserted by the single-use conversion.
-    pub copies: u64,
-    /// Move operations inserted by DMS chains.
-    pub moves: u64,
-    /// Candidate IIs tried before the schedule was accepted.
-    pub ii_attempts: u32,
 }
 
 /// Errors reported by the schedulers.
@@ -353,11 +310,6 @@ impl fmt::Display for ScheduleError {
 }
 
 impl std::error::Error for ScheduleError {}
-
-/// Convenience: number of useful operations of a DDG.
-pub fn useful_ops(ddg: &Ddg) -> usize {
-    ddg.live_ops().filter(|(_, o)| o.kind.is_useful()).count()
-}
 
 #[cfg(test)]
 mod tests {

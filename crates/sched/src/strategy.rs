@@ -39,7 +39,7 @@ pub const DEFAULT_PORTFOLIO_CANDIDATES: u32 = 8;
 /// # Examples
 ///
 /// The textual form round-trips through [`SchedulerStrategy::parse`] and
-/// [`SchedulerStrategy::label`] (the CSV column value):
+/// `Display` (the CSV column value):
 ///
 /// ```
 /// use dms_sched::SchedulerStrategy;
@@ -52,8 +52,10 @@ pub const DEFAULT_PORTFOLIO_CANDIDATES: u32 = 8;
 /// );
 /// let p = SchedulerStrategy::parse("portfolio:8").unwrap();
 /// assert_eq!(p, SchedulerStrategy::Portfolio { n_candidates: 8, exploit_percent: 50 });
-/// assert_eq!(p.label(), "portfolio:8:50");
-/// assert_eq!(SchedulerStrategy::parse(&p.label()).unwrap(), p);
+/// assert_eq!(p.to_string(), "portfolio:8:50");
+/// assert_eq!(SchedulerStrategy::parse(&p.to_string()).unwrap(), p);
+/// assert_eq!(SchedulerStrategy::Dms.to_string(), "dms");
+/// assert_eq!(SchedulerStrategy::Beam { width: 3 }.to_string(), "beam:3");
 /// assert!(SchedulerStrategy::parse("beam:0").is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -150,23 +152,19 @@ impl SchedulerStrategy {
             SchedulerStrategy::Portfolio { .. } => Ok(()),
         }
     }
-
-    /// The canonical label used in CSV columns and log lines. Parses back
-    /// to the same strategy.
-    pub fn label(&self) -> String {
-        match *self {
-            SchedulerStrategy::Dms => "dms".to_string(),
-            SchedulerStrategy::Beam { width } => format!("beam:{width}"),
-            SchedulerStrategy::Portfolio { n_candidates, exploit_percent } => {
-                format!("portfolio:{n_candidates}:{exploit_percent}")
-            }
-        }
-    }
 }
 
+/// The canonical label used in CSV columns, the wire and log lines
+/// (`dms`, `beam:W`, `portfolio:N:E`). Parses back to the same strategy.
 impl fmt::Display for SchedulerStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+        match *self {
+            SchedulerStrategy::Dms => f.write_str("dms"),
+            SchedulerStrategy::Beam { width } => write!(f, "beam:{width}"),
+            SchedulerStrategy::Portfolio { n_candidates, exploit_percent } => {
+                write!(f, "portfolio:{n_candidates}:{exploit_percent}")
+            }
+        }
     }
 }
 
@@ -176,15 +174,23 @@ mod tests {
 
     #[test]
     fn parse_accepts_every_canonical_label() {
-        for s in [
-            SchedulerStrategy::Dms,
-            SchedulerStrategy::Beam { width: 1 },
-            SchedulerStrategy::Beam { width: 16 },
-            SchedulerStrategy::Portfolio { n_candidates: 8, exploit_percent: 50 },
-            SchedulerStrategy::Portfolio { n_candidates: 1, exploit_percent: 0 },
-            SchedulerStrategy::Portfolio { n_candidates: 32, exploit_percent: 100 },
+        for (s, label) in [
+            (SchedulerStrategy::Dms, "dms"),
+            (SchedulerStrategy::Beam { width: 1 }, "beam:1"),
+            (SchedulerStrategy::Beam { width: 3 }, "beam:3"),
+            (SchedulerStrategy::Beam { width: 16 }, "beam:16"),
+            (
+                SchedulerStrategy::Portfolio { n_candidates: 8, exploit_percent: 50 },
+                "portfolio:8:50",
+            ),
+            (SchedulerStrategy::Portfolio { n_candidates: 1, exploit_percent: 0 }, "portfolio:1:0"),
+            (
+                SchedulerStrategy::Portfolio { n_candidates: 32, exploit_percent: 100 },
+                "portfolio:32:100",
+            ),
         ] {
-            assert_eq!(SchedulerStrategy::parse(&s.label()), Ok(s), "{s}");
+            assert_eq!(s.to_string(), label);
+            assert_eq!(SchedulerStrategy::parse(&s.to_string()), Ok(s), "{s}");
         }
     }
 
@@ -221,7 +227,6 @@ mod tests {
 
     #[test]
     fn display_matches_label() {
-        let s = SchedulerStrategy::Beam { width: 3 };
-        assert_eq!(s.to_string(), s.label());
+        assert_eq!(SchedulerStrategy::Beam { width: 3 }.to_string(), "beam:3");
     }
 }

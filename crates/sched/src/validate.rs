@@ -139,7 +139,7 @@ pub fn validate_schedule(
                     + cluster.index() * FuKind::ALL.len()
                     + fu.index();
                 let used = usage[idx];
-                let capacity = machine.fu_count(cluster, fu);
+                let capacity = machine.fus().count(fu);
                 if used > capacity {
                     violations.push(Violation::Oversubscribed { row, cluster, fu, used, capacity });
                 }

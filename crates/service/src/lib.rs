@@ -16,7 +16,7 @@
 //!   [`cache`] or by running the scheduler (and, when asked, the end-to-end
 //!   verify oracle) cold and caching what the answer is made of. Cached
 //!   answers are bit-identical to cold ones: an entry is a fixed-size
-//!   [`ScheduleRecord`] (the summary numbers, the DMS search's scalars and
+//!   [`ScheduleRecord`] (the schedule's numbers, the DMS search's scalars and
 //!   the verified-stores digest) that owns no heap block, and the key is
 //!   exact — isomorphic-but-distinct loops (whose schedules can differ in
 //!   name-seeded tie-breaks) never share an entry.

@@ -149,9 +149,8 @@ pub struct DmsScalars {
     pub winner_candidate: u32,
 }
 
-/// What one answer carries, and what one cache entry holds: the
-/// [`dms_sched::ScheduleSummary`] numbers, the strategy counts, the DMS
-/// scalars and the verify digest. It is `Copy` and owns no heap block; the
+/// What one answer carries, and what one cache entry holds: the schedule's
+/// numbers, the strategy counts, the DMS scalars and the verify digest. It is `Copy` and owns no heap block; the
 /// loop name is the request's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleRecord {
@@ -185,16 +184,15 @@ impl ScheduleRecord {
     /// Reads the record off a full scheduler output.
     pub fn new(output: &SchedulerOutput, verify: Option<VerifyDigest>) -> Self {
         let result = output.result();
-        let summary = result.summary();
         ScheduleRecord {
-            ii: summary.ii,
-            mii: summary.mii,
-            stages: summary.stages,
-            ii_attempts: summary.ii_attempts,
-            ops: summary.ops,
-            useful_ops: summary.useful_ops,
-            copies: summary.copies,
-            moves: summary.moves,
+            ii: result.ii(),
+            mii: result.stats.mii.map_or(1, |m| m.mii()),
+            stages: result.schedule.stage_count(),
+            ii_attempts: result.stats.ii_attempts,
+            ops: result.ddg.num_live_ops(),
+            useful_ops: result.useful_ops(),
+            copies: result.stats.copies_inserted,
+            moves: result.stats.moves_inserted,
             strategy2: result.stats.strategy2_placements,
             strategy3: result.stats.strategy3_placements,
             dms: output.dms().map(|o| DmsScalars {

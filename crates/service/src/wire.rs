@@ -42,9 +42,10 @@
 //!
 //! ## Responses
 //!
-//! A schedule response reports the [`dms_sched::ScheduleSummary`] plus the
-//! DMS search telemetry and the verification digest when present
-//! (`achieved_ii` is 0 unless the request asked for `contention`):
+//! A schedule response reports the [`ScheduleRecord`] numbers under the
+//! request's loop name, plus the DMS search telemetry and the verification
+//! digest when present (`achieved_ii` is 0 unless the request asked for
+//! `contention`):
 //!
 //! ```json
 //! {"ok":true,"cache_hit":false,"scheduler":"dms",
@@ -582,16 +583,16 @@ pub fn encode_schedule_request(ws: &WireSchedule) -> String {
         out,
         concat!(
             r#","machine":{{"unclustered":{},"clusters":{},"copy_units":{},"cqrf_capacity":{},"#,
-            r#""topology":{}}},"scheduler":"{}","strategy":{},"ii_seed":{},"verify_trips":{},"#,
+            r#""topology":"{}"}},"scheduler":"{}","strategy":"{}","ii_seed":{},"verify_trips":{},"#,
             r#""contention":{}}}"#,
         ),
         m.unclustered,
         m.clusters,
         m.copy_units,
         OrNull(m.cqrf_capacity),
-        Quoted(&m.topology.label()),
+        m.topology,
         scheduler,
-        Quoted(&ws.dms.strategy.label()),
+        ws.dms.strategy,
         OrNull(ws.dms.ii_seed),
         OrNull(ws.verify_trips.map(|t| t as i64)),
         ws.contention,

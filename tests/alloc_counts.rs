@@ -1,13 +1,15 @@
-//! Heap allocations of the DDG and of the schedule cache, counted by a
-//! global allocator.
+//! Heap allocations of the DDG, of the schedule cache and of the sweep's
+//! rows, counted by a global allocator.
 //!
 //! Every request decode builds a DDG, so the number of blocks a `Ddg` takes
 //! is part of the service's cost. The graph keeps its adjacency as links in
 //! flat vectors, so a clone allocates its four tables plus one operand list
 //! per op that reads anything. A cache entry, by contrast, is a fixed-size
-//! record that owns no heap block. Run with `-- --nocapture` to see the
-//! per-decode count of a benchmark request line.
+//! record that owns no heap block, and so are a sweep row and a machine.
+//! Run with `-- --nocapture` to see the per-decode count of a benchmark
+//! request line.
 
+use dms_experiments::{measure_loops_with_stats_on, ExperimentConfig, LoopMeasurement};
 use dms_ir::transform::convert_to_single_use;
 use dms_ir::{Ddg, LatencySpec};
 use dms_machine::{MachineConfig, TopologyKind};
@@ -191,4 +193,34 @@ fn cached_answers_own_no_heap_block() {
         live <= DEFAULT_SHARDS as isize,
         "{live} blocks stay live after {entries} cold answers"
     );
+}
+
+/// A sweep row and a machine are plain `Copy` values: a row holds the
+/// topology and strategy kinds, not their labels, and a machine is a count
+/// of identical clusters. So a warm re-sweep, every request a cache hit,
+/// leaves one block live while its rows are held: the rows' `Vec`.
+#[test]
+fn sweep_rows_own_no_heap_block() {
+    fn copy<T: Copy>() {}
+    copy::<LoopMeasurement>();
+    copy::<MachineConfig>();
+    assert!(std::mem::size_of::<LoopMeasurement>() <= 160);
+    let mut config = ExperimentConfig::quick(24);
+    config.cluster_counts = vec![2, 4];
+    config.threads = 1;
+    let suite = generate(&config.suite);
+    let service = ScheduleService::default();
+    let (cold, _) = measure_loops_with_stats_on(&suite, &config, &service);
+    let mut warm = Vec::new();
+    let live = live_blocks_after(|| {
+        let (rows, stats) = measure_loops_with_stats_on(&suite, &config, &service);
+        assert_eq!((stats.failed, stats.cache_misses), (0, 0));
+        warm = rows;
+    });
+    assert_eq!(warm.len(), 48);
+    assert!(warm.iter().all(|m| m.cache_hit));
+    for (w, c) in warm.iter().zip(&cold) {
+        assert_eq!(LoopMeasurement { cache_hit: c.cache_hit, ..*w }, *c);
+    }
+    assert!(live <= 1, "{live} blocks stay live while {} warm rows are held", warm.len());
 }

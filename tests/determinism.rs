@@ -67,6 +67,7 @@ fn per_core_thread_default_matches_serial_results() {
 /// CSV — `topology` column included — for 1 and 4 worker threads.
 #[test]
 fn topology_sweep_is_byte_identical_for_1_and_4_threads() {
+    use dms_core::SchedulerStrategy;
     use dms_machine::TopologyKind;
     for kind in [TopologyKind::ChordalRing { chord: 2 }, TopologyKind::Bus] {
         let mut serial = ExperimentConfig::quick(12);
@@ -88,7 +89,11 @@ fn topology_sweep_is_byte_identical_for_1_and_4_threads() {
             report::measurements_csv(&b),
             "{kind}: sweep output must not depend on the worker count"
         );
-        let cell = format!(",{},dms,0,", kind.label());
+        assert!(
+            a.iter().all(|m| m.topology == kind && m.strategy == SchedulerStrategy::Dms),
+            "{kind}: every row must carry the sweep's topology and strategy"
+        );
+        let cell = format!(",{kind},dms,0,");
         assert!(
             csv.lines().skip(1).all(|l| l.contains(&cell)),
             "{kind}: every row must carry the topology and strategy columns"

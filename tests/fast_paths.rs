@@ -832,17 +832,18 @@ mod reference {
             match result {
                 Err(e) => encode_error(&e.to_string()),
                 Ok(resp) => {
-                    let summary = resp.output.result().summary();
+                    let result = resp.output.result();
+                    let (stats, mii) = (&result.stats, result.stats.mii.map_or(1, |m| m.mii()));
                     let summary_json = Json::Obj(vec![
-                        ("loop".to_string(), Json::Str(summary.loop_name.clone())),
-                        ("ii".to_string(), Json::Num(i64::from(summary.ii))),
-                        ("mii".to_string(), Json::Num(i64::from(summary.mii))),
-                        ("stages".to_string(), Json::Num(i64::from(summary.stages))),
-                        ("ops".to_string(), Json::Num(summary.ops as i64)),
-                        ("useful_ops".to_string(), Json::Num(summary.useful_ops as i64)),
-                        ("copies".to_string(), Json::Num(summary.copies as i64)),
-                        ("moves".to_string(), Json::Num(summary.moves as i64)),
-                        ("ii_attempts".to_string(), Json::Num(i64::from(summary.ii_attempts))),
+                        ("loop".to_string(), Json::Str(result.loop_name.clone())),
+                        ("ii".to_string(), Json::Num(i64::from(result.ii()))),
+                        ("mii".to_string(), Json::Num(i64::from(mii))),
+                        ("stages".to_string(), Json::Num(i64::from(result.schedule.stage_count()))),
+                        ("ops".to_string(), Json::Num(result.ddg.num_live_ops() as i64)),
+                        ("useful_ops".to_string(), Json::Num(result.useful_ops() as i64)),
+                        ("copies".to_string(), Json::Num(stats.copies_inserted as i64)),
+                        ("moves".to_string(), Json::Num(stats.moves_inserted as i64)),
+                        ("ii_attempts".to_string(), Json::Num(i64::from(stats.ii_attempts))),
                     ]);
                     let dms = match resp.output.dms() {
                         None => Json::Null,
