@@ -6,9 +6,9 @@
 //! implicitly assumes every cross-cluster transfer lands in the cycle the
 //! schedule planned it — true for a crossbar, optimistic for a shared bus.
 //! Figure C times the transfers of every emitted VLIW program, inside the
-//! verify's execution ([`dms_sim::contention`]), under each topology's
-//! [`dms_machine::TransferModel`] (bus: one transaction per cycle across the
-//! whole fabric; ring/chordal: one slot per directed link; crossbar:
+//! verify's execution ([`dms_sim::contention`]), on the links each topology
+//! names ([`dms_machine::Link`]; bus: one transaction per cycle across the
+//! whole fabric; ring/chordal: one per directed link; crossbar:
 //! unconstrained) and reports the II the machine actually sustains next to
 //! the II the scheduler promised. The interesting verdict is at 8 clusters:
 //! figure T scores the bus and the crossbar identically (the scheduler sees

@@ -210,13 +210,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut grid_topologies = FIGC_TOPOLOGIES.to_vec();
     if let Some(v) = &topology_arg {
         if command == Command::FigC {
-            grid_topologies = v
-                .split(',')
-                .map(|t| TopologyKind::parse(t.trim()))
-                .collect::<Result<Vec<TopologyKind>, String>>()?;
-            if grid_topologies.is_empty() {
-                return Err("--topology needs at least one interconnect".to_string());
-            }
+            grid_topologies = parse_topologies(v)?;
         } else if v.contains(',') {
             return Err("a comma-separated --topology list only applies to figC".to_string());
         } else {
@@ -260,6 +254,21 @@ fn parse_clusters(v: &str) -> Result<Vec<u32>, String> {
         counts.push(c);
     }
     Ok(counts)
+}
+
+/// Parses figure C's `--topology` comma list. An interconnect may appear
+/// once, like a `--clusters` count: a repeat would sweep it twice and print
+/// its rows twice. Two labels of one kind (`chordal,chordal:2`) repeat it.
+fn parse_topologies(v: &str) -> Result<Vec<TopologyKind>, String> {
+    let mut kinds = Vec::new();
+    for t in v.split(',') {
+        let kind = TopologyKind::parse(t.trim())?;
+        if kinds.contains(&kind) {
+            return Err(format!("--topology value {kind} appears twice"));
+        }
+        kinds.push(kind);
+    }
+    Ok(kinds)
 }
 
 /// The one-line summary of a verified sweep (figP, figT, figC).
@@ -693,5 +702,18 @@ mod tests {
         assert_eq!(cli.config.cluster_counts, FIGC_CLUSTERS);
         assert_eq!(parse("figT").unwrap().grid_topologies, FIGC_TOPOLOGIES);
         assert!(parse("fig4 --topology bus,crossbar").is_err());
+        // A repeated interconnect would be swept twice; two labels of one
+        // kind repeat it too.
+        for (line, repeated) in [
+            ("figC --loops 2 --clusters 2 --topology bus,bus", "bus"),
+            ("figC --topology chordal,chordal:2", "chordal:2"),
+            ("figC --topology ring,crossbar,ring", "ring"),
+        ] {
+            assert_eq!(
+                parse(line).err(),
+                Some(format!("--topology value {repeated} appears twice")),
+                "{line}"
+            );
+        }
     }
 }

@@ -32,4 +32,4 @@ pub use config::{ClusterFus, MachineConfig};
 pub use fu::FuKind;
 pub use mrt::{Mrt, MrtError, Placement};
 pub use queues::{CqrfId, QueueFile};
-pub use topology::{ClusterId, PathCache, TopoPath, Topology, TopologyKind, TransferModel};
+pub use topology::{ClusterId, Link, PathCache, TopoPath, Topology, TopologyKind};

@@ -6,7 +6,7 @@
 //! each row records, per cluster and functional-unit class, which operations
 //! occupy the units of that class in that row.
 
-use crate::config::MachineConfig;
+use crate::config::{ClusterFus, MachineConfig};
 use crate::fu::FuKind;
 use crate::topology::ClusterId;
 use dms_ir::OpId;
@@ -52,23 +52,26 @@ pub struct Placement {
 /// The modulo reservation table for one machine configuration and one II.
 ///
 /// Storage is flat and sized once at construction: a *column* is one
-/// `(cluster, unit class)` pair, each row holds `capacity` occupant cells
-/// per column, and an op's placement is found by indexing with its id.
-/// Each column also keeps its occupant count summed over all rows, so
-/// [`Mrt::free_slots`] — which DMS strategy 2 evaluates for every cluster
-/// of every candidate chain — costs O(1) instead of a walk over the II rows.
+/// `(cluster, unit class)` pair, each row holds one occupant cell per unit
+/// of the column's class, and an op's placement is found by indexing with
+/// its id. Every cluster has the machine's one unit mix, so a row is that
+/// mix's cells once per cluster. Each column also keeps its occupant count
+/// summed over all rows, so [`Mrt::free_slots`] — which DMS strategy 2
+/// evaluates for every cluster of every candidate chain — costs O(1)
+/// instead of a walk over the II rows.
 #[derive(Debug, Clone)]
 pub struct Mrt {
     ii: u32,
     num_clusters: u32,
-    /// Units per column.
-    capacity: Vec<u32>,
-    /// Offset of each column's first occupant cell within a row.
-    offset: Vec<usize>,
-    /// Occupant cells per row (the sum of all capacities).
-    row_width: usize,
-    /// `ii * row_width` cells; the occupants of a `(row, column)` slot are
-    /// packed at the start of its cells, in reservation order.
+    /// The unit mix of every cluster.
+    fus: ClusterFus,
+    /// Offset of each unit class's first cell within a cluster's cells.
+    class_offset: [usize; FuKind::ALL.len()],
+    /// Occupant cells per cluster per row (the units of the mix).
+    cluster_width: usize,
+    /// `ii * num_clusters * cluster_width` cells; the occupants of a
+    /// `(row, column)` slot are packed at the start of its cells, in
+    /// reservation order.
     cells: Vec<OpId>,
     /// Occupant count per `(row, column)` slot.
     used: Vec<u32>,
@@ -89,21 +92,20 @@ impl Mrt {
         assert!(ii > 0, "the initiation interval must be at least 1");
         let num_clusters = config.num_clusters();
         let fus = config.fus();
-        let capacity = FuKind::ALL.map(|kind| fus.count(kind)).repeat(num_clusters as usize);
-        let columns = capacity.len();
-        let mut offset = Vec::with_capacity(columns);
-        let mut row_width = 0;
-        for &cap in &capacity {
-            offset.push(row_width);
-            row_width += cap as usize;
-        }
+        let mut cluster_width = 0;
+        let class_offset = FuKind::ALL.map(|kind| {
+            let offset = cluster_width;
+            cluster_width += fus.count(kind) as usize;
+            offset
+        });
+        let columns = num_clusters as usize * FuKind::ALL.len();
         Mrt {
             ii,
             num_clusters,
-            capacity,
-            offset,
-            row_width,
-            cells: vec![OpId(0); row_width * ii as usize],
+            fus,
+            class_offset,
+            cluster_width,
+            cells: vec![OpId(0); num_clusters as usize * cluster_width * ii as usize],
             used: vec![0; columns * ii as usize],
             column_used: vec![0; columns],
             placements: Vec::new(),
@@ -133,27 +135,31 @@ impl Mrt {
     /// Index of the `(row of time, column)` slot in `used`.
     #[inline]
     fn slot_index(&self, time: u32, column: usize) -> usize {
-        (time % self.ii) as usize * self.capacity.len() + column
+        (time % self.ii) as usize * self.column_used.len() + column
     }
 
-    /// Index of the slot's first occupant cell in `cells`.
+    /// Index of the first occupant cell of `fu` in `cluster` in the row of
+    /// `time`.
     #[inline]
-    fn cell_base(&self, time: u32, column: usize) -> usize {
-        (time % self.ii) as usize * self.row_width + self.offset[column]
+    fn cell_base(&self, time: u32, cluster: ClusterId, fu: FuKind) -> usize {
+        let row = (time % self.ii) as usize;
+        (row * self.num_clusters as usize + cluster.index()) * self.cluster_width
+            + self.class_offset[fu.index()]
     }
 
-    /// Number of units of `fu` in `cluster`.
+    /// Number of units of `fu` in `cluster`: the count of the machine's
+    /// one unit mix.
     #[inline]
-    pub fn capacity(&self, cluster: ClusterId, fu: FuKind) -> u32 {
-        self.capacity[self.column(cluster, fu)]
+    pub fn capacity(&self, _cluster: ClusterId, fu: FuKind) -> u32 {
+        self.fus.count(fu)
     }
 
     /// The operations occupying units of `fu` in `cluster` in the row of
     /// `time`.
     pub fn occupants(&self, time: u32, cluster: ClusterId, fu: FuKind) -> &[OpId] {
-        let column = self.column(cluster, fu);
-        let base = self.cell_base(time, column);
-        &self.cells[base..base + self.used[self.slot_index(time, column)] as usize]
+        let base = self.cell_base(time, cluster, fu);
+        let used = self.used[self.slot_index(time, self.column(cluster, fu))] as usize;
+        &self.cells[base..base + used]
     }
 
     /// Whether at least one unit of `fu` in `cluster` is free in the row of
@@ -166,8 +172,7 @@ impl Mrt {
     /// Number of free units of `fu` in `cluster` in the row of `time`.
     #[inline]
     pub fn free_at(&self, time: u32, cluster: ClusterId, fu: FuKind) -> u32 {
-        let column = self.column(cluster, fu);
-        self.capacity[column] - self.used[self.slot_index(time, column)]
+        self.fus.count(fu) - self.used[self.slot_index(time, self.column(cluster, fu))]
     }
 
     /// The earliest time in the inclusive `window` at which a unit of `fu`
@@ -198,7 +203,7 @@ impl Mrt {
         }
         let column = self.column(cluster, fu);
         let slot = self.slot_index(time, column);
-        let cell = self.cell_base(time, column) + self.used[slot] as usize;
+        let cell = self.cell_base(time, cluster, fu) + self.used[slot] as usize;
         self.cells[cell] = op;
         self.used[slot] += 1;
         self.column_used[column] += 1;
@@ -216,7 +221,7 @@ impl Mrt {
         let placement = self.placements.get_mut(op.index())?.take()?;
         let column = self.column(placement.cluster, placement.fu);
         let slot = self.slot_index(placement.time, column);
-        let base = self.cell_base(placement.time, column);
+        let base = self.cell_base(placement.time, placement.cluster, placement.fu);
         let end = base + self.used[slot] as usize;
         let at = base
             + self.cells[base..end]
@@ -247,8 +252,7 @@ impl Mrt {
     /// alternative move chains.
     #[inline]
     pub fn free_slots(&self, cluster: ClusterId, fu: FuKind) -> u32 {
-        let column = self.column(cluster, fu);
-        self.capacity[column] * self.ii - self.column_used[column]
+        self.fus.count(fu) * self.ii - self.column_used[self.column(cluster, fu)]
     }
 
     /// Number of clusters of the underlying machine.

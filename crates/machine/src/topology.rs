@@ -101,34 +101,18 @@ impl TopologyKind {
     }
 }
 
-/// How an interconnect serialises concurrent cross-cluster transfers.
-///
-/// Derived from [`TopologyKind`] by [`Topology::transfer_model`]; the
-/// per-link slot count comes from [`Topology::link_capacity`]. The variants
-/// deliberately mirror the three bandwidth regimes of the figT topology
-/// sweep: a dedicated path per pair (crossbar), a single shared medium
-/// (bus) and point-to-point links (ring / chordal ring).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TransferModel {
-    /// Every (writer, reader) pair has a dedicated path: transfers never
-    /// wait for bandwidth.
-    Unconstrained,
-    /// One transaction per cycle across *all* writers; a written value is
-    /// broadcast, so one transaction serves all its readers.
-    SharedMedium,
-    /// One transfer per directed link per cycle; distinct links are
-    /// independent.
-    PerLink,
-}
-
-impl fmt::Display for TransferModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            TransferModel::Unconstrained => "unconstrained",
-            TransferModel::SharedMedium => "shared-medium",
-            TransferModel::PerLink => "per-link",
-        })
-    }
+/// The bandwidth resource a cross-cluster transfer occupies for one cycle,
+/// as [`Topology::link`] names it. Every link carries one transfer per
+/// cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Link {
+    /// The single shared medium of a bus: one transaction per cycle across
+    /// all writers. A written value is broadcast, so one transaction serves
+    /// all its readers.
+    Medium,
+    /// One directed point-to-point link of a ring or chordal ring, named by
+    /// its queue file; distinct links move values concurrently.
+    Queue(CqrfId),
 }
 
 /// The stable label used by CSV columns, the wire and the CLI (`ring`,
@@ -458,47 +442,21 @@ impl Topology {
         }
     }
 
-    /// How this interconnect serialises concurrent transfers — the
-    /// declarative bandwidth surface consumed by the contention-accurate
-    /// timing (`dms-sim`'s `contention` module).
+    /// The link a value written in `writer` and read in `reader` occupies
+    /// for one cycle, or `None` when the transfer does not contend for
+    /// bandwidth: the same cluster (the value stays in the LRF), a crossbar
+    /// (a dedicated path per pair), or a pair that is not directly
+    /// connected. A multi-hop route is a chain of scheduled `move`
+    /// operations, each hop a single-hop transfer on its own link.
     ///
-    /// The scheduler only models queue *storage* sharing; this model adds
-    /// transfer *bandwidth*: how many values can be in flight per cycle,
-    /// and on what granularity they contend.
-    pub fn transfer_model(&self) -> TransferModel {
+    /// The scheduler models only queue *storage*; `dms-sim`'s contention
+    /// timing adds this transfer *bandwidth*.
+    pub fn link(&self, writer: ClusterId, reader: ClusterId) -> Option<Link> {
+        let queue = self.queue_between(writer, reader)?;
         match self.kind {
-            // A full crossbar has a dedicated path per (writer, reader)
-            // pair; transfers never contend.
-            TopologyKind::Crossbar => TransferModel::Unconstrained,
-            // A single shared medium: one transaction per cycle across
-            // all writers. A write is a broadcast, so one transaction
-            // serves every reader of the value.
-            TopologyKind::Bus => TransferModel::SharedMedium,
-            // Point-to-point links: one transfer per directed link per
-            // cycle; distinct links move values concurrently.
-            TopologyKind::Ring | TopologyKind::ChordalRing { .. } => TransferModel::PerLink,
-        }
-    }
-
-    /// Transfer slots per cycle on the directed link `writer -> reader`,
-    /// or `None` when the pair does not contend for bandwidth (same
-    /// cluster — the value stays in the LRF — or an unconstrained
-    /// crossbar path). Pairs that are not directly connected also return
-    /// `None`: multi-hop routes are realised as chains of scheduled move
-    /// operations, each hop a single-hop transfer on its own link, so a
-    /// `distance`-hop value occupies its route for `distance` cycles
-    /// link by link rather than through a composite resource here.
-    ///
-    /// On a bus the "link" is the shared medium itself: every connected
-    /// pair reports the same single slot, and the timing maps all of them
-    /// onto one resource via [`Topology::transfer_model`].
-    pub fn link_capacity(&self, writer: ClusterId, reader: ClusterId) -> Option<u32> {
-        if writer == reader || !self.directly_connected(writer, reader) {
-            return None;
-        }
-        match self.transfer_model() {
-            TransferModel::Unconstrained => None,
-            TransferModel::SharedMedium | TransferModel::PerLink => Some(1),
+            TopologyKind::Crossbar => None,
+            TopologyKind::Bus => Some(Link::Medium),
+            TopologyKind::Ring | TopologyKind::ChordalRing { .. } => Some(Link::Queue(queue)),
         }
     }
 
@@ -570,36 +528,32 @@ mod tests {
 
     #[test]
     fn transfer_models_match_their_topology_family() {
-        assert_eq!(Topology::ring(4).transfer_model(), TransferModel::PerLink);
-        assert_eq!(chordal(8, 2).transfer_model(), TransferModel::PerLink);
-        assert_eq!(
-            Topology::new(TopologyKind::Bus, 4).transfer_model(),
-            TransferModel::SharedMedium
-        );
-        assert_eq!(
-            Topology::new(TopologyKind::Crossbar, 4).transfer_model(),
-            TransferModel::Unconstrained
-        );
-        assert_eq!(TransferModel::SharedMedium.to_string(), "shared-medium");
+        let (c0, c1, c2) = (ClusterId(0), ClusterId(1), ClusterId(2));
+        let queue = |writer, reader| Some(Link::Queue(CqrfId { writer, reader }));
+        assert_eq!(Topology::ring(4).link(c0, c1), queue(c0, c1));
+        assert_eq!(chordal(8, 2).link(c0, c2), queue(c0, c2));
+        assert_eq!(Topology::new(TopologyKind::Bus, 4).link(c0, c1), Some(Link::Medium));
+        assert_eq!(Topology::new(TopologyKind::Crossbar, 4).link(c0, c1), None);
     }
 
     #[test]
-    fn link_capacity_is_one_slot_on_constrained_links_and_none_elsewhere() {
+    fn link_is_the_contended_resource_and_none_elsewhere() {
+        let queue = |writer, reader| Some(Link::Queue(CqrfId { writer, reader }));
         let ring = Topology::ring(6);
-        assert_eq!(ring.link_capacity(ClusterId(0), ClusterId(1)), Some(1));
-        assert_eq!(ring.link_capacity(ClusterId(0), ClusterId(5)), Some(1));
+        assert_eq!(ring.link(ClusterId(0), ClusterId(1)), queue(ClusterId(0), ClusterId(1)));
+        assert_eq!(ring.link(ClusterId(0), ClusterId(5)), queue(ClusterId(0), ClusterId(5)));
         // same cluster: LRF traffic, no link
-        assert_eq!(ring.link_capacity(ClusterId(0), ClusterId(0)), None);
+        assert_eq!(ring.link(ClusterId(0), ClusterId(0)), None);
         // not directly connected: realised as move chains, hop by hop
-        assert_eq!(ring.link_capacity(ClusterId(0), ClusterId(3)), None);
+        assert_eq!(ring.link(ClusterId(0), ClusterId(3)), None);
 
         let bus = Topology::new(TopologyKind::Bus, 6);
-        assert_eq!(bus.link_capacity(ClusterId(0), ClusterId(3)), Some(1));
-        assert_eq!(bus.link_capacity(ClusterId(4), ClusterId(1)), Some(1));
+        assert_eq!(bus.link(ClusterId(0), ClusterId(3)), Some(Link::Medium));
+        assert_eq!(bus.link(ClusterId(4), ClusterId(1)), Some(Link::Medium));
 
         let xbar = Topology::new(TopologyKind::Crossbar, 6);
-        assert_eq!(xbar.link_capacity(ClusterId(0), ClusterId(3)), None);
-        assert_eq!(xbar.link_capacity(ClusterId(2), ClusterId(5)), None);
+        assert_eq!(xbar.link(ClusterId(0), ClusterId(3)), None);
+        assert_eq!(xbar.link(ClusterId(2), ClusterId(5)), None);
     }
 
     #[test]

@@ -372,7 +372,7 @@ impl ScheduleService {
             None => None,
             Some(trips) => {
                 let report = verify_schedule(req.body, output.result(), req.machine, trips)
-                    .map_err(|e| ServiceError::Verify(format!("{e:?}")))?;
+                    .map_err(|e| ServiceError::Verify(e.to_string()))?;
                 // The verify's execution timed the links too; the digest
                 // only carries that timing when the request asked for it.
                 if req.contention && report.stall_cycles > 0 {
@@ -670,5 +670,31 @@ mod tests {
         assert!(matches!(err, ServiceError::Schedule(_)));
         assert_eq!(service.cache_len(), 0, "failures are never cached");
         assert_eq!(service.schedule(&dms_request(&fir, &machine)).unwrap_err(), err);
+    }
+
+    /// A verification failure reaches the wire as `VerifyError`'s message,
+    /// not as its `Debug` form. IMS never checks queue capacity, so 65
+    /// independent load -> store pairs on the one-cluster machine keep
+    /// more values live than its 64-register LRF holds.
+    #[test]
+    fn verification_failures_reach_the_wire_as_their_message() {
+        let mut b = dms_ir::LoopBuilder::new("wide");
+        for _ in 0..65 {
+            let value = b.load(dms_ir::Operand::Induction);
+            b.store(value.into());
+        }
+        let body = b.finish(64);
+        let machine = MachineConfig::unclustered(1);
+        let req = ScheduleRequest {
+            scheduler: SchedulerKind::Ims,
+            verify_trips: Some(64),
+            ..dms_request(&body, &machine)
+        };
+        let reply =
+            crate::wire::encode_answer(&body.name, &ScheduleService::default().answer(&req));
+        let prefix = r#"{"ok":false,"error":"verification failed: register allocation failed: LRF of cluster 0 needs "#;
+        assert!(reply.starts_with(prefix), "{reply}");
+        assert!(reply.ends_with(r#" registers but only 64 exist"}"#), "{reply}");
+        assert!(!reply.contains("CapacityExceeded("), "{reply}");
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! [`crate::vliw::execute_program`] runs the emitted program once, moving
 //! values and timing the interconnect in the same walk. This module holds
-//! the timing half: the transfer-bandwidth model the machine's topology
-//! declares ([`dms_machine::TransferModel`] / `Topology::link_capacity`)
-//! and the achieved-II measurement.
+//! the timing half: one next-free cycle per [`Link`] the machine's topology
+//! names (`Topology::link`), and the achieved-II measurement.
 //!
 //! * **crossbar** — unconstrained: a dedicated path per cluster pair, so
 //!   transfers never wait and the walk reproduces idealised timing by
@@ -15,10 +14,10 @@
 //! * **ring / chordal ring** — one transfer per directed link per cycle.
 //!
 //! A cross-cluster value requests its link at the cycle its producer word
-//! issues and is *granted* the first cycle the link has a free slot; the
-//! consumer word stalls until the cycle after the grant. Words issue in
-//! order, one per cycle at best, so a stall delays every later word.
-//! Multi-hop routes are chains of scheduled `move` operations, so a
+//! issues and is *granted* the later of that cycle and the link's next free
+//! cycle; the consumer word stalls until the cycle after the grant. Words
+//! issue in order, one per cycle at best, so a stall delays every later
+//! word. Multi-hop routes are chains of scheduled `move` operations, so a
 //! `distance`-hop value occupies its route for `distance` cycles hop by hop
 //! — each hop is its own single-cycle transfer on its own link, and
 //! oversubscribed links serialise the values crossing them.
@@ -32,18 +31,9 @@
 
 use crate::vliw::{execute_program, SimError};
 use dms_ir::OpId;
-use dms_machine::{CqrfId, MachineConfig, TransferModel};
+use dms_machine::{Link, MachineConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-
-/// The bandwidth resource a transfer occupies for one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Resource {
-    /// The single shared medium of a bus.
-    Medium,
-    /// One directed point-to-point link, named by its queue file.
-    Link(CqrfId),
-}
+use std::collections::HashMap;
 
 /// Timing summary of one program walk under the topology's link
 /// bandwidth.
@@ -68,15 +58,12 @@ pub struct ContentionReport {
     pub serialized_transfers: u64,
 }
 
-/// The timing state of one program walk: link bookings, transaction
-/// counts and kernel store issue cycles.
+/// The timing state of one program walk: each link's next free cycle,
+/// transaction counts and kernel store issue cycles.
 #[derive(Debug)]
 pub(crate) struct Timing {
-    model: TransferModel,
-    /// Slots used per cycle per resource, from the latest request on:
-    /// requests arrive in nondecreasing cycle order, so no later request
-    /// can look at an earlier cycle.
-    usage: HashMap<Resource, (u64, VecDeque<u32>)>,
+    /// The first cycle each link is free again.
+    next_free: HashMap<Link, u64>,
     /// Kernel-phase store issue timestamps, indexed by [`OpId::index`].
     store_times: Vec<Vec<u64>>,
     transfers: u64,
@@ -84,37 +71,28 @@ pub(crate) struct Timing {
 }
 
 impl Timing {
-    /// Timing for a walk under `model` of a DDG with `slots` op slots.
-    pub(crate) fn new(model: TransferModel, slots: usize) -> Self {
+    /// Timing for a walk of a DDG with `slots` op slots.
+    pub(crate) fn new(slots: usize) -> Self {
         Timing {
-            model,
-            usage: HashMap::new(),
+            next_free: HashMap::new(),
             store_times: vec![Vec::new(); slots],
             transfers: 0,
             serialized: 0,
         }
     }
 
-    /// Books one transaction on `link` (with `slots` per cycle) requested
-    /// at cycle `request`, and returns its grant: the first cycle
-    /// `>= request` with a free slot on the resource the link uses.
-    pub(crate) fn acquire(&mut self, link: CqrfId, slots: u32, request: u64) -> u64 {
-        let resource = match self.model {
-            TransferModel::SharedMedium => Resource::Medium,
-            _ => Resource::Link(link),
-        };
-        let (base, booked) = self.usage.entry(resource).or_default();
-        debug_assert!(request >= *base, "link requests must arrive in cycle order");
-        booked.drain(..booked.len().min((request - *base) as usize));
-        *base = request;
-        let wait = booked.iter().position(|&used| used < slots).unwrap_or(booked.len());
-        if wait == booked.len() {
-            booked.push_back(0);
-        }
-        booked[wait] += 1;
+    /// Books one transaction on `link` requested at cycle `request`, and
+    /// returns its grant: the later of `request` and the link's next free
+    /// cycle. A link carries one transfer per cycle, and the walk requests
+    /// in nondecreasing cycle order, so no cycle before the next free one
+    /// can still be free: the grant is the first free cycle.
+    pub(crate) fn acquire(&mut self, link: Link, request: u64) -> u64 {
+        let next = self.next_free.entry(link).or_default();
+        let grant = request.max(*next);
+        *next = grant + 1;
         self.transfers += 1;
-        self.serialized += u64::from(wait > 0);
-        request + wait as u64
+        self.serialized += u64::from(grant > request);
+        grant
     }
 
     /// Records that store `op` issued at `cycle` in the kernel phase.
@@ -185,8 +163,9 @@ mod tests {
     use super::*;
     use dms_core::{dms_schedule, DmsConfig};
     use dms_ir::kernels;
-    use dms_machine::TopologyKind;
+    use dms_machine::{ClusterId, CqrfId, TopologyKind};
     use dms_regalloc::emit;
+    use std::collections::VecDeque;
 
     fn replay_on(kind: TopologyKind, clusters: u32) -> Vec<(String, ContentionReport)> {
         kernels::all(40)
@@ -202,6 +181,66 @@ mod tests {
                 (l.name.clone(), rep)
             })
             .collect()
+    }
+
+    /// The slot-window `acquire` the next-free cycle replaced: per link,
+    /// the slots used in each cycle from the latest request on, each cycle
+    /// holding `slots` transfers.
+    #[derive(Default)]
+    struct SlotWindow {
+        usage: HashMap<Link, (u64, VecDeque<u32>)>,
+        transfers: u64,
+        serialized: u64,
+    }
+
+    impl SlotWindow {
+        fn acquire(&mut self, link: Link, slots: u32, request: u64) -> u64 {
+            let (base, booked) = self.usage.entry(link).or_default();
+            assert!(request >= *base, "link requests must arrive in cycle order");
+            booked.drain(..booked.len().min((request - *base) as usize));
+            *base = request;
+            let wait = booked.iter().position(|&used| used < slots).unwrap_or(booked.len());
+            if wait == booked.len() {
+                booked.push_back(0);
+            }
+            booked[wait] += 1;
+            self.transfers += 1;
+            self.serialized += u64::from(wait > 0);
+            request + wait as u64
+        }
+    }
+
+    #[test]
+    fn next_free_cycle_grants_equal_the_one_slot_window() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let c = ClusterId;
+        let links = [
+            Link::Medium,
+            Link::Queue(CqrfId { writer: c(0), reader: c(1) }),
+            Link::Queue(CqrfId { writer: c(1), reader: c(0) }),
+            Link::Queue(CqrfId { writer: c(2), reader: c(3) }),
+            Link::Queue(CqrfId { writer: c(3), reader: c(2) }),
+        ];
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut timing, mut window) = (Timing::new(0), SlotWindow::default());
+            let mut cycle = 0u64;
+            for _ in 0..2_000 {
+                // Mostly the same cycle or the next (bursts), now and then a
+                // long gap; a request never goes back in time.
+                cycle += match rng.gen_range(0..10u32) {
+                    0..=4 => 0,
+                    5..=8 => 1,
+                    _ => rng.gen_range(2..200u64),
+                };
+                let link = links[rng.gen_range(0..links.len())];
+                let expected = window.acquire(link, 1, cycle);
+                assert_eq!(timing.acquire(link, cycle), expected, "seed {seed} {link:?} @{cycle}");
+            }
+            assert!(window.serialized > 0, "seed {seed}: the stream never made a link wait");
+            assert_eq!(timing.transfers, window.transfers, "seed {seed}");
+            assert_eq!(timing.serialized, window.serialized, "seed {seed}");
+        }
     }
 
     #[test]

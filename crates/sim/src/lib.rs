@@ -15,8 +15,8 @@
 //!   value — local (LRF) or cross-cluster (CQRF) — routed through a
 //!   capacity-bounded FIFO stream with single-read discipline; the same
 //!   walk times every CQRF transfer under the topology's link bandwidth,
-//! * [`contention`] — that timing model (link bookings, the achieved II)
-//!   and [`replay_schedule`], its one-call form for a schedule,
+//! * [`contention`] — that timing model (each link's next free cycle, the
+//!   achieved II) and [`replay_schedule`], its one-call form for a schedule,
 //! * [`verify`] — the end-to-end oracle: validate → allocate → emit →
 //!   execute → cross-check against the scalar reference,
 //! * [`values`] — the deterministic value semantics shared by all of them.

@@ -16,7 +16,8 @@
 //! leaves a read with no value, or fails the setup checks, and is caught by
 //! [`crate::verify`].
 //!
-//! The same walk times the interconnect ([`crate::contention`]): every
+//! The same walk times the interconnect ([`crate::contention`]): each CQRF
+//! stream knows at setup the link its values cross (`Topology::link`), every
 //! queued value carries the first cycle its consumer may read it, so a word
 //! whose operand is still crossing a busy link issues late, and the kernel
 //! store issue cycles give the achieved II.
@@ -25,7 +26,7 @@ use crate::contention::{ContentionReport, Timing};
 use crate::interp::StoreRecord;
 use crate::values::{apply, invariant_value, live_in_value};
 use dms_ir::{Ddg, OpId, OpKind};
-use dms_machine::{CqrfId, MachineConfig, QueueFile};
+use dms_machine::{CqrfId, Link, MachineConfig, QueueFile};
 use dms_regalloc::codegen::{CodeSlot, OperandSource, VliwProgram};
 use std::fmt;
 
@@ -119,9 +120,9 @@ struct Stream {
     /// The CQRF the values cross a cluster boundary through; `None` for an
     /// LRF stream.
     cqrf: Option<CqrfId>,
-    /// Slots per cycle of that CQRF's link; `None` for an LRF stream and on
-    /// an unconstrained fabric.
-    link_slots: Option<u32>,
+    /// The link each value occupies for one cycle on its way; `None` for an
+    /// LRF stream and on an unconstrained fabric.
+    link: Option<Link>,
 }
 
 /// Per-operation state, indexed by [`OpId::index`].
@@ -136,12 +137,12 @@ struct ProgramState {
     timing: Timing,
     /// Links already granted to the value being pushed, with their grant
     /// cycles: one transaction serves each value per link.
-    granted: Vec<(CqrfId, u64)>,
+    granted: Vec<(Link, u64)>,
     report: ProgramReport,
 }
 
 /// Executes `trip_count` iterations of the emitted program, timing every
-/// CQRF transfer under the machine's transfer-bandwidth model.
+/// CQRF transfer on the links of the machine's topology.
 ///
 /// `ddg` must be the scheduled DDG the program was emitted from (it supplies
 /// the iteration distance of every operand, which the instruction encoding
@@ -237,10 +238,10 @@ pub fn execute_program(
                     return Err(SimError::QueueOverflow { producer, consumer: slot.op, cqrf });
                 }
             }
-            let link_slots = cqrf.and_then(|_| topology.link_capacity(from, slot.cluster));
+            let link = topology.link(from, slot.cluster);
             let operands = &mut streams[slot.op.index()];
             operands.resize_with(slot.sources.len(), || None);
-            operands[idx] = Some(Stream { queue: values, cqrf, link_slots });
+            operands[idx] = Some(Stream { queue: values, cqrf, link });
             fanout[producer.index()].push((slot.op, idx));
         }
     }
@@ -253,7 +254,7 @@ pub fn execute_program(
         fanout,
         iteration_of: vec![0; ddg.num_slots()],
         trip_count,
-        timing: Timing::new(topology.transfer_model(), ddg.num_slots()),
+        timing: Timing::new(ddg.num_slots()),
         granted: Vec::new(),
         report: ProgramReport {
             cycles,
@@ -363,16 +364,16 @@ fn issue(st: &mut ProgramState, slot: &CodeSlot, at: u64, in_kernel: bool) -> Re
     st.granted.clear();
     for &(consumer, idx) in &st.fanout[slot.op.index()] {
         let Some(stream) = st.streams[consumer.index()][idx].as_mut() else { continue };
-        let grant = match (stream.cqrf, stream.link_slots) {
-            (Some(link), Some(slots)) => match st.granted.iter().find(|(l, _)| *l == link) {
+        let grant = match stream.link {
+            Some(link) => match st.granted.iter().find(|(l, _)| *l == link) {
                 Some(&(_, grant)) => grant,
                 None => {
-                    let grant = st.timing.acquire(link, slots, at);
+                    let grant = st.timing.acquire(link, at);
                     st.granted.push((link, grant));
                     grant
                 }
             },
-            _ => at,
+            None => at,
         };
         st.report.cross_cluster_values += u64::from(stream.cqrf.is_some());
         if !stream.queue.push((value, grant + 1)) {
