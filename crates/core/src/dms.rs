@@ -1,24 +1,30 @@
-//! The DMS driver: II search, the three placement strategies, the
-//! register-pressure relaxation loop, and the strategy dispatch (plain DMS,
-//! beam search, explore/exploit portfolio).
+//! The DMS entry point: the strategy dispatch (plain DMS, beam search,
+//! explore/exploit portfolio) over the single-candidate search of
+//! `dms-sched`, and the portfolio's seeded jitter.
 
-use crate::chains::{self, ChainPolicy};
-use crate::state::{FlowNeighbours, SchedulerState};
-use dms_ir::transform::convert_to_single_use;
-use dms_ir::{Ddg, Fnv, Loop, OpId};
-use dms_machine::{ClusterId, FuKind, MachineConfig, PathCache};
-use dms_sched::ims::default_max_ii;
-use dms_sched::mii::{mii, MiiBreakdown};
-use dms_sched::pressure::QueuePressure;
-use dms_sched::priority::SweepOrder;
-use dms_sched::schedule::{admit_mrt, SchedStats, Schedule, ScheduleError, ScheduleResult};
+use dms_ir::{Fnv, Loop};
+use dms_machine::MachineConfig;
+use dms_sched::schedule::{Schedule, ScheduleError};
+use dms_sched::search::{prepare, run_search, DmsConfig, ScheduleOutcome, DMS_BUDGET_RATIO};
 use dms_sched::strategy::SchedulerStrategy;
 use dms_telemetry::{EventKind, Telemetry};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use std::rc::Rc;
 
-/// Tuning parameters of the DMS search.
+/// Schedules a loop with DMS on the given (usually clustered) machine.
+///
+/// The II search accepts the first structurally-valid schedule whose queue
+/// register pressure also fits the machine's LRF/CQRF capacities; a schedule
+/// that satisfies every dependence, resource and communication constraint
+/// but would fail register allocation is rejected and the search retries at
+/// II + 1 (counted in [`ScheduleOutcome::pressure_retries`]).
+///
+/// Under [`SchedulerStrategy::Beam`] or [`SchedulerStrategy::Portfolio`] the
+/// deterministic heuristic runs first as the incumbent; challengers search
+/// only up to the incumbent's II and replace it only on a strict Pareto
+/// improvement over (II, total queue pressure, code size), so the returned
+/// schedule is never worse than the plain heuristic's. If the plain
+/// heuristic fails entirely, challengers search the full II range and the
+/// first success becomes the incumbent.
 ///
 /// # Examples
 ///
@@ -41,113 +47,16 @@ use std::rc::Rc;
 /// assert!(out.ii() <= out.baseline_ii);
 /// assert!(out.ii() >= out.stats.mii.unwrap().mii());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct DmsConfig {
-    /// How chains pick between the two ring directions.
-    pub chain_policy: ChainPolicy,
-    /// An II a closely related configuration (e.g. the neighbouring cluster
-    /// count of a sweep) is known to achieve. The search itself is
-    /// untouched — it still scans every II ascending from the MII, so
-    /// results are seed-independent by construction — but the derived
-    /// search *ceiling* ([`default_max_ii`]) is raised to at least the
-    /// seed, protecting edge-case loops whose default ceiling would sit
-    /// below an II a neighbouring configuration proved reachable.
-    pub ii_seed: Option<u32>,
-    /// Which search drives scheduling: the deterministic heuristic (the
-    /// default), a beam over strategy-1 placements, or an explore/exploit
-    /// portfolio of jittered-priority candidates. The non-default searches
-    /// schedule the plain heuristic first and only keep a challenger that
-    /// Pareto-dominates it on (II, queue pressure, code size).
-    pub strategy: SchedulerStrategy,
-}
-
-impl Default for DmsConfig {
-    fn default() -> Self {
-        DmsConfig {
-            chain_policy: ChainPolicy::MaxFreeSlots,
-            ii_seed: None,
-            strategy: SchedulerStrategy::Dms,
-        }
-    }
-}
-
-/// The result of a DMS run: the schedule plus the provenance of the
-/// pressure-relaxation loop that produced it.
-///
-/// Dereferences to the inner [`ScheduleResult`], so existing consumers
-/// (`validate_schedule`, `dms_regalloc::allocate`, `dms::verify_schedule`,
-/// `.ii()`, `.stats`, …) keep working unchanged on the outcome.
-#[derive(Debug, Clone)]
-pub struct ScheduleOutcome {
-    /// The accepted schedule (including the transformed DDG and statistics).
-    pub result: ScheduleResult,
-    /// II of the first structurally-valid schedule the search found. Equal
-    /// to `self.ii()` unless the pressure-relaxation loop rejected that
-    /// schedule for exceeding a queue-file capacity.
-    pub first_ii: u32,
-    /// Structurally-valid schedules rejected because a queue file exceeded
-    /// its capacity, each answered by a retry at the next II.
-    pub pressure_retries: u32,
-    /// Final incremental pressure estimate of the accepted schedule; equals
-    /// the register allocator's per-queue requirements.
-    pub pressure: QueuePressure,
-    /// II the plain deterministic heuristic achieves on this loop. Equal to
-    /// `self.ii()` under [`SchedulerStrategy::Dms`]; under beam/portfolio it
-    /// is the reference point the winning candidate Pareto-dominates. When
-    /// the plain heuristic fails outright and a randomized candidate rescues
-    /// the loop, this is the rescuer's own II.
-    pub baseline_ii: u32,
-    /// Challenger searches attempted beyond the deterministic baseline
-    /// (0 under [`SchedulerStrategy::Dms`], 1 for beam, `n_candidates - 1`
-    /// for a portfolio).
-    pub candidates_run: u32,
-    /// Index of the candidate whose schedule was kept: 0 is the
-    /// deterministic baseline, `i >= 1` the i-th challenger.
-    pub winner_candidate: u32,
-}
-
-impl std::ops::Deref for ScheduleOutcome {
-    type Target = ScheduleResult;
-
-    fn deref(&self) -> &ScheduleResult {
-        &self.result
-    }
-}
-
-impl std::ops::DerefMut for ScheduleOutcome {
-    fn deref_mut(&mut self) -> &mut ScheduleResult {
-        &mut self.result
-    }
-}
-
-/// Schedules a loop with DMS on the given (usually clustered) machine.
-///
-/// The II search accepts the first structurally-valid schedule whose queue
-/// register pressure also fits the machine's LRF/CQRF capacities; a schedule
-/// that satisfies every dependence, resource and communication constraint
-/// but would fail register allocation is rejected and the search retries at
-/// II + 1 (counted in [`ScheduleOutcome::pressure_retries`]).
-///
-/// The single-use conversion runs only on clustered machines: it exists
-/// because a CQRF value can be read once, and a single-cluster machine has
-/// no CQRFs.
-///
-/// Under [`SchedulerStrategy::Beam`] or [`SchedulerStrategy::Portfolio`] the
-/// deterministic heuristic runs first as the incumbent; challengers search
-/// only up to the incumbent's II and replace it only on a strict Pareto
-/// improvement over (II, total queue pressure, code size), so the returned
-/// schedule is never worse than the plain heuristic's. If the plain
-/// heuristic fails entirely, challengers search the full II range and the
-/// first success becomes the incumbent.
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError::UnexecutableLoop`] if the machine lacks a
-/// required functional-unit class, the recurrence and reservation-table
-/// errors [`dms_sched::ims_schedule`] returns, and
-/// [`ScheduleError::IiLimitReached`] if no schedule both fitting the queue
-/// files and satisfying the structural constraints is found up to the II
-/// limit.
+/// Returns the errors of [`prepare`] and [`run_search`]:
+/// [`ScheduleError::UnexecutableLoop`] if the machine lacks a required
+/// functional-unit class, the recurrence and reservation-table errors, and
+/// [`ScheduleError::IiLimitReached`] (or
+/// [`ScheduleError::PressureLimitReached`]) if no schedule both fitting the
+/// queue files and satisfying the structural constraints is found up to
+/// the II limit.
 ///
 /// # Panics
 ///
@@ -163,24 +72,25 @@ pub fn dms_schedule(
     if let Err(msg) = config.strategy.validate() {
         panic!("invalid scheduler strategy: {msg}");
     }
-    let prep = prepare(l, machine, config)?;
-    let plain = run_search(l, machine, config, &prep, None, SearchMode { width: 1, jitter: None });
+    let prep = prepare(l, machine, config, DMS_BUDGET_RATIO)?;
+    let plain = run_search(&prep, None, 1, None, true);
     let baseline_ii = plain.as_ref().ok().map(|o| o.ii());
     let (outcome, candidates_run, winner) = match config.strategy {
         SchedulerStrategy::Dms => (plain, 0, 0),
         SchedulerStrategy::Beam { width } => {
-            let (outcome, winner) = run_challengers(plain, 1, |_, cap| {
-                run_search(l, machine, config, &prep, cap, SearchMode { width, jitter: None })
-            });
+            let (outcome, winner) =
+                run_challengers(plain, 1, |_, cap| run_search(&prep, cap, width, None, true));
             (outcome, 1, winner)
         }
         SchedulerStrategy::Portfolio { n_candidates, exploit_percent } => {
             let challengers = n_candidates.saturating_sub(1);
             let (outcome, winner) = run_challengers(plain, challengers, |i, cap| {
+                // The RNG persists across the candidate's II attempts, so
+                // each draws a fresh perturbation.
                 let mut rng = StdRng::seed_from_u64(candidate_seed(&l.name, i));
                 let explore = !rng.gen_bool(f64::from(exploit_percent) / 100.0);
-                let mode = SearchMode { width: 1, jitter: Some((rng, explore)) };
-                run_search(l, machine, config, &prep, cap, mode)
+                let mut jitter = |heights: &[i64]| draw_jitter(&mut rng, heights, explore);
+                run_search(&prep, cap, 1, Some(&mut jitter), true)
             });
             (outcome, challengers, winner)
         }
@@ -190,122 +100,6 @@ pub fn dms_schedule(
     outcome.candidates_run = candidates_run;
     outcome.winner_candidate = winner;
     Ok(outcome)
-}
-
-/// Scheduling budget per candidate II, as a multiple of the number of
-/// operations.
-const BUDGET_RATIO: u64 = 32;
-
-/// The strategy-independent preprocessing of a loop: single-use conversion,
-/// MII bounds and the per-II scheduling budget. Shared by every candidate of
-/// a portfolio so the (deterministic) transforms run once per loop.
-struct Prepared {
-    ddg: Ddg,
-    copies: u64,
-    bounds: MiiBreakdown,
-    start_ii: u32,
-    max_ii: u32,
-    budget: u64,
-    /// The machine's chain paths, shared by every attempt.
-    paths: Rc<PathCache>,
-    /// The order the heights are relaxed in, shared by every attempt.
-    order: SweepOrder,
-}
-
-fn prepare(
-    l: &Loop,
-    machine: &MachineConfig,
-    config: &DmsConfig,
-) -> Result<Prepared, ScheduleError> {
-    let mut ddg = l.ddg.clone();
-    let copies = if machine.is_clustered() {
-        convert_to_single_use(&mut ddg, machine.latency()) as u64
-    } else {
-        0
-    };
-    let bounds = mii(&ddg, machine)?;
-    let start_ii = bounds.mii();
-    let max_ii = default_max_ii(&ddg, machine, start_ii).max(config.ii_seed.unwrap_or(0));
-    let budget = BUDGET_RATIO * ddg.num_live_ops().max(1) as u64;
-    let paths = Rc::new(PathCache::new(machine.topology()));
-    let order = SweepOrder::of_body(&ddg);
-    Ok(Prepared { ddg, copies, bounds, start_ii, max_ii, budget, paths, order })
-}
-
-/// How a single candidate attempts each II of the search.
-struct SearchMode {
-    /// Partial placements kept per scheduling step: 1 for the paper's
-    /// heuristic and the portfolio challengers, `W` for `beam:W`.
-    width: u32,
-    /// The jitter of a portfolio challenger: its RNG, which persists across
-    /// the candidate's II attempts so each draws a fresh perturbation, and
-    /// whether it explores.
-    jitter: Option<(StdRng, bool)>,
-}
-
-/// The II search with the pressure-relaxation loop, for one candidate.
-/// `ii_cap` (the incumbent's II, for challengers) tightens the search
-/// ceiling: a challenger at a higher II can never Pareto-dominate.
-fn run_search(
-    l: &Loop,
-    machine: &MachineConfig,
-    config: &DmsConfig,
-    prep: &Prepared,
-    ii_cap: Option<u32>,
-    mut mode: SearchMode,
-) -> Result<ScheduleOutcome, ScheduleError> {
-    let max_ii = ii_cap.map_or(prep.max_ii, |cap| prep.max_ii.min(cap));
-    let telemetry = Telemetry::current();
-    let mut attempts = 0;
-    let mut first_ii = None;
-    let mut pressure_retries = 0u32;
-    for ii in prep.start_ii..=max_ii {
-        admit_mrt(machine, ii)?;
-        attempts += 1;
-        telemetry.event(EventKind::IiAttemptStarted);
-        // Chains are steered away from congested queue files only once a
-        // capacity rejection has proven that congestion binds for this
-        // loop; until then every attempt follows the paper's criterion
-        // exactly.
-        let steer_chains = pressure_retries > 0;
-        let attempt = try_attempt(prep, machine, ii, config, steer_chains, &mut mode);
-        let Some((out_ddg, schedule, mut stats, pressure)) = attempt else {
-            telemetry.event(EventKind::IiAttemptFailed);
-            continue;
-        };
-        let first_ii = *first_ii.get_or_insert(ii);
-        // Pressure relaxation: a structurally-valid schedule that overflows
-        // a queue file would fail register allocation — reject it here and
-        // retry one II higher, where every lifetime needs fewer in-flight
-        // instances.
-        if pressure.capacity_excess(machine).is_some() {
-            pressure_retries += 1;
-            telemetry.event(EventKind::PressureRetry);
-            continue;
-        }
-        stats.mii = Some(prep.bounds);
-        stats.copies_inserted = prep.copies;
-        stats.ii_attempts = attempts;
-        return Ok(ScheduleOutcome {
-            result: ScheduleResult { loop_name: l.name.clone(), ddg: out_ddg, schedule, stats },
-            first_ii,
-            pressure_retries,
-            pressure,
-            baseline_ii: ii,
-            candidates_run: 0,
-            winner_candidate: 0,
-        });
-    }
-    if pressure_retries > 0 {
-        // Capacity rejections contributed to exhausting the II range —
-        // surface them so undersized queue files (e.g. an aggressive
-        // --cqrf-capacity) are diagnosable from the error alone.
-        return Err(ScheduleError::PressureLimitReached {
-            limit: max_ii,
-            retries: pressure_retries,
-        });
-    }
-    Err(ScheduleError::IiLimitReached { limit: max_ii })
 }
 
 /// Runs `challengers` searches against an incumbent, keeping a challenger
@@ -378,269 +172,15 @@ fn draw_jitter(rng: &mut StdRng, heights: &[i64], explore: bool) -> Vec<i64> {
     heights.iter().map(|_| rng.gen_range(0..=bound)).collect()
 }
 
-/// One II attempt: a beam that keeps the best `mode.width` partial
-/// placements per scheduling step. Width 1 is the paper's heuristic, since
-/// its one branch always takes the slot plain strategy 1 picks. Branching
-/// happens only where the heuristic has slack, the (time, cluster)
-/// alternatives of strategy 1; chain building and forced placement stay
-/// single-choice. Returns `None` when the budget pool is exhausted before
-/// any branch completes.
-fn try_attempt(
-    prep: &Prepared,
-    machine: &MachineConfig,
-    ii: u32,
-    config: &DmsConfig,
-    steer_chains: bool,
-    mode: &mut SearchMode,
-) -> Option<(Ddg, Schedule, SchedStats, QueuePressure)> {
-    let width = mode.width as usize;
-    let mut seed = SchedulerState::with_paths(
-        prep.ddg.clone(),
-        machine,
-        ii,
-        Rc::clone(&prep.paths),
-        &prep.order,
-    );
-    seed.chain_steering = steer_chains;
-    if let Some((rng, explore)) = &mut mode.jitter {
-        let jitter = draw_jitter(rng, &seed.height, *explore);
-        seed.set_jitter(jitter);
-    }
-    // Boxed, so a step moves pointers rather than whole states.
-    let mut beam = vec![Box::new(seed)];
-    let mut next = Vec::with_capacity(width);
-    // One pool for the whole beam, `width` single-search budgets deep: a
-    // wide beam explores more but never does unbounded extra work.
-    let mut remaining = prep.budget.saturating_mul(width as u64);
-    let mut pending = Pending::empty();
-    let mut options = Vec::with_capacity(width);
-
-    while !beam.iter().all(|st| st.complete()) {
-        if remaining == 0 {
-            // Out of budget: settle for the branches that did finish.
-            beam.retain(|st| st.complete());
-            break;
-        }
-        for mut st in beam.drain(..) {
-            let Some(op) = st.pop_highest_priority() else {
-                // Already complete: carried along as a finished candidate.
-                next.push(st);
-                continue;
-            };
-            if remaining == 0 {
-                continue;
-            }
-            remaining -= 1;
-            st.stats.budget_used += 1;
-            pending.fill(&st, op);
-            strategy1_options(&st, &pending, width, &mut options);
-            if let Some((&(time, cluster), rest)) = options.split_first() {
-                for &(t, c) in rest {
-                    let mut branch = st.clone();
-                    branch.place(op, t, c);
-                    branch.displace_conflicts(op, t, c);
-                    next.push(branch);
-                }
-                st.place(op, time, cluster);
-                st.displace_conflicts(op, time, cluster);
-            } else if place_strategy2(&mut st, op, config.chain_policy) {
-                st.stats.strategy2_placements += 1;
-            } else {
-                place_strategy3(&mut st, &pending);
-                st.stats.strategy3_placements += 1;
-            }
-            next.push(st);
-        }
-        // Prune to the `width` most promising branches: progress first
-        // (fewest unscheduled ops), then schedule span (the II-slack proxy
-        // at this fixed II), then queue pressure, then churn. The sort is
-        // stable, so equal branches keep their deterministic insertion
-        // order.
-        next.sort_by_cached_key(|st| {
-            (st.num_unscheduled(), st.schedule.max_time(), st.pressure.total(), st.stats.evictions)
-        });
-        next.truncate(width);
-        std::mem::swap(&mut beam, &mut next);
-    }
-
-    beam.into_iter()
-        .min_by_key(|st| (st.pressure.total(), st.schedule.max_time()))
-        .map(|st| st.into_parts())
-}
-
-/// What the placement strategies need to know about the operation being
-/// placed, gathered once per pop. Strategy 2 only runs when strategy 1
-/// changed nothing, and strategy 3 only when strategy 2 changed nothing,
-/// so the facts hold for all three.
-struct Pending {
-    op: OpId,
-    fu: FuKind,
-    neighbours: FlowNeighbours,
-    /// The clusters with no communication conflict towards the scheduled
-    /// flow neighbours, in id order.
-    compatible: Vec<ClusterId>,
-    /// The scheduling window `(min_time, max_time)`.
-    window: (u32, u32),
-}
-
-impl Pending {
-    /// Buffers to [`fill`](Pending::fill) before first use.
-    fn empty() -> Self {
-        Pending {
-            op: OpId(0),
-            fu: FuKind::Copy,
-            neighbours: FlowNeighbours::default(),
-            compatible: Vec::new(),
-            window: (0, 0),
-        }
-    }
-
-    /// Gathers the facts for `op`, reusing this value's buffers.
-    fn fill(&mut self, st: &SchedulerState, op: OpId) {
-        self.op = op;
-        self.fu = FuKind::for_op(st.ddg.op(op).kind);
-        st.fill_flow_neighbours(op, &mut self.neighbours);
-        self.compatible.clear();
-        self.compatible.extend(st.compatible_clusters(&self.neighbours));
-        self.window = st.window(op);
-    }
-
-    /// How much the operation prefers `cluster` (smaller is better):
-    /// clusters already hosting scheduled flow neighbours first (the value
-    /// stays in the LRF and the partition stays compact), then the least
-    /// loaded cluster for the operation's unit class. Remaining ties go to
-    /// the cluster whose queue files towards the scheduled neighbours hold
-    /// the fewest live values, steering traffic away from saturated
-    /// CQRFs/LRFs. The id makes the order total.
-    fn preference(
-        &self,
-        st: &SchedulerState,
-        cluster: ClusterId,
-    ) -> (std::cmp::Reverse<usize>, std::cmp::Reverse<u32>, u64, ClusterId) {
-        let hosted = self.neighbours.clusters().filter(|&n| n == cluster).count();
-        (
-            std::cmp::Reverse(hosted),
-            std::cmp::Reverse(st.mrt.free_slots(cluster, self.fu)),
-            st.cluster_pressure_cost(&self.neighbours, cluster),
-            cluster,
-        )
-    }
-}
-
-/// Strategy 1: the free slots of clusters directly connected to every
-/// scheduled flow neighbour, at most `width` of them and one per cluster,
-/// written to `options`. The window's times are walked in ascending order
-/// and the clusters free at each time taken by [`Pending::preference`], so
-/// `options[0]` is the earliest free slot in the most preferred cluster
-/// free then. Empty if no such cluster exists or if every such cluster is
-/// out of free units across the whole window (the resource-blocked case,
-/// handled by chains or forced placement).
-fn strategy1_options(
-    st: &SchedulerState,
-    pending: &Pending,
-    width: usize,
-    options: &mut Vec<(u32, ClusterId)>,
-) {
-    options.clear();
-    let fu = pending.fu;
-    // The window spans II consecutive times, i.e. every MRT row once, so a
-    // cluster has a free unit in it exactly when its column has free slots.
-    let open = pending.compatible.iter().filter(|&&c| st.mrt.free_slots(c, fu) > 0);
-    let wanted = open.take(width).count();
-    let (min_time, max_time) = pending.window;
-    for t in min_time..=max_time {
-        while options.len() < wanted {
-            let taken = |c: ClusterId| options.iter().any(|&(_, o)| o == c);
-            let free =
-                pending.compatible.iter().filter(|&&c| st.mrt.has_free(t, c, fu) && !taken(c));
-            let Some(&c) = free.min_by_key(|&&c| pending.preference(st, c)) else {
-                break;
-            };
-            options.push((t, c));
-        }
-        if options.len() == wanted {
-            return;
-        }
-    }
-}
-
-/// Strategy 2: build chains of moves towards the too-distant predecessors
-/// and place `op` in the chosen cluster (which must still have a free slot
-/// for it). Returns `false` if no viable chain combination exists. This
-/// strategy handles both the communication-conflict case (no directly
-/// connected cluster exists at all) and the resource-blocked case (the
-/// directly connected clusters have no free unit, but a farther cluster
-/// reachable through moves does).
-fn place_strategy2(st: &mut SchedulerState, op: OpId, policy: ChainPolicy) -> bool {
-    let Some(option) = chains::best_option(st, op, policy) else {
-        return false;
-    };
-    for plan in &option.chains {
-        st.commit_chain(plan.edge, &plan.moves);
-    }
-    // The chains were only built if their Copy slots were free; the operation
-    // itself may still have to evict a resource conflict (paper, figure 2,
-    // strategy 2: "If necessary, unschedule other ops due to ... Resource
-    // conflicts"). The window is taken after the commit: the chain's last
-    // move is now a predecessor.
-    force_place(st, op, option.cluster);
-    true
-}
-
-/// Strategy 3: forced IMS-style placement with backtracking. The cluster is
-/// "arbitrarily chosen" (paper's wording); this implementation prefers a
-/// communication-compatible cluster, then the cluster of the most critical
-/// scheduled predecessor, then the least loaded cluster. Eviction here also
-/// covers communication conflicts, and evicting any part of a chain
-/// dismantles the whole chain.
-fn place_strategy3(st: &mut SchedulerState, pending: &Pending) {
-    let cluster = strategy3_cluster(st, pending);
-    force_place(st, pending.op, cluster);
-}
-
-/// IMS's forced placement of `op` in `cluster`, which strategies 2 and 3
-/// end in: the first free slot of the scheduling window, or else the
-/// window's start after evicting occupants until a unit is free, then
-/// displacement of every operation the placement now conflicts with.
-fn force_place(st: &mut SchedulerState, op: OpId, cluster: ClusterId) {
-    let fu = FuKind::for_op(st.ddg.op(op).kind);
-    let window = st.window(op);
-    let time = st.mrt.first_free(window, cluster, fu).unwrap_or(window.0);
-    st.make_room(op, time, cluster);
-    st.place(op, time, cluster);
-    st.displace_conflicts(op, time, cluster);
-}
-
-/// The cluster used by strategy 3.
-fn strategy3_cluster(st: &SchedulerState, pending: &Pending) -> ClusterId {
-    if let Some(&c) = pending.compatible.iter().min_by_key(|&&c| pending.preference(st, c)) {
-        return c;
-    }
-    let op = pending.op;
-    let best_pred = st
-        .ddg
-        .flow_preds(op)
-        .filter(|(_, e)| e.src != op)
-        .filter_map(|(_, e)| st.schedule.get(e.src).map(|p| (st.height[e.src.index()], p.cluster)))
-        .max_by_key(|&(h, c)| (h, std::cmp::Reverse(c)));
-    if let Some((_, cluster)) = best_pred {
-        return cluster;
-    }
-    st.topology()
-        .iter()
-        .max_by_key(|&c| {
-            let pressure = st.cluster_pressure_cost(&pending.neighbours, c);
-            (st.mrt.free_slots(c, pending.fu), std::cmp::Reverse(pressure), std::cmp::Reverse(c))
-        })
-        .unwrap_or(ClusterId(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dms_ir::{kernels, transform};
-    use dms_sched::ims::{ims_schedule, ImsConfig};
+    use dms_machine::FuKind;
+    use dms_sched::ims::{default_max_ii, ims_schedule, ImsConfig};
+    use dms_sched::mii::mii;
     use dms_sched::validate::validate_schedule;
+    use dms_sched::ChainPolicy;
 
     fn check(l: &dms_ir::Loop, machine: &MachineConfig, config: &DmsConfig) -> ScheduleOutcome {
         let r = dms_schedule(l, machine, config)

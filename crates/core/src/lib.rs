@@ -26,6 +26,13 @@
 //! register files), which also limits every operation to at most two
 //! immediate flow successors.
 //!
+//! The search itself — the II loop, the three strategies, chains and the
+//! scheduler state — lives in `dms-sched`, where IMS runs it on one
+//! cluster. This crate holds the code that draws random numbers:
+//! [`dms_schedule`]'s dispatch over the plain heuristic, `beam:W` and the
+//! explore/exploit portfolio, whose challengers jitter their priorities
+//! with seeded RNGs.
+//!
 //! # Example
 //!
 //! ```
@@ -43,13 +50,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod chains;
 pub mod dms;
-#[cfg(test)]
-mod lifetime;
-pub mod state;
 
-pub use chains::{ChainPlan, ChainPolicy};
-pub use dms::{dms_schedule, DmsConfig, ScheduleOutcome};
-pub use dms_sched::SchedulerStrategy;
-pub use state::SchedulerState;
+pub use dms::dms_schedule;
+pub use dms_sched::{DmsConfig, SchedulerStrategy};

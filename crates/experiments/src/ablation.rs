@@ -11,7 +11,8 @@
 
 use crate::fig4::{figure4, Fig4Row};
 use crate::runner::{measure_loops_with_stats_on, ExperimentConfig, SweepStats};
-use dms_core::{ChainPolicy, DmsConfig};
+use dms_core::DmsConfig;
+use dms_sched::ChainPolicy;
 use dms_service::ScheduleService;
 use dms_workloads::{generate, SuiteLoop};
 use serde::{Deserialize, Serialize};

@@ -13,15 +13,9 @@
 //!
 //! The unit of work is one **loop**, not one grid cell: a worker measures
 //! its loop at every cluster count in configuration order, which lets it
-//! (a) unroll the body once per distinct unroll factor instead of once per
-//! cluster count, and (b) seed each DMS II search with the II the previous
-//! cluster count achieved. The seed never narrows or re-orders the
-//! ascending II scan — it only widens the derived search *ceiling* (see
-//! `DmsConfig::ii_seed`) — so every row both paths produce is identical;
-//! the only possible divergence is a rescued task whose unseeded default
-//! ceiling sat below an II the neighbouring count proved reachable. A
-//! regression test pins the swept CSV byte-for-byte against the uncached,
-//! unseeded per-cell path.
+//! unroll the body once per distinct unroll factor instead of once per
+//! cluster count. A regression test pins the swept CSV byte-for-byte
+//! against the uncached per-cell path.
 //!
 //! Results are written into a pre-allocated slot per loop, which makes the
 //! output **deterministic by construction**: the returned vector is
@@ -316,11 +310,10 @@ fn clustered_machine(clusters: u32, config: &ExperimentConfig) -> MachineConfig 
 /// measurement, or `None` if either scheduler failed (which indicates a bug;
 /// callers treat it as fatal in tests and skip it in production sweeps).
 ///
-/// This is the plain per-cell path: it unrolls the body itself and seeds
-/// nothing. The sweep executor goes through `measure_loop` instead, which
-/// reuses unrolled bodies across cluster counts and threads the previous
-/// count's achieved II into `DmsConfig::ii_seed`; a regression test pins
-/// both paths to byte-identical CSV.
+/// This is the plain per-cell path: it unrolls the body itself. The sweep
+/// executor goes through `measure_loop` instead, which reuses unrolled
+/// bodies across cluster counts; a regression test pins both paths to
+/// byte-identical CSV.
 pub fn measure_one(
     suite_loop: &SuiteLoop,
     clusters: u32,
@@ -332,7 +325,7 @@ pub fn measure_one(
         machine.total_useful_fus(),
         &config.unroll,
     );
-    measure_body(suite_loop, &body, clusters, config, None, &ScheduleService::default())
+    measure_body(suite_loop, &body, clusters, config, &ScheduleService::default())
 }
 
 /// Measures one already-unrolled body on one cluster count. Both scheduler
@@ -346,7 +339,6 @@ fn measure_body(
     body: &dms_ir::Loop,
     clusters: u32,
     config: &ExperimentConfig,
-    ii_seed: Option<u32>,
     service: &ScheduleService,
 ) -> Option<LoopMeasurement> {
     let clustered_machine = clustered_machine(clusters, config);
@@ -368,12 +360,11 @@ fn measure_body(
             contention: false,
         })
         .ok()?;
-    let dms_cfg = DmsConfig { ii_seed, ..config.dms };
     let dms = service
         .answer(&ScheduleRequest {
             body,
             machine: &clustered_machine,
-            dms: dms_cfg,
+            dms: config.dms,
             scheduler: SchedulerKind::Dms,
             verify_trips,
             contention: config.contention,
@@ -428,15 +419,13 @@ pub fn measure_suite_with_stats(config: &ExperimentConfig) -> (Vec<LoopMeasureme
 
 /// Measures one suite loop at every configured cluster count, in
 /// configuration order. The unrolled body is computed once per *distinct*
-/// unroll factor (neighbouring cluster counts frequently share one), and
-/// each DMS search is seeded with the previous count's achieved II.
+/// unroll factor (neighbouring cluster counts frequently share one).
 fn measure_loop(
     suite_loop: &SuiteLoop,
     config: &ExperimentConfig,
     service: &ScheduleService,
 ) -> Vec<Option<LoopMeasurement>> {
     let mut bodies: Vec<(u32, dms_ir::Loop)> = Vec::new();
-    let mut seed = None;
     config
         .cluster_counts
         .iter()
@@ -455,11 +444,7 @@ fn measure_loop(
                     &bodies.last().expect("just pushed").1
                 }
             };
-            let m = measure_body(suite_loop, body, clusters, config, seed, service);
-            if let Some(measurement) = &m {
-                seed = Some(measurement.clustered_ii);
-            }
-            m
+            measure_body(suite_loop, body, clusters, config, service)
         })
         .collect()
 }
@@ -665,13 +650,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_seeded_sweep_matches_the_per_cell_path_byte_for_byte() {
-        // The executor reuses unrolled bodies across cluster counts and
-        // seeds each DMS search with the previous count's achieved II. The
-        // seed can only widen the II-search ceiling (it never narrows or
-        // re-orders the scan), so on a healthy grid — no task near the
-        // default ceiling — the CSV must match the uncached, unseeded
-        // per-cell measurement byte for byte.
+    fn cached_sweep_matches_the_per_cell_path_byte_for_byte() {
+        // The executor reuses unrolled bodies across cluster counts; the
+        // CSV must match the uncached per-cell measurement byte for byte.
         let mut cfg = ExperimentConfig::quick(16);
         cfg.cluster_counts = vec![1, 2, 4, 8, 10];
         let suite = generate(&cfg.suite);
@@ -684,7 +665,7 @@ mod tests {
         assert_eq!(
             crate::report::measurements_csv(&swept),
             crate::report::measurements_csv(&reference),
-            "body caching and II seeding must not change any measurement"
+            "body caching must not change any measurement"
         );
     }
 

@@ -14,10 +14,10 @@
 //!
 //! [`Topology::paths`]: dms_machine::Topology::paths
 
+use crate::schedule::{dependence_bound, ScheduledOp};
 use crate::state::SchedulerState;
 use dms_ir::{DepEdge, OpId};
 use dms_machine::{ClusterId, FuKind, TopoPath};
-use dms_sched::schedule::{dependence_bound, ScheduledOp};
 use serde::{Deserialize, Serialize};
 
 /// How strategy 2 chooses between the alternative topology paths of a chain.
@@ -48,7 +48,7 @@ pub struct ChainPlan {
     /// [`QueuePressure::queue_occupancy`] mapping. Zero unless chain
     /// steering is on (see `SchedulerState::chain_steering`).
     ///
-    /// [`QueuePressure::queue_occupancy`]: dms_sched::QueuePressure::queue_occupancy
+    /// [`QueuePressure::queue_occupancy`]: crate::QueuePressure::queue_occupancy
     pub queue_cost: u64,
 }
 
@@ -418,8 +418,8 @@ mod tests {
 
     #[test]
     fn steering_picks_the_uncongested_equal_length_path() {
+        use crate::pressure::{Lifetime, LifetimeClass};
         use dms_machine::CqrfId;
-        use dms_sched::pressure::{Lifetime, LifetimeClass};
         // load -> mul -> store; producer in C0, candidate cluster C3 on a
         // 6-ring: the two chain paths (via C1,C2 and via C5,C4) tie on
         // every paper criterion, so the historical choice is the first

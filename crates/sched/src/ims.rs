@@ -8,26 +8,18 @@
 //! resource or dependence conflicts force it to, within a fixed budget of
 //! placement attempts.
 //!
-//! The rules of one IMS step — the [`Worklist`] order, the scheduling
-//! [`window`], the [`eviction_victim`] and the [`violated_successors`] —
-//! are defined here once. DMS (the `dms-core` crate) runs the same step and
-//! adds its three placement strategies on top.
-//!
-//! On a clustered [`MachineConfig`] this implementation places every
-//! operation in cluster 0 (it knows nothing about partitioning); use the
-//! `dms-core` crate for clustered targets.
+//! DMS is IMS plus cluster-aware placement, and on one cluster its three
+//! strategies reduce to IMS's step. So IMS is the one [`crate::search`] on a
+//! one-cluster machine, with a beam of width 1 and no jitter. It keeps two
+//! constants of its own: a budget of 8 placements per
+//! operation, and no retry when a queue file overflows (an overflowing
+//! schedule is returned, and fails register allocation). A machine with
+//! more than one cluster is an error: partitioning is DMS's job.
 
-use crate::mii::mii;
-use crate::priority::SweepOrder;
-use crate::schedule::{
-    admit_mrt, dependence_bound, earliest_start, SchedStats, Schedule, ScheduleError,
-    ScheduleResult,
-};
-use dms_ir::{Ddg, Loop, OpId};
-use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt};
-use dms_telemetry::{EventKind, Telemetry};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::schedule::{ScheduleError, ScheduleResult};
+use crate::search::{prepare, run_search, DmsConfig};
+use dms_ir::{Ddg, Loop};
+use dms_machine::MachineConfig;
 
 /// Options of the IMS search. It has none: the budget is a fixed multiple of
 /// the operation count and the II ceiling is [`default_max_ii`].
@@ -38,13 +30,15 @@ pub struct ImsConfig {}
 /// operations (Rau uses small single-digit ratios).
 const BUDGET_RATIO: u64 = 8;
 
-/// Schedules a loop with IMS on the given machine.
+/// Schedules a loop with IMS on the given unclustered machine.
 ///
 /// # Errors
 ///
 /// Returns [`ScheduleError::UnexecutableLoop`] if the loop needs a
-/// functional-unit class the machine does not have, the errors of
-/// [`mii`] and [`crate::schedule::admit_mrt`], and
+/// functional-unit class the machine does not have, the other errors of
+/// [`crate::mii()`], then [`ScheduleError::ClusteredMachine`] if the
+/// machine has more than one cluster, and the errors of
+/// [`crate::search::run_search`]: [`ScheduleError::MrtTooLarge`] and
 /// [`ScheduleError::IiLimitReached`] if no schedule is found up to the II
 /// limit.
 pub fn ims_schedule(
@@ -52,33 +46,11 @@ pub fn ims_schedule(
     machine: &MachineConfig,
     _config: &ImsConfig,
 ) -> Result<ScheduleResult, ScheduleError> {
-    let ddg = l.ddg.clone();
-    let bounds = mii(&ddg, machine)?;
-    let start_ii = bounds.mii();
-    let max_ii = default_max_ii(&ddg, machine, start_ii);
-    let budget = BUDGET_RATIO * ddg.num_live_ops().max(1) as u64;
-    let order = SweepOrder::of_body(&ddg);
-
-    let mut stats = SchedStats { mii: Some(bounds), ..SchedStats::default() };
-
-    let telemetry = Telemetry::current();
-    for ii in start_ii..=max_ii {
-        admit_mrt(machine, ii)?;
-        stats.ii_attempts += 1;
-        telemetry.event(EventKind::IiAttemptStarted);
-        if let Some(outcome) = try_ims(&ddg, &order, machine, ii, budget) {
-            stats.evictions += outcome.evictions;
-            stats.budget_used += outcome.budget_used;
-            return Ok(ScheduleResult {
-                loop_name: l.name.clone(),
-                ddg,
-                schedule: outcome.schedule,
-                stats,
-            });
-        }
-        telemetry.event(EventKind::IiAttemptFailed);
+    let prep = prepare(l, machine, &DmsConfig::default(), BUDGET_RATIO)?;
+    if machine.is_clustered() {
+        return Err(ScheduleError::ClusteredMachine { clusters: machine.num_clusters() });
     }
-    Err(ScheduleError::IiLimitReached { limit: max_ii })
+    Ok(run_search(&prep, None, 1, None, false)?.result)
 }
 
 /// A safe upper bound for the II search: wide enough that every operation can
@@ -99,176 +71,12 @@ fn saturating_max_ii(ops: u32, lat: u32, start_ii: u32) -> u32 {
     ops.saturating_mul(lat).max(start_ii).saturating_add(ops).saturating_add(8)
 }
 
-/// The operations waiting to be scheduled, popped highest priority first
-/// (largest priority, then smallest id).
-///
-/// A waiting op's priority never changes while it waits (DMS rebuilds the
-/// worklist when it sets new priorities), so a binary heap pops exactly the
-/// op a scan for the maximum would. Removing an op other than by popping
-/// only clears its flag; its heap entry is dropped when it reaches the top.
-#[derive(Debug, Clone, Default)]
-pub struct Worklist {
-    heap: BinaryHeap<(i64, Reverse<OpId>)>,
-    /// Per op id: whether the op is waiting.
-    waiting: Vec<bool>,
-    len: usize,
-}
-
-impl Worklist {
-    /// Whether `op` is waiting.
-    pub fn contains(&self, op: OpId) -> bool {
-        self.waiting.get(op.index()).copied().unwrap_or(false)
-    }
-
-    /// The number of waiting operations.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no operation is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Adds `op` with the given priority unless it is already waiting.
-    pub fn push(&mut self, op: OpId, priority: i64) {
-        if self.contains(op) {
-            return;
-        }
-        if self.waiting.len() <= op.index() {
-            self.waiting.resize(op.index() + 1, false);
-        }
-        self.waiting[op.index()] = true;
-        self.len += 1;
-        self.heap.push((priority, Reverse(op)));
-    }
-
-    /// Stops `op` waiting, if it was.
-    pub fn remove(&mut self, op: OpId) {
-        if self.contains(op) {
-            self.waiting[op.index()] = false;
-            self.len -= 1;
-        }
-    }
-
-    /// Removes and returns the highest-priority waiting operation.
-    pub fn pop(&mut self) -> Option<OpId> {
-        while let Some((_, Reverse(op))) = self.heap.pop() {
-            if self.contains(op) {
-                self.remove(op);
-                return Some(op);
-            }
-        }
-        None
-    }
-}
-
-/// The scheduling window `(min_time, max_time)` of an operation whose
-/// predecessors allow it to start at `estart`: II consecutive times, so
-/// every MRT row once. An operation scheduled before, last at `prev_time`,
-/// must start later than that time (Rau's forced-progress rule), so
-/// re-scheduling cannot cycle.
-pub fn window(estart: u32, prev_time: Option<u32>, ii: u32) -> (u32, u32) {
-    let min_time = prev_time.map_or(estart, |prev| estart.max(prev + 1));
-    (min_time, min_time + ii - 1)
-}
-
-/// The occupant evicted to free a unit of a full slot: the lowest
-/// priority, then the larger id.
-///
-/// # Panics
-///
-/// Panics if `occupants` is empty.
-pub fn eviction_victim(occupants: &[OpId], priority: &[i64]) -> OpId {
-    *occupants
-        .iter()
-        .min_by_key(|&&o| (priority[o.index()], Reverse(o)))
-        .expect("a full slot has occupants")
-}
-
-/// The scheduled successors of `op` (self edges excluded, in edge order)
-/// whose dependence is violated once `op` issues at `time`. A successor
-/// reached by several violated edges appears once per edge.
-pub fn violated_successors<'a>(
-    ddg: &'a Ddg,
-    schedule: &'a Schedule,
-    op: OpId,
-    time: u32,
-) -> impl Iterator<Item = OpId> + 'a {
-    let ii = schedule.ii();
-    ddg.succs(op).filter(move |(_, e)| e.dst != op).filter_map(move |(_, e)| {
-        let d = schedule.get(e.dst)?;
-        ((d.time as i64) < dependence_bound(time, e.latency, ii, e.distance)).then_some(e.dst)
-    })
-}
-
-struct ImsOutcome {
-    schedule: Schedule,
-    evictions: u64,
-    budget_used: u64,
-}
-
-/// One II attempt, with priorities from the body's sweep `order`. Returns
-/// `None` if the budget is exhausted before every operation is placed.
-fn try_ims(
-    ddg: &Ddg,
-    order: &SweepOrder,
-    machine: &MachineConfig,
-    ii: u32,
-    budget: u64,
-) -> Option<ImsOutcome> {
-    let height = order.heights(ddg, ii);
-    let cluster = ClusterId(0);
-    let mut mrt = Mrt::new(machine, ii);
-    let mut schedule = Schedule::new(ii, ddg.num_slots());
-    let mut prev_time = vec![None; ddg.num_slots()];
-    let mut worklist = Worklist::default();
-    for op in ddg.live_op_ids() {
-        worklist.push(op, height[op.index()]);
-    }
-    let mut evictions = 0u64;
-    let mut budget_used = 0u64;
-    let mut unschedule = |v: OpId, mrt: &mut Mrt, schedule: &mut Schedule, wl: &mut Worklist| {
-        mrt.release(v);
-        schedule.remove(v);
-        wl.push(v, height[v.index()]);
-        evictions += 1;
-    };
-
-    while let Some(op) = worklist.pop() {
-        if budget_used == budget {
-            return None;
-        }
-        budget_used += 1;
-
-        let estart = earliest_start(ddg, &schedule, op, ii);
-        let (min_time, max_time) = window(estart, prev_time[op.index()], ii);
-        let fu = FuKind::for_op(ddg.op(op).kind);
-        let time = mrt.first_free((min_time, max_time), cluster, fu).unwrap_or(min_time);
-        while !mrt.has_free(time, cluster, fu) {
-            let victim = eviction_victim(mrt.occupants(time, cluster, fu), &height);
-            unschedule(victim, &mut mrt, &mut schedule, &mut worklist);
-        }
-        mrt.reserve(op, time, cluster, fu).expect("a unit was freed for this op");
-        schedule.place(op, time, cluster);
-        prev_time[op.index()] = Some(time);
-
-        let violated: Vec<OpId> = violated_successors(ddg, &schedule, op, time).collect();
-        for v in violated {
-            if schedule.get(v).is_some() {
-                unschedule(v, &mut mrt, &mut schedule, &mut worklist);
-            }
-        }
-    }
-
-    Some(ImsOutcome { schedule, evictions, budget_used })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::validate::validate_schedule;
     use dms_ir::kernels;
+    use dms_machine::FuKind;
 
     fn check(l: &dms_ir::Loop, machine: &MachineConfig) -> ScheduleResult {
         let r = ims_schedule(l, machine, &ImsConfig::default())
@@ -347,22 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn eviction_victim_is_the_lowest_priority_then_the_larger_id() {
-        let priority = [5, 3, 3, 7];
-        let all = [OpId(0), OpId(1), OpId(2), OpId(3)];
-        assert_eq!(eviction_victim(&all, &priority), OpId(2));
-        assert_eq!(eviction_victim(&[OpId(3), OpId(0)], &priority), OpId(0));
-    }
-
-    #[test]
-    fn window_starts_after_the_previous_time() {
-        assert_eq!(window(4, None, 3), (4, 6));
-        assert_eq!(window(4, Some(2), 3), (4, 6));
-        assert_eq!(window(4, Some(4), 3), (5, 7));
-        assert_eq!(window(0, Some(0), 1), (1, 1));
-    }
-
-    #[test]
     fn default_max_ii_saturates_instead_of_wrapping() {
         // ops * lat would overflow u32 for a 2^28-op unrolled loop with
         // latency 100; the limit must cap at u32::MAX, not wrap to a tiny
@@ -387,10 +179,13 @@ mod tests {
     }
 
     #[test]
-    fn clustered_machine_uses_only_cluster_zero() {
+    fn clustered_machine_is_a_clean_error() {
         let l = kernels::daxpy(64);
         let m = MachineConfig::paper_clustered(4);
-        let r = check(&l, &m);
-        assert!(r.schedule.iter().all(|(_, s)| s.cluster == ClusterId(0)));
+        let e = ims_schedule(&l, &m, &ImsConfig::default()).unwrap_err();
+        assert_eq!(e, ScheduleError::ClusteredMachine { clusters: 4 });
+        assert!(e.to_string().contains("4 clusters"), "{e}");
+        // one cluster of the clustered machine's kind is still IMS's target
+        check(&l, &MachineConfig::paper_clustered(1));
     }
 }

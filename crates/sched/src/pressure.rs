@@ -357,7 +357,9 @@ impl QueuePressure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dms_ir::{DepEdge, OpKind, Operand, Operation};
+    use crate::search::{prepare, run_search, DmsConfig, DMS_BUDGET_RATIO};
+    use dms_ir::{kernels, DepEdge, OpKind, Operand, Operation};
+    use dms_machine::MachineConfig;
 
     fn two_op_schedule(
         latency: u32,
@@ -472,5 +474,73 @@ mod tests {
         assert_eq!(p, QueuePressure::from_lifetimes(&lifetimes(&g, &s, &ring), 4));
         assert_eq!(p.max_cqrf(), p.total());
         assert!(p.lrf_registers().iter().all(|&r| r == 0));
+    }
+
+    /// The plain DMS heuristic's schedule of `l` on `m`, as `dms_schedule`
+    /// computes it under the default configuration.
+    fn dms(l: &dms_ir::Loop, m: &MachineConfig) -> ScheduleResult {
+        let prep = prepare(l, m, &DmsConfig::default(), DMS_BUDGET_RATIO).unwrap();
+        run_search(&prep, None, 1, None, true).unwrap().result
+    }
+
+    #[test]
+    fn lifetime_lengths_and_depths() {
+        let l = kernels::daxpy(128);
+        let m = MachineConfig::paper_clustered(2);
+        let r = dms(&l, &m);
+        let lts = lifetimes_of(&r, &m.topology());
+        assert!(!lts.is_empty());
+        for lt in &lts {
+            assert!(lt.depth >= 1);
+            assert_eq!(lt.length, lt.use_time - lt.def_time);
+            assert!(!matches!(lt.class, LifetimeClass::Conflict { .. }));
+        }
+    }
+
+    #[test]
+    fn loop_carried_lifetimes_span_iterations() {
+        let l = kernels::dot_product(128);
+        let m = MachineConfig::paper_clustered(2);
+        let r = dms(&l, &m);
+        let lts = lifetimes_of(&r, &m.topology());
+        // the accumulator self-dependence has distance 1, so its use time is
+        // at least II beyond its def time
+        let self_lt = lts.iter().find(|lt| lt.producer == lt.consumer).unwrap();
+        assert!(self_lt.length >= 1);
+        assert!(self_lt.depth >= 1);
+    }
+
+    #[test]
+    fn cross_cluster_lifetimes_only_between_adjacent_clusters() {
+        let l = dms_ir::transform::unroll(&kernels::fir(8, 256), 2);
+        let m = MachineConfig::paper_clustered(6);
+        let r = dms(&l, &m);
+        for lt in lifetimes_of(&r, &m.topology()) {
+            match lt.class {
+                LifetimeClass::CrossCluster { queue } => {
+                    assert_eq!(m.topology().distance(queue.writer, queue.reader), 1);
+                }
+                LifetimeClass::Conflict { .. } => panic!("schedule has a communication conflict"),
+                LifetimeClass::Local(_) => {}
+            }
+        }
+    }
+
+    #[test]
+    fn max_live_is_positive_for_nontrivial_loops() {
+        let l = kernels::complex_multiply(128);
+        let m = MachineConfig::paper_clustered(4);
+        let r = dms(&l, &m);
+        let lts = lifetimes_of(&r, &m.topology());
+        let ml = max_live(&lts, r.ii());
+        assert!(ml >= 1);
+        // MaxLive can never exceed the total number of lifetime instances
+        let total: u32 = lts.iter().map(|lt| lt.depth).sum();
+        assert!(ml <= total * r.ii());
+    }
+
+    #[test]
+    fn max_live_of_empty_is_zero() {
+        assert_eq!(max_live(&[], 4), 0);
     }
 }

@@ -255,6 +255,12 @@ pub enum ScheduleError {
         /// The cells its table would hold.
         cells: u64,
     },
+    /// IMS was asked to schedule a machine of more than one cluster; it
+    /// knows nothing about partitioning (DMS does).
+    ClusteredMachine {
+        /// The machine's cluster count.
+        clusters: u32,
+    },
 }
 
 /// The most cells (II × units per row) one attempt's reservation table may
@@ -304,6 +310,10 @@ impl fmt::Display for ScheduleError {
                 f,
                 "the reservation table at II = {ii} would hold {cells} cells, above the budget \
                  of {MAX_MRT_CELLS}"
+            ),
+            ScheduleError::ClusteredMachine { clusters } => write!(
+                f,
+                "IMS schedules only an unclustered machine, and this one has {clusters} clusters"
             ),
         }
     }

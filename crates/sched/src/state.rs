@@ -1,18 +1,117 @@
-//! Mutable scheduler state shared by the three DMS strategies.
+//! Mutable scheduler state of one II attempt, and the rules of its
+//! scheduling step.
 //!
 //! The state owns the working copy of the DDG (which grows as `move`
 //! operations are inserted and shrinks again when chains are dismantled), the
 //! modulo reservation table, the partial schedule, the scheduling priorities
 //! and the bookkeeping needed for IMS-style backtracking.
+//!
+//! The rules of Rau's IMS step live here, beside their one caller: the
+//! `Worklist` order, the scheduling `window`, the `eviction_victim`
+//! and the `violated_successors`.
 
+use crate::pressure::{edge_lifetime, Lifetime, QueuePressure};
+use crate::priority::SweepOrder;
+use crate::schedule::{dependence_bound, earliest_start, SchedStats, Schedule};
 use dms_ir::{Ddg, DepEdge, OpId, OpKind, Operation};
 use dms_machine::{ClusterId, FuKind, MachineConfig, Mrt, PathCache, TopoPath, Topology};
-use dms_sched::ims::{eviction_victim, violated_successors, Worklist};
-use dms_sched::pressure::{edge_lifetime, Lifetime, QueuePressure};
-use dms_sched::priority::SweepOrder;
-use dms_sched::schedule::{SchedStats, Schedule};
 use dms_telemetry::{EventKind, Telemetry};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
+
+/// The operations waiting to be scheduled, popped highest priority first
+/// (largest priority, then smallest id).
+///
+/// A waiting op's priority never changes while it waits (the state rebuilds
+/// the worklist when it sets new priorities), so a binary heap pops exactly
+/// the op a scan for the maximum would. Removing an op other than by popping
+/// only clears its flag; its heap entry is dropped when it reaches the top.
+#[derive(Debug, Clone, Default)]
+struct Worklist {
+    heap: BinaryHeap<(i64, Reverse<OpId>)>,
+    /// Per op id: whether the op is waiting.
+    waiting: Vec<bool>,
+    len: usize,
+}
+
+impl Worklist {
+    /// Whether `op` is waiting.
+    fn contains(&self, op: OpId) -> bool {
+        self.waiting.get(op.index()).copied().unwrap_or(false)
+    }
+
+    /// Adds `op` with the given priority unless it is already waiting.
+    fn push(&mut self, op: OpId, priority: i64) {
+        if self.contains(op) {
+            return;
+        }
+        if self.waiting.len() <= op.index() {
+            self.waiting.resize(op.index() + 1, false);
+        }
+        self.waiting[op.index()] = true;
+        self.len += 1;
+        self.heap.push((priority, Reverse(op)));
+    }
+
+    /// Stops `op` waiting, if it was.
+    fn remove(&mut self, op: OpId) {
+        if self.contains(op) {
+            self.waiting[op.index()] = false;
+            self.len -= 1;
+        }
+    }
+
+    /// Removes and returns the highest-priority waiting operation.
+    fn pop(&mut self) -> Option<OpId> {
+        while let Some((_, Reverse(op))) = self.heap.pop() {
+            if self.contains(op) {
+                self.remove(op);
+                return Some(op);
+            }
+        }
+        None
+    }
+}
+
+/// The scheduling window `(min_time, max_time)` of an operation whose
+/// predecessors allow it to start at `estart`: II consecutive times, so
+/// every MRT row once. An operation scheduled before, last at `prev_time`,
+/// must start later than that time (Rau's forced-progress rule), so
+/// re-scheduling cannot cycle.
+fn window(estart: u32, prev_time: Option<u32>, ii: u32) -> (u32, u32) {
+    let min_time = prev_time.map_or(estart, |prev| estart.max(prev + 1));
+    (min_time, min_time + ii - 1)
+}
+
+/// The occupant evicted to free a unit of a full slot: the lowest
+/// priority, then the larger id.
+///
+/// # Panics
+///
+/// Panics if `occupants` is empty.
+fn eviction_victim(occupants: &[OpId], priority: &[i64]) -> OpId {
+    *occupants
+        .iter()
+        .min_by_key(|&&o| (priority[o.index()], Reverse(o)))
+        .expect("a full slot has occupants")
+}
+
+/// The scheduled successors of `op` (self edges excluded, in edge order)
+/// whose dependence is violated once `op` issues at `time`. A successor
+/// reached by several violated edges appears once per edge.
+fn violated_successors<'a>(
+    ddg: &'a Ddg,
+    schedule: &'a Schedule,
+    op: OpId,
+    time: u32,
+) -> impl Iterator<Item = OpId> + 'a {
+    let ii = schedule.ii();
+    ddg.succs(op).filter(move |(_, e)| e.dst != op).filter_map(move |(_, e)| {
+        let d = schedule.get(e.dst)?;
+        ((d.time as i64) < dependence_bound(time, e.latency, ii, e.distance)).then_some(e.dst)
+    })
+}
 
 /// A committed chain of `move` operations realising one too-distant flow
 /// dependence.
@@ -48,7 +147,7 @@ impl FlowNeighbours {
     }
 }
 
-/// Mutable state of one DMS scheduling attempt (one candidate II).
+/// Mutable state of one scheduling attempt (one candidate II).
 ///
 /// `Clone` is cheapest-possible but not free (the DDG, MRT and schedule are
 /// deep-copied); only the beam search clones states, once per kept branch.
@@ -64,7 +163,7 @@ pub struct SchedulerState {
     /// attempt starts, except for the chain moves `commit_chain` adds.
     pub height: Vec<i64>,
     /// The last time at which each operation was scheduled, `None` if
-    /// never (for the IMS forced-progress rule of [`dms_sched::ims::window`]).
+    /// never (for the IMS forced-progress rule of `window`).
     pub prev_time: Vec<Option<u32>>,
     /// Operations waiting to be scheduled, keyed by their pop priority.
     /// Heights are fixed when the attempt starts (only chain moves get
@@ -174,12 +273,12 @@ impl SchedulerState {
 
     /// Whether all operations have been placed.
     pub fn complete(&self) -> bool {
-        self.worklist.is_empty()
+        self.worklist.len == 0
     }
 
     /// Number of operations waiting to be scheduled.
     pub fn num_unscheduled(&self) -> usize {
-        self.worklist.len()
+        self.worklist.len
     }
 
     /// Sets the per-slot perturbation added to the height-based priority
@@ -213,15 +312,15 @@ impl SchedulerState {
 
     /// Earliest start time of `op` given its already-scheduled predecessors
     /// (self edges excluded — they are satisfied by any II at or above
-    /// RecMII). Delegates to the shared [`dms_sched::schedule::earliest_start`]
-    /// so IMS and DMS use one definition of the dependence inequality.
+    /// RecMII). Delegates to the shared [`earliest_start`], the one
+    /// definition of the dependence inequality.
     pub fn earliest_start(&self, op: OpId) -> u32 {
-        dms_sched::schedule::earliest_start(&self.ddg, &self.schedule, op, self.ii)
+        earliest_start(&self.ddg, &self.schedule, op, self.ii)
     }
 
-    /// The scheduling [`window`](dms_sched::ims::window) of `op`.
+    /// The scheduling `window` of `op`.
     pub fn window(&self, op: OpId) -> (u32, u32) {
-        dms_sched::ims::window(self.earliest_start(op), self.prev_time[op.index()], self.ii)
+        window(self.earliest_start(op), self.prev_time[op.index()], self.ii)
     }
 
     /// Fills `neighbours` with the clusters hosting already-scheduled
@@ -272,6 +371,10 @@ impl SchedulerState {
     /// appear once (via the successor list). Runs on every placement and
     /// eviction of the II search, so it borrows the fields disjointly
     /// instead of allocating an intermediate lifetime list.
+    ///
+    /// Adding must run *after* `op` is placed in `self.schedule`, removing
+    /// *before* it leaves (the lifetimes are recomputed from the
+    /// still-current placements, which keeps add/remove symmetric).
     fn update_pressure_for_op(&mut self, op: OpId, add: bool) {
         let topology = *self.topology();
         let (ddg, schedule, pressure) = (&self.ddg, &self.schedule, &mut self.pressure);
@@ -290,20 +393,6 @@ impl SchedulerState {
                 pressure.remove(&lt);
             }
         }
-    }
-
-    /// Accounts for `op` entering the schedule: every value edge between
-    /// `op` and an already-scheduled neighbour starts occupying queue
-    /// registers. Must run *after* `op` is placed in `self.schedule`.
-    fn pressure_add_op(&mut self, op: OpId) {
-        self.update_pressure_for_op(op, true);
-    }
-
-    /// Accounts for `op` leaving the schedule. Must run *before* `op` is
-    /// removed from `self.schedule` (the lifetimes are recomputed from the
-    /// still-current placements, which keeps add/remove symmetric).
-    fn pressure_remove_op(&mut self, op: OpId) {
-        self.update_pressure_for_op(op, false);
     }
 
     /// Accounts for a value edge appearing between two operations that may
@@ -364,13 +453,13 @@ impl SchedulerState {
             .reserve(op, time, cluster, fu)
             .expect("place() requires a free unit; call make_room() first");
         self.schedule.place(op, time, cluster);
-        self.pressure_add_op(op);
+        self.update_pressure_for_op(op, true);
         self.prev_time[op.index()] = Some(time);
         self.worklist.remove(op);
     }
 
     /// Evicts occupants of the `(time, cluster)` slot of `op`'s unit class
-    /// until one unit is free, each the [`eviction_victim`] by height.
+    /// until one unit is free, each the `eviction_victim` by height.
     /// Returns the evicted operations.
     pub fn make_room(&mut self, op: OpId, time: u32, cluster: ClusterId) -> Vec<OpId> {
         let fu = FuKind::for_op(self.ddg.op(op).kind);
@@ -383,7 +472,7 @@ impl SchedulerState {
         evicted
     }
 
-    /// Unschedules IMS's [`violated_successors`] of `op` issuing at `time`,
+    /// Unschedules IMS's `violated_successors` of `op` issuing at `time`,
     /// and every scheduled flow neighbour that would sit in an indirectly
     /// connected cluster (communication conflict — the extra backtracking
     /// cause specific to DMS strategy 3).
@@ -428,7 +517,7 @@ impl SchedulerState {
     /// clusters, the consumer is unscheduled as well.
     pub fn unschedule(&mut self, op: OpId) {
         if self.schedule.get(op).is_some() {
-            self.pressure_remove_op(op);
+            self.update_pressure_for_op(op, false);
             self.mrt.release(op);
             self.schedule.remove(op);
             self.stats.evictions += 1;
@@ -478,7 +567,7 @@ impl SchedulerState {
         // Delete the moves (removes their edges too).
         for m in &chain.moves {
             if self.schedule.get(*m).is_some() {
-                self.pressure_remove_op(*m);
+                self.update_pressure_for_op(*m, false);
                 self.mrt.release(*m);
                 self.schedule.remove(*m);
             }
@@ -543,7 +632,7 @@ impl SchedulerState {
                 .reserve(m, time, cluster, FuKind::Copy)
                 .expect("chain planning verified this Copy slot was free");
             self.schedule.place(m, time, cluster);
-            self.pressure_add_op(m);
+            self.update_pressure_for_op(m, true);
             self.prev_time[m.index()] = Some(time);
             move_ids.push(m);
             prev = m;
@@ -783,5 +872,21 @@ mod tests {
         assert!(st.schedule.get(OpId(1)).is_none());
         // the store only depends on the mul, so it survives
         assert!(st.schedule.get(OpId(2)).is_some());
+    }
+
+    #[test]
+    fn eviction_victim_is_the_lowest_priority_then_the_larger_id() {
+        let priority = [5, 3, 3, 7];
+        let all = [OpId(0), OpId(1), OpId(2), OpId(3)];
+        assert_eq!(eviction_victim(&all, &priority), OpId(2));
+        assert_eq!(eviction_victim(&[OpId(3), OpId(0)], &priority), OpId(0));
+    }
+
+    #[test]
+    fn window_starts_after_the_previous_time() {
+        assert_eq!(window(4, None, 3), (4, 6));
+        assert_eq!(window(4, Some(2), 3), (4, 6));
+        assert_eq!(window(4, Some(4), 3), (5, 7));
+        assert_eq!(window(0, Some(0), 1), (1, 1));
     }
 }

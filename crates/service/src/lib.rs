@@ -2,7 +2,7 @@
 //!
 //! The whole scheduling pipeline of this reproduction is deterministic: the
 //! same loop body, machine description and scheduler configuration always
-//! produce the same [`dms_core::ScheduleOutcome`], bit for bit. That makes
+//! produce the same [`dms_sched::ScheduleOutcome`], bit for bit. That makes
 //! schedules *cacheable by content* — and this crate is the resident core
 //! that exploits it, sitting between the raw schedulers
 //! ([`dms_sched::ims_schedule`], [`dms_core::dms_schedule`]) and every

@@ -507,9 +507,14 @@ mod tests {
                     r#"{{"op":"schedule","loop":{{"name":"ring3","trip_count":8,"ops":["#,
                     r#"["add",[["def",2,1]]],["add",[["def",0,0]]],["add",[["def",1,0]]]],"#,
                     r#""edges":[[0,1,"flow",{},0],[1,2,"flow",1,0],[2,0,"flow",1,1]]}},"#,
-                    r#""machine":{{"clusters":4,"copy_units":{}}},"scheduler":"{}"}}"#,
+                    r#""machine":{{"unclustered":{},"clusters":4,"copy_units":{}}},"#,
+                    r#""scheduler":"{}"}}"#,
                 ),
-                latency, copy_units, scheduler
+                // IMS schedules only the unclustered machine.
+                latency,
+                scheduler == "ims",
+                copy_units,
+                scheduler
             )
         };
         let hostile = [

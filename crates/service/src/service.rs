@@ -26,10 +26,10 @@
 
 use crate::cache::{CacheCounters, ShardedCache};
 use crate::hash::{guard_fingerprint, CacheKey, Fnv};
-use dms_core::{dms_schedule, DmsConfig, ScheduleOutcome};
+use dms_core::{dms_schedule, DmsConfig};
 use dms_ir::Loop;
 use dms_machine::MachineConfig;
-use dms_sched::{ims_schedule, ImsConfig, ScheduleError, ScheduleResult};
+use dms_sched::{ims_schedule, ImsConfig, ScheduleError, ScheduleOutcome, ScheduleResult};
 use dms_sim::verify_schedule;
 use dms_telemetry::{EventKind, Gauge, Histogram, Registry};
 use std::fmt;
@@ -696,5 +696,24 @@ mod tests {
         assert!(reply.starts_with(prefix), "{reply}");
         assert!(reply.ends_with(r#" registers but only 64 exist"}"#), "{reply}");
         assert!(!reply.contains("CapacityExceeded("), "{reply}");
+    }
+
+    /// IMS knows nothing about partitioning, so a request for IMS on the
+    /// wire's `"unclustered":false,"clusters":4` machine is a scheduling
+    /// error.
+    #[test]
+    fn a_clustered_ims_request_is_a_clean_error() {
+        let body = kernels::daxpy(64);
+        let machine = MachineConfig::paper_clustered(4);
+        let req = ScheduleRequest { scheduler: SchedulerKind::Ims, ..dms_request(&body, &machine) };
+        let answer = ScheduleService::default().answer(&req);
+        assert_eq!(
+            answer,
+            Err(ServiceError::Schedule(ScheduleError::ClusteredMachine { clusters: 4 }))
+        );
+        assert_eq!(
+            crate::wire::encode_answer(&body.name, &answer),
+            r#"{"ok":false,"error":"scheduling failed: IMS schedules only an unclustered machine, and this one has 4 clusters"}"#
+        );
     }
 }

@@ -259,7 +259,7 @@ fn topology_invariants_hold_for_every_variant_and_cluster_count() {
 #[test]
 fn portfolio_winners_pareto_dominate_or_equal_the_plain_dms_point() {
     use dms_core::SchedulerStrategy;
-    let code_size = |r: &dms_core::ScheduleOutcome| {
+    let code_size = |r: &dms_sched::ScheduleOutcome| {
         (2 * (u64::from(r.schedule.stage_count()) - 1) + 1) * u64::from(r.ii())
     };
     run_cases(7, |l| {
