@@ -35,7 +35,7 @@ use dms_telemetry::{EventKind, Gauge, Histogram, Registry};
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which scheduler a request runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -393,8 +393,14 @@ impl ScheduleService {
 pub(crate) fn timed<T>(histogram: &Histogram, f: impl FnOnce() -> T) -> T {
     let started = Instant::now();
     let value = f();
-    histogram.observe(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+    histogram.observe(micros(started.elapsed()));
     value
+}
+
+/// `d` in whole microseconds, rounded to the nearest (a half rounds up), so
+/// a sub-µs call counts as 0 or 1 and a histogram's sum is not biased low.
+fn micros(d: Duration) -> u64 {
+    u64::try_from((d.as_nanos() + 500) / 1_000).unwrap_or(u64::MAX)
 }
 
 /// Derives the content address of a request from its body fingerprint
@@ -434,6 +440,16 @@ mod tests {
             verify_trips: None,
             contention: false,
         }
+    }
+
+    /// A duration is recorded to the nearest µs: a sub-µs cache hit is not
+    /// always 0, and a half rounds up.
+    #[test]
+    fn durations_round_to_the_nearest_microsecond() {
+        assert_eq!(micros(Duration::from_nanos(400)), 0);
+        assert_eq!(micros(Duration::from_nanos(500)), 1);
+        assert_eq!(micros(Duration::from_nanos(25_600)), 26);
+        assert_eq!(micros(Duration::MAX), u64::MAX);
     }
 
     #[test]

@@ -6,13 +6,20 @@
 //! are integers.
 //!
 //! * [`decode_request`] reads a request line in one pass straight into a
-//!   [`WireRequest`], building no value tree. Object keys are matched as
-//!   they come, in any order; the first of a duplicated key wins and
-//!   unknown keys are skipped without building anything. Ops, reads, edges
-//!   and tombstone slots go straight into the loop's [`Ddg`], and edges may
-//!   arrive before ops. The bounds, error messages and the nesting cap are
-//!   those of a tree decoder, which `tests/fast_paths.rs` keeps as the
-//!   reference.
+//!   [`WireRequest`], building no value tree. Object keys are compared as
+//!   bytes as they come, in any order; the first of a duplicated key wins
+//!   and unknown keys are skipped without building anything. Ops, operands
+//!   and edges are read by position straight into their [`Operation`],
+//!   [`Operand`] and [`DepEdge`] and into the loop's [`Ddg`]; a name (an op
+//!   or dependence kind, an operand tag) is matched against its table where
+//!   it stands in the line. Edges may arrive before ops: they wait as read,
+//!   a few integers and a kind each, until the ops they name are known.
+//!   The bounds, error messages and the nesting cap are those of a tree
+//!   decoder, which `tests/fast_paths.rs` keeps as the reference.
+//! * A syntax error is a small `Copy` value, a kind and a byte offset, that
+//!   the lexer hands up unchanged; its message is rendered once, when the
+//!   line has failed. A malformed member's message is written only when the
+//!   member is found malformed.
 //! * Requests and responses are rendered straight into the line. A schedule
 //!   reply is rendered from one [`ScheduleRecord`] and the request's loop
 //!   name: the server encodes the service's answer ([`encode_answer`]), and
@@ -78,50 +85,167 @@ use std::fmt::{self, Write as _};
 /// overflowing a handler's stack through the recursive descent.
 const MAX_DEPTH: usize = 64;
 
-/// A member value as the one-pass decoders keep it: a scalar, or only the
-/// fact that it was an array or object, whose bytes were checked and
-/// skipped. Each accessor answers `None` for a value of another type.
-#[derive(Debug)]
-enum Field<'a> {
+/// What is wrong at a [`SyntaxError`]'s byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Syntax {
+    /// Not the byte named: the `"` opening a key or the `:` after it.
+    Expected(u8),
+    /// Neither `,` nor the closer named, after an element or a member.
+    CommaOr(u8),
+    /// A word that is not `null`, `true` or `false`.
+    BadLiteral,
+    /// No value starts with this byte.
+    Unexpected,
+    /// A fraction or an exponent, at the number's first byte.
+    Float,
+    /// A sign without digits, or an integer outside `i64`, at its first
+    /// byte.
+    BadNumber,
+    /// The line ends inside a string.
+    Unterminated,
+    /// A backslash followed by no escape letter, at that letter.
+    BadEscape,
+    /// A `\u` not followed by four hex digits, at the `u`.
+    BadUnicodeEscape,
+    /// A `\u` escape of a surrogate.
+    Surrogate,
+    /// An array or object opened past [`MAX_DEPTH`] levels, at its opener.
+    TooDeep,
+    /// Anything but whitespace after the document.
+    TrailingGarbage,
+}
+
+/// A syntax error: what is wrong and the byte of the line it was found at.
+/// The lexer stops at the error's byte and returns only the [`Syntax`], a
+/// two-byte value every reader passes up unchanged; [`Parser::document`]
+/// adds the byte. Only a failed line renders the error to text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SyntaxError {
+    kind: Syntax,
+    at: usize,
+}
+
+impl fmt::Display for SyntaxError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let at = self.at;
+        match self.kind {
+            Syntax::Expected(b) => write!(f, "expected '{}' at byte {at}", b as char),
+            Syntax::CommaOr(b) => write!(f, "expected ',' or '{}' at byte {at}", b as char),
+            Syntax::BadLiteral => write!(f, "bad literal at byte {at}"),
+            Syntax::Unexpected => write!(f, "unexpected input at byte {at}"),
+            Syntax::Float => {
+                write!(f, "floating-point numbers are not part of this protocol (byte {at})")
+            }
+            Syntax::BadNumber => write!(f, "bad number at byte {at}"),
+            Syntax::Unterminated => f.write_str("unterminated string"),
+            Syntax::BadEscape => write!(f, "bad escape at byte {at}"),
+            Syntax::BadUnicodeEscape => write!(f, "bad \\u escape at byte {at}"),
+            Syntax::Surrogate => f.write_str("surrogate \\u escape"),
+            Syntax::TooDeep => write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}"),
+            Syntax::TrailingGarbage => write!(f, "trailing garbage at byte {at}"),
+        }
+    }
+}
+
+/// A string's contents as a range of the line, between its quotes.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+    /// Whether the contents hold an escape.
+    escaped: bool,
+}
+
+impl Span {
+    /// The string's text: borrowed from `line` unless it holds an escape.
+    #[inline(always)]
+    fn text(self, line: &str) -> Cow<'_, str> {
+        if self.escaped {
+            return Cow::Owned(self.unescaped(line));
+        }
+        Cow::Borrowed(&line[self.start..self.end])
+    }
+
+    #[cold]
+    fn unescaped(self, line: &str) -> String {
+        let mut out = String::with_capacity(self.end - self.start);
+        // The span was read from this line, so it reads again without error.
+        let _ =
+            Parser { text: line, pos: self.start, depth: 0 }.escapes(self.start, Some(&mut out));
+        out
+    }
+}
+
+/// A member value as the decoders keep it: a scalar, a string's span, or
+/// only the fact that it was an array or object, whose bytes were checked
+/// and skipped. Each accessor answers `None` for a value of another type.
+#[derive(Debug, Clone, Copy)]
+enum Value {
     Null,
     Bool(bool),
     Num(i64),
-    /// Borrowed from the line unless it holds an escape.
-    Str(Cow<'a, str>),
+    Str(Span),
     Nested,
 }
 
-impl Field<'_> {
-    fn as_i64(&self) -> Option<i64> {
+impl Value {
+    fn as_u64(self) -> Option<u64> {
         match self {
-            Field::Num(n) => Some(*n),
+            Value::Num(n) => u64::try_from(n).ok(),
             _ => None,
         }
     }
 
-    fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|n| u64::try_from(n).ok())
-    }
-
-    fn as_str(&self) -> Option<&str> {
+    fn as_bool(self) -> Option<bool> {
         match self {
-            Field::Str(s) => Some(s),
+            Value::Bool(b) => Some(b),
             _ => None,
         }
     }
 
-    fn as_bool(&self) -> Option<bool> {
+    fn as_str(self, line: &str) -> Option<Cow<'_, str>> {
         match self {
-            Field::Bool(b) => Some(*b),
+            Value::Str(s) => Some(s.text(line)),
             _ => None,
+        }
+    }
+
+    /// The value, or `None` for `null`.
+    fn non_null(self) -> Option<Value> {
+        match self {
+            Value::Null => None,
+            v => Some(v),
+        }
+    }
+}
+
+/// A name read where a kind or tag stands: found in its table, a string
+/// the table lacks, or a value of another type.
+#[derive(Debug, Clone, Copy)]
+enum Name<K> {
+    Known(K),
+    Unknown(Span),
+    NotString,
+}
+
+impl<K: Copy> Name<K> {
+    /// The kind named, or the error: `unknown {what} "..."` for a string
+    /// the table lacks, `missing` for any other value.
+    fn kind(self, line: &str, what: &str, missing: &str) -> Result<K, String> {
+        match self {
+            Name::Known(k) => Ok(k),
+            Name::Unknown(s) => Err(format!("unknown {what} {:?}", s.text(line))),
+            Name::NotString => Err(missing.to_string()),
         }
     }
 }
 
 /// A recursive-descent walk over one document. Arrays and objects are
-/// visited element by element through a callback, so the same walk skips a
-/// value, decodes a request in place or reads a reply, and every reader
-/// meets the same syntax errors at the same bytes.
+/// visited element by element, so the same walk skips a value, decodes a
+/// request in place or reads a reply, and every reader meets the same
+/// syntax errors at the same bytes. The small steps (a byte, a comma, an
+/// integer, a name) are inlined into their readers, so reading an op, an
+/// operand or an edge makes no call per token.
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
@@ -134,254 +258,301 @@ impl<'a> Parser<'a> {
     /// and nothing else.
     fn document<T>(
         text: &'a str,
-        read: impl FnOnce(&mut Self) -> Result<T, String>,
-    ) -> Result<T, String> {
+        read: impl FnOnce(&mut Self) -> Result<T, Syntax>,
+    ) -> Result<T, SyntaxError> {
         let mut p = Parser { text, pos: 0, depth: 0 };
-        p.skip_ws();
-        let value = read(&mut p)?;
-        p.skip_ws();
-        if p.pos != text.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(value)
+        let whole = || {
+            p.skip_ws();
+            let value = read(&mut p)?;
+            p.skip_ws();
+            match p.pos == text.len() {
+                true => Ok(value),
+                false => Err(Syntax::TrailingGarbage),
+            }
+        };
+        whole().map_err(|kind| SyntaxError { kind, at: p.pos })
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
+    #[inline(always)]
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
+    #[inline(always)]
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
         }
     }
 
-    fn literal(&mut self, word: &str, value: Field<'a>) -> Result<Field<'a>, String> {
-        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
+    #[inline(always)]
+    fn expect(&mut self, b: u8) -> Result<(), Syntax> {
+        if self.peek() != Some(b) {
+            return Err(Syntax::Expected(b));
         }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn literal(&mut self, word: &str) -> Result<(), Syntax> {
+        if !self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            return Err(Syntax::BadLiteral);
+        }
+        self.pos += word.len();
+        Ok(())
     }
 
     /// Checks the value at the cursor and moves past it, building nothing.
-    fn skip(&mut self) -> Result<(), String> {
+    fn skip(&mut self) -> Result<(), Syntax> {
         match self.peek() {
-            Some(b'[') => self.array(Self::skip),
+            Some(b'[') => self.array(|p, _| p.skip()).map(drop),
             Some(b'{') => self.object(|p, _| p.skip()),
-            _ => self.scalar().map(drop),
+            Some(b'"') => self.string().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ => self.value().map(drop),
         }
     }
 
     /// Reads a scalar, or skips an array or object and reports it as
-    /// [`Field::Nested`].
-    fn field(&mut self) -> Result<Field<'a>, String> {
-        if matches!(self.peek(), Some(b'[' | b'{')) {
-            self.skip()?;
-            return Ok(Field::Nested);
+    /// [`Value::Nested`].
+    fn value(&mut self) -> Result<Value, Syntax> {
+        match self.peek() {
+            Some(b'[' | b'{') => self.skip().map(|()| Value::Nested),
+            Some(b'n') => self.literal("null").map(|()| Value::Null),
+            Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Num),
+            _ => Err(Syntax::Unexpected),
         }
-        self.scalar()
     }
 
-    fn scalar(&mut self) -> Result<Field<'a>, String> {
+    /// The integer at the cursor, or `None` once a value of another type is
+    /// skipped.
+    #[inline(always)]
+    fn int(&mut self) -> Result<Option<i64>, Syntax> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Field::Null),
-            Some(b't') => self.literal("true", Field::Bool(true)),
-            Some(b'f') => self.literal("false", Field::Bool(false)),
-            Some(b'"') => Ok(Field::Str(self.string()?)),
-            Some(b'-' | b'0'..=b'9') => Ok(Field::Num(self.number()?)),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Some),
+            _ => self.skip_as(None),
         }
+    }
+
+    /// Skips a value of a type other than the one wanted, and answers
+    /// `answer`.
+    #[cold]
+    fn skip_as<T>(&mut self, answer: T) -> Result<T, Syntax> {
+        self.skip().map(|()| answer)
+    }
+
+    /// The string at the cursor looked up in `names`, or
+    /// [`Name::NotString`] once a value of another type is skipped.
+    #[inline(always)]
+    fn name<K: Copy>(&mut self, names: &[(K, &str)]) -> Result<Name<K>, Syntax> {
+        if self.peek() != Some(b'"') {
+            return self.skip_as(Name::NotString);
+        }
+        // A name of the table and then a quote is that whole string, with
+        // no escape in it: matched where it stands.
+        let rest = &self.text.as_bytes()[self.pos + 1..];
+        for &(k, n) in names {
+            if rest.starts_with(n.as_bytes()) && rest.get(n.len()) == Some(&b'"') {
+                self.pos += n.len() + 2;
+                return Ok(Name::Known(k));
+            }
+        }
+        let span = self.string()?;
+        let text = span.text(self.text);
+        let found = names.iter().find(|(_, n)| *n == text);
+        Ok(found.map_or(Name::Unknown(span), |&(k, _)| Name::Known(k)))
     }
 
     /// Reads an integer, accumulating its digits as it scans them.
-    fn number(&mut self) -> Result<i64, String> {
-        let start = self.pos;
+    #[inline(always)]
+    fn number(&mut self) -> Result<i64, Syntax> {
+        let bytes = self.text.as_bytes();
         let negative = self.peek() == Some(b'-');
-        self.pos += usize::from(negative);
-        let digits = self.pos;
-        // Accumulated towards its sign, so that `i64::MIN` fits; `None`
-        // once it overflows.
-        let mut value = Some(0i64);
-        while let Some(digit @ b'0'..=b'9') = self.peek() {
-            let digit = i64::from(digit - b'0');
-            value = value.and_then(|v| v.checked_mul(10)).and_then(|v| {
-                if negative {
-                    v.checked_sub(digit)
-                } else {
-                    v.checked_add(digit)
-                }
-            });
-            self.pos += 1;
+        let digits = self.pos + usize::from(negative);
+        let (mut end, mut magnitude) = (digits, Some(0u64));
+        while let Some(digit @ b'0'..=b'9') = bytes.get(end).copied() {
+            magnitude = magnitude
+                .and_then(|m| m.checked_mul(10))
+                .and_then(|m| m.checked_add(u64::from(digit - b'0')));
+            end += 1;
         }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(format!(
-                "floating-point numbers are not part of this protocol (byte {start})"
-            ));
+        // Both errors are reported at the number's first byte.
+        if let Some(b'.' | b'e' | b'E') = bytes.get(end) {
+            return Err(Syntax::Float);
         }
-        value.filter(|_| self.pos > digits).ok_or_else(|| format!("bad number at byte {start}"))
+        let value = match magnitude.filter(|_| end > digits) {
+            Some(m) if negative => 0i64.checked_sub_unsigned(m),
+            Some(m) => i64::try_from(m).ok(),
+            None => None,
+        };
+        let value = value.ok_or(Syntax::BadNumber)?;
+        self.pos = end;
+        Ok(value)
     }
 
     /// Moves past a run of bytes up to the next quote, backslash or the end.
     /// Both stop bytes are ASCII, so a run ends on a character boundary.
+    #[inline(always)]
     fn skip_run(&mut self) {
         let rest = &self.text.as_bytes()[self.pos..];
         self.pos += rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
     }
 
-    fn slice(&self, start: usize) -> Result<&'a str, String> {
-        self.text.get(start..self.pos).ok_or_else(|| "invalid utf-8".to_string())
-    }
-
-    /// Reads a string, borrowed from the line unless it holds an escape, in
-    /// time linear in its length.
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+    /// Reads a string in time linear in its length and returns its span. A
+    /// string without escapes is one run up to its closing quote.
+    #[inline(always)]
+    fn string(&mut self) -> Result<Span, Syntax> {
         self.expect(b'"')?;
         let start = self.pos;
         self.skip_run();
-        let run = self.slice(start)?;
-        if self.peek() == Some(b'"') {
-            self.pos += 1;
-            return Ok(Cow::Borrowed(run));
+        if self.peek() != Some(b'"') {
+            return self.escapes(start, None);
         }
-        let mut out = run.to_string();
+        self.pos += 1;
+        Ok(Span { start, end: self.pos - 1, escaped: false })
+    }
+
+    /// Reads the rest of the string whose contents begin at `start`, from
+    /// the cursor on, writing its text from the cursor on to `out` if given.
+    /// Every run and escape starts and ends on an ASCII byte, so the text is
+    /// sliced on character boundaries.
+    #[cold]
+    fn escapes(&mut self, start: usize, mut out: Option<&mut String>) -> Result<Span, Syntax> {
         loop {
+            let run = self.pos;
+            self.skip_run();
+            if let Some(out) = out.as_deref_mut() {
+                out.push_str(&self.text[run..self.pos]);
+            }
             match self.peek() {
-                None => return Err("unterminated string".to_string()),
+                None => return Err(Syntax::Unterminated),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(Cow::Owned(out));
+                    return Ok(Span { start, end: self.pos - 1, escaped: true });
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{0008}',
+                        Some(b'f') => '\u{000c}',
                         Some(b'u') => {
-                            let hex = self
-                                .text
-                                .as_bytes()
-                                .get(self.pos + 1..self.pos + 5)
+                            let hex = self.text.as_bytes().get(self.pos + 1..self.pos + 5);
+                            let Some(hex) = hex
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(
-                                char::from_u32(hex)
-                                    .ok_or_else(|| "surrogate \\u escape".to_string())?,
-                            );
+                            else {
+                                return Err(Syntax::BadUnicodeEscape);
+                            };
+                            let c = char::from_u32(hex).ok_or(Syntax::Surrogate)?;
                             self.pos += 4;
+                            c
                         }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                        _ => return Err(Syntax::BadEscape),
+                    };
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    let start = self.pos;
-                    self.skip_run();
-                    out.push_str(self.slice(start)?);
-                }
             }
         }
     }
 
-    /// Opens an array or object at the cursor, within the nesting cap.
-    fn enter(&mut self, opener: u8) -> Result<(), String> {
+    /// Opens the array or object at the cursor, within the nesting cap:
+    /// whether an element or member follows, or else past its `closer`.
+    #[inline(always)]
+    fn open(&mut self, opener: u8, closer: u8) -> Result<bool, Syntax> {
         if self.depth == MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+            return Err(Syntax::TooDeep);
         }
         self.expect(opener)?;
         self.depth += 1;
-        Ok(())
+        self.skip_ws();
+        Ok(!self.close(closer))
     }
 
-    /// Reads an array, calling `element` with the cursor on each element;
-    /// `element` must read exactly that one value.
-    fn array(
-        &mut self,
-        mut element: impl FnMut(&mut Self) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.enter(b'[')?;
+    /// After an element or member: past the `,` and whether another
+    /// follows, or else past the `closer`.
+    #[inline(always)]
+    fn next(&mut self, closer: u8) -> Result<bool, Syntax> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.close(closer) {
+            return Ok(false);
+        }
+        if self.peek() != Some(b',') {
+            return Err(Syntax::CommaOr(closer));
+        }
+        self.pos += 1;
+        self.skip_ws();
+        Ok(true)
+    }
+
+    /// Moves past `closer` if it is at the cursor, closing a level.
+    #[inline(always)]
+    fn close(&mut self, closer: u8) -> bool {
+        let closed = self.peek() == Some(closer);
+        if closed {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(());
         }
-        loop {
-            self.skip_ws();
-            element(self)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
+        closed
+    }
+
+    /// Reads an array, calling `element` with the cursor on each element and
+    /// its index; `element` must read exactly that one value. Returns the
+    /// element count.
+    #[inline(always)]
+    fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self, usize) -> Result<(), Syntax>,
+    ) -> Result<usize, Syntax> {
+        let mut count = 0;
+        let mut more = self.open(b'[', b']')?;
+        while more {
+            element(self, count)?;
+            count += 1;
+            more = self.next(b']')?;
         }
+        Ok(count)
     }
 
     /// Reads an object, calling `member` with each key and the cursor on
-    /// its value; `member` must read exactly that one value.
+    /// its value; `member` must read exactly that one value. A key is
+    /// borrowed from the line unless it holds an escape.
     fn object(
         &mut self,
-        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.enter(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), Syntax>,
+    ) -> Result<(), Syntax> {
+        let mut more = self.open(b'{', b'}')?;
+        while more {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            member(self, key)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
+            member(self, &key.text(self.text))?;
+            more = self.next(b'}')?;
         }
+        Ok(())
     }
 
     /// Reads the members of the object at the cursor like [`Self::object`].
     /// Any other value has no members: it is skipped.
     fn members(
         &mut self,
-        mut member: impl FnMut(&mut Self, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        if self.peek() == Some(b'{') {
-            self.object(|p, key| member(p, &key))
-        } else {
-            self.skip()
+        member: impl FnMut(&mut Self, &str) -> Result<(), Syntax>,
+    ) -> Result<(), Syntax> {
+        match self.peek() {
+            Some(b'{') => self.object(member),
+            _ => self.skip(),
         }
     }
 }
@@ -480,15 +651,6 @@ const DEP_KINDS: [(DepKind, &str); 4] = [
 /// The wire name of `kind` in `names`.
 fn name_of<K: PartialEq>(names: &[(K, &'static str)], kind: K) -> &'static str {
     names.iter().find(|(k, _)| *k == kind).expect("every kind has a wire name").1
-}
-
-/// The kind named `name` in `names`; `what` names the table in the error.
-fn kind_named<K: Copy>(names: &[(K, &str)], name: &str, what: &str) -> Result<K, String> {
-    names
-        .iter()
-        .find(|(_, n)| *n == name)
-        .map(|&(k, _)| k)
-        .ok_or_else(|| format!("unknown {what} {name:?}"))
 }
 
 /// Displays a string as a JSON string literal.
@@ -721,6 +883,11 @@ fn narrow_u32(value: u64, field: &str) -> Result<u32, String> {
     u32::try_from(value).map_err(|_| format!("{field} {value} does not fit in 32 bits"))
 }
 
+/// A non-negative integer read by position, or `None`.
+fn unsigned(n: Option<i64>) -> Option<u64> {
+    n.and_then(|n| u64::try_from(n).ok())
+}
+
 // Admission bounds of a schedule request. Sweeps and the benchmark send at
 // most 10 clusters, 2 copy units, 64 verified trips and 8 portfolio
 // candidates; the bounds sit far above that and keep one request from
@@ -740,121 +907,189 @@ fn at_most<T: PartialOrd + std::fmt::Display>(value: T, max: T, field: &str) -> 
 
 /// Reads a member's value into `slot` unless an earlier member of the same
 /// name filled it: the first of a duplicated key wins.
-fn first<'a>(slot: &mut Option<Field<'a>>, p: &mut Parser<'a>) -> Result<(), String> {
+fn first(slot: &mut Option<Value>, p: &mut Parser<'_>) -> Result<(), Syntax> {
     match slot {
-        None => *slot = Some(p.field()?),
+        None => *slot = Some(p.value()?),
         Some(_) => p.skip()?,
     }
     Ok(())
 }
 
-/// The first `N` elements of an array, each read as a [`Field`], and the
-/// array's length.
-struct Shallow<'a, const N: usize> {
-    items: [Option<Field<'a>>; N],
-    len: usize,
+/// The operand tags.
+#[derive(Debug, Clone, Copy)]
+enum Tag {
+    Def,
+    Inv,
+    Imm,
+    Ind,
 }
 
-impl<'a, const N: usize> Shallow<'a, N> {
-    /// Reads the array at the cursor, or skips any other value and returns
-    /// `None`.
-    fn read(p: &mut Parser<'a>) -> Result<Option<Self>, String> {
-        if p.peek() != Some(b'[') {
-            p.skip()?;
-            return Ok(None);
-        }
-        let mut array = Shallow { items: std::array::from_fn(|_| None), len: 0 };
-        p.array(|p| {
-            match array.items.get_mut(array.len) {
-                Some(item) => *item = Some(p.field()?),
-                None => p.skip()?,
-            }
-            array.len += 1;
-            Ok(())
-        })?;
-        Ok(Some(array))
-    }
+const TAGS: [(Tag, &str); 4] =
+    [(Tag::Def, "def"), (Tag::Inv, "inv"), (Tag::Imm, "imm"), (Tag::Ind, "ind")];
 
-    fn get(&self, i: usize) -> Option<&Field<'a>> {
-        self.items.get(i)?.as_ref()
-    }
-}
-
-fn decode_operand_fields(arr: Option<Shallow<'_, 3>>) -> Result<Operand, String> {
-    let arr = arr.ok_or("operand must be an array")?;
-    let tag = arr.get(0).and_then(Field::as_str).ok_or("operand needs a tag")?;
-    match tag {
-        "def" => {
-            let op = arr.get(1).and_then(Field::as_u64).ok_or("def needs a producer slot")?;
-            let distance = arr.get(2).and_then(Field::as_u64).ok_or("def needs a distance")?;
-            Ok(Operand::Def {
-                op: OpId(narrow_u32(op, "operand producer slot")?),
-                distance: narrow_u32(distance, "operand distance")?,
-            })
-        }
-        "inv" => {
-            let i = arr.get(1).and_then(Field::as_u64).ok_or("inv needs an index")?;
-            Ok(Operand::Invariant(narrow_u32(i, "invariant index")?))
-        }
-        "imm" => {
-            let v = arr.get(1).and_then(Field::as_i64).ok_or("imm needs a value")?;
-            Ok(Operand::Immediate(v))
-        }
-        "ind" => Ok(Operand::Induction),
-        other => Err(format!("unknown operand tag {other:?}")),
-    }
-}
-
-/// The `[kind, [operand, ...]]` op entry at the cursor: `Ok(None)` for a
-/// `null` tombstone. The outer `Result` is the line's syntax, the inner one
-/// the entry's meaning, checked in the order of the fields.
-fn decode_op(p: &mut Parser<'_>) -> Result<Result<Option<Operation>, String>, String> {
+/// Reads the operand at the cursor onto `reads`. The outer `Result` is the
+/// line's syntax, the inner one the operand's meaning, checked in the order
+/// of its fields.
+fn read_operand(
+    p: &mut Parser<'_>,
+    reads: &mut Vec<Operand>,
+) -> Result<Result<(), String>, Syntax> {
     if p.peek() != Some(b'[') {
-        return Ok(match p.field()? {
-            Field::Null => Ok(None),
-            _ => Err("op must be [kind, [reads]]".to_string()),
-        });
+        return p.skip_as(Err("operand must be an array".to_string()));
     }
-    let (mut kind, mut reads, mut index) = (None, None, 0);
-    p.array(|p| {
-        match index {
-            0 => kind = Some(p.field()?),
-            1 => reads = decode_reads(p)?,
+    let (mut tag, mut a, mut b) = (Name::NotString, None, None);
+    p.array(|p, i| {
+        match i {
+            0 => tag = p.name(&TAGS)?,
+            1 => a = p.int()?,
+            2 => b = p.int()?,
             _ => p.skip()?,
         }
-        index += 1;
         Ok(())
     })?;
-    let kind = match kind.as_ref().and_then(Field::as_str) {
-        None => return Ok(Err("op needs a kind".to_string())),
-        Some(kind) => kind_named(&OP_KINDS, kind, "op kind"),
+    let operand = |tag| -> Result<Operand, String> {
+        Ok(match tag {
+            Tag::Def => {
+                let op = unsigned(a).ok_or("def needs a producer slot")?;
+                let distance = unsigned(b).ok_or("def needs a distance")?;
+                Operand::Def {
+                    op: OpId(narrow_u32(op, "operand producer slot")?),
+                    distance: narrow_u32(distance, "operand distance")?,
+                }
+            }
+            Tag::Inv => {
+                let index = unsigned(a).ok_or("inv needs an index")?;
+                Operand::Invariant(narrow_u32(index, "invariant index")?)
+            }
+            Tag::Imm => Operand::Immediate(a.ok_or("imm needs a value")?),
+            Tag::Ind => Operand::Induction,
+        })
     };
-    Ok(kind.and_then(|kind| {
-        let reads = reads.ok_or("op needs a reads array")??;
-        Ok(Some(Operation::new(kind, reads)))
+    let tag = tag.kind(p.text, "operand tag", "operand needs a tag");
+    Ok(tag.and_then(operand).map(|operand| reads.push(operand)))
+}
+
+/// Reads the `[kind, [operand, ...]]` op entry at the cursor into the next
+/// slot of `ddg`; a `null` tombstone is an op removed at once, so later
+/// slots keep their index and no edge can name it. The outer `Result` is
+/// the line's syntax, the inner one the entry's meaning, checked in the
+/// order of the fields.
+fn read_op(p: &mut Parser<'_>, ddg: &mut Ddg) -> Result<Result<(), String>, Syntax> {
+    if p.peek() != Some(b'[') {
+        if !matches!(p.value()?, Value::Null) {
+            return Ok(Err("op must be [kind, [reads]]".to_string()));
+        }
+        let id = ddg.add_op(Operation::new(OpKind::Add, Vec::new()));
+        ddg.remove_op(id);
+        return Ok(Ok(()));
+    }
+    let (mut kind, mut reads, mut meaning) = (Name::NotString, Vec::new(), Ok(()));
+    let fields = p.array(|p, i| {
+        match i {
+            0 => kind = p.name(&OP_KINDS)?,
+            1 => meaning = read_reads(p, &mut reads)?,
+            _ => p.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(kind.kind(p.text, "op kind", "op needs a kind").and_then(|kind| {
+        if fields == 1 {
+            return Err("op needs a reads array".to_string());
+        }
+        meaning?;
+        ddg.add_op(Operation::new(kind, reads));
+        Ok(())
     }))
 }
 
-/// The reads array at the cursor, as [`decode_op`] answers: `None` when the
-/// value is not an array, else the operands or the first malformed one's
-/// error.
-fn decode_reads(p: &mut Parser<'_>) -> Result<Option<Result<Vec<Operand>, String>>, String> {
+/// Reads the reads array at the cursor onto `reads`, up to the first
+/// malformed operand, whose error it answers (the operands after it are
+/// only checked for syntax).
+fn read_reads(p: &mut Parser<'_>, reads: &mut Vec<Operand>) -> Result<Result<(), String>, Syntax> {
     if p.peek() != Some(b'[') {
-        p.skip()?;
-        return Ok(None);
+        return p.skip_as(Err("op needs a reads array".to_string()));
     }
-    let mut reads = Ok(Vec::new());
-    p.array(|p| {
-        let operand = Shallow::read(p)?;
-        if let Ok(list) = &mut reads {
-            match decode_operand_fields(operand) {
-                Ok(operand) => list.push(operand),
-                Err(e) => reads = Err(e),
-            }
+    let mut meaning = Ok(());
+    p.array(|p, _| {
+        if meaning.is_err() {
+            return p.skip();
         }
+        meaning = read_operand(p, reads)?;
         Ok(())
     })?;
-    Ok(Some(reads))
+    Ok(meaning)
+}
+
+/// An edge as read by position from its `[src, dst, kind, latency,
+/// distance]` array: the integers and the kind found there, judged against
+/// the ops once they are known.
+#[derive(Debug, Clone, Copy)]
+struct WireEdge {
+    /// The array's length.
+    fields: usize,
+    src: Option<i64>,
+    dst: Option<i64>,
+    kind: Name<DepKind>,
+    latency: Option<i64>,
+    distance: Option<i64>,
+}
+
+impl WireEdge {
+    /// The edge at the cursor, or `None` once a value that is no array is
+    /// skipped.
+    #[inline(always)]
+    fn read(p: &mut Parser<'_>) -> Result<Option<Self>, Syntax> {
+        if p.peek() != Some(b'[') {
+            return p.skip_as(None);
+        }
+        let mut e = WireEdge {
+            fields: 0,
+            src: None,
+            dst: None,
+            kind: Name::NotString,
+            latency: None,
+            distance: None,
+        };
+        e.fields = p.array(|p, i| {
+            match i {
+                0 => e.src = p.int()?,
+                1 => e.dst = p.int()?,
+                2 => e.kind = p.name(&DEP_KINDS)?,
+                3 => e.latency = p.int()?,
+                4 => e.distance = p.int()?,
+                _ => p.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(Some(e))
+    }
+
+    /// The dependence between two live ops of `ddg` this edge names, or its
+    /// first malformation in the order of the fields.
+    fn judge(self, ddg: &Ddg, line: &str) -> Result<DepEdge, String> {
+        if self.fields != 5 {
+            return Err("edge must have 5 fields".to_string());
+        }
+        let live = |id: u64| -> Result<OpId, String> {
+            let id = OpId(u32::try_from(id).map_err(|_| "op id out of range")?);
+            match ddg.is_live(id) {
+                true => Ok(id),
+                false => Err(format!("edge references dead op slot {}", id.0)),
+            }
+        };
+        let src = live(unsigned(self.src).ok_or("edge src must be a slot")?)?;
+        let dst = live(unsigned(self.dst).ok_or("edge dst must be a slot")?)?;
+        let kind = self.kind.kind(line, "dependence kind", "edge kind must be a string")?;
+        let latency = unsigned(self.latency).ok_or("edge latency must be a number")?;
+        let distance = unsigned(self.distance).ok_or("edge distance must be a number")?;
+        Ok(DepEdge {
+            src,
+            dst,
+            kind,
+            latency: narrow_u32(latency, "edge latency")?,
+            distance: narrow_u32(distance, "edge distance")?,
+        })
+    }
 }
 
 /// Line bytes per op, as the decoder guesses them to reserve room for the
@@ -864,29 +1099,29 @@ fn decode_reads(p: &mut Parser<'_>) -> Result<Option<Result<Vec<Operand>, String
 const BYTES_PER_OP: usize = 32;
 const MAX_RESERVED_OPS: usize = 4096;
 
-/// A loop object read member by member. Ops go into the DDG as they come;
-/// edges read before the ops wait in `pending`. Every malformation is
-/// kept, not returned, until [`LoopFields::finish`] reports the first in
-/// the order a loop is checked: name, trip count, the two arrays, each op,
-/// each edge, then the whole graph.
+/// A loop object read member by member. Ops go into the DDG as they come,
+/// and so do edges once the ops are read; edges read before the ops wait in
+/// `pending`. Every malformation is kept, not returned, until
+/// [`LoopFields::finish`] reports the first in the order a loop is
+/// checked: name, trip count, the two arrays, each op, each edge, then the
+/// whole graph.
 #[derive(Default)]
-struct LoopFields<'a> {
-    name: Option<Field<'a>>,
-    trip_count: Option<Field<'a>>,
+struct LoopFields {
+    name: Option<Value>,
+    trip_count: Option<Value>,
     /// Whether the first `ops` (`edges`) member was an array.
     ops: Option<bool>,
     edges: Option<bool>,
     ddg: Ddg,
-    /// `dead[slot]`: the wire slot is `null`.
-    dead: Vec<bool>,
     /// The first malformed op, or else the first malformed edge: edges are
     /// only checked once every op is well formed.
     error: Option<String>,
-    pending: Vec<Option<Shallow<'a, 5>>>,
+    /// Edges read before the ops; `None` for an entry that is no array.
+    pending: Vec<Option<WireEdge>>,
 }
 
-impl<'a> LoopFields<'a> {
-    fn read(p: &mut Parser<'a>) -> Result<Self, String> {
+impl LoopFields {
+    fn read(p: &mut Parser<'_>) -> Result<Self, Syntax> {
         let mut fields = LoopFields::default();
         p.members(|p, key| match key {
             "name" => first(&mut fields.name, p),
@@ -898,7 +1133,7 @@ impl<'a> LoopFields<'a> {
         Ok(fields)
     }
 
-    fn read_ops(&mut self, p: &mut Parser<'a>) -> Result<(), String> {
+    fn read_ops(&mut self, p: &mut Parser<'_>) -> Result<(), Syntax> {
         self.ops = Some(p.peek() == Some(b'['));
         if self.ops == Some(false) {
             return p.skip();
@@ -907,89 +1142,60 @@ impl<'a> LoopFields<'a> {
         // line, so the graph seldom regrows.
         let room = ((p.text.len() - p.pos) / BYTES_PER_OP).min(MAX_RESERVED_OPS);
         self.ddg = Ddg::with_capacity(room, room);
-        self.dead.reserve(room);
-        p.array(|p| {
+        p.array(|p, _| {
             if self.error.is_some() {
                 return p.skip();
             }
-            match decode_op(p)? {
-                Ok(op) => {
-                    self.dead.push(op.is_none());
-                    // A tombstone gets a placeholder, so later slots keep
-                    // their index; `finish` removes it again.
-                    self.ddg.add_op(op.unwrap_or_else(|| Operation::new(OpKind::Add, Vec::new())));
-                }
-                Err(e) => self.error = Some(e),
+            if let Err(e) = read_op(p, &mut self.ddg)? {
+                self.error = Some(e);
             }
             Ok(())
         })?;
         for edge in std::mem::take(&mut self.pending) {
-            self.add_edge(edge);
+            self.add_edge(edge, p.text);
         }
         Ok(())
     }
 
-    fn read_edges(&mut self, p: &mut Parser<'a>) -> Result<(), String> {
+    fn read_edges(&mut self, p: &mut Parser<'_>) -> Result<(), Syntax> {
         self.edges = Some(p.peek() == Some(b'['));
         if self.edges == Some(false) {
             return p.skip();
         }
-        p.array(|p| {
-            let edge = Shallow::read(p)?;
+        p.array(|p, _| {
+            let edge = WireEdge::read(p)?;
             match self.ops {
                 None => self.pending.push(edge),
-                Some(_) => self.add_edge(edge),
+                Some(_) => self.add_edge(edge, p.text),
             }
             Ok(())
         })
+        .map(drop)
     }
 
-    /// Adds one `[src, dst, kind, latency, distance]` edge to the ops read,
-    /// unless an op or an earlier edge is malformed.
-    fn add_edge(&mut self, edge: Option<Shallow<'a, 5>>) {
+    /// Adds one edge to the ops read, unless an op or an earlier edge is
+    /// malformed.
+    fn add_edge(&mut self, edge: Option<WireEdge>, line: &str) {
         if self.ops != Some(true) || self.error.is_some() {
             return;
         }
-        if let Err(e) = self.try_add_edge(edge) {
-            self.error = Some(e);
-        }
-    }
-
-    fn try_add_edge(&mut self, edge: Option<Shallow<'a, 5>>) -> Result<(), String> {
-        let e = edge.ok_or("edge must be [src, dst, kind, latency, distance]")?;
-        if e.len != 5 {
-            return Err("edge must have 5 fields".to_string());
-        }
-        let number = |i: usize| e.get(i).and_then(Field::as_u64);
-        let live = |id: u64| -> Result<OpId, String> {
-            let id = OpId(u32::try_from(id).map_err(|_| "op id out of range")?);
-            if self.dead.get(id.index()) == Some(&false) {
-                Ok(id)
-            } else {
-                Err(format!("edge references dead op slot {}", id.0))
+        let edge =
+            edge.ok_or_else(|| "edge must be [src, dst, kind, latency, distance]".to_string());
+        match edge.and_then(|e| e.judge(&self.ddg, line)) {
+            Ok(edge) => {
+                self.ddg.add_edge(edge);
             }
-        };
-        let src = live(number(0).ok_or("edge src must be a slot")?)?;
-        let dst = live(number(1).ok_or("edge dst must be a slot")?)?;
-        let kind = e.get(2).and_then(Field::as_str).ok_or("edge kind must be a string")?;
-        let kind = kind_named(&DEP_KINDS, kind, "dependence kind")?;
-        let latency =
-            narrow_u32(number(3).ok_or("edge latency must be a number")?, "edge latency")?;
-        let distance =
-            narrow_u32(number(4).ok_or("edge distance must be a number")?, "edge distance")?;
-        self.ddg.add_edge(DepEdge { src, dst, kind, latency, distance });
-        Ok(())
+            Err(e) => self.error = Some(e),
+        }
     }
 
-    /// The decoded [`Loop`], with its tombstone slots restored, or the first
-    /// malformation. A body with a dependence cycle of zero total distance
-    /// is rejected: no II can schedule it, so the II search would walk its
-    /// whole range to fail.
-    fn finish(mut self) -> Result<Loop, String> {
-        let name = self.name.as_ref().and_then(Field::as_str).ok_or("loop needs a name")?;
-        let name = name.to_string();
+    /// The decoded [`Loop`], or the first malformation. A body with a
+    /// dependence cycle of zero total distance is rejected: no II can
+    /// schedule it, so the II search would walk its whole range to fail.
+    fn finish(self, line: &str) -> Result<Loop, String> {
+        let name = self.name.and_then(|v| v.as_str(line)).ok_or("loop needs a name")?;
         let trip_count =
-            self.trip_count.as_ref().and_then(Field::as_u64).ok_or("loop needs a trip_count")?;
+            self.trip_count.and_then(Value::as_u64).ok_or("loop needs a trip_count")?;
         if self.ops != Some(true) {
             return Err("loop needs an ops array".to_string());
         }
@@ -999,30 +1205,27 @@ impl<'a> LoopFields<'a> {
         if let Some(e) = self.error {
             return Err(e);
         }
-        for (slot, _) in self.dead.iter().enumerate().filter(|(_, &dead)| dead) {
-            self.ddg.remove_op(OpId(slot as u32));
-        }
         let ddg = self.ddg;
         ddg.validate().map_err(|e| format!("decoded DDG is malformed: {e}"))?;
         if !dms_ir::analysis::cycles_have_positive_distance(&ddg) {
             return Err("decoded DDG has a dependence cycle of zero total distance".to_string());
         }
-        Ok(Loop { name, ddg, trip_count })
+        Ok(Loop { name: name.into_owned(), ddg, trip_count })
     }
 }
 
 /// A machine object's members.
 #[derive(Default)]
-struct MachineFields<'a> {
-    unclustered: Option<Field<'a>>,
-    clusters: Option<Field<'a>>,
-    copy_units: Option<Field<'a>>,
-    cqrf_capacity: Option<Field<'a>>,
-    topology: Option<Field<'a>>,
+struct MachineFields {
+    unclustered: Option<Value>,
+    clusters: Option<Value>,
+    copy_units: Option<Value>,
+    cqrf_capacity: Option<Value>,
+    topology: Option<Value>,
 }
 
-impl<'a> MachineFields<'a> {
-    fn read(p: &mut Parser<'a>) -> Result<Self, String> {
+impl MachineFields {
+    fn read(p: &mut Parser<'_>) -> Result<Self, Syntax> {
         let mut m = MachineFields::default();
         p.members(|p, key| match key {
             "unclustered" => first(&mut m.unclustered, p),
@@ -1035,38 +1238,37 @@ impl<'a> MachineFields<'a> {
         Ok(m)
     }
 
-    fn decode(&self) -> Result<WireMachine, String> {
+    fn decode(&self, line: &str) -> Result<WireMachine, String> {
         let clusters = narrow_u32(
-            self.clusters
-                .as_ref()
-                .and_then(Field::as_u64)
-                .ok_or("machine needs a clusters count")?,
+            self.clusters.and_then(Value::as_u64).ok_or("machine needs a clusters count")?,
             "machine clusters",
         )?;
         if clusters == 0 {
             return Err("machine clusters must be at least 1".to_string());
         }
         Ok(WireMachine {
-            unclustered: self.unclustered.as_ref().and_then(Field::as_bool).unwrap_or(false),
+            unclustered: self.unclustered.and_then(Value::as_bool).unwrap_or(false),
             clusters: at_most(clusters, MAX_CLUSTERS, "machine clusters")?,
             copy_units: at_most(
                 narrow_u32(
-                    self.copy_units.as_ref().and_then(Field::as_u64).unwrap_or(1),
+                    self.copy_units.and_then(Value::as_u64).unwrap_or(1),
                     "machine copy_units",
                 )?,
                 MAX_COPY_UNITS,
                 "machine copy_units",
             )?,
-            cqrf_capacity: match &self.cqrf_capacity {
-                None | Some(Field::Null) => None,
+            cqrf_capacity: match self.cqrf_capacity.and_then(Value::non_null) {
+                None => None,
                 Some(v) => Some(narrow_u32(
                     v.as_u64().ok_or("cqrf_capacity must be a number or null")?,
                     "machine cqrf_capacity",
                 )?),
             },
-            topology: match &self.topology {
-                None | Some(Field::Null) => TopologyKind::Ring,
-                Some(v) => TopologyKind::parse(v.as_str().ok_or("topology must be a string")?)?,
+            topology: match self.topology.and_then(Value::non_null) {
+                None => TopologyKind::Ring,
+                Some(v) => {
+                    TopologyKind::parse(&v.as_str(line).ok_or("topology must be a string")?)?
+                }
             },
         })
     }
@@ -1074,19 +1276,19 @@ impl<'a> MachineFields<'a> {
 
 /// A request object's members.
 #[derive(Default)]
-struct RequestFields<'a> {
-    op: Option<Field<'a>>,
-    body: Option<LoopFields<'a>>,
-    machine: Option<MachineFields<'a>>,
-    scheduler: Option<Field<'a>>,
-    strategy: Option<Field<'a>>,
-    ii_seed: Option<Field<'a>>,
-    verify_trips: Option<Field<'a>>,
-    contention: Option<Field<'a>>,
+struct RequestFields {
+    op: Option<Value>,
+    body: Option<LoopFields>,
+    machine: Option<MachineFields>,
+    scheduler: Option<Value>,
+    strategy: Option<Value>,
+    ii_seed: Option<Value>,
+    verify_trips: Option<Value>,
+    contention: Option<Value>,
 }
 
-impl<'a> RequestFields<'a> {
-    fn read(p: &mut Parser<'a>) -> Result<Self, String> {
+impl RequestFields {
+    fn read(p: &mut Parser<'_>) -> Result<Self, Syntax> {
         let mut r = RequestFields::default();
         p.members(|p, key| {
             match key {
@@ -1105,22 +1307,22 @@ impl<'a> RequestFields<'a> {
         Ok(r)
     }
 
-    fn decode(self) -> Result<WireRequest, String> {
-        match self.op.as_ref().and_then(Field::as_str) {
+    fn decode(self, line: &str) -> Result<WireRequest, String> {
+        match self.op.and_then(|v| v.as_str(line)).as_deref() {
             Some("stats") => Ok(WireRequest::Stats),
             Some("metrics") => Ok(WireRequest::Metrics),
             Some("shutdown") => Ok(WireRequest::Shutdown),
             Some("schedule") => {
-                let body = self.body.ok_or("schedule needs a loop")?.finish()?;
-                let machine = self.machine.as_ref().ok_or("schedule needs a machine")?.decode()?;
-                let scheduler = match self.scheduler.as_ref().and_then(Field::as_str) {
+                let body = self.body.ok_or("schedule needs a loop")?.finish(line)?;
+                let machine = self.machine.ok_or("schedule needs a machine")?.decode(line)?;
+                let scheduler = match self.scheduler.and_then(|v| v.as_str(line)).as_deref() {
                     Some("ims") => SchedulerKind::Ims,
                     Some("dms") | None => SchedulerKind::Dms,
                     Some(other) => return Err(format!("unknown scheduler {other:?}")),
                 };
                 let mut dms = DmsConfig::default();
-                if let Some(s) = self.strategy.as_ref().and_then(Field::as_str) {
-                    dms.strategy = SchedulerStrategy::parse(s)?;
+                if let Some(s) = self.strategy.and_then(|v| v.as_str(line)) {
+                    dms.strategy = SchedulerStrategy::parse(&s)?;
                     match dms.strategy {
                         SchedulerStrategy::Dms => {}
                         SchedulerStrategy::Beam { width } => {
@@ -1131,22 +1333,22 @@ impl<'a> RequestFields<'a> {
                         }
                     }
                 }
-                if let Some(seed) = self.ii_seed.as_ref().filter(|v| !matches!(v, Field::Null)) {
+                if let Some(seed) = self.ii_seed.and_then(Value::non_null) {
                     dms.ii_seed = Some(narrow_u32(
                         seed.as_u64().ok_or("ii_seed must be a number or null")?,
                         "ii_seed",
                     )?);
                 }
-                let verify_trips = match &self.verify_trips {
-                    None | Some(Field::Null) => None,
+                let verify_trips = match self.verify_trips.and_then(Value::non_null) {
+                    None => None,
                     Some(v) => Some(at_most(
                         v.as_u64().ok_or("verify_trips must be a number or null")?,
                         MAX_VERIFY_TRIPS,
                         "verify_trips",
                     )?),
                 };
-                let contention = match &self.contention {
-                    None | Some(Field::Null) => false,
+                let contention = match self.contention.and_then(Value::non_null) {
+                    None => false,
                     Some(v) => v.as_bool().ok_or("contention must be a boolean or null")?,
                 };
                 Ok(WireRequest::Schedule(Box::new(WireSchedule {
@@ -1178,7 +1380,7 @@ impl<'a> RequestFields<'a> {
 ///
 /// Returns a message suitable for an [`encode_error`] reply.
 pub fn decode_request(line: &str) -> Result<WireRequest, String> {
-    Parser::document(line, RequestFields::read)?.decode()
+    Parser::document(line, RequestFields::read).map_err(|e| e.to_string())?.decode(line)
 }
 
 /// The members of a reply line that a client acts on. A member that is
@@ -1211,11 +1413,12 @@ pub fn decode_reply(line: &str) -> Result<Reply, String> {
             "error" => first(&mut error, p),
             _ => p.skip(),
         })
-    })?;
-    let text = |field: Option<Field<'_>>| field.as_ref().and_then(Field::as_str).map(String::from);
+    })
+    .map_err(|e| e.to_string())?;
+    let text = |v: Option<Value>| v.and_then(|v| v.as_str(line)).map(Cow::into_owned);
     Ok(Reply {
-        ok: ok.as_ref().and_then(Field::as_bool) == Some(true),
-        cache_hit: cache_hit.as_ref().and_then(Field::as_bool),
+        ok: ok.and_then(Value::as_bool) == Some(true),
+        cache_hit: cache_hit.and_then(Value::as_bool),
         metrics: text(metrics),
         error: text(error),
     })
@@ -1264,10 +1467,12 @@ mod tests {
         let mut elements = 0;
         Parser::document(line, |p| {
             p.members(|p, key| match key {
-                "a" => p.array(|p| {
-                    elements += 1;
-                    p.skip()
-                }),
+                "a" => p
+                    .array(|p, _| {
+                        elements += 1;
+                        p.skip()
+                    })
+                    .map(drop),
                 _ => p.skip(),
             })
         })
@@ -1290,6 +1495,44 @@ mod tests {
         assert!(decode_reply("[1,]").is_err());
         assert!(decode_reply("1.5").is_err());
         assert!(decode_reply("{} trailing").is_err());
+    }
+
+    /// Each syntax error, one line per message: the lexer's kind and byte,
+    /// and the one rendering of them that both decoders answer.
+    #[test]
+    fn each_syntax_error_renders_its_message_and_byte() {
+        let deep = "[".repeat(MAX_DEPTH + 1);
+        let cases = [
+            (r#"{"op" 1}"#, Syntax::Expected(b':'), 6, "expected ':' at byte 6"),
+            (r#"{1:2}"#, Syntax::Expected(b'"'), 1, r#"expected '"' at byte 1"#),
+            ("[1 2]", Syntax::CommaOr(b']'), 3, "expected ',' or ']' at byte 3"),
+            (r#"{"a":1 "b":2}"#, Syntax::CommaOr(b'}'), 7, "expected ',' or '}' at byte 7"),
+            ("[nul]", Syntax::BadLiteral, 1, "bad literal at byte 1"),
+            ("[+1]", Syntax::Unexpected, 1, "unexpected input at byte 1"),
+            ("[0,-x]", Syntax::BadNumber, 3, "bad number at byte 3"),
+            ("[9223372036854775808]", Syntax::BadNumber, 1, "bad number at byte 1"),
+            (
+                r#"{"a":1.5}"#,
+                Syntax::Float,
+                5,
+                "floating-point numbers are not part of this protocol (byte 5)",
+            ),
+            (r#"{"a":"xyz"#, Syntax::Unterminated, 9, "unterminated string"),
+            (r#"["a\qb"]"#, Syntax::BadEscape, 4, "bad escape at byte 4"),
+            (r#"["\u12G4"]"#, Syntax::BadUnicodeEscape, 3, r"bad \u escape at byte 3"),
+            (r#"["\ud800"]"#, Syntax::Surrogate, 3, r"surrogate \u escape"),
+            (&deep, Syntax::TooDeep, MAX_DEPTH, "nesting deeper than 64 levels at byte 64"),
+            ("{} x", Syntax::TrailingGarbage, 3, "trailing garbage at byte 3"),
+        ];
+        for (line, kind, at, text) in cases {
+            let error = Parser::document(line, |p| p.skip()).unwrap_err();
+            assert_eq!(error, SyntaxError { kind, at }, "{line}");
+            assert_eq!(error.to_string(), text, "{line}");
+            assert_eq!(decode_request(line).unwrap_err(), text, "{line}");
+            assert_eq!(decode_reply(line).unwrap_err(), text, "{line}");
+        }
+        let lowest = Parser::document("-9223372036854775808", Parser::value);
+        assert!(matches!(lowest, Ok(Value::Num(i64::MIN))));
     }
 
     /// A reply is read as a request is: the first of a duplicated key wins,

@@ -114,7 +114,10 @@ fn a_ddg_clone_allocates_four_tables_plus_its_operand_lists() {
 /// Decoding a request line builds its DDG in one pass: a fixed number of
 /// blocks for the request and the graph's tables, plus one per operand
 /// list. Checked on the benchmark's request mix of plain DMS requests over
-/// the paper suite (400 cells, cluster counts cycling through 1–10).
+/// the paper suite (400 cells, cluster counts cycling through 1–10). The
+/// bound is the decoder's measured worst case: the boxed request, the
+/// loop's name and the graph's four tables, plus the blocks of the graph
+/// check and the zero-distance cycle check.
 #[test]
 fn a_request_decode_allocates_a_bounded_count_beyond_its_operand_lists() {
     let loops = 1_258;
@@ -152,7 +155,7 @@ fn a_request_decode_allocates_a_bounded_count_beyond_its_operand_lists() {
         total as f64 / 400.0,
         ops as f64 / 400.0
     );
-    assert!(worst_extra <= 16, "{worst_extra} blocks beyond the operand lists");
+    assert!(worst_extra <= 13, "{worst_extra} blocks beyond the operand lists");
 }
 
 /// A cache entry is a fixed-size record that owns no heap block, so cold

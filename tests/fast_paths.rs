@@ -1742,6 +1742,25 @@ fn decoder_matches_the_tree_reference() {
     );
 }
 
+/// [`decoder_matches_the_tree_reference`] at nightly scale: 100,000 seeded
+/// mutations from another seed. Run it with `cargo test --release --test
+/// fast_paths -- --ignored`.
+#[test]
+#[ignore = "nightly scale"]
+fn decoder_matches_the_tree_reference_on_100000_mutations() {
+    let lines = served_request_lines();
+    let mut rng = StdRng::seed_from_u64(29);
+    let (mut decoded, mutations) = (0, 100_000);
+    for _ in 0..mutations {
+        let line = mutate(&lines[rng.gen_range(0..lines.len())], &mut rng);
+        decoded += usize::from(assert_decodes_as_the_reference(&line));
+    }
+    assert!(
+        (mutations / 5..mutations * 4 / 5).contains(&decoded),
+        "{decoded} of {mutations} mutated lines decode: both outcomes must be exercised"
+    );
+}
+
 /// The response renderer against the tree it replaced, on full responses
 /// and on the service's answers, missed and hit: plain, verified and
 /// contention-timed DMS, a portfolio search, IMS, a loop name that needs
